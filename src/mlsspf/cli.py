@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 sat/witnessed or check passed, 1 unsat-within-budget or check
-failed, 2 unknown, 3 bad input.
+failed, 2 unknown, 3 bad input, 4 internal failure (the input was read and
+checked, then the library failed on it).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_UNKNOWN = 2
 EXIT_INPUT = 3
+EXIT_INTERNAL = 4
 
 
 def _emit(payload, args):
@@ -146,8 +148,14 @@ def _load_certificate(data) -> WitnessCertificate:
 def cmd_pump(args):
     data = _read_json(args.certificate)
     cert = _load_certificate(data)
-    extended = extend_certificate(cert, args.rounds, _limits(args),
-                                  strict_three=args.strict_three)
+    try:
+        extended = extend_certificate(cert, args.rounds, _limits(args),
+                                      strict_three=args.strict_three)
+    except MlsspfError as exc:
+        # The certificate re-certified from its own inputs, so the input is
+        # good and the failure is the library's.
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     _emit(extended.to_json(), args)
     ok = (extended.pumped.weak_report.ok and extended.pumped.transfer_report.ok
           and extended.pumped.upward_report.ok)

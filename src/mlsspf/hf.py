@@ -140,14 +140,6 @@ def bool_op(a: HfSet, b: HfSet, op: str) -> HfSet:
     raise ValueError(f"unknown operator {op!r}")
 
 
-def union_family(sets) -> HfSet:
-    """Union of a collection of HfSets (the unionset of a family)."""
-    out = set()
-    for s in sets:
-        out.update(s.elements)
-    return make_set(out)
-
-
 def powerset(s: HfSet, limit: int = DEFAULT_LIMITS.pow_limit) -> HfSet:
     """The set of all subsets of s.  Fails loudly when 2^|s| exceeds limit."""
     n = len(s)

@@ -1,16 +1,17 @@
 """Bounded-rank finite-witness search.
 
 Enumerates candidate assignments over small transitive universes, smallest
-first, and hands each to the evaluator (plain formulas) or the witness
-certifier (formulas demanding an infinite variable).  Exhaustion within a
-budget is reported as such, never as unsatisfiability: no computable bound
-on witness rank is assumed here, the budget is the user's stand-in.
+first, skips those that falsify a literal, and hands the rest to the
+evaluator (plain formulas) or the witness certifier (formulas demanding an
+infinite variable).  Exhaustion within a budget is reported as such, never
+as unsatisfiability: no computable bound on witness rank is assumed here,
+the budget is the user's stand-in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from types import SimpleNamespace
 from typing import Optional
 
 from . import hf, lang
@@ -93,31 +94,70 @@ def _subsets_in_order(elems):
             for mask in masks]
 
 
+def _leaves(names, choices, closures, universe, checks, limits):
+    """Surviving candidate assignments under one universe, in product order.
+
+    Variables are bound in `names` order, each to the `choices` in order, so
+    the leaves come in the order of itertools.product(choices, repeat=n).
+    Once variable d is bound, every literal in checks[d] is evaluated on the
+    bound prefix; a false one skips the whole subtree.  A leaf survives when
+    the union of its values' closures (`closures` is parallel to `choices`)
+    is the universe, i.e. the universe is the one its values generate.
+    """
+    bindings = {}
+    prefix = SimpleNamespace(bindings=bindings)
+    last = len(names) - 1
+
+    def walk(depth, covered):
+        name, here = names[depth], checks[depth]
+        for value, closure in zip(choices, closures):
+            bindings[name] = value
+            if not all(lang.eval_literal(lit, prefix, limits) for lit in here):
+                continue
+            union = covered | closure
+            if depth < last:
+                yield from walk(depth + 1, union)
+            elif union == universe:
+                yield Assignment(bindings)
+
+    return walk(0, frozenset())
+
+
 def decide(formula: lang.Formula, budget: SearchBudget) -> DecideResult:
     """Search the budgeted universe enumeration for a model or a witness.
 
-    Every candidate assignment is visited exactly once, under the smallest
-    transitive universe generated by its values; candidates under larger
-    universes that merely embed the same values are pruned.
+    Universes come smallest first.  Under each, candidates are visited
+    depth first, in itertools.product order over `formula.vars`; each
+    candidate is tried only under the smallest transitive universe its
+    values generate.  A literal other than Finite/!Finite is evaluated as
+    soon as its operands are bound, and a false one prunes every candidate
+    that extends the prefix.  Those candidates would all be rejected, so the
+    first hit, and with it every verdict, is the one the full product finds.
     """
     limits = budget.limits
     has_neg = any(lit.kind == lang.NOT_FINITE for lit in formula.literals)
+    has_pow = any(lit.kind == lang.POW for lit in formula.literals)
     names = list(formula.vars)
     if not names:
         return DecideResult(UNKNOWN)
-    searched = False
+    depth = {v: i for i, v in enumerate(names)}
+    checks = [[] for _ in names]
+    for lit in formula.literals:
+        if lit.kind not in (lang.FINITE, lang.NOT_FINITE):
+            checks[max(depth[v] for v in lit.operands)].append(lit)
+    unpruned = [()] * len(names)
     for universe in enumerate_universes(budget.max_rank, budget.max_universe):
         elems = tuple(sorted(universe, key=lambda e: e._key))
         choices = _subsets_in_order(elems)
-        target = hf.make_set(universe)
-        for combo in product(choices, repeat=len(names)):
-            support = set()
-            for v in combo:
-                support |= set(v.elements)
-            if hf.transitive_closure(hf.make_set(support)) is not target:
-                continue
-            searched = True
-            assignment = Assignment(dict(zip(names, combo)))
+        closures = [frozenset(hf.transitive_closure(c).elements)
+                    for c in choices]
+        # A Pow literal raises LimitExceeded once 2^|w| > pow_limit, and
+        # lang.evaluate lets that escape at the first such leaf.  Pruning
+        # could skip that leaf, so a universe big enough for it is searched
+        # leaf by leaf.
+        may_raise = has_pow and 2 ** len(universe) > limits.pow_limit
+        for assignment in _leaves(names, choices, closures, universe,
+                                  unpruned if may_raise else checks, limits):
             if has_neg:
                 try:
                     cert = certify_witness(
@@ -131,6 +171,8 @@ def decide(formula: lang.Formula, budget: SearchBudget) -> DecideResult:
             report = lang.evaluate(formula, assignment, limits)
             if report.satisfied:
                 return DecideResult(SAT_MODEL, assignment=assignment)
-    if budget.trivial or not searched:
+    # The empty universe is always enumerated and always has a candidate
+    # (every variable bound to {}), so an exhausted loop searched the budget.
+    if budget.trivial:
         return DecideResult(UNKNOWN)
     return DecideResult(UNSAT_WITHIN_BUDGET)

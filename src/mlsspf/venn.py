@@ -292,13 +292,3 @@ def transitivize(assignment: Assignment) -> Assignment:
     out[name] = closure
     return Assignment(out)
 
-
-def transfer_blocks(board: ColoredBoard, hat_blocks, im: ImMap) -> Assignment:
-    """Assignment reading each variable off the image blocks (same places)."""
-    out = {}
-    for v, places in im.places.items():
-        members = set()
-        for q in places:
-            members |= hat_blocks[q]
-        out[v] = hf.make_set(members)
-    return Assignment(out)

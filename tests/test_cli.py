@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import mlsspf as m
 from mlsspf.cli import run_cli
 
 
@@ -87,6 +88,17 @@ def test_pump_rejects_invalid_certificate(files):
     data["event"]["i0"] = 1
     cert.write_text(json.dumps(data))
     assert run_cli(["pump", "-c", str(cert), "--rounds", "1"]) == 3
+
+
+def test_pump_internal_failure_exit_code(tmp_path, capsys):
+    # decide's certificate for this formula loads and re-certifies, but
+    # cannot be pumped yet (a known soundness gap): that is not bad input.
+    r = m.decide(m.parse("!Finite(x) & x in w"),
+                 m.SearchBudget(max_rank=3, max_universe=3))
+    cert = tmp_path / "cert.json"
+    cert.write_text(r.certificate.dumps())
+    assert run_cli(["pump", "-c", str(cert), "--rounds", "1"]) == 4
+    assert "already placed" in capsys.readouterr().err
 
 
 def test_decide_exit_codes(files, tmp_path):

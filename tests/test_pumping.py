@@ -4,8 +4,8 @@ import pytest
 
 import mlsspf as m
 from mlsspf import hf
-from mlsspf.errors import (CoverMissesVariable, NoClosedCover, NoEvent,
-                           NotAWitness)
+from mlsspf.errors import (CardinalityDeficit, CoverMissesVariable,
+                           NoClosedCover, NoEvent, NotAWitness)
 from mlsspf.process import NEW
 from mlsspf.pumping import PumpingCycle, pump_rounds
 
@@ -226,3 +226,17 @@ def test_witness_family_all_certifiable():
     for formula, assignment in witness_family():
         cert = m.certify_witness(formula, assignment)
         assert cert.event_report.ok, formula.render()
+
+
+@pytest.mark.xfail(strict=True, raises=CardinalityDeficit,
+                   reason="known soundness gap: decide certifies these "
+                          "witnesses, but their events cannot be pumped")
+@pytest.mark.parametrize("text", ["!Finite(x) & x in w",
+                                  "!y <= w & !Finite(w)"])
+def test_decided_certificate_pumps_one_round(text):
+    r = m.decide(m.parse(text), m.SearchBudget(max_rank=3, max_universe=3))
+    assert r.verdict == m.SAT_WITNESSED
+    ext = m.extend_certificate(r.certificate, 1)
+    assert ext.pumped.weak_report.ok
+    assert ext.pumped.transfer_report.ok
+    assert ext.pumped.upward_report.ok

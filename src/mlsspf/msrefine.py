@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
+from typing import Optional
 
 from . import hf
 from .errors import CardinalityDeficit, NoLocalTrash
@@ -560,9 +561,14 @@ def paste_segment(proc: FormativeProcess, board: ColoredBoard,
 
 def check_upward_premises(proc: FormativeProcess, board: ColoredBoard,
                           cand: FormativeProcess, overlay: MsOverlay,
-                          witness: ImitationWitness) -> Report:
+                          witness: ImitationWitness,
+                          segment_report: Optional[Report] = None) -> Report:
     """The five premises under which the copied final stage imitates the
-    original upwards, then the four conclusions themselves as checks."""
+    original upwards, then the four conclusions themselves as checks.
+
+    `segment_report` is the caller's `check_segment_imitation` report for
+    the same arguments, when it already has one; it is computed otherwise.
+    """
     from .venn import induced_board
 
     rb = ReportBuilder()
@@ -575,7 +581,9 @@ def check_upward_premises(proc: FormativeProcess, board: ColoredBoard,
         witness.closed_set)
     rb.add("premise: weak imitation at the start stage", weak.ok,
            "" if weak.ok else str(weak.failures()[0].check))
-    seg = check_segment_imitation(proc, board, cand, overlay, witness)
+    seg = segment_report
+    if seg is None:
+        seg = check_segment_imitation(proc, board, cand, overlay, witness)
     rb.add("premise: segment imitation across the stage map", seg.ok,
            "" if seg.ok else str(seg.failures()[0].check))
 

@@ -15,7 +15,7 @@ from functools import cached_property
 from . import hf
 from .errors import NotTransitive
 from .report import Report, ReportBuilder
-from .venn import ColoredBoard, Partition
+from .venn import ColoredBoard, Partition, home_index
 
 UNUSED = "unused"
 NEW = "new"
@@ -100,13 +100,64 @@ class FormativeProcess:
                     out[e] = nu
         return out
 
+    @cached_property
+    def grand_unions(self) -> dict:
+        """Node -> its final union, for every node whose union was placed.
+
+        Signature identity: on pairwise disjoint final blocks, an element e
+        is the union of node N exactly when every member of e is placed, N
+        is the set of their home places, and e has as many members as the
+        blocks of N together.  So one pass over the placed elements finds
+        every such node without building a single union.  Nodes are keyed by
+        their places with nonempty final blocks, the only ones a union sees.
+        """
+        final = self.final_blocks()
+        home = home_index(final)
+        out = {}
+        for e in self.landing:
+            if not all(m in home for m in e.elements):
+                continue
+            node = frozenset(home[m] for m in e.elements)
+            if len(e) == sum(len(final[q]) for q in node):
+                out[node] = e
+        return out
+
+    @cached_property
+    def _live_places(self) -> frozenset:
+        return frozenset(q for q in self.places if self.block(q))
+
+    def grand_union(self, node):
+        """The placed element that is the node's final union, or None."""
+        return self.grand_unions.get(frozenset(node) & self._live_places)
+
+    @cached_property
+    def least_grand_events(self) -> tuple:
+        """Place -> least grand event over all nodes containing the place.
+
+        A node whose union was never placed has grand event xi, later than
+        every placed union, so only the nodes of `grand_unions` can lower
+        the minimum.  A place with an empty final block adds nothing to a
+        union, so every node of the table counts for it.
+        """
+        steps = [(node, self.landing[u]) for node, u in self.grand_unions.items()]
+        live = self._live_places
+        return tuple(
+            min((s for node, s in steps if q in node or q not in live),
+                default=self.xi)
+            for q in self.places)
+
+    @cached_property
+    def _used_by_stage(self) -> dict:
+        return {}
+
     def used_elements(self, mu) -> frozenset:
         """Elements that are members of some element placed by stage mu."""
-        out = set()
-        for b in self.stages[mu]:
-            for z in b:
-                out |= set(z.elements)
-        return frozenset(out)
+        out = self._used_by_stage.get(mu)
+        if out is None:
+            out = frozenset(m for b in self.stages[mu] for z in b
+                            for m in z.elements)
+            self._used_by_stage[mu] = out
+        return out
 
     def prefix(self, mu) -> "FormativeProcess":
         """The process truncated at stage mu (trace cut accordingly)."""
@@ -204,10 +255,7 @@ def synthesize_process(partition: Partition) -> FormativeProcess:
         raise NotTransitive("cannot synthesize a process for a non-transitive partition")
     blocks = partition.blocks
     places = range(len(blocks))
-    home = {}
-    for i, b in enumerate(blocks):
-        for e in b:
-            home[e] = i
+    home = home_index(blocks)
     signature = {
         e: frozenset(home[m] for m in e.elements) for e in home
     }
@@ -233,10 +281,11 @@ def synthesize_process(partition: Partition) -> FormativeProcess:
 def grand_event(proc: FormativeProcess, node) -> int:
     """The step at which the node's final unionset itself gets placed.
 
-    Falls back to the process length when the union never shows up.
+    Falls back to the process length when the union never shows up.  Read
+    off the process's `grand_unions` table, so no union is built.
     """
-    u = proc.node_union(node)
-    return proc.landing.get(u, proc.xi)
+    u = proc.grand_union(node)
+    return proc.xi if u is None else proc.landing[u]
 
 
 def ge_min(proc: FormativeProcess, nodes) -> int:
@@ -254,25 +303,13 @@ def element_status(proc: FormativeProcess, mu: int, e: hf.HfSet) -> str:
     return UNUSED
 
 
-def _all_nodes_containing(places, q):
-    rest = [p for p in places if p != q]
-    for mask in range(2 ** len(rest)):
-        yield frozenset([q] + [rest[i] for i in range(len(rest)) if mask >> i & 1])
-
-
 def local_trashes(proc: FormativeProcess, board: ColoredBoard, node) -> frozenset:
     """Green targets of the node that only belong to nodes with strictly
     later grand events: safe dump places for its surplus material."""
-    node = frozenset(node)
     ge = grand_event(proc, node)
-    out = set()
-    for g in board.target(node):
-        if g in board.red:
-            continue
-        if all(grand_event(proc, b) > ge
-               for b in _all_nodes_containing(proc.places, g)):
-            out.add(g)
-    return frozenset(out)
+    least = proc.least_grand_events
+    return frozenset(g for g in board.target(node)
+                     if g not in board.red and least[g] > ge)
 
 
 def is_closed(proc: FormativeProcess, board: ColoredBoard, places_set) -> bool:

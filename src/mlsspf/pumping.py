@@ -22,10 +22,10 @@ from .limits import DEFAULT_LIMITS, Limits
 from .msrefine import (ImitationWitness, MsOverlay, StartConfiguration,
                        check_segment_imitation, check_upward_premises,
                        check_weak_imitation, paste_segment)
-from .process import (FormativeProcess, grand_event, is_closed,
+from .process import (FormativeProcess, ge_min, grand_event, is_closed,
                       local_trashes, synthesize_process, validate_process)
 from .relations import (BlockBijection, imitates, literal_transfer_report,
-                        transfer_assignment)
+                        read_assignment, transfer_assignment)
 from .report import Report, ReportBuilder
 from .venn import (Assignment, ColoredBoard, ImMap, canonical_board,
                    transitivize, venn_partition)
@@ -132,25 +132,43 @@ def _realized_nodes(proc: FormativeProcess, board: ColoredBoard):
     return nodes
 
 
+def _cycle_ge(proc: FormativeProcess, board: ColoredBoard,
+              cycle: PumpingCycle) -> int:
+    """Least grand event over the realized nodes that meet the cycle."""
+    return ge_min(proc, (b for b in _realized_nodes(proc, board)
+                         if b & cycle.place_set()))
+
+
+def _has_unused(proc: FormativeProcess, i0: int, q0: int) -> bool:
+    return not proc.stages[i0][q0] <= proc.used_elements(i0)
+
+
+def _cycle_blocks_filled(proc: FormativeProcess, i0: int,
+                         cycle: PumpingCycle) -> bool:
+    return all(proc.stages[i0][q] for c in cycle.node_set() for q in c)
+
+
 def is_pumping_event(proc: FormativeProcess, board: ColoredBoard,
                      q0: int, i0: int, cycle: PumpingCycle) -> Report:
     """The three conditions for (q0, i0, cycle) to start a pump.
 
     Only nodes realized on the board or used in the trace can have a grand
     event before the end of the process, so the minimum in condition (ii) is
-    taken over those.
+    taken over those.  A node's grand event is the step that places its
+    final union; by the signature identity (see
+    `FormativeProcess.grand_unions`) that union is the placed element whose
+    members' home places are exactly the node and whose size is the node's
+    total block size, so the minimum is read off a per-process table.
     """
     rb = ReportBuilder()
     rb.extend(cycle.validate(board))
     rb.add("event: seed place lies on the cycle", q0 in cycle.place_set())
-    unused = proc.stages[i0][q0] - proc.used_elements(i0)
     rb.add("(i) seed place holds an unused element at the start stage",
-           bool(unused))
-    pn = [b for b in _realized_nodes(proc, board) if b & cycle.place_set()]
+           _has_unused(proc, i0, q0))
     rb.add("(ii) nodes meeting the cycle have no earlier grand event",
-           all(grand_event(proc, b) >= i0 for b in pn))
+           _cycle_ge(proc, board, cycle) >= i0)
     rb.add("(iii) cycle node blocks are nonempty at the start stage",
-           all(proc.stages[i0][q] for c in cycle.node_set() for q in c))
+           _cycle_blocks_filled(proc, i0, cycle))
     return rb.build()
 
 
@@ -194,7 +212,7 @@ def _segment_trash_seeds(proc: FormativeProcess, board: ColoredBoard,
         ge = grand_event(proc, node)
         if ge >= proc.xi or ge < i0:
             continue
-        u = proc.node_union(node)
+        u = proc.grand_union(node)
         target = None
         for q in proc.places:
             if u in proc.delta(ge, q):
@@ -291,7 +309,8 @@ def pump_rounds(proc: FormativeProcess, board: ColoredBoard,
         return PumpResult(
             process=prefix, overlay=overlay, re_entry=i0, warmups=0,
             round_boundaries=(),
-            assignment=None if im is None else _read_assignment(blocks, im),
+            assignment=None if im is None else read_assignment(
+                im.places, im, blocks),
             weak_report=Report())
 
     unused = sorted(proc.stages[i0][event.q0] - proc.used_elements(i0))
@@ -354,19 +373,9 @@ def pump_rounds(proc: FormativeProcess, board: ColoredBoard,
     return PumpResult(
         process=process, overlay=overlay, re_entry=re_entry, warmups=warmups,
         round_boundaries=tuple(boundaries),
-        assignment=None if im is None else _read_assignment(
-            process.final_blocks(), im),
+        assignment=None if im is None else read_assignment(
+            im.places, im, process.final_blocks()),
         weak_report=weak)
-
-
-def _read_assignment(blocks, im: ImMap) -> Assignment:
-    out = {}
-    for v, places in im.places.items():
-        members = set()
-        for q in places:
-            members |= blocks[q]
-        out[v] = hf.make_set(members)
-    return Assignment(out)
 
 
 @dataclass(frozen=True)
@@ -472,10 +481,19 @@ def certify_witness(formula: lang.Formula, assignment: Assignment,
     cycles = find_pumping_cycles(board, max_cycle_len)
     if not cycles:
         raise NoEvent("the board has no green pumping cycle")
+    # Conditions (ii) and (iii) of is_pumping_event are checked per cycle and
+    # (i) per seed place before the full report is built, so the search
+    # certifies the same event as a loop calling is_pumping_event on every
+    # (i0, cycle, q0), without building the reports of failing candidates.
+    cycle_ge = [_cycle_ge(proc, board, cycle) for cycle in cycles]
     missed_var = None
     for i0 in range(proc.xi, 0, -1):
-        for cycle in cycles:
+        for cycle, ge in zip(cycles, cycle_ge):
+            if ge < i0 or not _cycle_blocks_filled(proc, i0, cycle):
+                continue
             for q0 in sorted(cycle.place_set()):
+                if not _has_unused(proc, i0, q0):
+                    continue
                 ev_report = is_pumping_event(proc, board, q0, i0, cycle)
                 if not ev_report.ok:
                     continue
@@ -519,7 +537,8 @@ def extend_certificate(cert: WitnessCertificate, rounds: int,
         k_prime=cert.event.i0, closed_set=cert.cover)
     cand, overlay, witness = paste_segment(proc, board, start, proc.xi, limits)
     segment = check_segment_imitation(proc, board, cand, overlay, witness)
-    upward = check_upward_premises(proc, board, cand, overlay, witness)
+    upward = check_upward_premises(proc, board, cand, overlay, witness,
+                                   segment_report=segment)
     bijection = BlockBijection(proc.final_blocks(), cand.final_blocks())
     imit = imitates(partition, board, cand.final_partition(), bijection)
     final = transfer_assignment(cert.assignment, im, bijection)

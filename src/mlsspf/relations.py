@@ -15,7 +15,7 @@ from . import hf, lang
 from .limits import DEFAULT_LIMITS, Limits
 from .msrefine import _all_nodes, _count_in_pow_star
 from .report import Report, ReportBuilder
-from .venn import Assignment, ColoredBoard, ImMap, Partition
+from .venn import Assignment, ColoredBoard, ImMap, Partition, home_index
 
 
 @dataclass(frozen=True)
@@ -55,14 +55,6 @@ class BlockBijection:
         return hf.make_set(members)
 
 
-def _home_index(blocks):
-    out = {}
-    for i, b in enumerate(blocks):
-        for e in b:
-            out[e] = i
-    return out
-
-
 def _candidate_nodes(bijection: BlockBijection, board: ColoredBoard,
                      limits: Limits):
     places = list(bijection.places)
@@ -85,8 +77,8 @@ def simulates_upwards(partition: Partition, board: ColoredBoard,
     a single sweep over nodes suffices.
     """
     rb = ReportBuilder()
-    home_src = _home_index(bijection.source)
-    home_tgt = _home_index(bijection.target)
+    home_src = home_index(bijection.source)
+    home_tgt = home_index(bijection.target)
     nodes, partial = _candidate_nodes(bijection, board, limits)
     ok_in = True
     for node in nodes:
@@ -175,16 +167,21 @@ def imitates(partition: Partition, board: ColoredBoard, hat: Partition,
     return rb.build()
 
 
+def read_assignment(variables, im: ImMap, blocks) -> Assignment:
+    """Bind each variable to the union of the per-place blocks at its places."""
+    out = {}
+    for v in variables:
+        members = set()
+        for q in im[v]:
+            members |= blocks[q]
+        out[v] = hf.make_set(members)
+    return Assignment(out)
+
+
 def transfer_assignment(assignment: Assignment, im: ImMap,
                         bijection: BlockBijection) -> Assignment:
     """Re-read every variable off the image blocks of its places."""
-    out = {}
-    for v in assignment.bindings:
-        members = set()
-        for q in im[v]:
-            members |= bijection.target[q]
-        out[v] = hf.make_set(members)
-    return Assignment(out)
+    return read_assignment(assignment.bindings, im, bijection.target)
 
 
 def literal_transfer_report(formula: lang.Formula, assignment: Assignment,

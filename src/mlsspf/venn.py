@@ -109,6 +109,11 @@ class ImMap:
         return {v: sorted(ps) for v, ps in sorted(self.places.items())}
 
 
+def home_index(blocks) -> dict:
+    """Element -> the index of the block holding it (its home place)."""
+    return {e: i for i, b in enumerate(blocks) for e in b}
+
+
 def venn_partition(assignment: Assignment):
     """Coarsest partition whose blocks respect every variable's value.
 
@@ -221,10 +226,7 @@ def induced_board(partition: Partition, limits: Limits = DEFAULT_LIMITS) -> Colo
     if not partition.is_transitive():
         raise NotTransitive("the partition's unionset is not transitive")
     blocks = partition.blocks
-    home = {}
-    for i, b in enumerate(blocks):
-        for e in b:
-            home[e] = i
+    home = home_index(blocks)
     signatures = {}
     targets = {}
     for i, b in enumerate(blocks):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mlsspf as m
 from mlsspf import hf
@@ -234,3 +236,57 @@ def test_process_json_round_trip(ex1):
     assert back.trace == ex1.process.trace
     assert m.validate_process(back).ok
     assert back.to_json() == data
+
+
+# Oracles: grand events from building each node's union and looking it up,
+# local trashes from sweeping every node that contains a target.
+
+def _grand_event_oracle(proc, node):
+    return proc.landing.get(proc.node_union(node), proc.xi)
+
+
+def _all_nodes_containing(places, q):
+    rest = [p for p in places if p != q]
+    for mask in range(2 ** len(rest)):
+        yield frozenset([q] + [rest[i] for i in range(len(rest)) if mask >> i & 1])
+
+
+def _local_trashes_oracle(proc, board, node):
+    ge = _grand_event_oracle(proc, node)
+    return frozenset(
+        g for g in board.target(node) if g not in board.red
+        and all(_grand_event_oracle(proc, b) > ge
+                for b in _all_nodes_containing(proc.places, g)))
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_grand_event_tables_match_union_oracle(rng):
+    from mlsspf.msrefine import _all_nodes
+    universe = rand_transitive_universe(rng, rng.randint(1, 12))
+    partition = rand_partition(rng, universe, max_blocks=5)
+    full = m.synthesize_process(partition)
+    core = m.induced_board(partition)
+    board = m.ColoredBoard(
+        blocks=core.blocks, targets=dict(core.targets),
+        red=frozenset(q for q in full.places if rng.random() < 0.3),
+        signatures=dict(core.signatures))
+    nodes = list(_all_nodes(full.places))
+    # Prefixes leave final blocks empty; JSON round trips rebuild the sets.
+    for mu in range(full.xi + 1):
+        prefix = full.prefix(mu)
+        for proc in (prefix, FormativeProcess.from_json(prefix.to_json())):
+            for node in nodes:
+                ge = m.grand_event(proc, node)
+                assert ge == _grand_event_oracle(proc, node)
+                u = proc.grand_union(node)
+                assert (u is None) == (ge == proc.xi)
+                assert u is None or u is proc.node_union(node)
+                assert (m.local_trashes(proc, board, node)
+                        == _local_trashes_oracle(proc, board, node))
+            picked = rng.sample(nodes, rng.randint(0, len(nodes)))
+            assert m.ge_min(proc, picked) == min(
+                (_grand_event_oracle(proc, b) for b in picked), default=proc.xi)
+            for nu in range(proc.xi + 1):
+                assert proc.used_elements(nu) == frozenset(
+                    e for b in proc.stages[nu] for z in b for e in z.elements)

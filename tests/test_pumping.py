@@ -1,15 +1,18 @@
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mlsspf as m
-from mlsspf import hf
+from mlsspf import hf, lang
 from mlsspf.errors import (CardinalityDeficit, CoverMissesVariable,
                            NoClosedCover, NoEvent, NotAWitness)
 from mlsspf.process import NEW
 from mlsspf.pumping import PumpingCycle, pump_rounds
 
-from conftest import chain, witness_family
+from conftest import chain, rand_transitive_universe, witness_family
 
 A, B, C = chain(2)
 
@@ -240,3 +243,84 @@ def test_decided_certificate_pumps_one_round(text):
     assert ext.pumped.weak_report.ok
     assert ext.pumped.transfer_report.ok
     assert ext.pumped.upward_report.ok
+
+
+def _certify_oracle(formula, assignment):
+    """certify_witness's search calling is_pumping_event on every
+    (i0, cycle, q0), latest start stage first."""
+    from mlsspf.pumping import _segment_trash_seeds
+    results = [lang.eval_literal(lit, assignment) for lit in formula.literals]
+    for lit, val in zip(formula.literals, results):
+        if lit.kind != lang.NOT_FINITE and not val:
+            raise NotAWitness(lit.render())
+    neg_vars = [lit.operands[0] for lit in formula.literals
+                if lit.kind == lang.NOT_FINITE]
+    base = assignment
+    if not m.venn_partition(assignment)[0].is_transitive():
+        assignment = m.transitivize(assignment)
+    partition, im, board = m.canonical_board(formula, assignment)
+    proc = m.synthesize_process(partition)
+    cycles = m.find_pumping_cycles(board)
+    if not cycles:
+        raise NoEvent("no cycle")
+    missed_var = None
+    for i0 in range(proc.xi, 0, -1):
+        for cycle in cycles:
+            for q0 in sorted(cycle.place_set()):
+                ev_report = m.is_pumping_event(proc, board, q0, i0, cycle)
+                if not ev_report.ok:
+                    continue
+                uncovered = [x for x in neg_vars
+                             if not (im[x] & cycle.place_set())]
+                if uncovered:
+                    missed_var = uncovered[0]
+                    continue
+                seeds = _segment_trash_seeds(proc, board, i0, cycle)
+                if seeds is None:
+                    continue
+                try:
+                    cover = m.closed_cover(proc, board, cycle, extra_seeds=seeds)
+                except NoClosedCover:
+                    continue
+                pot = [v for v in formula.vars
+                       if v in im.places and im[v] & cycle.place_set()]
+                return m.WitnessCertificate(
+                    formula=formula, base_assignment=base,
+                    assignment=assignment, process=proc,
+                    event=m.PumpingEvent(q0=q0, i0=i0, cycle=cycle),
+                    cover=cover, potential_infinite=tuple(pot),
+                    literal_results=tuple(results), event_report=ev_report,
+                    max_cycle_len=m.DEFAULT_LIMITS.max_cycle_len)
+    if missed_var is not None:
+        raise CoverMissesVariable(missed_var)
+    raise NoEvent("no event")
+
+
+def _certify_outcome(certify, formula, assignment):
+    try:
+        return certify(formula, assignment).dumps()
+    except m.MlsspfError as exc:
+        return type(exc).__name__
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_certify_search_matches_exhaustive_event_loop(seed):
+    # One variable per residue class of a shuffled transitive universe gives
+    # one place per variable; a powerset literal adds a few more.
+    rng = random.Random(seed)
+    k = rng.randint(8, 11)
+    universe = rand_transitive_universe(rng, rng.randint(k, k + 5))
+    rng.shuffle(universe)
+    names = [f"v{j}" for j in range(k)]
+    binding = {v: m.make_set(universe[j::k]) for j, v in enumerate(names)}
+    literals = [f"!Finite({rng.choice(names)})"]
+    literals += [f"!{v} = {{}}" for v in names]
+    if rng.random() < 0.5:
+        z = m.make_set(rng.sample(universe, 2))
+        binding["z"], binding["p"] = z, m.powerset(z)
+        literals.append("p = Pow(z)")
+    formula = m.parse(" & ".join(literals))
+    assignment = m.Assignment(binding)
+    assert (_certify_outcome(m.certify_witness, formula, assignment)
+            == _certify_outcome(_certify_oracle, formula, assignment))

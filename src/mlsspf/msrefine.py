@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Optional
 
 from . import hf
 from .errors import CardinalityDeficit, NoLocalTrash
@@ -562,12 +561,12 @@ def paste_segment(proc: FormativeProcess, board: ColoredBoard,
 def check_upward_premises(proc: FormativeProcess, board: ColoredBoard,
                           cand: FormativeProcess, overlay: MsOverlay,
                           witness: ImitationWitness,
-                          segment_report: Optional[Report] = None) -> Report:
+                          segment: Report) -> Report:
     """The five premises under which the copied final stage imitates the
     original upwards, then the four conclusions themselves as checks.
 
-    `segment_report` is the caller's `check_segment_imitation` report for
-    the same arguments, when it already has one; it is computed otherwise.
+    `segment` is `check_segment_imitation` for the same arguments;
+    callers run that check anyway, so it is passed in rather than redone.
     """
     from .venn import induced_board
 
@@ -581,11 +580,8 @@ def check_upward_premises(proc: FormativeProcess, board: ColoredBoard,
         witness.closed_set)
     rb.add("premise: weak imitation at the start stage", weak.ok,
            "" if weak.ok else str(weak.failures()[0].check))
-    seg = segment_report
-    if seg is None:
-        seg = check_segment_imitation(proc, board, cand, overlay, witness)
-    rb.add("premise: segment imitation across the stage map", seg.ok,
-           "" if seg.ok else str(seg.failures()[0].check))
+    rb.add("premise: segment imitation across the stage map", segment.ok,
+           "" if segment.ok else str(segment.failures()[0].check))
 
     cand_board = induced_board(cand.final_partition())
     rb.add("premise: final stages have the same targets",

@@ -147,17 +147,21 @@ class FormativeProcess:
             for q in self.places)
 
     @cached_property
-    def _used_by_stage(self) -> dict:
-        return {}
+    def _used_by_stage(self) -> tuple:
+        """Stage -> members of the elements placed by then.  Blocks grow
+        monotonically, so each step adds the members of its fresh elements."""
+        used = {m for b in self.stages[0] for z in b for m in z.elements}
+        out = [frozenset(used)]
+        for nu in range(self.xi):
+            for q in self.places:
+                for z in self.delta(nu, q):
+                    used.update(z.elements)
+            out.append(frozenset(used))
+        return tuple(out)
 
     def used_elements(self, mu) -> frozenset:
         """Elements that are members of some element placed by stage mu."""
-        out = self._used_by_stage.get(mu)
-        if out is None:
-            out = frozenset(m for b in self.stages[mu] for z in b
-                            for m in z.elements)
-            self._used_by_stage[mu] = out
-        return out
+        return self._used_by_stage[mu]
 
     def prefix(self, mu) -> "FormativeProcess":
         """The process truncated at stage mu (trace cut accordingly)."""

@@ -309,8 +309,7 @@ def pump_rounds(proc: FormativeProcess, board: ColoredBoard,
         return PumpResult(
             process=prefix, overlay=overlay, re_entry=i0, warmups=0,
             round_boundaries=(),
-            assignment=None if im is None else read_assignment(
-                im.places, im, blocks),
+            assignment=None if im is None else read_assignment(im, blocks),
             weak_report=Report())
 
     unused = sorted(proc.stages[i0][event.q0] - proc.used_elements(i0))
@@ -374,7 +373,7 @@ def pump_rounds(proc: FormativeProcess, board: ColoredBoard,
         process=process, overlay=overlay, re_entry=re_entry, warmups=warmups,
         round_boundaries=tuple(boundaries),
         assignment=None if im is None else read_assignment(
-            im.places, im, process.final_blocks()),
+            im, process.final_blocks()),
         weak_report=weak)
 
 
@@ -537,8 +536,7 @@ def extend_certificate(cert: WitnessCertificate, rounds: int,
         k_prime=cert.event.i0, closed_set=cert.cover)
     cand, overlay, witness = paste_segment(proc, board, start, proc.xi, limits)
     segment = check_segment_imitation(proc, board, cand, overlay, witness)
-    upward = check_upward_premises(proc, board, cand, overlay, witness,
-                                   segment_report=segment)
+    upward = check_upward_premises(proc, board, cand, overlay, witness, segment)
     bijection = BlockBijection(proc.final_blocks(), cand.final_blocks())
     imit = imitates(partition, board, cand.final_partition(), bijection)
     final = transfer_assignment(cert.assignment, im, bijection)

@@ -167,12 +167,12 @@ def imitates(partition: Partition, board: ColoredBoard, hat: Partition,
     return rb.build()
 
 
-def read_assignment(variables, im: ImMap, blocks) -> Assignment:
-    """Bind each variable to the union of the per-place blocks at its places."""
+def read_assignment(im: ImMap, blocks) -> Assignment:
+    """Bind each variable of `im` to the union of the blocks at its places."""
     out = {}
-    for v in variables:
+    for v, places in im.places.items():
         members = set()
-        for q in im[v]:
+        for q in places:
             members |= blocks[q]
         out[v] = hf.make_set(members)
     return Assignment(out)
@@ -180,8 +180,10 @@ def read_assignment(variables, im: ImMap, blocks) -> Assignment:
 
 def transfer_assignment(assignment: Assignment, im: ImMap,
                         bijection: BlockBijection) -> Assignment:
-    """Re-read every variable off the image blocks of its places."""
-    return read_assignment(assignment.bindings, im, bijection.target)
+    """Re-read every variable of the assignment off the image blocks of its
+    places."""
+    own = ImMap({v: im[v] for v in assignment.bindings})
+    return read_assignment(own, bijection.target)
 
 
 def literal_transfer_report(formula: lang.Formula, assignment: Assignment,

@@ -130,7 +130,7 @@ def test_paste_nontrivial_segment_after_pump():
     cand, overlay, witness = m.paste_segment(proc, board, start, proc.xi)
     seg = m.check_segment_imitation(proc, board, cand, overlay, witness)
     assert seg.ok, str(seg)
-    up = m.check_upward_premises(proc, board, cand, overlay, witness)
+    up = m.check_upward_premises(proc, board, cand, overlay, witness, seg)
     assert up.ok, str(up)
 
 
@@ -138,8 +138,9 @@ def test_upward_premises_identity(ex1):
     proc = ex1.process
     witness = ImitationWitness(gamma={k: k for k in range(proc.xi + 1)},
                                closed_set=frozenset(), lo=0, hi=proc.xi)
-    rep = m.check_upward_premises(proc, ex1.board, proc,
-                                  MsOverlay.all_minus(proc), witness)
+    overlay = MsOverlay.all_minus(proc)
+    seg = m.check_segment_imitation(proc, ex1.board, proc, overlay, witness)
+    rep = m.check_upward_premises(proc, ex1.board, proc, overlay, witness, seg)
     assert rep.ok
 
 
@@ -148,7 +149,10 @@ def test_upward_premises_ex1_pumped(ex1, pumped_ex1):
     start = StartConfiguration(res.process, res.overlay, 3, cover)
     cand, overlay, witness = m.paste_segment(ex1.process, ex1.board, start,
                                              ex1.process.xi)
-    rep = m.check_upward_premises(ex1.process, ex1.board, cand, overlay, witness)
+    seg = m.check_segment_imitation(ex1.process, ex1.board, cand, overlay,
+                                    witness)
+    rep = m.check_upward_premises(ex1.process, ex1.board, cand, overlay, witness,
+                                  seg)
     assert rep.ok, str(rep)
 
 
@@ -172,7 +176,10 @@ def test_upward_premises_reject_surplus_relabeled_as_minus(ex1, pumped_ex1):
     start = StartConfiguration(proc, bad, 3, cover)
     cand, overlay2, witness = m.paste_segment(ex1.process, ex1.board, start,
                                               ex1.process.xi)
-    rep = m.check_upward_premises(ex1.process, ex1.board, cand, overlay2, witness)
+    seg = m.check_segment_imitation(ex1.process, ex1.board, cand, overlay2,
+                                    witness)
+    rep = m.check_upward_premises(ex1.process, ex1.board, cand, overlay2,
+                                  witness, seg)
     assert not rep.ok
     assert not rep.items[0].ok
 
@@ -196,7 +203,10 @@ def test_upward_premises_reject_minus_delta_off_map(ex1, pumped_ex1):
         ms | {extra} if i == q else ms
         for i, ms in enumerate(overlay.minus[-1])),)
     bad = MsOverlay(overlay.start, minus)
-    rep = m.check_upward_premises(ex1.process, ex1.board, longer, bad, witness)
+    seg = m.check_segment_imitation(ex1.process, ex1.board, longer, bad,
+                                    witness)
+    rep = m.check_upward_premises(ex1.process, ex1.board, longer, bad, witness,
+                                  seg)
     assert not rep.ok
     assert any("off-map" in i.check for i in rep.failures())
 

@@ -1,7 +1,12 @@
-"""Regenerate the decide golden corpus (run manually from the repo root:
-`python3 tests/make_golden.py`).  Each entry freezes the verdict and the
-full result JSON; the acceptance test replays them byte-for-byte."""
+"""Regenerate the golden files (run manually from the repo root:
+`python3 tests/make_golden.py`).
 
+`decide_corpus.json` freezes the verdict and the full result JSON of each
+corpus formula; `pumped_certificates.json` freezes the sha256 digest of
+every pumped certificate of the witness family at 1, 2 and 3 rounds.  The
+acceptance tests replay both byte-for-byte."""
+
+import hashlib
 import json
 import pathlib
 import sys
@@ -9,6 +14,10 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 import mlsspf as m  # noqa: E402
+from conftest import witness_family  # noqa: E402
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+PUMP_ROUNDS = (1, 2, 3)
 
 # (name, formula, max_rank, max_universe, expected verdict)
 CORPUS = [
@@ -51,7 +60,12 @@ CORPUS = [
 ]
 
 
-def main():
+def pumped_digest(formula, assignment, rounds) -> str:
+    cert = m.extend_certificate(m.certify_witness(formula, assignment), rounds)
+    return hashlib.sha256(cert.dumps().encode()).hexdigest()
+
+
+def write_decide_corpus():
     entries = []
     for name, text, max_rank, max_universe, expected in CORPUS:
         budget = m.SearchBudget(max_rank=max_rank, max_universe=max_universe)
@@ -65,10 +79,32 @@ def main():
             "result": json.dumps(result.to_json(), sort_keys=True, indent=2),
         })
         print(f"{name}: {result.verdict}")
-    out = pathlib.Path(__file__).parent / "golden" / "decide_corpus.json"
+    _write(GOLDEN_DIR / "decide_corpus.json", entries)
+
+
+def write_pumped_certificates():
+    entries = []
+    for formula, assignment in witness_family():
+        for rounds in PUMP_ROUNDS:
+            entries.append({
+                "formula": formula.render(),
+                "assignment": assignment.to_json(),
+                "rounds": rounds,
+                "sha256": pumped_digest(formula, assignment, rounds),
+            })
+            print(f"{formula.render()} @ {rounds}: {entries[-1]['sha256']}")
+    _write(GOLDEN_DIR / "pumped_certificates.json", entries)
+
+
+def _write(out, entries):
     out.write_text(json.dumps({"entries": entries}, sort_keys=True, indent=2)
                    + "\n")
     print(f"wrote {out} ({len(entries)} entries)")
+
+
+def main():
+    write_decide_corpus()
+    write_pumped_certificates()
 
 
 if __name__ == "__main__":

@@ -14,8 +14,11 @@ from mlsspf.relations import BlockBijection
 from conftest import (rand_colored_board, rand_partition,
                       rand_transitive_universe, set_partitions,
                       witness_family)
+from make_golden import pumped_digest
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "decide_corpus.json"
+PUMPED_GOLDEN = (pathlib.Path(__file__).parent / "golden"
+                 / "pumped_certificates.json")
 
 
 class Timer:
@@ -239,3 +242,13 @@ def test_criterion_8_decide_golden_corpus():
             assert result.verdict == entry["verdict"], entry["name"]
             got = json.dumps(result.to_json(), sort_keys=True, indent=2)
             assert got == entry["result"], f"{entry['name']} output drifted"
+
+
+def test_pumped_certificates_golden():
+    corpus = json.loads(PUMPED_GOLDEN.read_text())
+    assert len(corpus["entries"]) == 3 * len(witness_family())
+    for entry in corpus["entries"]:
+        formula = m.parse(entry["formula"])
+        assignment, _ = m.Assignment.from_json(entry["assignment"])
+        got = pumped_digest(formula, assignment, entry["rounds"])
+        assert got == entry["sha256"], (entry["formula"], entry["rounds"])

@@ -14,9 +14,6 @@ class Limits:
     """
 
     pow_limit: int = 2 ** 20
-    # Exhaustive node-pair sweep in the upward-simulation check is 2^|blocks|;
-    # above this many blocks only realized nodes are swept (report is partial).
-    sim_exhaustive_max: int = 12
     max_cycle_len: int = 4
     max_warmup_rounds: int = 8
 

@@ -17,7 +17,7 @@ from .errors import CardinalityDeficit, NoLocalTrash
 from .limits import DEFAULT_LIMITS, Limits
 from .process import FormativeProcess, grand_event, is_closed, local_trashes
 from .report import Report, ReportBuilder
-from .venn import ColoredBoard
+from .venn import ColoredBoard, finer_than, induced_board, node_union, subsets
 
 
 @dataclass(frozen=True)
@@ -139,33 +139,19 @@ def validate_overlay(proc: FormativeProcess, overlay: MsOverlay) -> Report:
     final_refined = [p for q in proc.places
                      for p in (overlay.minus_at(proc.xi, q),
                                overlay.surplus_at(proc, proc.xi, q)) if p]
-    from .venn import finer_than
     rb.add("final split refines the partition",
            finer_than(final_refined, [b for b in proc.final_blocks() if b]))
     return rb.build()
 
 
-def _all_nodes(places):
-    places = sorted(places)
-    for mask in range(2 ** len(places)):
-        yield frozenset(places[i] for i in range(len(places)) if mask >> i & 1)
-
-
 def _live_nodes(proc, stage_idx):
     """Nodes over the places whose blocks are nonempty at the stage: only
     those are subsets of the stage partition."""
-    return _all_nodes(q for q in proc.places if proc.stages[stage_idx][q])
+    return subsets(q for q in proc.places if proc.stages[stage_idx][q])
 
 
 def _count_in_pow_star(family, elements) -> int:
     return sum(1 for e in elements if hf.in_pow_star(e, family))
-
-
-def _union_of(families) -> hf.HfSet:
-    members = set()
-    for fam in families:
-        members |= fam
-    return hf.make_set(members)
 
 
 def check_weak_imitation(proc: FormativeProcess, board: ColoredBoard,
@@ -210,10 +196,10 @@ def check_weak_imitation(proc: FormativeProcess, board: ColoredBoard,
     ok_a = True
     for node in _live_nodes(proc, k_prime):
         minus_fam = [hat_minus[q] for q in sorted(node)]
-        u_hat = _union_of(minus_fam)
+        u_hat = node_union(hat_minus, node)
         lhs = hf.in_pow_star(u_hat, minus_fam) and u_hat not in placed_hat
         ora_fam = proc.node_snapshot(node, k_prime)
-        u_ora = _union_of(ora_fam)
+        u_ora = proc.node_union(node, k_prime)
         rhs = hf.in_pow_star(u_ora, ora_fam) and u_ora not in placed_ora
         if lhs != rhs:
             ok_a = False
@@ -227,7 +213,7 @@ def check_weak_imitation(proc: FormativeProcess, board: ColoredBoard,
         if grand_event(proc, node) < k_prime:
             continue
         fam = [hat_blocks[q] for q in sorted(node)]
-        u = _union_of(fam)
+        u = node_union(hat_blocks, node)
         if not (hf.in_pow_star(u, fam) and u not in placed_hat):
             ok_b = False
     rb.add("(b) surplus-bearing node unions stay undistributed", ok_b)
@@ -237,7 +223,7 @@ def check_weak_imitation(proc: FormativeProcess, board: ColoredBoard,
         if grand_event(proc, node) >= k_prime:
             continue
         u_ora = proc.node_union(node, k_prime)
-        u_hat = _union_of(hat_blocks[q] for q in sorted(node))
+        u_hat = node_union(hat_blocks, node)
         for q in places:
             if (u_ora in proc.stages[k_prime][q]) != (u_hat in hat_blocks[q]):
                 ok_c = False
@@ -349,7 +335,7 @@ def check_segment_imitation(proc: FormativeProcess, board: ColoredBoard,
             ge = grand_event(proc, gamma_node)
             u_ora = proc.node_union(gamma_node, beta)
             if beta != ge:
-                u_hat = _union_of(overlay.minus_family(gamma_node, a))
+                u_hat = node_union(overlay.minus[a - overlay.start], gamma_node)
                 for q in places:
                     if (u_ora in proc.delta(beta, q)) != (
                             u_hat in (overlay.delta_minus(a, q)
@@ -458,10 +444,7 @@ def paste_segment(proc: FormativeProcess, board: ColoredBoard,
         for gnode in _live_nodes(proc, k):
             ge = grand_event(proc, gnode)
             u_ora = proc.node_union(gnode, k)
-            if k != ge:
-                v_hat = _union_of(cur_minus[q] for q in sorted(gnode))
-            else:
-                v_hat = _union_of(stages[cur][q] for q in sorted(gnode))
+            v_hat = node_union(cur_minus if k != ge else stages[cur], gnode)
             target = None
             for q in places:
                 if u_ora in proc.delta(k, q):
@@ -558,26 +541,33 @@ def paste_segment(proc: FormativeProcess, board: ColoredBoard,
     return cand, overlay, witness
 
 
+# Conclusion labels of check_upward_premises, keyed by the `imitates` item
+# that decides each.
+_CONCLUSIONS = (
+    ("(1)", "conclusion: assembly contact is preserved"),
+    ("(2)", "conclusion: node-union membership is preserved"),
+    ("(3)", "conclusion: pow-node assemblies are absorbed"),
+    ("(4')", "conclusion: red block cardinalities are preserved"),
+)
+
+
 def check_upward_premises(proc: FormativeProcess, board: ColoredBoard,
                           cand: FormativeProcess, overlay: MsOverlay,
-                          witness: ImitationWitness,
-                          segment: Report) -> Report:
+                          witness: ImitationWitness, weak: Report,
+                          segment: Report, imitation: Report) -> Report:
     """The five premises under which the copied final stage imitates the
     original upwards, then the four conclusions themselves as checks.
 
-    `segment` is `check_segment_imitation` for the same arguments;
-    callers run that check anyway, so it is passed in rather than redone.
+    The reports are computed by the caller, which needs them anyway:
+    `weak` is `check_weak_imitation` of the candidate's stage
+    `witness.gamma[witness.lo]` against the process's stage `witness.lo`
+    with the witness's closed set, `segment` is `check_segment_imitation`
+    for the same arguments, and `imitation` is `relations.imitates` of the
+    bijection from the process's final blocks to the candidate's.  The
+    conclusions are the imitation items (1), (2), (3) and (4').
     """
-    from .venn import induced_board
-
     rb = ReportBuilder()
-    k_prime = witness.lo
-    m = witness.gamma[k_prime]
-    weak = check_weak_imitation(
-        proc, board, k_prime,
-        [cand.stages[m][q] for q in proc.places],
-        [overlay.minus_at(m, q) for q in proc.places],
-        witness.closed_set)
+    m = witness.gamma[witness.lo]
     rb.add("premise: weak imitation at the start stage", weak.ok,
            "" if weak.ok else str(weak.failures()[0].check))
     rb.add("premise: segment imitation across the stage map", segment.ok,
@@ -617,31 +607,7 @@ def check_upward_premises(proc: FormativeProcess, board: ColoredBoard,
     if not rb.build().ok:
         return rb.build()
 
-    xi, xi2 = proc.xi, cand.xi
-    places = proc.places
-    ok0 = ok1 = ok2 = ok3 = True
-    for node in _all_nodes(places):
-        ora_fam = proc.node_snapshot(node, xi)
-        hat_fam = cand.node_snapshot(node, xi2)
-        for q in places:
-            lhs = any(hf.in_pow_star(e, hat_fam) for e in cand.stages[xi2][q])
-            rhs = any(hf.in_pow_star(e, ora_fam) for e in proc.stages[xi][q])
-            if lhs != rhs:
-                ok0 = False
-        u_ora = proc.node_union(node)
-        u_hat = cand.node_union(node)
-        for q in places:
-            if (u_hat in cand.stages[xi2][q]) != (u_ora in proc.stages[xi][q]):
-                ok1 = False
-        if node in board.pow_nodes:
-            total = hf.pow_star_size(hat_fam)
-            if _count_in_pow_star(hat_fam, cand.final_universe) != total:
-                ok2 = False
-    for q in board.red:
-        if len(cand.stages[xi2][q]) != len(proc.stages[xi][q]):
-            ok3 = False
-    rb.add("conclusion: assembly contact is preserved", ok0)
-    rb.add("conclusion: node-union membership is preserved", ok1)
-    rb.add("conclusion: pow-node assemblies are absorbed", ok2)
-    rb.add("conclusion: red block cardinalities are preserved", ok3)
+    items = {item.check.split(" ", 1)[0]: item.ok for item in imitation.items}
+    for tag, label in _CONCLUSIONS:
+        rb.add(label, items[tag])
     return rb.build()

@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from . import hf
+from . import hf, venn
 from .errors import NotTransitive
 from .report import Report, ReportBuilder
-from .venn import ColoredBoard, Partition, home_index
+from .venn import ColoredBoard, Partition, home_index, signature_tables
 
 UNUSED = "unused"
 NEW = "new"
@@ -85,10 +85,7 @@ class FormativeProcess:
         return [self.stages[mu][q] for q in sorted(node)]
 
     def node_union(self, node, mu=None) -> hf.HfSet:
-        members = set()
-        for q in node:
-            members |= self.block(q, mu)
-        return hf.make_set(members)
+        return venn.node_union(self.stages[self.xi if mu is None else mu], node)
 
     @cached_property
     def landing(self) -> dict:
@@ -104,23 +101,13 @@ class FormativeProcess:
     def grand_unions(self) -> dict:
         """Node -> its final union, for every node whose union was placed.
 
-        Signature identity: on pairwise disjoint final blocks, an element e
-        is the union of node N exactly when every member of e is placed, N
-        is the set of their home places, and e has as many members as the
-        blocks of N together.  So one pass over the placed elements finds
-        every such node without building a single union.  Nodes are keyed by
-        their places with nonempty final blocks, the only ones a union sees.
+        Read off `venn.signature_tables` of the final blocks (pairwise
+        disjoint in a valid process), so no union is built; only elements
+        that landed at some step count.  Nodes are keyed by their places
+        with nonempty final blocks, the only ones a union sees.
         """
-        final = self.final_blocks()
-        home = home_index(final)
-        out = {}
-        for e in self.landing:
-            if not all(m in home for m in e.elements):
-                continue
-            node = frozenset(home[m] for m in e.elements)
-            if len(e) == sum(len(final[q]) for q in node):
-                out[node] = e
-        return out
+        _, _, unions = signature_tables(self.final_blocks())
+        return {node: e for node, e in unions.items() if e in self.landing}
 
     @cached_property
     def _live_places(self) -> frozenset:

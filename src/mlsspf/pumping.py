@@ -28,7 +28,7 @@ from .relations import (BlockBijection, imitates, literal_transfer_report,
                         read_assignment, transfer_assignment)
 from .report import Report, ReportBuilder
 from .venn import (Assignment, ColoredBoard, ImMap, canonical_board,
-                   transitivize, venn_partition)
+                   node_union, transitivize, venn_partition)
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,11 @@ def find_pumping_cycles(board: ColoredBoard, max_len: int = DEFAULT_LIMITS.max_c
     """All simple green cycles with at most max_len places.
 
     Each cycle is anchored at its least place (place 0 of the result), so
-    rotations are reported once; enumeration order is deterministic.
+    rotations are reported once; enumeration order is deterministic.  The
+    search only steps from a place to a green node containing it and on to
+    an unseen green target of that node, and closes only through a node
+    targeting the anchor, so every cycle it returns passes
+    `PumpingCycle.validate`.
     """
     green_nodes = [n for n in board.realized_nodes() if board.is_green_node(n)]
     out = []
@@ -113,9 +117,7 @@ def find_pumping_cycles(board: ColoredBoard, max_len: int = DEFAULT_LIMITS.max_c
                     continue
                 # Closing edge: b targets the anchor.
                 if anchor in board.target(b):
-                    cyc = PumpingCycle(nodes=(b,) + nodes, places=places)
-                    if cyc.validate(board).ok:
-                        out.append(cyc)
+                    out.append(PumpingCycle(nodes=(b,) + nodes, places=places))
                 if len(places) < max_len:
                     for t in sorted(board.target(b)):
                         if t in board.red or t in seen_places or t < anchor:
@@ -255,8 +257,7 @@ def _run_round(stages, minus, trace, schedule, seed, kind, limits,
             return None
         last = j == len(schedule) - 1
         if kind == "restore" and last:
-            union_snapshot = hf.make_set(
-                e for q in node for e in cur_stages[q])
+            union_snapshot = node_union(cur_stages, node)
             t1_cands = [e for e in pool if e is not union_snapshot]
             if not t1_cands or len(pool) < 2:
                 return None
@@ -299,19 +300,40 @@ def pump_rounds(proc: FormativeProcess, board: ColoredBoard,
     the first counted round restores the Minus cardinality with a fresh
     element, and later rounds grow surplus only.  Every traversal adds at
     least one element to every place on the cycle, and all new deltas are
-    surplus except the single restoring element.
+    surplus except the single restoring element.  Zero rounds leave the
+    prefix at the start stage as it is.  The result carries the weak
+    imitation check of its last stage against the start stage.  Raises
+    ValueError for negative `rounds`.
     """
+    if rounds < 0:
+        raise ValueError(f"rounds must be nonnegative, not {rounds}")
+    i0 = event.i0
+    if rounds == 0:
+        process = proc.prefix(i0)
+        overlay = overlay_init or MsOverlay.all_minus(process, start=i0)
+        warmups, boundaries = 0, ()
+    else:
+        process, overlay, warmups, boundaries = _traverse(
+            proc, event, rounds, limits, strict_three, overlay_init)
+    re_entry = process.xi
+    weak = check_weak_imitation(
+        proc, board, i0,
+        [process.stages[re_entry][q] for q in proc.places],
+        [overlay.minus_at(re_entry, q) for q in proc.places],
+        closed_set)
+    return PumpResult(
+        process=process, overlay=overlay, re_entry=re_entry, warmups=warmups,
+        round_boundaries=tuple(boundaries),
+        assignment=None if im is None else read_assignment(
+            im, process.final_blocks()),
+        weak_report=weak)
+
+
+def _traverse(proc, event, rounds, limits, strict_three, overlay_init):
+    """The weak process and overlay of `rounds` >= 1 counted traversals,
+    with the number of warm-up rounds and the last stage of every round."""
     i0 = event.i0
     prefix = proc.prefix(i0)
-    if rounds == 0:
-        overlay = overlay_init or MsOverlay.all_minus(prefix, start=i0)
-        blocks = prefix.final_blocks()
-        return PumpResult(
-            process=prefix, overlay=overlay, re_entry=i0, warmups=0,
-            round_boundaries=(),
-            assignment=None if im is None else read_assignment(im, blocks),
-            weak_report=Report())
-
     unused = sorted(proc.stages[i0][event.q0] - proc.used_elements(i0))
     if not unused:
         raise CannotWarmUp("no unused seed element at the start stage")
@@ -362,19 +384,7 @@ def pump_rounds(proc: FormativeProcess, board: ColoredBoard,
         boundaries.append(len(stages) - 1)
 
     process = FormativeProcess(stages=tuple(stages), trace=tuple(trace), weak=True)
-    overlay = MsOverlay(start, tuple(minus))
-    re_entry = process.xi
-    weak = check_weak_imitation(
-        proc, board, i0,
-        [process.stages[re_entry][q] for q in proc.places],
-        [overlay.minus_at(re_entry, q) for q in proc.places],
-        closed_set)
-    return PumpResult(
-        process=process, overlay=overlay, re_entry=re_entry, warmups=warmups,
-        round_boundaries=tuple(boundaries),
-        assignment=None if im is None else read_assignment(
-            im, process.final_blocks()),
-        weak_report=weak)
+    return process, MsOverlay(start, tuple(minus)), warmups, boundaries
 
 
 @dataclass(frozen=True)
@@ -526,8 +536,9 @@ def extend_certificate(cert: WitnessCertificate, rounds: int,
                        limits: Limits = DEFAULT_LIMITS,
                        strict_three: bool = False) -> WitnessCertificate:
     """Pump the certificate's event, replay the remaining segment, and
-    attach the transferred assignment with all its checks."""
-    partition, im, board = canonical_board(cert.formula, cert.assignment, limits)
+    attach the transferred assignment with all its checks.  Raises
+    ValueError for negative `rounds`."""
+    _, im, board = canonical_board(cert.formula, cert.assignment, limits)
     proc = cert.process
     pump = pump_rounds(proc, board, cert.event, rounds, limits=limits, im=im,
                        closed_set=cert.cover, strict_three=strict_three)
@@ -536,9 +547,10 @@ def extend_certificate(cert: WitnessCertificate, rounds: int,
         k_prime=cert.event.i0, closed_set=cert.cover)
     cand, overlay, witness = paste_segment(proc, board, start, proc.xi, limits)
     segment = check_segment_imitation(proc, board, cand, overlay, witness)
-    upward = check_upward_premises(proc, board, cand, overlay, witness, segment)
     bijection = BlockBijection(proc.final_blocks(), cand.final_blocks())
-    imit = imitates(partition, board, cand.final_partition(), bijection)
+    imit = imitates(board, bijection)
+    upward = check_upward_premises(proc, board, cand, overlay, witness,
+                                   pump.weak_report, segment, imit)
     final = transfer_assignment(cert.assignment, im, bijection)
     transfer = literal_transfer_report(cert.formula, cert.assignment, final, limits)
     pumped = PumpedExtension(

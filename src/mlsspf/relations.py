@@ -4,7 +4,10 @@ assignment transfer they license.
 Upward simulation preserves membership between node unions, powerset
 equations on pow-nodes, and red block cardinalities.  Imitation is the
 local, assembly-level version that implies it; checking imitation is what
-the process machinery actually produces.
+the process machinery actually produces.  Both compare per-side tables read
+off the blocks in one pass (`venn.signature_tables`) instead of sweeping
+all 2^places nodes: assembly contact is equality of the contact pairs, and
+node-union membership is equality of the node -> union home tables.
 """
 
 from __future__ import annotations
@@ -13,14 +16,18 @@ from dataclasses import dataclass
 
 from . import hf, lang
 from .limits import DEFAULT_LIMITS, Limits
-from .msrefine import _all_nodes, _count_in_pow_star
 from .report import Report, ReportBuilder
-from .venn import Assignment, ColoredBoard, ImMap, Partition, home_index
+from .venn import (Assignment, ColoredBoard, ImMap, Partition, node_union,
+                   signature_tables, subsets)
 
 
 @dataclass(frozen=True)
 class BlockBijection:
-    """Place-aligned bijection between the blocks of two partitions."""
+    """Place-aligned bijection between the blocks of two partitions.
+
+    Each side is a tuple of distinct, pairwise disjoint blocks, so it has
+    at most one empty block.
+    """
 
     source: tuple
     target: tuple
@@ -30,9 +37,10 @@ class BlockBijection:
         object.__setattr__(self, "target", tuple(frozenset(b) for b in self.target))
         if len(self.source) != len(self.target):
             raise ValueError("bijection must pair every block")
-        if len(set(self.source)) != len(self.source) or \
-                len(set(self.target)) != len(self.target):
-            raise ValueError("bijection endpoints must be partitions")
+        for side in (self.source, self.target):
+            if (len(set(side)) != len(side)
+                    or len(frozenset().union(*side)) != sum(map(len, side))):
+                raise ValueError("bijection endpoints must be partitions")
 
     @staticmethod
     def identity(partition: Partition) -> "BlockBijection":
@@ -42,69 +50,45 @@ class BlockBijection:
     def places(self):
         return range(len(self.source))
 
-    def node_union_source(self, node) -> hf.HfSet:
-        members = set()
-        for q in node:
-            members |= self.source[q]
-        return hf.make_set(members)
 
-    def node_union_target(self, node) -> hf.HfSet:
-        members = set()
-        for q in node:
-            members |= self.target[q]
-        return hf.make_set(members)
+def _imitation_tables(blocks):
+    """(contact pairs, node -> home place of the node's union) of one side.
 
-
-def _candidate_nodes(bijection: BlockBijection, board: ColoredBoard,
-                     limits: Limits):
-    places = list(bijection.places)
-    if len(places) <= limits.sim_exhaustive_max:
-        return list(_all_nodes(places)), False
-    nodes = set(board.targets) | set(board.pow_nodes)
-    nodes.add(frozenset())
-    nodes.add(frozenset(places))
-    return sorted(nodes, key=sorted), True
+    `signature_tables` keys a union by the node's places with nonempty
+    blocks; the union ignores the node's empty-block places, so each
+    extension of a key by them maps to the same home, which makes the
+    second table exact over every node.
+    """
+    home, contact, unions = signature_tables(blocks)
+    empty = [q for q, b in enumerate(blocks) if not b]
+    union_homes = {node | extra: home[u] for node, u in unions.items()
+                   for extra in subsets(empty)}
+    return contact, union_homes
 
 
-def simulates_upwards(partition: Partition, board: ColoredBoard,
-                      hat: Partition, bijection: BlockBijection,
+def simulates_upwards(board: ColoredBoard, bijection: BlockBijection,
                       limits: Limits = DEFAULT_LIMITS) -> Report:
     """Does the image partition simulate the original upwards?
 
-    Membership simulation sweeps every node (all place subsets up to the
-    configured bound, realized nodes beyond it, marked partial); membership
-    of one node union in another reduces to the home block of the union, so
-    a single sweep over nodes suffices.
+    Membership of one node union in another reduces to the home block of
+    the union, so membership simulation over every node is equality of the
+    two sides' node -> union home tables.
     """
     rb = ReportBuilder()
-    home_src = home_index(bijection.source)
-    home_tgt = home_index(bijection.target)
-    nodes, partial = _candidate_nodes(bijection, board, limits)
-    ok_in = True
-    for node in nodes:
-        u = bijection.node_union_source(node)
-        u_hat = bijection.node_union_target(node)
-        if home_src.get(u) != home_tgt.get(u_hat):
-            ok_in = False
-    rb.add("membership simulation" + (" (partial sweep)" if partial else ""),
-           ok_in)
+    rb.add("membership simulation",
+           _imitation_tables(bijection.source)[1]
+           == _imitation_tables(bijection.target)[1])
 
     ok_pow = True
     for y in sorted(board.pow_nodes, key=sorted):
-        p = hf.powerset(bijection.node_union_source(y), limits.pow_limit)
+        p = hf.powerset(node_union(bijection.source, y), limits.pow_limit)
         members = set(p.elements)
         x = frozenset(q for q in bijection.places
                       if bijection.source[q] & members)
-        if not all(bijection.source[q] <= members for q in x):
+        if node_union(bijection.source, x) is not p:
             continue
-        covered = set()
-        for q in x:
-            covered |= bijection.source[q]
-        if covered != members:
-            continue
-        u_hat = bijection.node_union_target(x)
-        if u_hat is not hf.powerset(bijection.node_union_target(y),
-                                    limits.pow_limit):
+        if node_union(bijection.target, x) is not hf.powerset(
+                node_union(bijection.target, y), limits.pow_limit):
             ok_pow = False
     rb.add("powerset simulation on pow-nodes", ok_pow)
 
@@ -114,68 +98,40 @@ def simulates_upwards(partition: Partition, board: ColoredBoard,
     return rb.build()
 
 
-def imitates(partition: Partition, board: ColoredBoard, hat: Partition,
-             bijection: BlockBijection, upwards: bool = True,
-             biconditional: bool = True) -> Report:
-    """Assembly-level imitation of a colored board's partition.
+def imitates(board: ColoredBoard, bijection: BlockBijection) -> Report:
+    """Assembly-level imitation of a colored board's partition, upwards.
 
-    (1) assembly contact between blocks and node families transfers (in both
-    directions unless `biconditional` is lowered to the one-way reading);
-    (2) node-union membership transfers; (3) pow-node assemblies land inside
-    the image union; (4) red images are finite, and with `upwards` of the
-    same size as their sources.
+    (1) assembly contact between blocks and node families transfers both
+    ways; (2) node-union membership transfers; (3) pow-node assemblies land
+    inside the image union; (4) red images are finite, and (4') of the same
+    size as their sources.
     """
     rb = ReportBuilder()
-    places = list(bijection.places)
-    ok1 = True
-    for node in _all_nodes(places):
-        src_fam = [bijection.source[q] for q in sorted(node)]
-        tgt_fam = [bijection.target[q] for q in sorted(node)]
-        for q in places:
-            lhs = any(hf.in_pow_star(e, tgt_fam) for e in bijection.target[q])
-            rhs = any(hf.in_pow_star(e, src_fam) for e in bijection.source[q])
-            if biconditional and lhs != rhs:
-                ok1 = False
-            if not biconditional and lhs and not rhs:
-                ok1 = False
-    rb.add("(1) assembly contact transfers", ok1)
+    src_contact, src_unions = _imitation_tables(bijection.source)
+    tgt_contact, tgt_unions = _imitation_tables(bijection.target)
+    rb.add("(1) assembly contact transfers", src_contact == tgt_contact)
+    rb.add("(2) node-union membership transfers", src_unions == tgt_unions)
 
-    ok2 = True
-    for node in _all_nodes(places):
-        u = bijection.node_union_source(node)
-        u_hat = bijection.node_union_target(node)
-        for q in places:
-            if (u_hat in bijection.target[q]) != (u in bijection.source[q]):
-                ok2 = False
-    rb.add("(2) node-union membership transfers", ok2)
-
-    placed_hat = set()
-    for b in bijection.target:
-        placed_hat |= b
+    placed_hat = frozenset().union(*bijection.target)
     ok3 = True
     for node in sorted(board.pow_nodes, key=sorted):
         fam = [bijection.target[q] for q in sorted(node)]
-        if _count_in_pow_star(fam, placed_hat) != hf.pow_star_size(fam):
+        if (sum(1 for e in placed_hat if hf.in_pow_star(e, fam))
+                != hf.pow_star_size(fam)):
             ok3 = False
     rb.add("(3) pow-node assemblies are absorbed", ok3)
 
     rb.add("(4) red images are finite", True)
-    if upwards:
-        rb.add("(4') red images keep their cardinality",
-               all(len(bijection.target[q]) == len(bijection.source[q])
-                   for q in board.red))
+    rb.add("(4') red images keep their cardinality",
+           all(len(bijection.target[q]) == len(bijection.source[q])
+               for q in board.red))
     return rb.build()
 
 
 def read_assignment(im: ImMap, blocks) -> Assignment:
     """Bind each variable of `im` to the union of the blocks at its places."""
-    out = {}
-    for v, places in im.places.items():
-        members = set()
-        for q in places:
-            members |= blocks[q]
-        out[v] = hf.make_set(members)
-    return Assignment(out)
+    return Assignment({v: node_union(blocks, places)
+                       for v, places in im.places.items()})
 
 
 def transfer_assignment(assignment: Assignment, im: ImMap,

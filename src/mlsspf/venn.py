@@ -114,6 +114,48 @@ def home_index(blocks) -> dict:
     return {e: i for i, b in enumerate(blocks) for e in b}
 
 
+def signature_tables(blocks):
+    """(home, contact, unions) of pairwise disjoint blocks, in one pass.
+
+    Signature identity: an element e whose members are all placed is an
+    assembly of the blocks of node N exactly when N is sig(e), the set of
+    its members' home places; and e is the union of N's blocks exactly
+    when, besides, it has as many members as those blocks together.  So
+    `contact` holds the pairs (sig(e), home(e)) of all such elements (block
+    q holds an assembly of N iff (N, q) is in it), and `unions` maps each
+    node whose union is placed to that element.  Both are keyed by places
+    with nonempty blocks only: a node with an empty block has no assembly,
+    and its union is the union of its other places.
+    """
+    home = home_index(blocks)
+    contact = set()
+    unions = {}
+    for e, h in home.items():
+        if not all(m in home for m in e.elements):
+            continue
+        sig = frozenset(home[m] for m in e.elements)
+        contact.add((sig, h))
+        if len(e) == sum(len(blocks[q]) for q in sig):
+            unions[sig] = e
+    return home, contact, unions
+
+
+def node_union(blocks, node) -> hf.HfSet:
+    """The union of the blocks at the node's places, as one HfSet."""
+    members = set()
+    for q in node:
+        members |= blocks[q]
+    return hf.make_set(members)
+
+
+def subsets(places):
+    """Every set of the given places, in mask order over the sorted places
+    (bit i of the mask picks the i-th least place)."""
+    places = sorted(places)
+    for mask in range(2 ** len(places)):
+        yield frozenset(places[i] for i in range(len(places)) if mask >> i & 1)
+
+
 def venn_partition(assignment: Assignment):
     """Coarsest partition whose blocks respect every variable's value.
 
@@ -171,11 +213,8 @@ class ColoredBoard:
         object.__setattr__(self, "pow_nodes",
                            frozenset(frozenset(n) for n in self.pow_nodes))
         for node in self.pow_nodes:
-            node = sorted(node)
-            for mask in range(2 ** len(node)):
-                sub = frozenset(node[i] for i in range(len(node)) if mask >> i & 1)
-                if sub not in self.pow_nodes:
-                    raise ValueError("pow-nodes must be downward closed")
+            if not all(sub in self.pow_nodes for sub in subsets(node)):
+                raise ValueError("pow-nodes must be downward closed")
 
     @property
     def places(self):
@@ -257,9 +296,7 @@ def color_board(core: ColoredBoard, formula: lang.Formula, im: ImMap) -> Colored
             pow_seeds.append(im[lit.operands[0]])
     pow_nodes = set()
     for seed in pow_seeds:
-        seed = sorted(seed)
-        for mask in range(2 ** len(seed)):
-            pow_nodes.add(frozenset(seed[i] for i in range(len(seed)) if mask >> i & 1))
+        pow_nodes.update(subsets(seed))
     return ColoredBoard(
         blocks=core.blocks,
         targets=dict(core.targets),

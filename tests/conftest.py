@@ -99,15 +99,15 @@ def absorbing_pow_nodes(proc, rng: random.Random, max_seeds=2):
                 return False
         return True
 
-    from mlsspf.msrefine import _all_nodes
-    ok = {node for node in _all_nodes(places) if absorbs(node)}
+    from mlsspf.venn import subsets
+    ok = {node for node in subsets(places) if absorbs(node)}
     candidates = sorted((node for node in ok
-                         if all(sub in ok for sub in _all_nodes(sorted(node)))),
+                         if all(sub in ok for sub in subsets(sorted(node)))),
                         key=sorted)
     rng.shuffle(candidates)
     pow_nodes = set()
     for seed in candidates[:max_seeds]:
-        for sub in _all_nodes(sorted(seed)):
+        for sub in subsets(sorted(seed)):
             pow_nodes.add(sub)
     return frozenset(pow_nodes)
 

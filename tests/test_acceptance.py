@@ -102,7 +102,7 @@ def _imitation_instances():
         partition = rand_partition(rng, universe, max_blocks=4)
         proc = m.synthesize_process(partition)
         board = rand_colored_board(proc, partition, rng)
-        yield partition, board, partition, BlockBijection.identity(partition)
+        yield board, BlockBijection.identity(partition)
     for _ in range(30):
         universe = rand_transitive_universe(rng, rng.randint(1, 8))
         partition = rand_partition(rng, universe, max_blocks=4)
@@ -111,26 +111,24 @@ def _imitation_instances():
         k_prime = rng.randint(0, proc.xi)
         start = StartConfiguration.degenerate(proc, k_prime)
         cand, overlay, witness = m.paste_segment(proc, board, start, proc.xi)
-        yield (partition, board, cand.final_partition(),
-               BlockBijection(partition.blocks, cand.final_blocks()))
+        yield board, BlockBijection(partition.blocks, cand.final_blocks())
     for formula, assignment in witness_family():
         for rounds in (1, 2, 3):
             cert = m.certify_witness(formula, assignment)
             ext = m.extend_certificate(cert, rounds)
             partition, _, board = m.canonical_board(formula, cert.assignment)
-            yield (partition, board, ext.pumped.process.final_partition(),
-                   BlockBijection(partition.blocks,
-                                  ext.pumped.process.final_blocks()))
+            yield board, BlockBijection(partition.blocks,
+                                        ext.pumped.process.final_blocks())
 
 
 def test_criterion_4_imitation_implies_simulation():
     with Timer("criterion 4: imitation-upwards implies simulation-upwards, "
                ">=200 instances", 60):
         count = 0
-        for partition, board, hat, bijection in _imitation_instances():
-            imit = m.imitates(partition, board, hat, bijection)
+        for board, bijection in _imitation_instances():
+            imit = m.imitates(board, bijection)
             assert imit.ok, str(imit)
-            sim = m.simulates_upwards(partition, board, hat, bijection)
+            sim = m.simulates_upwards(board, bijection)
             assert sim.ok, str(sim)
             count += 1
         assert count >= 200, count

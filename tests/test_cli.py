@@ -90,6 +90,16 @@ def test_pump_rejects_invalid_certificate(files):
     assert run_cli(["pump", "-c", str(cert), "--rounds", "1"]) == 3
 
 
+def test_pump_negative_rounds_is_input_error(files):
+    cert = files / "cert.json"
+    assert run_cli(["witness", "-f", str(files / "ex1.mlsspf"),
+                    "-m", str(files / "model.json"), "--json", str(cert)]) == 0
+    out = files / "pumped.json"
+    assert run_cli(["pump", "-c", str(cert), "--rounds", "-2",
+                    "--json", str(out)]) == 3
+    assert not out.exists()
+
+
 def test_pump_internal_failure_exit_code(tmp_path, capsys):
     # decide's certificate for this formula loads and re-certifies, but
     # cannot be pumped yet (a known soundness gap): that is not bad input.

@@ -5,9 +5,10 @@ import pytest
 import mlsspf as m
 from mlsspf import hf
 from mlsspf.errors import NoLocalTrash
-from mlsspf.msrefine import (ImitationWitness, MsOverlay, StartConfiguration,
-                             _all_nodes)
+from mlsspf.msrefine import ImitationWitness, MsOverlay, StartConfiguration
+from mlsspf.venn import subsets
 from mlsspf.pumping import PumpingEvent, pump_rounds
+from mlsspf.relations import BlockBijection
 
 from conftest import chain, rand_partition, rand_transitive_universe
 
@@ -21,6 +22,21 @@ def pumped_ex1(ex1):
     event = PumpingEvent(ex1.q, 3, m.find_pumping_cycles(ex1.board)[0])
     return pump_rounds(ex1.process, ex1.board, event, 1, im=ex1.im,
                        closed_set=cover), cover
+
+
+def _upward_premises(proc, board, cand, overlay, witness, seg):
+    """check_upward_premises with the weak-imitation and imitation reports
+    it takes, computed the way extend_certificate computes them."""
+    m_start = witness.gamma[witness.lo]
+    weak = m.check_weak_imitation(
+        proc, board, witness.lo,
+        [cand.stages[m_start][q] for q in proc.places],
+        [overlay.minus_at(m_start, q) for q in proc.places],
+        witness.closed_set)
+    imitation = m.imitates(
+        board, BlockBijection(proc.final_blocks(), cand.final_blocks()))
+    return m.check_upward_premises(proc, board, cand, overlay, witness, weak,
+                                   seg, imitation)
 
 
 def test_all_minus_overlay_validates(ex1):
@@ -130,7 +146,7 @@ def test_paste_nontrivial_segment_after_pump():
     cand, overlay, witness = m.paste_segment(proc, board, start, proc.xi)
     seg = m.check_segment_imitation(proc, board, cand, overlay, witness)
     assert seg.ok, str(seg)
-    up = m.check_upward_premises(proc, board, cand, overlay, witness, seg)
+    up = _upward_premises(proc, board, cand, overlay, witness, seg)
     assert up.ok, str(up)
 
 
@@ -140,7 +156,7 @@ def test_upward_premises_identity(ex1):
                                closed_set=frozenset(), lo=0, hi=proc.xi)
     overlay = MsOverlay.all_minus(proc)
     seg = m.check_segment_imitation(proc, ex1.board, proc, overlay, witness)
-    rep = m.check_upward_premises(proc, ex1.board, proc, overlay, witness, seg)
+    rep = _upward_premises(proc, ex1.board, proc, overlay, witness, seg)
     assert rep.ok
 
 
@@ -151,8 +167,7 @@ def test_upward_premises_ex1_pumped(ex1, pumped_ex1):
                                              ex1.process.xi)
     seg = m.check_segment_imitation(ex1.process, ex1.board, cand, overlay,
                                     witness)
-    rep = m.check_upward_premises(ex1.process, ex1.board, cand, overlay, witness,
-                                  seg)
+    rep = _upward_premises(ex1.process, ex1.board, cand, overlay, witness, seg)
     assert rep.ok, str(rep)
 
 
@@ -178,8 +193,8 @@ def test_upward_premises_reject_surplus_relabeled_as_minus(ex1, pumped_ex1):
                                               ex1.process.xi)
     seg = m.check_segment_imitation(ex1.process, ex1.board, cand, overlay2,
                                     witness)
-    rep = m.check_upward_premises(ex1.process, ex1.board, cand, overlay2,
-                                  witness, seg)
+    rep = _upward_premises(ex1.process, ex1.board, cand, overlay2, witness,
+                           seg)
     assert not rep.ok
     assert not rep.items[0].ok
 
@@ -205,8 +220,7 @@ def test_upward_premises_reject_minus_delta_off_map(ex1, pumped_ex1):
     bad = MsOverlay(overlay.start, minus)
     seg = m.check_segment_imitation(ex1.process, ex1.board, longer, bad,
                                     witness)
-    rep = m.check_upward_premises(ex1.process, ex1.board, longer, bad, witness,
-                                  seg)
+    rep = _upward_premises(ex1.process, ex1.board, longer, bad, witness, seg)
     assert not rep.ok
     assert any("off-map" in i.check for i in rep.failures())
 
@@ -216,7 +230,7 @@ def test_rem1_assembly_intersection_is_stage_stable():
     for _ in range(15):
         universe = rand_transitive_universe(rng, rng.randint(1, 8))
         proc = m.synthesize_process(rand_partition(rng, universe, max_blocks=4))
-        for node in _all_nodes(proc.places):
+        for node in subsets(proc.places):
             for k in range(1, proc.xi + 1):
                 prev = proc.node_snapshot(node, k - 1)
                 cur = proc.node_snapshot(node, k)

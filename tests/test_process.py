@@ -165,11 +165,11 @@ def test_salient_ordinals_ex1(ex1):
 
 def test_ge_trichotomy_on_synthesized():
     rng = random.Random(29)
-    from mlsspf.msrefine import _all_nodes
+    from mlsspf.venn import subsets
     for _ in range(15):
         universe = rand_transitive_universe(rng, rng.randint(1, 8))
         proc = m.synthesize_process(rand_partition(rng, universe, max_blocks=4))
-        for node in _all_nodes(proc.places):
+        for node in subsets(proc.places):
             ge = m.grand_event(proc, node)
             u = proc.node_union(node)
             for nu in range(proc.xi):
@@ -183,11 +183,11 @@ def test_ge_trichotomy_on_synthesized():
 
 def test_node_stabilizes_at_grand_event():
     rng = random.Random(31)
-    from mlsspf.msrefine import _all_nodes
+    from mlsspf.venn import subsets
     for _ in range(15):
         universe = rand_transitive_universe(rng, rng.randint(1, 8))
         proc = m.synthesize_process(rand_partition(rng, universe, max_blocks=4))
-        for node in _all_nodes(proc.places):
+        for node in subsets(proc.places):
             ge = m.grand_event(proc, node)
             if ge < proc.xi:
                 assert [proc.stages[ge][q] for q in node] == \
@@ -262,7 +262,7 @@ def _local_trashes_oracle(proc, board, node):
 @given(st.randoms(use_true_random=False))
 @settings(max_examples=60, deadline=None)
 def test_grand_event_tables_match_union_oracle(rng):
-    from mlsspf.msrefine import _all_nodes
+    from mlsspf.venn import subsets
     universe = rand_transitive_universe(rng, rng.randint(1, 12))
     partition = rand_partition(rng, universe, max_blocks=5)
     full = m.synthesize_process(partition)
@@ -271,7 +271,7 @@ def test_grand_event_tables_match_union_oracle(rng):
         blocks=core.blocks, targets=dict(core.targets),
         red=frozenset(q for q in full.places if rng.random() < 0.3),
         signatures=dict(core.signatures))
-    nodes = list(_all_nodes(full.places))
+    nodes = list(subsets(full.places))
     # Prefixes leave final blocks empty; JSON round trips rebuild the sets.
     for mu in range(full.xi + 1):
         prefix = full.prefix(mu)

@@ -144,6 +144,16 @@ def test_pump_zero_rounds_is_identity(ex1):
     res = pump_rounds(ex1.process, ex1.board, cert.event, 0)
     assert res.process.stages == ex1.process.stages[:4]
     assert res.round_boundaries == ()
+    # The weak imitation premise is checked, not vacuous.
+    assert res.weak_report.items and res.weak_report.ok
+
+
+def test_negative_rounds_are_rejected(ex1):
+    cert = m.certify_witness(ex1.formula, ex1.assignment)
+    with pytest.raises(ValueError):
+        pump_rounds(ex1.process, ex1.board, cert.event, -1)
+    with pytest.raises(ValueError):
+        m.extend_certificate(cert, -1)
 
 
 def test_pump_one_round_matches_expected_blocks(ex1):
@@ -261,6 +271,8 @@ def _certify_oracle(formula, assignment):
     partition, im, board = m.canonical_board(formula, assignment)
     proc = m.synthesize_process(partition)
     cycles = m.find_pumping_cycles(board)
+    # The cycle search itself no longer re-validates what it builds.
+    assert all(cycle.validate(board).ok for cycle in cycles)
     if not cycles:
         raise NoEvent("no cycle")
     missed_var = None

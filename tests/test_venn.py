@@ -167,8 +167,8 @@ def test_target_soundness_against_assembly_enumeration():
         universe = rand_transitive_universe(rng, rng.randint(1, 8))
         partition = rand_partition(rng, universe, max_blocks=4)
         board = m.induced_board(partition)
-        from mlsspf.msrefine import _all_nodes
-        for node in _all_nodes(range(len(partition.blocks))):
+        from mlsspf.venn import subsets
+        for node in subsets(range(len(partition.blocks))):
             fam = [partition.blocks[q] for q in sorted(node)]
             if sum(len(b) for b in fam) > 10:
                 continue

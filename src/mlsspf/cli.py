@@ -1,8 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 sat/witnessed or check passed, 1 unsat-within-budget or check
-failed, 2 unknown, 3 bad input, 4 internal failure (the input was read and
-checked, then the library failed on it).
+failed, 2 unknown, 3 bad input (bounds out of range too), 4 internal failure
+(the input was read and checked, then the library failed on it).
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from . import lang
 from .errors import MlsspfError
 from .limits import DEFAULT_LIMITS, Limits
 from .process import FormativeProcess, synthesize_process, validate_process
-from .pumping import (WitnessCertificate, certify_witness, extend_certificate,
-                      verify_certificate)
+from .pumping import (WitnessCertificate, certificate_limits, certify_witness,
+                      extend_certificate, verify_certificate)
 from .solver import SAT_MODEL, SAT_WITNESSED, UNKNOWN, SearchBudget, decide
 from .venn import Assignment, canonical_board, transitivize, venn_partition
 
@@ -57,8 +57,9 @@ def _read_json(path):
 
 
 def _limits(args) -> Limits:
-    pow_limit = getattr(args, "limit_pow", None) or DEFAULT_LIMITS.pow_limit
-    return Limits(pow_limit=pow_limit)
+    return Limits(pow_limit=args.limit_pow,
+                  max_cycle_len=getattr(args, "max_cycle_len",
+                                        DEFAULT_LIMITS.max_cycle_len))
 
 
 def cmd_parse(args):
@@ -126,19 +127,15 @@ def cmd_process(args):
 def cmd_witness(args):
     formula = _read_formula(args.formula)
     model = _read_model(args.model)
-    cert = certify_witness(formula, model, _limits(args),
-                           max_cycle_len=args.max_cycle_len)
+    cert = certify_witness(formula, model, _limits(args))
     _emit(cert.to_json(), args)
     return EXIT_OK
 
 
-def _load_certificate(data) -> WitnessCertificate:
+def _load_certificate(data, limits: Limits) -> WitnessCertificate:
     formula = lang.parse(data["formula"])
     base, _ = Assignment.from_json(data["baseAssignment"])
-    cert = certify_witness(
-        formula, base,
-        max_cycle_len=int(data.get("params", {}).get(
-            "maxCycleLen", DEFAULT_LIMITS.max_cycle_len)))
+    cert = certify_witness(formula, base, certificate_limits(data, limits))
     if json.dumps(cert.to_json(), sort_keys=True) != json.dumps(
             {k: v for k, v in data.items() if k != "pumped"}, sort_keys=True):
         raise MlsspfError("certificate does not match its own inputs")
@@ -146,10 +143,12 @@ def _load_certificate(data) -> WitnessCertificate:
 
 
 def cmd_pump(args):
-    data = _read_json(args.certificate)
-    cert = _load_certificate(data)
+    if args.rounds < 0:
+        raise ValueError(f"rounds must be nonnegative, not {args.rounds}")
+    limits = _limits(args)
+    cert = _load_certificate(_read_json(args.certificate), limits)
     try:
-        extended = extend_certificate(cert, args.rounds, _limits(args),
+        extended = extend_certificate(cert, args.rounds, limits,
                                       strict_three=args.strict_three)
     except MlsspfError as exc:
         # The certificate re-certified from its own inputs, so the input is
@@ -166,7 +165,7 @@ def cmd_decide(args):
     formula = _read_formula(args.file)
     budget = SearchBudget(
         max_rank=args.max_rank, max_universe=args.max_universe,
-        max_cycle_len=args.max_cycle_len, limits=_limits(args))
+        limits=_limits(args))
     result = decide(formula, budget)
     _emit(result.to_json(), args)
     if result.verdict in (SAT_MODEL, SAT_WITNESSED):
@@ -194,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--json", metavar="PATH",
                        help="write the JSON result to PATH instead of stdout")
-        p.add_argument("--limit-pow", type=int, default=None,
+        p.add_argument("--limit-pow", type=int, default=DEFAULT_LIMITS.pow_limit,
                        help="cap on materialized powerset/assembly families")
 
     p = sub.add_parser("parse", help="parse a formula file")

@@ -12,7 +12,7 @@ serialized form alone.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import hf, lang
@@ -291,8 +291,7 @@ def pump_rounds(proc: FormativeProcess, board: ColoredBoard,
                 limits: Limits = DEFAULT_LIMITS,
                 im: Optional[ImMap] = None,
                 closed_set=frozenset(),
-                strict_three: bool = False,
-                overlay_init: Optional[MsOverlay] = None) -> PumpResult:
+                strict_three: bool = False) -> PumpResult:
     """Run `rounds` cycle traversals from the event's start stage.
 
     The seed element moves from Minus to Surplus at the start; warm-up
@@ -310,11 +309,11 @@ def pump_rounds(proc: FormativeProcess, board: ColoredBoard,
     i0 = event.i0
     if rounds == 0:
         process = proc.prefix(i0)
-        overlay = overlay_init or MsOverlay.all_minus(process, start=i0)
+        overlay = MsOverlay.all_minus(process, start=i0)
         warmups, boundaries = 0, ()
     else:
         process, overlay, warmups, boundaries = _traverse(
-            proc, event, rounds, limits, strict_three, overlay_init)
+            proc, event, rounds, limits, strict_three)
     re_entry = process.xi
     weak = check_weak_imitation(
         proc, board, i0,
@@ -329,7 +328,7 @@ def pump_rounds(proc: FormativeProcess, board: ColoredBoard,
         weak_report=weak)
 
 
-def _traverse(proc, event, rounds, limits, strict_three, overlay_init):
+def _traverse(proc, event, rounds, limits, strict_three):
     """The weak process and overlay of `rounds` >= 1 counted traversals,
     with the number of warm-up rounds and the last stage of every round."""
     i0 = event.i0
@@ -341,15 +340,8 @@ def _traverse(proc, event, rounds, limits, strict_three, overlay_init):
 
     stages = list(prefix.stages)
     trace = list(prefix.trace)
-    if overlay_init is not None:
-        minus = list(overlay_init.minus)
-        start = overlay_init.start
-    else:
-        split = tuple(
-            b - {t0} if q == event.q0 else b
-            for q, b in enumerate(prefix.stages[i0]))
-        minus = [split]
-        start = i0
+    minus = [tuple(b - {t0} if q == event.q0 else b
+                   for q, b in enumerate(prefix.stages[i0]))]
 
     cyc = event.cycle
     n = len(cyc)
@@ -384,7 +376,7 @@ def _traverse(proc, event, rounds, limits, strict_three, overlay_init):
         boundaries.append(len(stages) - 1)
 
     process = FormativeProcess(stages=tuple(stages), trace=tuple(trace), weak=True)
-    return process, MsOverlay(start, tuple(minus)), warmups, boundaries
+    return process, MsOverlay(i0, tuple(minus)), warmups, boundaries
 
 
 @dataclass(frozen=True)
@@ -461,15 +453,15 @@ class WitnessCertificate:
 
 
 def certify_witness(formula: lang.Formula, assignment: Assignment,
-                    limits: Limits = DEFAULT_LIMITS,
-                    max_cycle_len: int = DEFAULT_LIMITS.max_cycle_len) -> WitnessCertificate:
+                    limits: Limits = DEFAULT_LIMITS) -> WitnessCertificate:
     """Certify that a finite assignment witnesses satisfiability.
 
     The assignment must satisfy every literal except the negated finiteness
     ones; the search then looks (latest start stage first) for a pumping
-    event whose closed cover exists, whose cycle meets the region of every
-    variable that must become infinite, and whose replayed segment can
-    absorb grand events of pumped nodes.
+    event on a cycle of at most `limits.max_cycle_len` places whose closed
+    cover exists, whose cycle meets the region of every variable that must
+    become infinite, and whose replayed segment can absorb grand events of
+    pumped nodes.
     """
     base = assignment
     results = []
@@ -487,27 +479,24 @@ def certify_witness(formula: lang.Formula, assignment: Assignment,
     partition, im, board = canonical_board(formula, assignment, limits)
     proc = synthesize_process(partition)
 
-    cycles = find_pumping_cycles(board, max_cycle_len)
+    cycles = find_pumping_cycles(board, limits.max_cycle_len)
     if not cycles:
         raise NoEvent("the board has no green pumping cycle")
     # Conditions (ii) and (iii) of is_pumping_event are checked per cycle and
-    # (i) per seed place before the full report is built, so the search
-    # certifies the same event as a loop calling is_pumping_event on every
-    # (i0, cycle, q0), without building the reports of failing candidates.
-    cycle_ge = [_cycle_ge(proc, board, cycle) for cycle in cycles]
+    # (i) per seed place.  find_pumping_cycles guarantees the cycle items and
+    # q0 lies on the cycle, so a candidate passing (i)-(iii) passes every
+    # item, and the report is built once, for the returned event.
+    per_cycle = [(cycle, _cycle_ge(proc, board, cycle),
+                  [x for x in neg_vars if not (im[x] & cycle.place_set())])
+                 for cycle in cycles]
     missed_var = None
     for i0 in range(proc.xi, 0, -1):
-        for cycle, ge in zip(cycles, cycle_ge):
+        for cycle, ge, uncovered in per_cycle:
             if ge < i0 or not _cycle_blocks_filled(proc, i0, cycle):
                 continue
             for q0 in sorted(cycle.place_set()):
                 if not _has_unused(proc, i0, q0):
                     continue
-                ev_report = is_pumping_event(proc, board, q0, i0, cycle)
-                if not ev_report.ok:
-                    continue
-                uncovered = [x for x in neg_vars
-                             if not (im[x] & cycle.place_set())]
                 if uncovered:
                     missed_var = uncovered[0]
                     continue
@@ -525,8 +514,9 @@ def certify_witness(formula: lang.Formula, assignment: Assignment,
                     formula=formula, base_assignment=base,
                     assignment=assignment, process=proc, event=event,
                     cover=cover, potential_infinite=tuple(pot),
-                    literal_results=tuple(results), event_report=ev_report,
-                    max_cycle_len=max_cycle_len)
+                    literal_results=tuple(results),
+                    event_report=is_pumping_event(proc, board, q0, i0, cycle),
+                    max_cycle_len=limits.max_cycle_len)
     if missed_var is not None:
         raise CoverMissesVariable(missed_var)
     raise NoEvent("no pumping event passes all three conditions")
@@ -567,13 +557,23 @@ def extend_certificate(cert: WitnessCertificate, rounds: int,
         max_cycle_len=cert.max_cycle_len, pumped=pumped)
 
 
+def certificate_limits(data, limits: Limits) -> Limits:
+    """`limits` with the cycle-length bound a certificate's JSON records
+    (`params.maxCycleLen`), under which it re-certifies.  Raises ValueError
+    when that bound is below 1."""
+    return replace(limits, max_cycle_len=int(
+        data.get("params", {}).get("maxCycleLen", limits.max_cycle_len)))
+
+
 def verify_certificate(data, limits: Limits = DEFAULT_LIMITS) -> Report:
     """Re-derive a certificate from its own inputs and compare byte-for-byte.
 
     Every component is recomputed from the embedded formula and assignment
     (the pipeline is deterministic), so any tampering shows up as a
-    divergence; individual structural checks are reported as well.
+    divergence; individual structural checks are reported as well.  It runs
+    under `certificate_limits(data, limits)`.
     """
+    limits = certificate_limits(data, limits)
     rb = ReportBuilder()
     try:
         formula = lang.parse(data["formula"])
@@ -583,10 +583,7 @@ def verify_certificate(data, limits: Limits = DEFAULT_LIMITS) -> Report:
         return rb.build()
     base, _ = Assignment.from_json(data["baseAssignment"])
     try:
-        fresh = certify_witness(
-            formula, base, limits,
-            max_cycle_len=int(data.get("params", {}).get("maxCycleLen",
-                              DEFAULT_LIMITS.max_cycle_len)))
+        fresh = certify_witness(formula, base, limits)
     except Exception as exc:  # noqa: BLE001
         rb.add("witness certification reproduces", False, str(exc))
         return rb.build()

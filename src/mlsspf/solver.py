@@ -32,7 +32,6 @@ UNKNOWN = "Unknown"
 class SearchBudget:
     max_rank: int = 4
     max_universe: int = 4
-    max_cycle_len: int = DEFAULT_LIMITS.max_cycle_len
     limits: Limits = field(default_factory=lambda: DEFAULT_LIMITS)
 
     @property
@@ -160,9 +159,7 @@ def decide(formula: lang.Formula, budget: SearchBudget) -> DecideResult:
                                   unpruned if may_raise else checks, limits):
             if has_neg:
                 try:
-                    cert = certify_witness(
-                        formula, assignment, limits,
-                        max_cycle_len=budget.max_cycle_len)
+                    cert = certify_witness(formula, assignment, limits)
                 except (NotAWitness, NoEvent, CoverMissesVariable,
                         NoClosedCover, CannotWarmUp, NoLocalTrash,
                         CardinalityDeficit, LimitExceeded):

@@ -8,7 +8,7 @@ node A to the places whose block meets the assembly family of A's blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 
 from . import hf, lang
@@ -203,12 +203,10 @@ class ColoredBoard:
     targets: dict
     red: frozenset = EMPTY_NODE
     pow_nodes: frozenset = frozenset()
-    signatures: dict = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(frozenset(b) for b in self.blocks))
         object.__setattr__(self, "targets", MappingProxyType(dict(self.targets)))
-        object.__setattr__(self, "signatures", MappingProxyType(dict(self.signatures)))
         object.__setattr__(self, "red", frozenset(self.red))
         object.__setattr__(self, "pow_nodes",
                            frozenset(frozenset(n) for n in self.pow_nodes))
@@ -223,18 +221,11 @@ class ColoredBoard:
     def target(self, node) -> frozenset:
         return self.targets.get(frozenset(node), EMPTY_NODE)
 
-    def is_green_place(self, q) -> bool:
-        return q not in self.red
-
     def is_green_node(self, node) -> bool:
         return any(q not in self.red for q in node)
 
     def realized_nodes(self):
         return sorted(self.targets, key=sorted)
-
-    def node_of(self, e: hf.HfSet):
-        """The signature node of a universe element (places its members meet)."""
-        return self.signatures[e]
 
     def same_targets(self, other: "ColoredBoard") -> bool:
         return dict(self.targets) == dict(other.targets)
@@ -266,17 +257,14 @@ def induced_board(partition: Partition, limits: Limits = DEFAULT_LIMITS) -> Colo
         raise NotTransitive("the partition's unionset is not transitive")
     blocks = partition.blocks
     home = home_index(blocks)
-    signatures = {}
     targets = {}
     for i, b in enumerate(blocks):
         for e in b:
             node = frozenset(home[m] for m in e.elements)
-            signatures[e] = node
             targets.setdefault(node, set()).add(i)
     return ColoredBoard(
         blocks=blocks,
         targets={n: frozenset(ts) for n, ts in targets.items()},
-        signatures=signatures,
     )
 
 
@@ -302,7 +290,6 @@ def color_board(core: ColoredBoard, formula: lang.Formula, im: ImMap) -> Colored
         targets=dict(core.targets),
         red=frozenset(red),
         pow_nodes=frozenset(pow_nodes),
-        signatures=dict(core.signatures),
     )
 
 

@@ -118,8 +118,27 @@ def rand_colored_board(proc, partition, rng: random.Random,
     red = frozenset(q for q in proc.places if rng.random() < red_prob)
     pow_nodes = absorbing_pow_nodes(proc, rng) if with_pow else frozenset()
     return m.ColoredBoard(blocks=core.blocks, targets=dict(core.targets),
-                          red=red, pow_nodes=pow_nodes,
-                          signatures=dict(core.signatures))
+                          red=red, pow_nodes=pow_nodes)
+
+
+def wide_instance(seed):
+    """(formula, assignment) with 8-11 nonempty variables, one of which
+    must become infinite.  One variable per residue class of a shuffled
+    transitive universe gives one place per variable; the powerset literal
+    that half the seeds add gives a few more."""
+    rng = random.Random(seed)
+    k = rng.randint(8, 11)
+    universe = rand_transitive_universe(rng, rng.randint(k, k + 5))
+    rng.shuffle(universe)
+    names = [f"v{j}" for j in range(k)]
+    binding = {v: m.make_set(universe[j::k]) for j, v in enumerate(names)}
+    literals = [f"!Finite({rng.choice(names)})"]
+    literals += [f"!{v} = {{}}" for v in names]
+    if rng.random() < 0.5:
+        z = m.make_set(rng.sample(universe, 2))
+        binding["z"], binding["p"] = z, m.powerset(z)
+        literals.append("p = Pow(z)")
+    return m.parse(" & ".join(literals)), m.Assignment(binding)
 
 
 def witness_family():

@@ -3,7 +3,10 @@ import json
 import pytest
 
 import mlsspf as m
+from mlsspf import cli
 from mlsspf.cli import run_cli
+
+from conftest import wide_instance
 
 
 @pytest.fixture
@@ -90,10 +93,15 @@ def test_pump_rejects_invalid_certificate(files):
     assert run_cli(["pump", "-c", str(cert), "--rounds", "1"]) == 3
 
 
-def test_pump_negative_rounds_is_input_error(files):
+def test_pump_negative_rounds_is_input_error(files, monkeypatch):
     cert = files / "cert.json"
     assert run_cli(["witness", "-f", str(files / "ex1.mlsspf"),
                     "-m", str(files / "model.json"), "--json", str(cert)]) == 0
+
+    def no_recertify(*args):
+        pytest.fail("rounds must be checked before the certificate is loaded")
+
+    monkeypatch.setattr(cli, "certify_witness", no_recertify)
     out = files / "pumped.json"
     assert run_cli(["pump", "-c", str(cert), "--rounds", "-2",
                     "--json", str(out)]) == 3
@@ -125,3 +133,55 @@ def test_witness_not_a_witness_is_input_error(files):
     bad.write_text("w in x & x = w & !Finite(x)")
     assert run_cli(["witness", "-f", str(bad),
                     "-m", str(files / "model.json")]) == 3
+
+
+def _write_instance(tmp_path, seed):
+    formula, assignment = wide_instance(seed)
+    f = tmp_path / f"wide{seed}.mlsspf"
+    f.write_text(formula.render())
+    model = tmp_path / f"wide{seed}.json"
+    model.write_text(json.dumps(assignment.to_json()))
+    return ["-f", str(f), "-m", str(model)]
+
+
+def test_bad_bounds_are_input_errors(files):
+    formula = ["-f", str(files / "ex1.mlsspf"), "-m", str(files / "model.json")]
+    for limit in ("0", "-5"):
+        assert run_cli(["check-model", *formula, "--limit-pow", limit]) == 3
+    assert run_cli(["witness", *formula, "--max-cycle-len", "0"]) == 3
+    assert run_cli(["decide", str(files / "ex1.mlsspf"),
+                    "--max-cycle-len", "0"]) == 3
+    cert = files / "cert.json"
+    assert run_cli(["witness", *formula, "--json", str(cert)]) == 0
+    data = json.loads(cert.read_text())
+    data["params"]["maxCycleLen"] = 0
+    cert.write_text(json.dumps(data))
+    assert run_cli(["verify", str(cert)]) == 3
+    assert run_cli(["pump", "-c", str(cert)]) == 3
+
+
+def test_max_cycle_len_round_trip(tmp_path):
+    # The default bound finds a 2-place event here; verify and pump must
+    # re-certify under the recorded bound 1 to reproduce the certificate.
+    cert = tmp_path / "cert.json"
+    assert run_cli(["witness", *_write_instance(tmp_path, 0),
+                    "--max-cycle-len", "1", "--json", str(cert)]) == 0
+    data = json.loads(cert.read_text())
+    assert data["params"] == {"maxCycleLen": 1}
+    assert len(data["event"]["cycle"]["places"]) == 1
+    assert run_cli(["verify", str(cert)]) == 0
+    pumped = tmp_path / "pumped.json"
+    assert run_cli(["pump", "-c", str(cert), "--json", str(pumped)]) == 0
+    assert run_cli(["verify", str(pumped)]) == 0
+
+
+def test_pump_recertifies_under_limit_pow(tmp_path):
+    # A Pow literal with four members re-certifies only when pow_limit >= 4.
+    cert = tmp_path / "cert.json"
+    assert run_cli(["witness", *_write_instance(tmp_path, 27),
+                    "--json", str(cert)]) == 0
+    assert run_cli(["verify", str(cert), "--limit-pow", "2"]) == 1
+    out = tmp_path / "pumped.json"
+    assert run_cli(["pump", "-c", str(cert), "--limit-pow", "2",
+                    "--json", str(out)]) == 3
+    assert not out.exists()

@@ -140,8 +140,7 @@ def test_local_trashes_examples(ex1):
     assert m.local_trashes(proc, board, [ex1.p]) == frozenset([ex1.q])
     assert m.local_trashes(proc, board, [ex1.q]) == frozenset()
     all_red = m.ColoredBoard(blocks=board.blocks, targets=dict(board.targets),
-                             red=frozenset([ex1.p, ex1.q]),
-                             signatures=dict(board.signatures))
+                             red=frozenset([ex1.p, ex1.q]))
     assert m.local_trashes(proc, all_red, [ex1.p]) == frozenset()
 
 
@@ -150,8 +149,7 @@ def test_is_closed_examples(ex1):
     assert m.is_closed(proc, board, [ex1.q])
     assert m.is_closed(proc, board, [])
     reddened = m.ColoredBoard(blocks=board.blocks, targets=dict(board.targets),
-                              red=frozenset([ex1.q]),
-                              signatures=dict(board.signatures))
+                              red=frozenset([ex1.q]))
     assert not m.is_closed(proc, reddened, [ex1.q])
 
 
@@ -269,8 +267,7 @@ def test_grand_event_tables_match_union_oracle(rng):
     core = m.induced_board(partition)
     board = m.ColoredBoard(
         blocks=core.blocks, targets=dict(core.targets),
-        red=frozenset(q for q in full.places if rng.random() < 0.3),
-        signatures=dict(core.signatures))
+        red=frozenset(q for q in full.places if rng.random() < 0.3))
     nodes = list(subsets(full.places))
     # Prefixes leave final blocks empty; JSON round trips rebuild the sets.
     for mu in range(full.xi + 1):

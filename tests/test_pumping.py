@@ -1,5 +1,4 @@
 import json
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +11,7 @@ from mlsspf.errors import (CardinalityDeficit, CoverMissesVariable,
 from mlsspf.process import NEW
 from mlsspf.pumping import PumpingCycle, pump_rounds
 
-from conftest import chain, rand_transitive_universe, witness_family
+from conftest import chain, wide_instance, witness_family
 
 A, B, C = chain(2)
 
@@ -28,8 +27,7 @@ def test_find_cycles_ex1(ex1):
 def test_find_cycles_all_red(ex1):
     board = m.ColoredBoard(blocks=ex1.board.blocks,
                            targets=dict(ex1.board.targets),
-                           red=frozenset(ex1.board.places),
-                           signatures=dict(ex1.board.signatures))
+                           red=frozenset(ex1.board.places))
     assert m.find_pumping_cycles(board) == []
 
 
@@ -50,8 +48,7 @@ def test_find_cycles_two_place_ladder():
 def test_cycle_validation_rejects_red(ex1):
     board = m.ColoredBoard(blocks=ex1.board.blocks,
                            targets=dict(ex1.board.targets),
-                           red=frozenset([ex1.q]),
-                           signatures=dict(ex1.board.signatures))
+                           red=frozenset([ex1.q]))
     cyc = PumpingCycle(nodes=(frozenset([ex1.q]),), places=(ex1.q,))
     rep = cyc.validate(board)
     assert not rep.ok
@@ -79,8 +76,7 @@ def _four_block_board():
     core = m.induced_board(partition)
     board = m.ColoredBoard(
         blocks=core.blocks, targets=dict(core.targets),
-        pow_nodes=frozenset([frozenset(), frozenset([1])]),
-        signatures=dict(core.signatures))
+        pow_nodes=frozenset([frozenset(), frozenset([1])]))
     return proc, board
 
 
@@ -94,8 +90,7 @@ def test_closed_cover_adds_a_trash():
 def test_closed_cover_fails_without_trash(ex1):
     board = m.ColoredBoard(blocks=ex1.board.blocks,
                            targets=dict(ex1.board.targets),
-                           pow_nodes=frozenset([frozenset(), frozenset([ex1.q])]),
-                           signatures=dict(ex1.board.signatures))
+                           pow_nodes=frozenset([frozenset(), frozenset([ex1.q])]))
     cyc = m.find_pumping_cycles(board)[0]
     with pytest.raises(NoClosedCover):
         m.closed_cover(ex1.process, board, cyc)
@@ -262,7 +257,8 @@ def _certify_oracle(formula, assignment):
     results = [lang.eval_literal(lit, assignment) for lit in formula.literals]
     for lit, val in zip(formula.literals, results):
         if lit.kind != lang.NOT_FINITE and not val:
-            raise NotAWitness(lit.render())
+            raise NotAWitness(
+                f"literal '{lit.render()}' is false under the assignment")
     neg_vars = [lit.operands[0] for lit in formula.literals
                 if lit.kind == lang.NOT_FINITE]
     base = assignment
@@ -274,7 +270,7 @@ def _certify_oracle(formula, assignment):
     # The cycle search itself no longer re-validates what it builds.
     assert all(cycle.validate(board).ok for cycle in cycles)
     if not cycles:
-        raise NoEvent("no cycle")
+        raise NoEvent("the board has no green pumping cycle")
     missed_var = None
     for i0 in range(proc.xi, 0, -1):
         for cycle in cycles:
@@ -305,34 +301,50 @@ def _certify_oracle(formula, assignment):
                     max_cycle_len=m.DEFAULT_LIMITS.max_cycle_len)
     if missed_var is not None:
         raise CoverMissesVariable(missed_var)
-    raise NoEvent("no event")
+    raise NoEvent("no pumping event passes all three conditions")
 
 
 def _certify_outcome(certify, formula, assignment):
     try:
         return certify(formula, assignment).dumps()
     except m.MlsspfError as exc:
-        return type(exc).__name__
+        return f"{type(exc).__name__}: {exc}"
 
 
 @given(st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_certify_search_matches_exhaustive_event_loop(seed):
-    # One variable per residue class of a shuffled transitive universe gives
-    # one place per variable; a powerset literal adds a few more.
-    rng = random.Random(seed)
-    k = rng.randint(8, 11)
-    universe = rand_transitive_universe(rng, rng.randint(k, k + 5))
-    rng.shuffle(universe)
-    names = [f"v{j}" for j in range(k)]
-    binding = {v: m.make_set(universe[j::k]) for j, v in enumerate(names)}
-    literals = [f"!Finite({rng.choice(names)})"]
-    literals += [f"!{v} = {{}}" for v in names]
-    if rng.random() < 0.5:
-        z = m.make_set(rng.sample(universe, 2))
-        binding["z"], binding["p"] = z, m.powerset(z)
-        literals.append("p = Pow(z)")
-    formula = m.parse(" & ".join(literals))
-    assignment = m.Assignment(binding)
+    formula, assignment = wide_instance(seed)
     assert (_certify_outcome(m.certify_witness, formula, assignment)
             == _certify_outcome(_certify_oracle, formula, assignment))
+
+
+def test_certify_reads_max_cycle_len_from_limits():
+    formula, assignment = wide_instance(0)
+    assert len(m.certify_witness(formula, assignment).event.cycle) == 2
+    cert = m.certify_witness(formula, assignment, m.Limits(max_cycle_len=1))
+    assert len(cert.event.cycle) == 1
+    assert cert.to_json()["params"] == {"maxCycleLen": 1}
+    assert m.verify_certificate(json.loads(cert.dumps())).ok
+
+
+def test_certify_builds_one_event_report(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return m.is_pumping_event(*args)
+
+    monkeypatch.setattr("mlsspf.pumping.is_pumping_event", counting)
+    # On seed 0 two candidates pass (i)-(iii); on seed 3 several pass them
+    # but miss the region of the !Finite variable.
+    for seed, certified in ((0, True), (3, False), (6, True)):
+        calls.clear()
+        formula, assignment = wide_instance(seed)
+        try:
+            cert = m.certify_witness(formula, assignment)
+        except CoverMissesVariable:
+            assert not certified
+        else:
+            assert certified and cert.event_report.ok
+        assert len(calls) == int(certified)

@@ -117,9 +117,7 @@ def _decide_unpruned(formula, budget):
             assignment = m.Assignment(dict(zip(names, combo)))
             if has_neg:
                 try:
-                    cert = m.certify_witness(
-                        formula, assignment, limits,
-                        max_cycle_len=budget.max_cycle_len)
+                    cert = m.certify_witness(formula, assignment, limits)
                 except (NotAWitness, NoEvent, CoverMissesVariable,
                         NoClosedCover, CannotWarmUp, NoLocalTrash,
                         CardinalityDeficit, LimitExceeded):

@@ -189,5 +189,4 @@ def test_colored_board_enforces_downward_closed_pow_nodes():
     core = m.induced_board(m.Partition([[A], [B]]))
     with pytest.raises(ValueError):
         m.ColoredBoard(blocks=core.blocks, targets=dict(core.targets),
-                       pow_nodes=frozenset([frozenset([0, 1])]),
-                       signatures=dict(core.signatures))
+                       pow_nodes=frozenset([frozenset([0, 1])]))

@@ -190,15 +190,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "conjunctions with powerset and finiteness constraints.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, limit_pow=True):
         p.add_argument("--json", metavar="PATH",
                        help="write the JSON result to PATH instead of stdout")
-        p.add_argument("--limit-pow", type=int, default=DEFAULT_LIMITS.pow_limit,
-                       help="cap on materialized powerset/assembly families")
+        if limit_pow:
+            p.add_argument(
+                "--limit-pow", type=int, default=DEFAULT_LIMITS.pow_limit,
+                help="cap on a materialized powerset or assembly family, "
+                     "and on the assemblies a lazy pick examines")
 
     p = sub.add_parser("parse", help="parse a formula file")
     p.add_argument("file")
-    common(p)
+    common(p, limit_pow=False)
     p.set_defaults(func=cmd_parse)
 
     p = sub.add_parser("check-model", help="evaluate a formula under a model")
@@ -209,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("venn", help="Venn partition of a model")
     p.add_argument("-m", "--model", required=True)
-    common(p)
+    common(p, limit_pow=False)
     p.set_defaults(func=cmd_venn)
 
     p = sub.add_parser("board", help="colored board of a model for a formula")
@@ -222,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["synth", "validate"])
     p.add_argument("-m", "--model", help="model file (synth)")
     p.add_argument("-p", "--process", help="process dump (validate)")
-    common(p)
+    common(p, limit_pow=False)
     p.set_defaults(func=cmd_process)
 
     p = sub.add_parser("witness", help="certify a witnessing assignment")

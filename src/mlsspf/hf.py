@@ -1,15 +1,16 @@
 """Canonical hereditarily finite sets and the primitive set operators.
 
 Every set is interned: building the same extensional set twice yields the
-same object, so equality is identity and hashing is O(1).  Elements are kept
-deduplicated in a fixed canonical order (rank, then size, then lexicographic
-on the ordered elements), which makes serialization deterministic.
+same object, so equality is identity and a hash lookup is O(1) (the hash is
+cached).  Building a new set still hashes its whole nested `_key`, which
+walks the set's tree.  Elements are kept deduplicated in a fixed canonical
+order (rank, then size, then lexicographic on the ordered elements), which
+makes serialization deterministic.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import product
 
 from .errors import LimitExceeded
 from .limits import DEFAULT_LIMITS
@@ -153,17 +154,80 @@ def powerset(s: HfSet, limit: int = DEFAULT_LIMITS.pow_limit) -> HfSet:
 
 
 def pow_star_size(blocks) -> int:
-    """Number of assemblies of a family of disjoint blocks: prod(2^|z| - 1)."""
+    """Number of assemblies of a family of disjoint blocks: prod(2^|z| - 1).
+
+    For overlapping blocks this counts choices, not distinct assemblies, so
+    it is an upper bound on the size of the family.
+    """
     return math.prod(2 ** len(tuple(z)) - 1 for z in blocks)
+
+
+def assemblies(blocks, limit: int = DEFAULT_LIMITS.pow_limit):
+    """Yield the assembly family of `blocks` lazily, in canonical order.
+
+    The family is every subset of the union of the blocks that meets each
+    block, which is the set of unions of one nonempty part per block, also
+    when blocks overlap.  A set's key is (rank, size, member keys) and its
+    rank is one more than its top member's, so with the union sorted by key
+    the family is walked by the rank of the top member, then by size, then
+    in `itertools.combinations` order, which is lexicographic on the sorted
+    member keys.  Only the yielded sets are built.  Raises LimitExceeded
+    when a consumer asks for more than `limit` assemblies.
+    """
+    blocks = [frozenset(z) for z in blocks]
+    if any(not z for z in blocks):
+        return
+    union = sorted(set().union(*blocks), key=lambda e: e._key)
+    masks = [sum(1 << b for b, z in enumerate(blocks) if e in z) for e in union]
+    full = (1 << len(blocks)) - 1
+    widest = max((m.bit_count() for m in masks), default=1)
+    yielded = 0
+
+    def picks(start, hi, lo, reach, left, met):
+        # Index tuples of `left` more picks from union[start:hi] that meet
+        # every block missed by `met`; the last pick is at or above lo.
+        # reach[i] is the blocks met by union[i:hi].
+        if left == 0:
+            if met == full:
+                yield ()
+            return
+        if (full & ~met).bit_count() > left * widest:
+            return
+        first = max(start, lo) if left == 1 else start
+        for i in range(first, hi - left + 1):
+            if met | reach[i] != full:
+                return
+            for rest in picks(i + 1, hi, lo, reach, left - 1, met | masks[i]):
+                yield (i,) + rest
+
+    lo = 0
+    while True:
+        hi = lo
+        while hi < len(union) and union[hi].rank == union[lo].rank:
+            hi += 1
+        reach = [0] * (hi + 1)
+        for i in range(hi - 1, -1, -1):
+            reach[i] = reach[i + 1] | masks[i]
+        # Size 0 only when there are no blocks: the family is {EMPTY}.
+        sizes = range(1 if union else 0, hi + 1) if reach[0] == full else ()
+        for size in sizes:
+            for chosen in picks(0, hi, lo, reach, size, 0):
+                if yielded == limit:
+                    raise LimitExceeded("assembly family", limit + 1, limit)
+                yielded += 1
+                yield make_set(union[i] for i in chosen)
+        if hi == len(union):
+            return
+        lo = hi
 
 
 def pow_star(blocks, limit: int = DEFAULT_LIMITS.pow_limit):
     """All sets assembled by taking a nonempty part from each block.
 
-    `blocks` is a family of disjoint nonempty collections of HfSets; the
-    result is the canonically sorted tuple of every union of one nonempty
-    choice per block.  pow_star(()) == (EMPTY,).  A family containing an
-    empty block admits no assembly and yields ().
+    The canonically sorted tuple of `assemblies(blocks)`.
+    pow_star(()) == (EMPTY,).  A family containing an empty block admits no
+    assembly and yields ().  Raises LimitExceeded up front when
+    pow_star_size(blocks) exceeds `limit`.
     """
     blocks = [tuple(z) for z in blocks]
     if any(not z for z in blocks):
@@ -171,19 +235,7 @@ def pow_star(blocks, limit: int = DEFAULT_LIMITS.pow_limit):
     total = pow_star_size(blocks)
     if total > limit:
         raise LimitExceeded("assembly family", total, limit)
-    per_block = []
-    for z in blocks:
-        n = len(z)
-        per_block.append([
-            [z[i] for i in range(n) if mask >> i & 1] for mask in range(1, 2 ** n)
-        ])
-    out = set()
-    for picks in product(*per_block):
-        members = []
-        for p in picks:
-            members.extend(p)
-        out.add(make_set(members))
-    return tuple(sorted(out, key=lambda e: e._key))
+    return tuple(assemblies(blocks, limit))
 
 
 def in_pow_star(e: HfSet, blocks) -> bool:

@@ -9,8 +9,15 @@ from dataclasses import dataclass
 class Limits:
     """Caps passed down to powerset-style operators and searches.
 
-    pow_limit bounds how many sets a powerset/assembly materialization may
-    produce; exceeding it raises LimitExceeded instead of hanging.
+    pow_limit bounds how many sets a powerset or assembly family may have
+    when a call materializes it whole (`powerset`, `pow_star`, the pow-node
+    dump of `paste_segment`), and how many assemblies a lazy pick (the pump
+    rounds and the Minus pool of `paste_segment`, through `hf.assemblies`)
+    may examine, however large the family it draws from.  Past either,
+    LimitExceeded is raised instead of hanging.  A lazy pick from a family
+    within the bound gives what the materialized family would; one from a
+    larger family can now succeed, so the pump runs to round counts (24 and
+    more on `w in x & !Finite(x)`) whose families exceed the default bound.
     max_cycle_len bounds the places of a pumping cycle, and
     max_warmup_rounds the surplus-only rounds a pump may run first.  A
     bound out of range raises ValueError.

@@ -471,9 +471,10 @@ def paste_segment(proc: FormativeProcess, board: ColoredBoard,
                 if v_hat not in surplus_designated[target]:
                     surplus_designated[target].append(v_hat)
 
-        pool = [e for e in hf.pow_star(minus_fam, limits.pow_limit)
-                if e not in placed_hat]
-        pool_set = set(pool)
+        # The fresh Minus pool, drawn lazily: every element an earlier place
+        # drew from it is in `used` by the time a later place draws.
+        pool = (e for e in hf.assemblies(minus_fam, limits.pow_limit)
+                if e not in placed_hat and e not in forbidden)
         used = set()
         for q in places:
             used.update(designated[q])
@@ -488,17 +489,16 @@ def paste_segment(proc: FormativeProcess, board: ColoredBoard,
             if need < 0:
                 raise CardinalityDeficit(
                     f"step {k}: more designated unions than delta slots at place {q}")
-            preferred = [e for e in sorted(proc.delta(k, q), key=lambda e: e._key)
-                         if e in pool_set and e not in forbidden and e not in used]
-            chunk = []
-            for e in preferred + [e for e in pool if e not in forbidden]:
-                if len(chunk) == need:
-                    break
+            chunk = [e for e in sorted(proc.delta(k, q), key=lambda e: e._key)
+                     if hf.in_pow_star(e, minus_fam) and e not in placed_hat
+                     and e not in forbidden and e not in used][:need]
+            while len(chunk) < need:
+                e = next(pool, None)
+                if e is None:
+                    raise CardinalityDeficit(
+                        f"step {k}: fresh minus pool exhausted at place {q}")
                 if e not in used and e not in chunk:
                     chunk.append(e)
-            if len(chunk) < need:
-                raise CardinalityDeficit(
-                    f"step {k}: fresh minus pool exhausted at place {q}")
             used.update(chunk)
             delta_minus_by_place[q] = set(designated[q]) | set(chunk)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import Optional
 
 from . import hf, lang
@@ -252,7 +253,9 @@ def _run_round(stages, minus, trace, schedule, seed, kind, limits,
         for b in cur_stages:
             placed |= b
         fam = [frozenset(seed)] + [cur_stages[q] for q in sorted(node)]
-        pool = [e for e in hf.pow_star(fam, limits.pow_limit) if e not in placed]
+        # The least three fresh assemblies are all a round reads.
+        pool = list(islice((e for e in hf.assemblies(fam, limits.pow_limit)
+                            if e not in placed), 3))
         if strict_three and len(pool) < 3:
             return None
         last = j == len(schedule) - 1

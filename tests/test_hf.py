@@ -1,3 +1,5 @@
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -172,3 +174,49 @@ def test_in_pow_star_agrees_with_membership(e, data):
     ]
     blocks = [z for z in blocks if z]
     assert m.in_pow_star(e, blocks) == (e in set(m.pow_star(blocks)))
+
+
+def block_families():
+    """Families of up to four blocks drawn from a six-set pool: blocks may
+    overlap, repeat, hold a member twice, or be empty."""
+    pool = chain(3) + [m.make_set([A, B]), m.make_set([B, C])]
+    block = st.lists(st.sampled_from(pool), max_size=4)
+    return st.lists(block, max_size=4)
+
+
+@given(block_families())
+@settings(max_examples=200, deadline=None)
+def test_assemblies_match_brute_force(blocks):
+    assert tuple(m.assemblies(blocks)) == brute_pow_star(blocks)
+
+
+@given(block_families(), st.integers(0, 70))
+@settings(max_examples=100, deadline=None)
+def test_assemblies_prefix_is_pow_star_prefix(blocks, n):
+    assert tuple(islice(m.assemblies(blocks), n)) == m.pow_star(blocks)[:n]
+
+
+@given(block_families(), st.integers(1, 70))
+@settings(max_examples=100, deadline=None)
+def test_assemblies_limit_counts_consumed_candidates(blocks, limit):
+    family = brute_pow_star(blocks)
+    # Taking `limit` assemblies never raises, whatever the family's size.
+    head = tuple(islice(m.assemblies(blocks, limit), limit))
+    assert head == family[:limit]
+    if len(family) > limit:
+        with pytest.raises(LimitExceeded):
+            list(m.assemblies(blocks, limit))
+    else:
+        assert tuple(m.assemblies(blocks, limit)) == family
+
+
+def test_assemblies_of_a_large_family_are_lazy():
+    # 2^41 - 1 assemblies of one block: the least ones come without building
+    # the family, and the limit counts only what is taken.
+    block = chain(40)
+    head = list(islice(m.assemblies([block], limit=3), 3))
+    assert head == [m.make_set([A]), m.make_set([B]), m.make_set([A, B])]
+    with pytest.raises(LimitExceeded):
+        list(islice(m.assemblies([block], limit=3), 4))
+    with pytest.raises(LimitExceeded):
+        m.pow_star([block])

@@ -257,7 +257,7 @@ def _local_trashes_oracle(proc, board, node):
                 for b in _all_nodes_containing(proc.places, g)))
 
 
-@given(st.randoms(use_true_random=False))
+@given(st.randoms(use_true_random=True))
 @settings(max_examples=60, deadline=None)
 def test_grand_event_tables_match_union_oracle(rng):
     from mlsspf.venn import subsets

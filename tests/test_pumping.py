@@ -230,6 +230,34 @@ def test_verify_rejects_tampered_certificate(ex1):
     assert not rep.ok
 
 
+def _empty_member_certificate():
+    formula = m.parse("w in x & !Finite(x)")
+    assignment, _ = m.Assignment.from_json({"w": [], "x": [[], [[]]]})
+    return m.certify_witness(formula, assignment)
+
+
+def test_pump_many_rounds_within_default_limits():
+    # Round k draws from an assembly family of about 2^(k+1) sets; the pump
+    # takes its least fresh members without building it, so k = 24 stays
+    # within DEFAULT_LIMITS.pow_limit = 2^20.
+    ext = m.extend_certificate(_empty_member_certificate(), 24)
+    p = ext.pumped
+    for report in (p.weak_report, p.segment_report, p.upward_report,
+                   p.imitation_report, p.transfer_report):
+        assert report.ok, str(report)
+    rep = m.verify_certificate(json.loads(ext.dumps()), m.DEFAULT_LIMITS)
+    assert rep.ok, str(rep)
+
+
+def test_pump_interns_few_sets_per_round():
+    # A count guard, not a timing test: materializing every assembly family
+    # interned about 2^(k+2) sets at k = 14.
+    cert = _empty_member_certificate()
+    before = len(m.HfSet._intern)
+    m.extend_certificate(cert, 14)
+    assert len(m.HfSet._intern) - before < 1000
+
+
 def test_witness_family_all_certifiable():
     for formula, assignment in witness_family():
         cert = m.certify_witness(formula, assignment)

@@ -5,9 +5,9 @@ from .errors import (ArityError, CannotWarmUp, CardinalityDeficit,
                      CoverMissesVariable, FormulaSyntaxError, LimitExceeded,
                      MlsspfError, NoClosedCover, NoEvent, NoLocalTrash,
                      NotAWitness, NotTransitive, UnboundVariable)
-from .hf import (EMPTY, HfSet, assemblies, bool_op, compare, from_json,
-                 in_pow_star, make_set, meets, pow_star, pow_star_size,
-                 powerset, transitive_closure, transitive_ops)
+from .hf import (EMPTY, HfSet, bool_op, compare, from_json, in_pow_star,
+                 make_set, meets, pow_star, pow_star_size, powerset,
+                 transitive_closure, transitive_ops)
 from .lang import (Formula, Literal, SatisfactionReport,
                    drop_finite_literals, eval_literal, evaluate, parse)
 from .limits import DEFAULT_LIMITS, Limits

@@ -172,7 +172,10 @@ def assemblies(blocks, limit: int = DEFAULT_LIMITS.pow_limit):
     the family is walked by the rank of the top member, then by size, then
     in `itertools.combinations` order, which is lexicographic on the sorted
     member keys.  Only the yielded sets are built.  Raises LimitExceeded
-    when a consumer asks for more than `limit` assemblies.
+    when a consumer asks for more than `limit` assemblies.  The limit counts
+    yielded assemblies only: the search between two yields is not bounded,
+    and when many elements lie in many blocks it may walk many combinations
+    that miss some block before the next assembly.
     """
     blocks = [frozenset(z) for z in blocks]
     if any(not z for z in blocks):

@@ -13,11 +13,13 @@ class Limits:
     when a call materializes it whole (`powerset`, `pow_star`, the pow-node
     dump of `paste_segment`), and how many assemblies a lazy pick (the pump
     rounds and the Minus pool of `paste_segment`, through `hf.assemblies`)
-    may examine, however large the family it draws from.  Past either,
-    LimitExceeded is raised instead of hanging.  A lazy pick from a family
-    within the bound gives what the materialized family would; one from a
-    larger family can now succeed, so the pump runs to round counts (24 and
-    more on `w in x & !Finite(x)`) whose families exceed the default bound.
+    may take, however large the family it draws from.  Past either,
+    LimitExceeded is raised.  A lazy pick counts only the assemblies it
+    takes, not the combinations searched between two of them, which are
+    not bounded.  A lazy pick from a family within the bound gives what the
+    materialized family would; one from a larger family can now succeed,
+    so the pump runs to round counts (24 and more on `w in x & !Finite(x)`)
+    whose families exceed the default bound.
     max_cycle_len bounds the places of a pumping cycle, and
     max_warmup_rounds the surplus-only rounds a pump may run first.  A
     bound out of range raises ValueError.

@@ -574,7 +574,9 @@ def verify_certificate(data, limits: Limits = DEFAULT_LIMITS) -> Report:
     Every component is recomputed from the embedded formula and assignment
     (the pipeline is deterministic), so any tampering shows up as a
     divergence; individual structural checks are reported as well.  It runs
-    under `certificate_limits(data, limits)`.
+    under `certificate_limits(data, limits)`.  A pumped certificate claiming
+    more rounds than its pumped process has stages fails "pump extension
+    reproduces" without being pumped.
     """
     limits = certificate_limits(data, limits)
     rb = ReportBuilder()
@@ -592,7 +594,16 @@ def verify_certificate(data, limits: Limits = DEFAULT_LIMITS) -> Report:
         return rb.build()
     if data.get("pumped"):
         try:
-            fresh = extend_certificate(fresh, int(data["pumped"]["rounds"]), limits)
+            rounds = int(data["pumped"]["rounds"])
+            # Every counted round appends at least one stage, so a claim of
+            # more rounds than the embedded pumped process has stages cannot
+            # reproduce; it is refused before any pumping, which keeps the
+            # work bounded by the size of the input.
+            stages = len(data["pumped"]["process"]["stages"])
+            if rounds > stages:
+                raise ValueError(f"{rounds} rounds claimed, but the pumped "
+                                 f"process has only {stages} stages")
+            fresh = extend_certificate(fresh, rounds, limits)
         except Exception as exc:  # noqa: BLE001
             rb.add("pump extension reproduces", False, str(exc))
             return rb.build()

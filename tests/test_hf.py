@@ -187,13 +187,13 @@ def block_families():
 @given(block_families())
 @settings(max_examples=200, deadline=None)
 def test_assemblies_match_brute_force(blocks):
-    assert tuple(m.assemblies(blocks)) == brute_pow_star(blocks)
+    assert tuple(hf.assemblies(blocks)) == brute_pow_star(blocks)
 
 
 @given(block_families(), st.integers(0, 70))
 @settings(max_examples=100, deadline=None)
 def test_assemblies_prefix_is_pow_star_prefix(blocks, n):
-    assert tuple(islice(m.assemblies(blocks), n)) == m.pow_star(blocks)[:n]
+    assert tuple(islice(hf.assemblies(blocks), n)) == m.pow_star(blocks)[:n]
 
 
 @given(block_families(), st.integers(1, 70))
@@ -201,22 +201,22 @@ def test_assemblies_prefix_is_pow_star_prefix(blocks, n):
 def test_assemblies_limit_counts_consumed_candidates(blocks, limit):
     family = brute_pow_star(blocks)
     # Taking `limit` assemblies never raises, whatever the family's size.
-    head = tuple(islice(m.assemblies(blocks, limit), limit))
+    head = tuple(islice(hf.assemblies(blocks, limit), limit))
     assert head == family[:limit]
     if len(family) > limit:
         with pytest.raises(LimitExceeded):
-            list(m.assemblies(blocks, limit))
+            list(hf.assemblies(blocks, limit))
     else:
-        assert tuple(m.assemblies(blocks, limit)) == family
+        assert tuple(hf.assemblies(blocks, limit)) == family
 
 
 def test_assemblies_of_a_large_family_are_lazy():
     # 2^41 - 1 assemblies of one block: the least ones come without building
     # the family, and the limit counts only what is taken.
     block = chain(40)
-    head = list(islice(m.assemblies([block], limit=3), 3))
+    head = list(islice(hf.assemblies([block], limit=3), 3))
     assert head == [m.make_set([A]), m.make_set([B]), m.make_set([A, B])]
     with pytest.raises(LimitExceeded):
-        list(islice(m.assemblies([block], limit=3), 4))
+        list(islice(hf.assemblies([block], limit=3), 4))
     with pytest.raises(LimitExceeded):
         m.pow_star([block])

@@ -230,6 +230,17 @@ def test_verify_rejects_tampered_certificate(ex1):
     assert not rep.ok
 
 
+def test_verify_refuses_more_rounds_than_stages(ex1):
+    # A tampered round count is refused before any pumping: otherwise the
+    # verifier would pump a million rounds to find the mismatch.
+    ext = m.extend_certificate(m.certify_witness(ex1.formula, ex1.assignment), 2)
+    data = json.loads(ext.dumps())
+    data["pumped"]["rounds"] = 10 ** 6
+    rep = m.verify_certificate(data)
+    assert [i.check for i in rep.failures()] == ["pump extension reproduces"]
+    assert "1000000 rounds claimed" in rep.failures()[0].detail
+
+
 def _empty_member_certificate():
     formula = m.parse("w in x & !Finite(x)")
     assignment, _ = m.Assignment.from_json({"w": [], "x": [[], [[]]]})

@@ -6,17 +6,16 @@ from .errors import (ArityError, CannotWarmUp, CardinalityDeficit,
                      MlsspfError, NoClosedCover, NoEvent, NoLocalTrash,
                      NotAWitness, NotTransitive, UnboundVariable)
 from .hf import (EMPTY, HfSet, bool_op, compare, from_json, in_pow_star,
-                 make_set, meets, pow_star, pow_star_size, powerset,
-                 transitive_closure, transitive_ops)
+                 make_set, pow_star, pow_star_size, powerset,
+                 transitive_closure)
 from .lang import (Formula, Literal, SatisfactionReport,
                    drop_finite_literals, eval_literal, evaluate, parse)
 from .limits import DEFAULT_LIMITS, Limits
 from .msrefine import (ImitationWitness, MsOverlay, StartConfiguration,
                        check_segment_imitation, check_upward_premises,
                        check_weak_imitation, paste_segment, validate_overlay)
-from .process import (FormativeProcess, element_status, ge_min, grand_event,
-                      is_closed, local_trashes, salient_ordinals,
-                      synthesize_process, validate_process)
+from .process import (FormativeProcess, ge_min, grand_event, is_closed,
+                      local_trashes, synthesize_process, validate_process)
 from .pumping import (PumpingCycle, PumpingEvent, WitnessCertificate,
                       certify_witness, closed_cover, extend_certificate,
                       find_pumping_cycles, is_pumping_event, pump_rounds,

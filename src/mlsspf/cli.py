@@ -148,8 +148,7 @@ def cmd_pump(args):
     limits = _limits(args)
     cert = _load_certificate(_read_json(args.certificate), limits)
     try:
-        extended = extend_certificate(cert, args.rounds, limits,
-                                      strict_three=args.strict_three)
+        extended = extend_certificate(cert, args.rounds, limits)
     except MlsspfError as exc:
         # The certificate re-certified from its own inputs, so the input is
         # good and the failure is the library's.
@@ -239,8 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pump", help="pump a certificate's event")
     p.add_argument("-c", "--certificate", required=True)
     p.add_argument("--rounds", type=int, default=1)
-    p.add_argument("--strict-three", action="store_true",
-                   help="require three available elements at every step")
     common(p)
     p.set_defaults(func=cmd_pump)
 

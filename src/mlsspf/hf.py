@@ -256,13 +256,6 @@ def in_pow_star(e: HfSet, blocks) -> bool:
     return members <= covered
 
 
-def meets(a, b) -> bool:
-    """Nonempty-intersection test; accepts HfSets or plain collections."""
-    sa = set(a.elements) if isinstance(a, HfSet) else set(a)
-    sb = set(b.elements) if isinstance(b, HfSet) else set(b)
-    return bool(sa & sb)
-
-
 def transitive_closure(s: HfSet) -> HfSet:
     """Least transitive superset of s."""
     seen = set(s.elements)
@@ -275,12 +268,3 @@ def transitive_closure(s: HfSet) -> HfSet:
                 stack.append(m)
     return make_set(seen)
 
-
-def is_transitive(s: HfSet) -> bool:
-    members = set(s.elements)
-    return all(set(e.elements) <= members for e in s.elements)
-
-
-def transitive_ops(s: HfSet):
-    """(least transitive superset, whether s is already transitive)."""
-    return transitive_closure(s), is_transitive(s)

@@ -9,6 +9,8 @@ The checkers here decide whether a split partition can start such a copy
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -17,7 +19,8 @@ from .errors import CardinalityDeficit, NoLocalTrash
 from .limits import DEFAULT_LIMITS, Limits
 from .process import FormativeProcess, grand_event, is_closed, local_trashes
 from .report import Report, ReportBuilder
-from .venn import ColoredBoard, finer_than, induced_board, node_union, subsets
+from .venn import (ColoredBoard, finer_than, induced_board, node_union,
+                   signature_tables, subsets)
 
 
 @dataclass(frozen=True)
@@ -144,14 +147,45 @@ def validate_overlay(proc: FormativeProcess, overlay: MsOverlay) -> Report:
     return rb.build()
 
 
-def _live_nodes(proc, stage_idx):
-    """Nodes over the places whose blocks are nonempty at the stage: only
-    those are subsets of the stage partition."""
-    return subsets(q for q in proc.places if proc.stages[stage_idx][q])
+def _live(blocks) -> frozenset:
+    """The places whose blocks are nonempty."""
+    return frozenset(q for q, b in enumerate(blocks) if b)
 
 
-def _count_in_pow_star(family, elements) -> int:
-    return sum(1 for e in elements if hf.in_pow_star(e, family))
+def _nodes_meeting(live, *groups) -> int:
+    """How many nodes inside `live` meet each of the pairwise disjoint
+    `groups` of its places."""
+    free = len(live) - sum(map(len, groups))
+    return 2 ** free * math.prod(2 ** len(g) - 1 for g in groups)
+
+
+def _node_counts(blocks, parts=None) -> Counter:
+    """Node -> how many elements of the blocks assemble its parts."""
+    out = Counter()
+    for (node, _), c in signature_tables(blocks, parts)[1].items():
+        out[node] += c
+    return out
+
+
+def _contacts_match(blocks, parts, ora_blocks, ora_parts) -> bool:
+    """Does each block hold as many assemblies of each node's parts as the
+    oracle block does of the node's oracle parts, for every node over the
+    places with nonempty oracle parts?"""
+    live = _live(ora_parts)
+    counts = signature_tables(blocks, parts)[1]
+    return ({key: c for key, c in counts.items() if key[0] <= live}
+            == dict(signature_tables(ora_blocks, ora_parts)[1]))
+
+
+def _union_homes(blocks, parts=None) -> dict:
+    """Node -> the place whose block holds the union of the node's parts."""
+    home, _, unions = signature_tables(blocks, parts)
+    return {node: home[u] for node, u in unions.items()}
+
+
+def _extensions(node, places):
+    """The node joined with each subset of `places`."""
+    return [node | extra for extra in subsets(places)]
 
 
 def check_weak_imitation(proc: FormativeProcess, board: ColoredBoard,
@@ -169,10 +203,6 @@ def check_weak_imitation(proc: FormativeProcess, board: ColoredBoard,
     hat_blocks = [frozenset(b) for b in hat_blocks]
     hat_minus = [frozenset(m) for m in hat_minus]
     closed_set = frozenset(closed_set)
-    placed_hat = set()
-    for b in hat_blocks:
-        placed_hat |= b
-    placed_ora = proc.universe(k_prime)
 
     rb.add("(i) minus cardinalities match the stage blocks",
            all(len(proc.stages[k_prime][q]) == len(hat_minus[q]) for q in places))
@@ -183,55 +213,49 @@ def check_weak_imitation(proc: FormativeProcess, board: ColoredBoard,
     rb.add("closed set is closed",
            is_closed(proc, board, closed_set))
 
-    ok_x = True
-    for node in _live_nodes(proc, k_prime):
-        minus_fam = [hat_minus[q] for q in sorted(node)]
-        ora_fam = proc.node_snapshot(node, k_prime)
-        for q in places:
-            if (_count_in_pow_star(minus_fam, hat_blocks[q])
-                    != _count_in_pow_star(ora_fam, proc.stages[k_prime][q])):
-                ok_x = False
-    rb.add("(x) assembly/block intersection cardinalities match", ok_x)
+    # Nodes range over the stage's live places.  Each item compares
+    # signature tables; a node with an empty part on one side has no
+    # assembly there, and its union is keyed by its other places.
+    stage = proc.stages[k_prime]
+    live = _live(stage)
+    ora_unions = _union_homes(stage)
+    minus_unions = _union_homes(hat_blocks, hat_minus)
+    hat_unions = _union_homes(hat_blocks)
+    minus_live, hat_live = _live(hat_minus), _live(hat_blocks)
 
-    ok_a = True
-    for node in _live_nodes(proc, k_prime):
-        minus_fam = [hat_minus[q] for q in sorted(node)]
-        u_hat = node_union(hat_minus, node)
-        lhs = hf.in_pow_star(u_hat, minus_fam) and u_hat not in placed_hat
-        ora_fam = proc.node_snapshot(node, k_prime)
-        u_ora = proc.node_union(node, k_prime)
-        rhs = hf.in_pow_star(u_ora, ora_fam) and u_ora not in placed_ora
-        if lhs != rhs:
-            ok_a = False
-    rb.add("(a) minus unions are fresh exactly when the stage unions are", ok_a)
+    rb.add("(x) assembly/block intersection cardinalities match",
+           _contacts_match(hat_blocks, hat_minus, stage, stage))
 
-    ok_b = True
-    surplus_places = {q for q in places if hat_blocks[q] - hat_minus[q]}
-    for node in _live_nodes(proc, k_prime):
-        if not (node & surplus_places):
-            continue
-        if grand_event(proc, node) < k_prime:
-            continue
-        fam = [hat_blocks[q] for q in sorted(node)]
-        u = node_union(hat_blocks, node)
-        if not (hf.in_pow_star(u, fam) and u not in placed_hat):
-            ok_b = False
-    rb.add("(b) surplus-bearing node unions stay undistributed", ok_b)
+    # A node's stage union is always a fresh assembly of its blocks, and its
+    # Minus union one of its Minus parts unless one of them is empty; such a
+    # node's stage union must therefore be placed.
+    no_minus = live - minus_live
+    rb.add("(a) minus unions are fresh exactly when the stage unions are",
+           {n for n in minus_unions if n <= live}
+           == {n for n in ora_unions if n <= minus_live}
+           and sum(1 for n in ora_unions if n & no_minus)
+           == _nodes_meeting(live, no_minus))
 
+    # Off the nodes whose grand event precedes k_prime, every node with
+    # surplus needs an unplaced union of nonempty blocks.
+    early = {n for n in proc.grand_unions
+             if n <= live and grand_event(proc, n) < k_prime}
+    surplus = live & {q for q in places if hat_blocks[q] - hat_minus[q]}
+    no_block = live - hat_live
+    rb.add("(b) surplus-bearing node unions stay undistributed",
+           not any(n <= live and n & surplus and n not in early
+                   for n in hat_unions)
+           and sum(1 for n in early if n & surplus and n & no_block)
+           == _nodes_meeting(live, surplus, no_block))
+
+    hat_counts = _node_counts(hat_blocks)
     ok_c = True
-    for node in _live_nodes(proc, k_prime):
-        if grand_event(proc, node) >= k_prime:
-            continue
-        u_ora = proc.node_union(node, k_prime)
-        u_hat = node_union(hat_blocks, node)
-        for q in places:
-            if (u_ora in proc.stages[k_prime][q]) != (u_hat in hat_blocks[q]):
-                ok_c = False
-        if node in board.pow_nodes:
-            fam = [hat_blocks[q] for q in sorted(node)]
-            total = hf.pow_star_size(fam)
-            if _count_in_pow_star(fam, placed_hat) != total:
-                ok_c = False
+    for node in early:
+        if ora_unions.get(node) != hat_unions.get(node & hat_live):
+            ok_c = False
+        if node in board.pow_nodes and hat_counts[node] != hf.pow_star_size(
+                [hat_blocks[q] for q in node]):
+            ok_c = False
     rb.add("(c) pre-start memberships and pow-node coverage transfer", ok_c)
     return rb.build()
 
@@ -272,6 +296,66 @@ class ImitationWitness:
         )
 
 
+def _pools_match(stage, hat_stage, hat_minus) -> bool:
+    """Item (ix): does every node over the stage's live places have as many
+    unplaced assemblies of its Minus parts as of its stage blocks?
+
+    A node's pool is its assembly count, the product of 2^|part| - 1, less
+    its placed assemblies.  With equal part sizes that is equality of the
+    placed counts.  Otherwise take a place whose sizes differ: of two nodes
+    that differ only by it, at most one has equal assembly counts on both
+    sides.  So when fewer than half of the nodes have a placed assembly on
+    either side, some node without one has unequal pools, and otherwise
+    sweeping the nodes costs no more than building the tables.
+    """
+    live = _live(stage)
+    ora = _node_counts(stage)
+    hat = {n: c for n, c in _node_counts(hat_stage, hat_minus).items()
+           if n <= live}
+    if all(len(hat_minus[q]) == len(stage[q]) for q in live):
+        return hat == ora
+    if 2 * len(hat.keys() | ora.keys()) < 2 ** len(live):
+        return False
+    return all(hf.pow_star_size([hat_minus[q] for q in n]) - hat.get(n, 0)
+               == hf.pow_star_size([stage[q] for q in n]) - ora[n]
+               for n in subsets(live))
+
+
+def _placements_transfer(proc, cand, overlay, beta, a):
+    """Items (v) and (vi) at oracle step beta, copied by candidate step a.
+
+    A node over stage beta's live places must have its stage union land
+    where the candidate places its Minus union (off the node's grand event)
+    or its candidate union (at it), or neither.  Only the nodes whose union
+    lands on either side are checked.  A candidate table keys a union by
+    the places with nonempty parts, so each key stands for itself extended
+    by the live places whose parts are empty.
+    """
+    places = proc.places
+    live = _live(proc.stages[beta])
+    ora = _union_homes([proc.delta(beta, q) for q in places],
+                       proc.stages[beta])
+    minus = overlay.minus[a - overlay.start]
+    sides = [
+        (_live(minus), _union_homes(
+            [overlay.delta_minus(a, q) | overlay.delta_surplus(cand, a, q)
+             for q in places], minus)),
+        (_live(cand.stages[a]), _union_homes(
+            [cand.delta(a, q) for q in places], cand.stages[a])),
+    ]
+    nodes = set(ora)
+    for keyed, landed in sides:
+        nodes.update(n for key in landed if key <= live
+                     for n in _extensions(key, live - keyed))
+    ok = [True, True]
+    for node in nodes:
+        at_ge = beta == grand_event(proc, node)
+        keyed, landed = sides[at_ge]
+        if ora.get(node) != landed.get(node & keyed):
+            ok[at_ge] = False
+    return ok
+
+
 def check_segment_imitation(proc: FormativeProcess, board: ColoredBoard,
                             cand: FormativeProcess, overlay: MsOverlay,
                             witness: ImitationWitness) -> Report:
@@ -288,9 +372,6 @@ def check_segment_imitation(proc: FormativeProcess, board: ColoredBoard,
     places = proc.places
     C = witness.closed_set
 
-    def cand_placed(stage_idx):
-        return cand.universe(stage_idx)
-
     for beta in range(lo, hi + 1):
         a = g[beta]
         rb.add(f"(i) stage {beta}: minus cardinalities match",
@@ -300,19 +381,9 @@ def check_segment_imitation(proc: FormativeProcess, board: ColoredBoard,
                all(cand.stages[a][q] == overlay.minus_at(a, q) for q in board.red))
         rb.add(f"(viii) stage {beta}: surplus places inside the closed set",
                overlay.surplus_places(cand, a) <= C)
-        ok_ix = True
-        placed_hat = cand_placed(a)
-        placed_ora = proc.universe(beta)
-        for node in _live_nodes(proc, beta):
-            minus_fam = overlay.minus_family(node, a)
-            ora_fam = proc.node_snapshot(node, beta)
-            lhs = (hf.pow_star_size(minus_fam)
-                   - _count_in_pow_star(minus_fam, placed_hat))
-            rhs = (hf.pow_star_size(ora_fam)
-                   - _count_in_pow_star(ora_fam, placed_ora))
-            if lhs != rhs:
-                ok_ix = False
-        rb.add(f"(ix) stage {beta}: fresh assembly pools have equal size", ok_ix)
+        rb.add(f"(ix) stage {beta}: fresh assembly pools have equal size",
+               _pools_match(proc.stages[beta], cand.stages[a],
+                            overlay.minus[a - overlay.start]))
 
     for beta in range(lo, hi):
         a = g[beta]
@@ -330,48 +401,26 @@ def check_segment_imitation(proc: FormativeProcess, board: ColoredBoard,
                 elif q not in local_trashes(proc, board, node) or q not in C:
                     ok_iii = False
         rb.add(f"(iii) step {beta}: surplus only at grand events into trashes", ok_iii)
-        ok_v, ok_vi = True, True
-        for gamma_node in _live_nodes(proc, beta):
-            ge = grand_event(proc, gamma_node)
-            u_ora = proc.node_union(gamma_node, beta)
-            if beta != ge:
-                u_hat = node_union(overlay.minus[a - overlay.start], gamma_node)
-                for q in places:
-                    if (u_ora in proc.delta(beta, q)) != (
-                            u_hat in (overlay.delta_minus(a, q)
-                                      | overlay.delta_surplus(cand, a, q))):
-                        ok_v = False
-            else:
-                u_hat = cand.node_union(gamma_node, a)
-                for q in places:
-                    if (u_ora in proc.delta(beta, q)) != (
-                            u_hat in cand.delta(a, q)):
-                        ok_vi = False
+        ok_v, ok_vi = _placements_transfer(proc, cand, overlay, beta, a)
         rb.add(f"(v) step {beta}: minus-union placements transfer", ok_v)
         rb.add(f"(vi) step {beta}: grand-event union placements transfer", ok_vi)
 
     ok_iv = True
-    for node in sorted(board.pow_nodes, key=sorted):
+    for node in board.pow_nodes:
         ge = grand_event(proc, node)
-        if ge not in g or (ge + 1) not in g:
-            continue
-        fam = [cand.stages[g[ge]][q] for q in sorted(node)]
-        total = hf.pow_star_size(fam)
-        if _count_in_pow_star(fam, cand_placed(g[ge + 1])) != total:
-            ok_iv = False
+        if ge in g and ge + 1 in g:
+            fam = cand.stages[g[ge]]
+            if (_node_counts(cand.stages[g[ge + 1]], fam)[node]
+                    != hf.pow_star_size([fam[q] for q in node])):
+                ok_iv = False
     rb.add("(iv) pow-node assemblies are absorbed right after their grand event",
            ok_iv)
 
-    ok_x = True
-    for k in range(lo + 1, hi + 1):
-        for node in _live_nodes(proc, k - 1):
-            minus_fam = overlay.minus_family(node, g[k - 1])
-            ora_fam = proc.node_snapshot(node, k - 1)
-            for q in places:
-                if (_count_in_pow_star(minus_fam, cand.stages[g[k]][q])
-                        != _count_in_pow_star(ora_fam, proc.stages[k][q])):
-                    ok_x = False
-    rb.add("(x) previous-stage assembly/block intersections match", ok_x)
+    rb.add("(x) previous-stage assembly/block intersections match",
+           all(_contacts_match(cand.stages[g[k]],
+                               overlay.minus[g[k - 1] - overlay.start],
+                               proc.stages[k], proc.stages[k - 1])
+               for k in range(lo + 1, hi + 1)))
     return rb.build()
 
 
@@ -384,22 +433,6 @@ class StartConfiguration:
     overlay: MsOverlay
     k_prime: int
     closed_set: frozenset
-
-    @property
-    def m(self) -> int:
-        return self.cand.xi
-
-    @staticmethod
-    def degenerate(proc: FormativeProcess, k_prime: int,
-                   closed_set=frozenset()) -> "StartConfiguration":
-        """The identity start: the prefix itself, all minus, no surplus."""
-        cand = proc.prefix(k_prime)
-        return StartConfiguration(
-            cand=cand,
-            overlay=MsOverlay.all_minus(cand, start=k_prime),
-            k_prime=k_prime,
-            closed_set=frozenset(closed_set),
-        )
 
 
 def paste_segment(proc: FormativeProcess, board: ColoredBoard,
@@ -426,7 +459,7 @@ def paste_segment(proc: FormativeProcess, board: ColoredBoard,
     for k in range(k_prime, k_second):
         cur = len(stages) - 1
         node = proc.trace[k]
-        cur_minus = {q: minus[cur - start.overlay.start][q] for q in places}
+        cur_minus = minus[cur - start.overlay.start]
         minus_fam = [cur_minus[q] for q in sorted(node)]
         full_fam = [stages[cur][q] for q in sorted(node)]
         placed_hat = set()
@@ -437,22 +470,31 @@ def paste_segment(proc: FormativeProcess, board: ColoredBoard,
         # copy must therefore place (designated) or must avoid (forbidden).
         # Off a node's grand event the Minus union is the constrained value;
         # at it, the full union (which lands in surplus when the node carries
-        # surplus material: the grand-event interchange).
+        # surplus material: the grand-event interchange).  Nodes range over
+        # the stage's live places, in `subsets` order.
+        live = _live(proc.stages[k])
+        landed = _union_homes([proc.delta(k, q) for q in places],
+                              proc.stages[k])
+
+        def v_hat_of(gnode):
+            ge = grand_event(proc, gnode)
+            return node_union(cur_minus if k != ge else stages[cur], gnode)
+
+        # Only Minus assemblies of the step node are tested against
+        # `forbidden`, and the only node union that can be one is the step
+        # node's own Minus union, reached from the nodes that extend it by
+        # places with empty Minus parts.
+        own = node_union(cur_minus, node)
+        forbidden = {own} & {
+            v_hat_of(gnode)
+            for gnode in _extensions(node, live - _live(cur_minus))
+            if gnode <= live and gnode not in landed}
+        rank = {q: 1 << i for i, q in enumerate(sorted(live))}
         designated = {q: [] for q in places}
         surplus_designated = {q: [] for q in places}
-        forbidden = set()
-        for gnode in _live_nodes(proc, k):
-            ge = grand_event(proc, gnode)
-            u_ora = proc.node_union(gnode, k)
-            v_hat = node_union(cur_minus if k != ge else stages[cur], gnode)
-            target = None
-            for q in places:
-                if u_ora in proc.delta(k, q):
-                    target = q
-                    break
-            if target is None:
-                forbidden.add(v_hat)
-                continue
+        for gnode in sorted(landed, key=lambda n: sum(rank[q] for q in n)):
+            target = landed[gnode]
+            v_hat = v_hat_of(gnode)
             if v_hat in placed_hat:
                 raise CardinalityDeficit(
                     f"step {k}: union for node {sorted(gnode)} is already placed")

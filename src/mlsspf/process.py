@@ -17,10 +17,6 @@ from .errors import NotTransitive
 from .report import Report, ReportBuilder
 from .venn import ColoredBoard, Partition, home_index, signature_tables
 
-UNUSED = "unused"
-NEW = "new"
-USED = "used"
-
 
 @dataclass(frozen=True)
 class FormativeProcess:
@@ -284,16 +280,6 @@ def ge_min(proc: FormativeProcess, nodes) -> int:
     return min((grand_event(proc, a) for a in nodes), default=proc.xi)
 
 
-def element_status(proc: FormativeProcess, mu: int, e: hf.HfSet) -> str:
-    """'used' if e sits inside a placed element at stage mu, 'new' if it is
-    part of step mu's fresh material, else 'unused'."""
-    if e in proc.used_elements(mu):
-        return USED
-    if mu < proc.xi and any(e in proc.delta(mu, q) for q in proc.places):
-        return NEW
-    return UNUSED
-
-
 def local_trashes(proc: FormativeProcess, board: ColoredBoard, node) -> frozenset:
     """Green targets of the node that only belong to nodes with strictly
     later grand events: safe dump places for its surplus material."""
@@ -314,28 +300,3 @@ def is_closed(proc: FormativeProcess, board: ColoredBoard, places_set) -> bool:
             return False
     return True
 
-
-def salient_ordinals(proc: FormativeProcess, k_prime: int):
-    """(steps that fill a previously assembly-disjoint block, steps whose
-    trace node is already stable with a placed union).
-
-    These are the stages a stage-selection map must keep when pruning a
-    process; steps with an empty trace node have no union to place and are
-    not reported in the second set.
-    """
-    m_arrow = set()
-    m_ge = set()
-    final_universe = proc.final_universe
-    for mu in range(k_prime, proc.xi):
-        node = proc.trace[mu]
-        snapshot = proc.node_snapshot(node, mu)
-        for q in proc.places:
-            if proc.delta(mu, q) and not any(
-                    hf.in_pow_star(e, snapshot) for e in proc.stages[mu][q]):
-                m_arrow.add(mu)
-                break
-        if node:
-            now = proc.node_union(node, mu)
-            if now is proc.node_union(node) and now in final_universe:
-                m_ge.add(mu)
-    return frozenset(m_arrow), frozenset(m_ge)

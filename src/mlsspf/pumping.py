@@ -26,10 +26,10 @@ from .msrefine import (ImitationWitness, MsOverlay, StartConfiguration,
 from .process import (FormativeProcess, ge_min, grand_event, is_closed,
                       local_trashes, synthesize_process, validate_process)
 from .relations import (BlockBijection, imitates, literal_transfer_report,
-                        read_assignment, transfer_assignment)
+                        transfer_assignment)
 from .report import Report, ReportBuilder
-from .venn import (Assignment, ColoredBoard, ImMap, canonical_board,
-                   node_union, transitivize, venn_partition)
+from .venn import (Assignment, ColoredBoard, canonical_board, node_union,
+                   transitivize, venn_partition)
 
 
 @dataclass(frozen=True)
@@ -236,12 +236,10 @@ class PumpResult:
     re_entry: int
     warmups: int
     round_boundaries: tuple
-    assignment: Optional[Assignment]
     weak_report: Report
 
 
-def _run_round(stages, minus, trace, schedule, seed, kind, limits,
-               strict_three):
+def _run_round(stages, minus, trace, schedule, seed, kind, limits):
     """Execute one cycle traversal; returns the new seed or None when the
     round's thresholds cannot be met (state is then left untouched)."""
     new_stages, new_minus, new_trace = [], [], []
@@ -256,8 +254,6 @@ def _run_round(stages, minus, trace, schedule, seed, kind, limits,
         # The least three fresh assemblies are all a round reads.
         pool = list(islice((e for e in hf.assemblies(fam, limits.pow_limit)
                             if e not in placed), 3))
-        if strict_three and len(pool) < 3:
-            return None
         last = j == len(schedule) - 1
         if kind == "restore" and last:
             union_snapshot = node_union(cur_stages, node)
@@ -292,9 +288,7 @@ def _run_round(stages, minus, trace, schedule, seed, kind, limits,
 def pump_rounds(proc: FormativeProcess, board: ColoredBoard,
                 event: PumpingEvent, rounds: int,
                 limits: Limits = DEFAULT_LIMITS,
-                im: Optional[ImMap] = None,
-                closed_set=frozenset(),
-                strict_three: bool = False) -> PumpResult:
+                closed_set=frozenset()) -> PumpResult:
     """Run `rounds` cycle traversals from the event's start stage.
 
     The seed element moves from Minus to Surplus at the start; warm-up
@@ -316,7 +310,7 @@ def pump_rounds(proc: FormativeProcess, board: ColoredBoard,
         warmups, boundaries = 0, ()
     else:
         process, overlay, warmups, boundaries = _traverse(
-            proc, event, rounds, limits, strict_three)
+            proc, event, rounds, limits)
     re_entry = process.xi
     weak = check_weak_imitation(
         proc, board, i0,
@@ -325,13 +319,10 @@ def pump_rounds(proc: FormativeProcess, board: ColoredBoard,
         closed_set)
     return PumpResult(
         process=process, overlay=overlay, re_entry=re_entry, warmups=warmups,
-        round_boundaries=tuple(boundaries),
-        assignment=None if im is None else read_assignment(
-            im, process.final_blocks()),
-        weak_report=weak)
+        round_boundaries=tuple(boundaries), weak_report=weak)
 
 
-def _traverse(proc, event, rounds, limits, strict_three):
+def _traverse(proc, event, rounds, limits):
     """The weak process and overlay of `rounds` >= 1 counted traversals,
     with the number of warm-up rounds and the last stage of every round."""
     i0 = event.i0
@@ -360,14 +351,14 @@ def _traverse(proc, event, rounds, limits, strict_three):
         kind = "grow" if restored else "restore"
         snapshot = (len(stages), len(minus), len(trace))
         new_seed = _run_round(stages, minus, trace, schedule, seed, kind,
-                              limits, strict_three)
+                              limits)
         if new_seed is None:
             del stages[snapshot[0]:], minus[snapshot[1]:], trace[snapshot[2]:]
             if warmups >= limits.max_warmup_rounds:
                 raise CannotWarmUp(
                     f"thresholds unmet after {warmups} warm-up rounds")
             new_seed = _run_round(stages, minus, trace, schedule, seed,
-                                  "warmup", limits, strict_three=False)
+                                  "warmup", limits)
             if new_seed is None:
                 raise CannotWarmUp("cycle cannot distribute fresh elements")
             warmups += 1
@@ -526,15 +517,14 @@ def certify_witness(formula: lang.Formula, assignment: Assignment,
 
 
 def extend_certificate(cert: WitnessCertificate, rounds: int,
-                       limits: Limits = DEFAULT_LIMITS,
-                       strict_three: bool = False) -> WitnessCertificate:
+                       limits: Limits = DEFAULT_LIMITS) -> WitnessCertificate:
     """Pump the certificate's event, replay the remaining segment, and
     attach the transferred assignment with all its checks.  Raises
     ValueError for negative `rounds`."""
     _, im, board = canonical_board(cert.formula, cert.assignment, limits)
     proc = cert.process
-    pump = pump_rounds(proc, board, cert.event, rounds, limits=limits, im=im,
-                       closed_set=cert.cover, strict_three=strict_three)
+    pump = pump_rounds(proc, board, cert.event, rounds, limits=limits,
+                       closed_set=cert.cover)
     start = StartConfiguration(
         cand=pump.process, overlay=pump.overlay,
         k_prime=cert.event.i0, closed_set=cert.cover)

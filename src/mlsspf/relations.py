@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from . import hf, lang
 from .limits import DEFAULT_LIMITS, Limits
 from .report import Report, ReportBuilder
-from .venn import (Assignment, ColoredBoard, ImMap, Partition, node_union,
+from .venn import (Assignment, ColoredBoard, ImMap, node_union,
                    signature_tables, subsets)
 
 
@@ -42,10 +42,6 @@ class BlockBijection:
                     or len(frozenset().union(*side)) != sum(map(len, side))):
                 raise ValueError("bijection endpoints must be partitions")
 
-    @staticmethod
-    def identity(partition: Partition) -> "BlockBijection":
-        return BlockBijection(partition.blocks, partition.blocks)
-
     @property
     def places(self):
         return range(len(self.source))
@@ -59,11 +55,11 @@ def _imitation_tables(blocks):
     extension of a key by them maps to the same home, which makes the
     second table exact over every node.
     """
-    home, contact, unions = signature_tables(blocks)
+    home, counts, unions = signature_tables(blocks)
     empty = [q for q, b in enumerate(blocks) if not b]
     union_homes = {node | extra: home[u] for node, u in unions.items()
                    for extra in subsets(empty)}
-    return contact, union_homes
+    return counts.keys(), union_homes
 
 
 def simulates_upwards(board: ColoredBoard, bijection: BlockBijection,

@@ -8,6 +8,7 @@ node A to the places whose block meets the assembly family of A's blocks.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -74,11 +75,6 @@ class Partition:
             out |= b
         return out
 
-    def outer_member(self, y: hf.HfSet) -> bool:
-        """True for subsets of the union that are not themselves members."""
-        u = self.union_elements
-        return set(y.elements) <= u and y not in u
-
     def is_transitive(self) -> bool:
         u = self.union_elements
         return all(set(e.elements) <= u for e in u)
@@ -114,30 +110,34 @@ def home_index(blocks) -> dict:
     return {e: i for i, b in enumerate(blocks) for e in b}
 
 
-def signature_tables(blocks):
-    """(home, contact, unions) of pairwise disjoint blocks, in one pass.
+def signature_tables(blocks, parts=None):
+    """(home, counts, unions) of the elements of `blocks` over the node
+    parts `parts` (by default the blocks themselves), in one pass.
 
-    Signature identity: an element e whose members are all placed is an
-    assembly of the blocks of node N exactly when N is sig(e), the set of
-    its members' home places; and e is the union of N's blocks exactly
-    when, besides, it has as many members as those blocks together.  So
-    `contact` holds the pairs (sig(e), home(e)) of all such elements (block
-    q holds an assembly of N iff (N, q) is in it), and `unions` maps each
-    node whose union is placed to that element.  Both are keyed by places
-    with nonempty blocks only: a node with an empty block has no assembly,
-    and its union is the union of its other places.
+    Signature identity: over pairwise disjoint parts, an element e whose
+    members all lie in parts is an assembly of node N's parts exactly when
+    N is sig(e), the set of the places of its members' parts; and e is the
+    union of N's parts exactly when, besides, it has as many members as
+    those parts together.  So `counts[(N, q)]` is the number of assemblies
+    of N's parts in block q, and `unions` maps each node whose union is in
+    some block to that element; `home` is the block index of every
+    element.  Both are keyed by places with nonempty parts only: a node
+    with an empty part has no assembly, and its union is the union of its
+    other places.
     """
     home = home_index(blocks)
-    contact = set()
+    part_home = home if parts is None else home_index(parts)
+    parts = blocks if parts is None else parts
+    counts = Counter()
     unions = {}
     for e, h in home.items():
-        if not all(m in home for m in e.elements):
+        if not all(m in part_home for m in e.elements):
             continue
-        sig = frozenset(home[m] for m in e.elements)
-        contact.add((sig, h))
-        if len(e) == sum(len(blocks[q]) for q in sig):
+        sig = frozenset(part_home[m] for m in e.elements)
+        counts[(sig, h)] += 1
+        if len(e) == sum(len(parts[q]) for q in sig):
             unions[sig] = e
-    return home, contact, unions
+    return home, counts, unions
 
 
 def node_union(blocks, node) -> hf.HfSet:

@@ -8,6 +8,7 @@ import pytest
 
 import mlsspf as m
 from mlsspf import hf
+from mlsspf.msrefine import MsOverlay, StartConfiguration
 
 
 def chain(n):
@@ -110,6 +111,14 @@ def absorbing_pow_nodes(proc, rng: random.Random, max_seeds=2):
         for sub in subsets(sorted(seed)):
             pow_nodes.add(sub)
     return frozenset(pow_nodes)
+
+
+def degenerate(proc, k_prime, closed_set=frozenset()):
+    """The identity start: the prefix at k_prime itself, all Minus, no
+    surplus."""
+    cand = proc.prefix(k_prime)
+    return StartConfiguration(cand, MsOverlay.all_minus(cand, start=k_prime),
+                              k_prime, frozenset(closed_set))
 
 
 def rand_colored_board(proc, partition, rng: random.Random,

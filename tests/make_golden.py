@@ -3,8 +3,12 @@
 
 `decide_corpus.json` freezes the verdict and the full result JSON of each
 corpus formula; `pumped_certificates.json` freezes the sha256 digest of
-every pumped certificate of the witness family at 1, 2 and 3 rounds.  The
-acceptance tests replay both byte-for-byte."""
+every pumped certificate of the witness family at 1, 2 and 3 rounds;
+`pumped_wide.json` freezes, for a few `wide_instance` seeds (8 to 13
+places), the digest of the certificate pumped one round or the
+"Class: message" of the error the pump raises, so failing reports and
+failing pumps are pinned too.  The acceptance tests replay all three
+byte-for-byte."""
 
 import hashlib
 import json
@@ -14,10 +18,12 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 import mlsspf as m  # noqa: E402
-from conftest import witness_family  # noqa: E402
+from conftest import wide_instance, witness_family  # noqa: E402
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 PUMP_ROUNDS = (1, 2, 3)
+# Clean pumps, failing reports, CardinalityDeficit and NoLocalTrash.
+WIDE_SEEDS = (0, 11, 12, 27, 28, 33, 85, 139)
 
 # (name, formula, max_rank, max_universe, expected verdict)
 CORPUS = [
@@ -96,6 +102,23 @@ def write_pumped_certificates():
     _write(GOLDEN_DIR / "pumped_certificates.json", entries)
 
 
+def wide_outcome(seed) -> str:
+    """sha256 of wide_instance(seed) certified and pumped one round, or the
+    "Class: message" of the error that raises."""
+    try:
+        return pumped_digest(*wide_instance(seed), 1)
+    except m.MlsspfError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def write_pumped_wide():
+    entries = []
+    for seed in WIDE_SEEDS:
+        entries.append({"seed": seed, "outcome": wide_outcome(seed)})
+        print(f"wide_instance({seed}): {entries[-1]['outcome']}")
+    _write(GOLDEN_DIR / "pumped_wide.json", entries)
+
+
 def _write(out, entries):
     out.write_text(json.dumps({"entries": entries}, sort_keys=True, indent=2)
                    + "\n")
@@ -105,6 +128,7 @@ def _write(out, entries):
 def main():
     write_decide_corpus()
     write_pumped_certificates()
+    write_pumped_wide()
 
 
 if __name__ == "__main__":

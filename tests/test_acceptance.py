@@ -11,14 +11,15 @@ from mlsspf.msrefine import StartConfiguration
 from mlsspf.pumping import PumpingEvent, pump_rounds
 from mlsspf.relations import BlockBijection
 
-from conftest import (rand_colored_board, rand_partition,
+from conftest import (degenerate, rand_colored_board, rand_partition,
                       rand_transitive_universe, set_partitions,
                       witness_family)
-from make_golden import pumped_digest
+from make_golden import WIDE_SEEDS, pumped_digest, wide_outcome
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "decide_corpus.json"
 PUMPED_GOLDEN = (pathlib.Path(__file__).parent / "golden"
                  / "pumped_certificates.json")
+WIDE_GOLDEN = pathlib.Path(__file__).parent / "golden" / "pumped_wide.json"
 
 
 class Timer:
@@ -102,14 +103,14 @@ def _imitation_instances():
         partition = rand_partition(rng, universe, max_blocks=4)
         proc = m.synthesize_process(partition)
         board = rand_colored_board(proc, partition, rng)
-        yield board, BlockBijection.identity(partition)
+        yield board, BlockBijection(partition.blocks, partition.blocks)
     for _ in range(30):
         universe = rand_transitive_universe(rng, rng.randint(1, 8))
         partition = rand_partition(rng, universe, max_blocks=4)
         proc = m.synthesize_process(partition)
         board = rand_colored_board(proc, partition, rng)
         k_prime = rng.randint(0, proc.xi)
-        start = StartConfiguration.degenerate(proc, k_prime)
+        start = degenerate(proc, k_prime)
         cand, overlay, witness = m.paste_segment(proc, board, start, proc.xi)
         yield board, BlockBijection(partition.blocks, cand.final_blocks())
     for formula, assignment in witness_family():
@@ -169,7 +170,7 @@ def test_criterion_5_pumping_end_to_end():
 def test_criterion_6_appendix_checks_on_pumped_ex1(ex1):
     with Timer("criterion 6: start-condition ledger on pumped EX1", 5):
         cert = m.certify_witness(ex1.formula, ex1.assignment)
-        res = pump_rounds(ex1.process, ex1.board, cert.event, 1, im=ex1.im,
+        res = pump_rounds(ex1.process, ex1.board, cert.event, 1,
                           closed_set=cert.cover)
         report = res.weak_report
         by_tag = {i.check.split(" ")[0]: i.ok for i in report.items}
@@ -187,7 +188,7 @@ def _paste_instances():
         proc = m.synthesize_process(partition)
         board = rand_colored_board(proc, partition, rng)
         k_prime = rng.randint(max(0, proc.xi - 5), proc.xi)
-        yield proc, board, StartConfiguration.degenerate(proc, k_prime)
+        yield proc, board, degenerate(proc, k_prime)
         made += 1
     pumped = 0
     for formula, assignment in witness_family() * 3:
@@ -250,3 +251,11 @@ def test_pumped_certificates_golden():
         assignment, _ = m.Assignment.from_json(entry["assignment"])
         got = pumped_digest(formula, assignment, entry["rounds"])
         assert got == entry["sha256"], (entry["formula"], entry["rounds"])
+
+
+def test_pumped_wide_golden():
+    # Failing pumps too: failing reports, CardinalityDeficit, NoLocalTrash.
+    corpus = json.loads(WIDE_GOLDEN.read_text())
+    assert [e["seed"] for e in corpus["entries"]] == list(WIDE_SEEDS)
+    for entry in corpus["entries"]:
+        assert wide_outcome(entry["seed"]) == entry["outcome"], entry["seed"]

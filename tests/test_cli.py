@@ -93,6 +93,20 @@ def test_witness_pump_verify_flow(files, capsys):
     assert run_cli(["verify", str(bad)]) == 1
 
 
+def test_pump_has_no_strict_three(tmp_path):
+    # The flag was never recorded in the certificate, so verify re-pumped
+    # without it and refused what it had produced; it is gone.
+    formula = tmp_path / "f.mlsspf"
+    formula.write_text("w in x & !Finite(x)")
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"w": [], "x": [[], [[]]]}))
+    cert = tmp_path / "cert.json"
+    assert run_cli(["witness", "-f", str(formula), "-m", str(model),
+                    "--json", str(cert)]) == 0
+    assert run_cli(["pump", "-c", str(cert), "--rounds", "1",
+                    "--strict-three"]) == 3
+
+
 def test_pump_rejects_invalid_certificate(files):
     cert = files / "cert.json"
     assert run_cli(["witness", "-f", str(files / "ex1.mlsspf"),

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mlsspf as m
 from mlsspf import hf
@@ -10,7 +12,10 @@ from mlsspf.venn import subsets
 from mlsspf.pumping import PumpingEvent, pump_rounds
 from mlsspf.relations import BlockBijection
 
-from conftest import chain, rand_partition, rand_transitive_universe
+from conftest import (chain, degenerate, rand_colored_board, rand_partition,
+                      rand_transitive_universe, wide_instance, witness_family)
+from msrefine_sweeps import (paste_segment_sweep, segment_imitation_sweep,
+                             weak_imitation_sweep)
 
 A, B, C = chain(2)
 
@@ -20,7 +25,7 @@ def pumped_ex1(ex1):
     cover = m.closed_cover(ex1.process, ex1.board,
                            m.find_pumping_cycles(ex1.board)[0])
     event = PumpingEvent(ex1.q, 3, m.find_pumping_cycles(ex1.board)[0])
-    return pump_rounds(ex1.process, ex1.board, event, 1, im=ex1.im,
+    return pump_rounds(ex1.process, ex1.board, event, 1,
                        closed_set=cover), cover
 
 
@@ -113,7 +118,7 @@ def test_witness_requires_order_preserving_injection():
 def test_paste_degenerate_reproduces_verbatim(ex1):
     proc = ex1.process
     for kp in range(proc.xi + 1):
-        start = StartConfiguration.degenerate(proc, kp)
+        start = degenerate(proc, kp)
         cand, overlay, witness = m.paste_segment(proc, ex1.board, start, proc.xi)
         assert cand.stages == proc.stages
         assert m.check_segment_imitation(proc, ex1.board, cand, overlay,
@@ -140,7 +145,7 @@ def test_paste_nontrivial_segment_after_pump():
     assert m.is_pumping_event(proc, board, 1, i0, cycle).ok
     cover = m.closed_cover(proc, board, cycle)
     res = pump_rounds(proc, board, PumpingEvent(1, i0, cycle), 2,
-                      im=im, closed_set=cover)
+                      closed_set=cover)
     assert res.weak_report.ok
     start = StartConfiguration(res.process, res.overlay, i0, cover)
     cand, overlay, witness = m.paste_segment(proc, board, start, proc.xi)
@@ -278,7 +283,7 @@ def test_paste_pow_node_without_trash_raises():
                            pow_nodes=frozenset([frozenset(), frozenset([0])]))
     ge = m.grand_event(proc, frozenset([0]))
     assert ge < proc.xi
-    start = StartConfiguration.degenerate(proc, ge)
+    start = degenerate(proc, ge)
     # Give block 0 a surplus element so the pow-node branch triggers.
     minus = [list(stage) for stage in start.overlay.minus]
     seed = sorted(proc.stages[ge][0], key=lambda e: e._key)[-1]
@@ -302,3 +307,155 @@ def test_overlay_and_witness_json_round_trip(ex1, pumped_ex1):
     back = ImitationWitness.from_json(witness.to_json())
     assert dict(back.gamma) == dict(witness.gamma)
     assert back.closed_set == witness.closed_set
+
+
+# Oracles: the table versions of check_weak_imitation, paste_segment and
+# check_segment_imitation against the node sweeps they replaced (see
+# msrefine_sweeps.py), on pumped and degenerate starts, each perturbed by
+# up to two edits.
+
+def _pumped_start(formula, assignment, rounds):
+    cert = m.certify_witness(formula, assignment)
+    _, _, board = m.canonical_board(formula, cert.assignment)
+    res = pump_rounds(cert.process, board, cert.event, rounds,
+                      closed_set=cert.cover)
+    return cert.process, board, StartConfiguration(
+        res.process, res.overlay, cert.event.i0, cert.cover)
+
+
+@pytest.fixture(scope="module")
+def witness_starts():
+    return [_pumped_start(f, a, rounds) for f, a in witness_family()
+            for rounds in (1, 2)]
+
+
+@pytest.fixture(scope="module")
+def wide_starts():
+    # 8 and 9 places: seed 6 fails weak and segment imitation, seed 21
+    # pumps cleanly and seed 28's paste raises CardinalityDeficit.
+    return [_pumped_start(*wide_instance(seed), 1) for seed in (6, 21, 28)]
+
+
+def _random_start(rng):
+    universe = rand_transitive_universe(rng, rng.randint(1, 9))
+    partition = rand_partition(rng, universe, max_blocks=5)
+    proc = m.synthesize_process(partition)
+    board = rand_colored_board(proc, partition, rng)
+    green = frozenset(q for q in proc.places if q not in board.red)
+    return proc, board, degenerate(proc, rng.randint(0, proc.xi), green)
+
+
+def _perturb(blocks, minus, rng):
+    """Up to two edits of a split stage, each one of: move an element
+    between Minus and Surplus, empty a Minus part (twice as likely), drop
+    an element."""
+    blocks, minus = list(blocks), list(minus)
+    for _ in range(rng.randint(0, 2)):
+        live = [q for q, b in enumerate(blocks) if b]
+        if not live:
+            break
+        q = rng.choice(live)
+        e = rng.choice(sorted(blocks[q], key=lambda x: x._key))
+        kind = rng.choice(["move", "empty", "empty", "drop"])
+        if kind == "move":
+            minus[q] = minus[q] ^ {e}
+        elif kind == "empty":
+            minus[q] = frozenset()
+        else:
+            blocks[q], minus[q] = blocks[q] - {e}, minus[q] - {e}
+    return tuple(blocks), tuple(minus)
+
+
+def _perturb_stage(cand, overlay, a, rng):
+    blocks, minus = _perturb(cand.stages[a], overlay.minus[a - overlay.start],
+                             rng)
+    i = a - overlay.start
+    cand = m.FormativeProcess(
+        stages=cand.stages[:a] + (blocks,) + cand.stages[a + 1:],
+        trace=cand.trace, weak=True)
+    return cand, MsOverlay(overlay.start,
+                           overlay.minus[:i] + (minus,) + overlay.minus[i + 1:])
+
+
+def _paste(paste, *args):
+    """(candidate, overlay, witness) of a paste, or the error it raises."""
+    try:
+        return paste(*args)
+    except m.MlsspfError as exc:
+        return exc
+
+
+def _paste_json(outcome):
+    if isinstance(outcome, Exception):
+        return type(outcome).__name__, str(outcome)
+    cand, overlay, witness = outcome
+    return cand.to_json(), overlay.to_json(cand), witness.to_json()
+
+
+def _assert_tables_match_sweeps(proc, board, start, rng):
+    cand, overlay = _perturb_stage(start.cand, start.overlay, start.cand.xi,
+                                   rng)
+    k, last = start.k_prime, cand.xi
+    weak_args = (proc, board, k, cand.stages[last],
+                 overlay.minus[last - overlay.start], start.closed_set)
+    assert (m.check_weak_imitation(*weak_args).to_json()
+            == weak_imitation_sweep(*weak_args).to_json())
+
+    start = StartConfiguration(cand, overlay, k, start.closed_set)
+    k_second = rng.randint(k, proc.xi)
+    got = _paste(m.paste_segment, proc, board, start, k_second)
+    assert _paste_json(got) == _paste_json(
+        _paste(paste_segment_sweep, proc, board, start, k_second))
+    if isinstance(got, Exception):
+        return
+    cand, overlay, witness = got
+    if rng.random() < 0.5:
+        cand, overlay = _perturb_stage(
+            cand, overlay, rng.randint(overlay.start, cand.xi), rng)
+    else:
+        # Empty one place's Minus part in every stage of the copy.
+        q = rng.choice(proc.places)
+        overlay = MsOverlay(overlay.start, tuple(
+            stage[:q] + (frozenset(),) + stage[q + 1:]
+            for stage in overlay.minus))
+    seg_args = (proc, board, cand, overlay, witness)
+    assert (m.check_segment_imitation(*seg_args).to_json()
+            == segment_imitation_sweep(*seg_args).to_json())
+
+
+@given(st.integers(0, 2 ** 32))
+@settings(max_examples=500, deadline=None)
+def test_msrefine_tables_match_sweeps_on_witness_pumps(witness_starts, seed):
+    rng = random.Random(seed)
+    _assert_tables_match_sweeps(*rng.choice(witness_starts), rng)
+
+
+@given(st.integers(0, 2 ** 32))
+@settings(max_examples=20, deadline=None)
+def test_msrefine_tables_match_sweeps_on_wide_pumps(wide_starts, seed):
+    rng = random.Random(seed)
+    _assert_tables_match_sweeps(*rng.choice(wide_starts), rng)
+
+
+@given(st.integers(0, 2 ** 32))
+@settings(max_examples=800, deadline=None)
+def test_msrefine_tables_match_sweeps_on_degenerate_starts(seed):
+    rng = random.Random(seed)
+    _assert_tables_match_sweeps(*_random_start(rng), rng)
+
+
+def test_pools_match_with_unequal_part_sizes():
+    # Item (ix) with a Minus part larger than its stage block: the pools
+    # match once the copy has placed the extra assemblies, here {{0}}.
+    proc = m.synthesize_process(m.Partition([[A]]))
+    board = m.induced_board(proc.final_partition())
+    witness = ImitationWitness(gamma={1: 1}, closed_set=frozenset([0]),
+                               lo=1, hi=1)
+    overlay = MsOverlay(1, ((frozenset([A, B]),),))
+    for block, ok in (([A, B, C], True), ([A, B], False)):
+        cand = m.FormativeProcess(stages=((frozenset(),), (frozenset(block),)),
+                                  trace=(frozenset(),), weak=True)
+        args = (proc, board, cand, overlay, witness)
+        rep = m.check_segment_imitation(*args)
+        assert rep.to_json() == segment_imitation_sweep(*args).to_json()
+        assert [i.ok for i in rep.items if i.check.startswith("(ix)")] == [ok]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import mlsspf as m
 from mlsspf import hf
 from mlsspf.errors import NotTransitive
-from mlsspf.process import NEW, UNUSED, USED, FormativeProcess
+from mlsspf.process import FormativeProcess
 
 from conftest import chain, rand_partition, rand_transitive_universe
 
@@ -115,12 +115,12 @@ def test_grand_event_examples(ex1):
     assert m.ge_min(proc, [E, frozenset([ex1.p])]) == 0
 
 
-def test_element_status_examples(ex1):
+def test_used_elements_examples(ex1):
     proc = ex1.process
-    assert m.element_status(proc, 3, C) == UNUSED
-    assert m.element_status(proc, 1, A) == UNUSED
-    assert m.element_status(proc, 2, A) == USED
-    assert m.element_status(proc, 2, C) == NEW
+    assert C not in proc.used_elements(3)
+    assert A not in proc.used_elements(1)
+    assert A in proc.used_elements(2)
+    assert C in proc.delta(2, ex1.q) and C not in proc.used_elements(2)
 
 
 def test_new_implies_unused():
@@ -131,7 +131,6 @@ def test_new_implies_unused():
         for mu in range(proc.xi):
             for q in proc.places:
                 for e in proc.delta(mu, q):
-                    assert m.element_status(proc, mu, e) == NEW
                     assert e not in proc.used_elements(mu)
 
 
@@ -151,14 +150,6 @@ def test_is_closed_examples(ex1):
     reddened = m.ColoredBoard(blocks=board.blocks, targets=dict(board.targets),
                               red=frozenset([ex1.q]))
     assert not m.is_closed(proc, reddened, [ex1.q])
-
-
-def test_salient_ordinals_ex1(ex1):
-    arrows, ges = m.salient_ordinals(ex1.process, 0)
-    assert arrows == frozenset([0, 1, 2])
-    assert ges == frozenset([1])
-    assert m.salient_ordinals(ex1.process, ex1.process.xi) == \
-        (frozenset(), frozenset())
 
 
 def test_ge_trichotomy_on_synthesized():
@@ -204,7 +195,7 @@ def test_unused_assemblies_stay_unused():
         proc = m.synthesize_process(rand_partition(rng, universe, max_blocks=3))
         for mu in range(proc.xi + 1):
             unused = [e for e in proc.final_universe
-                      if m.element_status(proc, mu, e) != USED]
+                      if e not in proc.used_elements(mu)]
             if not unused:
                 continue
             b = m.make_set(unused[: rng.randint(1, len(unused))])

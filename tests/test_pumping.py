@@ -8,8 +8,7 @@ import mlsspf as m
 from mlsspf import hf, lang
 from mlsspf.errors import (CardinalityDeficit, CoverMissesVariable,
                            NoClosedCover, NoEvent, NotAWitness)
-from mlsspf.process import NEW
-from mlsspf.pumping import PumpingCycle, pump_rounds
+from mlsspf.pumping import PumpingCycle, PumpingEvent, pump_rounds
 
 from conftest import chain, wide_instance, witness_family
 
@@ -153,7 +152,7 @@ def test_negative_rounds_are_rejected(ex1):
 
 def test_pump_one_round_matches_expected_blocks(ex1):
     cert = m.certify_witness(ex1.formula, ex1.assignment)
-    res = pump_rounds(ex1.process, ex1.board, cert.event, 1, im=ex1.im,
+    res = pump_rounds(ex1.process, ex1.board, cert.event, 1,
                       closed_set=cert.cover)
     t1 = m.make_set([C])
     snapshot = m.make_set([B, C])
@@ -165,7 +164,7 @@ def test_pump_one_round_matches_expected_blocks(ex1):
 
 def test_pump_growth_and_outside_preservation(ex1):
     cert = m.certify_witness(ex1.formula, ex1.assignment)
-    res = pump_rounds(ex1.process, ex1.board, cert.event, 3, im=ex1.im,
+    res = pump_rounds(ex1.process, ex1.board, cert.event, 3,
                       closed_set=cert.cover)
     prev = len(ex1.process.stages[3][ex1.q])
     for boundary in res.round_boundaries:
@@ -182,7 +181,7 @@ def test_pumped_elements_are_new_at_creation(ex1):
     for nu in range(cert.event.i0, res.process.xi):
         for q in res.process.places:
             for e in res.process.delta(nu, q):
-                assert m.element_status(res.process, nu, e) == NEW
+                assert e not in res.process.used_elements(nu)
 
 
 def test_pump_surplus_node_unions_stay_undistributed(ex1):
@@ -201,12 +200,24 @@ def test_pump_validates_as_weak_process(ex1):
     assert m.validate_overlay(res.process, res.overlay).ok
 
 
-def test_strict_three_needs_warmup(ex1):
-    cert = m.certify_witness(ex1.formula, ex1.assignment)
-    res = pump_rounds(ex1.process, ex1.board, cert.event, 1, strict_three=True,
-                      closed_set=cert.cover)
-    assert res.warmups > 0
+def test_pump_warms_up_before_it_can_restore():
+    # One place holding {0, {0}}, pumped from stage 1 with the seed 0: the
+    # seed and the block {0} assemble only {0}, too few for a restoring
+    # round, so a surplus-only warm-up round runs first.
+    partition = m.Partition([[A, B]])
+    proc = m.synthesize_process(partition)
+    board = m.induced_board(partition)
+    cycle = m.find_pumping_cycles(board)[0]
+    assert m.is_pumping_event(proc, board, 0, 1, cycle).ok
+    cover = m.closed_cover(proc, board, cycle)
+    res = pump_rounds(proc, board, PumpingEvent(0, 1, cycle), 1,
+                      closed_set=cover)
+    assert res.warmups == 1
+    warmup = res.round_boundaries[0] - 1
+    assert not res.overlay.delta_minus(warmup, 0)
+    assert res.overlay.delta_surplus(res.process, warmup, 0)
     assert res.weak_report.ok
+    assert m.validate_overlay(res.process, res.overlay).ok
 
 
 def test_certificate_json_deterministic(ex1):
@@ -266,6 +277,14 @@ def test_pump_interns_few_sets_per_round():
     cert = _empty_member_certificate()
     before = len(m.HfSet._intern)
     m.extend_certificate(cert, 14)
+    assert len(m.HfSet._intern) - before < 1000
+
+
+def test_wide_pump_interns_few_sets():
+    # A count guard: sweeping every node over 12 places interned about
+    # 22,500 sets for this one round.
+    before = len(m.HfSet._intern)
+    m.extend_certificate(m.certify_witness(*wide_instance(27)), 1)
     assert len(m.HfSet._intern) - before < 1000
 
 

@@ -6,12 +6,12 @@ from hypothesis import strategies as st
 
 import mlsspf as m
 from mlsspf import hf
-from mlsspf.msrefine import StartConfiguration
 from mlsspf.relations import BlockBijection
 from mlsspf.venn import _sorted_blocks, home_index, node_union, subsets
 
-from conftest import (chain, rand_colored_board, rand_partition,
-                      rand_transitive_universe, witness_family)
+from conftest import (chain, degenerate, rand_colored_board,
+                      rand_partition, rand_transitive_universe,
+                      witness_family)
 
 A, B, C = chain(2)
 
@@ -35,7 +35,7 @@ def test_bijection_must_pair_partitions():
 
 
 def test_simulates_identity(ex1):
-    bij = BlockBijection.identity(ex1.partition)
+    bij = BlockBijection(ex1.partition.blocks, ex1.partition.blocks)
     rep = m.simulates_upwards(ex1.board, bij)
     assert rep.ok
 
@@ -59,7 +59,7 @@ def test_simulates_detects_membership_collapse():
 
 
 def test_imitates_identity(ex1):
-    bij = BlockBijection.identity(ex1.partition)
+    bij = BlockBijection(ex1.partition.blocks, ex1.partition.blocks)
     rep = m.imitates(ex1.board, bij)
     assert rep.ok
     assert [i.check for i in rep.items][-1].startswith("(4')")
@@ -83,7 +83,7 @@ def test_imitates_detects_missing_assembly():
 
 def test_transfer_assignment_examples(ex1, pumped):
     ext, bij = pumped
-    ident = BlockBijection.identity(ex1.partition)
+    ident = BlockBijection(ex1.partition.blocks, ex1.partition.blocks)
     back = m.transfer_assignment(ex1.assignment, ex1.im, ident)
     assert back.bindings == dict(ex1.assignment.bindings)
 
@@ -249,7 +249,7 @@ def test_upward_conclusions_match_sweep_oracle(rng):
     proc = m.synthesize_process(partition)
     board = rand_colored_board(proc, partition, rng)
     if rng.random() < 0.5:
-        start = StartConfiguration.degenerate(proc, rng.randint(0, proc.xi))
+        start = degenerate(proc, rng.randint(0, proc.xi))
         cand = m.paste_segment(proc, board, start, proc.xi)[0]
     else:
         k = len(partition.blocks)

@@ -30,9 +30,21 @@ UNKNOWN = "Unknown"
 
 @dataclass(frozen=True)
 class SearchBudget:
+    """Bounds of the universe enumeration: element rank and universe size.
+
+    A zero bound is the trivial budget (`decide` answers Unknown); a
+    negative one raises ValueError.
+    """
+
     max_rank: int = 4
     max_universe: int = 4
     limits: Limits = field(default_factory=lambda: DEFAULT_LIMITS)
+
+    def __post_init__(self):
+        for name in ("max_rank", "max_universe"):
+            if getattr(self, name) < 0:
+                raise ValueError(
+                    f"{name} must be at least 0, not {getattr(self, name)}")
 
     @property
     def trivial(self) -> bool:
@@ -98,22 +110,61 @@ def _leaves(names, choices, closures, universe, checks, limits):
 
     Variables are bound in `names` order, each to the `choices` in order, so
     the leaves come in the order of itertools.product(choices, repeat=n).
-    Once variable d is bound, every literal in checks[d] is evaluated on the
-    bound prefix; a false one skips the whole subtree.  A leaf survives when
-    the union of its values' closures (`closures` is parallel to `choices`)
-    is the universe, i.e. the universe is the one its values generate.
+    A literal in checks[d] has its last-bound variable at depth d.  Its
+    truth under the bound prefix depends only on the `choices` indices of
+    its operands bound before d, so for each such index tuple it is
+    evaluated once, over every value of the depth-d variable, into a
+    bitmask: bit j is set when the literal holds with that variable bound
+    to choices[j].  The masks are built lazily, when the walk first reaches
+    their key, and live for this call.  At depth d the walk ANDs the masks
+    of checks[d] and visits the set bits in ascending j, which is `choices`
+    order, so the leaves, and their order, are those that checking every
+    literal at every node would keep; a clear bit skips the whole subtree.
+    A leaf survives when the union of its values' closures (`closures` is
+    parallel to `choices`) is the universe, i.e. the universe is the one
+    its values generate.
+
+    A mask evaluates its literal on values whose subtree an earlier literal
+    already skipped.  Of all literals only Pow can raise (LimitExceeded,
+    once 2^|w| > pow_limit), and every value is a subset of the universe,
+    so that happens only when 2^|universe| > pow_limit; `decide` passes
+    empty checks for such a universe, which gives all-ones masks.
     """
     bindings = {}
     prefix = SimpleNamespace(bindings=bindings)
     last = len(names) - 1
+    everything = (1 << len(choices)) - 1
+    picked = [0] * len(names)
+    depth_of = {name: d for d, name in enumerate(names)}
+    tables = [[(lit, sorted({depth_of[v] for v in lit.operands} - {d}), {})
+               for lit in here] for d, here in enumerate(checks)]
+
+    def truths(lit, name):
+        bits = 0
+        for j, value in enumerate(choices):
+            bindings[name] = value
+            if lang.eval_literal(lit, prefix, limits):
+                bits |= 1 << j
+        return bits
 
     def walk(depth, covered):
-        name, here = names[depth], checks[depth]
-        for value, closure in zip(choices, closures):
-            bindings[name] = value
-            if not all(lang.eval_literal(lit, prefix, limits) for lit in here):
-                continue
-            union = covered | closure
+        name = names[depth]
+        allowed = everything
+        for lit, earlier, memo in tables[depth]:
+            if not allowed:
+                break
+            key = tuple([picked[e] for e in earlier])
+            bits = memo.get(key)
+            if bits is None:
+                bits = memo[key] = truths(lit, name)
+            allowed &= bits
+        while allowed:
+            low = allowed & -allowed
+            allowed ^= low
+            j = low.bit_length() - 1
+            bindings[name] = choices[j]
+            picked[depth] = j
+            union = covered | closures[j]
             if depth < last:
                 yield from walk(depth + 1, union)
             elif union == universe:
@@ -128,10 +179,13 @@ def decide(formula: lang.Formula, budget: SearchBudget) -> DecideResult:
     Universes come smallest first.  Under each, candidates are visited
     depth first, in itertools.product order over `formula.vars`; each
     candidate is tried only under the smallest transitive universe its
-    values generate.  A literal other than Finite/!Finite is evaluated as
-    soon as its operands are bound, and a false one prunes every candidate
-    that extends the prefix.  Those candidates would all be rejected, so the
+    values generate.  A literal other than Finite/!Finite is checked as soon
+    as its operands are bound, and a false one prunes every candidate that
+    extends the prefix.  Those candidates would all be rejected, so the
     first hit, and with it every verdict, is the one the full product finds.
+    Within a universe each literal is evaluated at most once per combination
+    of its operands' values, into the truth masks of `_leaves`; the walk
+    reads the masks in `choices` order, so the order above is unchanged.
     """
     limits = budget.limits
     has_neg = any(lit.kind == lang.NOT_FINITE for lit in formula.literals)
@@ -153,7 +207,8 @@ def decide(formula: lang.Formula, budget: SearchBudget) -> DecideResult:
         # A Pow literal raises LimitExceeded once 2^|w| > pow_limit, and
         # lang.evaluate lets that escape at the first such leaf.  Pruning
         # could skip that leaf, so a universe big enough for it is searched
-        # leaf by leaf.
+        # leaf by leaf.  In a smaller universe no literal can raise, so a
+        # truth mask may evaluate values the walk then skips.
         may_raise = has_pow and 2 ** len(universe) > limits.pow_limit
         for assignment in _leaves(names, choices, closures, universe,
                                   unpruned if may_raise else checks, limits):

@@ -150,6 +150,8 @@ def test_decide_exit_codes(files, tmp_path):
     unsat.write_text("x = {} & !x = {}")
     assert run_cli(["decide", "--max-universe", "2", str(unsat)]) == 1
     assert run_cli(["decide", "--max-universe", "0", str(unsat)]) == 2
+    assert run_cli(["decide", "--max-universe", "-1", str(unsat)]) == 3
+    assert run_cli(["decide", "--max-rank", "-1", str(unsat)]) == 3
 
 
 def test_witness_not_a_witness_is_input_error(files):

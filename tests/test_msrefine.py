@@ -459,3 +459,22 @@ def test_pools_match_with_unequal_part_sizes():
         rep = m.check_segment_imitation(*args)
         assert rep.to_json() == segment_imitation_sweep(*args).to_json()
         assert [i.ok for i in rep.items if i.check.startswith("(ix)")] == [ok]
+
+
+def test_weak_imitation_item_c_on_emptied_early_node():
+    # Item (c) on an early node whose candidate block is empty.  With
+    # D = {A, B} and E = {A, B, C, D}, stage 3 has blocks {A, C}, {B}, {}, {}
+    # and node {1}'s union {B} = C, placed at step 2 in place 0.  Emptying
+    # place 1 leaves the node's union the union of no blocks, {} = A, which
+    # also lies in place 0, so the memberships transfer.
+    D = m.make_set([A, B])
+    E = m.make_set([A, B, C, D])
+    proc = m.synthesize_process(m.Partition([[A, C], [B], [D], [E]]))
+    board = m.induced_board(proc.final_partition())
+    assert m.grand_event(proc, frozenset([1])) == 2
+    hat = list(proc.stages[3])
+    hat[1] = frozenset()
+    args = (proc, board, 3, hat, hat, frozenset())
+    rep = m.check_weak_imitation(*args)
+    assert rep.to_json() == weak_imitation_sweep(*args).to_json()
+    assert [i.ok for i in rep.items if i.check.startswith("(c)")] == [True]

@@ -1,6 +1,8 @@
 import json
 from itertools import product
+from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,7 +12,7 @@ from mlsspf.errors import (CannotWarmUp, CardinalityDeficit,
                            CoverMissesVariable, LimitExceeded, NoClosedCover,
                            NoEvent, NoLocalTrash, NotAWitness)
 from mlsspf.limits import DEFAULT_LIMITS, Limits
-from mlsspf.solver import _subsets_in_order, enumerate_universes
+from mlsspf.solver import _leaves, _subsets_in_order, enumerate_universes
 
 from conftest import chain
 
@@ -66,6 +68,13 @@ def test_decide_trivial_budget_is_unknown():
     assert r.verdict == m.UNKNOWN
     r = m.decide(m.parse("!x = {} & x = {}"), m.SearchBudget(max_universe=1))
     assert r.verdict == m.UNSAT_WITHIN_BUDGET
+
+
+def test_negative_budget_is_rejected():
+    for bounds in ({"max_rank": -1}, {"max_universe": -1}):
+        with pytest.raises(ValueError, match="must be at least 0"):
+            m.SearchBudget(**bounds)
+    assert m.SearchBudget(max_rank=0, max_universe=0).trivial
 
 
 def test_decide_is_deterministic():
@@ -161,3 +170,69 @@ def test_decide_matches_unpruned_search(formula, pow_limit):
                             limits=Limits(pow_limit=pow_limit))
     assert (_outcome(m.decide, formula, budget)
             == _outcome(_decide_unpruned, formula, budget))
+
+
+def _leaves_per_node(names, choices, closures, universe, checks, limits):
+    """Reference walk: every literal of checks[d] evaluated at every node."""
+    bindings = {}
+    prefix = SimpleNamespace(bindings=bindings)
+    last = len(names) - 1
+
+    def walk(depth, covered):
+        name, here = names[depth], checks[depth]
+        for value, closure in zip(choices, closures):
+            bindings[name] = value
+            if not all(lang.eval_literal(lit, prefix, limits) for lit in here):
+                continue
+            union = covered | closure
+            if depth < last:
+                yield from walk(depth + 1, union)
+            elif union == universe:
+                yield m.Assignment(bindings)
+
+    return walk(0, frozenset())
+
+
+_UNIVERSES = enumerate_universes(max_rank=4, max_universe=4)
+
+# Literals that name their last-bound variable twice: x = x U y, x = {y, x}.
+_REPEATED = [lang.Literal(lang.UNION, ("x", "x", "y")),
+             lang.Literal(lang.ENUM, ("x", "y", "x"))]
+
+
+@given(small_formulas(), st.lists(st.sampled_from(_REPEATED), max_size=2),
+       st.sampled_from(_UNIVERSES), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_leaves_match_per_node_walk(formula, repeated, universe, tight):
+    # With pow_limit exactly 2^|U| no Pow literal raises on this universe,
+    # so decide searches it pruned; both walks must keep the same leaves in
+    # the same order.
+    formula = lang.Formula(formula.literals + tuple(repeated))
+    limits = Limits(pow_limit=2 ** len(universe)) if tight else DEFAULT_LIMITS
+    names = list(formula.vars)
+    depth = {v: i for i, v in enumerate(names)}
+    checks = [[] for _ in names]
+    for lit in formula.literals:
+        if lit.kind not in (lang.FINITE, lang.NOT_FINITE):
+            checks[max(depth[v] for v in lit.operands)].append(lit)
+    choices = _subsets_in_order(tuple(sorted(universe, key=lambda e: e._key)))
+    closures = [frozenset(hf.transitive_closure(c).elements) for c in choices]
+    args = (names, choices, closures, universe, checks, limits)
+    assert ([dict(a.bindings) for a in _leaves(*args)]
+            == [dict(a.bindings) for a in _leaves_per_node(*args)])
+
+
+def test_hard_search_evaluates_few_literals(monkeypatch):
+    # A count, not a timing: the per-node walk made 118,581 calls here.
+    calls = []
+    evaluate_one = lang.eval_literal
+
+    def counting(*args):
+        calls.append(None)
+        return evaluate_one(*args)
+
+    monkeypatch.setattr(lang, "eval_literal", counting)
+    r = m.decide(m.parse("x in y & y in z & z in x & !Finite(w)"),
+                 m.SearchBudget(max_rank=4, max_universe=4))
+    assert r.verdict == m.UNSAT_WITHIN_BUDGET
+    assert len(calls) < 20_000

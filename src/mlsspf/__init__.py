@@ -5,9 +5,8 @@ from .errors import (ArityError, CannotWarmUp, CardinalityDeficit,
                      CoverMissesVariable, FormulaSyntaxError, LimitExceeded,
                      MlsspfError, NoClosedCover, NoEvent, NoLocalTrash,
                      NotAWitness, NotTransitive, UnboundVariable)
-from .hf import (EMPTY, HfSet, bool_op, compare, from_json, in_pow_star,
-                 make_set, pow_star, pow_star_size, powerset,
-                 transitive_closure)
+from .hf import (EMPTY, HfSet, bool_op, from_json, in_pow_star, make_set,
+                 pow_star, pow_star_size, powerset, transitive_closure)
 from .lang import (Formula, Literal, SatisfactionReport,
                    drop_finite_literals, eval_literal, evaluate, parse)
 from .limits import DEFAULT_LIMITS, Limits

@@ -100,7 +100,7 @@ def cmd_board(args):
         model = transitivize(model)
         print("note: assignment extended with a closure variable",
               file=sys.stderr)
-    _, im, board = canonical_board(formula, model, _limits(args))
+    _, im, board = canonical_board(formula, model)
     _emit(board.to_json(), args)
     return EXIT_OK
 
@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("board", help="colored board of a model for a formula")
     p.add_argument("-f", "--formula", required=True)
     p.add_argument("-m", "--model", required=True)
-    common(p)
+    common(p, limit_pow=False)
     p.set_defaults(func=cmd_board)
 
     p = sub.add_parser("process", help="synthesize or validate a process")

@@ -113,17 +113,6 @@ def from_json(data):
     return build(data), had_dup
 
 
-def compare(a: HfSet, b: HfSet, rel: str) -> bool:
-    """Extensional truth of a REL b for rel in {'in', '<=', '='}."""
-    if rel == "in":
-        return a in b
-    if rel == "<=":
-        return subset(a, b)
-    if rel == "=":
-        return a is b
-    raise ValueError(f"unknown relation {rel!r}")
-
-
 def subset(a: HfSet, b: HfSet) -> bool:
     bs = set(b.elements)
     return all(e in bs for e in a.elements)

@@ -20,18 +20,15 @@ class Limits:
     materialized family would; one from a larger family can now succeed,
     so the pump runs to round counts (24 and more on `w in x & !Finite(x)`)
     whose families exceed the default bound.
-    max_cycle_len bounds the places of a pumping cycle, and
-    max_warmup_rounds the surplus-only rounds a pump may run first.  A
-    bound out of range raises ValueError.
+    max_cycle_len bounds the places of a pumping cycle.  A bound out of
+    range raises ValueError.
     """
 
     pow_limit: int = 2 ** 20
     max_cycle_len: int = 4
-    max_warmup_rounds: int = 8
 
     def __post_init__(self):
-        for name, least in (("pow_limit", 1), ("max_cycle_len", 1),
-                            ("max_warmup_rounds", 0)):
+        for name, least in (("pow_limit", 1), ("max_cycle_len", 1)):
             if getattr(self, name) < least:
                 raise ValueError(
                     f"{name} must be at least {least}, not {getattr(self, name)}")

@@ -10,7 +10,6 @@ The checkers here decide whether a split partition can start such a copy
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -19,8 +18,8 @@ from .errors import CardinalityDeficit, NoLocalTrash
 from .limits import DEFAULT_LIMITS, Limits
 from .process import FormativeProcess, grand_event, is_closed, local_trashes
 from .report import Report, ReportBuilder
-from .venn import (ColoredBoard, finer_than, induced_board, node_union,
-                   signature_tables, subsets)
+from .venn import (ColoredBoard, SignatureTable, finer_than, induced_board,
+                   node_union, subsets)
 
 
 @dataclass(frozen=True)
@@ -147,11 +146,6 @@ def validate_overlay(proc: FormativeProcess, overlay: MsOverlay) -> Report:
     return rb.build()
 
 
-def _live(blocks) -> frozenset:
-    """The places whose blocks are nonempty."""
-    return frozenset(q for q, b in enumerate(blocks) if b)
-
-
 def _nodes_meeting(live, *groups) -> int:
     """How many nodes inside `live` meet each of the pairwise disjoint
     `groups` of its places."""
@@ -159,33 +153,11 @@ def _nodes_meeting(live, *groups) -> int:
     return 2 ** free * math.prod(2 ** len(g) - 1 for g in groups)
 
 
-def _node_counts(blocks, parts=None) -> Counter:
-    """Node -> how many elements of the blocks assemble its parts."""
-    out = Counter()
-    for (node, _), c in signature_tables(blocks, parts)[1].items():
-        out[node] += c
-    return out
-
-
-def _contacts_match(blocks, parts, ora_blocks, ora_parts) -> bool:
-    """Does each block hold as many assemblies of each node's parts as the
-    oracle block does of the node's oracle parts, for every node over the
-    places with nonempty oracle parts?"""
-    live = _live(ora_parts)
-    counts = signature_tables(blocks, parts)[1]
-    return ({key: c for key, c in counts.items() if key[0] <= live}
-            == dict(signature_tables(ora_blocks, ora_parts)[1]))
-
-
-def _union_homes(blocks, parts=None) -> dict:
-    """Node -> the place whose block holds the union of the node's parts."""
-    home, _, unions = signature_tables(blocks, parts)
-    return {node: home[u] for node, u in unions.items()}
-
-
-def _extensions(node, places):
-    """The node joined with each subset of `places`."""
-    return [node | extra for extra in subsets(places)]
+def _contacts_match(hat: SignatureTable, ora: SignatureTable) -> bool:
+    """Item (x): does each block hold as many assemblies of each node's
+    parts as the oracle block does of the node's oracle parts, for every
+    node over the places with nonempty oracle parts?"""
+    return hat.contacts(ora.live) == ora.contacts(ora.live)
 
 
 def check_weak_imitation(proc: FormativeProcess, board: ColoredBoard,
@@ -213,47 +185,43 @@ def check_weak_imitation(proc: FormativeProcess, board: ColoredBoard,
     rb.add("closed set is closed",
            is_closed(proc, board, closed_set))
 
-    # Nodes range over the stage's live places.  Each item compares
-    # signature tables; a node with an empty part on one side has no
-    # assembly there, and its union is keyed by its other places.
-    stage = proc.stages[k_prime]
-    live = _live(stage)
-    ora_unions = _union_homes(stage)
-    minus_unions = _union_homes(hat_blocks, hat_minus)
-    hat_unions = _union_homes(hat_blocks)
-    minus_live, hat_live = _live(hat_minus), _live(hat_blocks)
+    # Nodes range over the stage's live places: the nodes of the stage
+    # partition.
+    ora = SignatureTable(proc.stages[k_prime])
+    minus = SignatureTable(hat_blocks, hat_minus)
+    hat = SignatureTable(hat_blocks)
+    live = ora.live
 
     rb.add("(x) assembly/block intersection cardinalities match",
-           _contacts_match(hat_blocks, hat_minus, stage, stage))
+           _contacts_match(minus, ora))
 
     # A node's stage union is always a fresh assembly of its blocks, and its
     # Minus union one of its Minus parts unless one of them is empty; such a
     # node's stage union must therefore be placed.
-    no_minus = live - minus_live
+    both = live & minus.live
+    no_minus = live - minus.live
     rb.add("(a) minus unions are fresh exactly when the stage unions are",
-           {n for n in minus_unions if n <= live}
-           == {n for n in ora_unions if n <= minus_live}
-           and sum(1 for n in ora_unions if n & no_minus)
+           minus.union_homes(both).keys() == ora.union_homes(both).keys()
+           and sum(1 for n in ora.union_homes(live) if n & no_minus)
            == _nodes_meeting(live, no_minus))
 
     # Off the nodes whose grand event precedes k_prime, every node with
     # surplus needs an unplaced union of nonempty blocks.
-    early = {n for n in proc.grand_unions
-             if n <= live and grand_event(proc, n) < k_prime}
+    early = {n for n in proc.final_table.union_homes(live)
+             if grand_event(proc, n) < k_prime}
     surplus = live & {q for q in places if hat_blocks[q] - hat_minus[q]}
-    no_block = live - hat_live
+    no_block = live - hat.live
     rb.add("(b) surplus-bearing node unions stay undistributed",
-           not any(n <= live and n & surplus and n not in early
-                   for n in hat_unions)
+           not any(n & surplus and n not in early
+                   for n in hat.union_homes(live & hat.live))
            and sum(1 for n in early if n & surplus and n & no_block)
            == _nodes_meeting(live, surplus, no_block))
 
-    hat_counts = _node_counts(hat_blocks)
     ok_c = True
     for node in early:
-        if ora_unions.get(node) != hat_unions.get(node & hat_live):
+        if ora.union_home(node) != hat.union_home(node):
             ok_c = False
-        if node in board.pow_nodes and hat_counts[node] != hf.pow_star_size(
+        if node in board.pow_nodes and hat.count(node) != hf.pow_star_size(
                 [hat_blocks[q] for q in node]):
             ok_c = False
     rb.add("(c) pre-start memberships and pow-node coverage transfer", ok_c)
@@ -308,16 +276,17 @@ def _pools_match(stage, hat_stage, hat_minus) -> bool:
     either side, some node without one has unequal pools, and otherwise
     sweeping the nodes costs no more than building the tables.
     """
-    live = _live(stage)
-    ora = _node_counts(stage)
-    hat = {n: c for n, c in _node_counts(hat_stage, hat_minus).items()
-           if n <= live}
+    ora = SignatureTable(stage)
+    hat = SignatureTable(hat_stage, hat_minus)
+    live = ora.live
+    placed = ({n for n, _ in ora.contacts(live)}
+              | {n for n, _ in hat.contacts(live)})
     if all(len(hat_minus[q]) == len(stage[q]) for q in live):
-        return hat == ora
-    if 2 * len(hat.keys() | ora.keys()) < 2 ** len(live):
+        return all(hat.count(n) == ora.count(n) for n in placed)
+    if 2 * len(placed) < 2 ** len(live):
         return False
-    return all(hf.pow_star_size([hat_minus[q] for q in n]) - hat.get(n, 0)
-               == hf.pow_star_size([stage[q] for q in n]) - ora[n]
+    return all(hf.pow_star_size([hat_minus[q] for q in n]) - hat.count(n)
+               == hf.pow_star_size([stage[q] for q in n]) - ora.count(n)
                for n in subsets(live))
 
 
@@ -327,31 +296,24 @@ def _placements_transfer(proc, cand, overlay, beta, a):
     A node over stage beta's live places must have its stage union land
     where the candidate places its Minus union (off the node's grand event)
     or its candidate union (at it), or neither.  Only the nodes whose union
-    lands on either side are checked.  A candidate table keys a union by
-    the places with nonempty parts, so each key stands for itself extended
-    by the live places whose parts are empty.
+    lands on either side are checked.
     """
     places = proc.places
-    live = _live(proc.stages[beta])
-    ora = _union_homes([proc.delta(beta, q) for q in places],
-                       proc.stages[beta])
-    minus = overlay.minus[a - overlay.start]
+    ora = SignatureTable([proc.delta(beta, q) for q in places],
+                         proc.stages[beta])
+    live = ora.live
+    landed = ora.union_homes(live)
     sides = [
-        (_live(minus), _union_homes(
-            [overlay.delta_minus(a, q) | overlay.delta_surplus(cand, a, q)
-             for q in places], minus)),
-        (_live(cand.stages[a]), _union_homes(
-            [cand.delta(a, q) for q in places], cand.stages[a])),
+        SignatureTable([overlay.delta_minus(a, q)
+                        | overlay.delta_surplus(cand, a, q) for q in places],
+                       overlay.minus[a - overlay.start]).union_homes(live),
+        SignatureTable([cand.delta(a, q) for q in places],
+                       cand.stages[a]).union_homes(live),
     ]
-    nodes = set(ora)
-    for keyed, landed in sides:
-        nodes.update(n for key in landed if key <= live
-                     for n in _extensions(key, live - keyed))
     ok = [True, True]
-    for node in nodes:
+    for node in landed.keys() | sides[0].keys() | sides[1].keys():
         at_ge = beta == grand_event(proc, node)
-        keyed, landed = sides[at_ge]
-        if ora.get(node) != landed.get(node & keyed):
+        if landed.get(node) != sides[at_ge].get(node):
             ok[at_ge] = False
     return ok
 
@@ -406,20 +368,24 @@ def check_segment_imitation(proc: FormativeProcess, board: ColoredBoard,
         rb.add(f"(vi) step {beta}: grand-event union placements transfer", ok_vi)
 
     ok_iv = True
+    absorbing = {}
     for node in board.pow_nodes:
         ge = grand_event(proc, node)
         if ge in g and ge + 1 in g:
             fam = cand.stages[g[ge]]
-            if (_node_counts(cand.stages[g[ge + 1]], fam)[node]
-                    != hf.pow_star_size([fam[q] for q in node])):
+            if ge not in absorbing:
+                absorbing[ge] = SignatureTable(cand.stages[g[ge + 1]], fam)
+            if absorbing[ge].count(node) != hf.pow_star_size(
+                    [fam[q] for q in node]):
                 ok_iv = False
     rb.add("(iv) pow-node assemblies are absorbed right after their grand event",
            ok_iv)
 
     rb.add("(x) previous-stage assembly/block intersections match",
-           all(_contacts_match(cand.stages[g[k]],
-                               overlay.minus[g[k - 1] - overlay.start],
-                               proc.stages[k], proc.stages[k - 1])
+           all(_contacts_match(
+               SignatureTable(cand.stages[g[k]],
+                              overlay.minus[g[k - 1] - overlay.start]),
+               SignatureTable(proc.stages[k], proc.stages[k - 1]))
                for k in range(lo + 1, hi + 1)))
     return rb.build()
 
@@ -472,9 +438,9 @@ def paste_segment(proc: FormativeProcess, board: ColoredBoard,
         # at it, the full union (which lands in surplus when the node carries
         # surplus material: the grand-event interchange).  Nodes range over
         # the stage's live places, in `subsets` order.
-        live = _live(proc.stages[k])
-        landed = _union_homes([proc.delta(k, q) for q in places],
+        step = SignatureTable([proc.delta(k, q) for q in places],
                               proc.stages[k])
+        landed = step.union_homes(step.live)
 
         def v_hat_of(gnode):
             ge = grand_event(proc, gnode)
@@ -482,14 +448,14 @@ def paste_segment(proc: FormativeProcess, board: ColoredBoard,
 
         # Only Minus assemblies of the step node are tested against
         # `forbidden`, and the only node union that can be one is the step
-        # node's own Minus union, reached from the nodes that extend it by
-        # places with empty Minus parts.
+        # node's own Minus union, reached from the nodes whose Minus union
+        # it is.
         own = node_union(cur_minus, node)
         forbidden = {own} & {
-            v_hat_of(gnode)
-            for gnode in _extensions(node, live - _live(cur_minus))
-            if gnode <= live and gnode not in landed}
-        rank = {q: 1 << i for i, q in enumerate(sorted(live))}
+            v_hat_of(gnode) for gnode in
+            SignatureTable([{own}], cur_minus).union_homes(step.live)
+            if gnode not in landed}
+        rank = {q: 1 << i for i, q in enumerate(sorted(step.live))}
         designated = {q: [] for q in places}
         surplus_designated = {q: [] for q in places}
         for gnode in sorted(landed, key=lambda n: sum(rank[q] for q in n)):

@@ -15,7 +15,7 @@ from functools import cached_property
 from . import hf, venn
 from .errors import NotTransitive
 from .report import Report, ReportBuilder
-from .venn import ColoredBoard, Partition, home_index, signature_tables
+from .venn import ColoredBoard, Partition, SignatureTable, home_index
 
 
 @dataclass(frozen=True)
@@ -94,39 +94,30 @@ class FormativeProcess:
         return out
 
     @cached_property
-    def grand_unions(self) -> dict:
-        """Node -> its final union, for every node whose union was placed.
-
-        Read off `venn.signature_tables` of the final blocks (pairwise
-        disjoint in a valid process), so no union is built; only elements
-        that landed at some step count.  Nodes are keyed by their places
-        with nonempty final blocks, the only ones a union sees.
-        """
-        _, _, unions = signature_tables(self.final_blocks())
-        return {node: e for node, e in unions.items() if e in self.landing}
-
-    @cached_property
-    def _live_places(self) -> frozenset:
-        return frozenset(q for q in self.places if self.block(q))
+    def final_table(self) -> SignatureTable:
+        """The signature table of the final blocks (pairwise disjoint in a
+        valid process), off which grand unions are read without building
+        any union."""
+        return SignatureTable(self.final_blocks())
 
     def grand_union(self, node):
-        """The placed element that is the node's final union, or None."""
-        return self.grand_unions.get(frozenset(node) & self._live_places)
+        """The element that is the node's final union, or None when that
+        union never landed at any step."""
+        u = self.final_table.union(node)
+        return u if u in self.landing else None
 
     @cached_property
     def least_grand_events(self) -> tuple:
         """Place -> least grand event over all nodes containing the place.
 
         A node whose union was never placed has grand event xi, later than
-        every placed union, so only the nodes of `grand_unions` can lower
-        the minimum.  A place with an empty final block adds nothing to a
-        union, so every node of the table counts for it.
+        every placed union, so only the nodes whose final union is in some
+        block can lower the minimum.
         """
-        steps = [(node, self.landing[u]) for node, u in self.grand_unions.items()]
-        live = self._live_places
+        steps = [(node, grand_event(self, node))
+                 for node in self.final_table.union_homes(self.places)]
         return tuple(
-            min((s for node, s in steps if q in node or q not in live),
-                default=self.xi)
+            min((s for node, s in steps if q in node), default=self.xi)
             for q in self.places)
 
     @cached_property
@@ -269,10 +260,9 @@ def grand_event(proc: FormativeProcess, node) -> int:
     """The step at which the node's final unionset itself gets placed.
 
     Falls back to the process length when the union never shows up.  Read
-    off the process's `grand_unions` table, so no union is built.
+    off the process's `final_table`, so no union is built.
     """
-    u = proc.grand_union(node)
-    return proc.xi if u is None else proc.landing[u]
+    return proc.landing.get(proc.final_table.union(node), proc.xi)
 
 
 def ge_min(proc: FormativeProcess, nodes) -> int:

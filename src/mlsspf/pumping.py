@@ -31,6 +31,9 @@ from .report import Report, ReportBuilder
 from .venn import (Assignment, ColoredBoard, canonical_board, node_union,
                    transitivize, venn_partition)
 
+# The surplus-only rounds a pump may run before it must restore.
+MAX_WARMUP_ROUNDS = 8
+
 
 @dataclass(frozen=True)
 class PumpingCycle:
@@ -349,12 +352,10 @@ def _traverse(proc, event, rounds, limits):
     restored = False
     while done < rounds:
         kind = "grow" if restored else "restore"
-        snapshot = (len(stages), len(minus), len(trace))
         new_seed = _run_round(stages, minus, trace, schedule, seed, kind,
                               limits)
         if new_seed is None:
-            del stages[snapshot[0]:], minus[snapshot[1]:], trace[snapshot[2]:]
-            if warmups >= limits.max_warmup_rounds:
+            if warmups >= MAX_WARMUP_ROUNDS:
                 raise CannotWarmUp(
                     f"thresholds unmet after {warmups} warm-up rounds")
             new_seed = _run_round(stages, minus, trace, schedule, seed,
@@ -470,7 +471,7 @@ def certify_witness(formula: lang.Formula, assignment: Assignment,
     partition, _ = venn_partition(assignment)
     if not partition.is_transitive():
         assignment = transitivize(assignment)
-    partition, im, board = canonical_board(formula, assignment, limits)
+    partition, im, board = canonical_board(formula, assignment)
     proc = synthesize_process(partition)
 
     cycles = find_pumping_cycles(board, limits.max_cycle_len)
@@ -521,7 +522,7 @@ def extend_certificate(cert: WitnessCertificate, rounds: int,
     """Pump the certificate's event, replay the remaining segment, and
     attach the transferred assignment with all its checks.  Raises
     ValueError for negative `rounds`."""
-    _, im, board = canonical_board(cert.formula, cert.assignment, limits)
+    _, im, board = canonical_board(cert.formula, cert.assignment)
     proc = cert.process
     pump = pump_rounds(proc, board, cert.event, rounds, limits=limits,
                        closed_set=cert.cover)
@@ -603,7 +604,7 @@ def verify_certificate(data, limits: Limits = DEFAULT_LIMITS) -> Report:
            == json.dumps(data, sort_keys=True))
     proc = FormativeProcess.from_json(data["process"])
     rb.add("embedded process validates", validate_process(proc).ok)
-    _, im, board = canonical_board(formula, fresh.assignment, limits)
+    _, im, board = canonical_board(formula, fresh.assignment)
     event = PumpingEvent.from_json(data["event"])
     rb.add("embedded event holds",
            is_pumping_event(proc, board, event.q0, event.i0, event.cycle).ok)

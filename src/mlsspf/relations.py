@@ -5,9 +5,11 @@ Upward simulation preserves membership between node unions, powerset
 equations on pow-nodes, and red block cardinalities.  Imitation is the
 local, assembly-level version that implies it; checking imitation is what
 the process machinery actually produces.  Both compare per-side tables read
-off the blocks in one pass (`venn.signature_tables`) instead of sweeping
-all 2^places nodes: assembly contact is equality of the contact pairs, and
-node-union membership is equality of the node -> union home tables.
+off the blocks in one pass (`venn.SignatureTable`) instead of sweeping
+all 2^places nodes: assembly contact is equality of the contact pairs,
+node-union membership is equality of the node -> union home tables, and a
+pow-node's assemblies are all placed when the table counts as many as
+there are.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ from dataclasses import dataclass
 from . import hf, lang
 from .limits import DEFAULT_LIMITS, Limits
 from .report import Report, ReportBuilder
-from .venn import (Assignment, ColoredBoard, ImMap, node_union,
-                   signature_tables, subsets)
+from .venn import Assignment, ColoredBoard, ImMap, SignatureTable, node_union
 
 
 @dataclass(frozen=True)
@@ -47,21 +48,6 @@ class BlockBijection:
         return range(len(self.source))
 
 
-def _imitation_tables(blocks):
-    """(contact pairs, node -> home place of the node's union) of one side.
-
-    `signature_tables` keys a union by the node's places with nonempty
-    blocks; the union ignores the node's empty-block places, so each
-    extension of a key by them maps to the same home, which makes the
-    second table exact over every node.
-    """
-    home, counts, unions = signature_tables(blocks)
-    empty = [q for q, b in enumerate(blocks) if not b]
-    union_homes = {node | extra: home[u] for node, u in unions.items()
-                   for extra in subsets(empty)}
-    return counts.keys(), union_homes
-
-
 def simulates_upwards(board: ColoredBoard, bijection: BlockBijection,
                       limits: Limits = DEFAULT_LIMITS) -> Report:
     """Does the image partition simulate the original upwards?
@@ -71,16 +57,16 @@ def simulates_upwards(board: ColoredBoard, bijection: BlockBijection,
     two sides' node -> union home tables.
     """
     rb = ReportBuilder()
+    places = bijection.places
     rb.add("membership simulation",
-           _imitation_tables(bijection.source)[1]
-           == _imitation_tables(bijection.target)[1])
+           SignatureTable(bijection.source).union_homes(places)
+           == SignatureTable(bijection.target).union_homes(places))
 
     ok_pow = True
     for y in sorted(board.pow_nodes, key=sorted):
         p = hf.powerset(node_union(bijection.source, y), limits.pow_limit)
         members = set(p.elements)
-        x = frozenset(q for q in bijection.places
-                      if bijection.source[q] & members)
+        x = frozenset(q for q in places if bijection.source[q] & members)
         if node_union(bijection.source, x) is not p:
             continue
         if node_union(bijection.target, x) is not hf.powerset(
@@ -103,19 +89,17 @@ def imitates(board: ColoredBoard, bijection: BlockBijection) -> Report:
     size as their sources.
     """
     rb = ReportBuilder()
-    src_contact, src_unions = _imitation_tables(bijection.source)
-    tgt_contact, tgt_unions = _imitation_tables(bijection.target)
-    rb.add("(1) assembly contact transfers", src_contact == tgt_contact)
-    rb.add("(2) node-union membership transfers", src_unions == tgt_unions)
-
-    placed_hat = frozenset().union(*bijection.target)
-    ok3 = True
-    for node in sorted(board.pow_nodes, key=sorted):
-        fam = [bijection.target[q] for q in sorted(node)]
-        if (sum(1 for e in placed_hat if hf.in_pow_star(e, fam))
-                != hf.pow_star_size(fam)):
-            ok3 = False
-    rb.add("(3) pow-node assemblies are absorbed", ok3)
+    places = bijection.places
+    src = SignatureTable(bijection.source)
+    tgt = SignatureTable(bijection.target)
+    rb.add("(1) assembly contact transfers",
+           src.contacts(places).keys() == tgt.contacts(places).keys())
+    rb.add("(2) node-union membership transfers",
+           src.union_homes(places) == tgt.union_homes(places))
+    rb.add("(3) pow-node assemblies are absorbed",
+           all(tgt.count(node) == hf.pow_star_size(
+               [bijection.target[q] for q in node])
+               for node in board.pow_nodes))
 
     rb.add("(4) red images are finite", True)
     rb.add("(4') red images keep their cardinality",

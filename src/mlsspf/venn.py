@@ -14,7 +14,6 @@ from types import MappingProxyType
 
 from . import hf, lang
 from .errors import NotTransitive
-from .limits import DEFAULT_LIMITS, Limits
 
 EMPTY_NODE = frozenset()
 
@@ -110,34 +109,68 @@ def home_index(blocks) -> dict:
     return {e: i for i, b in enumerate(blocks) for e in b}
 
 
-def signature_tables(blocks, parts=None):
-    """(home, counts, unions) of the elements of `blocks` over the node
-    parts `parts` (by default the blocks themselves), in one pass.
+class SignatureTable:
+    """Assembly and union facts of the elements of `blocks` over the node
+    parts `parts` (by default the blocks themselves), read in one pass.
 
     Signature identity: over pairwise disjoint parts, an element e whose
     members all lie in parts is an assembly of node N's parts exactly when
     N is sig(e), the set of the places of its members' parts; and e is the
     union of N's parts exactly when, besides, it has as many members as
-    those parts together.  So `counts[(N, q)]` is the number of assemblies
-    of N's parts in block q, and `unions` maps each node whose union is in
-    some block to that element; `home` is the block index of every
-    element.  Both are keyed by places with nonempty parts only: a node
+    those parts together.  A signature holds only places with nonempty
+    parts (`live`); the queries answer for every node all the same: a node
     with an empty part has no assembly, and its union is the union of its
-    other places.
+    other parts.
     """
-    home = home_index(blocks)
-    part_home = home if parts is None else home_index(parts)
-    parts = blocks if parts is None else parts
-    counts = Counter()
-    unions = {}
-    for e, h in home.items():
-        if not all(m in part_home for m in e.elements):
-            continue
-        sig = frozenset(part_home[m] for m in e.elements)
-        counts[(sig, h)] += 1
-        if len(e) == sum(len(parts[q]) for q in sig):
-            unions[sig] = e
-    return home, counts, unions
+
+    def __init__(self, blocks, parts=None):
+        home = home_index(blocks)
+        part_home = home if parts is None else home_index(parts)
+        parts = blocks if parts is None else parts
+        self.live = frozenset(q for q, p in enumerate(parts) if p)
+        self._home = home
+        self._contacts = Counter()
+        self._counts = Counter()
+        self._unions = {}
+        for e, h in home.items():
+            if not all(m in part_home for m in e.elements):
+                continue
+            sig = frozenset(part_home[m] for m in e.elements)
+            self._contacts[(sig, h)] += 1
+            self._counts[sig] += 1
+            if len(e) == sum(len(parts[q]) for q in sig):
+                self._unions[sig] = e
+
+    def count(self, node) -> int:
+        """How many elements of the blocks are assemblies of the node's
+        parts."""
+        return self._counts[frozenset(node)]
+
+    def union(self, node):
+        """The element of the blocks that is the union of the node's parts,
+        or None."""
+        return self._unions.get(frozenset(node) & self.live)
+
+    def union_home(self, node):
+        """The place whose block holds the union of the node's parts, or
+        None."""
+        u = self.union(node)
+        return None if u is None else self._home[u]
+
+    def contacts(self, within) -> dict:
+        """(node, place) -> how many assemblies of the node's parts the
+        place's block holds, for every node inside `within` with one."""
+        within = frozenset(within)
+        return {key: c for key, c in self._contacts.items() if key[0] <= within}
+
+    def union_homes(self, within) -> dict:
+        """Node -> `union_home(node)`, for every node inside `within` whose
+        union is in some block."""
+        within = frozenset(within)
+        extras = list(subsets(within - self.live))
+        return {node | extra: self._home[u]
+                for node, u in self._unions.items() if node <= within
+                for extra in extras}
 
 
 def node_union(blocks, node) -> hf.HfSet:
@@ -245,7 +278,7 @@ class ColoredBoard:
         }
 
 
-def induced_board(partition: Partition, limits: Limits = DEFAULT_LIMITS) -> ColoredBoard:
+def induced_board(partition: Partition) -> ColoredBoard:
     """Board core (places and targets) of a transitive partition.
 
     Every element e of the union is, by transitivity, a subset of it, so it
@@ -293,11 +326,10 @@ def color_board(core: ColoredBoard, formula: lang.Formula, im: ImMap) -> Colored
     )
 
 
-def canonical_board(formula: lang.Formula, assignment: Assignment,
-                    limits: Limits = DEFAULT_LIMITS):
+def canonical_board(formula: lang.Formula, assignment: Assignment):
     """(partition, im, colored board) of an assignment for a formula."""
     partition, im = venn_partition(assignment)
-    core = induced_board(partition, limits)
+    core = induced_board(partition)
     return partition, im, color_board(core, formula, im)
 
 

@@ -1,6 +1,6 @@
 """The 2^places node sweeps that `check_weak_imitation`,
 `check_segment_imitation` and `paste_segment` ran before they read
-`venn.signature_tables`, kept as oracles: every node over a stage's live
+`venn.SignatureTable`, kept as oracles: every node over a stage's live
 places is visited, and assembly membership is tested element by element
 with `hf.in_pow_star`.  The table versions must give equal reports, or
 raise the same exception with the same message."""

@@ -35,10 +35,11 @@ def test_parse_syntax_error_is_input_error(files):
 
 
 def test_limit_pow_only_where_read(files):
-    # parse, venn and process build no powerset or assembly family, so they
-    # do not take --limit-pow: argparse rejects it (exit 3).
+    # parse, venn, board and process build no powerset or assembly family,
+    # so they do not take --limit-pow: argparse rejects it (exit 3).
     model = str(files / "model.json")
     for argv in (["parse", str(files / "ex1.mlsspf")], ["venn", "-m", model],
+                 ["board", "-f", str(files / "ex1.mlsspf"), "-m", model],
                  ["process", "synth", "-m", model]):
         assert run_cli([*argv, "--limit-pow", "5"]) == 3
         assert run_cli(argv) == 0

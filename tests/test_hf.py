@@ -47,12 +47,6 @@ def test_rank_matches_recursive_definition():
         assert s.rank == rank(s)
 
 
-def test_compare_examples():
-    assert m.compare(A, B, "in")
-    assert m.compare(B, m.make_set([A, B]), "<=")
-    assert not m.compare(m.make_set([B]), B, "=")
-
-
 def test_bool_op_examples():
     assert m.bool_op(B, m.make_set([B]), "U") is m.make_set([A, B])
     assert m.bool_op(m.make_set([A, B]), B, "I") is B
@@ -75,12 +69,11 @@ def test_powerset_limit():
 
 
 @pytest.mark.parametrize("bad", [{"pow_limit": 0}, {"pow_limit": -5},
-                                 {"max_cycle_len": 0},
-                                 {"max_warmup_rounds": -1}])
+                                 {"max_cycle_len": 0}])
 def test_limits_reject_bad_bounds(bad):
     with pytest.raises(ValueError):
         m.Limits(**bad)
-    m.Limits(pow_limit=1, max_cycle_len=1, max_warmup_rounds=0)
+    m.Limits(pow_limit=1, max_cycle_len=1)
 
 
 def test_pow_star_examples():

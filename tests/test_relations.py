@@ -127,7 +127,8 @@ def test_literal_transfer_finite_cardinality():
 
 # Oracles: the 2^places sweeps that imitates (1) and (2), the membership
 # check of simulates_upwards and the conclusions of check_upward_premises
-# ran before they compared signature tables.
+# ran before they compared signature tables, and the element scan that
+# imitates (3) ran before it counted assemblies off the target's table.
 
 def _contact_oracle(bij):
     for node in subsets(bij.places):
@@ -220,11 +221,33 @@ def _random_bijection(rng, min_places, max_places):
     return BlockBijection(source, target)
 
 
-def _assert_tables_match_sweeps(bij):
-    board = m.ColoredBoard(blocks=bij.source, targets={})
+def _absorption_oracle(board, bij):
+    placed = frozenset().union(*bij.target)
+    for node in board.pow_nodes:
+        fam = [bij.target[q] for q in sorted(node)]
+        if (sum(1 for e in placed if hf.in_pow_star(e, fam))
+                != hf.pow_star_size(fam)):
+            return False
+    return True
+
+
+def _random_pow_nodes(rng, places):
+    """The downward closure of up to two random seeds of at most five
+    places; a place whose target block is empty may be among them."""
+    nodes = set()
+    for _ in range(rng.randint(0, 2)):
+        nodes.update(subsets(
+            rng.sample(list(places), rng.randint(0, min(5, len(places))))))
+    return nodes
+
+
+def _assert_tables_match_sweeps(bij, rng):
+    board = m.ColoredBoard(blocks=bij.source, targets={},
+                           pow_nodes=_random_pow_nodes(rng, bij.places))
     imit = m.imitates(board, bij)
     assert imit.items[0].ok == _contact_oracle(bij)
     assert imit.items[1].ok == _union_membership_oracle(bij)
+    assert imit.items[2].ok == _absorption_oracle(board, bij)
     sim = m.simulates_upwards(board, bij)
     assert sim.items[0].ok == _membership_simulation_oracle(bij)
 
@@ -232,13 +255,14 @@ def _assert_tables_match_sweeps(bij):
 @given(st.randoms(use_true_random=True))
 @settings(max_examples=300, deadline=None)
 def test_imitation_tables_match_sweep_oracles(rng):
-    _assert_tables_match_sweeps(_random_bijection(rng, 1, 5))
+    _assert_tables_match_sweeps(_random_bijection(rng, 1, 5), rng)
 
 
 @given(st.integers(0, 2 ** 32))
 @settings(max_examples=3, deadline=None)
 def test_imitation_tables_match_sweep_oracles_above_twelve_places(seed):
-    _assert_tables_match_sweeps(_random_bijection(random.Random(seed), 13, 13))
+    rng = random.Random(seed)
+    _assert_tables_match_sweeps(_random_bijection(rng, 13, 13), rng)
 
 
 @given(st.randoms(use_true_random=True))

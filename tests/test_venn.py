@@ -171,6 +171,40 @@ def test_target_soundness_against_assembly_enumeration():
                 assert (q in board.target(node)) == bool(set(assemblies) & block)
 
 
+def test_signature_table_answers_every_node():
+    # Each query against its definition, node by node, over parts that are
+    # random subsets of the blocks (some of them empty).
+    from mlsspf.venn import SignatureTable, home_index, node_union, subsets
+    rng = random.Random(5)
+    for _ in range(60):
+        universe = rand_transitive_universe(rng, rng.randint(1, 8))
+        blocks = rand_partition(rng, universe, max_blocks=4).blocks
+        parts = [frozenset(e for e in b if rng.random() < 0.6) for b in blocks]
+        table = SignatureTable(blocks, parts)
+        home = home_index(blocks)
+        places = range(len(blocks))
+        assert table.live == frozenset(q for q in places if parts[q])
+        contacts = {}
+        for node in subsets(places):
+            fam = [parts[q] for q in sorted(node)]
+            assert table.count(node) == sum(
+                1 for e in home if hf.in_pow_star(e, fam))
+            for q in places:
+                c = sum(1 for e in blocks[q] if hf.in_pow_star(e, fam))
+                if c:
+                    contacts[(node, q)] = c
+            u = node_union(parts, node)
+            assert table.union(node) is (u if u in home else None)
+            assert table.union_home(node) == home.get(u)
+        assert table.contacts(places) == contacts
+        within = frozenset(q for q in places if rng.random() < 0.7)
+        assert table.contacts(within) == {
+            key: c for key, c in contacts.items() if key[0] <= within}
+        assert table.union_homes(within) == {
+            node: home[node_union(parts, node)] for node in subsets(within)
+            if node_union(parts, node) in home}
+
+
 def test_board_json_deterministic(ex1):
     import json
     a = json.dumps(ex1.board.to_json(), sort_keys=True)

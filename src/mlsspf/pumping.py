@@ -23,7 +23,7 @@ from .limits import DEFAULT_LIMITS, Limits
 from .msrefine import (ImitationWitness, MsOverlay, StartConfiguration,
                        check_segment_imitation, check_upward_premises,
                        check_weak_imitation, paste_segment)
-from .process import (FormativeProcess, ge_min, grand_event, is_closed,
+from .process import (FormativeProcess, grand_event, is_closed,
                       local_trashes, synthesize_process, validate_process)
 from .relations import (BlockBijection, imitates, literal_transfer_report,
                         transfer_assignment)
@@ -108,41 +108,65 @@ def find_pumping_cycles(board: ColoredBoard, max_len: int = DEFAULT_LIMITS.max_c
     an unseen green target of that node, and closes only through a node
     targeting the anchor, so every cycle it returns passes
     `PumpingCycle.validate`.
+
+    The steps are indexed: every green place maps to the realized nodes
+    containing it (all green, since they hold a green place), each with its
+    targets, its sorted green targets and a bit, and the places and nodes a
+    path has seen are int bitmasks.
     """
-    green_nodes = [n for n in board.realized_nodes() if board.is_green_node(n)]
+    containing = {}
+    for bit, node in enumerate(board.realized_nodes()):
+        targets = board.target(node)
+        entry = (node, targets, sorted(targets - board.red), 1 << bit)
+        for q in node - board.red:
+            containing.setdefault(q, []).append(entry)
     out = []
     for anchor in sorted(q for q in board.places if q not in board.red):
-        stack = [((), (anchor,), frozenset([anchor]), frozenset())]
+        stack = [((), (anchor,), 1 << anchor, 0)]
         while stack:
             nodes, places, seen_places, seen_nodes = stack.pop()
-            p = places[-1]
-            for b in green_nodes:
-                if p not in b or b in seen_nodes:
+            for b, targets, green, bit in containing.get(places[-1], ()):
+                if seen_nodes & bit:
                     continue
                 # Closing edge: b targets the anchor.
-                if anchor in board.target(b):
+                if anchor in targets:
                     out.append(PumpingCycle(nodes=(b,) + nodes, places=places))
                 if len(places) < max_len:
-                    for t in sorted(board.target(b)):
-                        if t in board.red or t in seen_places or t < anchor:
+                    for t in green:
+                        if t < anchor or seen_places >> t & 1:
                             continue
                         stack.append((nodes + (b,), places + (t,),
-                                      seen_places | {t}, seen_nodes | {b}))
+                                      seen_places | 1 << t, seen_nodes | bit))
     out.sort(key=lambda c: (len(c), c.places, tuple(sorted(n) for n in c.nodes)))
     return out
 
 
-def _realized_nodes(proc: FormativeProcess, board: ColoredBoard):
-    nodes = set(board.targets)
-    nodes.update(proc.trace)
-    return nodes
+def _realized_nodes(proc: FormativeProcess, board: ColoredBoard) -> set:
+    """The nodes with targets on the board or used in the trace."""
+    return {*board.targets, *proc.trace}
 
 
-def _cycle_ge(proc: FormativeProcess, board: ColoredBoard,
-              cycle: PumpingCycle) -> int:
-    """Least grand event over the realized nodes that meet the cycle."""
-    return ge_min(proc, (b for b in _realized_nodes(proc, board)
-                         if b & cycle.place_set()))
+def _least_realized_ge(proc: FormativeProcess, board: ColoredBoard) -> dict:
+    """Place -> least grand event over the realized nodes containing it.
+
+    The realized nodes are those with targets on the board or used in the
+    trace: only they can have a grand event before the end of the process.
+    A place no such node lowers below xi is left out.
+    """
+    least = {}
+    for node in _realized_nodes(proc, board):
+        ge = grand_event(proc, node)
+        if ge < proc.xi:
+            for q in node:
+                if ge < least.get(q, proc.xi):
+                    least[q] = ge
+    return least
+
+
+def _cycle_ge(least: dict, xi: int, cycle: PumpingCycle) -> int:
+    """Least grand event over the realized nodes that meet the cycle, read
+    off `_least_realized_ge`; xi when none is earlier."""
+    return min((least.get(q, xi) for q in cycle.places), default=xi)
 
 
 def _has_unused(proc: FormativeProcess, i0: int, q0: int) -> bool:
@@ -160,11 +184,11 @@ def is_pumping_event(proc: FormativeProcess, board: ColoredBoard,
 
     Only nodes realized on the board or used in the trace can have a grand
     event before the end of the process, so the minimum in condition (ii) is
-    taken over those.  A node's grand event is the step that places its
-    final union; by the signature identity (see
-    `FormativeProcess.grand_unions`) that union is the placed element whose
-    members' home places are exactly the node and whose size is the node's
-    total block size, so the minimum is read off a per-process table.
+    taken over those, per place, by `_least_realized_ge`.  A node's grand
+    event is the step that places its final union; by the signature
+    identity (see `FormativeProcess.final_table`) that union is the placed
+    element whose members' home places are exactly the node and whose size
+    is the node's total block size, so no union is built.
     """
     rb = ReportBuilder()
     rb.extend(cycle.validate(board))
@@ -172,7 +196,7 @@ def is_pumping_event(proc: FormativeProcess, board: ColoredBoard,
     rb.add("(i) seed place holds an unused element at the start stage",
            _has_unused(proc, i0, q0))
     rb.add("(ii) nodes meeting the cycle have no earlier grand event",
-           _cycle_ge(proc, board, cycle) >= i0)
+           _cycle_ge(_least_realized_ge(proc, board), proc.xi, cycle) >= i0)
     rb.add("(iii) cycle node blocks are nonempty at the start stage",
            _cycle_blocks_filled(proc, i0, cycle))
     return rb.build()
@@ -212,19 +236,16 @@ def _segment_trash_seeds(proc: FormativeProcess, board: ColoredBoard,
     """Places that must join the closed set so the segment replay can dump
     grand-event unions of surplus-bearing nodes; None when impossible."""
     seeds = set()
+    cycle_places = cycle.place_set()
     for node in _realized_nodes(proc, board):
-        if not (node & cycle.place_set()):
+        if not (node & cycle_places):
             continue
         ge = grand_event(proc, node)
         if ge >= proc.xi or ge < i0:
             continue
-        u = proc.grand_union(node)
-        target = None
-        for q in proc.places:
-            if u in proc.delta(ge, q):
-                target = q
-                break
-        if target is None or target not in local_trashes(proc, board, proc.trace[ge]):
+        # The union landed at step ge in the block that still holds it.
+        target = proc.final_table.union_home(node)
+        if target not in local_trashes(proc, board, proc.trace[ge]):
             return None
         seeds.add(target)
     return seeds
@@ -481,7 +502,8 @@ def certify_witness(formula: lang.Formula, assignment: Assignment,
     # (i) per seed place.  find_pumping_cycles guarantees the cycle items and
     # q0 lies on the cycle, so a candidate passing (i)-(iii) passes every
     # item, and the report is built once, for the returned event.
-    per_cycle = [(cycle, _cycle_ge(proc, board, cycle),
+    least = _least_realized_ge(proc, board)
+    per_cycle = [(cycle, _cycle_ge(least, proc.xi, cycle),
                   [x for x in neg_vars if not (im[x] & cycle.place_set())])
                  for cycle in cycles]
     missed_var = None

@@ -7,8 +7,10 @@ every pumped certificate of the witness family at 1, 2 and 3 rounds;
 `pumped_wide.json` freezes, for a few `wide_instance` seeds (8 to 13
 places), the digest of the certificate pumped one round or the
 "Class: message" of the error the pump raises, so failing reports and
-failing pumps are pinned too.  The acceptance tests replay all three
-byte-for-byte."""
+failing pumps are pinned too; `certified_wide.json` freezes, for
+`wide_instance` seeds 0-199, the digest of the certificate
+`certify_witness` issues (not pumped) or the "Class: message" of the
+error it raises.  The acceptance tests replay all four byte-for-byte."""
 
 import hashlib
 import json
@@ -24,6 +26,7 @@ GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 PUMP_ROUNDS = (1, 2, 3)
 # Clean pumps, failing reports, CardinalityDeficit and NoLocalTrash.
 WIDE_SEEDS = (0, 11, 12, 27, 28, 33, 85, 139)
+CERTIFIED_WIDE_SEEDS = range(200)
 
 # (name, formula, max_rank, max_universe, expected verdict)
 CORPUS = [
@@ -119,6 +122,22 @@ def write_pumped_wide():
     _write(GOLDEN_DIR / "pumped_wide.json", entries)
 
 
+def certified_outcome(seed) -> str:
+    """sha256 of the certificate certify_witness issues for
+    wide_instance(seed), or the "Class: message" of the error it raises."""
+    try:
+        cert = m.certify_witness(*wide_instance(seed))
+    except m.MlsspfError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return hashlib.sha256(cert.dumps().encode()).hexdigest()
+
+
+def write_certified_wide():
+    entries = [{"seed": seed, "outcome": certified_outcome(seed)}
+               for seed in CERTIFIED_WIDE_SEEDS]
+    _write(GOLDEN_DIR / "certified_wide.json", entries)
+
+
 def _write(out, entries):
     out.write_text(json.dumps({"entries": entries}, sort_keys=True, indent=2)
                    + "\n")
@@ -129,6 +148,7 @@ def main():
     write_decide_corpus()
     write_pumped_certificates()
     write_pumped_wide()
+    write_certified_wide()
 
 
 if __name__ == "__main__":

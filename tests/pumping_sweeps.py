@@ -1,0 +1,47 @@
+"""The searches `pumping` ran before it indexed them, kept as oracles:
+`find_pumping_cycles` testing every green node at every depth-first step,
+and condition (ii) of `is_pumping_event` sweeping every realized node (the
+board's targets and the trace's nodes) for each cycle.  The indexed
+versions must return the same cycles in the same order, and the same
+minima."""
+
+from mlsspf.process import ge_min
+from mlsspf.pumping import PumpingCycle
+
+
+def find_pumping_cycles_scan(board, max_len):
+    """All simple green cycles with at most max_len places, anchored at
+    their least place, sorted as `find_pumping_cycles` sorts them."""
+    green_nodes = [n for n in board.realized_nodes() if board.is_green_node(n)]
+    out = []
+    for anchor in sorted(q for q in board.places if q not in board.red):
+        stack = [((), (anchor,), frozenset([anchor]), frozenset())]
+        while stack:
+            nodes, places, seen_places, seen_nodes = stack.pop()
+            p = places[-1]
+            for b in green_nodes:
+                if p not in b or b in seen_nodes:
+                    continue
+                # Closing edge: b targets the anchor.
+                if anchor in board.target(b):
+                    out.append(PumpingCycle(nodes=(b,) + nodes, places=places))
+                if len(places) < max_len:
+                    for t in sorted(board.target(b)):
+                        if t in board.red or t in seen_places or t < anchor:
+                            continue
+                        stack.append((nodes + (b,), places + (t,),
+                                      seen_places | {t}, seen_nodes | {b}))
+    out.sort(key=lambda c: (len(c), c.places, tuple(sorted(n) for n in c.nodes)))
+    return out
+
+
+def realized_nodes(proc, board):
+    nodes = set(board.targets)
+    nodes.update(proc.trace)
+    return nodes
+
+
+def cycle_ge_sweep(proc, board, cycle):
+    """Least grand event over the realized nodes that meet the cycle."""
+    return ge_min(proc, (b for b in realized_nodes(proc, board)
+                         if b & cycle.place_set()))

@@ -14,12 +14,15 @@ from mlsspf.relations import BlockBijection
 from conftest import (degenerate, rand_colored_board, rand_partition,
                       rand_transitive_universe, set_partitions,
                       witness_family)
-from make_golden import WIDE_SEEDS, pumped_digest, wide_outcome
+from make_golden import (CERTIFIED_WIDE_SEEDS, WIDE_SEEDS, certified_outcome,
+                         pumped_digest, wide_outcome)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "decide_corpus.json"
 PUMPED_GOLDEN = (pathlib.Path(__file__).parent / "golden"
                  / "pumped_certificates.json")
 WIDE_GOLDEN = pathlib.Path(__file__).parent / "golden" / "pumped_wide.json"
+CERTIFIED_GOLDEN = (pathlib.Path(__file__).parent / "golden"
+                    / "certified_wide.json")
 
 
 class Timer:
@@ -259,3 +262,11 @@ def test_pumped_wide_golden():
     assert [e["seed"] for e in corpus["entries"]] == list(WIDE_SEEDS)
     for entry in corpus["entries"]:
         assert wide_outcome(entry["seed"]) == entry["outcome"], entry["seed"]
+
+
+def test_certified_wide_golden():
+    # Refusals too: NoEvent and CoverMissesVariable with their messages.
+    corpus = json.loads(CERTIFIED_GOLDEN.read_text())
+    assert [e["seed"] for e in corpus["entries"]] == list(CERTIFIED_WIDE_SEEDS)
+    for entry in corpus["entries"]:
+        assert certified_outcome(entry["seed"]) == entry["outcome"], entry["seed"]

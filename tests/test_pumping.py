@@ -8,9 +8,13 @@ import mlsspf as m
 from mlsspf import hf, lang
 from mlsspf.errors import (CardinalityDeficit, CoverMissesVariable,
                            NoClosedCover, NoEvent, NotAWitness)
-from mlsspf.pumping import PumpingCycle, PumpingEvent, pump_rounds
+from mlsspf.process import FormativeProcess
+from mlsspf.pumping import (PumpingCycle, PumpingEvent, _cycle_ge,
+                            _least_realized_ge, pump_rounds)
 
-from conftest import chain, wide_instance, witness_family
+from conftest import (chain, rand_colored_board, rand_partition,
+                      rand_transitive_universe, wide_instance, witness_family)
+from pumping_sweeps import cycle_ge_sweep, find_pumping_cycles_scan
 
 A, B, C = chain(2)
 
@@ -42,6 +46,78 @@ def test_find_cycles_two_place_ladder():
     assert len(two) == 1
     assert two[0].places == (0, 1)
     assert two[0].validate(board).ok
+
+
+def _wide_board(seed):
+    """The colored board certify_witness builds for wide_instance(seed)."""
+    formula, assignment = wide_instance(seed)
+    if not m.venn_partition(assignment)[0].is_transitive():
+        assignment = m.transitivize(assignment)
+    return m.canonical_board(formula, assignment)[2]
+
+
+def _assert_cycles_match_scan(board, max_len):
+    cycles = m.find_pumping_cycles(board, max_len)
+    assert cycles == find_pumping_cycles_scan(board, max_len)
+    assert all(cycle.validate(board).ok for cycle in cycles)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5))
+@settings(max_examples=40, deadline=None)
+def test_cycle_search_matches_green_node_scan_on_wide_boards(seed, max_len):
+    _assert_cycles_match_scan(_wide_board(seed), max_len)
+
+
+@given(st.randoms(use_true_random=True), st.integers(1, 5))
+@settings(max_examples=100, deadline=None)
+def test_cycle_search_matches_green_node_scan_on_random_boards(rng, max_len):
+    universe = rand_transitive_universe(rng, rng.randint(1, 14))
+    core = m.induced_board(rand_partition(rng, universe, max_blocks=7))
+    board = m.ColoredBoard(
+        blocks=core.blocks, targets=dict(core.targets),
+        red=frozenset(q for q in core.places if rng.random() < 0.3))
+    _assert_cycles_match_scan(board, max_len)
+
+
+@given(st.randoms(use_true_random=True))
+@settings(max_examples=60, deadline=None)
+def test_cycle_grand_event_table_matches_realized_node_sweep(rng):
+    # Prefixes of a synthesized process move xi and the grand events.
+    universe = rand_transitive_universe(rng, rng.randint(1, 12))
+    partition = rand_partition(rng, universe, max_blocks=6)
+    full = m.synthesize_process(partition)
+    board = rand_colored_board(full, partition, rng, with_pow=False)
+    cycles = m.find_pumping_cycles(board)
+    for mu in range(full.xi + 1):
+        proc = full.prefix(mu)
+        least = _least_realized_ge(proc, board)
+        for cycle in cycles:
+            assert (_cycle_ge(least, proc.xi, cycle)
+                    == cycle_ge_sweep(proc, board, cycle))
+
+
+def test_cycle_grand_event_table_reads_trace_nodes_off_the_board():
+    # An embedded process read back from a certificate, against a board
+    # that realizes none of its trace nodes with an early grand event: only
+    # the trace supplies those nodes, and they lower some cycle's minimum.
+    formula, assignment = wide_instance(12)
+    cert = m.certify_witness(formula, assignment)
+    proc = FormativeProcess.from_json(json.loads(cert.dumps())["process"])
+    board = m.canonical_board(formula, cert.assignment)[2]
+    early = {n for n in proc.trace if m.grand_event(proc, n) < proc.xi}
+    bare = m.ColoredBoard(
+        blocks=board.blocks, red=board.red, pow_nodes=board.pow_nodes,
+        targets={n: t for n, t in board.targets.items() if n not in early})
+    assert early and not early & set(bare.targets)
+    least = _least_realized_ge(proc, bare)
+    cycles = m.find_pumping_cycles(board)
+    lowered = 0
+    for cycle in cycles:
+        got = _cycle_ge(least, proc.xi, cycle)
+        assert got == cycle_ge_sweep(proc, bare, cycle)
+        lowered += got < m.ge_min(
+            proc, [n for n in bare.targets if n & cycle.place_set()])
+    assert lowered
 
 
 def test_cycle_validation_rejects_red(ex1):

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from . import lang
+from . import hf, lang
 from .errors import MlsspfError
 from .limits import DEFAULT_LIMITS, Limits
 from .process import FormativeProcess, synthesize_process, validate_process
@@ -28,7 +28,7 @@ EXIT_INTERNAL = 4
 
 
 def _emit(payload, args):
-    text = json.dumps(payload, sort_keys=True, indent=2)
+    text = hf.dumps(payload)
     if getattr(args, "json", None):
         with open(args.json, "w") as fh:
             fh.write(text + "\n")

@@ -6,10 +6,19 @@ cached).  Building a new set still hashes its whole nested `_key`, which
 walks the set's tree.  Elements are kept deduplicated in a fixed canonical
 order (rank, then size, then lexicographic on the ordered elements), which
 makes serialization deterministic.
+
+A set's JSON form is a nested tuple of its members' forms, built on first
+use and cached on the set, so the interned members a value shares with
+others share their JSON forms too.  `dumps` writes the same text as
+`json.dumps(value, sort_keys=True, indent=2)`, but renders every tuple once
+per indent depth and reuses that text wherever the tuple recurs: the stages
+of a certificate repeat the forms of the sets they share.  `decoder` is the
+reading half: it parses each distinct JSON text once.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 from .errors import LimitExceeded
@@ -24,7 +33,7 @@ class HfSet:
     member sets, `rank` the von Neumann rank, len() the number of members.
     """
 
-    __slots__ = ("elements", "rank", "_key", "_hash")
+    __slots__ = ("elements", "rank", "_key", "_hash", "_json")
 
     _intern: dict = {}
 
@@ -38,6 +47,7 @@ class HfSet:
         key = (rank, len(elements), tuple(e._key for e in elements))
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
+        object.__setattr__(self, "_json", None)
         return self
 
     def __setattr__(self, name, value):
@@ -68,8 +78,16 @@ class HfSet:
         return "{" + ",".join(repr(e) for e in self.elements) + "}"
 
     def to_json(self):
-        """Nested-list form, elements in canonical order: {} -> []."""
-        return [e.to_json() for e in self.elements]
+        """Nested-tuple form, elements in canonical order: {} -> ().
+
+        Built on the first call and cached: every call returns the same
+        immutable tuple, whose members are the members' cached forms.  It
+        sorts, compares and serializes as the nested lists would.
+        """
+        if self._json is None:
+            object.__setattr__(
+                self, "_json", tuple(e.to_json() for e in self.elements))
+        return self._json
 
 
 _INTERN_TOKEN = object()
@@ -94,7 +112,8 @@ EMPTY = make_set(())
 
 
 def from_json(data):
-    """Parse nested lists back into an HfSet.
+    """Parse nested lists (or tuples, as `HfSet.to_json` gives) back into an
+    HfSet.
 
     Re-canonicalizes; returns (set, had_duplicates) where the flag warns that
     the input listed extensionally equal members more than once.
@@ -103,7 +122,7 @@ def from_json(data):
 
     def build(node):
         nonlocal had_dup
-        if not isinstance(node, list):
+        if not isinstance(node, (list, tuple)):
             raise ValueError(f"expected a nested list, got {type(node).__name__}")
         kids = [build(k) for k in node]
         if len(set(kids)) != len(kids):
@@ -111,6 +130,82 @@ def from_json(data):
         return make_set(kids)
 
     return build(data), had_dup
+
+
+def decoder():
+    """A `from_json` for decoding many values in one go, such as the stages
+    of a process.
+
+    Values are memoized by their compact JSON text, so each distinct value
+    is parsed once; equal texts give equal results, duplicate flag included.
+    """
+    memo = {}
+
+    def decode(data):
+        text = json.dumps(data)
+        got = memo.get(text)
+        if got is None:
+            got = memo[text] = from_json(data)
+        return got
+
+    return decode
+
+
+def dumps(value) -> str:
+    """`json.dumps(value, sort_keys=True, indent=2)`, byte for byte.
+
+    Each tuple is rendered once per indent depth and its text reused
+    wherever the same tuple object recurs in `value`, so the cached
+    `HfSet.to_json` forms a certificate repeats across its stages are
+    encoded once.  Lists, tuples, dicts, strings, numbers, booleans and
+    None are accepted, as `json.dumps` accepts them.
+    """
+    memo = {}
+
+    def encode(v, depth):
+        # Tuples first: they are most of what a certificate holds.
+        if isinstance(v, tuple):
+            key = (id(v), depth)
+            text = memo.get(key)
+            if text is None:
+                text = memo[key] = array(v, depth)
+            return text
+        if isinstance(v, str):
+            return _encode_str(v)
+        if isinstance(v, list):
+            return array(v, depth)
+        if isinstance(v, dict):
+            if not v:
+                return "{}"
+            inner = "\n" + "  " * (depth + 1)
+            return "{" + inner + ("," + inner).join([
+                _encode_str(_key_str(k)) + ": " + encode(x, depth + 1)
+                for k, x in sorted(v.items())]) + "\n" + "  " * depth + "}"
+        # None, booleans and numbers; TypeError for anything else.
+        return json.dumps(v)
+
+    def array(v, depth):
+        if not v:
+            return "[]"
+        inner = "\n" + "  " * (depth + 1)
+        return "[" + inner + ("," + inner).join([
+            encode(x, depth + 1) for x in v]) + "\n" + "  " * depth + "]"
+
+    return encode(value, 0)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _key_str(k) -> str:
+    """An object key as `json` writes it: None, booleans and numbers as
+    their JSON text."""
+    if isinstance(k, str):
+        return k
+    if k is None or isinstance(k, (int, float)):
+        return json.dumps(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {type(k).__name__}")
 
 
 def subset(a: HfSet, b: HfSet) -> bool:

@@ -82,10 +82,11 @@ class MsOverlay:
 
     @staticmethod
     def from_json(data) -> "MsOverlay":
+        decode = hf.decoder()
         return MsOverlay(
             start=int(data["start"]),
             minus=tuple(
-                tuple(frozenset(hf.from_json(e)[0] for e in m) for m in stage)
+                tuple(frozenset(decode(e)[0] for e in m) for m in stage)
                 for stage in data["minus"]),
         )
 

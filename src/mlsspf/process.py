@@ -121,6 +121,15 @@ class FormativeProcess:
             for q in self.places)
 
     @cached_property
+    def first_filled(self) -> tuple:
+        """Place -> the first stage at which its block is nonempty (xi + 1
+        when none is).  Blocks only grow, so it stays nonempty from there."""
+        return tuple(
+            next((mu for mu, stage in enumerate(self.stages) if stage[q]),
+                 self.xi + 1)
+            for q in self.places)
+
+    @cached_property
     def _used_by_stage(self) -> tuple:
         """Stage -> members of the elements placed by then.  Blocks grow
         monotonically, so each step adds the members of its fresh elements."""
@@ -158,10 +167,11 @@ class FormativeProcess:
 
     @staticmethod
     def from_json(data) -> "FormativeProcess":
+        decode = hf.decoder()
         stages = []
         for stage in data["stages"]:
             stages.append(tuple(
-                frozenset(hf.from_json(e)[0] for e in b) for b in stage))
+                frozenset(decode(e)[0] for e in b) for b in stage))
         return FormativeProcess(
             stages=tuple(stages),
             trace=tuple(frozenset(a) for a in data["trace"]),

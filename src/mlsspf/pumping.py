@@ -53,9 +53,6 @@ class PumpingCycle:
     def place_set(self) -> frozenset:
         return frozenset(self.places)
 
-    def node_set(self):
-        return set(self.nodes)
-
     def validate(self, board: ColoredBoard) -> Report:
         rb = ReportBuilder()
         n = len(self.places)
@@ -173,9 +170,10 @@ def _has_unused(proc: FormativeProcess, i0: int, q0: int) -> bool:
     return not proc.stages[i0][q0] <= proc.used_elements(i0)
 
 
-def _cycle_blocks_filled(proc: FormativeProcess, i0: int,
-                         cycle: PumpingCycle) -> bool:
-    return all(proc.stages[i0][q] for c in cycle.node_set() for q in c)
+def _cycle_filled_at(proc: FormativeProcess, cycle: PumpingCycle) -> int:
+    """The first stage at which every block of a place in a cycle node is
+    nonempty: condition (iii) holds at exactly the start stages from it on."""
+    return max(proc.first_filled[q] for c in cycle.nodes for q in c)
 
 
 def is_pumping_event(proc: FormativeProcess, board: ColoredBoard,
@@ -198,7 +196,7 @@ def is_pumping_event(proc: FormativeProcess, board: ColoredBoard,
     rb.add("(ii) nodes meeting the cycle have no earlier grand event",
            _cycle_ge(_least_realized_ge(proc, board), proc.xi, cycle) >= i0)
     rb.add("(iii) cycle node blocks are nonempty at the start stage",
-           _cycle_blocks_filled(proc, i0, cycle))
+           _cycle_filled_at(proc, cycle) <= i0)
     return rb.build()
 
 
@@ -465,7 +463,7 @@ class WitnessCertificate:
         return out
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, indent=2)
+        return hf.dumps(self.to_json())
 
 
 def certify_witness(formula: lang.Formula, assignment: Assignment,
@@ -504,12 +502,13 @@ def certify_witness(formula: lang.Formula, assignment: Assignment,
     # item, and the report is built once, for the returned event.
     least = _least_realized_ge(proc, board)
     per_cycle = [(cycle, _cycle_ge(least, proc.xi, cycle),
+                  _cycle_filled_at(proc, cycle),
                   [x for x in neg_vars if not (im[x] & cycle.place_set())])
                  for cycle in cycles]
     missed_var = None
     for i0 in range(proc.xi, 0, -1):
-        for cycle, ge, uncovered in per_cycle:
-            if ge < i0 or not _cycle_blocks_filled(proc, i0, cycle):
+        for cycle, ge, filled, uncovered in per_cycle:
+            if ge < i0 or filled > i0:
                 continue
             for q0 in sorted(cycle.place_set()):
                 if not _has_unused(proc, i0, q0):

@@ -1,9 +1,10 @@
 """The searches `pumping` ran before it indexed them, kept as oracles:
 `find_pumping_cycles` testing every green node at every depth-first step,
-and condition (ii) of `is_pumping_event` sweeping every realized node (the
-board's targets and the trace's nodes) for each cycle.  The indexed
-versions must return the same cycles in the same order, and the same
-minima."""
+condition (ii) of `is_pumping_event` sweeping every realized node (the
+board's targets and the trace's nodes) for each cycle, and condition (iii)
+testing every node block at the start stage.  The indexed versions must
+return the same cycles in the same order, the same minima and the same
+verdicts."""
 
 from mlsspf.process import ge_min
 from mlsspf.pumping import PumpingCycle
@@ -45,3 +46,9 @@ def cycle_ge_sweep(proc, board, cycle):
     """Least grand event over the realized nodes that meet the cycle."""
     return ge_min(proc, (b for b in realized_nodes(proc, board)
                          if b & cycle.place_set()))
+
+
+def cycle_blocks_filled_sweep(proc, i0, cycle):
+    """Condition (iii): every block of a place in a cycle node is nonempty
+    at stage i0."""
+    return all(proc.stages[i0][q] for c in cycle.nodes for q in c)

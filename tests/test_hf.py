@@ -1,3 +1,4 @@
+import json
 from itertools import islice
 
 import pytest
@@ -100,6 +101,61 @@ def test_json_round_trip_and_duplicate_flag():
     assert back is s and not dup
     _, dup = m.from_json([[], []])
     assert dup
+
+
+@given(hfsets())
+@settings(max_examples=100)
+def test_to_json_is_one_cached_tuple_that_round_trips(s):
+    form = s.to_json()
+    assert s.to_json() is form
+    assert isinstance(form, tuple)
+    assert all(f is e.to_json() for f, e in zip(form, s.elements))
+    assert m.from_json(form) == (s, False)
+    assert m.from_json(json.loads(json.dumps(form))) == (s, False)
+
+
+def test_decoder_memoizes_by_text_with_the_duplicate_flag():
+    decode = hf.decoder()
+    dup = [[], []]
+    assert decode(dup) == (B, True)
+    assert decode([[], []]) is decode(dup)
+    assert decode(B.to_json()) == (B, False)
+
+
+# Strings with quotes, escapes, control and non-ASCII characters.
+_text = st.text(st.characters() | st.sampled_from('"\\/\n\t\x00\x1f\x7fé€😀'),
+                max_size=6)
+_scalars = (st.none() | st.booleans() | st.integers() | st.floats() | _text)
+
+
+@st.composite
+def json_values(draw):
+    """Nested JSON values over scalars and a few tuples (`HfSet` forms among
+    them), each of which may recur at several depths."""
+    shared = draw(st.lists(
+        hfsets().map(m.HfSet.to_json) | st.lists(_scalars, max_size=3).map(tuple),
+        min_size=1, max_size=3))
+    return draw(st.recursive(
+        _scalars | st.sampled_from(shared),
+        lambda kids: (st.lists(kids, max_size=4)
+                      | st.lists(kids, max_size=4).map(tuple)
+                      | st.dictionaries(_text, kids, max_size=4)
+                      | st.dictionaries(st.integers(), kids, max_size=3)),
+        max_leaves=24))
+
+
+@given(json_values())
+@settings(max_examples=150)
+def test_dumps_matches_json_dumps(value):
+    assert hf.dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_dumps_keys_and_errors_as_json_dumps():
+    for value in ({None: 1}, {True: [], False: ()}, {1.5: "x", -2.0: "y"}):
+        assert hf.dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+    for bad in ({(1,): 0}, {"a": object()}, {1: 0, "a": 1}):
+        with pytest.raises(TypeError):
+            hf.dumps(bad)
 
 
 @given(hfsets(), hfsets())

@@ -1,4 +1,6 @@
 import json
+import os
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,12 +11,17 @@ from mlsspf import hf, lang
 from mlsspf.errors import (CardinalityDeficit, CoverMissesVariable,
                            NoClosedCover, NoEvent, NotAWitness)
 from mlsspf.process import FormativeProcess
-from mlsspf.pumping import (PumpingCycle, PumpingEvent, _cycle_ge,
-                            _least_realized_ge, pump_rounds)
+from mlsspf.pumping import (PumpingCycle, PumpingEvent, _cycle_filled_at,
+                            _cycle_ge, _least_realized_ge, pump_rounds)
 
 from conftest import (chain, rand_colored_board, rand_partition,
                       rand_transitive_universe, wide_instance, witness_family)
-from pumping_sweeps import cycle_ge_sweep, find_pumping_cycles_scan
+from pumping_sweeps import (cycle_blocks_filled_sweep, cycle_ge_sweep,
+                            find_pumping_cycles_scan)
+
+CERTIFIED_WIDE = [e["seed"] for e in json.loads(
+    (Path(__file__).parent / "golden" / "certified_wide.json").read_text())[
+        "entries"] if ":" not in e["outcome"]]
 
 A, B, C = chain(2)
 
@@ -94,6 +101,19 @@ def test_cycle_grand_event_table_matches_realized_node_sweep(rng):
         for cycle in cycles:
             assert (_cycle_ge(least, proc.xi, cycle)
                     == cycle_ge_sweep(proc, board, cycle))
+
+
+@given(st.randoms(use_true_random=True))
+@settings(max_examples=60, deadline=None)
+def test_cycle_filled_stage_matches_block_sweep(rng):
+    universe = rand_transitive_universe(rng, rng.randint(1, 12))
+    partition = rand_partition(rng, universe, max_blocks=6)
+    proc = m.synthesize_process(partition)
+    board = rand_colored_board(proc, partition, rng, with_pow=False)
+    for cycle in m.find_pumping_cycles(board):
+        filled = _cycle_filled_at(proc, cycle)
+        for i0 in range(proc.xi + 1):
+            assert (filled <= i0) == cycle_blocks_filled_sweep(proc, i0, cycle)
 
 
 def test_cycle_grand_event_table_reads_trace_nodes_off_the_board():
@@ -300,6 +320,28 @@ def test_certificate_json_deterministic(ex1):
     a = m.certify_witness(ex1.formula, ex1.assignment).dumps()
     b = m.certify_witness(ex1.formula, ex1.assignment).dumps()
     assert a == b
+
+
+def _assert_dumps_as_json(cert):
+    got = cert.dumps()
+    want = json.dumps(cert.to_json(), sort_keys=True, indent=2)
+    # A flag, not `got == want`: pytest's diff of two texts this large runs
+    # for minutes.  The message ends where they part.
+    same = got == want
+    assert same, os.path.commonprefix([got, want])[-300:]
+
+
+@given(st.sampled_from(CERTIFIED_WIDE))
+@settings(max_examples=15, deadline=None)
+def test_dumps_matches_json_dumps_on_wide_certificates(seed):
+    _assert_dumps_as_json(m.certify_witness(*wide_instance(seed)))
+
+
+@given(st.sampled_from(witness_family()), st.integers(0, 3))
+@settings(max_examples=25, deadline=None)
+def test_dumps_matches_json_dumps_on_pumped_family(instance, rounds):
+    _assert_dumps_as_json(
+        m.extend_certificate(m.certify_witness(*instance), rounds))
 
 
 def test_verify_certificate_ex1(ex1):

@@ -13,8 +13,8 @@ from .limits import DEFAULT_LIMITS, Limits
 from .msrefine import (ImitationWitness, MsOverlay, StartConfiguration,
                        check_segment_imitation, check_upward_premises,
                        check_weak_imitation, paste_segment, validate_overlay)
-from .process import (FormativeProcess, ge_min, grand_event, is_closed,
-                      local_trashes, synthesize_process, validate_process)
+from .process import (FormativeProcess, grand_event, is_closed, local_trashes,
+                      synthesize_process, validate_process)
 from .pumping import (PumpingCycle, PumpingEvent, WitnessCertificate,
                       certify_witness, closed_cover, extend_certificate,
                       find_pumping_cycles, is_pumping_event, pump_rounds,

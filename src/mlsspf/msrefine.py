@@ -208,8 +208,8 @@ def check_weak_imitation(proc: FormativeProcess, board: ColoredBoard,
 
     # Off the nodes whose grand event precedes k_prime, every node with
     # surplus needs an unplaced union of nonempty blocks.
-    early = {n for n in proc.final_table.union_homes(live)
-             if grand_event(proc, n) < k_prime}
+    early = {n for n, ge in proc.grand_events.items()
+             if ge < k_prime and n <= live}
     surplus = live & {q for q in places if hat_blocks[q] - hat_minus[q]}
     no_block = live - hat.live
     rb.add("(b) surplus-bearing node unions stay undistributed",

@@ -100,25 +100,29 @@ class FormativeProcess:
         any union."""
         return SignatureTable(self.final_blocks())
 
-    def grand_union(self, node):
-        """The element that is the node's final union, or None when that
-        union never landed at any step."""
-        u = self.final_table.union(node)
-        return u if u in self.landing else None
+    @cached_property
+    def grand_events(self) -> dict:
+        """Node -> its grand event, for every node of places with nonempty
+        final blocks whose final union is in some block: the one table of
+        the nodes with a grand event before xi.  A node with an empty final
+        block has the grand event of its other places."""
+        return {node: grand_event(self, node)
+                for node in self.final_table.union_homes(self.final_table.live)}
 
     @cached_property
     def least_grand_events(self) -> tuple:
-        """Place -> least grand event over all nodes containing the place.
-
-        A node whose union was never placed has grand event xi, later than
-        every placed union, so only the nodes whose final union is in some
-        block can lower the minimum.
-        """
-        steps = [(node, grand_event(self, node))
-                 for node in self.final_table.union_homes(self.places)]
-        return tuple(
-            min((s for node, s in steps if q in node), default=self.xi)
-            for q in self.places)
+        """Place -> least grand event over all nodes containing the place,
+        in one pass over `grand_events` (xi when none is earlier).  A place
+        with an empty final block joins any node without moving its union,
+        so it gets the least grand event of all."""
+        least = [self.xi] * len(self.places)
+        first = self.xi
+        for node, step in self.grand_events.items():
+            first = min(first, step)
+            for q in node:
+                least[q] = min(least[q], step)
+        live = self.final_table.live
+        return tuple(s if q in live else first for q, s in enumerate(least))
 
     @cached_property
     def first_filled(self) -> tuple:
@@ -273,11 +277,6 @@ def grand_event(proc: FormativeProcess, node) -> int:
     off the process's `final_table`, so no union is built.
     """
     return proc.landing.get(proc.final_table.union(node), proc.xi)
-
-
-def ge_min(proc: FormativeProcess, nodes) -> int:
-    """Least grand event over a collection of nodes; xi for no nodes."""
-    return min((grand_event(proc, a) for a in nodes), default=proc.xi)
 
 
 def local_trashes(proc: FormativeProcess, board: ColoredBoard, node) -> frozenset:

@@ -23,8 +23,8 @@ from .limits import DEFAULT_LIMITS, Limits
 from .msrefine import (ImitationWitness, MsOverlay, StartConfiguration,
                        check_segment_imitation, check_upward_premises,
                        check_weak_imitation, paste_segment)
-from .process import (FormativeProcess, grand_event, is_closed,
-                      local_trashes, synthesize_process, validate_process)
+from .process import (FormativeProcess, is_closed, local_trashes,
+                      synthesize_process, validate_process)
 from .relations import (BlockBijection, imitates, literal_transfer_report,
                         transfer_assignment)
 from .report import Report, ReportBuilder
@@ -138,36 +138,17 @@ def find_pumping_cycles(board: ColoredBoard, max_len: int = DEFAULT_LIMITS.max_c
     return out
 
 
-def _realized_nodes(proc: FormativeProcess, board: ColoredBoard) -> set:
-    """The nodes with targets on the board or used in the trace."""
-    return {*board.targets, *proc.trace}
+def _cycle_ge(proc: FormativeProcess, cycle: PumpingCycle) -> int:
+    """Least grand event over the nodes that meet the cycle, read off the
+    process's `least_grand_events`; xi when none is earlier."""
+    return min((proc.least_grand_events[q] for q in cycle.places),
+               default=proc.xi)
 
 
-def _least_realized_ge(proc: FormativeProcess, board: ColoredBoard) -> dict:
-    """Place -> least grand event over the realized nodes containing it.
-
-    The realized nodes are those with targets on the board or used in the
-    trace: only they can have a grand event before the end of the process.
-    A place no such node lowers below xi is left out.
-    """
-    least = {}
-    for node in _realized_nodes(proc, board):
-        ge = grand_event(proc, node)
-        if ge < proc.xi:
-            for q in node:
-                if ge < least.get(q, proc.xi):
-                    least[q] = ge
-    return least
-
-
-def _cycle_ge(least: dict, xi: int, cycle: PumpingCycle) -> int:
-    """Least grand event over the realized nodes that meet the cycle, read
-    off `_least_realized_ge`; xi when none is earlier."""
-    return min((least.get(q, xi) for q in cycle.places), default=xi)
-
-
-def _has_unused(proc: FormativeProcess, i0: int, q0: int) -> bool:
-    return not proc.stages[i0][q0] <= proc.used_elements(i0)
+def _unused_seeds(proc: FormativeProcess, i0: int, q0: int) -> frozenset:
+    """The elements of q0's block at stage i0 that no element placed by
+    then has as a member: condition (i) asks for one."""
+    return proc.stages[i0][q0] - proc.used_elements(i0)
 
 
 def _cycle_filled_at(proc: FormativeProcess, cycle: PumpingCycle) -> int:
@@ -180,21 +161,22 @@ def is_pumping_event(proc: FormativeProcess, board: ColoredBoard,
                      q0: int, i0: int, cycle: PumpingCycle) -> Report:
     """The three conditions for (q0, i0, cycle) to start a pump.
 
-    Only nodes realized on the board or used in the trace can have a grand
-    event before the end of the process, so the minimum in condition (ii) is
-    taken over those, per place, by `_least_realized_ge`.  A node's grand
-    event is the step that places its final union; by the signature
-    identity (see `FormativeProcess.final_table`) that union is the placed
-    element whose members' home places are exactly the node and whose size
-    is the node's total block size, so no union is built.
+    The minimum in condition (ii) ranges over every node that meets the
+    cycle; the process's `least_grand_events` holds it per place, so a
+    process that `certify_witness` has just searched evaluates no grand
+    event here.  A node's grand event is the step that places its final
+    union; by the signature identity (see `FormativeProcess.final_table`)
+    that union is the placed element whose members' home places are exactly
+    the node's places with nonempty final blocks and whose size is the
+    node's total block size, so no union is built.
     """
     rb = ReportBuilder()
     rb.extend(cycle.validate(board))
     rb.add("event: seed place lies on the cycle", q0 in cycle.place_set())
     rb.add("(i) seed place holds an unused element at the start stage",
-           _has_unused(proc, i0, q0))
+           bool(_unused_seeds(proc, i0, q0)))
     rb.add("(ii) nodes meeting the cycle have no earlier grand event",
-           _cycle_ge(_least_realized_ge(proc, board), proc.xi, cycle) >= i0)
+           _cycle_ge(proc, cycle) >= i0)
     rb.add("(iii) cycle node blocks are nonempty at the start stage",
            _cycle_filled_at(proc, cycle) <= i0)
     return rb.build()
@@ -235,11 +217,8 @@ def _segment_trash_seeds(proc: FormativeProcess, board: ColoredBoard,
     grand-event unions of surplus-bearing nodes; None when impossible."""
     seeds = set()
     cycle_places = cycle.place_set()
-    for node in _realized_nodes(proc, board):
-        if not (node & cycle_places):
-            continue
-        ge = grand_event(proc, node)
-        if ge >= proc.xi or ge < i0:
+    for node, ge in proc.grand_events.items():
+        if not (node & cycle_places) or ge >= proc.xi or ge < i0:
             continue
         # The union landed at step ge in the block that still holds it.
         target = proc.final_table.union_home(node)
@@ -349,7 +328,7 @@ def _traverse(proc, event, rounds, limits):
     with the number of warm-up rounds and the last stage of every round."""
     i0 = event.i0
     prefix = proc.prefix(i0)
-    unused = sorted(proc.stages[i0][event.q0] - proc.used_elements(i0))
+    unused = sorted(_unused_seeds(proc, i0, event.q0))
     if not unused:
         raise CannotWarmUp("no unused seed element at the start stage")
     t0 = unused[0]
@@ -500,8 +479,7 @@ def certify_witness(formula: lang.Formula, assignment: Assignment,
     # (i) per seed place.  find_pumping_cycles guarantees the cycle items and
     # q0 lies on the cycle, so a candidate passing (i)-(iii) passes every
     # item, and the report is built once, for the returned event.
-    least = _least_realized_ge(proc, board)
-    per_cycle = [(cycle, _cycle_ge(least, proc.xi, cycle),
+    per_cycle = [(cycle, _cycle_ge(proc, cycle),
                   _cycle_filled_at(proc, cycle),
                   [x for x in neg_vars if not (im[x] & cycle.place_set())])
                  for cycle in cycles]
@@ -511,7 +489,7 @@ def certify_witness(formula: lang.Formula, assignment: Assignment,
             if ge < i0 or filled > i0:
                 continue
             for q0 in sorted(cycle.place_set()):
-                if not _has_unused(proc, i0, q0):
+                if not _unused_seeds(proc, i0, q0):
                     continue
                 if uncovered:
                     missed_var = uncovered[0]

@@ -15,9 +15,7 @@ from types import SimpleNamespace
 from typing import Optional
 
 from . import hf, lang
-from .errors import (CannotWarmUp, CardinalityDeficit, CoverMissesVariable,
-                     LimitExceeded, NoClosedCover, NoEvent, NoLocalTrash,
-                     NotAWitness)
+from .errors import CoverMissesVariable, LimitExceeded, NoEvent, NotAWitness
 from .limits import DEFAULT_LIMITS, Limits
 from .pumping import WitnessCertificate, certify_witness
 from .venn import Assignment
@@ -216,8 +214,7 @@ def decide(formula: lang.Formula, budget: SearchBudget) -> DecideResult:
                 try:
                     cert = certify_witness(formula, assignment, limits)
                 except (NotAWitness, NoEvent, CoverMissesVariable,
-                        NoClosedCover, CannotWarmUp, NoLocalTrash,
-                        CardinalityDeficit, LimitExceeded):
+                        LimitExceeded):
                     continue
                 return DecideResult(SAT_WITNESSED, certificate=cert)
             report = lang.evaluate(formula, assignment, limits)

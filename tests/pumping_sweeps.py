@@ -1,13 +1,15 @@
 """The searches `pumping` ran before it indexed them, kept as oracles:
 `find_pumping_cycles` testing every green node at every depth-first step,
-condition (ii) of `is_pumping_event` sweeping every realized node (the
-board's targets and the trace's nodes) for each cycle, and condition (iii)
+condition (ii) of `is_pumping_event` sweeping every node that meets the
+cycle (or only the realized ones: the board's targets and the trace's
+nodes, enough on a process with no empty final block), and condition (iii)
 testing every node block at the start stage.  The indexed versions must
 return the same cycles in the same order, the same minima and the same
 verdicts."""
 
-from mlsspf.process import ge_min
+from mlsspf.process import grand_event
 from mlsspf.pumping import PumpingCycle
+from mlsspf.venn import subsets
 
 
 def find_pumping_cycles_scan(board, max_len):
@@ -44,8 +46,14 @@ def realized_nodes(proc, board):
 
 def cycle_ge_sweep(proc, board, cycle):
     """Least grand event over the realized nodes that meet the cycle."""
-    return ge_min(proc, (b for b in realized_nodes(proc, board)
-                         if b & cycle.place_set()))
+    return min((grand_event(proc, b) for b in realized_nodes(proc, board)
+                if b & cycle.place_set()), default=proc.xi)
+
+
+def cycle_ge_all_nodes(proc, cycle):
+    """Least grand event over every node that meets the cycle."""
+    return min((grand_event(proc, b) for b in subsets(proc.places)
+                if b & cycle.place_set()), default=proc.xi)
 
 
 def cycle_blocks_filled_sweep(proc, i0, cycle):

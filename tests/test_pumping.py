@@ -12,12 +12,12 @@ from mlsspf.errors import (CardinalityDeficit, CoverMissesVariable,
                            NoClosedCover, NoEvent, NotAWitness)
 from mlsspf.process import FormativeProcess
 from mlsspf.pumping import (PumpingCycle, PumpingEvent, _cycle_filled_at,
-                            _cycle_ge, _least_realized_ge, pump_rounds)
+                            _cycle_ge, pump_rounds)
 
 from conftest import (chain, rand_colored_board, rand_partition,
                       rand_transitive_universe, wide_instance, witness_family)
-from pumping_sweeps import (cycle_blocks_filled_sweep, cycle_ge_sweep,
-                            find_pumping_cycles_scan)
+from pumping_sweeps import (cycle_blocks_filled_sweep, cycle_ge_all_nodes,
+                            cycle_ge_sweep, find_pumping_cycles_scan)
 
 CERTIFIED_WIDE = [e["seed"] for e in json.loads(
     (Path(__file__).parent / "golden" / "certified_wide.json").read_text())[
@@ -89,7 +89,10 @@ def test_cycle_search_matches_green_node_scan_on_random_boards(rng, max_len):
 @given(st.randoms(use_true_random=True))
 @settings(max_examples=60, deadline=None)
 def test_cycle_grand_event_table_matches_realized_node_sweep(rng):
-    # Prefixes of a synthesized process move xi and the grand events.
+    # Prefixes of a synthesized process move xi and the grand events, and
+    # leave final blocks empty, so a node off the board and the trace can
+    # have an early grand event: only the all-nodes sweep defines the
+    # minimum there.  On the full process the realized nodes are enough.
     universe = rand_transitive_universe(rng, rng.randint(1, 12))
     partition = rand_partition(rng, universe, max_blocks=6)
     full = m.synthesize_process(partition)
@@ -97,10 +100,10 @@ def test_cycle_grand_event_table_matches_realized_node_sweep(rng):
     cycles = m.find_pumping_cycles(board)
     for mu in range(full.xi + 1):
         proc = full.prefix(mu)
-        least = _least_realized_ge(proc, board)
         for cycle in cycles:
-            assert (_cycle_ge(least, proc.xi, cycle)
-                    == cycle_ge_sweep(proc, board, cycle))
+            assert _cycle_ge(proc, cycle) == cycle_ge_all_nodes(proc, cycle)
+    for cycle in cycles:
+        assert _cycle_ge(full, cycle) == cycle_ge_sweep(full, board, cycle)
 
 
 @given(st.randoms(use_true_random=True))
@@ -118,8 +121,9 @@ def test_cycle_filled_stage_matches_block_sweep(rng):
 
 def test_cycle_grand_event_table_reads_trace_nodes_off_the_board():
     # An embedded process read back from a certificate, against a board
-    # that realizes none of its trace nodes with an early grand event: only
-    # the trace supplies those nodes, and they lower some cycle's minimum.
+    # that realizes none of its trace nodes with an early grand event: the
+    # process's own table still holds those nodes, and they lower some
+    # cycle's minimum below the board's targets alone.
     formula, assignment = wide_instance(12)
     cert = m.certify_witness(formula, assignment)
     proc = FormativeProcess.from_json(json.loads(cert.dumps())["process"])
@@ -129,14 +133,14 @@ def test_cycle_grand_event_table_reads_trace_nodes_off_the_board():
         blocks=board.blocks, red=board.red, pow_nodes=board.pow_nodes,
         targets={n: t for n, t in board.targets.items() if n not in early})
     assert early and not early & set(bare.targets)
-    least = _least_realized_ge(proc, bare)
     cycles = m.find_pumping_cycles(board)
     lowered = 0
     for cycle in cycles:
-        got = _cycle_ge(least, proc.xi, cycle)
+        got = _cycle_ge(proc, cycle)
         assert got == cycle_ge_sweep(proc, bare, cycle)
-        lowered += got < m.ge_min(
-            proc, [n for n in bare.targets if n & cycle.place_set()])
+        lowered += got < min(
+            (m.grand_event(proc, n) for n in bare.targets
+             if n & cycle.place_set()), default=proc.xi)
     assert lowered
 
 
@@ -370,6 +374,22 @@ def test_verify_refuses_more_rounds_than_stages(ex1):
     assert "1000000 rounds claimed" in rep.failures()[0].detail
 
 
+def test_verify_rejects_padded_process_without_sweeping_empty_places(ex1):
+    # A place with an empty final block joins any node without moving its
+    # union, so the grand-event table keys nodes by their nonempty places:
+    # 40 padded places add no entry, where listing every node they join
+    # would take 2^40.
+    cert = m.certify_witness(ex1.formula, ex1.assignment)
+    data = json.loads(cert.dumps())
+    for stage in data["process"]["stages"]:
+        stage.extend([] for _ in range(40))
+    padded = FormativeProcess.from_json(data["process"])
+    assert padded.grand_events == cert.process.grand_events
+    assert len(padded.least_grand_events) == len(cert.process.places) + 40
+    rep = m.verify_certificate(data)
+    assert "embedded process validates" in [i.check for i in rep.failures()]
+
+
 def _empty_member_certificate():
     formula = m.parse("w in x & !Finite(x)")
     assignment, _ = m.Assignment.from_json({"w": [], "x": [[], [[]]]})
@@ -524,3 +544,25 @@ def test_certify_builds_one_event_report(monkeypatch):
         else:
             assert certified and cert.event_report.ok
         assert len(calls) == int(certified)
+
+
+def test_event_report_of_a_certified_process_evaluates_no_grand_event(
+        monkeypatch):
+    # certify_witness reads condition (ii) off the process's grand-event
+    # table, so the report on the process it certified finds it built.
+    formula, assignment = wide_instance(12)
+    cert = m.certify_witness(formula, assignment)
+    board = m.canonical_board(formula, cert.assignment)[2]
+    calls = []
+
+    def counting(proc, node):
+        calls.append(node)
+        return m.grand_event(proc, node)
+
+    monkeypatch.setattr("mlsspf.process.grand_event", counting)
+    monkeypatch.setattr("mlsspf.pumping.grand_event", counting, raising=False)
+    event = cert.event
+    report = m.is_pumping_event(cert.process, board, event.q0, event.i0,
+                                event.cycle)
+    assert report.ok and report.to_json() == cert.event_report.to_json()
+    assert calls == []

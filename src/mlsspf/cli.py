@@ -95,8 +95,7 @@ def cmd_venn(args):
 def cmd_board(args):
     formula = _read_formula(args.formula)
     model = _read_model(args.model)
-    partition, _ = venn_partition(model)
-    if not partition.is_transitive():
+    if not model.is_transitive():
         model = transitivize(model)
         print("note: assignment extended with a closure variable",
               file=sys.stderr)
@@ -108,12 +107,11 @@ def cmd_board(args):
 def cmd_process(args):
     if args.action == "synth":
         model = _read_model(args.model)
-        partition, _ = venn_partition(model)
-        if not partition.is_transitive():
+        if not model.is_transitive():
             model = transitivize(model)
-            partition, _ = venn_partition(model)
             print("note: assignment extended with a closure variable",
                   file=sys.stderr)
+        partition, _ = venn_partition(model)
         proc = synthesize_process(partition)
         _emit(proc.to_json(), args)
         return EXIT_OK

@@ -9,6 +9,7 @@ of a used snapshot show up later (coherence).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -195,6 +196,17 @@ def validate_process(proc: FormativeProcess) -> Report:
     xi = proc.xi
     places = proc.places
     rb.add("shape: trace length matches stage count", len(proc.trace) == xi)
+    # The checks below index every stage by place: a ragged process, or a
+    # trace naming a place it has no block for, fails here and goes no
+    # further.
+    width = len(places)
+    stages_ok = rb.add("shape: every stage has a block per place",
+                       proc.stages and all(len(stage) == width
+                                           for stage in proc.stages))
+    trace_ok = rb.add("shape: trace nodes name places of the process",
+                      all(0 <= q < width for node in proc.trace for q in node))
+    if not (stages_ok and trace_ok):
+        return rb.build()
     for mu in range(xi + 1):
         stage = proc.stages[mu]
         seen = {}
@@ -242,32 +254,65 @@ def synthesize_process(partition: Partition) -> FormativeProcess:
     unplaced element with the same signature node whose members are placed.
     Batching is what guarantees coherence: a later sibling assembly of the
     same snapshot would otherwise violate it.
+
+    The schedule runs on readiness counts: each element keeps the number of
+    its members still unplaced, and one that reaches zero joins a heap in
+    canonical order and the ready group of its signature node.  A step pops
+    the least ready element and places its node's whole group; the group's
+    other elements stay in the heap, so a popped element already placed is
+    skipped: its node may have a new group by then, which is not its turn.
+    Elements made ready by a step join the next groups, as a rescan after
+    the step would find them.
     """
     if not partition.is_transitive():
         raise NotTransitive("cannot synthesize a process for a non-transitive partition")
     blocks = partition.blocks
-    places = range(len(blocks))
     home = home_index(blocks)
-    signature = {
-        e: frozenset(home[m] for m in e.elements) for e in home
-    }
-    unplaced = set(home)
+    signature = {}
+    waiting = {}
+    containers = {}
+    for e in home:
+        signature[e] = frozenset(home[m] for m in e.elements)
+        waiting[e] = len(e)
+        for m in e.elements:
+            containers.setdefault(m, []).append(e)
+    heap = []
+    groups = {}
     placed = set()
-    stages = [tuple(frozenset() for _ in places)]
+
+    def ready(e):
+        heapq.heappush(heap, e)
+        groups.setdefault(signature[e], []).append(e)
+
+    for e, n in waiting.items():
+        if not n:
+            ready(e)
+    stage = [frozenset() for _ in blocks]
+    stages = [tuple(stage)]
     trace = []
-    current = [set() for _ in places]
-    while unplaced:
-        ready = [e for e in unplaced if set(e.elements) <= placed]
-        pick = min(ready, key=lambda e: e._key)
+    targets = []
+    while heap:
+        pick = heapq.heappop(heap)
+        if pick in placed:
+            continue
         node = signature[pick]
-        batch = [e for e in ready if signature[e] == node]
-        for e in batch:
-            current[home[e]].add(e)
+        batch = groups.pop(node)
         placed.update(batch)
-        unplaced.difference_update(batch)
-        stages.append(tuple(frozenset(b) for b in current))
+        homes = {}
+        for e in batch:
+            homes.setdefault(home[e], []).append(e)
+        for q, fresh in homes.items():
+            stage[q] = stage[q].union(fresh)
+        stages.append(tuple(stage))
         trace.append(node)
-    return FormativeProcess(stages=tuple(stages), trace=tuple(trace), weak=False)
+        targets.append(frozenset(homes))
+        for e in batch:
+            for c in containers.get(e, ()):
+                waiting[c] -= 1
+                if not waiting[c]:
+                    ready(c)
+    return FormativeProcess(stages=tuple(stages), trace=tuple(trace),
+                            history_targets=tuple(targets), weak=False)
 
 
 def grand_event(proc: FormativeProcess, node) -> int:

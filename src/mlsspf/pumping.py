@@ -29,7 +29,7 @@ from .relations import (BlockBijection, imitates, literal_transfer_report,
                         transfer_assignment)
 from .report import Report, ReportBuilder
 from .venn import (Assignment, ColoredBoard, canonical_board, node_union,
-                   transitivize, venn_partition)
+                   transitivize)
 
 # The surplus-only rounds a pump may run before it must restore.
 MAX_WARMUP_ROUNDS = 8
@@ -77,8 +77,8 @@ class PumpingCycle:
     @staticmethod
     def from_json(data) -> "PumpingCycle":
         return PumpingCycle(
-            nodes=tuple(frozenset(c) for c in data["nodes"]),
-            places=tuple(data["places"]))
+            nodes=tuple(frozenset(int(q) for q in c) for c in data["nodes"]),
+            places=tuple(int(q) for q in data["places"]))
 
 
 @dataclass(frozen=True)
@@ -108,34 +108,79 @@ def find_pumping_cycles(board: ColoredBoard, max_len: int = DEFAULT_LIMITS.max_c
 
     The steps are indexed: every green place maps to the realized nodes
     containing it (all green, since they hold a green place), each with its
-    targets, its sorted green targets and a bit, and the places and nodes a
-    path has seen are int bitmasks.
+    index in `realized_nodes` order, its targets and its sorted green
+    targets; the places and nodes a path has seen are int bitmasks, and the
+    results sort on node indices, which order nodes as their sorted places
+    do.  A path steps only to a place from which it can still close within
+    max_len places: per anchor, a backward breadth-first search over the
+    place steps above the anchor gives each place the fewest places a path
+    from it needs before a node containing its last place targets the
+    anchor.  That search ignores which nodes and places a path has used, so
+    it never overstates the need and no cycle is lost.
     """
+    realized = board.realized_nodes()
     containing = {}
-    for bit, node in enumerate(board.realized_nodes()):
+    for i, node in enumerate(realized):
         targets = board.target(node)
-        entry = (node, targets, sorted(targets - board.red), 1 << bit)
+        entry = (i, targets, sorted(targets - board.red))
         for q in node - board.red:
             containing.setdefault(q, []).append(entry)
-    out = []
-    for anchor in sorted(q for q in board.places if q not in board.red):
+    # Per green place: the anchors a node containing it closes to, and the
+    # places one step before it.
+    closes_to = {}
+    steps_into = {}
+    for p, entries in containing.items():
+        closes_to[p] = frozenset().union(*(targets for _, targets, _ in entries))
+        for _, _, green in entries:
+            for t in green:
+                steps_into.setdefault(t, set()).add(p)
+    found = []
+    for anchor in sorted(containing):
+        need = _closing_need(anchor, len(board.places), closes_to, steps_into,
+                             max_len)
         stack = [((), (anchor,), 1 << anchor, 0)]
         while stack:
-            nodes, places, seen_places, seen_nodes = stack.pop()
-            for b, targets, green, bit in containing.get(places[-1], ()):
-                if seen_nodes & bit:
+            nodes, path, seen_places, seen_nodes = stack.pop()
+            n = len(path)
+            for i, targets, green in containing[path[-1]]:
+                if seen_nodes >> i & 1:
                     continue
-                # Closing edge: b targets the anchor.
+                # Closing edge: node i targets the anchor.
                 if anchor in targets:
-                    out.append(PumpingCycle(nodes=(b,) + nodes, places=places))
-                if len(places) < max_len:
+                    found.append((n, path, (i,) + nodes))
+                if n < max_len:
                     for t in green:
-                        if t < anchor or seen_places >> t & 1:
+                        if seen_places >> t & 1 or n + need[t] > max_len:
                             continue
-                        stack.append((nodes + (b,), places + (t,),
-                                      seen_places | 1 << t, seen_nodes | bit))
-    out.sort(key=lambda c: (len(c), c.places, tuple(sorted(n) for n in c.nodes)))
-    return out
+                        stack.append((nodes + (i,), path + (t,),
+                                      seen_places | 1 << t,
+                                      seen_nodes | 1 << i))
+    found.sort()
+    return [PumpingCycle(nodes=tuple(realized[i] for i in nodes), places=path)
+            for _, path, nodes in found]
+
+
+def _closing_need(anchor, width, closes_to, steps_into, max_len):
+    """Place -> the fewest places (itself included) a path from it through
+    places above the anchor needs before a node containing its last place
+    targets the anchor; max_len + 1 where no path of max_len places does,
+    and at the anchor and below."""
+    need = [max_len + 1] * width
+    frontier = [p for p, closes in closes_to.items()
+                if p > anchor and anchor in closes]
+    for p in frontier:
+        need[p] = 1
+    d = 1
+    while frontier and d < max_len:
+        d += 1
+        nxt = []
+        for t in frontier:
+            for p in steps_into.get(t, ()):
+                if p > anchor and need[p] > d:
+                    need[p] = d
+                    nxt.append(p)
+        frontier = nxt
+    return need
 
 
 def _cycle_ge(proc: FormativeProcess, cycle: PumpingCycle) -> int:
@@ -151,10 +196,22 @@ def _unused_seeds(proc: FormativeProcess, i0: int, q0: int) -> frozenset:
     return proc.stages[i0][q0] - proc.used_elements(i0)
 
 
-def _cycle_filled_at(proc: FormativeProcess, cycle: PumpingCycle) -> int:
+def _cycle_filled_at(proc: FormativeProcess, cycle: PumpingCycle,
+                     node_filled=None) -> int:
     """The first stage at which every block of a place in a cycle node is
-    nonempty: condition (iii) holds at exactly the start stages from it on."""
-    return max(proc.first_filled[q] for c in cycle.nodes for q in c)
+    nonempty: condition (iii) holds at exactly the start stages from it on.
+    `node_filled` memoizes that stage per node across the cycles of one
+    process."""
+    if node_filled is None:
+        node_filled = {}
+    out = 0
+    for c in cycle.nodes:
+        filled = node_filled.get(c)
+        if filled is None:
+            filled = node_filled[c] = max(
+                (proc.first_filled[q] for q in c), default=0)
+        out = max(out, filled)
+    return out
 
 
 def is_pumping_event(proc: FormativeProcess, board: ColoredBoard,
@@ -466,8 +523,7 @@ def certify_witness(formula: lang.Formula, assignment: Assignment,
     neg_vars = [lit.operands[0] for lit in formula.literals
                 if lit.kind == lang.NOT_FINITE]
 
-    partition, _ = venn_partition(assignment)
-    if not partition.is_transitive():
+    if not assignment.is_transitive():
         assignment = transitivize(assignment)
     partition, im, board = canonical_board(formula, assignment)
     proc = synthesize_process(partition)
@@ -476,20 +532,30 @@ def certify_witness(formula: lang.Formula, assignment: Assignment,
     if not cycles:
         raise NoEvent("the board has no green pumping cycle")
     # Conditions (ii) and (iii) of is_pumping_event are checked per cycle and
-    # (i) per seed place.  find_pumping_cycles guarantees the cycle items and
-    # q0 lies on the cycle, so a candidate passing (i)-(iii) passes every
-    # item, and the report is built once, for the returned event.
-    per_cycle = [(cycle, _cycle_ge(proc, cycle),
-                  _cycle_filled_at(proc, cycle),
-                  [x for x in neg_vars if not (im[x] & cycle.place_set())])
-                 for cycle in cycles]
+    # (i) per start stage and seed place.  find_pumping_cycles guarantees the
+    # cycle items and q0 lies on the cycle, so a candidate passing (i)-(iii)
+    # passes every item, and the report is built once, for the returned
+    # event.
+    node_filled = {}
+    per_cycle = []
+    for cycle in cycles:
+        places = cycle.place_set()
+        per_cycle.append((
+            cycle, places, sorted(places), _cycle_ge(proc, cycle),
+            _cycle_filled_at(proc, cycle, node_filled),
+            [x for x in neg_vars if not (im[x] & places)]))
+    seeded = {}
     missed_var = None
     for i0 in range(proc.xi, 0, -1):
-        for cycle, ge, filled, uncovered in per_cycle:
+        for cycle, places, seed_places, ge, filled, uncovered in per_cycle:
             if ge < i0 or filled > i0:
                 continue
-            for q0 in sorted(cycle.place_set()):
-                if not _unused_seeds(proc, i0, q0):
+            for q0 in seed_places:
+                has_seed = seeded.get((i0, q0))
+                if has_seed is None:
+                    has_seed = seeded[i0, q0] = bool(
+                        _unused_seeds(proc, i0, q0))
+                if not has_seed:
                     continue
                 if uncovered:
                     missed_var = uncovered[0]
@@ -503,7 +569,7 @@ def certify_witness(formula: lang.Formula, assignment: Assignment,
                     continue
                 event = PumpingEvent(q0=q0, i0=i0, cycle=cycle)
                 pot = [v for v in formula.vars
-                       if v in im.places and im[v] & cycle.place_set()]
+                       if v in im.places and im[v] & places]
                 return WitnessCertificate(
                     formula=formula, base_assignment=base,
                     assignment=assignment, process=proc, event=event,
@@ -601,16 +667,34 @@ def verify_certificate(data, limits: Limits = DEFAULT_LIMITS) -> Report:
     rb.add("certificate reproduces byte-for-byte",
            json.dumps(regenerated, sort_keys=True)
            == json.dumps(data, sort_keys=True))
-    proc = FormativeProcess.from_json(data["process"])
+    try:
+        proc = FormativeProcess.from_json(data["process"])
+        rb.add("embedded process parses", True)
+    except Exception as exc:  # noqa: BLE001 - reported, not raised
+        rb.add("embedded process parses", False, str(exc))
+        return rb.build()
     rb.add("embedded process validates", validate_process(proc).ok)
     _, im, board = canonical_board(formula, fresh.assignment)
-    event = PumpingEvent.from_json(data["event"])
-    rb.add("embedded event holds",
-           is_pumping_event(proc, board, event.q0, event.i0, event.cycle).ok)
-    cover = frozenset(data["closedCover"])
-    rb.add("embedded cover is closed and contains the cycle",
-           is_closed(proc, board, cover)
-           and event.cycle.place_set() <= cover)
+    # The event and cover checks index the process's blocks by the board's
+    # places and the event's stage, so they run only where those exist.
+    width = len(board.places)
+    has_places = rb.add(
+        "embedded process has the board's places",
+        proc.stages and all(len(stage) >= width for stage in proc.stages))
+    if has_places:
+        event = PumpingEvent.from_json(data["event"])
+        cycle = event.cycle
+        named = {event.q0, *cycle.places}.union(*cycle.nodes)
+        if rb.add("embedded event names a stage and places of the process",
+                  0 <= event.i0 <= proc.xi
+                  and all(0 <= q < width for q in named)):
+            rb.add("embedded event holds",
+                   is_pumping_event(proc, board, event.q0, event.i0,
+                                    cycle).ok)
+        cover = frozenset(data["closedCover"])
+        rb.add("embedded cover is closed and contains the cycle",
+               is_closed(proc, board, cover)
+               and event.cycle.place_set() <= cover)
     if data.get("pumped"):
         rb.add("pumped weak-imitation report is green",
                fresh.pumped.weak_report.ok)

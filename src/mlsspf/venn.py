@@ -37,6 +37,11 @@ class Assignment:
             out.update(v.elements)
         return out
 
+    def is_transitive(self) -> bool:
+        """Whether the ground universe is transitive, as the unionset of
+        its Venn partition then is, without building that partition."""
+        return _is_transitive(self.value_union())
+
     def to_json(self):
         return {v: self.bindings[v].to_json() for v in self.vars()}
 
@@ -75,11 +80,15 @@ class Partition:
         return out
 
     def is_transitive(self) -> bool:
-        u = self.union_elements
-        return all(set(e.elements) <= u for e in u)
+        return _is_transitive(self.union_elements)
 
     def to_json(self):
         return [sorted((e.to_json() for e in b)) for b in self.blocks]
+
+
+def _is_transitive(universe) -> bool:
+    """Whether every member of an element of the set `universe` is in it."""
+    return all(universe.issuperset(e.elements) for e in universe)
 
 
 def _sorted_blocks(blocks):

@@ -171,6 +171,22 @@ def _write_instance(tmp_path, seed):
     return ["-f", str(f), "-m", str(model)]
 
 
+def test_verify_fails_a_process_missing_board_places(tmp_path, capsys):
+    # Blocks cut from every stage of the embedded process: a failed report
+    # (exit 1), not a crash.
+    cert = tmp_path / "cert.json"
+    assert run_cli(["witness", *_write_instance(tmp_path, 12),
+                    "--json", str(cert)]) == 0
+    data = json.loads(cert.read_text())
+    for stage in data["process"]["stages"]:
+        del stage[8:11]
+    cert.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run_cli(["verify", str(cert)]) == 1
+    err = capsys.readouterr().err
+    assert "[FAIL] embedded process has the board's places" in err
+
+
 def test_bad_bounds_are_input_errors(files):
     formula = ["-f", str(files / "ex1.mlsspf"), "-m", str(files / "model.json")]
     for limit in ("0", "-5"):

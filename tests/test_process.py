@@ -9,7 +9,9 @@ from mlsspf import hf
 from mlsspf.errors import NotTransitive
 from mlsspf.process import FormativeProcess
 
-from conftest import chain, rand_partition, rand_transitive_universe
+from conftest import (chain, rand_partition, rand_transitive_universe,
+                      wide_instance)
+from process_sweeps import synthesize_process_scan
 
 A, B, C = chain(2)
 E = frozenset()
@@ -214,6 +216,45 @@ def test_synthesize_then_validate_random():
         proc = m.synthesize_process(partition)
         assert m.validate_process(proc).ok
         assert set(proc.final_blocks()) == set(partition.blocks)
+
+
+def _assert_synthesis_matches_scan(partition):
+    proc = m.synthesize_process(partition)
+    oracle = synthesize_process_scan(partition)
+    assert proc.stages == oracle.stages
+    assert proc.trace == oracle.trace
+    assert proc.history_targets == oracle.history_targets
+
+
+@given(st.randoms(use_true_random=True))
+@settings(max_examples=100, deadline=None)
+def test_synthesis_matches_ready_scan_on_random_partitions(rng):
+    universe = rand_transitive_universe(rng, rng.randint(0, 20))
+    _assert_synthesis_matches_scan(
+        rand_partition(rng, universe, max_blocks=rng.randint(1, 8)))
+
+
+def test_synthesis_matches_ready_scan_on_wide_partitions():
+    for seed in range(200):
+        _, assignment = wide_instance(seed)
+        if not assignment.is_transitive():
+            assignment = m.transitivize(assignment)
+        _assert_synthesis_matches_scan(m.venn_partition(assignment)[0])
+
+
+def test_validate_reports_a_ragged_process(ex1):
+    # A stage short of a block, or a trace naming a place with no block,
+    # fails the shape items instead of raising IndexError.
+    stages = ex1.process.stages
+    ragged = FormativeProcess(stages=stages[:-1] + (stages[-1][:1],),
+                              trace=ex1.process.trace,
+                              history_targets=ex1.process.history_targets)
+    off = FormativeProcess(stages=stages,
+                           trace=ex1.process.trace[:-1] + (frozenset([5]),),
+                           history_targets=ex1.process.history_targets)
+    for proc, check in ((ragged, "shape: every stage has a block per place"),
+                        (off, "shape: trace nodes name places of the process")):
+        assert [i.check for i in m.validate_process(proc).failures()] == [check]
 
 
 def test_process_json_round_trip(ex1):

@@ -69,13 +69,13 @@ def _assert_cycles_match_scan(board, max_len):
     assert all(cycle.validate(board).ok for cycle in cycles)
 
 
-@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5))
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6))
 @settings(max_examples=40, deadline=None)
 def test_cycle_search_matches_green_node_scan_on_wide_boards(seed, max_len):
     _assert_cycles_match_scan(_wide_board(seed), max_len)
 
 
-@given(st.randoms(use_true_random=True), st.integers(1, 5))
+@given(st.randoms(use_true_random=True), st.integers(1, 6))
 @settings(max_examples=100, deadline=None)
 def test_cycle_search_matches_green_node_scan_on_random_boards(rng, max_len):
     universe = rand_transitive_universe(rng, rng.randint(1, 14))
@@ -388,6 +388,70 @@ def test_verify_rejects_padded_process_without_sweeping_empty_places(ex1):
     assert len(padded.least_grand_events) == len(cert.process.places) + 40
     rep = m.verify_certificate(data)
     assert "embedded process validates" in [i.check for i in rep.failures()]
+
+
+def test_verify_reports_a_process_without_the_board_places():
+    # Blocks 8-10 cut from every stage and from the trace: the process
+    # validates no longer, and the event and cover checks, which index its
+    # blocks by the board's places, are not run on it.
+    formula, assignment = wide_instance(12)
+    data = json.loads(m.certify_witness(formula, assignment).dumps())
+    process = data["process"]
+    for stage in process["stages"]:
+        del stage[8:11]
+    for key in ("trace", "historyTargets"):
+        process[key] = [[q for q in node if q < 8] for node in process[key]]
+    rep = m.verify_certificate(data)
+    checks = [i.check for i in rep.items]
+    assert "embedded process has the board's places" in [
+        i.check for i in rep.failures()]
+    assert "embedded event holds" not in checks
+    assert "embedded cover is closed and contains the cycle" not in checks
+
+
+def test_verify_reports_a_ragged_process_without_history_targets(ex1):
+    # With no history targets the process derives them from every stage's
+    # blocks, which a stage short of a block cannot give.
+    data = json.loads(m.certify_witness(ex1.formula, ex1.assignment).dumps())
+    del data["process"]["stages"][-1][1:]
+    data["process"]["historyTargets"] = []
+    rep = m.verify_certificate(data)
+    assert "embedded process parses" in [i.check for i in rep.failures()]
+
+
+@pytest.mark.parametrize("field,value", [("i0", 999), ("q0", 99)])
+def test_verify_reports_an_event_off_the_process(ex1, field, value):
+    data = json.loads(m.certify_witness(ex1.formula, ex1.assignment).dumps())
+    data["event"][field] = value
+    rep = m.verify_certificate(data)
+    assert "embedded event names a stage and places of the process" in [
+        i.check for i in rep.failures()]
+    assert "embedded event holds" not in [i.check for i in rep.items]
+
+
+def test_verify_refuses_a_cycle_place_that_is_no_number(ex1):
+    # Places are read as integers, as q0 and i0 are: the CLI reports the
+    # ValueError as an input error (exit 3).
+    data = json.loads(m.certify_witness(ex1.formula, ex1.assignment).dumps())
+    data["event"]["cycle"]["places"] = ["a"]
+    with pytest.raises(ValueError):
+        m.verify_certificate(data)
+
+
+def test_certify_builds_one_venn_partition(monkeypatch):
+    calls = []
+
+    def counting(assignment):
+        calls.append(assignment)
+        return m.venn_partition(assignment)
+
+    monkeypatch.setattr("mlsspf.venn.venn_partition", counting)
+    # The second value union, {b, c}, needs the closure variable.
+    for formula, assignment in (wide_instance(12), (
+            m.parse("!Finite(x)"), m.Assignment({"x": m.make_set([B, C])}))):
+        calls.clear()
+        cert = m.certify_witness(formula, assignment)
+        assert calls == [cert.assignment]
 
 
 def _empty_member_certificate():

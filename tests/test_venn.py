@@ -98,6 +98,17 @@ def test_transitivize_examples():
     assert M2.bindings["_univ"] is hf.EMPTY
 
 
+def test_assignment_transitivity_matches_its_partition():
+    rng = random.Random(5)
+    for _ in range(60):
+        universe = rand_transitive_universe(rng, rng.randint(1, 10))
+        values = [m.make_set(rng.sample(universe, rng.randint(0, len(universe))))
+                  for _ in range(rng.randint(1, 3))]
+        assignment = m.Assignment({f"v{i}": v for i, v in enumerate(values)})
+        assert (assignment.is_transitive()
+                == m.venn_partition(assignment)[0].is_transitive())
+
+
 def test_transitivize_preserves_literal_values(ex1):
     M2 = m.transitivize(ex1.assignment)
     assert m.evaluate(ex1.formula, M2).results == \

@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mlsspf as m
-from mlsspf import hf, lang
+from mlsspf import hf, lang, solver
 from mlsspf.errors import (CannotWarmUp, CardinalityDeficit,
                            CoverMissesVariable, LimitExceeded, NoClosedCover,
                            NoEvent, NoLocalTrash, NotAWitness)
 from mlsspf.limits import DEFAULT_LIMITS, Limits
-from mlsspf.solver import _leaves, _subsets_in_order, enumerate_universes
+from mlsspf.solver import _leaves, _universe_table, enumerate_universes
 
 from conftest import chain
 
@@ -61,6 +61,15 @@ def test_decide_ex1_is_witnessed(ex1):
     assert rep.ok
 
 
+def test_zero_budget_still_searches_the_empty_universe():
+    # Unknown replaces only UnsatWithinBudget: a model in the empty
+    # universe is found under a zero bound too.
+    for budget in (m.SearchBudget(max_rank=0), m.SearchBudget(max_universe=0)):
+        r = m.decide(m.parse("x = {}"), budget)
+        assert r.verdict == m.SAT_MODEL
+        assert r.assignment.bindings["x"] is hf.EMPTY
+
+
 def test_decide_trivial_budget_is_unknown():
     r = m.decide(m.parse("!x = {}"), m.SearchBudget(max_universe=0))
     assert r.verdict == m.UNKNOWN
@@ -102,6 +111,14 @@ def test_decide_pow_formulas():
     assert r.verdict == m.SAT_MODEL
     r = m.decide(m.parse("u = Pow(w) & u = w"), m.SearchBudget(max_universe=3))
     assert r.verdict == m.UNSAT_WITHIN_BUDGET
+
+
+def _subsets_in_order(elems):
+    """Subsets of a canonically ordered tuple, by size then position mask."""
+    n = len(elems)
+    masks = sorted(range(2 ** n), key=lambda m: (bin(m).count("1"), m))
+    return [hf.make_set(elems[i] for i in range(n) if mask >> i & 1)
+            for mask in masks]
 
 
 def _decide_unpruned(formula, budget):
@@ -217,9 +234,10 @@ def test_leaves_match_per_node_walk(formula, repeated, universe, tight):
             checks[max(depth[v] for v in lit.operands)].append(lit)
     choices = _subsets_in_order(tuple(sorted(universe, key=lambda e: e._key)))
     closures = [frozenset(hf.transitive_closure(c).elements) for c in choices]
-    args = (names, choices, closures, universe, checks, limits)
-    assert ([dict(a.bindings) for a in _leaves(*args)]
-            == [dict(a.bindings) for a in _leaves_per_node(*args)])
+    assert ([dict(a.bindings)
+             for a in _leaves(names, _universe_table(universe), checks)]
+            == [dict(a.bindings) for a in _leaves_per_node(
+                names, choices, closures, universe, checks, limits)])
 
 
 def test_hard_search_evaluates_few_literals(monkeypatch):
@@ -236,3 +254,91 @@ def test_hard_search_evaluates_few_literals(monkeypatch):
                  m.SearchBudget(max_rank=4, max_universe=4))
     assert r.verdict == m.UNSAT_WITHIN_BUDGET
     assert len(calls) < 20_000
+
+
+def test_universe_table_matches_set_operations():
+    for universe in _UNIVERSES:
+        table = _universe_table(universe)
+        elems = tuple(sorted(universe, key=lambda e: e._key))
+        assert table.choices == _subsets_in_order(elems)
+        for j, c in enumerate(table.choices):
+            assert [elems[i] for i in range(len(elems))
+                    if table.emask[j] >> i & 1] == list(c.elements)
+            assert table.choice_of[table.emask[j]] == j
+            assert (table.elem_index[j] >= 0) == (c in universe)
+            if c in universe:
+                assert table.elem_choice[table.elem_index[j]] == j
+            closure = hf.transitive_closure(c).elements
+            assert table.cmask[j] == sum(1 << elems.index(e) for e in closure)
+            assert table.members_of(j) == sum(
+                1 << k for k, d in enumerate(table.choices) if d in c)
+            assert table.holders_of(j) == sum(
+                1 << k for k, d in enumerate(table.choices) if c in d)
+
+
+_MASKED = sorted(set(lang._ARITY) - {lang.FINITE, lang.NOT_FINITE}) + [lang.ENUM]
+
+
+@st.composite
+def masked_literals(draw):
+    """A literal over x, y, z and its free variable, or one that names its
+    free variable x twice."""
+    kind = draw(st.sampled_from(_MASKED + ["repeated"]))
+    if kind == "repeated":
+        return draw(st.sampled_from(_REPEATED)), "x"
+    arity = (draw(st.integers(2, 3)) if kind == lang.ENUM
+             else lang._ARITY[kind])
+    operands = tuple(draw(st.sampled_from("xyz")) for _ in range(arity))
+    return lang.Literal(kind, operands), draw(st.sampled_from(operands))
+
+
+@given(masked_literals(), st.fixed_dictionaries(
+    {v: st.integers(0, 15) for v in "xyz"}), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_truth_mask_matches_eval_literal(literal, picks, tight):
+    # On every universe the compiled mask is the one built value by value
+    # with eval_literal, also at pow_limit = 2^|U|, the tightest limit
+    # decide prunes under.
+    lit, free = literal
+    for universe in _UNIVERSES:
+        limits = (Limits(pow_limit=2 ** len(universe)) if tight
+                  else DEFAULT_LIMITS)
+        table = _universe_table(universe)
+        fixed = {v: picks[v] % len(table.choices)
+                 for v in lit.operands if v != free}
+        bindings = {v: table.choices[j] for v, j in fixed.items()}
+        expected = 0
+        for j, value in enumerate(table.choices):
+            bindings[free] = value
+            if lang.eval_literal(lit, SimpleNamespace(bindings=bindings),
+                                 limits):
+                expected |= 1 << j
+        vals = [None if v == free else fixed[v] for v in lit.operands]
+        assert solver._truth_mask(table, lit.kind, vals) == expected
+
+
+def test_hard_search_reuses_its_tables(monkeypatch):
+    # Counts, not timings.  The first search builds its universes and
+    # tables and compiles every mask without eval_literal; a second one in
+    # the same process builds no table and interns no new set.
+    calls = []
+    evaluate_one = lang.eval_literal
+
+    def counting(*args):
+        calls.append(None)
+        return evaluate_one(*args)
+
+    monkeypatch.setattr(lang, "eval_literal", counting)
+    enumerate_universes.cache_clear()
+    _universe_table.cache_clear()
+    formula = m.parse("x in y & y in z & z in x & !Finite(w)")
+    budget = m.SearchBudget(max_rank=4, max_universe=4)
+    assert m.decide(formula, budget).verdict == m.UNSAT_WITHIN_BUDGET
+    assert _universe_table.cache_info().misses == 14
+    assert len(enumerate_universes(4, 4)) == 14
+    assert calls == []
+    interned = len(hf.HfSet._intern)
+    assert m.decide(formula, budget).verdict == m.UNSAT_WITHIN_BUDGET
+    assert _universe_table.cache_info().misses == 14
+    assert _universe_table.cache_info().hits == 14
+    assert len(hf.HfSet._intern) == interned

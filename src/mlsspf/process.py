@@ -85,13 +85,28 @@ class FormativeProcess:
         return venn.node_union(self.stages[self.xi if mu is None else mu], node)
 
     @cached_property
+    def _placed(self) -> tuple:
+        """Step -> the elements it places: the deltas of the places in its
+        history targets, which a valid process gives one per step, naming
+        the places with a delta.  A step without targets, or a target that
+        is no place of both stages, places nothing here."""
+        out = []
+        for nu in range(self.xi):
+            targets = (self.history_targets[nu]
+                       if nu < len(self.history_targets) else ())
+            before, after = self.stages[nu], self.stages[nu + 1]
+            width = range(min(len(before), len(after)))
+            out.append([e for q in targets if q in width
+                        for e in after[q] - before[q]])
+        return tuple(out)
+
+    @cached_property
     def landing(self) -> dict:
         """Element -> the step at which it entered the process."""
         out = {}
-        for nu in range(self.xi):
-            for q in self.places:
-                for e in self.delta(nu, q):
-                    out[e] = nu
+        for nu, fresh in enumerate(self._placed):
+            for e in fresh:
+                out[e] = nu
         return out
 
     @cached_property
@@ -140,10 +155,9 @@ class FormativeProcess:
         monotonically, so each step adds the members of its fresh elements."""
         used = {m for b in self.stages[0] for z in b for m in z.elements}
         out = [frozenset(used)]
-        for nu in range(self.xi):
-            for q in self.places:
-                for z in self.delta(nu, q):
-                    used.update(z.elements)
+        for fresh in self._placed:
+            for z in fresh:
+                used.update(z.elements)
             out.append(frozenset(used))
         return tuple(out)
 
@@ -196,6 +210,8 @@ def validate_process(proc: FormativeProcess) -> Report:
     xi = proc.xi
     places = proc.places
     rb.add("shape: trace length matches stage count", len(proc.trace) == xi)
+    rb.add("shape: history targets: one per step",
+           len(proc.history_targets) == xi)
     # The checks below index every stage by place: a ragged process, or a
     # trace naming a place it has no block for, fails here and goes no
     # further.

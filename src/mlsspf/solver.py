@@ -11,6 +11,7 @@ the budget is the user's stand-in.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -187,21 +188,38 @@ class UniverseTable:
             bits |= 1 << i
         return self.choice_of[bits]
 
+    def subsets_of(self, j) -> int:
+        """Bit k is set when choices[k] is a subset of choices[j]."""
+        bits = 0
+        for sub in _submasks(self.emask[j]):
+            bits |= 1 << self.choice_of[sub]
+        return bits
+
+    def supersets_of(self, j) -> int:
+        """Bit k is set when choices[j] is a subset of choices[k]."""
+        part, bits = self.emask[j], 0
+        for rest in _submasks(self.full ^ part):
+            bits |= 1 << self.choice_of[part | rest]
+        return bits
+
     def pow_index(self, j) -> int:
         """The choice equal to Pow(choices[j]), or -1 when that powerset is
         not a subset of the universe."""
         got = self._pow.get(j)
         if got is None:
-            whole = self.emask[j]
-            subs = []
-            sub = whole
-            while True:
-                subs.append(self.choice_of[sub])
-                if not sub:
-                    break
-                sub = (sub - 1) & whole
-            got = self._pow[j] = self.set_of(subs)
+            got = self._pow[j] = self.set_of(
+                [self.choice_of[sub] for sub in _submasks(self.emask[j])])
         return got
+
+
+def _submasks(whole):
+    """Every bitmask m with m & ~whole == 0, from whole down to 0."""
+    sub = whole
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & whole
 
 
 @functools.lru_cache(maxsize=128)
@@ -235,6 +253,11 @@ _TEST = {
 }
 _NEGATED = {lang.NEQ: lang.EQ, lang.NEQ_EMPTY: lang.EQ_EMPTY,
             lang.NOT_SUBSETEQ: lang.SUBSETEQ, lang.NOT_IN: lang.IN}
+# a R b with one operand free: the mask over a given b, and over b given a.
+_PAIR_MASKS = {
+    lang.IN: (UniverseTable.members_of, UniverseTable.holders_of),
+    lang.SUBSETEQ: (UniverseTable.subsets_of, UniverseTable.supersets_of),
+}
 
 
 def _holds(table, kind, args) -> bool:
@@ -251,9 +274,11 @@ def _truth_mask(table: UniverseTable, kind: str, vals) -> int:
 
     `vals` gives one choice index per operand, None where the operand is
     the free variable, which may occur more than once.  When the free
-    variable is the first operand only, a functional literal's mask is the
-    single bit of the value it requires; a membership literal with one free
-    operand is `members_of` or `holders_of`.  Finite literals have no mask:
+    variable occurs once, most masks are bit operations: a functional
+    literal with the free variable first, or `=` with it second, is the
+    single bit of the value it requires; `in` is `members_of` or
+    `holders_of`, and `<=` is `subsets_of` or `supersets_of`.  Any other
+    mask tests the choices one by one.  Finite literals have no mask:
     `decide` never prunes on them.
     """
     base = _NEGATED.get(kind, kind)
@@ -261,9 +286,12 @@ def _truth_mask(table: UniverseTable, kind: str, vals) -> int:
     if base in _VALUE and vals[0] is None and None not in rest:
         j = _VALUE[base](table, rest)
         bits = 1 << j if j >= 0 else 0
-    elif base == lang.IN and vals.count(None) == 1:
+    elif base == lang.EQ and vals[1] is None and vals[0] is not None:
+        bits = 1 << vals[0]
+    elif base in _PAIR_MASKS and vals.count(None) == 1:
         a, b = vals
-        bits = table.members_of(b) if a is None else table.holders_of(a)
+        of_b, of_a = _PAIR_MASKS[base]
+        bits = of_b(table, b) if a is None else of_a(table, a)
     else:
         bits = 0
         for j in range(len(table.choices)):
@@ -272,83 +300,170 @@ def _truth_mask(table: UniverseTable, kind: str, vals) -> int:
     return table.everything ^ bits if base is not kind else bits
 
 
-def _leaves(names, table, checks):
-    """Surviving candidate assignments under one universe, in product order.
+class _Walk:
+    """The forward-checking walk over one variable order and its literals.
 
-    Variables are bound in `names` order, each to the table's `choices` in
-    order, so the leaves come in the order of
-    itertools.product(choices, repeat=n).  A literal in checks[d] has its
-    last-bound variable at depth d.  Its truth under the bound prefix
-    depends only on the `choices` indices of its operands bound before d,
-    so for each such index tuple its `_truth_mask` is built once, when the
-    walk first reaches that key, and lives for this call.  At depth d the
-    walk ANDs the masks of checks[d] and visits the set bits in ascending
-    j, which is `choices` order, so the leaves, and their order, are those
-    that checking every literal at every node would keep; a clear bit skips
-    the whole subtree.  A leaf survives when the union of its values'
-    closures is the universe, i.e. the universe is the one its values
-    generate.
+    Order guarantee: `leaves(table)` binds the variables in `names` order,
+    each to the table's `choices` in order, so the leaves come in the order
+    of itertools.product(choices, repeat=n), and they are exactly the
+    candidates of that product that satisfy every literal of `checks` and,
+    when `cover` is set, whose values generate the universe: the union of
+    their closures is all of it.  With `cover` unset every candidate that
+    satisfies the literals is a leaf.
+
+    A literal in checks[d] has its last-bound variable at depth d, its
+    free variable.  Its truth depends only on the `choices` indices of its
+    other operands, so it is checked forward: once the last of them is
+    bound, at depth e < d, its `_truth_mask` over the free variable's
+    values is ANDed into the domain of depth d.  The mask is built once per
+    index tuple of the other operands and universe.  A literal with no
+    other operand narrows the root domain of depth d once per universe.
+    The walk at depth d visits the set bits of its domain in ascending j,
+    which is `choices` order; a domain that becomes empty cuts the prefix,
+    since no extension of it satisfies that literal, and an empty root
+    domain leaves the universe without leaves.  Only subtrees without a
+    leaf are skipped, so the leaves and their order are those that
+    checking every literal at every node would keep.  The schedule depends
+    on `names` and `checks` only, so `decide` builds it once per call.
 
     A mask covers values whose subtree an earlier literal already skipped.
     lang.eval_literal raises on a Pow literal once 2^|w| > pow_limit, and
     every value is a subset of the universe, so that can happen only when
     2^|universe| > pow_limit; `decide` passes empty checks for such a
-    universe, which gives all-ones masks, and tests its leaves one by one.
+    universe, which gives full domains, and tests its leaves one by one.
     """
-    choices, cmask, full = table.choices, table.cmask, table.full
-    last = len(names) - 1
-    everything = table.everything
-    picked = [0] * len(names)
-    depth_of = {name: d for d, name in enumerate(names)}
-    per_depth = []
-    for d, here in enumerate(checks):
-        per_depth.append([
-            (lit.kind, [None if depth_of[v] == d else depth_of[v]
-                        for v in lit.operands],
-             sorted({depth_of[v] for v in lit.operands} - {d}), {})
-            for lit in here])
 
-    def walk(depth, covered):
-        allowed = everything
-        for kind, operand_depths, earlier, memo in per_depth[depth]:
-            if not allowed:
-                break
-            key = tuple([picked[e] for e in earlier])
-            bits = memo.get(key)
-            if bits is None:
-                bits = memo[key] = _truth_mask(
-                    table, kind,
-                    [None if e is None else picked[e] for e in operand_depths])
-            allowed &= bits
-        while allowed:
-            low = allowed & -allowed
-            allowed ^= low
-            j = low.bit_length() - 1
-            picked[depth] = j
-            union = covered | cmask[j]
-            if depth < last:
-                yield from walk(depth + 1, union)
-            elif union == full:
-                yield Assignment({name: choices[picked[d]]
-                                  for d, name in enumerate(names)})
+    def __init__(self, names, checks):
+        self.names = names
+        depth_of = {name: d for d, name in enumerate(names)}
+        # roots: (d, kind, operands) of the literals on one variable;
+        # ahead[e]: per depth d > e, (kind, operands, key, memo index) of
+        # the literals of checks[d] whose other operands are bound by e, e
+        # the last of them.  An operand is its depth, None for d.
+        self.roots = []
+        ahead = [{} for _ in names]
+        self.masked = 0
+        for d, here in enumerate(checks):
+            for lit in here:
+                vals = [None if depth_of[v] == d else depth_of[v]
+                        for v in lit.operands]
+                earlier = sorted({e for e in vals if e is not None})
+                if not earlier:
+                    self.roots.append((d, lit.kind, vals))
+                    continue
+                ahead[earlier[-1]].setdefault(d, []).append(
+                    (lit.kind, vals, operator.itemgetter(*earlier),
+                     self.masked))
+                self.masked += 1
+        self.ahead = [list(targets.items()) for targets in ahead]
 
-    return walk(0, 0)
+    def leaves(self, table, cover=True):
+        """The surviving candidate assignments under one universe."""
+        names, ahead = self.names, self.ahead
+        choices, cmask = table.choices, table.cmask
+        full = table.full if cover else None
+        last = len(names) - 1
+        picked = [0] * len(names)
+        root = [table.everything] * len(names)
+        for d, kind, vals in self.roots:
+            root[d] &= _truth_mask(table, kind, vals)
+        if not all(root):
+            return iter(())
+        memos = [{} for _ in range(self.masked)]
+
+        def walk(depth, covered, domain):
+            targets = ahead[depth]
+            bits = domain[depth]
+            inner = domain
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                j = low.bit_length() - 1
+                picked[depth] = j
+                if targets:
+                    inner = domain.copy()
+                    for d, lits in targets:
+                        allowed = domain[d]
+                        for kind, vals, key_of, m in lits:
+                            key = key_of(picked)
+                            memo = memos[m]
+                            mask = memo.get(key)
+                            if mask is None:
+                                mask = memo[key] = _truth_mask(
+                                    table, kind, [None if e is None
+                                                  else picked[e]
+                                                  for e in vals])
+                            allowed &= mask
+                            if not allowed:
+                                break
+                        if not allowed:
+                            break
+                        inner[d] = allowed
+                    if not allowed:
+                        continue
+                union = covered | cmask[j]
+                if depth < last:
+                    yield from walk(depth + 1, union, inner)
+                elif full is None or union == full:
+                    yield Assignment({name: choices[picked[d]]
+                                      for d, name in enumerate(names)})
+
+        return walk(0, 0, root)
+
+
+def _leaves(names, table, checks, cover=True):
+    """The leaves of one universe under a schedule used once:
+    `_Walk(names, checks).leaves(table, cover)`.
+
+    Order guarantee: the candidates of itertools.product(choices,
+    repeat=len(names)) that satisfy every literal of `checks` (and, with
+    `cover`, generate the universe), in that product's order.
+    """
+    return _Walk(names, checks).leaves(table, cover)
+
+
+def _components(names, checks):
+    """The connected components of the variables under the literals of
+    `checks` that `decide` tests on their own, as (names, checks) pairs in
+    `names` order: those with a literal, less one whose variables are bound
+    first, since the walk over all of `names` meets its subtree only once,
+    as the test would."""
+    root = {name: name for name in names}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for here in checks:
+        for lit in here:
+            first = find(lit.operands[0])
+            for v in lit.operands[1:]:
+                root[find(v)] = first
+    groups = {}
+    for name, here in zip(names, checks):
+        part = groups.setdefault(find(name), ([], []))
+        part[0].append(name)
+        part[1].append(here)
+    return [(part, here) for part, here in groups.values()
+            if any(here) and part != names[:len(part)]]
 
 
 def decide(formula: lang.Formula, budget: SearchBudget) -> DecideResult:
     """Search the budgeted universe enumeration for a model or a witness.
 
-    Universes come smallest first.  Under each, candidates are visited
-    depth first, in itertools.product order over `formula.vars`; each
-    candidate is tried only under the smallest transitive universe its
-    values generate.  A literal other than Finite/!Finite is checked as soon
-    as its operands are bound, and a false one prunes every candidate that
-    extends the prefix.  Those candidates would all be rejected, so the
-    first hit, and with it every verdict, is the one the full product finds.
-    Within a universe each literal is evaluated at most once per combination
-    of its operands' values, into the truth masks of `_leaves`, by bit
-    operations on the universe's `UniverseTable`; the walk reads the masks
-    in `choices` order, so the order above is unchanged.
+    Order guarantee: universes come smallest first.  Under each,
+    candidates are visited depth first, in itertools.product order over
+    `formula.vars`; each candidate is tried only under the smallest
+    transitive universe its values generate, and the first that is a model
+    (or that `certify_witness` accepts) is the answer.  Literals other than
+    Finite/!Finite prune: `_Walk` applies each one to the domain of its
+    last-bound variable as soon as its other operands are bound, and a
+    universe is skipped when the literals of one connected component of
+    the variables have no solution in it, found by the same walk over that
+    component alone.  Only candidates that would be rejected are dropped,
+    so the first hit, and with it every verdict, is the one the full
+    product finds.
     """
     limits = budget.limits
     has_neg = any(lit.kind == lang.NOT_FINITE for lit in formula.literals)
@@ -361,16 +476,24 @@ def decide(formula: lang.Formula, budget: SearchBudget) -> DecideResult:
     for lit in formula.literals:
         if lit.kind not in (lang.FINITE, lang.NOT_FINITE):
             checks[max(depth[v] for v in lit.operands)].append(lit)
-    unpruned = [()] * len(names)
+    search = _Walk(names, checks)
+    parts = [_Walk(part, here) for part, here in _components(names, checks)]
+    unpruned = _Walk(names, [()] * len(names)) if has_pow else None
     for universe in enumerate_universes(budget.max_rank, budget.max_universe):
+        table = _universe_table(universe)
         # A Pow literal raises LimitExceeded once 2^|w| > pow_limit, and
         # lang.evaluate lets that escape at the first such leaf.  Pruning
         # could skip that leaf, so a universe big enough for it is searched
         # leaf by leaf.  In a smaller universe no literal can raise, so a
         # truth mask may cover values the walk then skips.
-        may_raise = has_pow and 2 ** len(universe) > limits.pow_limit
-        for assignment in _leaves(names, _universe_table(universe),
-                                  unpruned if may_raise else checks):
+        if has_pow and 2 ** len(universe) > limits.pow_limit:
+            leaves = unpruned.leaves(table)
+        elif any(next(part.leaves(table, cover=False), None) is None
+                 for part in parts):
+            continue
+        else:
+            leaves = search.leaves(table)
+        for assignment in leaves:
             if has_neg:
                 try:
                     cert = certify_witness(formula, assignment, limits)

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -255,6 +256,44 @@ def test_validate_reports_a_ragged_process(ex1):
     for proc, check in ((ragged, "shape: every stage has a block per place"),
                         (off, "shape: trace nodes name places of the process")):
         assert [i.check for i in m.validate_process(proc).failures()] == [check]
+
+
+def test_validate_counts_history_targets():
+    # The certificate of w in x & !Finite(x) on {"w": [], "x": [[], [[]]]}
+    # has two steps; history targets cut to the first one fail the shape
+    # item, and the cut process reads no element off the second step.
+    formula = m.parse("w in x & !Finite(x)")
+    assignment, _ = m.Assignment.from_json({"w": [], "x": [[], [[]]]})
+    data = json.loads(m.certify_witness(formula, assignment).dumps())
+    full = FormativeProcess.from_json(data["process"])
+    assert full.xi == 2 and m.validate_process(full).ok
+    data["process"]["historyTargets"] = data["process"]["historyTargets"][:1]
+    cut = FormativeProcess.from_json(data["process"])
+    assert [i.check for i in m.validate_process(cut).failures()] == [
+        "shape: history targets: one per step"]
+    assert set(cut.landing) == set(full.delta(0, 0)) != set(full.landing)
+    assert "embedded process validates" in [
+        i.check for i in m.verify_certificate(data).failures()]
+
+
+def test_landing_reads_history_targets_only():
+    # Only the places a step's history targets name are read; a target
+    # that names no place of the process places nothing, so a tampered
+    # process is reported by validate_process, never raised on.
+    formula = m.parse("w in x & !Finite(x)")
+    assignment, _ = m.Assignment.from_json({"w": [], "x": [[], [[]]]})
+    data = json.loads(m.certify_witness(formula, assignment).dumps())
+    full = FormativeProcess.from_json(data["process"])
+    second = full.delta(1, 0)
+    for targets, placed in (([[7], [0]], second), ([["a"], [0]], second),
+                            ([[], []], frozenset())):
+        data["process"]["historyTargets"] = targets
+        proc = FormativeProcess.from_json(data["process"])
+        assert set(proc.landing) == placed
+        assert proc.used_elements(2) == frozenset(
+            m for e in placed for m in e.elements)
+        assert "step 0: history targets match nonempty deltas" in [
+            i.check for i in m.validate_process(proc).failures()]
 
 
 def test_process_json_round_trip(ex1):

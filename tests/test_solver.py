@@ -1,4 +1,5 @@
 import json
+import sys
 from itertools import product
 from types import SimpleNamespace
 
@@ -342,3 +343,144 @@ def test_hard_search_reuses_its_tables(monkeypatch):
     assert _universe_table.cache_info().misses == 14
     assert _universe_table.cache_info().hits == 14
     assert len(hf.HfSet._intern) == interned
+
+
+_PAIRS = (("w", "x"), ("y", "z"))
+
+
+@st.composite
+def split_formulas(draw):
+    """Literals over w, x and over y, z: two components or more, each with
+    a literal that names one variable only (x in x, x <= x, x = x,
+    !x = {}, x = Pow(x), ...), which narrows a root domain."""
+    lits = []
+    for pair in _PAIRS:
+        for _ in range(draw(st.integers(0, 2))):
+            kind = draw(st.sampled_from(_MASKED))
+            arity = (draw(st.integers(2, 3)) if kind == lang.ENUM
+                     else lang._ARITY[kind])
+            operands = tuple(draw(st.sampled_from(pair)) for _ in range(arity))
+            lits.append(lang.Literal(kind, operands))
+        kind = draw(st.sampled_from(_MASKED))
+        arity = 2 if kind == lang.ENUM else lang._ARITY[kind]
+        lits.append(lang.Literal(kind, (draw(st.sampled_from(pair)),) * arity))
+    return lang.Formula(tuple(draw(st.permutations(lits))))
+
+
+def _checks(names, formula):
+    depth = {v: i for i, v in enumerate(names)}
+    checks = [[] for _ in names]
+    for lit in formula.literals:
+        if lit.kind not in (lang.FINITE, lang.NOT_FINITE):
+            checks[max(depth[v] for v in lit.operands)].append(lit)
+    return checks
+
+
+# Up to eight values per variable keeps the per-node walk over five
+# variables small.
+_SMALL_UNIVERSES = [u for u in _UNIVERSES if len(u) <= 3]
+
+
+@given(split_formulas(), st.integers(0, 4), st.sampled_from(_SMALL_UNIVERSES))
+@settings(max_examples=150, deadline=None)
+def test_leaves_match_per_node_walk_on_components(formula, at, universe):
+    # A variable that no literal names, bound at any depth, and literals on
+    # one variable, which set root domains: the forward-checking walk keeps
+    # the leaves of the per-node walk, in the same order.  A component
+    # whose literals have no solution without the cover test leaves the
+    # whole universe without leaves, which is what lets decide skip it.
+    names = list(formula.vars)
+    names.insert(min(at, len(names)), "v")
+    checks = _checks(names, formula)
+    table = _universe_table(universe)
+    choices = table.choices
+    closures = [frozenset(hf.transitive_closure(c).elements) for c in choices]
+    expected = [dict(a.bindings) for a in _leaves_per_node(
+        names, choices, closures, universe, checks, DEFAULT_LIMITS)]
+    assert [dict(a.bindings)
+            for a in _leaves(names, table, checks)] == expected
+    parts = solver._components(names, checks)
+    assert all(part != names[:len(part)] and any(here)
+               for part, here in parts)
+    for part, here in parts:
+
+        def holds(combo):
+            candidate = SimpleNamespace(bindings=dict(zip(part, combo)))
+            return all(lang.eval_literal(lit, candidate)
+                       for lits in here for lit in lits)
+
+        solutions = [tuple(a.bindings[v] for v in part)
+                     for a in _leaves(part, table, here, cover=False)]
+        assert solutions == [combo for combo in product(choices,
+                                                        repeat=len(part))
+                             if holds(combo)]
+        if not solutions:
+            assert expected == []
+
+
+@given(split_formulas(), st.sampled_from([(), ("v",)]),
+       st.sampled_from([lang.FINITE, lang.NOT_FINITE]))
+@settings(max_examples=40, deadline=None)
+def test_decide_matches_unpruned_search_on_components(formula, extra, kind):
+    # A Finite or !Finite literal on a variable that no other literal names:
+    # it joins no component, and the search skips universes where one of
+    # the others has no solution.
+    formula = lang.Formula(formula.literals + tuple(
+        lang.Literal(kind, (v,)) for v in extra))
+    budget = m.SearchBudget(max_rank=3, max_universe=3)
+    assert (_outcome(m.decide, formula, budget)
+            == _outcome(_decide_unpruned, formula, budget))
+
+
+@st.composite
+def masks_to_build(draw):
+    """A masked kind, its operands as choice indices, and a nonempty set of
+    operand positions that hold the free variable."""
+    kind = draw(st.sampled_from(_MASKED))
+    arity = (draw(st.integers(2, 4)) if kind == lang.ENUM
+             else lang._ARITY[kind])
+    free = draw(st.sets(st.integers(0, arity - 1), min_size=1))
+    picks = draw(st.lists(st.integers(0, 15), min_size=arity, max_size=arity))
+    return kind, free, picks
+
+
+@given(masks_to_build())
+@settings(max_examples=300, deadline=None)
+def test_truth_mask_matches_holds_loop(drawn):
+    # Every kernel of _truth_mask against testing the choices one by one,
+    # for every position of the free variable, repeated ones too.
+    kind, free, picks = drawn
+    base = solver._NEGATED.get(kind, kind)
+    for universe in _UNIVERSES:
+        table = _universe_table(universe)
+        vals = [None if i in free else p % len(table.choices)
+                for i, p in enumerate(picks)]
+        bits = sum(1 << j for j in range(len(table.choices))
+                   if solver._holds(table, base,
+                                    [j if v is None else v for v in vals]))
+        if base is not kind:
+            bits ^= table.everything
+        assert solver._truth_mask(table, kind, vals) == bits
+
+
+def test_hard_search_walks_few_nodes():
+    # A count, not a timing: the walk visited 325,748 nodes here when it
+    # enumerated the variable w, which no literal constrains, once per
+    # prefix of the others.
+    calls = []
+    walk_file = solver.__file__
+
+    def count(frame, event, arg):
+        if (event == "call" and frame.f_code.co_name == "walk"
+                and frame.f_code.co_filename == walk_file):
+            calls.append(None)
+
+    formula = m.parse("x in y & y in z & z in x & !Finite(w)")
+    budget = m.SearchBudget(max_rank=5, max_universe=5)
+    sys.setprofile(count)
+    try:
+        r = m.decide(formula, budget)
+    finally:
+        sys.setprofile(None)
+    assert r.verdict == m.UNSAT_WITHIN_BUDGET
+    assert 0 < len(calls) < 5_000

@@ -2,7 +2,11 @@
 
 Exit codes: 0 sat/witnessed or check passed, 1 unsat-within-budget or check
 failed, 2 unknown, 3 bad input (bounds out of range too), 4 internal failure
-(the input was read and checked, then the library failed on it).
+(the input was read and checked, then the library failed on it).  `verify`
+and `pump` re-derive a certificate the same way
+(`pumping.reproduce_certificate`) and read the same pumped verdict
+(`PumpedExtension.ok`); a malformed certificate, such as a field of the
+wrong JSON type, is bad input (3) for both.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ from . import hf, lang
 from .errors import MlsspfError
 from .limits import DEFAULT_LIMITS, Limits
 from .process import FormativeProcess, synthesize_process, validate_process
-from .pumping import (WitnessCertificate, certificate_limits, certify_witness,
-                      extend_certificate, verify_certificate)
+from .pumping import (certify_witness, extend_certificate,
+                      reproduce_certificate, verify_certificate)
 from .solver import SAT_MODEL, SAT_WITNESSED, UNKNOWN, SearchBudget, decide
 from .venn import Assignment, canonical_board, transitivize, venn_partition
 
@@ -130,21 +134,13 @@ def cmd_witness(args):
     return EXIT_OK
 
 
-def _load_certificate(data, limits: Limits) -> WitnessCertificate:
-    formula = lang.parse(data["formula"])
-    base, _ = Assignment.from_json(data["baseAssignment"])
-    cert = certify_witness(formula, base, certificate_limits(data, limits))
-    if json.dumps(cert.to_json(), sort_keys=True) != json.dumps(
-            {k: v for k, v in data.items() if k != "pumped"}, sort_keys=True):
-        raise MlsspfError("certificate does not match its own inputs")
-    return cert
-
-
 def cmd_pump(args):
     if args.rounds < 0:
         raise ValueError(f"rounds must be nonnegative, not {args.rounds}")
     limits = _limits(args)
-    cert = _load_certificate(_read_json(args.certificate), limits)
+    report, cert = reproduce_certificate(_read_json(args.certificate), limits)
+    if not report.ok:
+        raise MlsspfError(f"certificate does not match its own inputs:\n{report}")
     try:
         extended = extend_certificate(cert, args.rounds, limits)
     except MlsspfError as exc:
@@ -153,9 +149,7 @@ def cmd_pump(args):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     _emit(extended.to_json(), args)
-    ok = (extended.pumped.weak_report.ok and extended.pumped.transfer_report.ok
-          and extended.pumped.upward_report.ok)
-    return EXIT_OK if ok else EXIT_FAIL
+    return EXIT_OK if extended.pumped.ok else EXIT_FAIL
 
 
 def cmd_decide(args):

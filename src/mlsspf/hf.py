@@ -132,6 +132,15 @@ def from_json(data):
     return build(data), had_dup
 
 
+def expect_json(value, kind, what):
+    """`value` if it is a JSON `kind` (no boolean passes for an `int`), else
+    ValueError: malformed input is bad input, not a fault of the library."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(
+            f"{what} must be a JSON {kind.__name__}, not {type(value).__name__}")
+    return value
+
+
 def decoder():
     """A `from_json` for decoding many values in one go, such as the stages
     of a process.

@@ -54,20 +54,11 @@ class FormativeProcess:
     def places(self):
         return tuple(range(len(self.stages[0]) if self.stages else 0))
 
-    def block(self, q, mu=None) -> frozenset:
-        return self.stages[self.xi if mu is None else mu][q]
-
     def final_blocks(self):
         return self.stages[self.xi]
 
-    def final_partition(self) -> Partition:
-        return Partition(self.final_blocks())
-
     def universe(self, mu) -> frozenset:
-        out = set()
-        for b in self.stages[mu]:
-            out |= b
-        return frozenset(out)
+        return frozenset().union(*self.stages[mu])
 
     @cached_property
     def final_universe(self) -> frozenset:
@@ -186,14 +177,20 @@ class FormativeProcess:
 
     @staticmethod
     def from_json(data) -> "FormativeProcess":
-        decode = hf.decoder()
+        # History targets are only compared and looked up: read as given.
+        expect, decode = hf.expect_json, hf.decoder()
         stages = []
-        for stage in data["stages"]:
+        for stage in expect(expect(data, dict, "a process")["stages"], list,
+                            "stages"):
             stages.append(tuple(
-                frozenset(decode(e)[0] for e in b) for b in stage))
+                frozenset(decode(e)[0] for e in expect(b, list, "a block"))
+                for b in expect(stage, list, "a stage")))
+        trace = expect(data["trace"], list, "a trace")
         return FormativeProcess(
             stages=tuple(stages),
-            trace=tuple(frozenset(a) for a in data["trace"]),
+            trace=tuple(frozenset(expect(q, int, "a trace place")
+                                  for q in expect(a, list, "a trace node"))
+                        for a in trace),
             history_targets=tuple(frozenset(t) for t in data.get("historyTargets", [])),
             weak=bool(data.get("weak", False)),
         )

@@ -17,8 +17,8 @@ from itertools import islice
 from typing import Optional
 
 from . import hf, lang
-from .errors import (CannotWarmUp, CoverMissesVariable, NoClosedCover,
-                     NoEvent, NotAWitness)
+from .errors import (CannotWarmUp, CoverMissesVariable, MlsspfError,
+                     NoClosedCover, NoEvent, NotAWitness)
 from .limits import DEFAULT_LIMITS, Limits
 from .msrefine import (ImitationWitness, MsOverlay, StartConfiguration,
                        check_segment_imitation, check_upward_premises,
@@ -56,8 +56,10 @@ class PumpingCycle:
     def validate(self, board: ColoredBoard) -> Report:
         rb = ReportBuilder()
         n = len(self.places)
-        rb.add("cycle: nodes and places alternate consistently",
-               len(self.nodes) == n and n >= 1)
+        # The other items index nodes and places together.
+        if not rb.add("cycle: nodes and places alternate consistently",
+                      len(self.nodes) == n and n >= 1):
+            return rb.build()
         rb.add("cycle: no place repeats", len(set(self.places)) == n)
         rb.add("cycle: no node repeats", len(set(self.nodes)) == n)
         rb.add("cycle: every place is green",
@@ -76,9 +78,16 @@ class PumpingCycle:
 
     @staticmethod
     def from_json(data) -> "PumpingCycle":
+        data = hf.expect_json(data, dict, "a cycle")
+        nodes = hf.expect_json(data["nodes"], list, "cycle nodes")
         return PumpingCycle(
-            nodes=tuple(frozenset(int(q) for q in c) for c in data["nodes"]),
-            places=tuple(int(q) for q in data["places"]))
+            nodes=tuple(frozenset(_json_places(c, "a node")) for c in nodes),
+            places=_json_places(data["places"], "cycle places"))
+
+
+def _json_places(data, what) -> tuple:
+    return tuple(hf.expect_json(q, int, f"a place of {what}")
+                 for q in hf.expect_json(data, list, what))
 
 
 @dataclass(frozen=True)
@@ -92,7 +101,9 @@ class PumpingEvent:
 
     @staticmethod
     def from_json(data) -> "PumpingEvent":
-        return PumpingEvent(q0=int(data["q0"]), i0=int(data["i0"]),
+        data = hf.expect_json(data, dict, "an event")
+        return PumpingEvent(q0=hf.expect_json(data["q0"], int, "q0"),
+                            i0=hf.expect_json(data["i0"], int, "i0"),
                             cycle=PumpingCycle.from_json(data["cycle"]))
 
 
@@ -297,23 +308,22 @@ class PumpResult:
     weak_report: Report
 
 
-def _run_round(stages, minus, trace, schedule, seed, kind, limits):
-    """Execute one cycle traversal; returns the new seed or None when the
+def _run_round(stages, minus, trace, schedule, seed, restore, limits):
+    """Execute one cycle traversal, whose last step restores the Minus
+    cardinality when `restore` is set; returns the new seed or None when the
     round's thresholds cannot be met (state is then left untouched)."""
     new_stages, new_minus, new_trace = [], [], []
     cur_stages = stages[-1]
     cur_minus = minus[-1]
     places = range(len(cur_stages))
     for j, (node, tq) in enumerate(schedule):
-        placed = set()
-        for b in cur_stages:
-            placed |= b
+        placed = frozenset().union(*cur_stages)
         fam = [frozenset(seed)] + [cur_stages[q] for q in sorted(node)]
         # The least three fresh assemblies are all a round reads.
         pool = list(islice((e for e in hf.assemblies(fam, limits.pow_limit)
                             if e not in placed), 3))
         last = j == len(schedule) - 1
-        if kind == "restore" and last:
+        if restore and last:
             union_snapshot = node_union(cur_stages, node)
             t1_cands = [e for e in pool if e is not union_snapshot]
             if not t1_cands or len(pool) < 2:
@@ -406,21 +416,21 @@ def _traverse(proc, event, rounds, limits):
     done = 0
     restored = False
     while done < rounds:
-        kind = "grow" if restored else "restore"
-        new_seed = _run_round(stages, minus, trace, schedule, seed, kind,
-                              limits)
+        new_seed = _run_round(stages, minus, trace, schedule, seed,
+                              not restored, limits)
         if new_seed is None:
             if warmups >= MAX_WARMUP_ROUNDS:
                 raise CannotWarmUp(
                     f"thresholds unmet after {warmups} warm-up rounds")
-            new_seed = _run_round(stages, minus, trace, schedule, seed,
-                                  "warmup", limits)
+            # Once restored, the warm-up round is the one that just failed.
+            if not restored:
+                new_seed = _run_round(stages, minus, trace, schedule, seed,
+                                      False, limits)
             if new_seed is None:
                 raise CannotWarmUp("cycle cannot distribute fresh elements")
             warmups += 1
         else:
-            if kind == "restore":
-                restored = True
+            restored = True
             done += 1
         seed = new_seed
         boundaries.append(len(stages) - 1)
@@ -444,6 +454,26 @@ class PumpedExtension:
     warmups: int
     round_boundaries: tuple
 
+    def reports(self) -> dict:
+        """The five reports by their names in the certificate."""
+        return {
+            "weakImitation": self.weak_report,
+            "segmentImitation": self.segment_report,
+            "upward": self.upward_report,
+            "imitation": self.imitation_report,
+            "literalTransfer": self.transfer_report,
+        }
+
+    def failing(self) -> list:
+        return [name for name, rep in self.reports().items() if not rep.ok]
+
+    @property
+    def ok(self) -> bool:
+        """All five reports are ok: the upward report (whose premises are
+        the weak and segment reports, and whose conclusions every imitation
+        item but the constant (4)) and the literal transfer."""
+        return not self.failing()
+
     def to_json(self):
         return {
             "rounds": self.rounds,
@@ -453,13 +483,8 @@ class PumpedExtension:
             "overlay": self.overlay.to_json(self.process),
             "witness": self.witness.to_json(),
             "finalAssignment": self.final_assignment.to_json(),
-            "reports": {
-                "weakImitation": self.weak_report.to_json(),
-                "segmentImitation": self.segment_report.to_json(),
-                "upward": self.upward_report.to_json(),
-                "imitation": self.imitation_report.to_json(),
-                "literalTransfer": self.transfer_report.to_json(),
-            },
+            "reports": {name: report.to_json()
+                        for name, report in self.reports().items()},
         }
 
 
@@ -608,65 +633,68 @@ def extend_certificate(cert: WitnessCertificate, rounds: int,
         segment_report=segment, upward_report=upward, imitation_report=imit,
         transfer_report=transfer, warmups=pump.warmups,
         round_boundaries=pump.round_boundaries)
-    return WitnessCertificate(
-        formula=cert.formula, base_assignment=cert.base_assignment,
-        assignment=cert.assignment, process=cert.process, event=cert.event,
-        cover=cert.cover, potential_infinite=cert.potential_infinite,
-        literal_results=cert.literal_results, event_report=cert.event_report,
-        max_cycle_len=cert.max_cycle_len, pumped=pumped)
+    return replace(cert, pumped=pumped)
 
 
-def certificate_limits(data, limits: Limits) -> Limits:
-    """`limits` with the cycle-length bound a certificate's JSON records
-    (`params.maxCycleLen`), under which it re-certifies.  Raises ValueError
-    when that bound is below 1."""
-    return replace(limits, max_cycle_len=int(
-        data.get("params", {}).get("maxCycleLen", limits.max_cycle_len)))
+def reproduce_certificate(data, limits: Limits = DEFAULT_LIMITS):
+    """Re-derive a certificate from its own inputs and compare byte for byte.
 
-
-def verify_certificate(data, limits: Limits = DEFAULT_LIMITS) -> Report:
-    """Re-derive a certificate from its own inputs and compare byte-for-byte.
-
-    Every component is recomputed from the embedded formula and assignment
-    (the pipeline is deterministic), so any tampering shows up as a
-    divergence; individual structural checks are reported as well.  It runs
-    under `certificate_limits(data, limits)`.  A pumped certificate claiming
-    more rounds than its pumped process has stages fails "pump extension
-    reproduces" without being pumped.
+    Certifies the base assignment under the recorded `params.maxCycleLen`
+    (else `limits`'), pumps a pumped certificate its recorded rounds, and
+    returns (report, re-derived certificate or None when a step failed).
+    A claim of more rounds than the pumped process has stages is refused
+    unpumped.  A bound below 1, or a certificate, formula, assignment or
+    params of the wrong JSON type, raises ValueError; MlsspfError and
+    ValueError of the steps after (a malformed `pumped` too) are report
+    items, and any other exception is a fault of the library.
     """
-    limits = certificate_limits(data, limits)
+    expect = hf.expect_json
+    data = expect(data, dict, "a certificate")
+    params = expect(data.get("params", {}), dict, "params")
+    limits = replace(limits, max_cycle_len=expect(
+        params.get("maxCycleLen", limits.max_cycle_len), int, "maxCycleLen"))
     rb = ReportBuilder()
     try:
-        formula = lang.parse(data["formula"])
+        formula = lang.parse(expect(data["formula"], str, "formula"))
         rb.add("formula parses", True)
-    except Exception as exc:  # noqa: BLE001 - reported, not raised
+    except MlsspfError as exc:
         rb.add("formula parses", False, str(exc))
-        return rb.build()
+        return rb.build(), None
     base, _ = Assignment.from_json(data["baseAssignment"])
+    step = "witness certification reproduces"
     try:
         fresh = certify_witness(formula, base, limits)
-    except Exception as exc:  # noqa: BLE001
-        rb.add("witness certification reproduces", False, str(exc))
-        return rb.build()
-    if data.get("pumped"):
-        try:
-            rounds = int(data["pumped"]["rounds"])
-            # Every counted round appends at least one stage, so a claim of
-            # more rounds than the embedded pumped process has stages cannot
-            # reproduce; it is refused before any pumping, which keeps the
-            # work bounded by the size of the input.
-            stages = len(data["pumped"]["process"]["stages"])
+        pumped = data.get("pumped")
+        if pumped:
+            step = "pump extension reproduces"
+            pumped = expect(pumped, dict, "pumped")
+            rounds = expect(pumped["rounds"], int, "pumped rounds")
+            stages = len(expect(expect(pumped["process"], dict, "process")[
+                "stages"], list, "pumped stages"))
+            # Every counted round appends at least one stage, which keeps
+            # the work bounded by the size of the input.
             if rounds > stages:
                 raise ValueError(f"{rounds} rounds claimed, but the pumped "
                                  f"process has only {stages} stages")
             fresh = extend_certificate(fresh, rounds, limits)
-        except Exception as exc:  # noqa: BLE001
-            rb.add("pump extension reproduces", False, str(exc))
-            return rb.build()
-    regenerated = fresh.to_json()
+    except (MlsspfError, ValueError) as exc:
+        rb.add(step, False, str(exc))
+        return rb.build(), None
     rb.add("certificate reproduces byte-for-byte",
-           json.dumps(regenerated, sort_keys=True)
+           json.dumps(fresh.to_json(), sort_keys=True)
            == json.dumps(data, sort_keys=True))
+    return rb.build(), fresh
+
+
+def verify_certificate(data, limits: Limits = DEFAULT_LIMITS) -> Report:
+    """`reproduce_certificate`'s items, then the embedded process, event and
+    cover checked on their own, and for a pumped certificate its pumped
+    verdict, `PumpedExtension.ok`.  Wrong JSON types raise ValueError."""
+    reproduced, fresh = reproduce_certificate(data, limits)
+    rb = ReportBuilder()
+    rb.extend(reproduced)
+    if fresh is None:
+        return rb.build()
     try:
         proc = FormativeProcess.from_json(data["process"])
         rb.add("embedded process parses", True)
@@ -674,7 +702,7 @@ def verify_certificate(data, limits: Limits = DEFAULT_LIMITS) -> Report:
         rb.add("embedded process parses", False, str(exc))
         return rb.build()
     rb.add("embedded process validates", validate_process(proc).ok)
-    _, im, board = canonical_board(formula, fresh.assignment)
+    _, im, board = canonical_board(fresh.formula, fresh.assignment)
     # The event and cover checks index the process's blocks by the board's
     # places and the event's stage, so they run only where those exist.
     width = len(board.places)
@@ -691,12 +719,11 @@ def verify_certificate(data, limits: Limits = DEFAULT_LIMITS) -> Report:
             rb.add("embedded event holds",
                    is_pumping_event(proc, board, event.q0, event.i0,
                                     cycle).ok)
-        cover = frozenset(data["closedCover"])
+        cover = frozenset(_json_places(data["closedCover"], "closedCover"))
         rb.add("embedded cover is closed and contains the cycle",
                is_closed(proc, board, cover)
                and event.cycle.place_set() <= cover)
-    if data.get("pumped"):
-        rb.add("pumped weak-imitation report is green",
-               fresh.pumped.weak_report.ok)
-        rb.add("pumped literal transfer is green", fresh.pumped.transfer_report.ok)
+    if fresh.pumped is not None:
+        rb.add("pumped extension holds", fresh.pumped.ok,
+               ", ".join(fresh.pumped.failing()))
     return rb.build()

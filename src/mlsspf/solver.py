@@ -411,17 +411,6 @@ class _Walk:
         return walk(0, 0, root)
 
 
-def _leaves(names, table, checks, cover=True):
-    """The leaves of one universe under a schedule used once:
-    `_Walk(names, checks).leaves(table, cover)`.
-
-    Order guarantee: the candidates of itertools.product(choices,
-    repeat=len(names)) that satisfy every literal of `checks` (and, with
-    `cover`, generate the universe), in that product's order.
-    """
-    return _Walk(names, checks).leaves(table, cover)
-
-
 def _components(names, checks):
     """The connected components of the variables under the literals of
     `checks` that `decide` tests on their own, as (names, checks) pairs in

@@ -32,10 +32,7 @@ class Assignment:
 
     def value_union(self):
         """All elements of all bound values (the ground universe)."""
-        out = set()
-        for v in self.bindings.values():
-            out.update(v.elements)
-        return out
+        return set().union(*(v.elements for v in self.bindings.values()))
 
     def is_transitive(self) -> bool:
         """Whether the ground universe is transitive, as the unionset of
@@ -49,7 +46,7 @@ class Assignment:
     def from_json(data):
         out = {}
         warnings = []
-        for var, nested in data.items():
+        for var, nested in hf.expect_json(data, dict, "an assignment").items():
             val, dup = hf.from_json(nested)
             if dup:
                 warnings.append(var)
@@ -72,15 +69,8 @@ class Partition:
             self, "blocks",
             tuple(frozenset(b) for b in self.blocks))
 
-    @property
-    def union_elements(self):
-        out = set()
-        for b in self.blocks:
-            out |= b
-        return out
-
     def is_transitive(self) -> bool:
-        return _is_transitive(self.union_elements)
+        return _is_transitive(set().union(*self.blocks))
 
     def to_json(self):
         return [sorted((e.to_json() for e in b)) for b in self.blocks]
@@ -184,10 +174,7 @@ class SignatureTable:
 
 def node_union(blocks, node) -> hf.HfSet:
     """The union of the blocks at the node's places, as one HfSet."""
-    members = set()
-    for q in node:
-        members |= blocks[q]
-    return hf.make_set(members)
+    return hf.make_set(set().union(*(blocks[q] for q in node)))
 
 
 def subsets(places):
@@ -268,9 +255,6 @@ class ColoredBoard:
 
     def realized_nodes(self):
         return sorted(self.targets, key=sorted)
-
-    def same_targets(self, other: "ColoredBoard") -> bool:
-        return dict(self.targets) == dict(other.targets)
 
     def to_json(self):
         return {

@@ -1,9 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mlsspf as m
-from mlsspf import cli
 from mlsspf.cli import run_cli
 
 from conftest import wide_instance
@@ -126,7 +127,7 @@ def test_pump_negative_rounds_is_input_error(files, monkeypatch):
     def no_recertify(*args):
         pytest.fail("rounds must be checked before the certificate is loaded")
 
-    monkeypatch.setattr(cli, "certify_witness", no_recertify)
+    monkeypatch.setattr("mlsspf.pumping.certify_witness", no_recertify)
     out = files / "pumped.json"
     assert run_cli(["pump", "-c", str(cert), "--rounds", "-2",
                     "--json", str(out)]) == 3
@@ -228,3 +229,86 @@ def test_pump_recertifies_under_limit_pow(tmp_path):
     assert run_cli(["pump", "-c", str(cert), "--limit-pow", "2",
                     "--json", str(out)]) == 3
     assert not out.exists()
+
+
+def _cut_nodes(d):
+    d["event"]["cycle"]["nodes"] = d["event"]["cycle"]["nodes"][:1]
+
+
+def _letter_trace(d):
+    d["process"]["trace"] = [["a"] for _ in d["process"]["trace"]]
+
+
+@pytest.mark.parametrize("edit,verified", [
+    (lambda d: d.update(closedCover=[[1]]), 3),
+    (_cut_nodes, 1),
+    (_letter_trace, 1),
+    (lambda d: d.update(event=[]), 3),
+    (lambda d: d.update(params=[]), 3),
+    (lambda d: d.update(baseAssignment=5), 3),
+    (lambda d: d.update(formula=5), 3),
+], ids=["closedCover", "cycle nodes", "trace", "event", "params",
+        "baseAssignment", "formula"])
+def test_malformed_wide_certificate_exit_codes(tmp_path, edit, verified):
+    # Each edit of wide_instance(12)'s certificate raised out of run_cli.
+    # A field of the wrong JSON type is bad input (3); a cycle with fewer
+    # nodes than places, or a trace naming no place, fails a report item.
+    cert = tmp_path / "cert.json"
+    assert run_cli(["witness", *_write_instance(tmp_path, 12),
+                    "--json", str(cert)]) == 0
+    data = json.loads(cert.read_text())
+    edit(data)
+    cert.write_text(json.dumps(data))
+    assert run_cli(["verify", str(cert)]) == verified
+    assert run_cli(["pump", "-c", str(cert)]) == 3
+
+
+# The values a malformed certificate gets at one of its JSON paths.
+_BAD_VALUES = (5, "a", [], {}, None, [[1]], -1)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A directory with ex1's certificate plain and pumped one round, and
+    wide_instance(12)'s, as 0.json, 1.json and 2.json."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    formula = m.parse("w in x & !Finite(x)")
+    assignment, _ = m.Assignment.from_json({"w": [[]], "x": [[[]], [[[]]]]})
+    plain = m.certify_witness(formula, assignment)
+    for i, cert in enumerate((plain, m.extend_certificate(plain, 1),
+                              m.certify_witness(*wide_instance(12)))):
+        (tmp / f"{i}.json").write_text(cert.dumps())
+    return tmp
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_malformed_certificate_ends_in_an_exit_code(fuzz_dir, data):
+    # One value anywhere in a certificate replaced by a value of another
+    # JSON type: verify and pump end in an exit code, never in a
+    # traceback.  They agree: what verify passes pumps, and what it fails,
+    # by a failed item (1) or as bad input (3), pump refuses as bad input.
+    # A value replaced by an equal one changes nothing.
+    original = json.loads(
+        (fuzz_dir / f"{data.draw(st.integers(0, 2))}.json").read_text())
+    cert = json.loads(json.dumps(original))
+    value = json.loads(json.dumps(data.draw(st.sampled_from(_BAD_VALUES))))
+    parent, key, node = None, None, cert
+    while (isinstance(node, (dict, list)) and node
+           and data.draw(st.booleans())):
+        key = data.draw(st.sampled_from(
+            sorted(node) if isinstance(node, dict) else range(len(node))))
+        parent, node = node, node[key]
+    if parent is None:
+        cert = value
+    else:
+        parent[key] = value
+    path = fuzz_dir / "malformed.json"
+    path.write_text(json.dumps(cert))
+    out = str(fuzz_dir / "out.json")
+    verified = run_cli(["verify", str(path), "--json", out])
+    pumped = run_cli(["pump", "-c", str(path), "--json", out])
+    assert verified in (0, 1, 3)
+    assert pumped == (0 if verified == 0 else 3)
+    if cert == original:
+        assert verified == 0

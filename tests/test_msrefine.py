@@ -468,7 +468,7 @@ def test_pools_match_with_unequal_part_sizes():
     # Item (ix) with a Minus part larger than its stage block: the pools
     # match once the copy has placed the extra assemblies, here {{0}}.
     proc = m.synthesize_process(m.Partition([[A]]))
-    board = m.induced_board(proc.final_partition())
+    board = m.induced_board(m.Partition(proc.final_blocks()))
     witness = ImitationWitness(gamma={1: 1}, closed_set=frozenset([0]),
                                lo=1, hi=1)
     overlay = MsOverlay(1, ((frozenset([A, B]),),))
@@ -490,7 +490,7 @@ def test_weak_imitation_item_c_on_emptied_early_node():
     D = m.make_set([A, B])
     E = m.make_set([A, B, C, D])
     proc = m.synthesize_process(m.Partition([[A, C], [B], [D], [E]]))
-    board = m.induced_board(proc.final_partition())
+    board = m.induced_board(m.Partition(proc.final_blocks()))
     assert m.grand_event(proc, frozenset([1])) == 2
     hat = list(proc.stages[3])
     hat[1] = frozenset()

@@ -419,6 +419,60 @@ def test_verify_reports_a_ragged_process_without_history_targets(ex1):
     assert "embedded process parses" in [i.check for i in rep.failures()]
 
 
+# Certified wide seeds whose one-round extension fails the upward and
+# imitation reports, but passes the weak-imitation and literal-transfer
+# ones, which were all that verify read of the five.
+UPWARD_FAILURES = (11, 27, 38, 48, 51, 71, 72, 75, 112, 145, 148, 174)
+
+
+@pytest.mark.parametrize("seed", UPWARD_FAILURES + (12,))
+def test_verify_reads_the_pumped_verdict(seed):
+    ext = m.extend_certificate(m.certify_witness(*wide_instance(seed)), 1)
+    p = ext.pumped
+    five = all(r.ok for r in (p.weak_report, p.segment_report,
+                              p.upward_report, p.imitation_report,
+                              p.transfer_report))
+    assert p.ok == five == (seed == 12)
+    rep = m.verify_certificate(json.loads(ext.dumps()))
+    assert rep.ok == five, str(rep)
+    if not five:
+        assert [(i.check, i.detail) for i in rep.failures()] == [
+            ("pumped extension holds", "upward, imitation")]
+
+
+def test_cycle_validate_stops_at_a_shape_mismatch(ex1):
+    # With fewer nodes than places the edge items would index past the
+    # nodes, so only the shape item is reported.
+    cycle = PumpingCycle(nodes=(frozenset([1]),), places=(1, 0))
+    assert [(i.check, i.ok) for i in cycle.validate(ex1.board).items] == [
+        ("cycle: nodes and places alternate consistently", False)]
+
+
+PREMISE_TARGETS = "premise: final stages have the same targets"
+
+
+def test_targets_premise_is_imitation_item_1():
+    # The premise reads imitation item (1); the reference is the comparison
+    # it replaces, the board's targets against those of the board the
+    # candidate's final blocks induce.  Both values occur.
+    seen = set()
+    instances = [wide_instance(seed) for seed in CERTIFIED_WIDE]
+    for formula, assignment in instances + witness_family():
+        cert = m.certify_witness(formula, assignment)
+        board = m.canonical_board(formula, cert.assignment)[2]
+        for rounds in range(4):
+            try:
+                p = m.extend_certificate(cert, rounds).pumped
+            except m.MlsspfError:
+                continue
+            induced = m.induced_board(m.Partition(p.process.final_blocks()))
+            want = dict(board.targets) == dict(induced.targets)
+            assert [i.ok for i in p.upward_report.items
+                    if i.check == PREMISE_TARGETS] == [want]
+            seen.add(want)
+    assert seen == {True, False}
+
+
 @pytest.mark.parametrize("field,value", [("i0", 999), ("q0", 99)])
 def test_verify_reports_an_event_off_the_process(ex1, field, value):
     data = json.loads(m.certify_witness(ex1.formula, ex1.assignment).dumps())

@@ -13,7 +13,7 @@ from mlsspf.errors import (CannotWarmUp, CardinalityDeficit,
                            CoverMissesVariable, LimitExceeded, NoClosedCover,
                            NoEvent, NoLocalTrash, NotAWitness)
 from mlsspf.limits import DEFAULT_LIMITS, Limits
-from mlsspf.solver import _leaves, _universe_table, enumerate_universes
+from mlsspf.solver import _universe_table, _Walk, enumerate_universes
 
 from conftest import chain
 
@@ -236,7 +236,7 @@ def test_leaves_match_per_node_walk(formula, repeated, universe, tight):
     choices = _subsets_in_order(tuple(sorted(universe, key=lambda e: e._key)))
     closures = [frozenset(hf.transitive_closure(c).elements) for c in choices]
     assert ([dict(a.bindings)
-             for a in _leaves(names, _universe_table(universe), checks)]
+             for a in _Walk(names, checks).leaves(_universe_table(universe))]
             == [dict(a.bindings) for a in _leaves_per_node(
                 names, choices, closures, universe, checks, limits)])
 
@@ -398,7 +398,7 @@ def test_leaves_match_per_node_walk_on_components(formula, at, universe):
     expected = [dict(a.bindings) for a in _leaves_per_node(
         names, choices, closures, universe, checks, DEFAULT_LIMITS)]
     assert [dict(a.bindings)
-            for a in _leaves(names, table, checks)] == expected
+            for a in _Walk(names, checks).leaves(table)] == expected
     parts = solver._components(names, checks)
     assert all(part != names[:len(part)] and any(here)
                for part, here in parts)
@@ -410,7 +410,7 @@ def test_leaves_match_per_node_walk_on_components(formula, at, universe):
                        for lits in here for lit in lits)
 
         solutions = [tuple(a.bindings[v] for v in part)
-                     for a in _leaves(part, table, here, cover=False)]
+                     for a in _Walk(part, here).leaves(table, cover=False)]
         assert solutions == [combo for combo in product(choices,
                                                         repeat=len(part))
                              if holds(combo)]

@@ -55,6 +55,17 @@ def _read_model(path) -> Assignment:
     return assignment
 
 
+def _read_transitive_model(path) -> Assignment:
+    """The model, extended with a closure variable (and a note on stderr)
+    when it is not transitive."""
+    model = _read_model(path)
+    if not model.is_transitive():
+        model = transitivize(model)
+        print("note: assignment extended with a closure variable",
+              file=sys.stderr)
+    return model
+
+
 def _read_json(path):
     with open(path) as fh:
         return json.load(fh)
@@ -98,11 +109,7 @@ def cmd_venn(args):
 
 def cmd_board(args):
     formula = _read_formula(args.formula)
-    model = _read_model(args.model)
-    if not model.is_transitive():
-        model = transitivize(model)
-        print("note: assignment extended with a closure variable",
-              file=sys.stderr)
+    model = _read_transitive_model(args.model)
     _, im, board = canonical_board(formula, model)
     _emit(board.to_json(), args)
     return EXIT_OK
@@ -110,11 +117,7 @@ def cmd_board(args):
 
 def cmd_process(args):
     if args.action == "synth":
-        model = _read_model(args.model)
-        if not model.is_transitive():
-            model = transitivize(model)
-            print("note: assignment extended with a closure variable",
-                  file=sys.stderr)
+        model = _read_transitive_model(args.model)
         partition, _ = venn_partition(model)
         proc = synthesize_process(partition)
         _emit(proc.to_json(), args)

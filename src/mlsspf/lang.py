@@ -1,13 +1,14 @@
 """AST, parser and evaluator for conjunctions of set literals.
 
-Literal forms: v=w, v!={}, v=u U w, v=u I w, v=u \\ w, v<=u, v in w,
-v=Pow(w), v={w0,...,wH}, Finite(v), and the negations !v=w, !v<=u, !v in w,
-!Finite(v).  A formula is a conjunction of such literals, written with '&'
-or newlines between them.
+The fifteen literal kinds are written once, in the `_SYNTAX` table: each
+kind's template and, for a negated kind, the kind it negates.  Parsing,
+rendering, arity, keywords and negation all read that table.  A formula
+is a conjunction of literals, written with '&' or newlines between them.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 
@@ -31,13 +32,38 @@ ENUM = "Enum"
 FINITE = "Finite"
 NOT_FINITE = "NotFinite"
 
-_ARITY = {
-    EQ: 2, NEQ: 2, EQ_EMPTY: 1, NEQ_EMPTY: 1, UNION: 3, INTER: 3, DIFF: 3,
-    SUBSETEQ: 2, NOT_SUBSETEQ: 2, IN: 2, NOT_IN: 2, POW: 2,
-    FINITE: 1, NOT_FINITE: 1,
+# Kind -> (template, the kind it negates).  Operands fill {0}, {1}, ...;
+# an enumeration's {1} is its members joined by ", ".
+_SYNTAX = {
+    EQ: ("{0} = {1}", None),
+    NEQ: ("!{0} = {1}", EQ),
+    EQ_EMPTY: ("{0} = {{}}", None),
+    NEQ_EMPTY: ("!{0} = {{}}", EQ_EMPTY),
+    UNION: ("{0} = {1} U {2}", None),
+    INTER: ("{0} = {1} I {2}", None),
+    DIFF: ("{0} = {1} \\ {2}", None),
+    SUBSETEQ: ("{0} <= {1}", None),
+    NOT_SUBSETEQ: ("!{0} <= {1}", SUBSETEQ),
+    IN: ("{0} in {1}", None),
+    NOT_IN: ("!{0} in {1}", IN),
+    POW: ("{0} = Pow({1})", None),
+    ENUM: ("{0} = {{{1}}}", None),
+    FINITE: ("Finite({0})", None),
+    NOT_FINITE: ("!Finite({0})", FINITE),
 }
 
-KEYWORDS = frozenset({"in", "U", "I", "Pow", "Finite"})
+NEGATES = {kind: base for kind, (_, base) in _SYNTAX.items() if base}
+
+# Operands per kind; an enumeration takes a target and one or more members.
+_ARITY = {
+    kind: len(set(re.findall(r"\{\d\}", template)))
+    for kind, (template, _) in _SYNTAX.items() if kind != ENUM
+}
+
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+KEYWORDS = frozenset(
+    word for template, _ in _SYNTAX.values() for word in _NAME_RE.findall(template))
 
 
 @dataclass(frozen=True)
@@ -62,36 +88,10 @@ class Literal:
             raise ArityError("variable names must be nonempty")
 
     def render(self) -> str:
-        o = self.operands
-        if self.kind == EQ:
-            return f"{o[0]} = {o[1]}"
-        if self.kind == NEQ:
-            return f"!{o[0]} = {o[1]}"
-        if self.kind == EQ_EMPTY:
-            return f"{o[0]} = {{}}"
-        if self.kind == NEQ_EMPTY:
-            return f"!{o[0]} = {{}}"
-        if self.kind == UNION:
-            return f"{o[0]} = {o[1]} U {o[2]}"
-        if self.kind == INTER:
-            return f"{o[0]} = {o[1]} I {o[2]}"
-        if self.kind == DIFF:
-            return f"{o[0]} = {o[1]} \\ {o[2]}"
-        if self.kind == SUBSETEQ:
-            return f"{o[0]} <= {o[1]}"
-        if self.kind == NOT_SUBSETEQ:
-            return f"!{o[0]} <= {o[1]}"
-        if self.kind == IN:
-            return f"{o[0]} in {o[1]}"
-        if self.kind == NOT_IN:
-            return f"!{o[0]} in {o[1]}"
-        if self.kind == POW:
-            return f"{o[0]} = Pow({o[1]})"
+        operands = self.operands
         if self.kind == ENUM:
-            return f"{o[0]} = {{{', '.join(o[1:])}}}"
-        if self.kind == FINITE:
-            return f"Finite({o[0]})"
-        return f"!Finite({o[0]})"
+            operands = (operands[0], ", ".join(operands[1:]))
+        return _SYNTAX[self.kind][0].format(*operands)
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,7 @@ class Formula:
         return " & ".join(lit.render() for lit in self.literals)
 
 
-_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|<=|[=!{},()\\&\n]|[^\sA-Za-z_]")
+_TOKEN_RE = re.compile(_NAME_RE.pattern + r"|<=|[=!{},()\\&\n]|[^\sA-Za-z_]")
 
 
 def _tokenize(text):
@@ -144,126 +144,65 @@ def _tokenize(text):
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
+def _shape(tokens):
+    """The tokens' words with each operand, a name that is no keyword, read
+    as the placeholder None; and the operands in order."""
+    shape, operands = [], []
+    for word, _, _ in tokens:
+        if word not in KEYWORDS and _NAME_RE.match(word):
+            shape.append(None)
+            operands.append(word)
+        else:
+            shape.append(word)
+    return tuple(shape), operands
 
-    def peek(self):
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
 
-    def loc(self):
-        if self.pos < len(self.tokens):
-            _, line, col = self.tokens[self.pos]
-            return line, col
-        if self.tokens:
-            _, line, col = self.tokens[-1]
-            return line, col + 1
-        return 1, 1
+@functools.lru_cache(maxsize=64)
+def _template_shape(kind, arity):
+    """The shape of a kind's template with `arity` operands."""
+    text = Literal(kind, ("v",) * arity).render()
+    return _shape(_tokenize(text))[0]
 
-    def take(self, expected=None):
-        if self.pos >= len(self.tokens):
-            line, col = self.loc()
-            raise FormulaSyntaxError(
-                f"unexpected end of input, expected {expected!r}", line, col)
-        tok, line, col = self.tokens[self.pos]
-        if expected is not None and tok != expected:
-            raise FormulaSyntaxError(f"expected {expected!r}, got {tok!r}", line, col)
-        self.pos += 1
-        return tok
 
-    def variable(self):
-        line, col = self.loc()
-        if self.pos >= len(self.tokens):
-            raise FormulaSyntaxError("expected a variable, found end of input",
-                                     line, col)
-        tok = self.tokens[self.pos][0]
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok) or tok in KEYWORDS:
-            raise FormulaSyntaxError(f"expected a variable, got {tok!r}", line, col)
-        self.pos += 1
-        return tok
+_SHAPES = {_template_shape(kind, arity): kind for kind, arity in _ARITY.items()}
 
-    def literal(self):
-        negated = False
-        if self.peek() == "!":
-            self.take()
-            negated = True
-        if self.peek() == "Finite":
-            self.take()
-            self.take("(")
-            v = self.variable()
-            self.take(")")
-            return Literal(NOT_FINITE if negated else FINITE, (v,))
-        line, col = self.loc()
-        v = self.variable()
-        op = self.peek()
-        if op == "<=":
-            self.take()
-            u = self.variable()
-            return Literal(NOT_SUBSETEQ if negated else SUBSETEQ, (v, u))
-        if op == "in":
-            self.take()
-            w = self.variable()
-            return Literal(NOT_IN if negated else IN, (v, w))
-        if op != "=":
-            raise FormulaSyntaxError(f"expected '=', '<=' or 'in' after {v!r}", *self.loc())
-        self.take("=")
-        nxt = self.peek()
-        if nxt == "{":
-            self.take()
-            if self.peek() == "}":
-                self.take()
-                return Literal(NEQ_EMPTY if negated else EQ_EMPTY, (v,))
-            members = [self.variable()]
-            while self.peek() == ",":
-                self.take()
-                members.append(self.variable())
-            self.take("}")
-            if negated:
-                raise FormulaSyntaxError(
-                    "'!' cannot negate an enumeration literal", line, col)
-            return Literal(ENUM, (v, *members))
-        if nxt == "Pow":
-            self.take()
-            self.take("(")
-            w = self.variable()
-            self.take(")")
-            if negated:
-                raise FormulaSyntaxError(
-                    "'!' cannot negate a powerset literal", line, col)
-            return Literal(POW, (v, w))
-        u = self.variable()
-        op2 = self.peek()
-        if op2 in ("U", "I", "\\"):
-            self.take()
-            w = self.variable()
-            if negated:
-                raise FormulaSyntaxError(
-                    "'!' cannot negate a Boolean-operator literal", line, col)
-            kind = {"U": UNION, "I": INTER, "\\": DIFF}[op2]
-            return Literal(kind, (v, u, w))
-        return Literal(NEQ if negated else EQ, (v, u))
+
+def _literal(tokens, text) -> Literal:
+    """The literal whose template has the shape of `tokens`, which are all
+    on one line of `text`; an enumeration of any length has its own."""
+    shape, operands = _shape(tokens)
+    kind = _SHAPES.get(shape)
+    if (kind is None and len(operands) >= 2
+            and shape == _template_shape(ENUM, len(operands))):
+        kind = ENUM
+    if kind is None:
+        _, line, col = tokens[0]
+        last, _, last_col = tokens[-1]
+        source = text.split("\n")[line - 1][col - 1:last_col - 1 + len(last)]
+        raise FormulaSyntaxError(f"not a literal: {source!r}", line, col)
+    return Literal(kind, operands)
 
 
 def parse(text: str) -> Formula:
-    """Parse the concrete syntax into a Formula; raises FormulaSyntaxError."""
-    tokens = _tokenize(text)
-    p = _Parser(tokens)
-    literals = []
-    while p.peek() == "\n":
-        p.take()
-    if p.peek() is None:
+    """Parse the concrete syntax into a Formula; raises FormulaSyntaxError.
+
+    The tokens are split into literals on runs of '&' and newlines.  The
+    formula may open with newlines, not with '&', and may end with any run
+    of separators.
+    """
+    literals, run = [], []
+    for token in _tokenize(text):
+        if token[0] not in ("&", "\n"):
+            run.append(token)
+        elif run:
+            literals.append(_literal(run, text))
+            run = []
+        elif token[0] == "&" and not literals:
+            raise FormulaSyntaxError("expected a literal before '&'", *token[1:])
+    if run:
+        literals.append(_literal(run, text))
+    if not literals:
         raise FormulaSyntaxError("empty formula", 1, 1)
-    literals.append(p.literal())
-    while p.peek() is not None:
-        sep = p.peek()
-        if sep not in ("&", "\n"):
-            raise FormulaSyntaxError(f"expected '&' or newline, got {sep!r}", *p.loc())
-        while p.peek() in ("&", "\n"):
-            p.take()
-        if p.peek() is None:
-            break
-        literals.append(p.literal())
     return Formula(tuple(literals))
 
 
@@ -285,44 +224,34 @@ def _lookup(assignment, var):
         raise UnboundVariable(f"variable {var!r} is not bound") from None
 
 
+# Truth of each kind that negates no other on its operands' values.
+_HOLDS = {
+    EQ: lambda vals, limits: vals[0] is vals[1],
+    EQ_EMPTY: lambda vals, limits: vals[0] is hf.EMPTY,
+    UNION: lambda vals, limits: vals[0] is hf.bool_op(vals[1], vals[2], "U"),
+    INTER: lambda vals, limits: vals[0] is hf.bool_op(vals[1], vals[2], "I"),
+    DIFF: lambda vals, limits: vals[0] is hf.bool_op(vals[1], vals[2], "\\"),
+    SUBSETEQ: lambda vals, limits: hf.subset(vals[0], vals[1]),
+    IN: lambda vals, limits: vals[0] in vals[1],
+    POW: lambda vals, limits: vals[0] is hf.powerset(vals[1], limits.pow_limit),
+    ENUM: lambda vals, limits: vals[0] is hf.make_set(vals[1:]),
+    FINITE: lambda vals, limits: True,
+}
+
+
 def eval_literal(lit: Literal, assignment, limits: Limits = DEFAULT_LIMITS) -> bool:
-    """Truth of one literal under a finite assignment.
+    """Truth of one literal under a finite assignment; a negated kind is
+    the complement of the kind it negates.
 
     Finite(v) is true of every hereditarily finite value, so NotFinite is
     false under any assignment evaluated here; witnessing semantics for
     NotFinite live in the pumping machinery, not in this evaluator.
     """
     vals = [_lookup(assignment, v) for v in lit.operands]
-    k = lit.kind
-    if k == EQ:
-        return vals[0] is vals[1]
-    if k == NEQ:
-        return vals[0] is not vals[1]
-    if k == EQ_EMPTY:
-        return vals[0] is hf.EMPTY
-    if k == NEQ_EMPTY:
-        return vals[0] is not hf.EMPTY
-    if k == UNION:
-        return vals[0] is hf.bool_op(vals[1], vals[2], "U")
-    if k == INTER:
-        return vals[0] is hf.bool_op(vals[1], vals[2], "I")
-    if k == DIFF:
-        return vals[0] is hf.bool_op(vals[1], vals[2], "\\")
-    if k == SUBSETEQ:
-        return hf.subset(vals[0], vals[1])
-    if k == NOT_SUBSETEQ:
-        return not hf.subset(vals[0], vals[1])
-    if k == IN:
-        return vals[0] in vals[1]
-    if k == NOT_IN:
-        return vals[0] not in vals[1]
-    if k == POW:
-        return vals[0] is hf.powerset(vals[1], limits.pow_limit)
-    if k == ENUM:
-        return vals[0] is hf.make_set(vals[1:])
-    if k == FINITE:
-        return True
-    return False  # NotFinite
+    base = NEGATES.get(lit.kind)
+    if base is None:
+        return _HOLDS[lit.kind](vals, limits)
+    return not _HOLDS[base](vals, limits)
 
 
 def evaluate(formula: Formula, assignment, limits: Limits = DEFAULT_LIMITS) -> SatisfactionReport:

@@ -39,7 +39,7 @@ class FormativeProcess:
         object.__setattr__(self, "trace", tuple(frozenset(a) for a in self.trace))
         if not self.history_targets:
             derived = tuple(
-                frozenset(q for q in self.places if self.delta(nu, q))
+                frozenset(q for q in self._shared_places(nu) if self.delta(nu, q))
                 for nu in range(self.xi))
             object.__setattr__(self, "history_targets", derived)
         else:
@@ -64,6 +64,11 @@ class FormativeProcess:
     def final_universe(self) -> frozenset:
         return self.universe(self.xi)
 
+    def _shared_places(self, nu) -> range:
+        """The places that both stage nu and stage nu + 1 have a block for:
+        all of them in a valid process."""
+        return range(min(len(self.stages[nu]), len(self.stages[nu + 1])))
+
     def delta(self, nu, q) -> frozenset:
         """Fresh elements place q gains at step nu."""
         return self.stages[nu + 1][q] - self.stages[nu][q]
@@ -85,10 +90,9 @@ class FormativeProcess:
         for nu in range(self.xi):
             targets = (self.history_targets[nu]
                        if nu < len(self.history_targets) else ())
-            before, after = self.stages[nu], self.stages[nu + 1]
-            width = range(min(len(before), len(after)))
+            width = self._shared_places(nu)
             out.append([e for q in targets if q in width
-                        for e in after[q] - before[q]])
+                        for e in self.delta(nu, q)])
         return tuple(out)
 
     @cached_property
@@ -177,7 +181,9 @@ class FormativeProcess:
 
     @staticmethod
     def from_json(data) -> "FormativeProcess":
-        # History targets are only compared and looked up: read as given.
+        # History targets are only compared and looked up, so their entries
+        # are read as given; only a list or object, which no set can hold,
+        # is refused.
         expect, decode = hf.expect_json, hf.decoder()
         stages = []
         for stage in expect(expect(data, dict, "a process")["stages"], list,
@@ -186,12 +192,16 @@ class FormativeProcess:
                 frozenset(decode(e)[0] for e in expect(b, list, "a block"))
                 for b in expect(stage, list, "a stage")))
         trace = expect(data["trace"], list, "a trace")
+        targets = [expect(t, list, "a step's history targets") for t in expect(
+            data.get("historyTargets", []), list, "history targets")]
+        if any(isinstance(q, (list, dict)) for t in targets for q in t):
+            raise ValueError("a history target must be a JSON scalar")
         return FormativeProcess(
             stages=tuple(stages),
             trace=tuple(frozenset(expect(q, int, "a trace place")
                                   for q in expect(a, list, "a trace node"))
                         for a in trace),
-            history_targets=tuple(frozenset(t) for t in data.get("historyTargets", [])),
+            history_targets=tuple(frozenset(t) for t in targets),
             weak=bool(data.get("weak", False)),
         )
 

@@ -698,7 +698,7 @@ def verify_certificate(data, limits: Limits = DEFAULT_LIMITS) -> Report:
     try:
         proc = FormativeProcess.from_json(data["process"])
         rb.add("embedded process parses", True)
-    except Exception as exc:  # noqa: BLE001 - reported, not raised
+    except (ValueError, KeyError) as exc:
         rb.add("embedded process parses", False, str(exc))
         return rb.build()
     rb.add("embedded process validates", validate_process(proc).ok)

@@ -108,18 +108,12 @@ def imitates(board: ColoredBoard, bijection: BlockBijection) -> Report:
     return rb.build()
 
 
-def read_assignment(im: ImMap, blocks) -> Assignment:
-    """Bind each variable of `im` to the union of the blocks at its places."""
-    return Assignment({v: node_union(blocks, places)
-                       for v, places in im.places.items()})
-
-
 def transfer_assignment(assignment: Assignment, im: ImMap,
                         bijection: BlockBijection) -> Assignment:
     """Re-read every variable of the assignment off the image blocks of its
     places."""
-    own = ImMap({v: im[v] for v in assignment.bindings})
-    return read_assignment(own, bijection.target)
+    return Assignment({v: node_union(bijection.target, im[v])
+                       for v in assignment.bindings})
 
 
 def literal_transfer_report(formula: lang.Formula, assignment: Assignment,

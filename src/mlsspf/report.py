@@ -51,10 +51,8 @@ class ReportBuilder:
         self.items.append(ReportItem(check, bool(ok), detail))
         return bool(ok)
 
-    def extend(self, other: Report, prefix=""):
-        for item in other.items:
-            name = f"{prefix}{item.check}" if prefix else item.check
-            self.items.append(ReportItem(name, item.ok, item.detail))
+    def extend(self, other: Report):
+        self.items.extend(other.items)
 
     def build(self) -> Report:
         return Report(tuple(self.items))

@@ -251,8 +251,6 @@ _TEST = {
     lang.SUBSETEQ: lambda t, a: t.emask[a[0]] & ~t.emask[a[1]] == 0,
     lang.IN: lambda t, a: t.members_of(a[1]) >> a[0] & 1 == 1,
 }
-_NEGATED = {lang.NEQ: lang.EQ, lang.NEQ_EMPTY: lang.EQ_EMPTY,
-            lang.NOT_SUBSETEQ: lang.SUBSETEQ, lang.NOT_IN: lang.IN}
 # a R b with one operand free: the mask over a given b, and over b given a.
 _PAIR_MASKS = {
     lang.IN: (UniverseTable.members_of, UniverseTable.holders_of),
@@ -281,7 +279,7 @@ def _truth_mask(table: UniverseTable, kind: str, vals) -> int:
     mask tests the choices one by one.  Finite literals have no mask:
     `decide` never prunes on them.
     """
-    base = _NEGATED.get(kind, kind)
+    base = lang.NEGATES.get(kind, kind)
     rest = vals[1:]
     if base in _VALUE and vals[0] is None and None not in rest:
         j = _VALUE[base](table, rest)

@@ -78,6 +78,46 @@ def test_process_synth_validate_round_trip(files, capsys):
     assert run_cli(["process", "validate", "-p", str(out)]) == 1
 
 
+@pytest.mark.parametrize("targets,code", [
+    (None, 1), ([], 1), (5, 3), ([5], 3), ([[[1]]], 3)],
+    ids=["absent", "empty", "int", "int list", "nested"])
+def test_validate_ragged_or_malformed_process(files, capsys, targets, code):
+    # ex1's process with its last stage cut to one block: without history
+    # targets it fails the shape item (1) instead of raising IndexError,
+    # and targets that are no list of lists of scalars are bad input (3).
+    out = files / "proc.json"
+    assert run_cli(["process", "synth", "-m", str(files / "model.json"),
+                    "--json", str(out)]) == 0
+    data = json.loads(out.read_text())
+    data["stages"][-1] = data["stages"][-1][:1]
+    del data["historyTargets"]
+    if targets is not None:
+        data["historyTargets"] = targets
+    out.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run_cli(["process", "validate", "-p", str(out)]) == code
+    err = capsys.readouterr().err
+    if code == 1:
+        assert [line for line in err.splitlines() if "FAIL" in line] == [
+            "[FAIL] shape: every stage has a block per place"]
+
+
+def test_verify_propagates_a_library_fault(files, monkeypatch):
+    # Only malformed JSON (ValueError, KeyError) is reported at "embedded
+    # process parses"; any other exception is a fault and propagates.
+    cert = files / "cert.json"
+    assert run_cli(["witness", "-f", str(files / "ex1.mlsspf"),
+                    "-m", str(files / "model.json"), "--json", str(cert)]) == 0
+    data = json.loads(cert.read_text())
+
+    def broken(data):
+        raise RuntimeError("fault")
+
+    monkeypatch.setattr(m.FormativeProcess, "from_json", broken)
+    with pytest.raises(RuntimeError):
+        m.verify_certificate(data)
+
+
 def test_witness_pump_verify_flow(files, capsys):
     cert = files / "cert.json"
     assert run_cli(["witness", "-f", str(files / "ex1.mlsspf"),

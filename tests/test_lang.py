@@ -31,6 +31,7 @@ def test_parse_all_forms():
                      lang.NOT_SUBSETEQ, lang.IN, lang.NOT_IN, lang.POW,
                      lang.ENUM, lang.FINITE, lang.NOT_FINITE]
     assert f.vars == ("a", "b", "c")
+    assert f.render() == text
 
 
 def test_newline_is_a_conjunction():
@@ -41,6 +42,8 @@ def test_newline_is_a_conjunction():
 @pytest.mark.parametrize("bad", [
     "!x = y U z", "!x = Pow(y)", "!x = {y}", "x =", "= y", "x ! y",
     "x in", "Finite(x", "x = {y,}", "", "x ? y",
+    "& x = y", "x = y z", "in = y", "1x = y", "\u00e9 = x", "x = {}y",
+    "x < = y",
 ])
 def test_syntax_errors(bad):
     with pytest.raises(FormulaSyntaxError):
@@ -51,6 +54,19 @@ def test_syntax_error_carries_position():
     with pytest.raises(FormulaSyntaxError) as exc:
         m.parse("x = y\nz = !")
     assert exc.value.line == 2
+
+
+def test_syntax_error_names_the_literal():
+    # The error sits at the first token of the offending literal and
+    # quotes its text.
+    with pytest.raises(FormulaSyntaxError) as exc:
+        m.parse("x = y\n!x = {y}")
+    assert (exc.value.line, exc.value.column) == (2, 1)
+    assert "'!x = {y}'" in str(exc.value)
+    with pytest.raises(FormulaSyntaxError) as exc:
+        m.parse("x = y &  z =  Pow(w & v in v")
+    assert (exc.value.line, exc.value.column) == (1, 10)
+    assert "'z =  Pow(w'" in str(exc.value)
 
 
 def test_arity_errors():
@@ -81,6 +97,51 @@ def literals(draw):
 def test_render_parse_round_trip(lits):
     f = lang.Formula(tuple(lits))
     assert m.parse(f.render()).literals == f.literals
+
+
+# Names that are no keyword, some of them close to one.
+_FREE_NAMES = st.one_of(
+    st.sampled_from(["V", "_x1", "inx", "Finite1", "Pow_", "UI", "i", "n"]),
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True).filter(
+        lambda name: name not in lang.KEYWORDS))
+
+
+@st.composite
+def spelled_literals(draw):
+    """A literal of any kind and its tokens, spaced at random: without a
+    space where no two names meet."""
+    kind = draw(st.sampled_from(sorted(lang._ARITY) + [lang.ENUM]))
+    arity = (draw(st.integers(2, 5)) if kind == lang.ENUM
+             else lang._ARITY[kind])
+    lit = lang.Literal(kind, tuple(draw(_FREE_NAMES) for _ in range(arity)))
+    text = ""
+    for tok, _, _ in lang._tokenize(lit.render()):
+        gap = draw(st.sampled_from(["", " ", "  ", "\t"]))
+        if text and (text[-1].isalnum() or text[-1] == "_") and (
+                tok[0].isalnum() or tok[0] == "_"):
+            gap = gap or " "
+        text += gap + tok
+    return lit, text
+
+
+_SEPARATOR = st.lists(st.sampled_from(["&", "\n", " "]), min_size=1,
+                      max_size=4).filter(lambda run: {"&", "\n"} & set(run))
+
+
+@given(st.lists(spelled_literals(), min_size=1, max_size=5),
+       st.data())
+@settings(max_examples=300)
+def test_parse_reads_spelled_literals(spelled, data):
+    # Literals of every kind, joined by random runs of '&', newlines and
+    # spaces, after optional leading newlines and before optional trailing
+    # separators, parse to exactly those literals in order.
+    text = data.draw(st.sampled_from(["", "\n", "\n \n"]))
+    for i, (_, spelling) in enumerate(spelled):
+        if i:
+            text += "".join(data.draw(_SEPARATOR))
+        text += spelling
+    text += "".join(data.draw(st.one_of(st.just([]), _SEPARATOR)))
+    assert m.parse(text).literals == tuple(lit for lit, _ in spelled)
 
 
 def test_duplicate_literals_flagged():

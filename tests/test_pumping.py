@@ -410,13 +410,15 @@ def test_verify_reports_a_process_without_the_board_places():
 
 
 def test_verify_reports_a_ragged_process_without_history_targets(ex1):
-    # With no history targets the process derives them from every stage's
-    # blocks, which a stage short of a block cannot give.
+    # With no history targets the process derives them over the places
+    # both stages of a step have, so a stage short of a block parses and
+    # fails validation.
     data = json.loads(m.certify_witness(ex1.formula, ex1.assignment).dumps())
     del data["process"]["stages"][-1][1:]
     data["process"]["historyTargets"] = []
-    rep = m.verify_certificate(data)
-    assert "embedded process parses" in [i.check for i in rep.failures()]
+    failed = [i.check for i in m.verify_certificate(data).failures()]
+    assert "embedded process parses" not in failed
+    assert "embedded process validates" in failed
 
 
 # Certified wide seeds whose one-round extension fails the upward and

@@ -450,7 +450,7 @@ def test_truth_mask_matches_holds_loop(drawn):
     # Every kernel of _truth_mask against testing the choices one by one,
     # for every position of the free variable, repeated ones too.
     kind, free, picks = drawn
-    base = solver._NEGATED.get(kind, kind)
+    base = lang.NEGATES.get(kind, kind)
     for universe in _UNIVERSES:
         table = _universe_table(universe)
         vals = [None if i in free else p % len(table.choices)

@@ -167,7 +167,8 @@ def dumps(value) -> str:
     wherever the same tuple object recurs in `value`, so the cached
     `HfSet.to_json` forms a certificate repeats across its stages are
     encoded once.  Lists, tuples, dicts, strings, numbers, booleans and
-    None are accepted, as `json.dumps` accepts them.
+    None are accepted, as `json.dumps` accepts them; None, booleans and ints
+    are written without building an encoder, as `json` writes them.
     """
     memo = {}
 
@@ -190,7 +191,15 @@ def dumps(value) -> str:
             return "{" + inner + ("," + inner).join([
                 _encode_str(_key_str(k)) + ": " + encode(x, depth + 1)
                 for k, x in sorted(v.items())]) + "\n" + "  " * depth + "}"
-        # None, booleans and numbers; TypeError for anything else.
+        if v is None:
+            return "null"
+        if v is True:
+            return "true"
+        if v is False:
+            return "false"
+        if isinstance(v, int):
+            return int.__repr__(v)
+        # Floats, NaN among them; TypeError for anything else.
         return json.dumps(v)
 
     def array(v, depth):

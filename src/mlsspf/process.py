@@ -175,7 +175,8 @@ class FormativeProcess:
                 for stage in self.stages
             ],
             "trace": [sorted(a) for a in self.trace],
-            "historyTargets": [sorted(t) for t in self.history_targets],
+            "historyTargets": [sorted(t, key=_scalar_key)
+                               for t in self.history_targets],
             "weak": self.weak,
         }
 
@@ -204,6 +205,19 @@ class FormativeProcess:
             history_targets=tuple(frozenset(t) for t in targets),
             weak=bool(data.get("weak", False)),
         )
+
+
+def _scalar_key(v):
+    """Sorts the JSON scalars `from_json` accepts as history targets: null,
+    booleans, numbers (NaN last), then strings, each group by value, so
+    all-int targets sort as ints."""
+    if v is None:
+        return (0,)
+    if isinstance(v, bool):
+        return (1, v)
+    if isinstance(v, (int, float)):
+        return (2, v != v, v if v == v else 0)
+    return (3, v)
 
 
 def validate_process(proc: FormativeProcess) -> Report:

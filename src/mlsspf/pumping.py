@@ -129,6 +129,15 @@ def find_pumping_cycles(board: ColoredBoard, max_len: int = DEFAULT_LIMITS.max_c
     anchor.  That search ignores which nodes and places a path has used, so
     it never overstates the need and no cycle is lost.
     """
+    realized, found = _walk_cycles(board, max_len)
+    return [PumpingCycle(nodes=tuple(realized[i] for i in nodes), places=path)
+            for _, path, nodes, _ in found]
+
+
+def _walk_cycles(board: ColoredBoard, max_len: int):
+    """`find_pumping_cycles`' walk: the board's realized nodes, and its
+    cycles as sorted (length, places, node indices, place bitmask) tuples
+    whose node indices point into the realized nodes."""
     realized = board.realized_nodes()
     containing = {}
     for i, node in enumerate(realized):
@@ -158,7 +167,7 @@ def find_pumping_cycles(board: ColoredBoard, max_len: int = DEFAULT_LIMITS.max_c
                     continue
                 # Closing edge: node i targets the anchor.
                 if anchor in targets:
-                    found.append((n, path, (i,) + nodes))
+                    found.append((n, path, (i,) + nodes, seen_places))
                 if n < max_len:
                     for t in green:
                         if seen_places >> t & 1 or n + need[t] > max_len:
@@ -167,8 +176,7 @@ def find_pumping_cycles(board: ColoredBoard, max_len: int = DEFAULT_LIMITS.max_c
                                       seen_places | 1 << t,
                                       seen_nodes | 1 << i))
     found.sort()
-    return [PumpingCycle(nodes=tuple(realized[i] for i in nodes), places=path)
-            for _, path, nodes in found]
+    return realized, found
 
 
 def _closing_need(anchor, width, closes_to, steps_into, max_len):
@@ -194,35 +202,30 @@ def _closing_need(anchor, width, closes_to, steps_into, max_len):
     return need
 
 
-def _cycle_ge(proc: FormativeProcess, cycle: PumpingCycle) -> int:
-    """Least grand event over the nodes that meet the cycle, read off the
-    process's `least_grand_events`; xi when none is earlier."""
-    return min((proc.least_grand_events[q] for q in cycle.places),
-               default=proc.xi)
-
-
 def _unused_seeds(proc: FormativeProcess, i0: int, q0: int) -> frozenset:
     """The elements of q0's block at stage i0 that no element placed by
     then has as a member: condition (i) asks for one."""
     return proc.stages[i0][q0] - proc.used_elements(i0)
 
 
-def _cycle_filled_at(proc: FormativeProcess, cycle: PumpingCycle,
-                     node_filled=None) -> int:
-    """The first stage at which every block of a place in a cycle node is
-    nonempty: condition (iii) holds at exactly the start stages from it on.
-    `node_filled` memoizes that stage per node across the cycles of one
-    process."""
-    if node_filled is None:
-        node_filled = {}
-    out = 0
-    for c in cycle.nodes:
-        filled = node_filled.get(c)
-        if filled is None:
-            filled = node_filled[c] = max(
-                (proc.first_filled[q] for q in c), default=0)
-        out = max(out, filled)
-    return out
+def _node_filled(proc: FormativeProcess, node) -> int:
+    """The first stage at which every block of a place in the node is
+    nonempty."""
+    return max(map(proc.first_filled.__getitem__, node), default=0)
+
+
+def _start_window(proc: FormativeProcess, places, node_fills) -> tuple:
+    """(first, last): conditions (ii) and (iii) hold for a cycle with these
+    places, whose nodes fill at `node_fills` (`_node_filled`), at exactly
+    the start stages i0 with first <= i0 <= last.
+
+    (iii) holds from the latest node fill stage on; (ii) up to the least
+    grand event over the nodes that meet the cycle, read off the process's
+    `least_grand_events` (xi when none is earlier).
+    """
+    return (max(node_fills, default=0),
+            min(map(proc.least_grand_events.__getitem__, places),
+                default=proc.xi))
 
 
 def is_pumping_event(proc: FormativeProcess, board: ColoredBoard,
@@ -243,10 +246,12 @@ def is_pumping_event(proc: FormativeProcess, board: ColoredBoard,
     rb.add("event: seed place lies on the cycle", q0 in cycle.place_set())
     rb.add("(i) seed place holds an unused element at the start stage",
            bool(_unused_seeds(proc, i0, q0)))
+    first, last = _start_window(
+        proc, cycle.places, [_node_filled(proc, c) for c in cycle.nodes])
     rb.add("(ii) nodes meeting the cycle have no earlier grand event",
-           _cycle_ge(proc, cycle) >= i0)
+           last >= i0)
     rb.add("(iii) cycle node blocks are nonempty at the start stage",
-           _cycle_filled_at(proc, cycle) <= i0)
+           first <= i0)
     return rb.build()
 
 
@@ -553,55 +558,64 @@ def certify_witness(formula: lang.Formula, assignment: Assignment,
     partition, im, board = canonical_board(formula, assignment)
     proc = synthesize_process(partition)
 
-    cycles = find_pumping_cycles(board, limits.max_cycle_len)
-    if not cycles:
+    realized, found = _walk_cycles(board, limits.max_cycle_len)
+    if not found:
         raise NoEvent("the board has no green pumping cycle")
-    # Conditions (ii) and (iii) of is_pumping_event are checked per cycle and
-    # (i) per start stage and seed place.  find_pumping_cycles guarantees the
-    # cycle items and q0 lies on the cycle, so a candidate passing (i)-(iii)
-    # passes every item, and the report is built once, for the returned
-    # event.
-    node_filled = {}
-    per_cycle = []
-    for cycle in cycles:
-        places = cycle.place_set()
-        per_cycle.append((
-            cycle, places, sorted(places), _cycle_ge(proc, cycle),
-            _cycle_filled_at(proc, cycle, node_filled),
-            [x for x in neg_vars if not (im[x] & places)]))
-    seeded = {}
+    # The walk's cycles stay index tuples: each gets its start-stage window
+    # of conditions (ii) and (iii) off the process tables, and one with an
+    # empty window is dropped; (i) is checked per start stage and seed
+    # place.  The walk guarantees the cycle items and q0 lies on the cycle,
+    # so a candidate passing (i)-(iii) passes every item.  Coverage, the
+    # trash seeds and the cover do not depend on q0, so they are tested
+    # once, for the least seed place with an unused element: the one that
+    # trying every q0 in order would return.  A PumpingCycle is built only
+    # for a candidate that passes coverage, and the report once, for the
+    # returned event.
+    fill = [_node_filled(proc, node) for node in realized]
+    candidates = []
+    for _, path, idx, mask in found:
+        first, last = _start_window(proc, path, map(fill.__getitem__, idx))
+        if first <= last:
+            candidates.append((first, last, path, sorted(path), idx, mask))
+    regions = [(x, sum(1 << q for q in im[x])) for x in neg_vars]
     missed_var = None
     for i0 in range(proc.xi, 0, -1):
-        for cycle, places, seed_places, ge, filled, uncovered in per_cycle:
-            if ge < i0 or filled > i0:
+        seeded = {}
+        for first, last, path, seed_places, idx, mask in candidates:
+            if first > i0 or last < i0:
                 continue
             for q0 in seed_places:
-                has_seed = seeded.get((i0, q0))
+                has_seed = seeded.get(q0)
                 if has_seed is None:
-                    has_seed = seeded[i0, q0] = bool(
-                        _unused_seeds(proc, i0, q0))
-                if not has_seed:
-                    continue
-                if uncovered:
-                    missed_var = uncovered[0]
-                    continue
-                seeds = _segment_trash_seeds(proc, board, i0, cycle)
-                if seeds is None:
-                    continue
-                try:
-                    cover = closed_cover(proc, board, cycle, extra_seeds=seeds)
-                except NoClosedCover:
-                    continue
-                event = PumpingEvent(q0=q0, i0=i0, cycle=cycle)
-                pot = [v for v in formula.vars
-                       if v in im.places and im[v] & places]
-                return WitnessCertificate(
-                    formula=formula, base_assignment=base,
-                    assignment=assignment, process=proc, event=event,
-                    cover=cover, potential_infinite=tuple(pot),
-                    literal_results=tuple(results),
-                    event_report=is_pumping_event(proc, board, q0, i0, cycle),
-                    max_cycle_len=limits.max_cycle_len)
+                    has_seed = seeded[q0] = bool(_unused_seeds(proc, i0, q0))
+                if has_seed:
+                    break
+            else:
+                continue
+            missed = [x for x, region in regions if not region & mask]
+            if missed:
+                missed_var = missed[0]
+                continue
+            cycle = PumpingCycle(nodes=tuple(realized[i] for i in idx),
+                                 places=path)
+            seeds = _segment_trash_seeds(proc, board, i0, cycle)
+            if seeds is None:
+                continue
+            try:
+                cover = closed_cover(proc, board, cycle, extra_seeds=seeds)
+            except NoClosedCover:
+                continue
+            places = cycle.place_set()
+            pot = [v for v in formula.vars
+                   if v in im.places and im[v] & places]
+            return WitnessCertificate(
+                formula=formula, base_assignment=base,
+                assignment=assignment, process=proc,
+                event=PumpingEvent(q0=q0, i0=i0, cycle=cycle),
+                cover=cover, potential_infinite=tuple(pot),
+                literal_results=tuple(results),
+                event_report=is_pumping_event(proc, board, q0, i0, cycle),
+                max_cycle_len=limits.max_cycle_len)
     if missed_var is not None:
         raise CoverMissesVariable(missed_var)
     raise NoEvent("no pumping event passes all three conditions")

@@ -150,6 +150,15 @@ def test_dumps_matches_json_dumps(value):
     assert hf.dumps(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
+def test_dumps_writes_scalars_as_json_dumps():
+    # None, booleans and ints are written directly; floats go through json.
+    scalars = [None, True, False, 0, 1, -1, -7, 2 ** 63, -(10 ** 40), 1.0,
+               -0.0, 2.5, 1e300, float("nan"), float("inf"), -float("inf")]
+    for value in scalars + [scalars, tuple(scalars), [True, 1, 1.0, [False, 0]],
+                            {"a": True, "b": 1, "c": -(2 ** 70), "d": None}]:
+        assert hf.dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
 def test_dumps_keys_and_errors_as_json_dumps():
     for value in ({None: 1}, {True: [], False: ()}, {1.5: "x", -2.0: "y"}):
         assert hf.dumps(value) == json.dumps(value, sort_keys=True, indent=2)

@@ -305,6 +305,22 @@ def test_process_json_round_trip(ex1):
     assert back.to_json() == data
 
 
+def test_process_json_round_trip_with_scalar_history_targets(ex1):
+    # from_json reads history targets as given, so to_json sorts any JSON
+    # scalars among them; all-int targets sort as ints, as before.
+    data = ex1.process.to_json()
+    for targets, written in (
+            ([["a", 0, None, True, 2.5], [1, "b", "a"], []],
+             [[None, True, 0, 2.5, "a"], [1, "a", "b"], []]),
+            ([[10, 2, 0], [1], [1]], [[0, 2, 10], [1], [1]])):
+        data["historyTargets"] = targets
+        proc = FormativeProcess.from_json(data)
+        assert proc.to_json()["historyTargets"] == written
+        back = FormativeProcess.from_json(proc.to_json())
+        assert back.history_targets == proc.history_targets
+        assert back.to_json() == proc.to_json()
+
+
 # Oracles: grand events from building each node's union and looking it up,
 # local trashes from sweeping every node that contains a target.
 

@@ -11,8 +11,8 @@ from mlsspf import hf, lang
 from mlsspf.errors import (CardinalityDeficit, CoverMissesVariable,
                            NoClosedCover, NoEvent, NotAWitness)
 from mlsspf.process import FormativeProcess
-from mlsspf.pumping import (PumpingCycle, PumpingEvent, _cycle_filled_at,
-                            _cycle_ge, pump_rounds)
+from mlsspf.pumping import (PumpingCycle, PumpingEvent, _node_filled,
+                            _start_window, pump_rounds)
 
 from conftest import (chain, rand_colored_board, rand_partition,
                       rand_transitive_universe, wide_instance, witness_family)
@@ -53,6 +53,13 @@ def test_find_cycles_two_place_ladder():
     assert len(two) == 1
     assert two[0].places == (0, 1)
     assert two[0].validate(board).ok
+
+
+def _cycle_window(proc, cycle):
+    """The (first, last) start stages of conditions (ii) and (iii), as
+    is_pumping_event reads them."""
+    return _start_window(proc, cycle.places,
+                         [_node_filled(proc, c) for c in cycle.nodes])
 
 
 def _wide_board(seed):
@@ -101,9 +108,11 @@ def test_cycle_grand_event_table_matches_realized_node_sweep(rng):
     for mu in range(full.xi + 1):
         proc = full.prefix(mu)
         for cycle in cycles:
-            assert _cycle_ge(proc, cycle) == cycle_ge_all_nodes(proc, cycle)
+            assert _cycle_window(proc, cycle)[1] == cycle_ge_all_nodes(
+                proc, cycle)
     for cycle in cycles:
-        assert _cycle_ge(full, cycle) == cycle_ge_sweep(full, board, cycle)
+        assert _cycle_window(full, cycle)[1] == cycle_ge_sweep(
+            full, board, cycle)
 
 
 @given(st.randoms(use_true_random=True))
@@ -114,7 +123,7 @@ def test_cycle_filled_stage_matches_block_sweep(rng):
     proc = m.synthesize_process(partition)
     board = rand_colored_board(proc, partition, rng, with_pow=False)
     for cycle in m.find_pumping_cycles(board):
-        filled = _cycle_filled_at(proc, cycle)
+        filled = _cycle_window(proc, cycle)[0]
         for i0 in range(proc.xi + 1):
             assert (filled <= i0) == cycle_blocks_filled_sweep(proc, i0, cycle)
 
@@ -136,7 +145,7 @@ def test_cycle_grand_event_table_reads_trace_nodes_off_the_board():
     cycles = m.find_pumping_cycles(board)
     lowered = 0
     for cycle in cycles:
-        got = _cycle_ge(proc, cycle)
+        got = _cycle_window(proc, cycle)[1]
         assert got == cycle_ge_sweep(proc, bare, cycle)
         lowered += got < min(
             (m.grand_event(proc, n) for n in bare.targets
@@ -566,11 +575,12 @@ def test_decided_certificate_pumps_one_round(text):
     assert ext.pumped.upward_report.ok
 
 
-def _certify_oracle(formula, assignment):
+def _certify_oracle(formula, assignment, limits=m.DEFAULT_LIMITS):
     """certify_witness's search calling is_pumping_event on every
-    (i0, cycle, q0), latest start stage first."""
+    (i0, cycle, q0) of the public cycle search, latest start stage first."""
     from mlsspf.pumping import _segment_trash_seeds
-    results = [lang.eval_literal(lit, assignment) for lit in formula.literals]
+    results = [lang.eval_literal(lit, assignment, limits)
+               for lit in formula.literals]
     for lit, val in zip(formula.literals, results):
         if lit.kind != lang.NOT_FINITE and not val:
             raise NotAWitness(
@@ -582,7 +592,7 @@ def _certify_oracle(formula, assignment):
         assignment = m.transitivize(assignment)
     partition, im, board = m.canonical_board(formula, assignment)
     proc = m.synthesize_process(partition)
-    cycles = m.find_pumping_cycles(board)
+    cycles = m.find_pumping_cycles(board, limits.max_cycle_len)
     # The cycle search itself no longer re-validates what it builds.
     assert all(cycle.validate(board).ok for cycle in cycles)
     if not cycles:
@@ -614,15 +624,15 @@ def _certify_oracle(formula, assignment):
                     event=m.PumpingEvent(q0=q0, i0=i0, cycle=cycle),
                     cover=cover, potential_infinite=tuple(pot),
                     literal_results=tuple(results), event_report=ev_report,
-                    max_cycle_len=m.DEFAULT_LIMITS.max_cycle_len)
+                    max_cycle_len=limits.max_cycle_len)
     if missed_var is not None:
         raise CoverMissesVariable(missed_var)
     raise NoEvent("no pumping event passes all three conditions")
 
 
-def _certify_outcome(certify, formula, assignment):
+def _certify_outcome(certify, formula, assignment, limits=m.DEFAULT_LIMITS):
     try:
-        return certify(formula, assignment).dumps()
+        return certify(formula, assignment, limits).dumps()
     except m.MlsspfError as exc:
         return f"{type(exc).__name__}: {exc}"
 
@@ -633,6 +643,46 @@ def test_certify_search_matches_exhaustive_event_loop(seed):
     formula, assignment = wide_instance(seed)
     assert (_certify_outcome(m.certify_witness, formula, assignment)
             == _certify_outcome(_certify_oracle, formula, assignment))
+
+
+@pytest.mark.parametrize("max_len, seeds", [
+    (m.DEFAULT_LIMITS.max_cycle_len, 200), (1, 20), (2, 20), (6, 20)])
+def test_certify_search_matches_exhaustive_event_loop_on_seeds(max_len, seeds):
+    limits = m.Limits(max_cycle_len=max_len)
+    for seed in range(seeds):
+        formula, assignment = wide_instance(seed)
+        assert (_certify_outcome(m.certify_witness, formula, assignment, limits)
+                == _certify_outcome(_certify_oracle, formula, assignment,
+                                    limits)), seed
+
+
+def test_certify_builds_a_cycle_only_for_the_event(monkeypatch):
+    # A count guard: the search reads the walk's index tuples, so a
+    # certification builds the returned event's PumpingCycle and no other;
+    # building one per cycle of the walk made 3,498 on the 64 boards of the
+    # wide bench workload.
+    built = []
+    post_init = PumpingCycle.__post_init__
+
+    def counting(cycle):
+        built.append(cycle)
+        post_init(cycle)
+
+    monkeypatch.setattr(PumpingCycle, "__post_init__", counting)
+    certified = 0
+    for seed in range(40):
+        built.clear()
+        try:
+            cert = m.certify_witness(*wide_instance(seed))
+        except m.MlsspfError:
+            continue
+        certified += 1
+        assert built == [cert.event.cycle], seed
+    assert certified
+    built.clear()
+    with pytest.raises(CoverMissesVariable):
+        m.certify_witness(*wide_instance(3))
+    assert built == []
 
 
 def test_certify_reads_max_cycle_len_from_limits():

@@ -209,7 +209,12 @@ def dumps(value) -> str:
         return "[" + inner + ("," + inner).join([
             encode(x, depth + 1) for x in v]) + "\n" + "  " * depth + "]"
 
-    return encode(value, 0)
+    try:
+        return encode(value, 0)
+    finally:
+        # encode and array refer to each other: unbound, they leave no
+        # cycle holding the memo's texts until the collector next runs.
+        encode = array = None
 
 
 _encode_str = json.encoder.encode_basestring_ascii

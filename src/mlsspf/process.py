@@ -16,7 +16,7 @@ from functools import cached_property
 from . import hf, venn
 from .errors import NotTransitive
 from .report import Report, ReportBuilder
-from .venn import ColoredBoard, Partition, SignatureTable, home_index
+from .venn import ColoredBoard, Partition, SignatureTable
 
 
 @dataclass(frozen=True)
@@ -304,12 +304,11 @@ def synthesize_process(partition: Partition) -> FormativeProcess:
     if not partition.is_transitive():
         raise NotTransitive("cannot synthesize a process for a non-transitive partition")
     blocks = partition.blocks
-    home = home_index(blocks)
-    signature = {}
+    home = partition.home
+    signature = partition.signatures
     waiting = {}
     containers = {}
     for e in home:
-        signature[e] = frozenset(home[m] for m in e.elements)
         waiting[e] = len(e)
         for m in e.elements:
             containers.setdefault(m, []).append(e)

@@ -117,17 +117,17 @@ def find_pumping_cycles(board: ColoredBoard, max_len: int = DEFAULT_LIMITS.max_c
     targeting the anchor, so every cycle it returns passes
     `PumpingCycle.validate`.
 
-    The steps are indexed: every green place maps to the realized nodes
-    containing it (all green, since they hold a green place), each with its
-    index in `realized_nodes` order, its targets and its sorted green
-    targets; the places and nodes a path has seen are int bitmasks, and the
-    results sort on node indices, which order nodes as their sorted places
-    do.  A path steps only to a place from which it can still close within
-    max_len places: per anchor, a backward breadth-first search over the
-    place steps above the anchor gives each place the fewest places a path
-    from it needs before a node containing its last place targets the
-    anchor.  That search ignores which nodes and places a path has used, so
-    it never overstates the need and no cycle is lost.
+    The steps are indexed (`_CycleIndex`): every green place maps to the
+    realized nodes containing it (all green, since they hold a green place),
+    each with its index in `realized_nodes` order, its targets and its
+    sorted green targets; the places and nodes a path has seen are int
+    bitmasks, and the results sort on node indices, which order nodes as
+    their sorted places do.  A path steps only to a place from which it can
+    still close within max_len places: per anchor, a backward breadth-first
+    search over the place steps above the anchor gives each place the fewest
+    places a path from it needs before a node containing its last place
+    targets the anchor.  That search ignores which nodes and places a path
+    has used, so it never overstates the need and no cycle is lost.
     """
     realized, found = _walk_cycles(board, max_len)
     return [PumpingCycle(nodes=tuple(realized[i] for i in nodes), places=path)
@@ -138,68 +138,113 @@ def _walk_cycles(board: ColoredBoard, max_len: int):
     """`find_pumping_cycles`' walk: the board's realized nodes, and its
     cycles as sorted (length, places, node indices, place bitmask) tuples
     whose node indices point into the realized nodes."""
-    realized = board.realized_nodes()
-    containing = {}
-    for i, node in enumerate(realized):
-        targets = board.target(node)
-        entry = (i, targets, sorted(targets - board.red))
-        for q in node - board.red:
-            containing.setdefault(q, []).append(entry)
-    # Per green place: the anchors a node containing it closes to, and the
-    # places one step before it.
-    closes_to = {}
-    steps_into = {}
-    for p, entries in containing.items():
-        closes_to[p] = frozenset().union(*(targets for _, targets, _ in entries))
-        for _, _, green in entries:
-            for t in green:
-                steps_into.setdefault(t, set()).add(p)
-    found = []
-    for anchor in sorted(containing):
-        need = _closing_need(anchor, len(board.places), closes_to, steps_into,
-                             max_len)
-        stack = [((), (anchor,), 1 << anchor, 0)]
-        while stack:
-            nodes, path, seen_places, seen_nodes = stack.pop()
-            n = len(path)
-            for i, targets, green in containing[path[-1]]:
-                if seen_nodes >> i & 1:
-                    continue
-                # Closing edge: node i targets the anchor.
-                if anchor in targets:
-                    found.append((n, path, (i,) + nodes, seen_places))
-                if n < max_len:
-                    for t in green:
-                        if seen_places >> t & 1 or n + need[t] > max_len:
-                            continue
-                        stack.append((nodes + (i,), path + (t,),
-                                      seen_places | 1 << t,
-                                      seen_nodes | 1 << i))
-    found.sort()
-    return realized, found
+    index = _CycleIndex(board, max_len)
+    found = sorted(cycle[:4] for cycle in index.walk())
+    return index.realized, found
 
 
-def _closing_need(anchor, width, closes_to, steps_into, max_len):
-    """Place -> the fewest places (itself included) a path from it through
-    places above the anchor needs before a node containing its last place
-    targets the anchor; max_len + 1 where no path of max_len places does,
-    and at the anchor and below."""
-    need = [max_len + 1] * width
-    frontier = [p for p, closes in closes_to.items()
-                if p > anchor and anchor in closes]
-    for p in frontier:
-        need[p] = 1
-    d = 1
-    while frontier and d < max_len:
-        d += 1
-        nxt = []
-        for t in frontier:
-            for p in steps_into.get(t, ()):
-                if p > anchor and need[p] > d:
-                    need[p] = d
-                    nxt.append(p)
-        frontier = nxt
-    return need
+class _CycleIndex:
+    """The place steps of a board's green cycles of at most `max_len`
+    places, built once and walked by `walk`.
+
+    `containing` maps a green place to (node index, targets, sorted green
+    targets) of every realized node holding it; `closes_to` maps it to the
+    places those nodes target, and `steps_into` to the places one step
+    before it.
+    """
+
+    def __init__(self, board: ColoredBoard, max_len: int):
+        self.realized = board.realized_nodes()
+        self.width = len(board.places)
+        self.max_len = max_len
+        containing = {}
+        for i, node in enumerate(self.realized):
+            targets = board.target(node)
+            entry = (i, targets, sorted(targets - board.red))
+            for q in node - board.red:
+                containing.setdefault(q, []).append(entry)
+        closes_to = {}
+        steps_into = {}
+        for p, entries in containing.items():
+            closes_to[p] = frozenset().union(*(targets for _, targets, _ in entries))
+            for _, _, green in entries:
+                for t in green:
+                    steps_into.setdefault(t, set()).add(p)
+        self.containing = containing
+        self.closes_to = closes_to
+        self.steps_into = steps_into
+
+    def need(self, anchor) -> list:
+        """Place -> the fewest places (itself included) a path from it
+        through places above the anchor needs before a node containing its
+        last place targets the anchor; max_len + 1 where no path of max_len
+        places does, and at the anchor and below."""
+        max_len = self.max_len
+        need = [max_len + 1] * self.width
+        frontier = [p for p, closes in self.closes_to.items()
+                    if p > anchor and anchor in closes]
+        for p in frontier:
+            need[p] = 1
+        d = 1
+        while frontier and d < max_len:
+            d += 1
+            nxt = []
+            for t in frontier:
+                for p in self.steps_into.get(t, ()):
+                    if p > anchor and need[p] > d:
+                        need[p] = d
+                        nxt.append(p)
+            frontier = nxt
+        return need
+
+    def walk(self, fill=None, least=None):
+        """The cycles, anchors ascending and depth first within an anchor,
+        as (length, places, node indices, place bitmask, first, last).
+
+        With a process's tables, `fill` (realized node index -> its
+        `_node_filled`) and `least` (its `least_grand_events`), every path
+        carries the start-stage window of conditions (ii) and (iii), which
+        `_start_window` gives for a whole cycle: `first` is the latest fill
+        stage of its nodes and `last` the least entry of its places.  A path
+        only narrows its window as it grows, so one whose window is empty is
+        dropped with every cycle through it, and each cycle comes with its
+        nonempty window.  Without the tables every window is (0, 0), which
+        never empties.
+        """
+        containing, max_len = self.containing, self.max_len
+        if fill is None:
+            fill, least = [0] * len(self.realized), [0] * self.width
+        for anchor in sorted(containing):
+            need = self.need(anchor)
+            stack = [((), (anchor,), 1 << anchor, 0, 0, least[anchor])]
+            while stack:
+                nodes, path, seen_places, seen_nodes, first, last = stack.pop()
+                n = len(path)
+                for i, targets, green in containing[path[-1]]:
+                    if seen_nodes >> i & 1:
+                        continue
+                    f = fill[i]
+                    if f < first:
+                        f = first
+                    # Node i fills after `last`: no cycle through it here
+                    # has a start stage.
+                    if f > last:
+                        continue
+                    # Closing edge: node i targets the anchor.
+                    if anchor in targets:
+                        yield (n, path, (i,) + nodes, seen_places, f, last)
+                    if n < max_len:
+                        for t in green:
+                            if seen_places >> t & 1 or n + need[t] > max_len:
+                                continue
+                            lst = least[t]
+                            if lst > last:
+                                lst = last
+                            if f > lst:
+                                continue
+                            stack.append((nodes + (i,), path + (t,),
+                                          seen_places | 1 << t,
+                                          seen_nodes | 1 << i, f, lst))
 
 
 def _unused_seeds(proc: FormativeProcess, i0: int, q0: int) -> frozenset:
@@ -556,45 +601,56 @@ def certify_witness(formula: lang.Formula, assignment: Assignment,
     if not assignment.is_transitive():
         assignment = transitivize(assignment)
     partition, im, board = canonical_board(formula, assignment)
+    # Whether the board has a cycle at all needs no process: most boards
+    # `decide` tries have none, so the existence walk runs first, and the
+    # windowed walk reuses its index.
+    index = _CycleIndex(board, limits.max_cycle_len)
+    if next(index.walk(), None) is None:
+        raise NoEvent("the board has no green pumping cycle")
     proc = synthesize_process(partition)
 
-    realized, found = _walk_cycles(board, limits.max_cycle_len)
-    if not found:
-        raise NoEvent("the board has no green pumping cycle")
-    # The walk's cycles stay index tuples: each gets its start-stage window
-    # of conditions (ii) and (iii) off the process tables, and one with an
-    # empty window is dropped; (i) is checked per start stage and seed
+    # The walk's cycles stay index tuples, each with its start-stage window
+    # of conditions (ii) and (iii); (i) is checked per start stage and seed
     # place.  The walk guarantees the cycle items and q0 lies on the cycle,
-    # so a candidate passing (i)-(iii) passes every item.  Coverage, the
-    # trash seeds and the cover do not depend on q0, so they are tested
-    # once, for the least seed place with an unused element: the one that
-    # trying every q0 in order would return.  A PumpingCycle is built only
-    # for a candidate that passes coverage, and the report once, for the
-    # returned event.
+    # so a candidate passing (i)-(iii) passes every item.  Coverage does not
+    # depend on the start stage, so the candidates are split by it first:
+    # the stage loop visits the covering ones, and only when none of them
+    # certifies does a reverse scan find the missed variable, that of the
+    # last in-window, seeded, missing candidate in the stage loop's order.
+    # The trash seeds and the cover do not depend on q0 either, so they are
+    # tested once, for the least seed place with an unused element: the one
+    # that trying every q0 in order would return.  A PumpingCycle is built
+    # only for a covering candidate, and the report once, for the returned
+    # event.
+    realized = index.realized
     fill = [_node_filled(proc, node) for node in realized]
-    candidates = []
-    for _, path, idx, mask in found:
-        first, last = _start_window(proc, path, map(fill.__getitem__, idx))
-        if first <= last:
-            candidates.append((first, last, path, sorted(path), idx, mask))
+    found = sorted(index.walk(fill, proc.least_grand_events))
     regions = [(x, sum(1 << q for q in im[x])) for x in neg_vars]
-    missed_var = None
+    covering, missing = [], []
+    for _, path, idx, mask, first, last in found:
+        missed = next((x for x, region in regions if not region & mask), None)
+        if missed is None:
+            covering.append((first, last, path, sorted(path), idx))
+        else:
+            missing.append((first, last, sorted(path), missed))
+    seeded = {}
+
+    def seed_place(i0, seed_places):
+        """The least place with an unused element at stage i0, or None."""
+        for q0 in seed_places:
+            has_seed = seeded.get((i0, q0))
+            if has_seed is None:
+                has_seed = seeded[i0, q0] = bool(_unused_seeds(proc, i0, q0))
+            if has_seed:
+                return q0
+        return None
+
     for i0 in range(proc.xi, 0, -1):
-        seeded = {}
-        for first, last, path, seed_places, idx, mask in candidates:
+        for first, last, path, seed_places, idx in covering:
             if first > i0 or last < i0:
                 continue
-            for q0 in seed_places:
-                has_seed = seeded.get(q0)
-                if has_seed is None:
-                    has_seed = seeded[q0] = bool(_unused_seeds(proc, i0, q0))
-                if has_seed:
-                    break
-            else:
-                continue
-            missed = [x for x, region in regions if not region & mask]
-            if missed:
-                missed_var = missed[0]
+            q0 = seed_place(i0, seed_places)
+            if q0 is None:
                 continue
             cycle = PumpingCycle(nodes=tuple(realized[i] for i in idx),
                                  places=path)
@@ -616,8 +672,10 @@ def certify_witness(formula: lang.Formula, assignment: Assignment,
                 literal_results=tuple(results),
                 event_report=is_pumping_event(proc, board, q0, i0, cycle),
                 max_cycle_len=limits.max_cycle_len)
-    if missed_var is not None:
-        raise CoverMissesVariable(missed_var)
+    for i0 in range(1, proc.xi + 1):
+        for first, last, seed_places, missed in reversed(missing):
+            if first <= i0 <= last and seed_place(i0, seed_places) is not None:
+                raise CoverMissesVariable(missed)
     raise NoEvent("no pumping event passes all three conditions")
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -115,8 +116,10 @@ class UniverseTable:
     `elems` (`elem_index[j]`, -1 when it is not a member of the universe)
     and the bitmask of its transitive closure (`cmask[j]`); `choice_of`
     maps a bitmask back to its choice, and `elem_choice[i]` is the choice
-    equal to elems[i].  The index of Pow(choices[j]) is found on first use.
-    Get a table with `_universe_table`.
+    equal to elems[i].  The pruning reads only these bits, so a choice's
+    HfSet is built when a leaf first reads it (see `_Choices`), and the
+    index of Pow(choices[j]) is found on first use.  Get a table with
+    `_universe_table`.
     """
 
     __slots__ = ("choices", "emask", "choice_of", "elem_index", "elem_choice",
@@ -145,8 +148,7 @@ class UniverseTable:
             low = m & -m
             closures[m] = (closures[m ^ low] | low
                            | down[low.bit_length() - 1])
-        self.choices = [hf.make_set(elems[i] for i in range(n) if m >> i & 1)
-                        for m in masks]
+        self.choices = _Choices(elems, masks)
         self.emask = masks
         self.choice_of = {m: j for j, m in enumerate(masks)}
         self.elem_choice = [self.choice_of[bits] for bits in direct]
@@ -209,6 +211,29 @@ class UniverseTable:
         if got is None:
             got = self._pow[j] = self.set_of(
                 [self.choice_of[sub] for sub in _submasks(self.emask[j])])
+        return got
+
+
+class _Choices(Sequence):
+    """The HfSets of the subsets of `elems` given as bitmasks by `masks`,
+    in `masks` order, each interned on its first read."""
+
+    __slots__ = ("_elems", "_masks", "_sets")
+
+    def __init__(self, elems, masks):
+        self._elems = elems
+        self._masks = masks
+        self._sets = [None] * len(masks)
+
+    def __len__(self):
+        return len(self._masks)
+
+    def __getitem__(self, j):
+        got = self._sets[j]
+        if got is None:
+            m = self._masks[j]
+            got = self._sets[j] = hf.make_set(
+                e for i, e in enumerate(self._elems) if m >> i & 1)
         return got
 
 
@@ -292,7 +317,7 @@ def _truth_mask(table: UniverseTable, kind: str, vals) -> int:
         bits = of_b(table, b) if a is None else of_a(table, a)
     else:
         bits = 0
-        for j in range(len(table.choices)):
+        for j in range(len(table.emask)):
             if _holds(table, base, [j if v is None else v for v in vals]):
                 bits |= 1 << j
     return table.everything ^ bits if base is not kind else bits

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 
 from . import hf, lang
@@ -69,8 +70,24 @@ class Partition:
             self, "blocks",
             tuple(frozenset(b) for b in self.blocks))
 
+    @cached_property
+    def home(self) -> dict:
+        """Element -> the index of the block holding it (its home place)."""
+        return home_index(self.blocks)
+
+    @cached_property
+    def signatures(self):
+        """Element -> the home places of its members, in one pass over the
+        elements; None when a member lies in no block, that is, when the
+        unionset is not transitive."""
+        home = self.home
+        try:
+            return {e: frozenset([home[m] for m in e.elements]) for e in home}
+        except KeyError:
+            return None
+
     def is_transitive(self) -> bool:
-        return _is_transitive(set().union(*self.blocks))
+        return self.signatures is not None
 
     def to_json(self):
         return [sorted((e.to_json() for e in b)) for b in self.blocks]
@@ -276,20 +293,19 @@ def induced_board(partition: Partition) -> ColoredBoard:
 
     Every element e of the union is, by transitivity, a subset of it, so it
     determines the unique node whose assembly family contains it: the set of
-    places whose blocks e meets.  Targets are read off those signatures
-    instead of materializing the exponential assembly families.
+    places whose blocks e meets.  Targets are read off those signatures, the
+    partition's `signatures`, instead of materializing the exponential
+    assembly families.
     """
     if not partition.is_transitive():
         raise NotTransitive("the partition's unionset is not transitive")
-    blocks = partition.blocks
-    home = home_index(blocks)
+    signature = partition.signatures
     targets = {}
-    for i, b in enumerate(blocks):
+    for i, b in enumerate(partition.blocks):
         for e in b:
-            node = frozenset(home[m] for m in e.elements)
-            targets.setdefault(node, set()).add(i)
+            targets.setdefault(signature[e], set()).add(i)
     return ColoredBoard(
-        blocks=blocks,
+        blocks=partition.blocks,
         targets={n: frozenset(ts) for n, ts in targets.items()},
     )
 

@@ -130,23 +130,30 @@ def rand_colored_board(proc, partition, rng: random.Random,
                           red=red, pow_nodes=pow_nodes)
 
 
-def wide_instance(seed):
-    """(formula, assignment) with 8-11 nonempty variables, one of which
-    must become infinite.  One variable per residue class of a shuffled
-    transitive universe gives one place per variable; the powerset literal
-    that half the seeds add gives a few more."""
+def wide_instance(seed, infinite=1):
+    """(formula, assignment) with 8-11 nonempty variables, `infinite` of
+    which must become infinite.  One variable per residue class of a
+    shuffled transitive universe gives one place per variable; the powerset
+    literal that half the seeds add gives a few more.  The variables after
+    the first that must become infinite are drawn last, and their `!Finite`
+    literals come last, so the rest of the instance is that of
+    `infinite=1`."""
     rng = random.Random(seed)
     k = rng.randint(8, 11)
     universe = rand_transitive_universe(rng, rng.randint(k, k + 5))
     rng.shuffle(universe)
     names = [f"v{j}" for j in range(k)]
     binding = {v: m.make_set(universe[j::k]) for j, v in enumerate(names)}
-    literals = [f"!Finite({rng.choice(names)})"]
+    first = rng.choice(names)
+    literals = [f"!Finite({first})"]
     literals += [f"!{v} = {{}}" for v in names]
     if rng.random() < 0.5:
         z = m.make_set(rng.sample(universe, 2))
         binding["z"], binding["p"] = z, m.powerset(z)
         literals.append("p = Pow(z)")
+    if infinite > 1:
+        others = rng.sample([v for v in names if v != first], infinite - 1)
+        literals += [f"!Finite({v})" for v in others]
     return m.parse(" & ".join(literals)), m.Assignment(binding)
 
 

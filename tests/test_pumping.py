@@ -11,8 +11,9 @@ from mlsspf import hf, lang
 from mlsspf.errors import (CardinalityDeficit, CoverMissesVariable,
                            NoClosedCover, NoEvent, NotAWitness)
 from mlsspf.process import FormativeProcess
-from mlsspf.pumping import (PumpingCycle, PumpingEvent, _node_filled,
-                            _start_window, pump_rounds)
+from mlsspf.pumping import (PumpingCycle, PumpingEvent, _CycleIndex,
+                            _node_filled, _start_window, _walk_cycles,
+                            pump_rounds)
 
 from conftest import (chain, rand_colored_board, rand_partition,
                       rand_transitive_universe, wide_instance, witness_family)
@@ -654,6 +655,71 @@ def test_certify_search_matches_exhaustive_event_loop_on_seeds(max_len, seeds):
         assert (_certify_outcome(m.certify_witness, formula, assignment, limits)
                 == _certify_outcome(_certify_oracle, formula, assignment,
                                     limits)), seed
+
+
+def test_certify_names_the_missed_variable_as_the_oracle():
+    # With a second !Finite variable, the reverse scan must name the
+    # variable that the last in-window, seeded candidate missing a region
+    # names in the stage loop's order, as the oracle does: on these seeds
+    # some candidates miss the first variable's region and some the
+    # second's.
+    named = set()
+    for seed in range(100):
+        formula, assignment = wide_instance(seed, infinite=2)
+        got = _certify_outcome(m.certify_witness, formula, assignment)
+        assert got == _certify_outcome(_certify_oracle, formula,
+                                       assignment), seed
+        if got.startswith("CoverMissesVariable"):
+            negated = [lit.operands[0] for lit in formula.literals
+                       if lit.kind == lang.NOT_FINITE]
+            named.add(next(j for j, x in enumerate(negated)
+                           if f"'{x}'" in got))
+    assert named == {0, 1}
+
+
+@pytest.mark.parametrize("max_len", [1, 2, 4, 6])
+def test_windowed_walk_gives_the_cycles_with_a_start_window(max_len):
+    # certify_witness's walk carries each path's start-stage window and
+    # drops the path once it is empty: it gives exactly the cycles of the
+    # plain walk whose _start_window is nonempty, with those windows.
+    for seed in range(200):
+        formula, assignment = wide_instance(seed)
+        if not assignment.is_transitive():
+            assignment = m.transitivize(assignment)
+        partition, _, board = m.canonical_board(formula, assignment)
+        proc = m.synthesize_process(partition)
+        realized, found = _walk_cycles(board, max_len)
+        fill = [_node_filled(proc, node) for node in realized]
+        want = []
+        for cycle in found:
+            first, last = _start_window(proc, cycle[1],
+                                        [fill[i] for i in cycle[2]])
+            if first <= last:
+                want.append(cycle + (first, last))
+        index = _CycleIndex(board, max_len)
+        assert sorted(index.walk(fill, proc.least_grand_events)) == want, seed
+
+
+def test_certify_synthesizes_a_process_only_for_a_board_with_a_cycle(
+        monkeypatch):
+    # A count guard: the existence walk needs no process, so a board
+    # without a green cycle is refused before synthesize_process runs.
+    calls = []
+    synthesize = m.synthesize_process
+
+    def counting(partition):
+        calls.append(partition)
+        return synthesize(partition)
+
+    monkeypatch.setattr("mlsspf.pumping.synthesize_process", counting)
+    for seed, synthesized, message in (
+            (2, 0, "the board has no green pumping cycle"),
+            (22, 1, "no pumping event passes all three conditions")):
+        calls.clear()
+        with pytest.raises(NoEvent) as info:
+            m.certify_witness(*wide_instance(seed))
+        assert str(info.value) == message
+        assert len(calls) == synthesized, seed
 
 
 def test_certify_builds_a_cycle_only_for_the_event(monkeypatch):

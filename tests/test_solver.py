@@ -261,7 +261,7 @@ def test_universe_table_matches_set_operations():
     for universe in _UNIVERSES:
         table = _universe_table(universe)
         elems = tuple(sorted(universe, key=lambda e: e._key))
-        assert table.choices == _subsets_in_order(elems)
+        assert list(table.choices) == _subsets_in_order(elems)
         for j, c in enumerate(table.choices):
             assert [elems[i] for i in range(len(elems))
                     if table.emask[j] >> i & 1] == list(c.elements)
@@ -343,6 +343,26 @@ def test_hard_search_reuses_its_tables(monkeypatch):
     assert _universe_table.cache_info().misses == 14
     assert _universe_table.cache_info().hits == 14
     assert len(hf.HfSet._intern) == interned
+
+
+def test_hard_search_builds_no_choice(monkeypatch):
+    # A count guard: the hard search at rank 4 / universe 4 reaches no leaf,
+    # so it reads no choice's HfSet and makes no make_set call for one.
+    # Building every choice with its table interned 59 more sets at this
+    # budget, and 15,094 more at rank 5 / universe 6.
+    reads = []
+    read_one = solver._Choices.__getitem__
+
+    def counting(choices, j):
+        reads.append(j)
+        return read_one(choices, j)
+
+    monkeypatch.setattr(solver._Choices, "__getitem__", counting)
+    _universe_table.cache_clear()
+    formula = m.parse("x in y & y in z & z in x & !Finite(w)")
+    budget = m.SearchBudget(max_rank=4, max_universe=4)
+    assert m.decide(formula, budget).verdict == m.UNSAT_WITHIN_BUDGET
+    assert reads == []
 
 
 _PAIRS = (("w", "x"), ("y", "z"))

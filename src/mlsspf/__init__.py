@@ -16,8 +16,9 @@ from .msrefine import (ImitationWitness, MsOverlay, StartConfiguration,
 from .process import (FormativeProcess, grand_event, is_closed, local_trashes,
                       synthesize_process, validate_process)
 from .pumping import (PumpingCycle, PumpingEvent, WitnessCertificate,
-                      certify_witness, closed_cover, extend_certificate,
-                      find_pumping_cycles, is_pumping_event, pump_rounds,
+                      certify_witness, check_certificate, closed_cover,
+                      extend_certificate, find_pumping_cycles,
+                      is_pumping_event, pump_rounds, reproduce_certificate,
                       verify_certificate)
 from .relations import (BlockBijection, imitates, literal_transfer_report,
                         simulates_upwards, transfer_assignment)

@@ -3,10 +3,14 @@
 Exit codes: 0 sat/witnessed or check passed, 1 unsat-within-budget or check
 failed, 2 unknown, 3 bad input (bounds out of range too), 4 internal failure
 (the input was read and checked, then the library failed on it).  `verify`
-and `pump` re-derive a certificate the same way
-(`pumping.reproduce_certificate`) and read the same pumped verdict
-(`PumpedExtension.ok`); a malformed certificate, such as a field of the
-wrong JSON type, is bad input (3) for both.
+and `pump` check a certificate the same way, each claim on its own and
+without re-running the prover (`pumping.check_certificate`), and read the
+same pumped verdict (`PumpedExtension.ok`); `pump` refuses, as bad input
+(3), a certificate that `verify` fails.  A malformed certificate, such as
+a field of the wrong JSON type, is bad input (3) for both.  `verify
+--rederive` also re-derives the certificate from its own inputs and
+compares it byte for byte (`pumping.reproduce_certificate`), appending
+those items.
 """
 
 from __future__ import annotations
@@ -19,8 +23,10 @@ from . import hf, lang
 from .errors import MlsspfError
 from .limits import DEFAULT_LIMITS, Limits
 from .process import FormativeProcess, synthesize_process, validate_process
-from .pumping import (certify_witness, extend_certificate,
-                      reproduce_certificate, verify_certificate)
+from .pumping import (certify_witness, check_certificate,
+                      extend_certificate, reproduce_certificate,
+                      verify_certificate)
+from .report import Report
 from .solver import SAT_MODEL, SAT_WITNESSED, UNKNOWN, SearchBudget, decide
 from .venn import Assignment, canonical_board, transitivize, venn_partition
 
@@ -141,14 +147,14 @@ def cmd_pump(args):
     if args.rounds < 0:
         raise ValueError(f"rounds must be nonnegative, not {args.rounds}")
     limits = _limits(args)
-    report, cert = reproduce_certificate(_read_json(args.certificate), limits)
+    report, cert = check_certificate(_read_json(args.certificate), limits)
     if not report.ok:
-        raise MlsspfError(f"certificate does not match its own inputs:\n{report}")
+        raise MlsspfError(f"certificate does not check:\n{report}")
     try:
         extended = extend_certificate(cert, args.rounds, limits)
     except MlsspfError as exc:
-        # The certificate re-certified from its own inputs, so the input is
-        # good and the failure is the library's.
+        # Every claim of the certificate checked, so the input is good and
+        # the failure is the library's.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     _emit(extended.to_json(), args)
@@ -172,6 +178,9 @@ def cmd_decide(args):
 def cmd_verify(args):
     data = _read_json(args.certificate)
     report = verify_certificate(data, _limits(args))
+    if args.rederive:
+        report = Report(report.items
+                        + reproduce_certificate(data, _limits(args))[0].items)
     print(report, file=sys.stderr)
     _emit(report.to_json(), args)
     return EXIT_OK if report.ok else EXIT_FAIL
@@ -247,6 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="re-check a certificate from JSON alone")
     p.add_argument("certificate")
+    p.add_argument("--rederive", action="store_true",
+                   help="also re-derive the certificate from its own inputs "
+                        "and compare it byte for byte")
     common(p)
     p.set_defaults(func=cmd_verify)
     return top

@@ -12,7 +12,7 @@ use and cached on the set, so the interned members a value shares with
 others share their JSON forms too.  `dumps` writes the same text as
 `json.dumps(value, sort_keys=True, indent=2)`, but renders every tuple once
 per indent depth and reuses that text wherever the tuple recurs: the stages
-of a certificate repeat the forms of the sets they share.  `decoder` is the
+of a certificate repeat the forms of the sets they share.  `Decoder` is the
 reading half: it parses each distinct JSON text once.
 """
 
@@ -118,18 +118,7 @@ def from_json(data):
     Re-canonicalizes; returns (set, had_duplicates) where the flag warns that
     the input listed extensionally equal members more than once.
     """
-    had_dup = False
-
-    def build(node):
-        nonlocal had_dup
-        if not isinstance(node, (list, tuple)):
-            raise ValueError(f"expected a nested list, got {type(node).__name__}")
-        kids = [build(k) for k in node]
-        if len(set(kids)) != len(kids):
-            had_dup = True
-        return make_set(kids)
-
-    return build(data), had_dup
+    return Decoder()(data)
 
 
 def expect_json(value, kind, what):
@@ -141,23 +130,39 @@ def expect_json(value, kind, what):
     return value
 
 
-def decoder():
-    """A `from_json` for decoding many values in one go, such as the stages
-    of a process.
+class Decoder:
+    """`from_json` for decoding the many sets of one document, such as the
+    stages of a process or every set of a certificate: one instance per
+    document.
 
-    Values are memoized by their compact JSON text, so each distinct value
-    is parsed once; equal texts give equal results, duplicate flag included.
+    Called on a set's JSON form it returns `from_json`'s (set, flag), and
+    `block` decodes a list of such forms to a frozenset of their sets,
+    collapsing duplicates as `frozenset` does.  Sets are memoized by their
+    form's `repr`, which for nested lists is their JSON text and costs no
+    encoder call, at every level: a set seen before is one lookup, and a
+    new one looks up each of its members.  Equal forms give equal results,
+    duplicate flag included; only decoded forms are kept.
     """
-    memo = {}
 
-    def decode(data):
-        text = json.dumps(data)
-        got = memo.get(text)
+    def __init__(self):
+        self._memo = {}
+
+    def __call__(self, data):
+        key = repr(data)
+        got = self._memo.get(key)
         if got is None:
-            got = memo[text] = from_json(data)
+            if not isinstance(data, (list, tuple)):
+                raise ValueError(
+                    f"expected a nested list, got {type(data).__name__}")
+            kids = [self(k) for k in data]
+            members = [s for s, _ in kids]
+            dup = (len(set(members)) != len(members)
+                   or any(d for _, d in kids))
+            got = self._memo[key] = (make_set(members), dup)
         return got
 
-    return decode
+    def block(self, data, what="a block") -> frozenset:
+        return frozenset([self(e)[0] for e in expect_json(data, list, what)])
 
 
 def dumps(value) -> str:
@@ -311,24 +316,29 @@ def assemblies(blocks, limit: int = DEFAULT_LIMITS.pow_limit):
                 yield (i,) + rest
 
     lo = 0
-    while True:
-        hi = lo
-        while hi < len(union) and union[hi].rank == union[lo].rank:
-            hi += 1
-        reach = [0] * (hi + 1)
-        for i in range(hi - 1, -1, -1):
-            reach[i] = reach[i + 1] | masks[i]
-        # Size 0 only when there are no blocks: the family is {EMPTY}.
-        sizes = range(1 if union else 0, hi + 1) if reach[0] == full else ()
-        for size in sizes:
-            for chosen in picks(0, hi, lo, reach, size, 0):
-                if yielded == limit:
-                    raise LimitExceeded("assembly family", limit + 1, limit)
-                yielded += 1
-                yield make_set(union[i] for i in chosen)
-        if hi == len(union):
-            return
-        lo = hi
+    try:
+        while True:
+            hi = lo
+            while hi < len(union) and union[hi].rank == union[lo].rank:
+                hi += 1
+            reach = [0] * (hi + 1)
+            for i in range(hi - 1, -1, -1):
+                reach[i] = reach[i + 1] | masks[i]
+            # Size 0 only when there are no blocks: the family is {EMPTY}.
+            sizes = range(1 if union else 0, hi + 1) if reach[0] == full else ()
+            for size in sizes:
+                for chosen in picks(0, hi, lo, reach, size, 0):
+                    if yielded == limit:
+                        raise LimitExceeded("assembly family", limit + 1, limit)
+                    yielded += 1
+                    yield make_set(union[i] for i in chosen)
+            if hi == len(union):
+                return
+            lo = hi
+    finally:
+        # picks refers to itself: unbound, it leaves no cycle behind when
+        # the family is exhausted or its consumer drops it.
+        picks = None
 
 
 def pow_star(blocks, limit: int = DEFAULT_LIMITS.pow_limit):

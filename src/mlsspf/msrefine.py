@@ -81,13 +81,18 @@ class MsOverlay:
         }
 
     @staticmethod
-    def from_json(data) -> "MsOverlay":
-        decode = hf.decoder()
+    def from_json(data, decode=None) -> "MsOverlay":
+        """The overlay of `to_json`'s form, whose surplus parts are not
+        read; `decode` is the `hf.Decoder` of the document it is part of,
+        else a fresh one."""
+        expect, decode = hf.expect_json, decode or hf.Decoder()
+        data = expect(data, dict, "an overlay")
         return MsOverlay(
-            start=int(data["start"]),
+            start=expect(data["start"], int, "the overlay start"),
             minus=tuple(
-                tuple(frozenset(decode(e)[0] for e in m) for m in stage)
-                for stage in data["minus"]),
+                tuple(decode.block(m, "a minus part")
+                      for m in expect(stage, list, "an overlay stage"))
+                for stage in expect(data["minus"], list, "minus parts")),
         )
 
 
@@ -257,11 +262,19 @@ class ImitationWitness:
 
     @staticmethod
     def from_json(data) -> "ImitationWitness":
+        expect = hf.expect_json
+        data = expect(data, dict, "a witness")
+        segment = expect(data["segment"], list, "a segment")
+        if len(segment) != 2:
+            raise ValueError("a segment must have two stages")
+        lo, hi = (expect(k, int, "a segment stage") for k in segment)
         return ImitationWitness(
-            gamma={int(k): int(v) for k, v in data["gamma"].items()},
-            closed_set=frozenset(data["closedSet"]),
-            lo=int(data["segment"][0]),
-            hi=int(data["segment"][1]),
+            gamma={int(k): expect(v, int, "a stage map value")
+                   for k, v in expect(data["gamma"], dict, "a stage map").items()},
+            closed_set=frozenset(
+                expect(q, int, "a closed-set place")
+                for q in expect(data["closedSet"], list, "a closed set")),
+            lo=lo, hi=hi,
         )
 
 

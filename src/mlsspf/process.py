@@ -181,17 +181,18 @@ class FormativeProcess:
         }
 
     @staticmethod
-    def from_json(data) -> "FormativeProcess":
+    def from_json(data, decode=None) -> "FormativeProcess":
+        """The process of `to_json`'s form; `decode` is the `hf.Decoder` of
+        the document it is part of, else a fresh one."""
         # History targets are only compared and looked up, so their entries
         # are read as given; only a list or object, which no set can hold,
         # is refused.
-        expect, decode = hf.expect_json, hf.decoder()
+        expect, decode = hf.expect_json, decode or hf.Decoder()
         stages = []
         for stage in expect(expect(data, dict, "a process")["stages"], list,
                             "stages"):
             stages.append(tuple(
-                frozenset(decode(e)[0] for e in expect(b, list, "a block"))
-                for b in expect(stage, list, "a stage")))
+                decode.block(b) for b in expect(stage, list, "a stage")))
         trace = expect(data["trace"], list, "a trace")
         targets = [expect(t, list, "a step's history targets") for t in expect(
             data.get("historyTargets", []), list, "history targets")]
@@ -244,16 +245,12 @@ def validate_process(proc: FormativeProcess) -> Report:
                       all(0 <= q < width for node in proc.trace for q in node))
     if not (stages_ok and trace_ok):
         return rb.build()
-    for mu in range(xi + 1):
-        stage = proc.stages[mu]
-        seen = {}
-        disjoint = True
-        for q in places:
-            for e in stage[q]:
-                if e in seen:
-                    disjoint = False
-                seen[e] = q
-        rb.add(f"stage {mu}: blocks pairwise disjoint", disjoint)
+    # Blocks are pairwise disjoint exactly when their sizes add up to the
+    # size of their union.
+    universes = [frozenset().union(*stage) for stage in proc.stages]
+    for mu, stage in enumerate(proc.stages):
+        rb.add(f"stage {mu}: blocks pairwise disjoint",
+               len(universes[mu]) == sum(map(len, stage)))
     rb.add("stage 0: all blocks empty",
            all(not b for b in proc.stages[0]) if proc.stages else True)
     rb.add("final stage: all blocks nonempty", all(proc.stages[xi]))
@@ -265,7 +262,7 @@ def validate_process(proc: FormativeProcess) -> Report:
         snapshot = proc.node_snapshot(node, nu)
         rb.add(f"step {nu}: trace node has nonempty snapshot blocks",
                all(snapshot) or not node)
-        fresh = proc.universe(nu + 1) - proc.universe(nu)
+        fresh = universes[nu + 1] - universes[nu]
         ok = all(hf.in_pow_star(e, snapshot) for e in fresh)
         rb.add(f"step {nu}: new elements assemble from the trace node", ok)
         rb.add(f"step {nu}: the partition strictly grows", bool(fresh))
@@ -274,10 +271,10 @@ def validate_process(proc: FormativeProcess) -> Report:
             rb.add(f"step {nu}: history targets match nonempty deltas",
                    proc.history_targets[nu] == derived)
     if not proc.weak:
-        final = proc.final_universe
+        final = universes[xi]
         for nu in range(min(xi, len(proc.trace))):
             snapshot = proc.node_snapshot(proc.trace[nu], nu)
-            late = final - proc.universe(nu + 1)
+            late = final - universes[nu + 1]
             ok = not any(hf.in_pow_star(e, snapshot) for e in late)
             rb.add(f"step {nu}: coherent (no late assembly of the used snapshot)", ok)
     return rb.build()

@@ -12,7 +12,7 @@ serialized form alone.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Optional
 
@@ -22,7 +22,7 @@ from .errors import (CannotWarmUp, CoverMissesVariable, MlsspfError,
 from .limits import DEFAULT_LIMITS, Limits
 from .msrefine import (ImitationWitness, MsOverlay, StartConfiguration,
                        check_segment_imitation, check_upward_premises,
-                       check_weak_imitation, paste_segment)
+                       check_weak_imitation, paste_segment, validate_overlay)
 from .process import (FormativeProcess, is_closed, local_trashes,
                       synthesize_process, validate_process)
 from .relations import (BlockBijection, imitates, literal_transfer_report,
@@ -489,6 +489,17 @@ def _traverse(proc, event, rounds, limits):
     return process, MsOverlay(i0, tuple(minus)), warmups, boundaries
 
 
+# The pumped reports: their names in the certificate -> PumpedExtension
+# fields.
+_REPORTS = {
+    "weakImitation": "weak_report",
+    "segmentImitation": "segment_report",
+    "upward": "upward_report",
+    "imitation": "imitation_report",
+    "literalTransfer": "transfer_report",
+}
+
+
 @dataclass(frozen=True)
 class PumpedExtension:
     rounds: int
@@ -506,13 +517,7 @@ class PumpedExtension:
 
     def reports(self) -> dict:
         """The five reports by their names in the certificate."""
-        return {
-            "weakImitation": self.weak_report,
-            "segmentImitation": self.segment_report,
-            "upward": self.upward_report,
-            "imitation": self.imitation_report,
-            "literalTransfer": self.transfer_report,
-        }
+        return {name: getattr(self, attr) for name, attr in _REPORTS.items()}
 
     def failing(self) -> list:
         return [name for name, rep in self.reports().items() if not rep.ok]
@@ -537,10 +542,43 @@ class PumpedExtension:
                         for name, report in self.reports().items()},
         }
 
+    @staticmethod
+    def from_json(data, decode=None) -> "PumpedExtension":
+        """`to_json`'s form read back, every set through the certificate's
+        `hf.Decoder` (`decode`, else a fresh one); the overlay's surplus
+        parts are not read."""
+        expect, decode = hf.expect_json, decode or hf.Decoder()
+        data = expect(data, dict, "pumped")
+        reports = expect(data["reports"], dict, "pumped reports")
+        return PumpedExtension(
+            rounds=expect(data["rounds"], int, "pumped rounds"),
+            process=FormativeProcess.from_json(data["process"], decode),
+            overlay=MsOverlay.from_json(data["overlay"], decode),
+            witness=ImitationWitness.from_json(data["witness"]),
+            final_assignment=Assignment.from_json(
+                data["finalAssignment"], decode)[0],
+            warmups=expect(data["warmups"], int, "warm-up rounds"),
+            round_boundaries=tuple(
+                expect(b, int, "a round boundary") for b in expect(
+                    data["roundBoundaries"], list, "round boundaries")),
+            **{attr: Report.from_json(reports[name])
+               for name, attr in _REPORTS.items()})
+
+
+class MalformedProcess(ValueError):
+    """A certificate's process is not of `FormativeProcess.to_json`'s form.
+    `verify_certificate` reports it as a failed item, not as bad input."""
+
 
 @dataclass(frozen=True)
 class WitnessCertificate:
-    """Everything needed to re-check a satisfiability witness untrusted."""
+    """Everything needed to re-check a satisfiability witness untrusted.
+
+    `canonical` is (partition, im, board) of `canonical_board` for the
+    formula and the assignment: `certify_witness` stores the one it built,
+    and the `canonical_board` method builds it once for a certificate read
+    from JSON.  It is not compared, shown or written.
+    """
 
     formula: lang.Formula
     base_assignment: Assignment
@@ -553,6 +591,15 @@ class WitnessCertificate:
     event_report: Report
     max_cycle_len: int
     pumped: Optional[PumpedExtension] = None
+    canonical: Optional[tuple] = field(default=None, compare=False, repr=False)
+
+    def canonical_board(self) -> tuple:
+        """`canonical_board(formula, assignment)`, built on the first
+        call."""
+        if self.canonical is None:
+            object.__setattr__(self, "canonical",
+                               canonical_board(self.formula, self.assignment))
+        return self.canonical
 
     def to_json(self):
         out = {
@@ -575,6 +622,50 @@ class WitnessCertificate:
 
     def dumps(self) -> str:
         return hf.dumps(self.to_json())
+
+    @staticmethod
+    def from_json(data, decode=None) -> "WitnessCertificate":
+        """`to_json`'s form read back, every set of it through one
+        `hf.Decoder` (`decode`, else a fresh one); the pumped overlay's
+        surplus parts are not read.  Only JSON types are checked, not a
+        single claim: that is `check_certificate`'s work.  An unparsable
+        formula raises its MlsspfError, a malformed process
+        MalformedProcess, and any other malformed field ValueError or
+        KeyError.
+        """
+        expect, decode = hf.expect_json, decode or hf.Decoder()
+        data = expect(data, dict, "a certificate")
+        formula = lang.parse(expect(data["formula"], str, "formula"))
+        params = _recorded_limits(data, DEFAULT_LIMITS)
+        base, _ = Assignment.from_json(data["baseAssignment"], decode)
+        assignment, _ = Assignment.from_json(data["assignment"], decode)
+        try:
+            process = FormativeProcess.from_json(data["process"], decode)
+        except (ValueError, KeyError) as exc:
+            raise MalformedProcess(str(exc)) from exc
+        report = expect(data["report"], dict, "report")
+        return WitnessCertificate(
+            formula=formula, base_assignment=base, assignment=assignment,
+            process=process, event=PumpingEvent.from_json(data["event"]),
+            cover=frozenset(_json_places(data["closedCover"], "closedCover")),
+            potential_infinite=tuple(
+                expect(v, str, "a variable") for v in expect(
+                    data["potentialInfinite"], list, "potentialInfinite")),
+            literal_results=tuple(
+                expect(v, bool, "a literal result") for v in expect(
+                    report["literals"], list, "literal results")),
+            event_report=Report.from_json(report["event"]),
+            max_cycle_len=params.max_cycle_len,
+            pumped=(PumpedExtension.from_json(data["pumped"], decode)
+                    if "pumped" in data else None))
+
+
+def _recorded_limits(data, limits: Limits) -> Limits:
+    """`limits` with the certificate's recorded `params.maxCycleLen`, when
+    it has one; a bound below 1 raises ValueError."""
+    params = hf.expect_json(data.get("params", {}), dict, "params")
+    return replace(limits, max_cycle_len=hf.expect_json(
+        params.get("maxCycleLen", limits.max_cycle_len), int, "maxCycleLen"))
 
 
 def certify_witness(formula: lang.Formula, assignment: Assignment,
@@ -671,7 +762,8 @@ def certify_witness(formula: lang.Formula, assignment: Assignment,
                 cover=cover, potential_infinite=tuple(pot),
                 literal_results=tuple(results),
                 event_report=is_pumping_event(proc, board, q0, i0, cycle),
-                max_cycle_len=limits.max_cycle_len)
+                max_cycle_len=limits.max_cycle_len,
+                canonical=(partition, im, board))
     for i0 in range(1, proc.xi + 1):
         for first, last, seed_places, missed in reversed(missing):
             if first <= i0 <= last and seed_place(i0, seed_places) is not None:
@@ -684,7 +776,7 @@ def extend_certificate(cert: WitnessCertificate, rounds: int,
     """Pump the certificate's event, replay the remaining segment, and
     attach the transferred assignment with all its checks.  Raises
     ValueError for negative `rounds`."""
-    _, im, board = canonical_board(cert.formula, cert.assignment)
+    _, _, board = cert.canonical_board()
     proc = cert.process
     pump = pump_rounds(proc, board, cert.event, rounds, limits=limits,
                        closed_set=cert.cover)
@@ -692,24 +784,38 @@ def extend_certificate(cert: WitnessCertificate, rounds: int,
         cand=pump.process, overlay=pump.overlay,
         k_prime=cert.event.i0, closed_set=cert.cover)
     cand, overlay, witness = paste_segment(proc, board, start, proc.xi, limits)
+    return replace(cert, pumped=_pumped_extension(
+        cert, rounds, cand, overlay, witness, pump.weak_report, pump.warmups,
+        pump.round_boundaries, limits))
+
+
+def _pumped_extension(cert, rounds, cand, overlay, witness, weak, warmups,
+                      boundaries, limits) -> PumpedExtension:
+    """The pumped extension of a certificate to the candidate process,
+    overlay and stage map of a pump and paste, with its four reports after
+    the weak imitation one and its transferred assignment: what
+    `extend_certificate` attaches and `check_certificate` recomputes."""
+    proc = cert.process
+    _, im, board = cert.canonical_board()
     segment = check_segment_imitation(proc, board, cand, overlay, witness)
     bijection = BlockBijection(proc.final_blocks(), cand.final_blocks())
     imit = imitates(board, bijection)
     upward = check_upward_premises(proc, board, cand, overlay, witness,
-                                   pump.weak_report, segment, imit)
+                                   weak, segment, imit)
     final = transfer_assignment(cert.assignment, im, bijection)
-    transfer = literal_transfer_report(cert.formula, cert.assignment, final, limits)
-    pumped = PumpedExtension(
+    transfer = literal_transfer_report(cert.formula, cert.assignment, final,
+                                       limits)
+    return PumpedExtension(
         rounds=rounds, process=cand, overlay=overlay, witness=witness,
-        final_assignment=final, weak_report=pump.weak_report,
+        final_assignment=final, weak_report=weak,
         segment_report=segment, upward_report=upward, imitation_report=imit,
-        transfer_report=transfer, warmups=pump.warmups,
-        round_boundaries=pump.round_boundaries)
-    return replace(cert, pumped=pumped)
+        transfer_report=transfer, warmups=warmups,
+        round_boundaries=tuple(boundaries))
 
 
 def reproduce_certificate(data, limits: Limits = DEFAULT_LIMITS):
-    """Re-derive a certificate from its own inputs and compare byte for byte.
+    """Re-derive a certificate from its own inputs and compare byte for byte:
+    the items `mlsspf verify --rederive` appends to `verify_certificate`'s.
 
     Certifies the base assignment under the recorded `params.maxCycleLen`
     (else `limits`'), pumps a pumped certificate its recorded rounds, and
@@ -722,9 +828,7 @@ def reproduce_certificate(data, limits: Limits = DEFAULT_LIMITS):
     """
     expect = hf.expect_json
     data = expect(data, dict, "a certificate")
-    params = expect(data.get("params", {}), dict, "params")
-    limits = replace(limits, max_cycle_len=expect(
-        params.get("maxCycleLen", limits.max_cycle_len), int, "maxCycleLen"))
+    limits = _recorded_limits(data, limits)
     rb = ReportBuilder()
     try:
         formula = lang.parse(expect(data["formula"], str, "formula"))
@@ -759,43 +863,230 @@ def reproduce_certificate(data, limits: Limits = DEFAULT_LIMITS):
 
 
 def verify_certificate(data, limits: Limits = DEFAULT_LIMITS) -> Report:
-    """`reproduce_certificate`'s items, then the embedded process, event and
-    cover checked on their own, and for a pumped certificate its pumped
-    verdict, `PumpedExtension.ok`.  Wrong JSON types raise ValueError."""
-    reproduced, fresh = reproduce_certificate(data, limits)
+    """`check_certificate`'s report: every claim of the certificate checked
+    on its own, without re-running the prover."""
+    return check_certificate(data, limits)[0]
+
+
+def check_certificate(data, limits: Limits = DEFAULT_LIMITS):
+    """Check every claim of a certificate's JSON form on its own, and return
+    (report, the decoded certificate, or None when it does not decode).
+
+    No step of the prover runs (`certify_witness`, `synthesize_process`,
+    the pump or the paste): the certificate is decoded with
+    `WitnessCertificate.from_json` under the recorded `params.maxCycleLen`
+    (else `limits`'), and what it says is recomputed from what it holds.
+    The base certificate: the cycle is within the bound; the assignment is
+    the base assignment, closed by `transitivize` when that is not
+    transitive; the literal results are the base assignment's and every
+    literal but !Finite holds; the process validates as a strong process,
+    has the board's places and ends in the assignment's Venn partition; the
+    event names places and a stage of it, holds, and has the recorded
+    report; the cover is closed, holds the cycle and the trash seeds the
+    segment replay needs; the cycle meets every !Finite region; and
+    `potentialInfinite` is recomputed.  A pumped extension: see
+    `_check_pumped`.  The pumped verdict is `PumpedExtension.ok` of the
+    recomputed reports ("pumped extension holds", whose detail names the
+    failing ones).
+
+    Wrong JSON types raise ValueError or KeyError, except in the base
+    process, which fails "embedded process parses"; a bound below 1 raises
+    ValueError.  An MlsspfError of a recomputation is a failed item, and
+    any other exception a fault of the library.
+    """
+    data = hf.expect_json(data, dict, "a certificate")
+    limits = _recorded_limits(data, limits)
     rb = ReportBuilder()
-    rb.extend(reproduced)
-    if fresh is None:
-        return rb.build()
+    decode = hf.Decoder()
     try:
-        proc = FormativeProcess.from_json(data["process"])
-        rb.add("embedded process parses", True)
-    except (ValueError, KeyError) as exc:
+        cert = WitnessCertificate.from_json(data, decode)
+    except MalformedProcess as exc:
+        rb.add("formula parses", True)
         rb.add("embedded process parses", False, str(exc))
-        return rb.build()
-    rb.add("embedded process validates", validate_process(proc).ok)
-    _, im, board = canonical_board(fresh.formula, fresh.assignment)
+        return rb.build(), None
+    except MlsspfError as exc:
+        rb.add("formula parses", False, str(exc))
+        return rb.build(), None
+    rb.add("formula parses", True)
+    formula, base, proc = cert.formula, cert.base_assignment, cert.process
+    event, cycle = cert.event, cert.event.cycle
+    rb.add("event cycle has at most params.maxCycleLen places",
+           len(cycle) <= limits.max_cycle_len)
+    if not rb.add("assignment is the base assignment, made transitive",
+                  cert.assignment == (base if base.is_transitive()
+                                      else transitivize(base))):
+        return rb.build(), cert
+    try:
+        results = tuple(lang.eval_literal(lit, base, limits)
+                        for lit in formula.literals)
+    except MlsspfError as exc:
+        rb.add("literal results are the base assignment's", False, str(exc))
+        return rb.build(), cert
+    rb.add("literal results are the base assignment's",
+           results == cert.literal_results)
+    rb.add("every literal but !Finite holds",
+           all(val for lit, val in zip(formula.literals, results)
+               if lit.kind != lang.NOT_FINITE))
+
+    partition, im, board = cert.canonical_board()
+    rb.add("embedded process parses", True)
+    valid = rb.add("embedded process validates",
+                   not proc.weak and validate_process(proc).ok)
     # The event and cover checks index the process's blocks by the board's
     # places and the event's stage, so they run only where those exist.
     width = len(board.places)
     has_places = rb.add(
         "embedded process has the board's places",
         proc.stages and all(len(stage) >= width for stage in proc.stages))
+    rb.add("embedded process ends in the assignment's Venn partition",
+           proc.stages and proc.final_blocks() == partition.blocks)
+    on_process = False
     if has_places:
-        event = PumpingEvent.from_json(data["event"])
-        cycle = event.cycle
         named = {event.q0, *cycle.places}.union(*cycle.nodes)
-        if rb.add("embedded event names a stage and places of the process",
-                  0 <= event.i0 <= proc.xi
-                  and all(0 <= q < width for q in named)):
-            rb.add("embedded event holds",
-                   is_pumping_event(proc, board, event.q0, event.i0,
-                                    cycle).ok)
-        cover = frozenset(_json_places(data["closedCover"], "closedCover"))
+        on_process = rb.add(
+            "embedded event names a stage and places of the process",
+            0 <= event.i0 <= proc.xi and all(0 <= q < width for q in named))
+        if on_process:
+            report = is_pumping_event(proc, board, event.q0, event.i0, cycle)
+            rb.add("embedded event holds", report.ok)
+            rb.add("embedded event report is recomputed",
+                   report.to_json() == data["report"]["event"])
         rb.add("embedded cover is closed and contains the cycle",
-               is_closed(proc, board, cover)
-               and event.cycle.place_set() <= cover)
-    if fresh.pumped is not None:
-        rb.add("pumped extension holds", fresh.pumped.ok,
-               ", ".join(fresh.pumped.failing()))
-    return rb.build()
+               is_closed(proc, board, cert.cover)
+               and cycle.place_set() <= cert.cover)
+    places = cycle.place_set()
+    rb.add("cycle meets the region of every !Finite variable",
+           all(im[lit.operands[0]] & places for lit in formula.literals
+               if lit.kind == lang.NOT_FINITE))
+    rb.add("potentialInfinite is the variables meeting the cycle",
+           cert.potential_infinite == tuple(
+               v for v in formula.vars if v in im.places and im[v] & places))
+    # The trash seeds and the pumped extension read the process's grand
+    # events, which only a valid process has.
+    if not (valid and on_process):
+        return rb.build(), cert
+    seeds = _segment_trash_seeds(proc, board, event.i0, cycle)
+    rb.add("embedded cover holds the segment's trash seeds",
+           seeds is not None and seeds <= cert.cover)
+    if cert.pumped is not None:
+        _check_pumped(rb, cert, data["pumped"], decode, limits)
+    return rb.build(), cert
+
+
+def _shaped(report: Report) -> bool:
+    """Whether a validator's shape items passed: those that let a checker
+    index its process or overlay by stage and place."""
+    return all(item.ok for item in report.items
+               if item.check.startswith("shape:"))
+
+
+def _check_pumped(rb: ReportBuilder, cert: WitnessCertificate, data, decode,
+                  limits: Limits):
+    """Add the items of a pumped extension whose base certificate checked.
+
+    The pumped process starts with the process through the event's stage
+    i0 and validates as a weak process; its overlay validates from i0, has
+    the recorded surplus parts, and starts by moving one unused seed of the
+    event's place into surplus (none for zero rounds).  The stage map
+    copies the process from i0 on, from the stage m where the rounds end,
+    under the cover, and the copy's minus parts are nonempty exactly where
+    the copied stages' blocks are.  The rounds traverse the event's cycle:
+    each appends one stage per cycle place, a step of each cycle node in
+    turn adding to the place it targets, and the round boundaries are
+    those stages, the last one m.  Then the five reports are recomputed on
+    the embedded process, overlay and stage map (the weak imitation one at
+    m) and must equal the recorded ones, and the transferred assignment the
+    recorded `finalAssignment`.
+    """
+    expect = hf.expect_json
+    proc, event, p = cert.process, cert.event, cert.pumped
+    cand, overlay, witness = p.process, p.overlay, p.witness
+    cycle, i0, q0 = event.cycle, event.i0, event.q0
+    rb.add("pumped process starts with the process through the event's stage",
+           cand.stages[:i0 + 1] == proc.stages[:i0 + 1]
+           and cand.trace[:i0] == proc.trace[:i0])
+    valid = validate_process(cand)
+    rb.add("pumped process validates as a weak process",
+           cand.weak and valid.ok)
+    # The checks below index the process and the overlay by stage and
+    # place, which their shape items guarantee.  They run on a process and
+    # overlay of the right shape whether these validate or not: the pump
+    # issues some that do not, and their pumped verdict is read all the
+    # same.
+    if not (_shaped(valid) and len(cand.places) == len(proc.places)):
+        return
+    overlay_valid = validate_overlay(cand, overlay)
+    rb.add("pumped overlay validates from the event's stage",
+           overlay.start == i0 and overlay_valid.ok)
+    if not (_shaped(overlay_valid) and overlay.start == i0):
+        return
+    surplus = [[decode.block(b, "a surplus part")
+                for b in expect(stage, list, "an overlay stage")]
+               for stage in expect(data["overlay"]["surplus"], list,
+                                   "surplus parts")]
+    rb.add("pumped overlay records its surplus parts",
+           surplus == [[overlay.surplus_at(cand, mu, q) for q in cand.places]
+                       for mu in range(overlay.start, overlay.end + 1)])
+    start = proc.stages[i0]
+    seed = start[q0] - overlay.minus[0][q0]
+    rb.add("pumped overlay starts from an unused seed of the event's place",
+           overlay.minus[0] == tuple(b - seed if q == q0 else b
+                                     for q, b in enumerate(start))
+           and (len(seed) == 1 and seed <= _unused_seeds(proc, i0, q0)
+                if p.rounds else not seed))
+    gamma, xi = witness.gamma, proc.xi
+    m = gamma.get(i0, -1)
+    if not rb.add("pumped stage map copies the process from the last round",
+                  witness.lo == i0 and witness.hi == xi
+                  and witness.closed_set == cert.cover
+                  and i0 <= m and cand.xi == m + xi - i0
+                  and dict(gamma) == {k: m + k - i0
+                                      for k in range(i0, xi + 1)}):
+        return
+    # A node table (`SignatureTable.union_homes`) lists every node over
+    # the places with empty parts, so the reports read it only where
+    # these are the copied stage's.
+    if not rb.add("pumped copy is nonempty where the copied stages are",
+                  all(_live(overlay.minus_at(a, q) for q in proc.places)
+                      == _live(proc.stages[beta])
+                      <= _live(cand.stages[a])
+                      for beta, a in gamma.items())):
+        return
+    n, count = len(cycle), p.rounds + p.warmups
+    # The boundaries are compared only once there are as many as the
+    # rounds claimed, so a claim of many rounds builds no long tuple.
+    rb.add("pumped rounds traverse the event's cycle",
+           p.rounds >= 0 and 0 <= p.warmups <= MAX_WARMUP_ROUNDS
+           and (p.rounds > 0 or p.warmups == 0)
+           and len(p.round_boundaries) == count
+           and p.round_boundaries == tuple(i0 + n * j
+                                           for j in range(1, count + 1))
+           and m == i0 + n * count
+           and all(cand.trace[i0 + t] == cycle.nodes[(t + 1) % n]
+                   and cand.history_targets[i0 + t]
+                   == {cycle.places[(t + 1) % n]}
+                   for t in range(m - i0)))
+    _, _, board = cert.canonical_board()
+    weak = check_weak_imitation(
+        proc, board, i0, [cand.stages[m][q] for q in proc.places],
+        [overlay.minus_at(m, q) for q in proc.places], cert.cover)
+    try:
+        fresh = _pumped_extension(cert, p.rounds, cand, overlay, witness,
+                                  weak, p.warmups, p.round_boundaries, limits)
+    except (MlsspfError, ValueError) as exc:
+        # ValueError: final blocks that are no partition, in a process
+        # that does not validate.
+        rb.add("pumped extension holds", False, str(exc))
+        return
+    recorded = expect(data["reports"], dict, "pumped reports")
+    differ = [name for name, report in fresh.reports().items()
+              if report.to_json() != recorded[name]]
+    rb.add("pumped reports are recomputed", not differ, ", ".join(differ))
+    rb.add("pumped final assignment is the transferred assignment",
+           fresh.final_assignment == p.final_assignment)
+    rb.add("pumped extension holds", fresh.ok, ", ".join(fresh.failing()))
+
+
+def _live(blocks) -> frozenset:
+    """The places of the nonempty blocks."""
+    return frozenset(q for q, b in enumerate(blocks) if b)

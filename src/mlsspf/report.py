@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import hf
+
 
 @dataclass(frozen=True)
 class ReportItem:
@@ -16,6 +18,16 @@ class ReportItem:
         if self.detail:
             out["detail"] = self.detail
         return out
+
+    @staticmethod
+    def from_json(data) -> "ReportItem":
+        data = hf.expect_json(data, dict, "a report item")
+        check, ok, detail = data["check"], data["ok"], data.get("detail", "")
+        if type(check) is not str or type(ok) is not bool \
+                or type(detail) is not str:
+            raise ValueError("a report item is a string check, a boolean "
+                             "ok and a string detail")
+        return ReportItem(check, ok, detail)
 
 
 @dataclass(frozen=True)
@@ -36,6 +48,15 @@ class Report:
 
     def to_json(self):
         return {"ok": self.ok, "items": [i.to_json() for i in self.items]}
+
+    @staticmethod
+    def from_json(data) -> "Report":
+        """The report of `to_json`'s form.  Its `ok` flag is only
+        type-checked: the items decide it."""
+        data = hf.expect_json(data, dict, "a report")
+        hf.expect_json(data["ok"], bool, "a report's ok flag")
+        return Report(tuple(map(ReportItem.from_json, hf.expect_json(
+            data["items"], list, "report items"))))
 
     def __str__(self):
         lines = [f"[{'ok' if i.ok else 'FAIL'}] {i.check}"

@@ -44,11 +44,15 @@ class Assignment:
         return {v: self.bindings[v].to_json() for v in self.vars()}
 
     @staticmethod
-    def from_json(data):
+    def from_json(data, decode=None):
+        """(assignment, variables whose values listed a member twice).
+        `decode` is the `hf.Decoder` of the document the assignment is
+        part of, else a fresh one."""
+        decode = decode or hf.Decoder()
         out = {}
         warnings = []
         for var, nested in hf.expect_json(data, dict, "an assignment").items():
-            val, dup = hf.from_json(nested)
+            val, dup = decode(nested)
             if dup:
                 warnings.append(var)
             out[var] = val
@@ -148,13 +152,16 @@ class SignatureTable:
         self._contacts = Counter()
         self._counts = Counter()
         self._unions = {}
+        sizes = [len(p) for p in parts]
         for e, h in home.items():
-            if not all(m in part_home for m in e.elements):
+            try:
+                sig = frozenset([part_home[m] for m in e.elements])
+            except KeyError:
+                # A member in no part: e assembles no node's parts.
                 continue
-            sig = frozenset(part_home[m] for m in e.elements)
             self._contacts[(sig, h)] += 1
             self._counts[sig] += 1
-            if len(e) == sum(len(parts[q]) for q in sig):
+            if len(e) == sum([sizes[q] for q in sig]):
                 self._unions[sig] = e
 
     def count(self, node) -> int:

@@ -110,7 +110,7 @@ def test_verify_propagates_a_library_fault(files, monkeypatch):
                     "-m", str(files / "model.json"), "--json", str(cert)]) == 0
     data = json.loads(cert.read_text())
 
-    def broken(data):
+    def broken(data, *decode):
         raise RuntimeError("fault")
 
     monkeypatch.setattr(m.FormativeProcess, "from_json", broken)
@@ -133,6 +133,54 @@ def test_witness_pump_verify_flow(files, capsys):
     bad = files / "tampered.json"
     bad.write_text(json.dumps(data))
     assert run_cli(["verify", str(bad)]) == 1
+
+
+def test_pump_does_not_recertify(files, monkeypatch):
+    # pump reads its input through the claim checker: the certificate is
+    # not certified again before it is extended.
+    cert = files / "cert.json"
+    assert run_cli(["witness", "-f", str(files / "ex1.mlsspf"),
+                    "-m", str(files / "model.json"), "--json", str(cert)]) == 0
+
+    def no_recertify(*args, **kwargs):
+        raise AssertionError("pump certified its input again")
+
+    monkeypatch.setattr("mlsspf.pumping.certify_witness", no_recertify)
+    monkeypatch.setattr("mlsspf.cli.certify_witness", no_recertify)
+    pumped = files / "pumped.json"
+    assert run_cli(["pump", "-c", str(cert), "--rounds", "2",
+                    "--json", str(pumped)]) == 0
+    assert json.loads(pumped.read_text())["pumped"]["rounds"] == 2
+    assert run_cli(["verify", str(pumped)]) == 0
+    again = files / "again.json"
+    assert run_cli(["pump", "-c", str(pumped), "--rounds", "1",
+                    "--json", str(again)]) == 0
+
+
+def test_verify_rederive_appends_the_rederivation_items(files):
+    cert = files / "cert.json"
+    assert run_cli(["witness", "-f", str(files / "ex1.mlsspf"),
+                    "-m", str(files / "model.json"), "--json", str(cert)]) == 0
+    pumped = files / "pumped.json"
+    assert run_cli(["pump", "-c", str(cert), "--json", str(pumped)]) == 0
+    out = files / "report.json"
+
+    def checks(*flags, path=pumped):
+        code = run_cli(["verify", *flags, str(path), "--json", str(out)])
+        return code, [i["check"] for i in json.loads(out.read_text())["items"]]
+
+    code, plain = checks()
+    assert code == 0 and "certificate reproduces byte-for-byte" not in plain
+    code, rederived = checks("--rederive")
+    assert code == 0
+    assert rederived == plain + ["formula parses",
+                                 "certificate reproduces byte-for-byte"]
+    data = json.loads(pumped.read_text())
+    data["pumped"]["roundBoundaries"][0] += 1
+    bad = files / "bad.json"
+    bad.write_text(json.dumps(data))
+    for flags in ((), ("--rederive",)):
+        assert checks(*flags, path=bad)[0] == 1
 
 
 def test_pump_has_no_strict_three(tmp_path):

@@ -1,3 +1,4 @@
+import gc
 import json
 from itertools import islice
 
@@ -114,8 +115,35 @@ def test_to_json_is_one_cached_tuple_that_round_trips(s):
     assert m.from_json(json.loads(json.dumps(form))) == (s, False)
 
 
+def test_decoding_and_pumping_leave_no_recursive_closure_behind():
+    # A recursive closure refers to itself through its cell: unless it is
+    # unbound on return, every call leaves a cycle that only the collector
+    # frees.  With the collector off, DEBUG_SAVEALL keeps what it finds.
+    formula = m.parse("w in x & !Finite(x)")
+    assignment, _ = m.Assignment.from_json({"w": [], "x": [[], [[]]]})
+    cert = m.certify_witness(formula, assignment)
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.disable()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        ext = m.extend_certificate(cert, 3)
+        m.WitnessCertificate.from_json(json.loads(ext.dumps()))
+        m.from_json(ext.pumped.final_assignment.to_json()["x"])
+        gc.collect()
+        left = [f.__qualname__ for f in gc.garbage
+                if type(f).__name__ == "function"
+                and f.__module__.startswith("mlsspf")]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert left == []
+
+
 def test_decoder_memoizes_by_text_with_the_duplicate_flag():
-    decode = hf.decoder()
+    decode = hf.Decoder()
     dup = [[], []]
     assert decode(dup) == (B, True)
     assert decode([[], []]) is decode(dup)

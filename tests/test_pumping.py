@@ -379,7 +379,7 @@ def test_verify_refuses_more_rounds_than_stages(ex1):
     ext = m.extend_certificate(m.certify_witness(ex1.formula, ex1.assignment), 2)
     data = json.loads(ext.dumps())
     data["pumped"]["rounds"] = 10 ** 6
-    rep = m.verify_certificate(data)
+    rep, _ = m.reproduce_certificate(data)
     assert [i.check for i in rep.failures()] == ["pump extension reproduces"]
     assert "1000000 rounds claimed" in rep.failures()[0].detail
 
@@ -512,11 +512,14 @@ def test_certify_builds_one_venn_partition(monkeypatch):
         return m.venn_partition(assignment)
 
     monkeypatch.setattr("mlsspf.venn.venn_partition", counting)
-    # The second value union, {b, c}, needs the closure variable.
+    # The second value union, {b, c}, needs the closure variable.  The
+    # extension reads the board the certificate keeps.
     for formula, assignment in (wide_instance(12), (
             m.parse("!Finite(x)"), m.Assignment({"x": m.make_set([B, C])}))):
         calls.clear()
         cert = m.certify_witness(formula, assignment)
+        assert calls == [cert.assignment]
+        m.extend_certificate(cert, 1)
         assert calls == [cert.assignment]
 
 

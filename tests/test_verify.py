@@ -1,0 +1,332 @@
+"""`verify_certificate` checks a certificate's claims on its own, without
+re-running the prover: its verdict against the byte-for-byte re-derivation,
+its refusal of tampered certificates with the prover switched off, and the
+`WitnessCertificate.from_json` round trip it reads certificates through."""
+
+import functools
+import json
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import mlsspf as m
+
+from conftest import chain, wide_instance, witness_family
+from make_golden import WIDE_SEEDS
+
+GOLDEN = Path(__file__).parent / "golden"
+CERTIFIED_WIDE = [e["seed"] for e in json.loads(
+    (GOLDEN / "certified_wide.json").read_text())["entries"]
+    if ":" not in e["outcome"]]
+
+
+def _pumped(cert, rounds):
+    try:
+        return m.extend_certificate(cert, rounds)
+    except m.MlsspfError:
+        return None
+
+
+@functools.cache
+def _family_certificates():
+    """The witness family unpumped and pumped 0-3 rounds, as JSON texts."""
+    out = []
+    for formula, assignment in witness_family():
+        cert = m.certify_witness(formula, assignment)
+        out.append(cert.dumps())
+        out += [m.extend_certificate(cert, k).dumps() for k in range(4)]
+    return out
+
+
+@functools.cache
+def _wide_certificates():
+    """The certified `wide_instance` seeds unpumped, and pumped one round
+    where the pump does not raise."""
+    out = []
+    for seed in CERTIFIED_WIDE:
+        cert = m.certify_witness(*wide_instance(seed))
+        out.append(cert.dumps())
+        ext = _pumped(cert, 1)
+        if ext is not None:
+            out.append(ext.dumps())
+    return out
+
+
+@functools.cache
+def _decided_certificates():
+    """The decide corpus's SatWitnessed certificates, unpumped and pumped
+    one round."""
+    out = []
+    corpus = json.loads((GOLDEN / "decide_corpus.json").read_text())
+    for entry in corpus["entries"]:
+        if entry["verdict"] == m.SAT_WITNESSED:
+            data = json.loads(entry["result"])["certificate"]
+            cert = m.WitnessCertificate.from_json(data)
+            out += [cert.dumps(), m.extend_certificate(cert, 1).dumps()]
+    return out
+
+
+def _rederived_failures(data):
+    """The failures the re-derivation verdict gives: those of
+    `reproduce_certificate`, then the pumped verdict's."""
+    report, fresh = m.reproduce_certificate(data)
+    failures = [(i.check, i.detail) for i in report.failures()]
+    if fresh is not None and fresh.pumped is not None and not fresh.pumped.ok:
+        failures.append(("pumped extension holds",
+                         ", ".join(fresh.pumped.failing())))
+    return failures
+
+
+# The items a pumped process that does not validate fails, as some that
+# the pump issues on wide boards do, besides the pumped verdict.
+INVALID_PUMP = [("pumped process validates as a weak process", ""),
+                ("pumped overlay validates from the event's stage", "")]
+
+
+@pytest.mark.parametrize("certificates", [
+    _family_certificates, _wide_certificates, _decided_certificates],
+    ids=["family", "wide", "decided"])
+def test_verdict_is_the_rederivation_verdict(certificates):
+    # Every certificate here re-derives byte for byte.  The checker passes
+    # it exactly when the pumped verdict holds, and otherwise fails the
+    # pumped verdict's item with the same detail, and the validation items
+    # only where the pumped process does not validate.
+    failed = []
+    for text in certificates():
+        data = json.loads(text)
+        want = _rederived_failures(data)
+        got = [(i.check, i.detail)
+               for i in m.verify_certificate(data).failures()]
+        pumped = data.get("pumped")
+        if pumped and not m.validate_process(
+                m.FormativeProcess.from_json(pumped["process"])).ok:
+            want = INVALID_PUMP + want
+        assert got == want, data["formula"]
+        failed.append(tuple(want))
+    if certificates is _wide_certificates:
+        # 64 certificates, 54 of which pump: 25 cleanly, 12 failing the
+        # upward and imitation reports, 13 with a pumped process that does
+        # not validate and 4 failing other reports.
+        assert len(failed) == 64 + 54
+        assert failed.count(()) == 64 + 25
+        assert failed.count((("pumped extension holds",
+                              "upward, imitation"),)) == 12
+        assert sum(1 for f in failed if f[:2] == tuple(INVALID_PUMP)) == 13
+    else:
+        assert not any(failed)
+
+
+# --- tampering, with the prover switched off --------------------------------
+
+PROVER = ("certify_witness", "extend_certificate", "synthesize_process",
+          "pump_rounds", "paste_segment")
+
+# A set no certificate below holds: the chain {{...{}...}} twelve deep.
+FRESH = list(json.loads(json.dumps(chain(12)[-1].to_json())))
+
+
+def _set_lists(data):
+    """Every JSON list of a certificate that is a set's member list: the
+    variable values of the assignments and the blocks of the processes and
+    of the overlay, with their paths."""
+    out = []
+    pumped = data.get("pumped", {})
+    for key, value in (("baseAssignment", data["baseAssignment"]),
+                       ("assignment", data["assignment"]),
+                       ("finalAssignment", pumped.get("finalAssignment", {}))):
+        out += [((key, v), value[v]) for v in sorted(value)]
+    for key, stages in (("process", data["process"]["stages"]),
+                        ("pumped process", pumped["process"]["stages"]),
+                        ("minus", pumped["overlay"]["minus"]),
+                        ("surplus", pumped["overlay"]["surplus"])):
+        out += [((key, mu, q), block) for mu, stage in enumerate(stages)
+                for q, block in enumerate(stage)]
+    return out
+
+
+def _element(data, draw):
+    _, members = draw(st.sampled_from(_set_lists(data)))
+    if members:
+        members[draw(st.integers(0, len(members) - 1))] = FRESH
+    else:
+        members.append(FRESH)
+
+
+def _stage_block(data, draw):
+    nonempty = [(path, block) for path, block in _set_lists(data)
+                if block and path[0] in ("process", "pumped process", "minus")]
+    _, block = draw(st.sampled_from(nonempty))
+    del block[draw(st.integers(0, len(block) - 1))]
+
+
+def _trace_node(data, draw):
+    trace = draw(st.sampled_from([data["process"]["trace"],
+                                  data["pumped"]["process"]["trace"]]))
+    nu = draw(st.integers(0, len(trace) - 1))
+    width = len(data["process"]["stages"][0])
+    place = draw(st.integers(0, width - 1))
+    trace[nu] = sorted(set(trace[nu]) ^ {place})
+
+
+def _event_field(data, draw):
+    event = data["event"]
+    width = len(data["process"]["stages"][0])
+    field = draw(st.sampled_from(["q0", "i0", "places", "nodes"]))
+    if field == "q0":
+        event["q0"] = draw(st.sampled_from(
+            [q for q in range(width) if q != event["q0"]]))
+    elif field == "i0":
+        event["i0"] += draw(st.sampled_from([-1, 1]))
+    else:
+        cycle = event["cycle"][field]
+        j = draw(st.integers(0, len(cycle) - 1))
+        place = draw(st.integers(0, width - 1))
+        if field == "places":
+            cycle[j] = place if place != cycle[j] else (place + 1) % width
+        else:
+            cycle[j] = sorted(set(cycle[j]) ^ {place})
+
+
+def _overlay_split(data, draw):
+    # One element moves between the minus and the surplus part of its block.
+    overlay = data["pumped"]["overlay"]
+    moves = [(mu, q, side) for mu, stage in enumerate(overlay["minus"])
+             for q in range(len(stage)) for side in ("minus", "surplus")
+             if overlay[side][mu][q]]
+    mu, q, side = draw(st.sampled_from(moves))
+    other = "surplus" if side == "minus" else "minus"
+    source = overlay[side][mu][q]
+    element = source.pop(draw(st.integers(0, len(source) - 1)))
+    overlay[other][mu][q] = sorted(overlay[other][mu][q] + [element])
+
+
+def _report_flag(data, draw):
+    reports = [data["report"]["event"], *data["pumped"]["reports"].values()]
+    report = draw(st.sampled_from(reports))
+    target = draw(st.sampled_from([report, *report["items"]]))
+    target["ok"] = not target["ok"]
+
+
+def _potential_infinite(data, draw):
+    pot = data["potentialInfinite"]
+    if pot and draw(st.booleans()):
+        pot.pop()
+    else:
+        pot.append("_absent")
+
+
+def _round_boundary(data, draw):
+    boundaries = data["pumped"]["roundBoundaries"]
+    boundaries[draw(st.integers(0, len(boundaries) - 1))] += draw(
+        st.sampled_from([-1, 1]))
+
+
+def _final_binding(data, draw):
+    final = data["pumped"]["finalAssignment"]
+    var = draw(st.sampled_from(sorted(final)))
+    final[var] = [FRESH] if final[var] != [FRESH] else []
+
+
+TAMPERS = (_element, _stage_block, _trace_node, _event_field, _overlay_split,
+           _report_flag, _potential_infinite, _round_boundary, _final_binding)
+
+
+@functools.cache
+def _tamper_targets():
+    """The witness family pumped one and two rounds."""
+    return [text for text in _family_certificates()
+            if json.loads(text).get("pumped", {}).get("rounds", 0) >= 1]
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_verify_fails_a_tampered_certificate_without_the_prover(data):
+    text = data.draw(st.sampled_from(_tamper_targets()))
+    cert = json.loads(text)
+    tamper = data.draw(st.sampled_from(TAMPERS))
+    tamper(cert, data.draw)
+
+    def prover(*args, **kwargs):
+        raise AssertionError("verify ran the prover")
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in PROVER:
+            mp.setattr(f"mlsspf.pumping.{name}", prover)
+        assert m.verify_certificate(json.loads(text)).ok
+        assert not m.verify_certificate(cert).ok, tamper.__name__
+
+
+# --- the JSON round trip ----------------------------------------------------
+
+@functools.cache
+def _golden_certificates():
+    """The certificates of the four golden files: the witness family pumped
+    1-3 rounds, the pumped wide seeds that pump, the certified wide seeds
+    and the decide corpus's SatWitnessed certificates."""
+    out = [m.extend_certificate(m.certify_witness(formula, assignment), k)
+           for formula, assignment in witness_family() for k in (1, 2, 3)]
+    for seed in WIDE_SEEDS:
+        ext = _pumped(m.certify_witness(*wide_instance(seed)), 1)
+        if ext is not None:
+            out.append(ext)
+    out += [m.certify_witness(*wide_instance(seed)) for seed in CERTIFIED_WIDE]
+    out += [m.WitnessCertificate.from_json(json.loads(text))
+            for text in _decided_certificates()[::2]]
+    return out
+
+
+def test_from_json_round_trips_the_golden_certificates():
+    for cert in _golden_certificates():
+        text = cert.dumps()
+        back = m.WitnessCertificate.from_json(json.loads(text))
+        assert back.dumps() == text
+        assert back == cert
+
+
+def test_extending_a_loaded_certificate_extends_the_original():
+    for cert in _golden_certificates():
+        base = m.WitnessCertificate.from_json(json.loads(cert.dumps()))
+        for rounds in (1, 2):
+            want, got = _pumped(cert, rounds), _pumped(base, rounds)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert got.dumps() == want.dumps()
+
+
+# --- claims whose recomputation the checker refuses ------------------------
+
+def _failed_checks(data):
+    report = m.verify_certificate(data)
+    return ([i.check for i in report.failures()],
+            [i.check for i in report.items])
+
+
+def test_verify_refuses_a_claim_of_many_rounds_without_pumping():
+    # The claimed rounds are compared with the recorded boundaries before
+    # any boundary is computed: a billion rounds cost nothing.
+    data = json.loads(m.extend_certificate(
+        m.certify_witness(*witness_family()[0]), 2).dumps())
+    data["pumped"]["rounds"] = 10 ** 9
+    failed, checks = _failed_checks(data)
+    assert "pumped rounds traverse the event's cycle" in failed
+    assert "pumped extension holds" in checks
+
+
+def test_verify_reads_no_node_table_of_a_copy_without_minus_parts():
+    # All material of the copy moved to surplus: the overlay still
+    # validates, but its minus parts are empty where the process's blocks
+    # are not, and a node table would list every node over those places.
+    # The reports are not recomputed.
+    data = json.loads(m.extend_certificate(
+        m.certify_witness(*wide_instance(12)), 1).dumps())
+    overlay = data["pumped"]["overlay"]
+    for mu, stage in enumerate(overlay["minus"]):
+        for q, part in enumerate(stage):
+            overlay["surplus"][mu][q] = sorted(overlay["surplus"][mu][q]
+                                               + part)
+            stage[q] = []
+    failed, checks = _failed_checks(data)
+    assert "pumped copy is nonempty where the copied stages are" in failed
+    assert "pumped extension holds" not in checks

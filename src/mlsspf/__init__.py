@@ -17,9 +17,8 @@ from .process import (FormativeProcess, grand_event, is_closed, local_trashes,
                       synthesize_process, validate_process)
 from .pumping import (PumpingCycle, PumpingEvent, WitnessCertificate,
                       certify_witness, check_certificate, closed_cover,
-                      extend_certificate, find_pumping_cycles,
-                      is_pumping_event, pump_rounds, reproduce_certificate,
-                      verify_certificate)
+                      extend_certificate, is_pumping_event, pump_rounds,
+                      reproduce_certificate, verify_certificate)
 from .relations import (BlockBijection, imitates, literal_transfer_report,
                         simulates_upwards, transfer_assignment)
 from .solver import (SAT_MODEL, SAT_WITNESSED, UNKNOWN, UNSAT_WITHIN_BUDGET,

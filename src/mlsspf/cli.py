@@ -52,9 +52,7 @@ def _read_formula(path) -> lang.Formula:
 
 
 def _read_model(path) -> Assignment:
-    with open(path) as fh:
-        data = json.load(fh)
-    assignment, dup_vars = Assignment.from_json(data)
+    assignment, dup_vars = Assignment.from_json(_read_json(path))
     for v in dup_vars:
         print(f"warning: duplicate elements in value of {v!r} were collapsed",
               file=sys.stderr)
@@ -73,8 +71,13 @@ def _read_transitive_model(path) -> Assignment:
 
 
 def _read_json(path):
+    """The JSON value in the file; text nested deeper than `json` can read
+    is bad input (ValueError)."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nests too deep to read") from None
 
 
 def _limits(args) -> Limits:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 from .errors import LimitExceeded
 from .limits import DEFAULT_LIMITS
@@ -142,23 +143,34 @@ class Decoder:
     encoder call, at every level: a set seen before is one lookup, and a
     new one looks up each of its members.  Equal forms give equal results,
     duplicate flag included; only decoded forms are kept.
+
+    A form nested too deep to read is bad input: ValueError, not
+    RecursionError.  A level costs CPython 3.11 about three frames of the
+    recursion limit, so a rank above a third of it is refused everywhere.
     """
 
     def __init__(self):
         self._memo = {}
+        self._max_rank = sys.getrecursionlimit() // 3
 
     def __call__(self, data):
-        key = repr(data)
-        got = self._memo.get(key)
-        if got is None:
-            if not isinstance(data, (list, tuple)):
-                raise ValueError(
-                    f"expected a nested list, got {type(data).__name__}")
-            kids = [self(k) for k in data]
-            members = [s for s, _ in kids]
-            dup = (len(set(members)) != len(members)
-                   or any(d for _, d in kids))
-            got = self._memo[key] = (make_set(members), dup)
+        try:
+            key = repr(data)
+            got = self._memo.get(key)
+            if got is None:
+                if not isinstance(data, (list, tuple)):
+                    raise ValueError(
+                        f"expected a nested list, got {type(data).__name__}")
+                kids = [self(k) for k in data]
+                members = [s for s, _ in kids]
+                dup = (len(set(members)) != len(members)
+                       or any(d for _, d in kids))
+                got = (make_set(members), dup)
+                if got[0].rank > self._max_rank:
+                    raise RecursionError
+                self._memo[key] = got
+        except RecursionError:
+            raise ValueError("a set nests too deep to decode") from None
         return got
 
     def block(self, data, what="a block") -> frozenset:

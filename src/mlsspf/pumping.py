@@ -7,12 +7,19 @@ that contain previous surplus material, so they can never collide with the
 replayed history.  A witness certificate packages the assignment, its
 process, one such event and its closed cover, and is re-checkable from its
 serialized form alone.
+
+The prover (`certify_witness`, `pump_rounds`) and the checker
+(`check_certificate`) read one definition of each claim: conditions
+(i)-(iii) of an event and its start-stage window, the coverage of the
+!Finite regions and `potentialInfinite`, a pump round's schedule, and the
+weak imitation at the re-entry stage.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import cache
 from itertools import islice
 from typing import Optional
 
@@ -107,42 +114,6 @@ class PumpingEvent:
                             cycle=PumpingCycle.from_json(data["cycle"]))
 
 
-def find_pumping_cycles(board: ColoredBoard, max_len: int = DEFAULT_LIMITS.max_cycle_len):
-    """All simple green cycles with at most max_len places.
-
-    Each cycle is anchored at its least place (place 0 of the result), so
-    rotations are reported once; enumeration order is deterministic.  The
-    search only steps from a place to a green node containing it and on to
-    an unseen green target of that node, and closes only through a node
-    targeting the anchor, so every cycle it returns passes
-    `PumpingCycle.validate`.
-
-    The steps are indexed (`_CycleIndex`): every green place maps to the
-    realized nodes containing it (all green, since they hold a green place),
-    each with its index in `realized_nodes` order, its targets and its
-    sorted green targets; the places and nodes a path has seen are int
-    bitmasks, and the results sort on node indices, which order nodes as
-    their sorted places do.  A path steps only to a place from which it can
-    still close within max_len places: per anchor, a backward breadth-first
-    search over the place steps above the anchor gives each place the fewest
-    places a path from it needs before a node containing its last place
-    targets the anchor.  That search ignores which nodes and places a path
-    has used, so it never overstates the need and no cycle is lost.
-    """
-    realized, found = _walk_cycles(board, max_len)
-    return [PumpingCycle(nodes=tuple(realized[i] for i in nodes), places=path)
-            for _, path, nodes, _ in found]
-
-
-def _walk_cycles(board: ColoredBoard, max_len: int):
-    """`find_pumping_cycles`' walk: the board's realized nodes, and its
-    cycles as sorted (length, places, node indices, place bitmask) tuples
-    whose node indices point into the realized nodes."""
-    index = _CycleIndex(board, max_len)
-    found = sorted(cycle[:4] for cycle in index.walk())
-    return index.realized, found
-
-
 class _CycleIndex:
     """The place steps of a board's green cycles of at most `max_len`
     places, built once and walked by `walk`.
@@ -150,7 +121,8 @@ class _CycleIndex:
     `containing` maps a green place to (node index, targets, sorted green
     targets) of every realized node holding it; `closes_to` maps it to the
     places those nodes target, and `steps_into` to the places one step
-    before it.
+    before it.  A node's index is its position in `realized`, whose order
+    is that of the nodes' sorted places.
     """
 
     def __init__(self, board: ColoredBoard, max_len: int):
@@ -178,7 +150,9 @@ class _CycleIndex:
         """Place -> the fewest places (itself included) a path from it
         through places above the anchor needs before a node containing its
         last place targets the anchor; max_len + 1 where no path of max_len
-        places does, and at the anchor and below."""
+        places does, and at the anchor and below.  The breadth-first search
+        ignores which nodes and places a path has used, so it never
+        overstates the need."""
         max_len = self.max_len
         need = [max_len + 1] * self.width
         frontier = [p for p, closes in self.closes_to.items()
@@ -197,26 +171,26 @@ class _CycleIndex:
             frontier = nxt
         return need
 
-    def walk(self, fill=None, least=None):
-        """The cycles, anchors ascending and depth first within an anchor,
-        as (length, places, node indices, place bitmask, first, last).
+    def walk(self, fill=None, latest=None):
+        """The simple green cycles, anchored at their least place, anchors
+        ascending and depth first within an anchor, as (length, places,
+        node indices, first, last).  A path steps from a place to an unseen
+        node containing it, then to an unseen green target from which it
+        can still close (`need`), and closes through a node targeting the
+        anchor, so every cycle passes `PumpingCycle.validate`.
 
-        With a process's tables, `fill` (realized node index -> its
-        `_node_filled`) and `least` (its `least_grand_events`), every path
-        carries the start-stage window of conditions (ii) and (iii), which
-        `_start_window` gives for a whole cycle: `first` is the latest fill
-        stage of its nodes and `last` the least entry of its places.  A path
-        only narrows its window as it grows, so one whose window is empty is
-        dropped with every cycle through it, and each cycle comes with its
-        nonempty window.  Without the tables every window is (0, 0), which
-        never empties.
+        With the tables `fill` (`_fill_stages` of `realized`) and `latest`
+        (`_latest_starts`), every path carries the start-stage window that
+        `_start_window` gives a whole cycle, and is dropped with every cycle
+        through it once the window is empty.  Without them every window is
+        (0, 0).
         """
         containing, max_len = self.containing, self.max_len
         if fill is None:
-            fill, least = [0] * len(self.realized), [0] * self.width
+            fill, latest = [0] * len(self.realized), [0] * self.width
         for anchor in sorted(containing):
             need = self.need(anchor)
-            stack = [((), (anchor,), 1 << anchor, 0, 0, least[anchor])]
+            stack = [((), (anchor,), 1 << anchor, 0, 0, latest[anchor])]
             while stack:
                 nodes, path, seen_places, seen_nodes, first, last = stack.pop()
                 n = len(path)
@@ -232,12 +206,12 @@ class _CycleIndex:
                         continue
                     # Closing edge: node i targets the anchor.
                     if anchor in targets:
-                        yield (n, path, (i,) + nodes, seen_places, f, last)
+                        yield (n, path, (i,) + nodes, f, last)
                     if n < max_len:
                         for t in green:
                             if seen_places >> t & 1 or n + need[t] > max_len:
                                 continue
-                            lst = least[t]
+                            lst = latest[t]
                             if lst > last:
                                 lst = last
                             if f > lst:
@@ -247,30 +221,57 @@ class _CycleIndex:
                                           seen_nodes | 1 << i, f, lst))
 
 
+# The claims of a pumping event, each defined once: the search
+# (`_CycleIndex.walk` and the stage loop of `certify_witness`), the event
+# report (`is_pumping_event`), the pump and the checker all read these.
+
 def _unused_seeds(proc: FormativeProcess, i0: int, q0: int) -> frozenset:
-    """The elements of q0's block at stage i0 that no element placed by
-    then has as a member: condition (i) asks for one."""
+    """Condition (i) asks for one of these: the elements of q0's block at
+    stage i0 that no element placed by then has as a member."""
     return proc.stages[i0][q0] - proc.used_elements(i0)
 
 
-def _node_filled(proc: FormativeProcess, node) -> int:
-    """The first stage at which every block of a place in the node is
-    nonempty."""
-    return max(map(proc.first_filled.__getitem__, node), default=0)
+def _latest_starts(proc: FormativeProcess) -> tuple:
+    """Condition (ii) per place: the latest start stage at which no node
+    containing it has an earlier grand event (`least_grand_events`).  (ii)
+    holds for a cycle up to the least entry over its places."""
+    return proc.least_grand_events
 
 
-def _start_window(proc: FormativeProcess, places, node_fills) -> tuple:
-    """(first, last): conditions (ii) and (iii) hold for a cycle with these
-    places, whose nodes fill at `node_fills` (`_node_filled`), at exactly
-    the start stages i0 with first <= i0 <= last.
+def _fill_stages(proc: FormativeProcess, nodes) -> list:
+    """Condition (iii) per node: the first stage at which every block of a
+    place in the node is nonempty.  Blocks only grow, so (iii) holds for a
+    cycle from the latest fill stage of its nodes on."""
+    filled = proc.first_filled
+    return [max(map(filled.__getitem__, node), default=0) for node in nodes]
 
-    (iii) holds from the latest node fill stage on; (ii) up to the least
-    grand event over the nodes that meet the cycle, read off the process's
-    `least_grand_events` (xi when none is earlier).
-    """
-    return (max(node_fills, default=0),
-            min(map(proc.least_grand_events.__getitem__, places),
-                default=proc.xi))
+
+def _start_window(proc: FormativeProcess, cycle: PumpingCycle) -> tuple:
+    """(first, last): conditions (ii) and (iii) hold for the cycle at
+    exactly the start stages i0 with first <= i0 <= last."""
+    latest = _latest_starts(proc)
+    return (max(_fill_stages(proc, cycle.nodes), default=0),
+            min(map(latest.__getitem__, cycle.places), default=proc.xi))
+
+
+def _finite_regions(formula: lang.Formula, im) -> list:
+    """(variable, region) of every !Finite literal, in literal order: an
+    event's cycle must meet every region, so that the variable grows."""
+    return [(lit.operands[0], im[lit.operands[0]])
+            for lit in formula.literals if lit.kind == lang.NOT_FINITE]
+
+
+def _missed_variable(regions, places):
+    """The first variable of `_finite_regions` whose region the places
+    miss, or None when they meet every region."""
+    return next((x for x, region in regions if region.isdisjoint(places)),
+                None)
+
+
+def _potential_infinite(formula: lang.Formula, im, places) -> tuple:
+    """`potentialInfinite`: the variables whose regions meet the places."""
+    return tuple(v for v in formula.vars
+                 if v in im.places and not im[v].isdisjoint(places))
 
 
 def is_pumping_event(proc: FormativeProcess, board: ColoredBoard,
@@ -278,23 +279,18 @@ def is_pumping_event(proc: FormativeProcess, board: ColoredBoard,
     """The three conditions for (q0, i0, cycle) to start a pump.
 
     The minimum in condition (ii) ranges over every node that meets the
-    cycle; the process's `least_grand_events` holds it per place, so a
-    process that `certify_witness` has just searched evaluates no grand
-    event here.  A node's grand event is the step that places its final
-    union; by the signature identity (see `FormativeProcess.final_table`)
-    that union is the placed element whose members' home places are exactly
-    the node's places with nonempty final blocks and whose size is the
-    node's total block size, so no union is built.
+    cycle, and the process's `least_grand_events` holds it per place, read
+    off its signature table (`FormativeProcess.final_table`): no grand
+    event is evaluated and no union built here.
     """
     rb = ReportBuilder()
     rb.extend(cycle.validate(board))
     rb.add("event: seed place lies on the cycle", q0 in cycle.place_set())
     rb.add("(i) seed place holds an unused element at the start stage",
            bool(_unused_seeds(proc, i0, q0)))
-    first, last = _start_window(
-        proc, cycle.places, [_node_filled(proc, c) for c in cycle.nodes])
+    first, last = _start_window(proc, cycle)
     rb.add("(ii) nodes meeting the cycle have no earlier grand event",
-           last >= i0)
+           i0 <= last)
     rb.add("(iii) cycle node blocks are nonempty at the start stage",
            first <= i0)
     return rb.build()
@@ -356,6 +352,22 @@ class PumpResult:
     warmups: int
     round_boundaries: tuple
     weak_report: Report
+
+
+def _round_schedule(event: PumpingEvent) -> list:
+    """One pump round as its steps (node, the place it adds to): the
+    cycle's nodes in turn from node 1, each adding to its cycle target;
+    `_traverse` runs it and `_check_pumped` checks the pumped trace."""
+    steps = list(zip(event.cycle.nodes, event.cycle.places))
+    return steps[1:] + steps[:1]
+
+
+def _weak_imitation(proc, board, i0, pumped, overlay, stage, closed_set):
+    """The weak imitation check of the pumped process's re-entry `stage`
+    against the start stage i0: `pump_rounds` and `_check_pumped` read it."""
+    return check_weak_imitation(
+        proc, board, i0, [pumped.stages[stage][q] for q in proc.places],
+        [overlay.minus_at(stage, q) for q in proc.places], closed_set)
 
 
 def _run_round(stages, minus, trace, schedule, seed, restore, limits):
@@ -430,14 +442,11 @@ def pump_rounds(proc: FormativeProcess, board: ColoredBoard,
         process, overlay, warmups, boundaries = _traverse(
             proc, event, rounds, limits)
     re_entry = process.xi
-    weak = check_weak_imitation(
-        proc, board, i0,
-        [process.stages[re_entry][q] for q in proc.places],
-        [overlay.minus_at(re_entry, q) for q in proc.places],
-        closed_set)
     return PumpResult(
         process=process, overlay=overlay, re_entry=re_entry, warmups=warmups,
-        round_boundaries=tuple(boundaries), weak_report=weak)
+        round_boundaries=tuple(boundaries),
+        weak_report=_weak_imitation(proc, board, i0, process, overlay,
+                                    re_entry, closed_set))
 
 
 def _traverse(proc, event, rounds, limits):
@@ -455,10 +464,7 @@ def _traverse(proc, event, rounds, limits):
     minus = [tuple(b - {t0} if q == event.q0 else b
                    for q, b in enumerate(prefix.stages[i0]))]
 
-    cyc = event.cycle
-    n = len(cyc)
-    schedule = [(cyc.nodes[(j % n)], cyc.places[j % n])
-                for j in range(1, n + 1)]
+    schedule = _round_schedule(event)
     seed = stages[-1][event.q0] - minus[-1][event.q0]
 
     warmups = 0
@@ -686,8 +692,6 @@ def certify_witness(formula: lang.Formula, assignment: Assignment,
         results.append(val)
         if lit.kind != lang.NOT_FINITE and not val:
             raise NotAWitness(f"literal '{lit.render()}' is false under the assignment")
-    neg_vars = [lit.operands[0] for lit in formula.literals
-                if lit.kind == lang.NOT_FINITE]
 
     if not assignment.is_transitive():
         assignment = transitivize(assignment)
@@ -700,48 +704,34 @@ def certify_witness(formula: lang.Formula, assignment: Assignment,
         raise NoEvent("the board has no green pumping cycle")
     proc = synthesize_process(partition)
 
-    # The walk's cycles stay index tuples, each with its start-stage window
-    # of conditions (ii) and (iii); (i) is checked per start stage and seed
-    # place.  The walk guarantees the cycle items and q0 lies on the cycle,
-    # so a candidate passing (i)-(iii) passes every item.  Coverage does not
-    # depend on the start stage, so the candidates are split by it first:
-    # the stage loop visits the covering ones, and only when none of them
-    # certifies does a reverse scan find the missed variable, that of the
-    # last in-window, seeded, missing candidate in the stage loop's order.
-    # The trash seeds and the cover do not depend on q0 either, so they are
-    # tested once, for the least seed place with an unused element: the one
-    # that trying every q0 in order would return.  A PumpingCycle is built
-    # only for a covering candidate, and the report once, for the returned
-    # event.
+    # The walk's cycles stay index tuples, each with its window of (ii) and
+    # (iii) and the variable whose region it misses, if any; the walk
+    # guarantees the cycle items and q0 lies on the cycle.  One stage loop
+    # visits them, start stages latest first, in walk order.  A candidate
+    # passing (i)-(iii) that misses a region records its variable: the last
+    # one recorded is named when no candidate certifies.  The trash seeds
+    # and the cover do not depend on q0, so they are tested once, for the
+    # least seed place, the one that trying every q0 in order would return.
     realized = index.realized
-    fill = [_node_filled(proc, node) for node in realized]
-    found = sorted(index.walk(fill, proc.least_grand_events))
-    regions = [(x, sum(1 << q for q in im[x])) for x in neg_vars]
-    covering, missing = [], []
-    for _, path, idx, mask, first, last in found:
-        missed = next((x for x, region in regions if not region & mask), None)
-        if missed is None:
-            covering.append((first, last, path, sorted(path), idx))
-        else:
-            missing.append((first, last, sorted(path), missed))
-    seeded = {}
-
-    def seed_place(i0, seed_places):
-        """The least place with an unused element at stage i0, or None."""
-        for q0 in seed_places:
-            has_seed = seeded.get((i0, q0))
-            if has_seed is None:
-                has_seed = seeded[i0, q0] = bool(_unused_seeds(proc, i0, q0))
-            if has_seed:
-                return q0
-        return None
-
+    regions = _finite_regions(formula, im)
+    candidates = [
+        (first, last, path, sorted(path), idx, _missed_variable(regions, path))
+        for _, path, idx, first, last in sorted(index.walk(
+            _fill_stages(proc, realized), _latest_starts(proc)))]
+    has_seed = cache(lambda i0, q0: bool(_unused_seeds(proc, i0, q0)))
+    missed = None
     for i0 in range(proc.xi, 0, -1):
-        for first, last, path, seed_places, idx in covering:
-            if first > i0 or last < i0:
+        for first, last, path, seed_places, idx, miss in candidates:
+            # Recording the variable recorded last changes nothing.
+            if first > i0 or last < i0 or miss is not None and miss == missed:
                 continue
-            q0 = seed_place(i0, seed_places)
-            if q0 is None:
+            for q0 in seed_places:
+                if has_seed(i0, q0):
+                    break
+            else:
+                continue
+            if miss is not None:
+                missed = miss
                 continue
             cycle = PumpingCycle(nodes=tuple(realized[i] for i in idx),
                                  places=path)
@@ -752,22 +742,18 @@ def certify_witness(formula: lang.Formula, assignment: Assignment,
                 cover = closed_cover(proc, board, cycle, extra_seeds=seeds)
             except NoClosedCover:
                 continue
-            places = cycle.place_set()
-            pot = [v for v in formula.vars
-                   if v in im.places and im[v] & places]
             return WitnessCertificate(
                 formula=formula, base_assignment=base,
                 assignment=assignment, process=proc,
                 event=PumpingEvent(q0=q0, i0=i0, cycle=cycle),
-                cover=cover, potential_infinite=tuple(pot),
+                cover=cover,
+                potential_infinite=_potential_infinite(formula, im, path),
                 literal_results=tuple(results),
                 event_report=is_pumping_event(proc, board, q0, i0, cycle),
                 max_cycle_len=limits.max_cycle_len,
                 canonical=(partition, im, board))
-    for i0 in range(1, proc.xi + 1):
-        for first, last, seed_places, missed in reversed(missing):
-            if first <= i0 <= last and seed_place(i0, seed_places) is not None:
-                raise CoverMissesVariable(missed)
+    if missed is not None:
+        raise CoverMissesVariable(missed)
     raise NoEvent("no pumping event passes all three conditions")
 
 
@@ -954,13 +940,12 @@ def check_certificate(data, limits: Limits = DEFAULT_LIMITS):
         rb.add("embedded cover is closed and contains the cycle",
                is_closed(proc, board, cert.cover)
                and cycle.place_set() <= cert.cover)
-    places = cycle.place_set()
     rb.add("cycle meets the region of every !Finite variable",
-           all(im[lit.operands[0]] & places for lit in formula.literals
-               if lit.kind == lang.NOT_FINITE))
+           _missed_variable(_finite_regions(formula, im), cycle.places)
+           is None)
     rb.add("potentialInfinite is the variables meeting the cycle",
-           cert.potential_infinite == tuple(
-               v for v in formula.vars if v in im.places and im[v] & places))
+           cert.potential_infinite
+           == _potential_infinite(formula, im, cycle.places))
     # The trash seeds and the pumped extension read the process's grand
     # events, which only a valid process has.
     if not (valid and on_process):
@@ -991,17 +976,16 @@ def _check_pumped(rb: ReportBuilder, cert: WitnessCertificate, data, decode,
     copies the process from i0 on, from the stage m where the rounds end,
     under the cover, and the copy's minus parts are nonempty exactly where
     the copied stages' blocks are.  The rounds traverse the event's cycle:
-    each appends one stage per cycle place, a step of each cycle node in
-    turn adding to the place it targets, and the round boundaries are
-    those stages, the last one m.  Then the five reports are recomputed on
-    the embedded process, overlay and stage map (the weak imitation one at
-    m) and must equal the recorded ones, and the transferred assignment the
-    recorded `finalAssignment`.
+    each appends one stage per step of `_round_schedule`, and the round
+    boundaries are those stages, the last one m.  Then the five reports are
+    recomputed on the embedded process, overlay and stage map (the weak
+    imitation one at m) and must equal the recorded ones, and the
+    transferred assignment the recorded `finalAssignment`.
     """
     expect = hf.expect_json
     proc, event, p = cert.process, cert.event, cert.pumped
     cand, overlay, witness = p.process, p.overlay, p.witness
-    cycle, i0, q0 = event.cycle, event.i0, event.q0
+    i0, q0 = event.i0, event.q0
     rb.add("pumped process starts with the process through the event's stage",
            cand.stages[:i0 + 1] == proc.stages[:i0 + 1]
            and cand.trace[:i0] == proc.trace[:i0])
@@ -1052,7 +1036,8 @@ def _check_pumped(rb: ReportBuilder, cert: WitnessCertificate, data, decode,
                       <= _live(cand.stages[a])
                       for beta, a in gamma.items())):
         return
-    n, count = len(cycle), p.rounds + p.warmups
+    schedule = _round_schedule(event)
+    n, count = len(schedule), p.rounds + p.warmups
     # The boundaries are compared only once there are as many as the
     # rounds claimed, so a claim of many rounds builds no long tuple.
     rb.add("pumped rounds traverse the event's cycle",
@@ -1062,14 +1047,11 @@ def _check_pumped(rb: ReportBuilder, cert: WitnessCertificate, data, decode,
            and p.round_boundaries == tuple(i0 + n * j
                                            for j in range(1, count + 1))
            and m == i0 + n * count
-           and all(cand.trace[i0 + t] == cycle.nodes[(t + 1) % n]
-                   and cand.history_targets[i0 + t]
-                   == {cycle.places[(t + 1) % n]}
+           and all(cand.trace[i0 + t] == schedule[t % n][0]
+                   and cand.history_targets[i0 + t] == {schedule[t % n][1]}
                    for t in range(m - i0)))
     _, _, board = cert.canonical_board()
-    weak = check_weak_imitation(
-        proc, board, i0, [cand.stages[m][q] for q in proc.places],
-        [overlay.minus_at(m, q) for q in proc.places], cert.cover)
+    weak = _weak_imitation(proc, board, i0, cand, overlay, m, cert.cover)
     try:
         fresh = _pumped_extension(cert, p.rounds, cand, overlay, witness,
                                   weak, p.warmups, p.round_boundaries, limits)

@@ -9,6 +9,7 @@ import pytest
 import mlsspf as m
 from mlsspf import hf
 from mlsspf.msrefine import MsOverlay, StartConfiguration
+from mlsspf.pumping import PumpingCycle, _CycleIndex
 
 
 def chain(n):
@@ -17,6 +18,24 @@ def chain(n):
     for _ in range(n):
         out.append(m.make_set([out[-1]]))
     return out
+
+
+def nested(depth):
+    """The JSON form of the set {{...{}...}} nested `depth` deep."""
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def walk_cycles(board, max_len=m.DEFAULT_LIMITS.max_cycle_len):
+    """The board's simple green cycles of at most max_len places, as
+    PumpingCycles in the order of `_CycleIndex`'s sorted walk: by length,
+    then places, then nodes."""
+    index = _CycleIndex(board, max_len)
+    return [PumpingCycle(nodes=tuple(index.realized[i] for i in idx),
+                         places=path)
+            for _, path, idx, _, _ in sorted(index.walk())]
 
 
 class Ex1:

@@ -1,5 +1,5 @@
 """The searches `pumping` ran before it indexed them, kept as oracles:
-`find_pumping_cycles` testing every green node at every depth-first step,
+the cycle walk testing every green node at every depth-first step,
 condition (ii) of `is_pumping_event` sweeping every node that meets the
 cycle (or only the realized ones: the board's targets and the trace's
 nodes, enough on a process with no empty final block), and condition (iii)
@@ -14,7 +14,7 @@ from mlsspf.venn import subsets
 
 def find_pumping_cycles_scan(board, max_len):
     """All simple green cycles with at most max_len places, anchored at
-    their least place, sorted as `find_pumping_cycles` sorts them."""
+    their least place, sorted as the sorted `_CycleIndex` walk gives them."""
     green_nodes = [n for n in board.realized_nodes() if board.is_green_node(n)]
     out = []
     for anchor in sorted(q for q in board.places if q not in board.red):

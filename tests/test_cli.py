@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +11,7 @@ from hypothesis import strategies as st
 import mlsspf as m
 from mlsspf.cli import run_cli
 
-from conftest import wide_instance
+from conftest import nested, wide_instance
 
 
 @pytest.fixture
@@ -400,3 +404,61 @@ def test_malformed_certificate_ends_in_an_exit_code(fuzz_dir, data):
     assert pumped == (0 if verified == 0 else 3)
     if cert == original:
         assert verified == 0
+
+
+def _cli(*argv):
+    """(exit code, stderr) of `mlsspf argv` in a fresh interpreter, whose
+    stack is as shallow as the console script's."""
+    src = str(Path(m.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "mlsspf.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stderr
+
+
+@pytest.fixture(scope="module")
+def deep_certificates(tmp_path_factory):
+    """The certificate of w in x & !Finite(x) with its base `w` nested 300
+    and 400 deep, and with `w` nested 5,000 deep in the JSON text."""
+    formula = m.parse("w in x & !Finite(x)")
+    assignment, _ = m.Assignment.from_json({"w": [], "x": [[], [[]]]})
+    data = json.loads(m.certify_witness(formula, assignment).dumps())
+    tmp = tmp_path_factory.mktemp("deep")
+    out = {}
+    for depth in (300, 400):
+        data["baseAssignment"]["w"] = nested(depth)
+        out[depth] = tmp / f"depth{depth}.json"
+        out[depth].write_text(json.dumps(data))
+    data["baseAssignment"]["w"] = "DEEP"
+    out["text"] = tmp / "text.json"
+    out["text"].write_text(json.dumps(data).replace(
+        '"DEEP"', "[" * 5000 + "]" * 5000))
+    return out
+
+
+@pytest.mark.parametrize("which", [400, "text"])
+def test_deep_certificate_is_input_error(deep_certificates, which):
+    # A set nested deeper than the decoder's recursion, or JSON text deeper
+    # than `json`'s, is bad input: exit 3, not a RecursionError traceback.
+    path = str(deep_certificates[which])
+    for argv in (["verify", path], ["pump", "-c", path]):
+        code, err = _cli(*argv)
+        assert code == 3, err
+        assert "Traceback" not in err
+        assert "nests too deep" in err
+
+
+def test_decodable_deep_certificate_fails_its_claim(deep_certificates):
+    # 300 deep still decodes: the base assignment is no longer the
+    # certificate's assignment, which `verify` fails (exit 1) and `pump`
+    # refuses as bad input (exit 3).
+    path = str(deep_certificates[300])
+    code, err = _cli("verify", path)
+    assert code == 1
+    assert [line for line in err.splitlines() if "FAIL" in line] == [
+        "[FAIL] assignment is the base assignment, made transitive"]
+    code, err = _cli("pump", "-c", path)
+    assert code == 3
+    assert "certificate does not check" in err
+    assert "Traceback" not in err

@@ -1,5 +1,6 @@
 import gc
 import json
+import sys
 from itertools import islice
 
 import pytest
@@ -10,7 +11,7 @@ import mlsspf as m
 from mlsspf import hf
 from mlsspf.errors import LimitExceeded
 
-from conftest import chain
+from conftest import chain, nested
 
 A, B, C = chain(2)
 
@@ -148,6 +149,23 @@ def test_decoder_memoizes_by_text_with_the_duplicate_flag():
     assert decode(dup) == (B, True)
     assert decode([[], []]) is decode(dup)
     assert decode(B.to_json()) == (B, False)
+
+
+def test_decoder_refuses_a_set_too_deep_on_every_interpreter():
+    # The recursion gives out before rank limit // 3 under CPython 3.11
+    # (ValueError, not RecursionError), and a decoder refuses that rank
+    # where its recursion would still go on: here a raised limit.
+    with pytest.raises(ValueError, match="nests too deep"):
+        hf.Decoder()(nested(sys.getrecursionlimit()))
+    decode, limit = hf.Decoder(), sys.getrecursionlimit()
+    bound = limit // 3
+    sys.setrecursionlimit(4 * limit)
+    try:
+        assert decode(nested(bound))[0].rank == bound
+        with pytest.raises(ValueError, match="nests too deep"):
+            decode(nested(bound + 1))
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 # Strings with quotes, escapes, control and non-ASCII characters.

@@ -13,7 +13,8 @@ from mlsspf.pumping import PumpingEvent, pump_rounds
 from mlsspf.relations import BlockBijection
 
 from conftest import (chain, degenerate, rand_colored_board, rand_partition,
-                      rand_transitive_universe, wide_instance, witness_family)
+                      rand_transitive_universe, walk_cycles, wide_instance,
+                      witness_family)
 from msrefine_sweeps import (paste_segment_sweep, segment_imitation_sweep,
                              weak_imitation_sweep)
 
@@ -23,8 +24,8 @@ A, B, C = chain(2)
 @pytest.fixture(scope="module")
 def pumped_ex1(ex1):
     cover = m.closed_cover(ex1.process, ex1.board,
-                           m.find_pumping_cycles(ex1.board)[0])
-    event = PumpingEvent(ex1.q, 3, m.find_pumping_cycles(ex1.board)[0])
+                           walk_cycles(ex1.board)[0])
+    event = PumpingEvent(ex1.q, 3, walk_cycles(ex1.board)[0])
     return pump_rounds(ex1.process, ex1.board, event, 1,
                        closed_set=cover), cover
 
@@ -160,7 +161,7 @@ def test_paste_nontrivial_segment_after_pump():
     M = m.Assignment({"w": e[1], "x": m.make_set(e[1:5])})
     partition, im, board = m.canonical_board(formula, M)
     proc = m.synthesize_process(partition)
-    cycle = m.find_pumping_cycles(board)[0]
+    cycle = walk_cycles(board)[0]
     i0 = proc.xi - 1
     assert m.is_pumping_event(proc, board, 1, i0, cycle).ok
     cover = m.closed_cover(proc, board, cycle)

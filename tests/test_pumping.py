@@ -12,11 +12,12 @@ from mlsspf.errors import (CardinalityDeficit, CoverMissesVariable,
                            NoClosedCover, NoEvent, NotAWitness)
 from mlsspf.process import FormativeProcess
 from mlsspf.pumping import (PumpingCycle, PumpingEvent, _CycleIndex,
-                            _node_filled, _start_window, _walk_cycles,
+                            _fill_stages, _latest_starts, _start_window,
                             pump_rounds)
 
 from conftest import (chain, rand_colored_board, rand_partition,
-                      rand_transitive_universe, wide_instance, witness_family)
+                      rand_transitive_universe, walk_cycles, wide_instance,
+                      witness_family)
 from pumping_sweeps import (cycle_blocks_filled_sweep, cycle_ge_all_nodes,
                             cycle_ge_sweep, find_pumping_cycles_scan)
 
@@ -28,7 +29,7 @@ A, B, C = chain(2)
 
 
 def test_find_cycles_ex1(ex1):
-    cycles = m.find_pumping_cycles(ex1.board)
+    cycles = walk_cycles(ex1.board)
     assert len(cycles) == 1
     cyc = cycles[0]
     assert cyc.places == (ex1.q,)
@@ -39,7 +40,7 @@ def test_find_cycles_all_red(ex1):
     board = m.ColoredBoard(blocks=ex1.board.blocks,
                            targets=dict(ex1.board.targets),
                            red=frozenset(ex1.board.places))
-    assert m.find_pumping_cycles(board) == []
+    assert walk_cycles(board) == []
 
 
 def test_find_cycles_two_place_ladder():
@@ -49,18 +50,11 @@ def test_find_cycles_two_place_ladder():
     board = m.induced_board(partition)
     assert board.target(frozenset([0])) == frozenset([1])
     assert board.target(frozenset([1])) == frozenset([0])
-    cycles = m.find_pumping_cycles(board)
+    cycles = walk_cycles(board)
     two = [cyc for cyc in cycles if len(cyc) == 2]
     assert len(two) == 1
     assert two[0].places == (0, 1)
     assert two[0].validate(board).ok
-
-
-def _cycle_window(proc, cycle):
-    """The (first, last) start stages of conditions (ii) and (iii), as
-    is_pumping_event reads them."""
-    return _start_window(proc, cycle.places,
-                         [_node_filled(proc, c) for c in cycle.nodes])
 
 
 def _wide_board(seed):
@@ -72,7 +66,7 @@ def _wide_board(seed):
 
 
 def _assert_cycles_match_scan(board, max_len):
-    cycles = m.find_pumping_cycles(board, max_len)
+    cycles = walk_cycles(board, max_len)
     assert cycles == find_pumping_cycles_scan(board, max_len)
     assert all(cycle.validate(board).ok for cycle in cycles)
 
@@ -105,14 +99,14 @@ def test_cycle_grand_event_table_matches_realized_node_sweep(rng):
     partition = rand_partition(rng, universe, max_blocks=6)
     full = m.synthesize_process(partition)
     board = rand_colored_board(full, partition, rng, with_pow=False)
-    cycles = m.find_pumping_cycles(board)
+    cycles = walk_cycles(board)
     for mu in range(full.xi + 1):
         proc = full.prefix(mu)
         for cycle in cycles:
-            assert _cycle_window(proc, cycle)[1] == cycle_ge_all_nodes(
+            assert _start_window(proc, cycle)[1] == cycle_ge_all_nodes(
                 proc, cycle)
     for cycle in cycles:
-        assert _cycle_window(full, cycle)[1] == cycle_ge_sweep(
+        assert _start_window(full, cycle)[1] == cycle_ge_sweep(
             full, board, cycle)
 
 
@@ -123,8 +117,8 @@ def test_cycle_filled_stage_matches_block_sweep(rng):
     partition = rand_partition(rng, universe, max_blocks=6)
     proc = m.synthesize_process(partition)
     board = rand_colored_board(proc, partition, rng, with_pow=False)
-    for cycle in m.find_pumping_cycles(board):
-        filled = _cycle_window(proc, cycle)[0]
+    for cycle in walk_cycles(board):
+        filled = _start_window(proc, cycle)[0]
         for i0 in range(proc.xi + 1):
             assert (filled <= i0) == cycle_blocks_filled_sweep(proc, i0, cycle)
 
@@ -143,10 +137,10 @@ def test_cycle_grand_event_table_reads_trace_nodes_off_the_board():
         blocks=board.blocks, red=board.red, pow_nodes=board.pow_nodes,
         targets={n: t for n, t in board.targets.items() if n not in early})
     assert early and not early & set(bare.targets)
-    cycles = m.find_pumping_cycles(board)
+    cycles = walk_cycles(board)
     lowered = 0
     for cycle in cycles:
-        got = _cycle_window(proc, cycle)[1]
+        got = _start_window(proc, cycle)[1]
         assert got == cycle_ge_sweep(proc, bare, cycle)
         lowered += got < min(
             (m.grand_event(proc, n) for n in bare.targets
@@ -164,7 +158,7 @@ def test_cycle_validation_rejects_red(ex1):
 
 
 def test_is_pumping_event_ex1(ex1):
-    cyc = m.find_pumping_cycles(ex1.board)[0]
+    cyc = walk_cycles(ex1.board)[0]
     assert m.is_pumping_event(ex1.process, ex1.board, ex1.q, 3, cyc).ok
     rep = m.is_pumping_event(ex1.process, ex1.board, ex1.q, 1, cyc)
     assert not rep.ok
@@ -172,7 +166,7 @@ def test_is_pumping_event_ex1(ex1):
 
 
 def test_closed_cover_ex1(ex1):
-    cyc = m.find_pumping_cycles(ex1.board)[0]
+    cyc = walk_cycles(ex1.board)[0]
     assert m.closed_cover(ex1.process, ex1.board, cyc) == frozenset([ex1.q])
 
 
@@ -191,7 +185,7 @@ def _four_block_board():
 
 def test_closed_cover_adds_a_trash():
     proc, board = _four_block_board()
-    cyc = [c for c in m.find_pumping_cycles(board) if c.places == (1,)][0]
+    cyc = [c for c in walk_cycles(board) if c.places == (1,)][0]
     cover = m.closed_cover(proc, board, cyc)
     assert cover == frozenset([1, 2])
 
@@ -200,7 +194,7 @@ def test_closed_cover_fails_without_trash(ex1):
     board = m.ColoredBoard(blocks=ex1.board.blocks,
                            targets=dict(ex1.board.targets),
                            pow_nodes=frozenset([frozenset(), frozenset([ex1.q])]))
-    cyc = m.find_pumping_cycles(board)[0]
+    cyc = walk_cycles(board)[0]
     with pytest.raises(NoClosedCover):
         m.closed_cover(ex1.process, board, cyc)
 
@@ -317,7 +311,7 @@ def test_pump_warms_up_before_it_can_restore():
     partition = m.Partition([[A, B]])
     proc = m.synthesize_process(partition)
     board = m.induced_board(partition)
-    cycle = m.find_pumping_cycles(board)[0]
+    cycle = walk_cycles(board)[0]
     assert m.is_pumping_event(proc, board, 0, 1, cycle).ok
     cover = m.closed_cover(proc, board, cycle)
     res = pump_rounds(proc, board, PumpingEvent(0, 1, cycle), 1,
@@ -581,7 +575,7 @@ def test_decided_certificate_pumps_one_round(text):
 
 def _certify_oracle(formula, assignment, limits=m.DEFAULT_LIMITS):
     """certify_witness's search calling is_pumping_event on every
-    (i0, cycle, q0) of the public cycle search, latest start stage first."""
+    (i0, cycle, q0) of the plain cycle walk, latest start stage first."""
     from mlsspf.pumping import _segment_trash_seeds
     results = [lang.eval_literal(lit, assignment, limits)
                for lit in formula.literals]
@@ -596,7 +590,7 @@ def _certify_oracle(formula, assignment, limits=m.DEFAULT_LIMITS):
         assignment = m.transitivize(assignment)
     partition, im, board = m.canonical_board(formula, assignment)
     proc = m.synthesize_process(partition)
-    cycles = m.find_pumping_cycles(board, limits.max_cycle_len)
+    cycles = walk_cycles(board, limits.max_cycle_len)
     # The cycle search itself no longer re-validates what it builds.
     assert all(cycle.validate(board).ok for cycle in cycles)
     if not cycles:
@@ -661,9 +655,9 @@ def test_certify_search_matches_exhaustive_event_loop_on_seeds(max_len, seeds):
 
 
 def test_certify_names_the_missed_variable_as_the_oracle():
-    # With a second !Finite variable, the reverse scan must name the
-    # variable that the last in-window, seeded candidate missing a region
-    # names in the stage loop's order, as the oracle does: on these seeds
+    # With a second !Finite variable, the stage loop must name the variable
+    # that the last in-window, seeded candidate missing a region names in
+    # its order, as the oracle does: on these seeds
     # some candidates miss the first variable's region and some the
     # second's.
     named = set()
@@ -691,16 +685,17 @@ def test_windowed_walk_gives_the_cycles_with_a_start_window(max_len):
             assignment = m.transitivize(assignment)
         partition, _, board = m.canonical_board(formula, assignment)
         proc = m.synthesize_process(partition)
-        realized, found = _walk_cycles(board, max_len)
-        fill = [_node_filled(proc, node) for node in realized]
         want = []
-        for cycle in found:
-            first, last = _start_window(proc, cycle[1],
-                                        [fill[i] for i in cycle[2]])
+        for cycle in walk_cycles(board, max_len):
+            first, last = _start_window(proc, cycle)
             if first <= last:
-                want.append(cycle + (first, last))
+                want.append((cycle, first, last))
         index = _CycleIndex(board, max_len)
-        assert sorted(index.walk(fill, proc.least_grand_events)) == want, seed
+        got = [(PumpingCycle(nodes=tuple(index.realized[i] for i in idx),
+                             places=path), first, last)
+               for _, path, idx, first, last in sorted(index.walk(
+                   _fill_stages(proc, index.realized), _latest_starts(proc)))]
+        assert got == want, seed
 
 
 def test_certify_synthesizes_a_process_only_for_a_board_with_a_cycle(

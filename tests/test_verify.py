@@ -5,6 +5,7 @@ its refusal of tampered certificates with the prover switched off, and the
 
 import functools
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -330,3 +331,72 @@ def test_verify_reads_no_node_table_of_a_copy_without_minus_parts():
     failed, checks = _failed_checks(data)
     assert "pumped copy is nonempty where the copied stages are" in failed
     assert "pumped extension holds" not in checks
+
+
+def test_verify_fails_a_cycle_that_misses_a_finite_region():
+    # A !Finite literal appended to a valid certificate, with its literal
+    # result: the cycle misses the new variable's region, which only the
+    # coverage item checks, and the prover refuses the formula.
+    formula = m.parse("w in x & !Finite(x)")
+    assignment, _ = m.Assignment.from_json({"w": [], "x": [[], [[]]]})
+    data = json.loads(m.certify_witness(formula, assignment).dumps())
+    data["formula"] += " & !Finite(w)"
+    data["report"]["literals"].append(False)
+    failed, _ = _failed_checks(data)
+    assert failed == ["cycle meets the region of every !Finite variable"]
+    with pytest.raises(m.CoverMissesVariable, match="'w'"):
+        m.certify_witness(m.parse(data["formula"]), assignment)
+
+
+# --- the trusted base -------------------------------------------------------
+
+def _prover_steps():
+    """Code object -> name of the prover's steps, private ones included."""
+    from mlsspf import hf, msrefine, process, pumping
+    steps = (pumping.certify_witness, pumping.closed_cover,
+             pumping.extend_certificate, pumping.pump_rounds,
+             pumping._traverse, pumping._run_round,
+             pumping._CycleIndex.__init__, pumping._CycleIndex.need,
+             pumping._CycleIndex.walk, process.synthesize_process,
+             msrefine.paste_segment, hf.assemblies)
+    return {fn.__code__: fn.__qualname__ for fn in steps}
+
+
+def test_verify_enters_no_prover_step():
+    # Stronger than switching the prover's public functions off: no frame
+    # of a prover step, by code object, is entered while verifying the
+    # witness family unpumped and pumped 1-3 rounds and ten pumped wide
+    # seeds.  A definition the checker shares with the search must not
+    # pull a step of the search in.
+    texts = [text for text in _family_certificates()
+             if json.loads(text).get("pumped", {}).get("rounds") != 0]
+    texts += [text for text in _wide_certificates()
+              if "pumped" in json.loads(text)][:10]
+    assert len(texts) == 62
+    steps, entered = _prover_steps(), set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in steps:
+            entered.add(steps[frame.f_code])
+
+    for text in texts:
+        data = json.loads(text)
+        sys.setprofile(profile)
+        try:
+            report = m.verify_certificate(data)
+        finally:
+            sys.setprofile(None)
+        assert report.items
+    assert not entered
+
+
+def test_verify_fails_a_cycle_with_fewer_nodes_than_places():
+    # The checker reads the round schedule as (node, place) steps, so a
+    # cycle that lists fewer nodes than places fails items instead of
+    # raising IndexError.
+    data = json.loads(m.extend_certificate(
+        m.certify_witness(*witness_family()[0]), 2).dumps())
+    data["event"]["cycle"]["nodes"].pop()
+    failed, _ = _failed_checks(data)
+    assert "embedded event holds" in failed
+    assert "pumped rounds traverse the event's cycle" in failed

@@ -1,6 +1,9 @@
 """Satisfiability witnessing for multi-level syllogistic with singleton,
 powerset and finiteness constraints."""
 
+from .certificate import (PumpingCycle, PumpingEvent, WitnessCertificate,
+                          check_certificate, is_pumping_event,
+                          verify_certificate)
 from .errors import (ArityError, CannotWarmUp, CardinalityDeficit,
                      CoverMissesVariable, FormulaSyntaxError, LimitExceeded,
                      MlsspfError, NoClosedCover, NoEvent, NoLocalTrash,
@@ -15,10 +18,8 @@ from .msrefine import (ImitationWitness, MsOverlay, StartConfiguration,
                        check_weak_imitation, paste_segment, validate_overlay)
 from .process import (FormativeProcess, grand_event, is_closed, local_trashes,
                       synthesize_process, validate_process)
-from .pumping import (PumpingCycle, PumpingEvent, WitnessCertificate,
-                      certify_witness, check_certificate, closed_cover,
-                      extend_certificate, is_pumping_event, pump_rounds,
-                      reproduce_certificate, verify_certificate)
+from .pumping import (certify_witness, closed_cover, extend_certificate,
+                      pump_rounds)
 from .relations import (BlockBijection, imitates, literal_transfer_report,
                         simulates_upwards, transfer_assignment)
 from .solver import (SAT_MODEL, SAT_WITNESSED, UNKNOWN, UNSAT_WITHIN_BUDGET,

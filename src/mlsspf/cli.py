@@ -1,16 +1,15 @@
 """Command-line surface.
 
 Exit codes: 0 sat/witnessed or check passed, 1 unsat-within-budget or check
-failed, 2 unknown, 3 bad input (bounds out of range too), 4 internal failure
-(the input was read and checked, then the library failed on it).  `verify`
-and `pump` check a certificate the same way, each claim on its own and
-without re-running the prover (`pumping.check_certificate`), and read the
-same pumped verdict (`PumpedExtension.ok`); `pump` refuses, as bad input
-(3), a certificate that `verify` fails.  A malformed certificate, such as
-a field of the wrong JSON type, is bad input (3) for both.  `verify
---rederive` also re-derives the certificate from its own inputs and
-compares it byte for byte (`pumping.reproduce_certificate`), appending
-those items.
+failed, 2 unknown, 3 bad input (bounds out of range too), 4 internal failure:
+the input was read and checked, then the library failed on it, or an
+exception that is no bad input escaped the library (its traceback goes to
+stderr), so a crash never reads as a verdict.  `verify` and `pump` check a
+certificate the same way, each claim on its own and without re-running the
+prover (`certificate.check_certificate`), and read the same pumped verdict
+(`PumpedExtension.ok`); `pump` refuses, as bad input (3), a certificate that
+`verify` fails.  A malformed certificate, such as a field of the wrong JSON
+type, is bad input (3) for both.
 """
 
 from __future__ import annotations
@@ -18,15 +17,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from . import hf, lang
+from .certificate import check_certificate, verify_certificate
 from .errors import MlsspfError
 from .limits import DEFAULT_LIMITS, Limits
 from .process import FormativeProcess, synthesize_process, validate_process
-from .pumping import (certify_witness, check_certificate,
-                      extend_certificate, reproduce_certificate,
-                      verify_certificate)
-from .report import Report
+from .pumping import certify_witness, extend_certificate
 from .solver import SAT_MODEL, SAT_WITNESSED, UNKNOWN, SearchBudget, decide
 from .venn import Assignment, canonical_board, transitivize, venn_partition
 
@@ -179,11 +177,7 @@ def cmd_decide(args):
 
 
 def cmd_verify(args):
-    data = _read_json(args.certificate)
-    report = verify_certificate(data, _limits(args))
-    if args.rederive:
-        report = Report(report.items
-                        + reproduce_certificate(data, _limits(args))[0].items)
+    report = verify_certificate(_read_json(args.certificate), _limits(args))
     print(report, file=sys.stderr)
     _emit(report.to_json(), args)
     return EXIT_OK if report.ok else EXIT_FAIL
@@ -259,9 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="re-check a certificate from JSON alone")
     p.add_argument("certificate")
-    p.add_argument("--rederive", action="store_true",
-                   help="also re-derive the certificate from its own inputs "
-                        "and compare it byte for byte")
     common(p)
     p.set_defaults(func=cmd_verify)
     return top
@@ -279,6 +270,9 @@ def run_cli(argv=None) -> int:
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 def main():

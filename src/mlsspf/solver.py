@@ -17,9 +17,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import hf, lang
+from .certificate import WitnessCertificate
 from .errors import CoverMissesVariable, LimitExceeded, NoEvent, NotAWitness
 from .limits import DEFAULT_LIMITS, Limits
-from .pumping import WitnessCertificate, certify_witness
+from .pumping import certify_witness
 from .venn import Assignment
 
 SAT_WITNESSED = "SatWitnessed"

@@ -8,8 +8,9 @@ import pytest
 
 import mlsspf as m
 from mlsspf import hf
+from mlsspf.certificate import PumpingCycle
 from mlsspf.msrefine import MsOverlay, StartConfiguration
-from mlsspf.pumping import PumpingCycle, _CycleIndex
+from mlsspf.pumping import _CycleIndex
 
 
 def chain(n):

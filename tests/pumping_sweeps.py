@@ -7,8 +7,8 @@ testing every node block at the start stage.  The indexed versions must
 return the same cycles in the same order, the same minima and the same
 verdicts."""
 
+from mlsspf.certificate import PumpingCycle
 from mlsspf.process import grand_event
-from mlsspf.pumping import PumpingCycle
 from mlsspf.venn import subsets
 
 

@@ -7,8 +7,9 @@ import random
 import time
 
 import mlsspf as m
+from mlsspf.certificate import PumpingEvent
 from mlsspf.msrefine import StartConfiguration
-from mlsspf.pumping import PumpingEvent, pump_rounds
+from mlsspf.pumping import pump_rounds
 from mlsspf.relations import BlockBijection
 
 from conftest import (degenerate, rand_colored_board, rand_partition,

@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 
 import mlsspf as m
 from mlsspf import hf
+from mlsspf.certificate import PumpingEvent
 from mlsspf.errors import NoLocalTrash
 from mlsspf.msrefine import ImitationWitness, MsOverlay, StartConfiguration
 from mlsspf.venn import subsets
-from mlsspf.pumping import PumpingEvent, pump_rounds
+from mlsspf.pumping import pump_rounds
 from mlsspf.relations import BlockBijection
 
 from conftest import (chain, degenerate, rand_colored_board, rand_partition,

@@ -1,8 +1,10 @@
 """`verify_certificate` checks a certificate's claims on its own, without
-re-running the prover: its verdict against the byte-for-byte re-derivation,
-its refusal of tampered certificates with the prover switched off, and the
-`WitnessCertificate.from_json` round trip it reads certificates through."""
+re-running the prover: its verdict against the prover's own pumped verdict,
+its refusal of tampered and forged certificates with the prover switched
+off, the `WitnessCertificate.from_json` round trip it reads certificates
+through, and the trusted base it runs in."""
 
+import ast
 import functools
 import json
 import sys
@@ -32,52 +34,41 @@ def _pumped(cert, rounds):
 
 @functools.cache
 def _family_certificates():
-    """The witness family unpumped and pumped 0-3 rounds, as JSON texts."""
+    """The witness family unpumped and pumped 0-3 rounds, as (certificate,
+    JSON text)."""
     out = []
     for formula, assignment in witness_family():
         cert = m.certify_witness(formula, assignment)
-        out.append(cert.dumps())
-        out += [m.extend_certificate(cert, k).dumps() for k in range(4)]
-    return out
+        out += [cert] + [m.extend_certificate(cert, k) for k in range(4)]
+    return [(cert, cert.dumps()) for cert in out]
 
 
 @functools.cache
 def _wide_certificates():
     """The certified `wide_instance` seeds unpumped, and pumped one round
-    where the pump does not raise."""
+    where the pump does not raise, as (certificate, JSON text)."""
     out = []
     for seed in CERTIFIED_WIDE:
         cert = m.certify_witness(*wide_instance(seed))
-        out.append(cert.dumps())
+        out.append(cert)
         ext = _pumped(cert, 1)
         if ext is not None:
-            out.append(ext.dumps())
-    return out
+            out.append(ext)
+    return [(cert, cert.dumps()) for cert in out]
 
 
 @functools.cache
 def _decided_certificates():
     """The decide corpus's SatWitnessed certificates, unpumped and pumped
-    one round."""
+    one round, as (certificate, JSON text)."""
     out = []
     corpus = json.loads((GOLDEN / "decide_corpus.json").read_text())
     for entry in corpus["entries"]:
         if entry["verdict"] == m.SAT_WITNESSED:
             data = json.loads(entry["result"])["certificate"]
             cert = m.WitnessCertificate.from_json(data)
-            out += [cert.dumps(), m.extend_certificate(cert, 1).dumps()]
-    return out
-
-
-def _rederived_failures(data):
-    """The failures the re-derivation verdict gives: those of
-    `reproduce_certificate`, then the pumped verdict's."""
-    report, fresh = m.reproduce_certificate(data)
-    failures = [(i.check, i.detail) for i in report.failures()]
-    if fresh is not None and fresh.pumped is not None and not fresh.pumped.ok:
-        failures.append(("pumped extension holds",
-                         ", ".join(fresh.pumped.failing())))
-    return failures
+            out += [cert, m.extend_certificate(cert, 1)]
+    return [(cert, cert.dumps()) for cert in out]
 
 
 # The items a pumped process that does not validate fails, as some that
@@ -89,22 +80,23 @@ INVALID_PUMP = [("pumped process validates as a weak process", ""),
 @pytest.mark.parametrize("certificates", [
     _family_certificates, _wide_certificates, _decided_certificates],
     ids=["family", "wide", "decided"])
-def test_verdict_is_the_rederivation_verdict(certificates):
-    # Every certificate here re-derives byte for byte.  The checker passes
-    # it exactly when the pumped verdict holds, and otherwise fails the
-    # pumped verdict's item with the same detail, and the validation items
-    # only where the pumped process does not validate.
+def test_verdict_is_the_provers_verdict(certificates):
+    # The checker passes a certificate the prover issued exactly when the
+    # prover's pumped verdict holds, and otherwise fails the pumped
+    # verdict's item with the same detail, and the validation items only
+    # where the pumped process does not validate.
     failed = []
-    for text in certificates():
-        data = json.loads(text)
-        want = _rederived_failures(data)
+    for cert, text in certificates():
+        want = []
+        if cert.pumped is not None:
+            if not cert.pumped.ok:
+                want = [("pumped extension holds",
+                         ", ".join(cert.pumped.failing()))]
+            if not m.validate_process(cert.pumped.process).ok:
+                want = INVALID_PUMP + want
         got = [(i.check, i.detail)
-               for i in m.verify_certificate(data).failures()]
-        pumped = data.get("pumped")
-        if pumped and not m.validate_process(
-                m.FormativeProcess.from_json(pumped["process"])).ok:
-            want = INVALID_PUMP + want
-        assert got == want, data["formula"]
+               for i in m.verify_certificate(json.loads(text)).failures()]
+        assert got == want, cert.formula.render()
         failed.append(tuple(want))
     if certificates is _wide_certificates:
         # 64 certificates, 54 of which pump: 25 cleanly, 12 failing the
@@ -237,8 +229,8 @@ TAMPERS = (_element, _stage_block, _trace_node, _event_field, _overlay_split,
 @functools.cache
 def _tamper_targets():
     """The witness family pumped one and two rounds."""
-    return [text for text in _family_certificates()
-            if json.loads(text).get("pumped", {}).get("rounds", 0) >= 1]
+    return [text for cert, text in _family_certificates()
+            if cert.pumped is not None and cert.pumped.rounds >= 1]
 
 
 @given(st.data())
@@ -273,8 +265,7 @@ def _golden_certificates():
         if ext is not None:
             out.append(ext)
     out += [m.certify_witness(*wide_instance(seed)) for seed in CERTIFIED_WIDE]
-    out += [m.WitnessCertificate.from_json(json.loads(text))
-            for text in _decided_certificates()[::2]]
+    out += [cert for cert, _ in _decided_certificates()[::2]]
     return out
 
 
@@ -333,12 +324,17 @@ def test_verify_reads_no_node_table_of_a_copy_without_minus_parts():
     assert "pumped extension holds" not in checks
 
 
+def _w_in_x():
+    """`w in x & !Finite(x)` and its witness w = {}, x = {{}, {{}}}."""
+    return (m.parse("w in x & !Finite(x)"),
+            m.Assignment.from_json({"w": [], "x": [[], [[]]]})[0])
+
+
 def test_verify_fails_a_cycle_that_misses_a_finite_region():
     # A !Finite literal appended to a valid certificate, with its literal
     # result: the cycle misses the new variable's region, which only the
     # coverage item checks, and the prover refuses the formula.
-    formula = m.parse("w in x & !Finite(x)")
-    assignment, _ = m.Assignment.from_json({"w": [], "x": [[], [[]]]})
+    formula, assignment = _w_in_x()
     data = json.loads(m.certify_witness(formula, assignment).dumps())
     data["formula"] += " & !Finite(w)"
     data["report"]["literals"].append(False)
@@ -348,36 +344,63 @@ def test_verify_fails_a_cycle_that_misses_a_finite_region():
         m.certify_witness(m.parse(data["formula"]), assignment)
 
 
+def _bound_below_the_cycle(data):
+    # The cycle has 2 places.
+    data["params"]["maxCycleLen"] = 1
+
+
+def _false_literal(data):
+    data["formula"] += " & x in w"
+    data["report"]["literals"].append(False)
+
+
+@pytest.mark.parametrize("instance, forge, item", [
+    (functools.partial(wide_instance, 12), _bound_below_the_cycle,
+     "event cycle has at most params.maxCycleLen places"),
+    (_w_in_x, _false_literal, "every literal but !Finite holds"),
+], ids=["cycle bound", "false literal"])
+def test_verify_fails_only_the_forged_item(instance, forge, item):
+    # A valid certificate with one claim made false and its recorded
+    # results made to agree: only the item that checks that claim fails.
+    data = json.loads(m.certify_witness(*instance()).dumps())
+    forge(data)
+    failed, _ = _failed_checks(data)
+    assert failed == [item]
+
+
 # --- the trusted base -------------------------------------------------------
 
 def _prover_steps():
-    """Code object -> name of the prover's steps, private ones included."""
+    """The prover's source file, and the code objects of the prover's steps
+    in other modules: the synthesis, the paste and the assembly
+    enumeration."""
     from mlsspf import hf, msrefine, process, pumping
-    steps = (pumping.certify_witness, pumping.closed_cover,
-             pumping.extend_certificate, pumping.pump_rounds,
-             pumping._traverse, pumping._run_round,
-             pumping._CycleIndex.__init__, pumping._CycleIndex.need,
-             pumping._CycleIndex.walk, process.synthesize_process,
-             msrefine.paste_segment, hf.assemblies)
-    return {fn.__code__: fn.__qualname__ for fn in steps}
+    return pumping.__file__, {fn.__code__ for fn in (
+        process.synthesize_process, msrefine.paste_segment, hf.assemblies)}
 
 
 def test_verify_enters_no_prover_step():
     # Stronger than switching the prover's public functions off: no frame
-    # of a prover step, by code object, is entered while verifying the
-    # witness family unpumped and pumped 1-3 rounds and ten pumped wide
-    # seeds.  A definition the checker shares with the search must not
-    # pull a step of the search in.
-    texts = [text for text in _family_certificates()
-             if json.loads(text).get("pumped", {}).get("rounds") != 0]
-    texts += [text for text in _wide_certificates()
-              if "pumped" in json.loads(text)][:10]
+    # of any function of `pumping`, nested ones included, nor of a prover
+    # step elsewhere, is entered while verifying the witness family
+    # unpumped and pumped 1-3 rounds and ten pumped wide seeds, which hold
+    # the pumped goldens.  A definition the checker shares with the prover
+    # must not pull a step of the prover in.
+    texts = [text for cert, text in _family_certificates()
+             if cert.pumped is None or cert.pumped.rounds != 0]
+    texts += [text for cert, text in _wide_certificates()
+              if cert.pumped is not None][:10]
     assert len(texts) == 62
-    steps, entered = _prover_steps(), set()
+    assert {cert.dumps() for cert in _golden_certificates()
+            if cert.pumped is not None} <= set(texts)
+    prover_file, steps = _prover_steps()
+    entered = set()
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code in steps:
-            entered.add(steps[frame.f_code])
+        code = frame.f_code
+        if event == "call" and (code.co_filename == prover_file
+                                or code in steps):
+            entered.add(code.co_name)
 
     for text in texts:
         data = json.loads(text)
@@ -388,6 +411,25 @@ def test_verify_enters_no_prover_step():
             sys.setprofile(None)
         assert report.items
     assert not entered
+
+
+def test_checker_imports_nothing_of_the_prover():
+    # The checker module reads on its own: no import of `pumping`, at
+    # module level or inside a function.
+    from mlsspf import certificate
+    tree = ast.parse(Path(certificate.__file__).read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["mlsspf" if node.level else None,
+                                          node.module]))
+            imported += [base] + [f"{base}.{alias.name}"
+                                  for alias in node.names]
+    assert "mlsspf.hf" in imported
+    assert not [name for name in imported
+                if name.split(".")[:2] == ["mlsspf", "pumping"]]
 
 
 def test_verify_fails_a_cycle_with_fewer_nodes_than_places():

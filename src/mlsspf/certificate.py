@@ -8,10 +8,9 @@ recomputes every claim from what the certificate holds.  The claims the
 prover in `pumping` must make true are defined here once, and the prover
 imports them: conditions (i)-(iii) of an event and its start-stage window,
 the coverage of the !Finite regions and `potentialInfinite`, the segment's
-trash seeds, a pump round's schedule, the weak imitation at the re-entry
-stage, and the pumped extension's reports.  Nothing here imports
-`pumping`: the checker and what it calls in the other modules are the code
-a verdict of `verify` rests on.
+trash seeds, a pump round's schedule, and the pumped extension's five
+reports.  Nothing here imports `pumping`: the checker and what it calls in
+the other modules are the code a verdict of `verify` rests on.
 """
 
 from __future__ import annotations
@@ -203,17 +202,9 @@ def _segment_trash_seeds(proc: FormativeProcess, board: ColoredBoard,
 def _round_schedule(event: PumpingEvent) -> list:
     """One pump round as its steps (node, the place it adds to): the
     cycle's nodes in turn from node 1, each adding to its cycle target;
-    `_traverse` runs it and `_check_pumped` checks the pumped trace."""
+    `pump_rounds` runs it and `_check_pumped` checks the pumped trace."""
     steps = list(zip(event.cycle.nodes, event.cycle.places))
     return steps[1:] + steps[:1]
-
-
-def _weak_imitation(proc, board, i0, pumped, overlay, stage, closed_set):
-    """The weak imitation check of the pumped process's re-entry `stage`
-    against the start stage i0: `pump_rounds` and `_check_pumped` read it."""
-    return check_weak_imitation(
-        proc, board, i0, [pumped.stages[stage][q] for q in proc.places],
-        [overlay.minus_at(stage, q) for q in proc.places], closed_set)
 
 
 # The pumped reports: their names in the certificate -> PumpedExtension
@@ -395,14 +386,20 @@ def _recorded_limits(data, limits: Limits) -> Limits:
         params.get("maxCycleLen", limits.max_cycle_len), int, "maxCycleLen"))
 
 
-def _pumped_extension(cert, rounds, cand, overlay, witness, weak, warmups,
+def _pumped_extension(cert, rounds, cand, overlay, witness, warmups,
                       boundaries, limits) -> PumpedExtension:
     """The pumped extension of a certificate to the candidate process,
-    overlay and stage map of a pump and paste, with its four reports after
-    the weak imitation one and its transferred assignment: what
-    `extend_certificate` attaches and `check_certificate` recomputes."""
+    overlay and stage map of a pump and paste, with its five reports and
+    its transferred assignment: what `extend_certificate` attaches and
+    `check_certificate` recomputes.  The weak imitation is that of the
+    candidate's stage m = gamma[lo], where the rounds end, against the
+    process's stage lo, under the witness's closed set."""
     proc = cert.process
     _, im, board = cert.canonical_board()
+    m = witness.gamma[witness.lo]
+    weak = check_weak_imitation(proc, board, witness.lo, cand.stages[m],
+                                overlay.minus[m - overlay.start],
+                                witness.closed_set)
     segment = check_segment_imitation(proc, board, cand, overlay, witness)
     bijection = BlockBijection(proc.final_blocks(), cand.final_blocks())
     imit = imitates(board, bijection)
@@ -621,11 +618,9 @@ def _check_pumped(rb: ReportBuilder, cert: WitnessCertificate, data, decode,
            and all(cand.trace[i0 + t] == schedule[t % n][0]
                    and cand.history_targets[i0 + t] == {schedule[t % n][1]}
                    for t in range(m - i0)))
-    _, _, board = cert.canonical_board()
-    weak = _weak_imitation(proc, board, i0, cand, overlay, m, cert.cover)
     try:
         fresh = _pumped_extension(cert, p.rounds, cand, overlay, witness,
-                                  weak, p.warmups, p.round_boundaries, limits)
+                                  p.warmups, p.round_boundaries, limits)
     except (MlsspfError, ValueError) as exc:
         # ValueError: final blocks that are no partition, in a process
         # that does not validate.

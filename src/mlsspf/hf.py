@@ -177,6 +177,12 @@ class Decoder:
         return frozenset([self(e)[0] for e in expect_json(data, list, what)])
 
 
+def block_json(block) -> list:
+    """A block's JSON form, which `Decoder.block` reads: its members' forms,
+    sorted.  The sort decides the bytes of every document holding blocks."""
+    return sorted(e.to_json() for e in block)
+
+
 def dumps(value) -> str:
     """`json.dumps(value, sort_keys=True, indent=2)`, byte for byte.
 

@@ -69,12 +69,10 @@ class MsOverlay:
     def to_json(self, proc: FormativeProcess):
         return {
             "start": self.start,
-            "minus": [
-                [sorted(e.to_json() for e in m) for m in stage]
-                for stage in self.minus
-            ],
+            "minus": [[hf.block_json(m) for m in stage]
+                      for stage in self.minus],
             "surplus": [
-                [sorted(e.to_json() for e in self.surplus_at(proc, mu, q))
+                [hf.block_json(self.surplus_at(proc, mu, q))
                  for q in proc.places]
                 for mu in range(self.start, self.end + 1)
             ],

@@ -171,7 +171,7 @@ class FormativeProcess:
     def to_json(self):
         return {
             "stages": [
-                [sorted(e.to_json() for e in b) for b in stage]
+                [hf.block_json(b) for b in stage]
                 for stage in self.stages
             ],
             "trace": [sorted(a) for a in self.trace],
@@ -204,7 +204,7 @@ class FormativeProcess:
                                   for q in expect(a, list, "a trace node"))
                         for a in trace),
             history_targets=tuple(frozenset(t) for t in targets),
-            weak=bool(data.get("weak", False)),
+            weak=expect(data.get("weak", False), bool, "weak"),
         )
 
 

@@ -10,14 +10,14 @@ cover, and `extend_certificate` pumps it and replays the rest of the
 process.
 
 Every claim the prover makes true (the conditions of an event, coverage,
-the round schedule, the re-entry weak imitation and the pumped reports) is
-defined once in `certificate`, whose checker reads the same definitions;
-that module imports nothing from this one.
+the round schedule and the five pumped reports) is defined once in
+`certificate`, whose checker reads the same definitions; that module
+imports nothing from this one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import cache
 from itertools import islice
 
@@ -27,14 +27,13 @@ from .certificate import (MAX_WARMUP_ROUNDS, PumpingCycle, PumpingEvent,
                           _latest_starts, _missed_variable,
                           _potential_infinite, _pumped_extension,
                           _round_schedule, _segment_trash_seeds,
-                          _unused_seeds, _weak_imitation, is_pumping_event)
+                          _unused_seeds, is_pumping_event)
 from .errors import (CannotWarmUp, CoverMissesVariable, NoClosedCover,
                      NoEvent, NotAWitness)
 from .limits import DEFAULT_LIMITS, Limits
 from .msrefine import MsOverlay, StartConfiguration, paste_segment
 from .process import (FormativeProcess, is_closed, local_trashes,
                       synthesize_process)
-from .report import Report
 from .venn import (Assignment, ColoredBoard, canonical_board, node_union,
                    transitivize)
 
@@ -175,18 +174,6 @@ def closed_cover(proc: FormativeProcess, board: ColoredBoard,
     return frozenset(w)
 
 
-@dataclass(frozen=True)
-class PumpResult:
-    """One pump run: the extended weak process, its overlay, bookkeeping."""
-
-    process: FormativeProcess
-    overlay: MsOverlay
-    re_entry: int
-    warmups: int
-    round_boundaries: tuple
-    weak_report: Report
-
-
 def _run_round(stages, minus, trace, schedule, seed, restore, limits):
     """Execute one cycle traversal, whose last step restores the Minus
     cardinality when `restore` is set; returns the new seed or None when the
@@ -232,11 +219,11 @@ def _run_round(stages, minus, trace, schedule, seed, restore, limits):
     return seed
 
 
-def pump_rounds(proc: FormativeProcess, board: ColoredBoard,
-                event: PumpingEvent, rounds: int,
-                limits: Limits = DEFAULT_LIMITS,
-                closed_set=frozenset()) -> PumpResult:
-    """Run `rounds` cycle traversals from the event's start stage.
+def pump_rounds(proc: FormativeProcess, event: PumpingEvent, rounds: int,
+                limits: Limits = DEFAULT_LIMITS) -> tuple:
+    """Run `rounds` cycle traversals from the event's start stage, and
+    return (the weak process, its overlay from the start stage, the number
+    of warm-up rounds, the last stage of every round).
 
     The seed element moves from Minus to Surplus at the start; warm-up
     rounds (surplus-only) run first until a restoring round is feasible,
@@ -244,33 +231,15 @@ def pump_rounds(proc: FormativeProcess, board: ColoredBoard,
     element, and later rounds grow surplus only.  Every traversal adds at
     least one element to every place on the cycle, and all new deltas are
     surplus except the single restoring element.  Zero rounds leave the
-    prefix at the start stage as it is.  The result carries the weak
-    imitation check of its last stage against the start stage.  Raises
-    ValueError for negative `rounds`.
+    prefix at the start stage as it is.  Raises ValueError for negative
+    `rounds`.
     """
     if rounds < 0:
         raise ValueError(f"rounds must be nonnegative, not {rounds}")
     i0 = event.i0
-    if rounds == 0:
-        process = proc.prefix(i0)
-        overlay = MsOverlay.all_minus(process, start=i0)
-        warmups, boundaries = 0, ()
-    else:
-        process, overlay, warmups, boundaries = _traverse(
-            proc, event, rounds, limits)
-    re_entry = process.xi
-    return PumpResult(
-        process=process, overlay=overlay, re_entry=re_entry, warmups=warmups,
-        round_boundaries=tuple(boundaries),
-        weak_report=_weak_imitation(proc, board, i0, process, overlay,
-                                    re_entry, closed_set))
-
-
-def _traverse(proc, event, rounds, limits):
-    """The weak process and overlay of `rounds` >= 1 counted traversals,
-    with the number of warm-up rounds and the last stage of every round."""
-    i0 = event.i0
     prefix = proc.prefix(i0)
+    if rounds == 0:
+        return prefix, MsOverlay.all_minus(prefix, start=i0), 0, ()
     unused = sorted(_unused_seeds(proc, i0, event.q0))
     if not unused:
         raise CannotWarmUp("no unused seed element at the start stage")
@@ -309,7 +278,7 @@ def _traverse(proc, event, rounds, limits):
         boundaries.append(len(stages) - 1)
 
     process = FormativeProcess(stages=tuple(stages), trace=tuple(trace), weak=True)
-    return process, MsOverlay(i0, tuple(minus)), warmups, boundaries
+    return process, MsOverlay(i0, tuple(minus)), warmups, tuple(boundaries)
 
 
 def certify_witness(formula: lang.Formula, assignment: Assignment,
@@ -402,12 +371,10 @@ def extend_certificate(cert: WitnessCertificate, rounds: int,
     ValueError for negative `rounds`."""
     _, _, board = cert.canonical_board()
     proc = cert.process
-    pump = pump_rounds(proc, board, cert.event, rounds, limits=limits,
-                       closed_set=cert.cover)
-    start = StartConfiguration(
-        cand=pump.process, overlay=pump.overlay,
-        k_prime=cert.event.i0, closed_set=cert.cover)
+    pumped, overlay, warmups, boundaries = pump_rounds(proc, cert.event,
+                                                       rounds, limits)
+    start = StartConfiguration(cand=pumped, overlay=overlay,
+                               k_prime=cert.event.i0, closed_set=cert.cover)
     cand, overlay, witness = paste_segment(proc, board, start, proc.xi, limits)
     return replace(cert, pumped=_pumped_extension(
-        cert, rounds, cand, overlay, witness, pump.weak_report, pump.warmups,
-        pump.round_boundaries, limits))
+        cert, rounds, cand, overlay, witness, warmups, boundaries, limits))

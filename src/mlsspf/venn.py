@@ -94,7 +94,7 @@ class Partition:
         return self.signatures is not None
 
     def to_json(self):
-        return [sorted((e.to_json() for e in b)) for b in self.blocks]
+        return [hf.block_json(b) for b in self.blocks]
 
 
 def _is_transitive(universe) -> bool:
@@ -283,7 +283,7 @@ class ColoredBoard:
     def to_json(self):
         return {
             "places": [
-                {"id": i, "block": sorted(e.to_json() for e in b)}
+                {"id": i, "block": hf.block_json(b)}
                 for i, b in enumerate(self.blocks)
             ],
             "targets": [

@@ -141,6 +141,14 @@ def degenerate(proc, k_prime, closed_set=frozenset()):
                               k_prime, frozenset(closed_set))
 
 
+def last_stage_weak(proc, board, i0, pumped, overlay, closed_set=frozenset()):
+    """`check_weak_imitation` of a pump's last stage against stage i0 under
+    `closed_set`: the weak imitation report `_pumped_extension` builds once
+    the paste has copied the process from there."""
+    return m.check_weak_imitation(proc, board, i0, pumped.final_blocks(),
+                                  overlay.minus[-1], closed_set)
+
+
 def rand_colored_board(proc, partition, rng: random.Random,
                        red_prob=0.3, with_pow=True):
     core = m.induced_board(partition)

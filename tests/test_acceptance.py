@@ -12,9 +12,9 @@ from mlsspf.msrefine import StartConfiguration
 from mlsspf.pumping import pump_rounds
 from mlsspf.relations import BlockBijection
 
-from conftest import (degenerate, rand_colored_board, rand_partition,
-                      rand_transitive_universe, set_partitions,
-                      witness_family)
+from conftest import (degenerate, last_stage_weak, rand_colored_board,
+                      rand_partition, rand_transitive_universe,
+                      set_partitions, witness_family)
 from make_golden import (CERTIFIED_WIDE_SEEDS, WIDE_SEEDS, certified_outcome,
                          pumped_digest, wide_outcome)
 
@@ -174,9 +174,9 @@ def test_criterion_5_pumping_end_to_end():
 def test_criterion_6_appendix_checks_on_pumped_ex1(ex1):
     with Timer("criterion 6: start-condition ledger on pumped EX1", 5):
         cert = m.certify_witness(ex1.formula, ex1.assignment)
-        res = pump_rounds(ex1.process, ex1.board, cert.event, 1,
-                          closed_set=cert.cover)
-        report = res.weak_report
+        pumped, overlay, _, _ = pump_rounds(ex1.process, cert.event, 1)
+        report = last_stage_weak(ex1.process, ex1.board, cert.event.i0,
+                                 pumped, overlay, cert.cover)
         by_tag = {i.check.split(" ")[0]: i.ok for i in report.items}
         for tag in ["(i)", "(vii)", "(viii)", "(x)", "(a)", "(b)", "(c)"]:
             assert by_tag[tag], f"{tag} failed:\n{report}"
@@ -207,12 +207,12 @@ def _paste_instances():
             if not rep.ok:
                 continue
             event = PumpingEvent(cert.event.q0, i0, cert.event.cycle)
-            res = pump_rounds(proc, board, event, pumped % 2 + 1,
-                              closed_set=cert.cover)
-            if not res.weak_report.ok:
+            cand, overlay, _, _ = pump_rounds(proc, event, pumped % 2 + 1)
+            if not last_stage_weak(proc, board, i0, cand, overlay,
+                                   cert.cover).ok:
                 continue
-            yield proc, board, StartConfiguration(
-                res.process, res.overlay, i0, cert.cover)
+            yield proc, board, StartConfiguration(cand, overlay, i0,
+                                                  cert.cover)
             pumped += 1
             break
 

@@ -397,6 +397,26 @@ def test_malformed_certificate_ends_in_an_exit_code(fuzz_dir, data):
         assert verified == 0
 
 
+@pytest.mark.parametrize("value", ["yes", 1, [0], {"a": 1}, None])
+@pytest.mark.parametrize("pumped", [False, True], ids=["base", "pumped"])
+def test_weak_flag_of_another_type_is_refused(fuzz_dir, capsys, pumped,
+                                              value):
+    # A process's weak flag must be a JSON boolean.  In the base process
+    # any other value fails "embedded process parses" (verify exits 1); in
+    # the pumped process it is bad input (exit 3).  Neither prints a
+    # traceback, and pump refuses both as bad input.
+    data = json.loads((fuzz_dir / f"{int(pumped)}.json").read_text())
+    (data["pumped"]["process"] if pumped else data["process"])["weak"] = value
+    path = fuzz_dir / "weak.json"
+    path.write_text(json.dumps(data))
+    if not pumped:
+        assert [i.check for i in m.verify_certificate(data).failures()] == [
+            "embedded process parses"]
+    assert run_cli(["verify", str(path)]) == (3 if pumped else 1)
+    assert run_cli(["pump", "-c", str(path)]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def _cli(*argv):
     """(exit code, stderr) of `mlsspf argv` in a fresh interpreter, whose
     stack is as shallow as the console script's."""

@@ -13,9 +13,9 @@ from mlsspf.venn import subsets
 from mlsspf.pumping import pump_rounds
 from mlsspf.relations import BlockBijection
 
-from conftest import (chain, degenerate, rand_colored_board, rand_partition,
-                      rand_transitive_universe, walk_cycles, wide_instance,
-                      witness_family)
+from conftest import (chain, degenerate, last_stage_weak, rand_colored_board,
+                      rand_partition, rand_transitive_universe, walk_cycles,
+                      wide_instance, witness_family)
 from msrefine_sweeps import (paste_segment_sweep, segment_imitation_sweep,
                              weak_imitation_sweep)
 
@@ -27,19 +27,17 @@ def pumped_ex1(ex1):
     cover = m.closed_cover(ex1.process, ex1.board,
                            walk_cycles(ex1.board)[0])
     event = PumpingEvent(ex1.q, 3, walk_cycles(ex1.board)[0])
-    return pump_rounds(ex1.process, ex1.board, event, 1,
-                       closed_set=cover), cover
+    pumped, overlay, _, _ = pump_rounds(ex1.process, event, 1)
+    return pumped, overlay, cover
 
 
 def _upward_premises(proc, board, cand, overlay, witness, seg):
     """check_upward_premises with the weak-imitation and imitation reports
-    it takes, computed the way extend_certificate computes them."""
+    it takes, computed the way `_pumped_extension` computes them."""
     m_start = witness.gamma[witness.lo]
     weak = m.check_weak_imitation(
-        proc, board, witness.lo,
-        [cand.stages[m_start][q] for q in proc.places],
-        [overlay.minus_at(m_start, q) for q in proc.places],
-        witness.closed_set)
+        proc, board, witness.lo, cand.stages[m_start],
+        overlay.minus[m_start - overlay.start], witness.closed_set)
     imitation = m.imitates(
         board, BlockBijection(proc.final_blocks(), cand.final_blocks()))
     return m.check_upward_premises(proc, board, cand, overlay, witness, weak,
@@ -52,22 +50,22 @@ def test_all_minus_overlay_validates(ex1):
 
 
 def test_pump_overlay_validates(ex1, pumped_ex1):
-    res, _ = pumped_ex1
-    assert m.validate_overlay(res.process, res.overlay).ok
+    pumped, overlay, _ = pumped_ex1
+    assert m.validate_overlay(pumped, overlay).ok
 
 
 def test_overlay_detects_untracked_move(ex1, pumped_ex1):
-    res, _ = pumped_ex1
+    pumped, overlay, _ = pumped_ex1
     # Drop a minus element at the last stage only: the inductive equations
     # record no delta for it, so the surplus side shrinks illegally.
-    tampered = list(list(stage) for stage in res.overlay.minus)
+    tampered = list(list(stage) for stage in overlay.minus)
     last = list(tampered[-1])
     q = ex1.q
     elem = sorted(last[q], key=lambda e: e._key)[0]
     last[q] = last[q] - {elem}
     tampered[-1] = tuple(last)
-    bad = MsOverlay(res.overlay.start, tuple(tuple(s) for s in tampered))
-    rep = m.validate_overlay(res.process, bad)
+    bad = MsOverlay(overlay.start, tuple(tuple(s) for s in tampered))
+    rep = m.validate_overlay(pumped, bad)
     assert not rep.ok
 
 
@@ -83,9 +81,10 @@ def test_weak_imitation_identity(ex1):
 
 
 def test_weak_imitation_ex1_pumped(ex1, pumped_ex1):
-    res, _ = pumped_ex1
-    assert res.weak_report.ok
-    names = [i.check for i in res.weak_report.items]
+    pumped, overlay, cover = pumped_ex1
+    weak = last_stage_weak(ex1.process, ex1.board, 3, pumped, overlay, cover)
+    assert weak.ok
+    names = [i.check for i in weak.items]
     for tag in ["(i)", "(vii)", "(viii)", "(x)", "(a)", "(b)", "(c)"]:
         assert any(n.startswith(tag) for n in names)
 
@@ -102,11 +101,11 @@ def test_weak_imitation_builds_each_table_once(ex1, pumped_ex1, monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(msrefine, "SignatureTable", Counting)
-    res, cover = pumped_ex1
-    proc, last = ex1.process, res.re_entry
+    pumped, overlay, cover = pumped_ex1
+    proc, last = ex1.process, pumped.xi
     rep = m.check_weak_imitation(
-        proc, ex1.board, 3, res.process.stages[last],
-        [res.overlay.minus_at(last, q) for q in proc.places], cover)
+        proc, ex1.board, 3, pumped.stages[last],
+        [overlay.minus_at(last, q) for q in proc.places], cover)
     assert rep.ok and len(built) == 3
 
 
@@ -148,11 +147,11 @@ def test_paste_degenerate_reproduces_verbatim(ex1):
 
 
 def test_paste_empty_segment_after_pump(ex1, pumped_ex1):
-    res, cover = pumped_ex1
-    start = StartConfiguration(res.process, res.overlay, 3, cover)
+    pumped, pumped_overlay, cover = pumped_ex1
+    start = StartConfiguration(pumped, pumped_overlay, 3, cover)
     cand, overlay, witness = m.paste_segment(proc := ex1.process, ex1.board,
                                              start, proc.xi)
-    assert cand.stages == res.process.stages
+    assert cand.stages == pumped.stages
     assert m.check_segment_imitation(proc, ex1.board, cand, overlay, witness).ok
 
 
@@ -166,10 +165,10 @@ def test_paste_nontrivial_segment_after_pump():
     i0 = proc.xi - 1
     assert m.is_pumping_event(proc, board, 1, i0, cycle).ok
     cover = m.closed_cover(proc, board, cycle)
-    res = pump_rounds(proc, board, PumpingEvent(1, i0, cycle), 2,
-                      closed_set=cover)
-    assert res.weak_report.ok
-    start = StartConfiguration(res.process, res.overlay, i0, cover)
+    pumped, pumped_overlay, _, _ = pump_rounds(
+        proc, PumpingEvent(1, i0, cycle), 2)
+    assert last_stage_weak(proc, board, i0, pumped, pumped_overlay, cover).ok
+    start = StartConfiguration(pumped, pumped_overlay, i0, cover)
     cand, overlay, witness = m.paste_segment(proc, board, start, proc.xi)
     seg = m.check_segment_imitation(proc, board, cand, overlay, witness)
     assert seg.ok, str(seg)
@@ -188,8 +187,8 @@ def test_upward_premises_identity(ex1):
 
 
 def test_upward_premises_ex1_pumped(ex1, pumped_ex1):
-    res, cover = pumped_ex1
-    start = StartConfiguration(res.process, res.overlay, 3, cover)
+    pumped, pumped_overlay, cover = pumped_ex1
+    start = StartConfiguration(pumped, pumped_overlay, 3, cover)
     cand, overlay, witness = m.paste_segment(ex1.process, ex1.board, start,
                                              ex1.process.xi)
     seg = m.check_segment_imitation(ex1.process, ex1.board, cand, overlay,
@@ -199,11 +198,9 @@ def test_upward_premises_ex1_pumped(ex1, pumped_ex1):
 
 
 def test_upward_premises_reject_surplus_relabeled_as_minus(ex1, pumped_ex1):
-    res, cover = pumped_ex1
+    proc, overlay, cover = pumped_ex1
     # Moving a pump step's surplus element into the minus side inflates the
     # minus cardinality, so the weak-imitation premise must fail.
-    proc = res.process
-    overlay = res.overlay
     mu = 3  # the single pump step sits between stages 3 and 4
     moved = None
     for q in proc.places:
@@ -227,10 +224,10 @@ def test_upward_premises_reject_surplus_relabeled_as_minus(ex1, pumped_ex1):
 
 
 def test_upward_premises_reject_minus_delta_off_map(ex1, pumped_ex1):
-    res, cover = pumped_ex1
+    pumped, pumped_overlay, cover = pumped_ex1
     # Append an extra candidate stage past the copied segment whose fresh
     # element is recorded as minus: off-map steps must be surplus-only.
-    start = StartConfiguration(res.process, res.overlay, 3, cover)
+    start = StartConfiguration(pumped, pumped_overlay, 3, cover)
     cand, overlay, witness = m.paste_segment(ex1.process, ex1.board, start,
                                              ex1.process.xi)
     q = ex1.q
@@ -270,8 +267,7 @@ def test_rem1_assembly_intersection_is_stage_stable():
 
 
 def test_surplus_minus_assembly_disjointness(ex1, pumped_ex1):
-    res, _ = pumped_ex1
-    proc, overlay = res.process, res.overlay
+    proc, overlay, _ = pumped_ex1
     for mu in range(overlay.start, proc.xi):
         node = proc.trace[mu]
         minus_fam = overlay.minus_family(node, mu)
@@ -318,12 +314,12 @@ def test_paste_pow_node_without_trash_raises():
 
 
 def test_overlay_and_witness_json_round_trip(ex1, pumped_ex1):
-    res, cover = pumped_ex1
-    data = res.overlay.to_json(res.process)
+    pumped, overlay, cover = pumped_ex1
+    data = overlay.to_json(pumped)
     back = MsOverlay.from_json(data)
-    assert back.start == res.overlay.start
-    assert back.minus == res.overlay.minus
-    assert back.to_json(res.process) == data
+    assert back.start == overlay.start
+    assert back.minus == overlay.minus
+    assert back.to_json(pumped) == data
 
     witness = ImitationWitness(gamma={3: 4}, closed_set=cover, lo=3, hi=3)
     back = ImitationWitness.from_json(witness.to_json())
@@ -339,10 +335,9 @@ def test_overlay_and_witness_json_round_trip(ex1, pumped_ex1):
 def _pumped_start(formula, assignment, rounds):
     cert = m.certify_witness(formula, assignment)
     _, _, board = m.canonical_board(formula, cert.assignment)
-    res = pump_rounds(cert.process, board, cert.event, rounds,
-                      closed_set=cert.cover)
+    pumped, overlay, _, _ = pump_rounds(cert.process, cert.event, rounds)
     return cert.process, board, StartConfiguration(
-        res.process, res.overlay, cert.event.i0, cert.cover)
+        pumped, overlay, cert.event.i0, cert.cover)
 
 
 @pytest.fixture(scope="module")

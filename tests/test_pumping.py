@@ -15,9 +15,9 @@ from mlsspf.errors import (CardinalityDeficit, CoverMissesVariable,
 from mlsspf.process import FormativeProcess
 from mlsspf.pumping import _CycleIndex, pump_rounds
 
-from conftest import (chain, rand_colored_board, rand_partition,
-                      rand_transitive_universe, walk_cycles, wide_instance,
-                      witness_family)
+from conftest import (chain, last_stage_weak, rand_colored_board,
+                      rand_partition, rand_transitive_universe, walk_cycles,
+                      wide_instance, witness_family)
 from pumping_sweeps import (cycle_blocks_filled_sweep, cycle_ge_all_nodes,
                             cycle_ge_sweep, find_pumping_cycles_scan)
 
@@ -239,69 +239,68 @@ def test_certify_transitivizes_when_needed():
 
 def test_pump_zero_rounds_is_identity(ex1):
     cert = m.certify_witness(ex1.formula, ex1.assignment)
-    res = pump_rounds(ex1.process, ex1.board, cert.event, 0)
-    assert res.process.stages == ex1.process.stages[:4]
-    assert res.round_boundaries == ()
+    pumped, overlay, _, boundaries = pump_rounds(ex1.process, cert.event, 0)
+    assert pumped.stages == ex1.process.stages[:4]
+    assert boundaries == ()
     # The weak imitation premise is checked, not vacuous.
-    assert res.weak_report.items and res.weak_report.ok
+    weak = last_stage_weak(ex1.process, ex1.board, cert.event.i0, pumped,
+                           overlay)
+    assert weak.items and weak.ok
 
 
 def test_negative_rounds_are_rejected(ex1):
     cert = m.certify_witness(ex1.formula, ex1.assignment)
     with pytest.raises(ValueError):
-        pump_rounds(ex1.process, ex1.board, cert.event, -1)
+        pump_rounds(ex1.process, cert.event, -1)
     with pytest.raises(ValueError):
         m.extend_certificate(cert, -1)
 
 
 def test_pump_one_round_matches_expected_blocks(ex1):
     cert = m.certify_witness(ex1.formula, ex1.assignment)
-    res = pump_rounds(ex1.process, ex1.board, cert.event, 1,
-                      closed_set=cert.cover)
+    pumped, overlay, _, _ = pump_rounds(ex1.process, cert.event, 1)
     t1 = m.make_set([C])
     snapshot = m.make_set([B, C])
-    assert res.process.final_blocks()[ex1.q] == frozenset([B, C, t1, snapshot])
-    assert res.overlay.minus_at(res.re_entry, ex1.q) == frozenset([B, t1])
-    assert res.process.final_blocks()[ex1.p] == frozenset([A])
-    assert res.weak_report.ok
+    assert pumped.final_blocks()[ex1.q] == frozenset([B, C, t1, snapshot])
+    assert overlay.minus_at(pumped.xi, ex1.q) == frozenset([B, t1])
+    assert pumped.final_blocks()[ex1.p] == frozenset([A])
+    assert last_stage_weak(ex1.process, ex1.board, cert.event.i0, pumped,
+                           overlay, cert.cover).ok
 
 
 def test_pump_growth_and_outside_preservation(ex1):
     cert = m.certify_witness(ex1.formula, ex1.assignment)
-    res = pump_rounds(ex1.process, ex1.board, cert.event, 3,
-                      closed_set=cert.cover)
+    pumped, _, _, boundaries = pump_rounds(ex1.process, cert.event, 3)
     prev = len(ex1.process.stages[3][ex1.q])
-    for boundary in res.round_boundaries:
-        size = len(res.process.stages[boundary][ex1.q])
+    for boundary in boundaries:
+        size = len(pumped.stages[boundary][ex1.q])
         assert size > prev
         prev = size
-        assert res.process.stages[boundary][ex1.p] == ex1.process.stages[3][ex1.p]
+        assert pumped.stages[boundary][ex1.p] == ex1.process.stages[3][ex1.p]
 
 
 def test_pumped_elements_are_new_at_creation(ex1):
     cert = m.certify_witness(ex1.formula, ex1.assignment)
-    res = pump_rounds(ex1.process, ex1.board, cert.event, 2,
-                      closed_set=cert.cover)
-    for nu in range(cert.event.i0, res.process.xi):
-        for q in res.process.places:
-            for e in res.process.delta(nu, q):
-                assert e not in res.process.used_elements(nu)
+    pumped, _, _, _ = pump_rounds(ex1.process, cert.event, 2)
+    for nu in range(cert.event.i0, pumped.xi):
+        for q in pumped.places:
+            for e in pumped.delta(nu, q):
+                assert e not in pumped.used_elements(nu)
 
 
 def test_pump_surplus_node_unions_stay_undistributed(ex1):
     cert = m.certify_witness(ex1.formula, ex1.assignment)
-    res = pump_rounds(ex1.process, ex1.board, cert.event, 2,
-                      closed_set=cert.cover)
-    assert any(i.check.startswith("(b)") and i.ok
-               for i in res.weak_report.items)
+    pumped, overlay, _, _ = pump_rounds(ex1.process, cert.event, 2)
+    weak = last_stage_weak(ex1.process, ex1.board, cert.event.i0, pumped,
+                           overlay, cert.cover)
+    assert any(i.check.startswith("(b)") and i.ok for i in weak.items)
 
 
 def test_pump_validates_as_weak_process(ex1):
     cert = m.certify_witness(ex1.formula, ex1.assignment)
-    res = pump_rounds(ex1.process, ex1.board, cert.event, 2,
-                      closed_set=cert.cover)
-    assert m.validate_process(res.process).ok
-    assert m.validate_overlay(res.process, res.overlay).ok
+    pumped, overlay, _, _ = pump_rounds(ex1.process, cert.event, 2)
+    assert m.validate_process(pumped).ok
+    assert m.validate_overlay(pumped, overlay).ok
 
 
 def test_pump_warms_up_before_it_can_restore():
@@ -314,14 +313,14 @@ def test_pump_warms_up_before_it_can_restore():
     cycle = walk_cycles(board)[0]
     assert m.is_pumping_event(proc, board, 0, 1, cycle).ok
     cover = m.closed_cover(proc, board, cycle)
-    res = pump_rounds(proc, board, PumpingEvent(0, 1, cycle), 1,
-                      closed_set=cover)
-    assert res.warmups == 1
-    warmup = res.round_boundaries[0] - 1
-    assert not res.overlay.delta_minus(warmup, 0)
-    assert res.overlay.delta_surplus(res.process, warmup, 0)
-    assert res.weak_report.ok
-    assert m.validate_overlay(res.process, res.overlay).ok
+    pumped, overlay, warmups, boundaries = pump_rounds(
+        proc, PumpingEvent(0, 1, cycle), 1)
+    assert warmups == 1
+    warmup = boundaries[0] - 1
+    assert not overlay.delta_minus(warmup, 0)
+    assert overlay.delta_surplus(pumped, warmup, 0)
+    assert last_stage_weak(proc, board, 1, pumped, overlay, cover).ok
+    assert m.validate_overlay(pumped, overlay).ok
 
 
 def test_certificate_json_deterministic(ex1):

@@ -354,15 +354,56 @@ def _false_literal(data):
     data["report"]["literals"].append(False)
 
 
-@pytest.mark.parametrize("instance, forge, item", [
-    (functools.partial(wide_instance, 12), _bound_below_the_cycle,
+def _closed_set_grown(data):
+    # The cover of `w in x & !Finite(x)` is place 0 alone.
+    data["pumped"]["witness"]["closedSet"].append(1)
+
+
+def _used_seed(data):
+    # At the start stage 2 of `w in x & !Finite(x)`, place 0 holds {} and
+    # the seed {{}}; {} is a member of {{}}, so it is no unused seed.  The
+    # two trade sides in every stage of the overlay.
+    q0, seed, used = data["event"]["q0"], [[]], []
+    for part, old, new in (("minus", used, seed), ("surplus", seed, used)):
+        for stage in data["pumped"]["overlay"][part]:
+            if old in stage[q0] and new not in stage[q0]:
+                stage[q0] = [new if e == old else e for e in stage[q0]]
+
+
+def _prefix_steps_swapped(data):
+    # Steps 3 and 4 of wide_instance(12)'s process, both before the start
+    # stage 10, swapped in the pumped copy, which stays a valid weak
+    # process with the same stage 10.
+    proc, j = data["pumped"]["process"], 3
+    stages = proc["stages"]
+    stages[j + 1] = [a + [e for e in c if e not in b]
+                     for a, b, c in zip(stages[j], stages[j + 1],
+                                        stages[j + 2])]
+    for key in ("trace", "historyTargets"):
+        proc[key][j], proc[key][j + 1] = proc[key][j + 1], proc[key][j]
+
+
+@pytest.mark.parametrize("instance, rounds, forge, item", [
+    (functools.partial(wide_instance, 12), None, _bound_below_the_cycle,
      "event cycle has at most params.maxCycleLen places"),
-    (_w_in_x, _false_literal, "every literal but !Finite holds"),
-], ids=["cycle bound", "false literal"])
-def test_verify_fails_only_the_forged_item(instance, forge, item):
-    # A valid certificate with one claim made false and its recorded
-    # results made to agree: only the item that checks that claim fails.
-    data = json.loads(m.certify_witness(*instance()).dumps())
+    (_w_in_x, None, _false_literal, "every literal but !Finite holds"),
+    *[(_w_in_x, rounds, _closed_set_grown,
+       "pumped stage map copies the process from the last round")
+      for rounds in (0, 1, 3)],
+    (_w_in_x, 1, _used_seed,
+     "pumped overlay starts from an unused seed of the event's place"),
+    (functools.partial(wide_instance, 12), 1, _prefix_steps_swapped,
+     "pumped process starts with the process through the event's stage"),
+], ids=["cycle bound", "false literal", "closed set 0", "closed set 1",
+        "closed set 3", "used seed", "swapped prefix"])
+def test_verify_fails_only_the_forged_item(instance, rounds, forge, item):
+    # A valid certificate, pumped `rounds` rounds unless None, with one
+    # claim made false and its recorded results made to agree: only the
+    # item that checks that claim fails.
+    cert = m.certify_witness(*instance())
+    if rounds is not None:
+        cert = m.extend_certificate(cert, rounds)
+    data = json.loads(cert.dumps())
     forge(data)
     failed, _ = _failed_checks(data)
     assert failed == [item]

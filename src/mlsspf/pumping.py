@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import replace
 from functools import cache
-from itertools import islice
+from itertools import groupby, islice
+from operator import itemgetter
 
 from . import hf, lang
 from .certificate import (MAX_WARMUP_ROUNDS, PumpingCycle, PumpingEvent,
@@ -96,12 +97,15 @@ class _CycleIndex:
         return need
 
     def walk(self, fill=None, latest=None):
-        """The simple green cycles, anchored at their least place, anchors
-        ascending and depth first within an anchor, as (length, places,
-        node indices, first, last).  A path steps from a place to an unseen
-        node containing it, then to an unseen green target from which it
-        can still close (`need`), and closes through a node targeting the
-        anchor, so every cycle passes `PumpingCycle.validate`.
+        """The simple green cycles, anchored at their least place, as
+        (length, places, node indices, first, last), shortest first: one
+        frontier of paths per length, all anchors together, so a caller
+        that stops at a length never lists a longer cycle.  A path steps
+        from a place to an unseen node containing it, then to an unseen
+        green target from which it can still close (`need`, computed on an
+        anchor's first extension), and closes through a node targeting the
+        anchor, so every cycle passes `PumpingCycle.validate`.  The pass
+        that yields the closings of one length builds the next frontier.
 
         With the tables `fill` (`_fill_stages` of `realized`) and `latest`
         (`_latest_starts`), every path carries the start-stage window that
@@ -112,12 +116,13 @@ class _CycleIndex:
         containing, max_len = self.containing, self.max_len
         if fill is None:
             fill, latest = [0] * len(self.realized), [0] * self.width
-        for anchor in sorted(containing):
-            need = self.need(anchor)
-            stack = [((), (anchor,), 1 << anchor, 0, 0, latest[anchor])]
-            while stack:
-                nodes, path, seen_places, seen_nodes, first, last = stack.pop()
-                n = len(path)
+        frontier = [(anchor, None, (), (anchor,), 1 << anchor, 0, 0,
+                     latest[anchor]) for anchor in sorted(containing)]
+        n = 1
+        while frontier:
+            nxt = []
+            for (anchor, need, nodes, path, seen_places, seen_nodes, first,
+                 last) in frontier:
                 for i, targets, green in containing[path[-1]]:
                     if seen_nodes >> i & 1:
                         continue
@@ -132,6 +137,8 @@ class _CycleIndex:
                     if anchor in targets:
                         yield (n, path, (i,) + nodes, f, last)
                     if n < max_len:
+                        if need is None:
+                            need = self.need(anchor)
                         for t in green:
                             if seen_places >> t & 1 or n + need[t] > max_len:
                                 continue
@@ -140,9 +147,11 @@ class _CycleIndex:
                                 lst = last
                             if f > lst:
                                 continue
-                            stack.append((nodes + (i,), path + (t,),
-                                          seen_places | 1 << t,
-                                          seen_nodes | 1 << i, f, lst))
+                            nxt.append((anchor, need, nodes + (i,),
+                                        path + (t,), seen_places | 1 << t,
+                                        seen_nodes | 1 << i, f, lst))
+            frontier = nxt
+            n += 1
 
 
 def closed_cover(proc: FormativeProcess, board: ColoredBoard,
@@ -286,11 +295,12 @@ def certify_witness(formula: lang.Formula, assignment: Assignment,
     """Certify that a finite assignment witnesses satisfiability.
 
     The assignment must satisfy every literal except the negated finiteness
-    ones; the search then looks (latest start stage first) for a pumping
-    event on a cycle of at most `limits.max_cycle_len` places whose closed
-    cover exists, whose cycle meets the region of every variable that must
-    become infinite, and whose replayed segment can absorb grand events of
-    pumped nodes.
+    ones; the search then looks (latest start stage first, shorter cycles
+    first) for a pumping event on a cycle of at most `limits.max_cycle_len`
+    places whose closed cover exists, whose cycle meets the region of every
+    variable that must become infinite, and whose replayed segment can
+    absorb grand events of pumped nodes.  The cycles of a length are listed
+    only when the search gets to them.
     """
     base = assignment
     results = []
@@ -314,21 +324,33 @@ def certify_witness(formula: lang.Formula, assignment: Assignment,
     # The walk's cycles stay index tuples, each with its window of (ii) and
     # (iii) and the variable whose region it misses, if any; the walk
     # guarantees the cycle items and q0 lies on the cycle.  One stage loop
-    # visits them, start stages latest first, in walk order.  A candidate
-    # passing (i)-(iii) that misses a region records its variable: the last
-    # one recorded is named when no candidate certifies.  The trash seeds
-    # and the cover do not depend on q0, so they are tested once, for the
-    # least seed place, the one that trying every q0 in order would return.
+    # visits them, start stages latest first, in sorted order.  That order
+    # sorts on length first and the walk gives the shortest first, so a
+    # scan draws the next length's cycles only on reaching the end of those
+    # drawn so far.  A candidate passing (i)-(iii) that misses a region
+    # records its variable: the last one recorded is named when no
+    # candidate certifies.  The trash seeds and the cover do not depend on
+    # q0, so they are tested once, for the least seed place, the one that
+    # trying every q0 in order would return.
     realized = index.realized
     regions = _finite_regions(formula, im)
-    candidates = [
-        (first, last, path, sorted(path), idx, _missed_variable(regions, path))
-        for _, path, idx, first, last in sorted(index.walk(
-            _fill_stages(proc, realized), _latest_starts(proc)))]
+    walk = index.walk(_fill_stages(proc, realized), _latest_starts(proc))
+    lengths = ([(first, last, path, sorted(path), idx,
+                 _missed_variable(regions, path))
+                for _, path, idx, first, last in sorted(cycles)]
+               for _, cycles in groupby(walk, itemgetter(0)))
+    candidates = []
+
+    def scan():
+        yield from candidates
+        for drawn in lengths:
+            candidates.extend(drawn)
+            yield from drawn
+
     has_seed = cache(lambda i0, q0: bool(_unused_seeds(proc, i0, q0)))
     missed = None
     for i0 in range(proc.xi, 0, -1):
-        for first, last, path, seed_places, idx, miss in candidates:
+        for first, last, path, seed_places, idx, miss in scan():
             # Recording the variable recorded last changes nothing.
             if first > i0 or last < i0 or miss is not None and miss == missed:
                 continue

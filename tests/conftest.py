@@ -32,7 +32,8 @@ def nested(depth):
 def walk_cycles(board, max_len=m.DEFAULT_LIMITS.max_cycle_len):
     """The board's simple green cycles of at most max_len places, as
     PumpingCycles in the order of `_CycleIndex`'s sorted walk: by length,
-    then places, then nodes."""
+    then places, then nodes.  The walk already gives them by length;
+    `sorted` orders each length's cycles, as `certify_witness` does."""
     index = _CycleIndex(board, max_len)
     return [PumpingCycle(nodes=tuple(index.realized[i] for i in idx),
                          places=path)

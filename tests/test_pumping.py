@@ -686,6 +686,55 @@ def test_windowed_walk_gives_the_cycles_with_a_start_window(max_len):
         assert got == want, seed
 
 
+@pytest.mark.parametrize("max_len", [1, 2, 4, 6])
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=10, deadline=None)
+def test_walk_gives_cycles_shortest_first(max_len, seed):
+    # The stage loop draws one length at a time, so it must not see a
+    # shorter cycle after a longer one, with or without windows.
+    formula, assignment = wide_instance(seed)
+    if not assignment.is_transitive():
+        assignment = m.transitivize(assignment)
+    partition, _, board = m.canonical_board(formula, assignment)
+    proc = m.synthesize_process(partition)
+    index = _CycleIndex(board, max_len)
+    for walk in (index.walk(), index.walk(_fill_stages(proc, index.realized),
+                                          _latest_starts(proc))):
+        cycles = list(walk)
+        lengths = [n for n, _, _, _, _ in cycles]
+        assert lengths == sorted(lengths)
+        assert all(n == len(path) <= max_len for n, path, _, _, _ in cycles)
+
+
+@pytest.mark.parametrize("seed, drawn, longest, cycles", [
+    (0, 9, 3, 35), (21, 101, 6, 101)])
+def test_certify_draws_only_the_lengths_it_reaches(monkeypatch, seed, drawn,
+                                                   longest, cycles):
+    # A count guard on the cycles certify_witness draws from the windowed
+    # walk at max_cycle_len 6.  wide_instance(0) certifies a 2-cycle at its
+    # last stage: it draws the cycles of 1 and 2 places and the first of 3,
+    # which tells the length group of 2 places has ended.  wide_instance(21)
+    # starts its event below the last stage, so it draws every cycle.
+    # Listing every cycle before the stage loop drew all 35 on seed 0.
+    walk, lengths = _CycleIndex.walk, []
+
+    def counting(index, fill=None, latest=None):
+        for cycle in walk(index, fill, latest):
+            if fill is not None:
+                lengths.append(cycle[0])
+            yield cycle
+
+    monkeypatch.setattr(_CycleIndex, "walk", counting)
+    limits = m.Limits(max_cycle_len=6)
+    cert = m.certify_witness(*wide_instance(seed), limits)
+    assert (len(lengths), max(lengths)) == (drawn, longest)
+    assert (cert.event.i0 == cert.process.xi) == (drawn < cycles)
+    index = _CycleIndex(cert.canonical_board()[2], 6)
+    assert sum(1 for _ in walk(index, _fill_stages(cert.process,
+                                                   index.realized),
+                               _latest_starts(cert.process))) == cycles
+
+
 def test_certify_synthesizes_a_process_only_for_a_board_with_a_cycle(
         monkeypatch):
     # A count guard: the existence walk needs no process, so a board

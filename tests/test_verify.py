@@ -383,6 +383,33 @@ def _prefix_steps_swapped(data):
         proc[key][j], proc[key][j + 1] = proc[key][j + 1], proc[key][j]
 
 
+def _ex1():
+    """`w in x & !Finite(x)` and its witness w = {{}}, x = {{{}}, {{{}}}},
+    whose event starts at stage 3."""
+    return (m.parse("w in x & !Finite(x)"),
+            m.Assignment.from_json({"w": [[]], "x": [[[]], [[[]]]]})[0])
+
+
+def _event_at_stage_0(data):
+    # Every block is empty at stage 0, so conditions (i) and (iii) fail
+    # there; the recorded event report is the one of stage 0.
+    cert = m.WitnessCertificate.from_json(data)
+    event = cert.event
+    assert event.i0 == 3
+    data["event"]["i0"] = 0
+    data["report"]["event"] = m.is_pumping_event(
+        cert.process, cert.canonical_board()[2], event.q0, 0,
+        event.cycle).to_json()
+
+
+def _trash_seed_dropped(data):
+    # wide_instance(11)'s cover [1, 4, 9] around the cycle [1, 4]: without
+    # place 9 it is still closed, but misses a trash seed of the segment.
+    assert data["closedCover"] == [1, 4, 9]
+    assert data["event"]["cycle"]["places"] == [1, 4]
+    data["closedCover"].remove(9)
+
+
 @pytest.mark.parametrize("instance, rounds, forge, item", [
     (functools.partial(wide_instance, 12), None, _bound_below_the_cycle,
      "event cycle has at most params.maxCycleLen places"),
@@ -394,8 +421,12 @@ def _prefix_steps_swapped(data):
      "pumped overlay starts from an unused seed of the event's place"),
     (functools.partial(wide_instance, 12), 1, _prefix_steps_swapped,
      "pumped process starts with the process through the event's stage"),
+    (_ex1, None, _event_at_stage_0, "embedded event holds"),
+    (functools.partial(wide_instance, 11), None, _trash_seed_dropped,
+     "embedded cover holds the segment's trash seeds"),
 ], ids=["cycle bound", "false literal", "closed set 0", "closed set 1",
-        "closed set 3", "used seed", "swapped prefix"])
+        "closed set 3", "used seed", "swapped prefix", "event at stage 0",
+        "trash seed dropped"])
 def test_verify_fails_only_the_forged_item(instance, rounds, forge, item):
     # A valid certificate, pumped `rounds` rounds unless None, with one
     # claim made false and its recorded results made to agree: only the

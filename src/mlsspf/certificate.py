@@ -21,11 +21,10 @@ from typing import Optional
 from . import hf, lang
 from .errors import MlsspfError
 from .limits import DEFAULT_LIMITS, Limits
-from .msrefine import (ImitationWitness, MsOverlay, check_segment_imitation,
-                       check_upward_premises, check_weak_imitation,
-                       validate_overlay)
-from .process import (FormativeProcess, is_closed, local_trashes,
-                      validate_process)
+from .msrefine import (ImitationWitness, MsOverlay, _surplus_sinks,
+                       check_segment_imitation, check_upward_premises,
+                       check_weak_imitation, validate_overlay)
+from .process import FormativeProcess, is_closed, validate_process
 from .relations import (BlockBijection, imitates, literal_transfer_report,
                         transfer_assignment)
 from .report import Report, ReportBuilder
@@ -185,7 +184,11 @@ def is_pumping_event(proc: FormativeProcess, board: ColoredBoard,
 def _segment_trash_seeds(proc: FormativeProcess, board: ColoredBoard,
                          i0: int, cycle: PumpingCycle):
     """Places that must join the closed set so the segment replay can dump
-    grand-event unions of surplus-bearing nodes; None when impossible."""
+    grand-event unions of surplus-bearing nodes; None when impossible.  A
+    union must land among the surplus sinks of its node's grand event ge:
+    in a valid process, which both callers pass, step ge's trace node is
+    the node (the union assembles its blocks and holds the node's final
+    blocks), so ge is the trace node's grand event too."""
     seeds = set()
     cycle_places = cycle.place_set()
     for node, ge in proc.grand_events.items():
@@ -193,7 +196,7 @@ def _segment_trash_seeds(proc: FormativeProcess, board: ColoredBoard,
             continue
         # The union landed at step ge in the block that still holds it.
         target = proc.final_table.union_home(node)
-        if target not in local_trashes(proc, board, proc.trace[ge]):
+        if target not in _surplus_sinks(proc, board, ge):
             return None
         seeds.add(target)
     return seeds

@@ -83,7 +83,10 @@ class HfSet:
 
         Built on the first call and cached: every call returns the same
         immutable tuple, whose members are the members' cached forms.  It
-        sorts, compares and serializes as the nested lists would.
+        sorts, compares and serializes as the nested lists would.  Building
+        it costs two frames of the recursion limit a level, against the
+        decoder's three, so it is built for every rank a `Decoder` reads
+        (at most a third of the limit), and `dumps` writes it at any depth.
         """
         if self._json is None:
             object.__setattr__(
@@ -191,53 +194,75 @@ def dumps(value) -> str:
     `HfSet.to_json` forms a certificate repeats across its stages are
     encoded once.  Lists, tuples, dicts, strings, numbers, booleans and
     None are accepted, as `json.dumps` accepts them; None, booleans and ints
-    are written without building an encoder, as `json` writes them.
+    are written without building an encoder, as `json` writes them.  The
+    containers being written are kept on a stack of their own, not on the
+    call stack, so a value of any depth is written.
     """
     memo = {}
-
-    def encode(v, depth):
-        # Tuples first: they are most of what a certificate holds.
-        if isinstance(v, tuple):
-            key = (id(v), depth)
-            text = memo.get(key)
-            if text is None:
-                text = memo[key] = array(v, depth)
-            return text
-        if isinstance(v, str):
-            return _encode_str(v)
-        if isinstance(v, list):
-            return array(v, depth)
-        if isinstance(v, dict):
-            if not v:
-                return "{}"
-            inner = "\n" + "  " * (depth + 1)
-            return "{" + inner + ("," + inner).join([
-                _encode_str(_key_str(k)) + ": " + encode(x, depth + 1)
-                for k, x in sorted(v.items())]) + "\n" + "  " * depth + "}"
-        if v is None:
-            return "null"
-        if v is True:
-            return "true"
-        if v is False:
-            return "false"
-        if isinstance(v, int):
-            return int.__repr__(v)
-        # Floats, NaN among them; TypeError for anything else.
-        return json.dumps(v)
-
-    def array(v, depth):
-        if not v:
-            return "[]"
-        inner = "\n" + "  " * (depth + 1)
-        return "[" + inner + ("," + inner).join([
-            encode(x, depth + 1) for x in v]) + "\n" + "  " * depth + "]"
-
-    try:
-        return encode(value, 0)
-    finally:
-        # encode and array refer to each other: unbound, they leave no
-        # cycle holding the memo's texts until the collector next runs.
-        encode = array = None
+    seen = memo.get
+    # The containers being written, outermost first, and apart from them
+    # the current one: the texts of its members so far, an iterator over
+    # the rest, its memo key (a tuple's) and its sorted keys (a dict's).
+    # Its members lie at depth len(stack).
+    stack = []
+    texts, members, key, names = [], iter((value,)), None, None
+    while True:
+        inner = len(stack)
+        for v in members:
+            # Tuples first: they are most of what a certificate holds.
+            if isinstance(v, tuple):
+                text = seen((id(v), inner))
+                if text is None:
+                    if v:
+                        opened = iter(v), (id(v), inner), None
+                        break
+                    text = "[]"
+            elif isinstance(v, str):
+                text = _encode_str(v)
+            elif isinstance(v, list):
+                if v:
+                    opened = iter(v), None, None
+                    break
+                text = "[]"
+            elif isinstance(v, dict):
+                if v:
+                    order = sorted(v)
+                    opened = map(v.__getitem__, order), None, order
+                    break
+                text = "{}"
+            elif v is None:
+                text = "null"
+            elif v is True:
+                text = "true"
+            elif v is False:
+                text = "false"
+            elif isinstance(v, int):
+                text = int.__repr__(v)
+            else:
+                # Floats, NaN among them; TypeError for anything else.
+                text = json.dumps(v)
+            texts.append(text)
+        else:
+            if not stack:
+                return texts[0]
+            # The texts are amended in place and joined once, so a document
+            # is held at most twice while its outermost container closes.
+            sep, opening, closing = "\n" + "  " * inner, "[", "]"
+            if names is not None:
+                opening, closing = "{", "}"
+                for j, k in enumerate(names):
+                    texts[j] = _encode_str(_key_str(k)) + ": " + texts[j]
+            texts[0] = opening + sep + texts[0]
+            texts[-1] += "\n" + "  " * (inner - 1) + closing
+            text = ("," + sep).join(texts)
+            if key is not None:
+                memo[key] = text
+            texts, members, key, names = stack.pop()
+            texts.append(text)
+            continue
+        stack.append((texts, members, key, names))
+        texts = []
+        members, key, names = opened
 
 
 _encode_str = json.encoder.encode_basestring_ascii

@@ -18,8 +18,7 @@ from .errors import CardinalityDeficit, NoLocalTrash
 from .limits import DEFAULT_LIMITS, Limits
 from .process import FormativeProcess, grand_event, is_closed, local_trashes
 from .report import Report, ReportBuilder
-from .venn import (ColoredBoard, SignatureTable, finer_than, node_union,
-                   subsets)
+from .venn import ColoredBoard, SignatureTable, node_union, subsets
 
 
 @dataclass(frozen=True)
@@ -97,16 +96,24 @@ class MsOverlay:
 def validate_overlay(proc: FormativeProcess, overlay: MsOverlay) -> Report:
     """Check the overlay invariants against its process.
 
-    Splits must cover their blocks exactly, evolve only through the splits
-    of each step's fresh material, and type those splits: every delta is an
-    assembly of the step node's snapshot, and surplus deltas must use at
+    Splits must lie inside their blocks, never shrink on either side, and
+    type each step's fresh material: every minus delta is an assembly of
+    the step node's snapshot, and every surplus delta one that uses at
     least one surplus element.
+
+    Three facts need no item.  With M, S, B a place's minus part, surplus
+    part and block at stages mu (0) and mu + 1 (1): the deltas M1 - M0 <= M1
+    and S1 - S0 <= B1 - M1 are disjoint; given M0 <= B0, M1 <= B1 and
+    neither side shrinking, they make up B1 - B0 (an element of B0 - M0 is
+    in S0 <= S1, one of M0 in M1, one of B1 - B0 in neither M0 nor S0); and
+    with the final minus parts inside their blocks, each final block is the
+    union of its two parts, so the final split refines the partition.
     """
     rb = ReportBuilder()
-    rb.add("shape: overlay covers stages through the end",
-           overlay.start >= 0 and overlay.end == proc.xi
-           and all(len(stage) == len(proc.places) for stage in overlay.minus))
-    if not rb.items[-1].ok:
+    if not rb.add("shape: overlay covers stages through the end",
+                  overlay.start >= 0 and overlay.end == proc.xi
+                  and all(len(stage) == len(proc.places)
+                          for stage in overlay.minus)):
         return rb.build()
     for mu in range(overlay.start, proc.xi + 1):
         ok = all(overlay.minus_at(mu, q) <= proc.stages[mu][q] for q in proc.places)
@@ -123,30 +130,16 @@ def validate_overlay(proc: FormativeProcess, overlay: MsOverlay) -> Report:
         node = proc.trace[mu]
         minus_fam = overlay.minus_family(node, mu)
         full_fam = proc.node_snapshot(node, mu)
-        dm_ok, ds_ok, disjoint = True, True, True
-        for q in proc.places:
-            dm = overlay.delta_minus(mu, q)
-            ds = overlay.delta_surplus(proc, mu, q)
-            if dm & ds:
-                disjoint = False
-            if (dm | ds) != proc.delta(mu, q):
-                dm_ok = False
-            # The restoring element of a pump round is recorded as minus
-            # although it assembles with surplus material, so minus deltas
-            # are only required to assemble from the full step snapshot.
-            if not all(hf.in_pow_star(e, full_fam) for e in dm):
-                dm_ok = False
-            for e in ds:
-                if not hf.in_pow_star(e, full_fam) or hf.in_pow_star(e, minus_fam):
-                    ds_ok = False
+        # The restoring element of a pump round is recorded as minus
+        # although it assembles with surplus material, so minus deltas are
+        # only required to assemble from the full step snapshot.
+        dm_ok = all(hf.in_pow_star(e, full_fam) for q in proc.places
+                    for e in overlay.delta_minus(mu, q))
+        ds_ok = all(hf.in_pow_star(e, full_fam)
+                    and not hf.in_pow_star(e, minus_fam) for q in proc.places
+                    for e in overlay.delta_surplus(proc, mu, q))
         rb.add(f"step {mu}: minus deltas assemble from the step node", dm_ok)
         rb.add(f"step {mu}: surplus deltas use at least one surplus element", ds_ok)
-        rb.add(f"step {mu}: delta split is disjoint", disjoint)
-    final_refined = [p for q in proc.places
-                     for p in (overlay.minus_at(proc.xi, q),
-                               overlay.surplus_at(proc, proc.xi, q)) if p]
-    rb.add("final split refines the partition",
-           finer_than(final_refined, [b for b in proc.final_blocks() if b]))
     return rb.build()
 
 
@@ -172,7 +165,10 @@ def check_weak_imitation(proc: FormativeProcess, board: ColoredBoard,
     hat_blocks / hat_minus are per-place block contents and Minus parts of
     the candidate; closed_set is the closed collection of green places that
     will absorb surplus.  Checks the stage-level copy conditions plus the
-    three start conditions on node unions.
+    three start conditions on node unions; the pow-node half of (c) asks
+    that the candidate's blocks leave no assembly of a pow-node unplaced
+    (`SignatureTable.unplaced`, which segment item (iv) and imitation item
+    (3) read too).
     """
     rb = ReportBuilder()
     places = proc.places
@@ -221,14 +217,10 @@ def check_weak_imitation(proc: FormativeProcess, board: ColoredBoard,
            and sum(1 for n in early if n & surplus and n & no_block)
            == _nodes_meeting(live, surplus, no_block))
 
-    ok_c = True
-    for node in early:
-        if ora.union_home(node) != hat.union_home(node):
-            ok_c = False
-        if node in board.pow_nodes and hat.count(node) != hf.pow_star_size(
-                [hat_blocks[q] for q in node]):
-            ok_c = False
-    rb.add("(c) pre-start memberships and pow-node coverage transfer", ok_c)
+    rb.add("(c) pre-start memberships and pow-node coverage transfer",
+           all(ora.union_home(node) == hat.union_home(node)
+               and not (node in board.pow_nodes and hat.unplaced(node))
+               for node in early))
     return rb.build()
 
 
@@ -297,9 +289,7 @@ def _pools_match(stage, hat_stage, hat_minus) -> bool:
         return all(hat.count(n) == ora.count(n) for n in placed)
     if 2 * len(placed) < 2 ** len(live):
         return False
-    return all(hf.pow_star_size([hat_minus[q] for q in n]) - hat.count(n)
-               == hf.pow_star_size([stage[q] for q in n]) - ora.count(n)
-               for n in subsets(live))
+    return all(hat.unplaced(n) == ora.unplaced(n) for n in subsets(live))
 
 
 def _placements_transfer(proc, cand, overlay, beta, a):
@@ -330,6 +320,17 @@ def _placements_transfer(proc, cand, overlay, beta, a):
     return ok
 
 
+def _surplus_sinks(proc: FormativeProcess, board: ColoredBoard, k) -> frozenset:
+    """The places a copy of step k may put surplus into: the local trashes
+    of the step's node when k is that node's grand event, none otherwise.
+    The paste places surplus there, and segment item (iii) and the
+    segment's trash seeds check it."""
+    node = proc.trace[k]
+    if k != grand_event(proc, node):
+        return frozenset()
+    return local_trashes(proc, board, node)
+
+
 def check_segment_imitation(proc: FormativeProcess, board: ColoredBoard,
                             cand: FormativeProcess, overlay: MsOverlay,
                             witness: ImitationWitness) -> Report:
@@ -338,7 +339,10 @@ def check_segment_imitation(proc: FormativeProcess, board: ColoredBoard,
     Cardinalities are compared stage-for-stage through the witness's stage
     map; node-union placements must transfer exactly (Minus unions off grand
     events, full unions at them); surplus may only be created at grand
-    events, into local trashes inside the closed set.
+    events, into local trashes inside the closed set (item (iii): the
+    step's `_surplus_sinks`, where the paste puts it); and right after a
+    pow-node's grand event the copy leaves none of its assemblies
+    unplaced (item (iv): `SignatureTable.unplaced`).
     """
     rb = ReportBuilder()
     g = witness.gamma
@@ -367,31 +371,21 @@ def check_segment_imitation(proc: FormativeProcess, board: ColoredBoard,
         rb.add(f"(ii) step {beta}: minus delta cardinalities match",
                all(len(proc.delta(beta, q)) == len(overlay.delta_minus(a, q))
                    for q in places))
-        ok_iii = True
-        for q in places:
-            if overlay.delta_surplus(cand, a, q):
-                if beta != grand_event(proc, node):
-                    ok_iii = False
-                elif q not in local_trashes(proc, board, node) or q not in C:
-                    ok_iii = False
-        rb.add(f"(iii) step {beta}: surplus only at grand events into trashes", ok_iii)
+        sinks = _surplus_sinks(proc, board, beta) & C
+        rb.add(f"(iii) step {beta}: surplus only at grand events into trashes",
+               all(q in sinks for q in places
+                   if overlay.delta_surplus(cand, a, q)))
         ok_v, ok_vi = _placements_transfer(proc, cand, overlay, beta, a)
         rb.add(f"(v) step {beta}: minus-union placements transfer", ok_v)
         rb.add(f"(vi) step {beta}: grand-event union placements transfer", ok_vi)
 
-    ok_iv = True
-    absorbing = {}
+    by_ge = {}
     for node in board.pow_nodes:
-        ge = grand_event(proc, node)
-        if ge in g and ge + 1 in g:
-            fam = cand.stages[g[ge]]
-            if ge not in absorbing:
-                absorbing[ge] = SignatureTable(cand.stages[g[ge + 1]], fam)
-            if absorbing[ge].count(node) != hf.pow_star_size(
-                    [fam[q] for q in node]):
-                ok_iv = False
+        by_ge.setdefault(grand_event(proc, node), []).append(node)
     rb.add("(iv) pow-node assemblies are absorbed right after their grand event",
-           ok_iv)
+           not any(any(map(SignatureTable(cand.stages[g[ge + 1]],
+                                          cand.stages[g[ge]]).unplaced, nodes))
+                   for ge, nodes in by_ge.items() if ge in g and ge + 1 in g))
 
     rb.add("(x) previous-stage assembly/block intersections match",
            all(_contacts_match(
@@ -441,6 +435,7 @@ def paste_segment(proc: FormativeProcess, board: ColoredBoard,
         minus_fam = [cur_minus[q] for q in sorted(node)]
         full_fam = [stages[cur][q] for q in sorted(node)]
         placed_hat = frozenset().union(*stages[cur])
+        sinks = _surplus_sinks(proc, board, k) & C
 
         # Node unions the oracle distributes at this step, and the values the
         # copy must therefore place (designated) or must avoid (forbidden).
@@ -481,8 +476,7 @@ def paste_segment(proc: FormativeProcess, board: ColoredBoard,
                 if not hf.in_pow_star(v_hat, full_fam):
                     raise CardinalityDeficit(
                         f"step {k}: union for node {sorted(gnode)} is not assemblable")
-                if k != grand_event(proc, node) or target not in (
-                        local_trashes(proc, board, node) & C):
+                if target not in sinks:
                     raise NoLocalTrash(
                         f"step {k}: surplus-typed union must land in a closed "
                         f"local trash, target place {target} is not one")
@@ -521,7 +515,7 @@ def paste_segment(proc: FormativeProcess, board: ColoredBoard,
         delta_surplus_by_place = {q: set(surplus_designated[q]) for q in places}
         if (node in board.pow_nodes and k == grand_event(proc, node)
                 and any(stages[cur][q] - cur_minus[q] for q in node)):
-            trash = sorted(local_trashes(proc, board, node) & C)
+            trash = sorted(sinks)
             if not trash:
                 raise NoLocalTrash(
                     f"step {k}: pow-node {sorted(node)} with surplus has no "
@@ -617,7 +611,7 @@ def check_upward_premises(proc: FormativeProcess, board: ColoredBoard,
         beta = max(betas)
         if grand_event(proc, node) <= inv_gamma[beta]:
             continue
-        u_final = cand.node_union(node)
+        u_final = node_union(cand.final_blocks(), node)
         for q in local_trashes(proc, board, node):
             if u_final in overlay.delta_surplus(cand, mu, q):
                 ok5 = False

@@ -13,7 +13,7 @@ import heapq
 from dataclasses import dataclass
 from functools import cached_property
 
-from . import hf, venn
+from . import hf
 from .errors import NotTransitive
 from .report import Report, ReportBuilder
 from .venn import ColoredBoard, Partition, SignatureTable
@@ -76,9 +76,6 @@ class FormativeProcess:
     def node_snapshot(self, node, mu):
         """The blocks of a node at a stage (the node's stage family)."""
         return [self.stages[mu][q] for q in sorted(node)]
-
-    def node_union(self, node, mu=None) -> hf.HfSet:
-        return venn.node_union(self.stages[self.xi if mu is None else mu], node)
 
     @cached_property
     def _placed(self) -> tuple:

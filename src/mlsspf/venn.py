@@ -8,6 +8,7 @@ node A to the places whose block meets the assembly family of A's blocks.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -140,7 +141,9 @@ class SignatureTable:
     those parts together.  A signature holds only places with nonempty
     parts (`live`); the queries answer for every node all the same: a node
     with an empty part has no assembly, and its union is the union of its
-    other parts.
+    other parts.  A node's parts have prod(2^|part| - 1) assemblies in all,
+    and `unplaced` is how many of them the blocks do not hold: a pow-node's
+    assemblies are all placed exactly when it is 0.
     """
 
     def __init__(self, blocks, parts=None):
@@ -152,7 +155,7 @@ class SignatureTable:
         self._contacts = Counter()
         self._counts = Counter()
         self._unions = {}
-        sizes = [len(p) for p in parts]
+        self._sizes = sizes = [len(p) for p in parts]
         for e, h in home.items():
             try:
                 sig = frozenset([part_home[m] for m in e.elements])
@@ -168,6 +171,12 @@ class SignatureTable:
         """How many elements of the blocks are assemblies of the node's
         parts."""
         return self._counts[frozenset(node)]
+
+    def unplaced(self, node) -> int:
+        """How many assemblies of the node's parts the blocks do not hold:
+        their number, the product of 2^|part| - 1, less `count(node)`."""
+        return (math.prod(2 ** self._sizes[q] - 1 for q in node)
+                - self.count(node))
 
     def union(self, node):
         """The element of the blocks that is the union of the node's parts,

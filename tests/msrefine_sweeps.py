@@ -69,7 +69,7 @@ def weak_imitation_sweep(proc: FormativeProcess, board,
         u_hat = node_union(hat_minus, node)
         lhs = hf.in_pow_star(u_hat, minus_fam) and u_hat not in placed_hat
         ora_fam = proc.node_snapshot(node, k_prime)
-        u_ora = proc.node_union(node, k_prime)
+        u_ora = node_union(proc.stages[k_prime], node)
         rhs = hf.in_pow_star(u_ora, ora_fam) and u_ora not in placed_ora
         if lhs != rhs:
             ok_a = False
@@ -92,7 +92,7 @@ def weak_imitation_sweep(proc: FormativeProcess, board,
     for node in _live_nodes(proc, k_prime):
         if grand_event(proc, node) >= k_prime:
             continue
-        u_ora = proc.node_union(node, k_prime)
+        u_ora = node_union(proc.stages[k_prime], node)
         u_hat = node_union(hat_blocks, node)
         for q in places:
             if (u_ora in proc.stages[k_prime][q]) != (u_hat in hat_blocks[q]):
@@ -167,7 +167,7 @@ def segment_imitation_sweep(proc: FormativeProcess, board,
         ok_v, ok_vi = True, True
         for gamma_node in _live_nodes(proc, beta):
             ge = grand_event(proc, gamma_node)
-            u_ora = proc.node_union(gamma_node, beta)
+            u_ora = node_union(proc.stages[beta], gamma_node)
             if beta != ge:
                 u_hat = node_union(overlay.minus[a - overlay.start], gamma_node)
                 for q in places:
@@ -176,7 +176,7 @@ def segment_imitation_sweep(proc: FormativeProcess, board,
                                       | overlay.delta_surplus(cand, a, q))):
                         ok_v = False
             else:
-                u_hat = cand.node_union(gamma_node, a)
+                u_hat = node_union(cand.stages[a], gamma_node)
                 for q in places:
                     if (u_ora in proc.delta(beta, q)) != (
                             u_hat in cand.delta(a, q)):
@@ -250,7 +250,7 @@ def paste_segment_sweep(proc: FormativeProcess, board,
         forbidden = set()
         for gnode in _live_nodes(proc, k):
             ge = grand_event(proc, gnode)
-            u_ora = proc.node_union(gnode, k)
+            u_ora = node_union(proc.stages[k], gnode)
             v_hat = node_union(cur_minus if k != ge else stages[cur], gnode)
             target = None
             for q in places:

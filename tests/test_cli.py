@@ -428,6 +428,21 @@ def _cli(*argv):
     return proc.returncode, proc.stderr
 
 
+def test_venn_writes_the_deepest_model_the_decoder_reads(tmp_path):
+    # From the decoder's bound (a third of the recursion limit) down, a
+    # model the decoder refuses is bad input (exit 3); the deepest one it
+    # reads, within a few levels of the bound, is written (exit 0).
+    path = tmp_path / "deep.json"
+    for depth in range(sys.getrecursionlimit() // 3, 0, -1):
+        path.write_text(json.dumps({"x": nested(depth)}))
+        code, err = _cli("venn", "-m", str(path))
+        assert "Traceback" not in err
+        if code != 3:
+            break
+    assert code == 0
+    assert depth >= sys.getrecursionlimit() // 3 - 8
+
+
 @pytest.fixture(scope="module")
 def deep_certificates(tmp_path_factory):
     """The certificate of w in x & !Finite(x) with its base `w` nested 300

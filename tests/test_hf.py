@@ -213,6 +213,19 @@ def test_dumps_keys_and_errors_as_json_dumps():
             hf.dumps(bad)
 
 
+def test_dumps_writes_every_rank_the_decoder_reads():
+    # A set of the decoder's bound rank (built without the decoder), in a
+    # document shaped as `venn` writes one, under the interpreter's own
+    # recursion limit; and lists nested deeper than that limit.
+    top = chain(sys.getrecursionlimit() // 3)[-1]
+    doc = {"blocks": [[top.to_json()]], "im": {}, "transitive": True}
+    assert hf.dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
+    depth = sys.getrecursionlimit() + 100
+    assert hf.dumps(nested(depth)) == "\n".join(
+        ["  " * i + "[" for i in range(depth)] + ["  " * depth + "[]"]
+        + ["  " * i + "]" for i in reversed(range(depth))])
+
+
 @given(hfsets(), hfsets())
 @settings(max_examples=200)
 def test_equality_is_extensional(x, y):

@@ -9,6 +9,7 @@ import mlsspf as m
 from mlsspf import hf
 from mlsspf.errors import NotTransitive
 from mlsspf.process import FormativeProcess
+from mlsspf.venn import node_union
 
 from conftest import (chain, rand_partition, rand_transitive_universe,
                       wide_instance)
@@ -161,7 +162,7 @@ def test_ge_trichotomy_on_synthesized():
         proc = m.synthesize_process(rand_partition(rng, universe, max_blocks=4))
         for node in subsets(proc.places):
             ge = m.grand_event(proc, node)
-            u = proc.node_union(node)
+            u = node_union(proc.stages[proc.xi], node)
             for nu in range(proc.xi):
                 placed = u in proc.universe(nu)
                 assert (nu <= ge) == (not placed)
@@ -186,7 +187,7 @@ def test_node_stabilizes_at_grand_event():
                 for nu in range(proc.xi):
                     if proc.stages[nu + 1][q] > proc.stages[nu][q]:
                         assert ge > nu or ge == proc.xi and \
-                            proc.node_union(node) not in proc.final_universe
+                            node_union(proc.stages[proc.xi], node) not in proc.final_universe
 
 
 def test_unused_assemblies_stay_unused():
@@ -325,7 +326,7 @@ def test_process_json_round_trip_with_scalar_history_targets(ex1):
 # local trashes from sweeping every node that contains a target.
 
 def _grand_event_oracle(proc, node):
-    return proc.landing.get(proc.node_union(node), proc.xi)
+    return proc.landing.get(node_union(proc.stages[proc.xi], node), proc.xi)
 
 
 def _all_nodes_containing(places, q):

@@ -172,8 +172,8 @@ def _conclusions_oracle(proc, board, cand):
             rhs = any(hf.in_pow_star(e, ora_fam) for e in proc.stages[xi][q])
             if lhs != rhs:
                 ok0 = False
-        u_ora = proc.node_union(node)
-        u_hat = cand.node_union(node)
+        u_ora = node_union(proc.stages[proc.xi], node)
+        u_hat = node_union(cand.stages[cand.xi], node)
         for q in places:
             if (u_hat in cand.stages[xi2][q]) != (u_ora in proc.stages[xi][q]):
                 ok1 = False

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mlsspf as m
+from mlsspf import hf
 
 from conftest import chain, wide_instance, witness_family
 from make_golden import WIDE_SEEDS
@@ -330,14 +331,19 @@ def _w_in_x():
             m.Assignment.from_json({"w": [], "x": [[], [[]]]})[0])
 
 
-def test_verify_fails_a_cycle_that_misses_a_finite_region():
-    # A !Finite literal appended to a valid certificate, with its literal
-    # result: the cycle misses the new variable's region, which only the
-    # coverage item checks, and the prover refuses the formula.
-    formula, assignment = _w_in_x()
-    data = json.loads(m.certify_witness(formula, assignment).dumps())
+def _finite_literal_appended(data):
+    # A !Finite literal with its literal result: the cycle misses the new
+    # variable's region.
     data["formula"] += " & !Finite(w)"
     data["report"]["literals"].append(False)
+
+
+def test_verify_fails_a_cycle_that_misses_a_finite_region():
+    # Only the coverage item checks the forged claim (a row of the table
+    # below), and the prover refuses the formula.
+    formula, assignment = _w_in_x()
+    data = json.loads(m.certify_witness(formula, assignment).dumps())
+    _finite_literal_appended(data)
     failed, _ = _failed_checks(data)
     assert failed == ["cycle meets the region of every !Finite variable"]
     with pytest.raises(m.CoverMissesVariable, match="'w'"):
@@ -410,23 +416,182 @@ def _trash_seed_dropped(data):
     data["closedCover"].remove(9)
 
 
-@pytest.mark.parametrize("instance, rounds, forge, item", [
-    (functools.partial(wide_instance, 12), None, _bound_below_the_cycle,
+def _syntax_error(data):
+    data["formula"] = "w in"
+
+
+def _stages_no_list(data):
+    data["process"]["stages"] = 5
+
+
+def _variable_added(data):
+    data["assignment"]["u"] = []
+
+
+def _finite_result_flipped(data):
+    # `!Finite(x)` is false of a finite assignment, and no literal result
+    # but its own is read as holding.
+    assert data["report"]["literals"] == [True, False]
+    data["report"]["literals"][1] = True
+
+
+def _process_marked_weak(data):
+    data["process"]["weak"] = True
+
+
+def _places_swapped(data):
+    # Places 0 and 2 trade blocks in every stage, trace node and history
+    # target: a valid process whose final blocks are out of the Venn
+    # partition's order, and whose event and cover still hold.
+    proc = data["process"]
+    swap = {0: 2, 2: 0}
+    for stage in proc["stages"]:
+        stage[0], stage[2] = stage[2], stage[0]
+    for key in ("trace", "historyTargets"):
+        proc[key] = [sorted(swap.get(q, q) for q in node)
+                     for node in proc[key]]
+
+
+def _event_past_the_end(data):
+    data["event"]["i0"] = len(data["process"]["stages"])
+
+
+def _event_report_flag(data):
+    item = data["report"]["event"]["items"][0]
+    item["ok"] = not item["ok"]
+
+
+def _cover_emptied(data):
+    # The empty cover is closed and holds the segment's (no) trash seeds.
+    data["closedCover"] = []
+
+
+def _absent_variable(data):
+    data["potentialInfinite"].append("_absent")
+
+
+def _pumped_marked_strong(data):
+    data["pumped"]["process"]["weak"] = False
+
+
+def _minus_grown_inside_a_round(data):
+    # The surplus of the event's place moves to minus at the first stage
+    # after the start, which only the overlay's own items read: the rounds
+    # end later, at stage i0 + 3.
+    overlay, q0 = data["pumped"]["overlay"], data["event"]["q0"]
+    overlay["minus"][1][q0] = sorted(overlay["minus"][1][q0]
+                                     + overlay["surplus"][1][q0])
+    overlay["surplus"][1][q0] = []
+
+
+def _surplus_record_grown(data):
+    data["pumped"]["overlay"]["surplus"][0][0].append(FRESH)
+
+
+def _minus_where_the_copy_is_empty(data):
+    # Place 7 of wide_instance(6) is empty at stage 9 of the process: a
+    # fresh minus assembly of the copy's step into that stage, placed at
+    # 7, keeps the copy a valid weak process and its overlay valid.
+    cert = m.WitnessCertificate.from_json(data)
+    proc, pumped = cert.process, data["pumped"]
+    cand, overlay = cert.pumped.process, cert.pumped.overlay
+    q, a = 7, cert.pumped.witness.gamma[9]
+    assert not proc.stages[9][q]
+    e = next(x for x in hf.assemblies(cand.node_snapshot(cand.trace[a - 1],
+                                                        a - 1))
+             if x not in cand.final_universe)
+    for mu in range(a, cand.xi + 1):
+        pumped["process"]["stages"][mu][q] = hf.block_json(
+            cand.stages[mu][q] | {e})
+        pumped["overlay"]["minus"][mu - overlay.start][q] = hf.block_json(
+            overlay.minus_at(mu, q) | {e})
+    targets = pumped["process"]["historyTargets"]
+    targets[a - 1] = sorted(set(targets[a - 1]) | {q})
+
+
+def _warmup_added(data):
+    data["pumped"]["warmups"] += 1
+
+
+def _pumped_report_flag(data):
+    item = data["pumped"]["reports"]["imitation"]["items"][0]
+    item["ok"] = not item["ok"]
+
+
+def _final_binding_changed(data):
+    data["pumped"]["finalAssignment"]["w"] = [FRESH]
+
+
+def _as_issued(data):
+    # wide_instance(11) pumps one round but fails the upward and imitation
+    # reports: the certificate as the prover issues it.
+    pass
+
+
+# id, instance, rounds (None: unpumped), forgery, the one item it fails.
+FORGERIES = [
+    ("syntax error", _w_in_x, None, _syntax_error, "formula parses"),
+    ("stages no list", _w_in_x, None, _stages_no_list,
+     "embedded process parses"),
+    ("cycle bound", functools.partial(wide_instance, 12), None,
+     _bound_below_the_cycle,
      "event cycle has at most params.maxCycleLen places"),
-    (_w_in_x, None, _false_literal, "every literal but !Finite holds"),
-    *[(_w_in_x, rounds, _closed_set_grown,
+    ("variable added", _w_in_x, None, _variable_added,
+     "assignment is the base assignment, made transitive"),
+    ("finite result flipped", _w_in_x, None, _finite_result_flipped,
+     "literal results are the base assignment's"),
+    ("false literal", _w_in_x, None, _false_literal,
+     "every literal but !Finite holds"),
+    ("process marked weak", _w_in_x, None, _process_marked_weak,
+     "embedded process validates"),
+    ("places swapped", functools.partial(wide_instance, 0), None,
+     _places_swapped,
+     "embedded process ends in the assignment's Venn partition"),
+    ("event past the end", _w_in_x, None, _event_past_the_end,
+     "embedded event names a stage and places of the process"),
+    ("event at stage 0", _ex1, None, _event_at_stage_0,
+     "embedded event holds"),
+    ("event report flag", _w_in_x, None, _event_report_flag,
+     "embedded event report is recomputed"),
+    ("cover emptied", _w_in_x, None, _cover_emptied,
+     "embedded cover is closed and contains the cycle"),
+    ("finite literal appended", _w_in_x, None, _finite_literal_appended,
+     "cycle meets the region of every !Finite variable"),
+    ("absent variable", _w_in_x, None, _absent_variable,
+     "potentialInfinite is the variables meeting the cycle"),
+    ("trash seed dropped", functools.partial(wide_instance, 11), None,
+     _trash_seed_dropped, "embedded cover holds the segment's trash seeds"),
+    ("swapped prefix", functools.partial(wide_instance, 12), 1,
+     _prefix_steps_swapped,
+     "pumped process starts with the process through the event's stage"),
+    ("pumped marked strong", _w_in_x, 1, _pumped_marked_strong,
+     "pumped process validates as a weak process"),
+    ("minus grown inside a round", _w_in_x, 3, _minus_grown_inside_a_round,
+     "pumped overlay validates from the event's stage"),
+    ("surplus record grown", _w_in_x, 1, _surplus_record_grown,
+     "pumped overlay records its surplus parts"),
+    ("used seed", _w_in_x, 1, _used_seed,
+     "pumped overlay starts from an unused seed of the event's place"),
+    *[(f"closed set {rounds}", _w_in_x, rounds, _closed_set_grown,
        "pumped stage map copies the process from the last round")
       for rounds in (0, 1, 3)],
-    (_w_in_x, 1, _used_seed,
-     "pumped overlay starts from an unused seed of the event's place"),
-    (functools.partial(wide_instance, 12), 1, _prefix_steps_swapped,
-     "pumped process starts with the process through the event's stage"),
-    (_ex1, None, _event_at_stage_0, "embedded event holds"),
-    (functools.partial(wide_instance, 11), None, _trash_seed_dropped,
-     "embedded cover holds the segment's trash seeds"),
-], ids=["cycle bound", "false literal", "closed set 0", "closed set 1",
-        "closed set 3", "used seed", "swapped prefix", "event at stage 0",
-        "trash seed dropped"])
+    ("minus where the copy is empty", functools.partial(wide_instance, 6), 1,
+     _minus_where_the_copy_is_empty,
+     "pumped copy is nonempty where the copied stages are"),
+    ("warm-up added", _w_in_x, 1, _warmup_added,
+     "pumped rounds traverse the event's cycle"),
+    ("pumped report flag", _w_in_x, 1, _pumped_report_flag,
+     "pumped reports are recomputed"),
+    ("final binding changed", _w_in_x, 1, _final_binding_changed,
+     "pumped final assignment is the transferred assignment"),
+    ("as issued", functools.partial(wide_instance, 11), 1, _as_issued,
+     "pumped extension holds"),
+]
+
+
+@pytest.mark.parametrize("instance, rounds, forge, item",
+                         [row[1:] for row in FORGERIES],
+                         ids=[row[0] for row in FORGERIES])
 def test_verify_fails_only_the_forged_item(instance, rounds, forge, item):
     # A valid certificate, pumped `rounds` rounds unless None, with one
     # claim made false and its recorded results made to agree: only the
@@ -438,6 +603,48 @@ def test_verify_fails_only_the_forged_item(instance, rounds, forge, item):
     forge(data)
     failed, _ = _failed_checks(data)
     assert failed == [item]
+
+
+# The items of `check_certificate` that no certificate fails alone, with
+# the items that fail with them.
+GUARDS = {
+    "embedded process has the board's places":
+        "a stage short of a place fails the Venn partition item if it is "
+        "the last stage, and validation (a ragged process) otherwise",
+}
+
+
+def _checker_items():
+    """The first argument of every `rb.add` of `check_certificate` and
+    `_check_pumped`: the item's name, or the source of an argument that
+    is no string constant."""
+    from mlsspf import certificate
+    tree = ast.parse(Path(certificate.__file__).read_text())
+    names = set()
+    for fn in tree.body:
+        if not (isinstance(fn, ast.FunctionDef)
+                and fn.name in ("check_certificate", "_check_pumped")):
+            continue
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "add"
+                    and ast.unparse(node.func.value) == "rb"):
+                arg = node.args[0]
+                names.add(arg.value if isinstance(arg, ast.Constant)
+                          else ast.unparse(arg))
+    return names
+
+
+def test_every_checker_item_can_fail_alone_or_is_a_guard():
+    # An item added to the checker fails this test until a forgery that
+    # fails it alone joins FORGERIES, or its reason joins GUARDS.
+    items = _checker_items()
+    forged = {row[-1] for row in FORGERIES}
+    assert items - forged - GUARDS.keys() == set()
+    # No row or reason outlives its item.
+    assert forged | GUARDS.keys() <= items
+    assert not forged & GUARDS.keys()
 
 
 # --- the trusted base -------------------------------------------------------

@@ -436,12 +436,12 @@ def check_certificate(data, limits: Limits = DEFAULT_LIMITS):
     The base certificate: the cycle is within the bound; the assignment is
     the base assignment, closed by `transitivize` when that is not
     transitive; the literal results are the base assignment's and every
-    literal but !Finite holds; the process validates as a strong process,
-    has the board's places and ends in the assignment's Venn partition; the
-    event names places and a stage of it, holds, and has the recorded
-    report; the cover is closed, holds the cycle and the trash seeds the
-    segment replay needs; the cycle meets every !Finite region; and
-    `potentialInfinite` is recomputed.  A pumped extension: see
+    literal but !Finite holds; the process validates as a strong process
+    and ends in the assignment's Venn partition; the event names places
+    and a stage of it, holds, and has the recorded report; the cover is
+    closed, holds the cycle and the trash seeds the segment replay needs;
+    the cycle meets every !Finite region; and `potentialInfinite` is
+    recomputed.  A pumped extension: see
     `_check_pumped`.  The pumped verdict is `PumpedExtension.ok` of the
     recomputed reports ("pumped extension holds", whose detail names the
     failing ones).
@@ -489,14 +489,15 @@ def check_certificate(data, limits: Limits = DEFAULT_LIMITS):
     rb.add("embedded process parses", True)
     valid = rb.add("embedded process validates",
                    not proc.weak and validate_process(proc).ok)
-    # The event and cover checks index the process's blocks by the board's
-    # places and the event's stage, so they run only where those exist.
-    width = len(board.places)
-    has_places = rb.add(
-        "embedded process has the board's places",
-        proc.stages and all(len(stage) >= width for stage in proc.stages))
     rb.add("embedded process ends in the assignment's Venn partition",
            proc.stages and proc.final_blocks() == partition.blocks)
+    # The event and cover checks index the process's blocks by the board's
+    # places and the event's stage, so they run only where those exist.  A
+    # stage short of a place fails the item above when it is the last one,
+    # and validation (a ragged process) otherwise.
+    width = len(board.places)
+    has_places = proc.stages and all(len(stage) >= width
+                                     for stage in proc.stages)
     on_process = False
     if has_places:
         named = {event.q0, *cycle.places}.union(*cycle.nodes)

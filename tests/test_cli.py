@@ -268,7 +268,8 @@ def test_verify_fails_a_process_missing_board_places(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli(["verify", str(cert)]) == 1
     err = capsys.readouterr().err
-    assert "[FAIL] embedded process has the board's places" in err
+    assert ("[FAIL] embedded process ends in the assignment's Venn "
+            "partition") in err
 
 
 def test_bad_bounds_are_input_errors(files):

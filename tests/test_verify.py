@@ -7,6 +7,7 @@ through, and the trusted base it runs in."""
 import ast
 import functools
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -72,10 +73,11 @@ def _decided_certificates():
     return [(cert, cert.dumps()) for cert in out]
 
 
-# The items a pumped process that does not validate fails, as some that
-# the pump issues on wide boards do, besides the pumped verdict.
-INVALID_PUMP = [("pumped process validates as a weak process", ""),
-                ("pumped overlay validates from the event's stage", "")]
+# The item a pumped process that does not validate fails, as some that
+# the pump issues on wide boards do, besides the pumped verdict.  Their
+# overlays validate: the overlay items read the split, and the typing of
+# its deltas is the process's own.
+INVALID_PUMP = [("pumped process validates as a weak process", "")]
 
 
 @pytest.mark.parametrize("certificates", [
@@ -107,7 +109,7 @@ def test_verdict_is_the_provers_verdict(certificates):
         assert failed.count(()) == 64 + 25
         assert failed.count((("pumped extension holds",
                               "upward, imitation"),)) == 12
-        assert sum(1 for f in failed if f[:2] == tuple(INVALID_PUMP)) == 13
+        assert sum(1 for f in failed if f[:1] == tuple(INVALID_PUMP)) == 13
     else:
         assert not any(failed)
 
@@ -605,46 +607,202 @@ def test_verify_fails_only_the_forged_item(instance, rounds, forge, item):
     assert failed == [item]
 
 
-# The items of `check_certificate` that no certificate fails alone, with
-# the items that fail with them.
-GUARDS = {
-    "embedded process has the board's places":
-        "a stage short of a place fails the Venn partition item if it is "
-        "the last stage, and validation (a ragged process) otherwise",
-}
+# --- every item of a validator can fail alone --------------------------------
+
+def _forged_process(proc, **fields):
+    """The process with some of its fields replaced."""
+    return m.FormativeProcess(**{"stages": proc.stages, "trace": proc.trace,
+                                 "history_targets": proc.history_targets,
+                                 "weak": proc.weak, **fields})
 
 
-def _checker_items():
-    """The first argument of every `rb.add` of `check_certificate` and
-    `_check_pumped`: the item's name, or the source of an argument that
-    is no string constant."""
-    from mlsspf import certificate
-    tree = ast.parse(Path(certificate.__file__).read_text())
-    names = set()
+# The process of `w in x & !Finite(x)` on w = {A}, x = {B, C}, as the
+# `ex1` fixture synthesizes it: stages (), ({A}), ({A}, {B}),
+# ({A}, {B, C}) over places 0 and 1 from the trace (), (0), (1).
+A, B, C = chain(2)
+EX1_STAGES = ((frozenset(), frozenset()), (frozenset([A]), frozenset()),
+              (frozenset([A]), frozenset([B])),
+              (frozenset([A]), frozenset([B, C])))
+EX1 = m.FormativeProcess(stages=EX1_STAGES,
+                         trace=(frozenset(), frozenset([0]), frozenset([1])))
+
+
+def _coherence_broken():
+    # Step 2's snapshot {A, B} assembles both C = {B} and {A, B}; placing
+    # only C there and {A, B} one step later is no strong process.
+    ab = m.make_set([A, B])
+    return m.FormativeProcess(
+        stages=((frozenset(),), (frozenset([A]),), (frozenset([A, B]),),
+                (frozenset([A, B, C]),), (frozenset([A, B, C, ab]),)),
+        trace=(frozenset(), frozenset([0]), frozenset([0]), frozenset([0])))
+
+
+# id, forged process, the one item template it fails.
+PROCESS_FORGERIES = [
+    ("trace too long",
+     lambda: _forged_process(EX1, trace=EX1.trace + (frozenset(),)),
+     "shape: trace length matches stage count"),
+    ("targets cut",
+     lambda: _forged_process(EX1, history_targets=EX1.history_targets[:2]),
+     "shape: history targets: one per step"),
+    ("last stage cut",
+     lambda: _forged_process(EX1, stages=EX1_STAGES[:-1]
+                             + ((frozenset([A]),),)),
+     "shape: every stage has a block per place"),
+    ("trace off the places",
+     lambda: _forged_process(EX1, trace=EX1.trace[:-1] + (frozenset([5]),)),
+     "shape: trace nodes name places of the process"),
+    ("element in two blocks",
+     lambda: _forged_process(EX1, stages=EX1_STAGES[:-1]
+                             + ((frozenset([A]), frozenset([A, B, C])),)),
+     "stage {mu}: blocks pairwise disjoint"),
+    ("first step dropped",
+     lambda: _forged_process(EX1, stages=EX1_STAGES[1:], trace=EX1.trace[1:],
+                             history_targets=EX1.history_targets[1:]),
+     "stage 0: all blocks empty"),
+    ("empty place added",
+     lambda: _forged_process(EX1, stages=tuple(
+         stage + (frozenset(),) for stage in EX1_STAGES)),
+     "final stage: all blocks nonempty"),
+    ("element moved",
+     lambda: _forged_process(
+         EX1, stages=EX1_STAGES[:-1] + ((frozenset([A, B]), frozenset([C])),),
+         history_targets=EX1.history_targets[:-1] + (frozenset([0, 1]),)),
+     "step {nu}: blocks grow monotonically"),
+    ("wrong trace node",
+     lambda: _forged_process(EX1, trace=EX1.trace[:-1] + (frozenset([0]),)),
+     "step {nu}: new elements assemble from the trace node"),
+    ("stalled step",
+     lambda: _forged_process(
+         EX1, stages=EX1_STAGES[:2] + EX1_STAGES[1:],
+         trace=(frozenset(),) + EX1.trace,
+         history_targets=EX1.history_targets[:1] + (frozenset(),)
+         + EX1.history_targets[1:]),
+     "step {nu}: the partition strictly grows"),
+    ("wrong target",
+     lambda: _forged_process(EX1, history_targets=(frozenset([1]),)
+                             + EX1.history_targets[1:]),
+     "step {nu}: history targets match nonempty deltas"),
+    ("late assembly", _coherence_broken,
+     "step {nu}: coherent (no late assembly of the used snapshot)"),
+]
+
+
+def _forged_overlay(start, edits):
+    """The all-minus overlay of EX1 from `start`, with the minus part of
+    place q at stage mu replaced by `part` for each (mu, q, part)."""
+    minus = [list(stage) for stage in m.MsOverlay.all_minus(EX1, start).minus]
+    for mu, q, part in edits:
+        minus[mu - start][q] = frozenset(part)
+    return m.MsOverlay(start, tuple(map(tuple, minus)))
+
+
+# id, forged overlay of EX1, the one item template it fails.
+OVERLAY_FORGERIES = [
+    ("last stage missing",
+     lambda: m.MsOverlay(0, m.MsOverlay.all_minus(EX1).minus[:-1]),
+     "shape: overlay covers stages through the end"),
+    ("minus outside its block",
+     lambda: _forged_overlay(0, [(3, 0, [A, chain(5)[-1]])]),
+     "stage {mu}: minus parts inside their blocks"),
+    # A = {} assembles from no nonempty family, so its move to surplus is
+    # no surplus delta that the minus parts assemble.
+    ("minus element moved to surplus",
+     lambda: _forged_overlay(0, [(2, 0, []), (3, 0, [])]),
+     "step {mu}: minus parts never shrink"),
+    ("surplus element moved to minus",
+     lambda: _forged_overlay(1, [(1, 0, [])]),
+     "step {mu}: surplus parts never shrink"),
+    ("minus assembly recorded as surplus",
+     lambda: _forged_overlay(0, [(3, 1, [B])]),
+     "step {mu}: surplus deltas use at least one surplus element"),
+]
+
+
+def _template(arg) -> str:
+    """An item name's source as a template: a string constant as it is, an
+    f-string with each field as `ast.unparse` gives its expression."""
+    if isinstance(arg, ast.Constant):
+        return arg.value
+    if isinstance(arg, ast.JoinedStr):
+        return "".join(v.value if isinstance(v, ast.Constant)
+                       else "{" + ast.unparse(v.value) + "}"
+                       for v in arg.values)
+    return ast.unparse(arg)
+
+
+def _item_templates(module, *functions) -> set:
+    """The template of the first argument of every `rb.add` in the named
+    functions of a module."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    out = set()
     for fn in tree.body:
-        if not (isinstance(fn, ast.FunctionDef)
-                and fn.name in ("check_certificate", "_check_pumped")):
+        if not (isinstance(fn, ast.FunctionDef) and fn.name in functions):
             continue
         for node in ast.walk(fn):
             if (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
                     and node.func.attr == "add"
                     and ast.unparse(node.func.value) == "rb"):
-                arg = node.args[0]
-                names.add(arg.value if isinstance(arg, ast.Constant)
-                          else ast.unparse(arg))
-    return names
+                out.add(_template(node.args[0]))
+    return out
 
 
-def test_every_checker_item_can_fail_alone_or_is_a_guard():
-    # An item added to the checker fails this test until a forgery that
-    # fails it alone joins FORGERIES, or its reason joins GUARDS.
-    items = _checker_items()
-    forged = {row[-1] for row in FORGERIES}
-    assert items - forged - GUARDS.keys() == set()
-    # No row or reason outlives its item.
-    assert forged | GUARDS.keys() <= items
-    assert not forged & GUARDS.keys()
+def _templates_failed(report, templates) -> set:
+    """The templates of the report's failed items: each field of a
+    template stands for a stage number."""
+    out = set()
+    for item in report.failures():
+        out |= {t for t in templates if re.fullmatch(
+            r"\d+".join(map(re.escape, re.split(r"\{[^}]*\}", t))),
+            item.check)}
+    return out
+
+
+def _validator_templates(name):
+    from mlsspf import msrefine, process
+    module = {"validate_process": process,
+              "validate_overlay": msrefine}[name]
+    return _item_templates(module, name)
+
+
+@pytest.mark.parametrize("forge, template",
+                         [row[1:] for row in PROCESS_FORGERIES],
+                         ids=[row[0] for row in PROCESS_FORGERIES])
+def test_validate_process_fails_only_the_forged_item(forge, template):
+    proc = forge()
+    templates = _validator_templates("validate_process")
+    assert _templates_failed(m.validate_process(proc), templates) == {
+        template}
+
+
+def test_validate_process_reads_coherence_of_strong_processes_only():
+    weak = _forged_process(_coherence_broken(), weak=True)
+    assert m.validate_process(weak).ok
+    assert m.validate_process(EX1).ok
+
+
+@pytest.mark.parametrize("forge, template",
+                         [row[1:] for row in OVERLAY_FORGERIES],
+                         ids=[row[0] for row in OVERLAY_FORGERIES])
+def test_validate_overlay_fails_only_the_forged_item(forge, template):
+    templates = _validator_templates("validate_overlay")
+    assert m.validate_overlay(EX1, m.MsOverlay.all_minus(EX1, 1)).ok
+    assert _templates_failed(m.validate_overlay(EX1, forge()),
+                             templates) == {template}
+
+
+def test_every_item_verify_runs_can_fail_alone():
+    # An item added to the checker or to a validator it runs fails this
+    # test until a forgery that fails it alone joins its table; a row
+    # outlives no item.
+    from mlsspf import certificate
+    for templates, table in (
+            (_item_templates(certificate, "check_certificate",
+                             "_check_pumped"), FORGERIES),
+            (_validator_templates("validate_process"), PROCESS_FORGERIES),
+            (_validator_templates("validate_overlay"), OVERLAY_FORGERIES)):
+        assert templates == {row[-1] for row in table}
 
 
 # --- the trusted base -------------------------------------------------------

@@ -204,10 +204,15 @@ def _segment_trash_seeds(proc: FormativeProcess, board: ColoredBoard,
 
 def _round_schedule(event: PumpingEvent) -> list:
     """One pump round as its steps (node, the place it adds to): the
-    cycle's nodes in turn from node 1, each adding to its cycle target;
-    `pump_rounds` runs it and `_check_pumped` checks the pumped trace."""
+    cycle's nodes in turn, each adding to its cycle target, from the node
+    after the seed place q0, the first that holds q0's seed, so the round
+    ends by adding to q0; `pump_rounds` runs it and `_check_pumped` checks
+    the pumped trace.  A q0 off the cycle, which the checker reaches when
+    the event fails, starts from node 1."""
     steps = list(zip(event.cycle.nodes, event.cycle.places))
-    return steps[1:] + steps[:1]
+    places = event.cycle.places
+    s0 = places.index(event.q0) if event.q0 in places else 0
+    return steps[s0 + 1:] + steps[:s0 + 1]
 
 
 # The pumped reports: their names in the certificate -> PumpedExtension

@@ -200,11 +200,12 @@ def _run_round(stages, minus, trace, schedule, seed, restore, limits):
         last = j == len(schedule) - 1
         if restore and last:
             union_snapshot = node_union(cur_stages, node)
+            # Neither pick may be the node's union, which weak item (b)
+            # keeps undistributed.
             t1_cands = [e for e in pool if e is not union_snapshot]
-            if not t1_cands or len(pool) < 2:
+            if len(t1_cands) < 2:
                 return None
-            t1 = t1_cands[0]
-            surplus_pick = [e for e in pool if e is not t1][0]
+            t1, surplus_pick = t1_cands[:2]
             delta_minus = {t1}
             delta_surplus = {surplus_pick}
         else:

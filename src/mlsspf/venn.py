@@ -331,7 +331,9 @@ def color_board(core: ColoredBoard, formula: lang.Formula, im: ImMap) -> Colored
 
     Red places come from the regions of enumeration targets and positively
     Finite variables (both literal kinds contribute, read as one union).
-    Pow-nodes are the downward closure of the regions of powerset targets.
+    Pow-nodes are the downward closure of the regions of powerset
+    arguments: for p = Pow(z), an assembly of a node under the region of z
+    is a subset of z, so p must hold it.
     """
     red = set()
     pow_seeds = []
@@ -339,7 +341,7 @@ def color_board(core: ColoredBoard, formula: lang.Formula, im: ImMap) -> Colored
         if lit.kind in (lang.ENUM, lang.FINITE):
             red |= im[lit.operands[0]]
         elif lit.kind == lang.POW:
-            pow_seeds.append(im[lit.operands[0]])
+            pow_seeds.append(im[lit.operands[1]])
     pow_nodes = set()
     for seed in pow_seeds:
         pow_nodes.update(subsets(seed))

@@ -6,8 +6,7 @@ corpus formula; `pumped_certificates.json` freezes the sha256 digest of
 every pumped certificate of the witness family at 1, 2 and 3 rounds;
 `pumped_wide.json` freezes, for a few `wide_instance` seeds (8 to 13
 places), the digest of the certificate pumped one round or the
-"Class: message" of the error the pump raises, so failing reports and
-failing pumps are pinned too; `certified_wide.json` freezes, for
+"Class: message" of the error the pump raises; `certified_wide.json` freezes, for
 `wide_instance` seeds 0-199, the digest of the certificate
 `certify_witness` issues (not pumped) or the "Class: message" of the
 error it raises.  The acceptance tests replay all four byte-for-byte."""
@@ -24,7 +23,9 @@ from conftest import wide_instance, witness_family  # noqa: E402
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 PUMP_ROUNDS = (1, 2, 3)
-# Clean pumps, failing reports, CardinalityDeficit and NoLocalTrash.
+# A clean pump (12), and pumps that failed reports or raised
+# CardinalityDeficit or NoLocalTrash while rounds started at the cycle's
+# first place and pow-nodes were read off the powerset's target.
 WIDE_SEEDS = (0, 11, 12, 27, 28, 33, 85, 139)
 CERTIFIED_WIDE_SEEDS = range(200)
 

@@ -232,8 +232,9 @@ def test_upward_premises_reject_minus_delta_off_map(ex1, pumped_ex1):
                                              ex1.process.xi)
     q = ex1.q
     block = cand.stages[-1][q]
-    extra = m.make_set([ex1.b, m.make_set([ex1.c])])  # fresh {q}-assembly
-    assert extra not in block
+    # The least {q}-assembly not yet placed.
+    extra = next(e for e in hf.assemblies([block])
+                 if e not in cand.final_universe)
     stages = cand.stages + (tuple(
         b | {extra} if i == q else b for i, b in enumerate(cand.stages[-1])),)
     trace = cand.trace + (frozenset([q]),)

@@ -1,0 +1,88 @@
+"""Properties of the whole pipeline: every certificate that `decide` or
+`certify_witness` issues pumps cleanly for any number of rounds, and
+`verify` passes it; and the identity extension (zero rounds) passes all
+five pumped reports on every certified instance."""
+
+import functools
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import mlsspf as m
+from mlsspf import lang
+
+from conftest import wide_instance, witness_family
+
+_VARS = st.sampled_from(["w", "x", "y", "z"])
+
+
+@st.composite
+def infinite_formulas(draw):
+    """One to three literals of any kind over w, x, y and z, and one
+    !Finite literal among them."""
+    lits = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(sorted(lang._ARITY) + [lang.ENUM]))
+        arity = (draw(st.integers(2, 3)) if kind == lang.ENUM
+                 else lang._ARITY[kind])
+        lits.append(lang.Literal(kind, tuple(draw(_VARS)
+                                             for _ in range(arity))))
+    lits.insert(draw(st.integers(0, len(lits))),
+                lang.Literal(lang.NOT_FINITE, (draw(_VARS),)))
+    return lang.Formula(tuple(lits))
+
+
+def _assert_pumps(cert):
+    """The certificate extended 0-3 rounds: all five reports ok, and verify
+    passes."""
+    for rounds in range(4):
+        ext = m.extend_certificate(cert, rounds)
+        assert ext.pumped.ok, (rounds, ext.pumped.failing())
+        report = m.verify_certificate(json.loads(ext.dumps()))
+        assert report.ok, (rounds, str(report))
+
+
+@given(infinite_formulas())
+@settings(max_examples=150, deadline=None)
+def test_decided_certificates_pump_and_verify(formula):
+    result = m.decide(formula, m.SearchBudget(max_rank=3, max_universe=3))
+    if result.verdict == m.SAT_WITNESSED:
+        _assert_pumps(result.certificate)
+
+
+def _certified(instance):
+    """The certificate `certify_witness` issues, or None when it refuses."""
+    try:
+        return m.certify_witness(*instance)
+    except m.MlsspfError:
+        return None
+
+
+@given(st.integers(0, 199), st.integers(1, 3))
+@settings(max_examples=25, deadline=None)
+def test_wide_certificates_pump_and_verify(seed, infinite):
+    cert = _certified(wide_instance(seed, infinite))
+    if cert is not None:
+        _assert_pumps(cert)
+
+
+@functools.cache
+def _certified_instances():
+    """Every certificate of `wide_instance(seed, 1-3)` for seeds 0-199 and
+    of the witness family."""
+    instances = [wide_instance(seed, infinite) for infinite in (1, 2, 3)
+                 for seed in range(200)] + witness_family()
+    return [cert for cert in map(_certified, instances) if cert is not None]
+
+
+def test_identity_extension_passes_every_report():
+    # Zero rounds copy the process onto itself: a report that fails there
+    # states its condition wrongly.
+    certs = _certified_instances()
+    for cert in certs:
+        pumped = m.extend_certificate(cert, 0).pumped
+        assert pumped.ok, (cert.formula.render(), pumped.failing())
+    # 65, 28 and 13 wide instances with 1, 2 and 3 !Finite literals, and
+    # the 13 of the family.
+    assert len(certs) == 119

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 from pathlib import Path
@@ -9,15 +10,17 @@ from hypothesis import strategies as st
 import mlsspf as m
 from mlsspf import hf, lang
 from mlsspf.certificate import (PumpingCycle, PumpingEvent, _fill_stages,
-                                _latest_starts, _start_window)
-from mlsspf.errors import (CardinalityDeficit, CoverMissesVariable,
-                           NoClosedCover, NoEvent, NotAWitness)
+                                _latest_starts, _pumped_extension,
+                                _start_window)
+from mlsspf.errors import (CoverMissesVariable, NoClosedCover, NoEvent,
+                           NotAWitness)
 from mlsspf.process import FormativeProcess
 from mlsspf.pumping import _CycleIndex, pump_rounds
 
 from conftest import (chain, last_stage_weak, rand_colored_board,
-                      rand_partition, rand_transitive_universe, walk_cycles,
-                      wide_instance, witness_family)
+                      rand_partition, rand_transitive_universe,
+                      union_pick_allowed, walk_cycles, wide_instance,
+                      witness_family)
 from pumping_sweeps import (cycle_blocks_filled_sweep, cycle_ge_all_nodes,
                             cycle_ge_sweep, find_pumping_cycles_scan)
 
@@ -257,11 +260,18 @@ def test_negative_rounds_are_rejected(ex1):
 
 
 def test_pump_one_round_matches_expected_blocks(ex1):
+    # From stage 3, where place q holds B and the unused seed C, the seed
+    # and the block assemble only {C} and the block's union {B, C}: too few
+    # for a restoring step that keeps both picks off the union.  A warm-up
+    # adds D = {C} as surplus; the round then restores with {D} and adds
+    # {B, D} as surplus.
     cert = m.certify_witness(ex1.formula, ex1.assignment)
-    pumped, overlay, _, _ = pump_rounds(ex1.process, cert.event, 1)
-    t1 = m.make_set([C])
-    snapshot = m.make_set([B, C])
-    assert pumped.final_blocks()[ex1.q] == frozenset([B, C, t1, snapshot])
+    pumped, overlay, warmups, _ = pump_rounds(ex1.process, cert.event, 1)
+    d = m.make_set([C])
+    t1 = m.make_set([d])
+    assert warmups == 1
+    assert pumped.final_blocks()[ex1.q] == frozenset(
+        [B, C, d, t1, m.make_set([B, d])])
     assert overlay.minus_at(pumped.xi, ex1.q) == frozenset([B, t1])
     assert pumped.final_blocks()[ex1.p] == frozenset([A])
     assert last_stage_weak(ex1.process, ex1.board, cert.event.i0, pumped,
@@ -305,8 +315,10 @@ def test_pump_validates_as_weak_process(ex1):
 
 def test_pump_warms_up_before_it_can_restore():
     # One place holding {0, {0}}, pumped from stage 1 with the seed 0: the
-    # seed and the block {0} assemble only {0}, too few for a restoring
-    # round, so a surplus-only warm-up round runs first.
+    # seed and the block {0} assemble only {0}, the block's union, and then
+    # the seed {0} and the block {0, {0}} only {{0}} and the union: too few
+    # for a restoring round that keeps both picks off the union, so two
+    # surplus-only warm-up rounds run first.
     partition = m.Partition([[A, B]])
     proc = m.synthesize_process(partition)
     board = m.induced_board(partition)
@@ -315,10 +327,10 @@ def test_pump_warms_up_before_it_can_restore():
     cover = m.closed_cover(proc, board, cycle)
     pumped, overlay, warmups, boundaries = pump_rounds(
         proc, PumpingEvent(0, 1, cycle), 1)
-    assert warmups == 1
-    warmup = boundaries[0] - 1
-    assert not overlay.delta_minus(warmup, 0)
-    assert overlay.delta_surplus(pumped, warmup, 0)
+    assert warmups == 2
+    for boundary in boundaries[:warmups]:
+        assert not overlay.delta_minus(boundary - 1, 0)
+        assert overlay.delta_surplus(pumped, boundary - 1, 0)
     assert last_stage_weak(proc, board, 1, pumped, overlay, cover).ok
     assert m.validate_overlay(pumped, overlay).ok
 
@@ -414,25 +426,34 @@ def test_verify_reports_a_ragged_process_without_history_targets(ex1):
     assert "embedded process validates" in failed
 
 
-# Certified wide seeds whose one-round extension fails the upward and
-# imitation reports, but passes the weak-imitation and literal-transfer
-# ones, which were all that verify read of the five.
-UPWARD_FAILURES = (11, 27, 38, 48, 51, 71, 72, 75, 112, 145, 148, 174)
+# Certified wide seeds whose one-round extension failed the upward and
+# imitation reports while pow-nodes were read off the powerset's target.
+POW_FAILURES = (11, 27, 38, 48, 51, 71, 72, 75, 112, 145, 148, 174)
+# The seed whose one-round extension fails when the pump may place the
+# restoring step's node union as surplus (`union_pick_allowed`).
+UNION_PICK_FAILURES = (33,)
 
 
-@pytest.mark.parametrize("seed", UPWARD_FAILURES + (12,))
+@pytest.mark.parametrize("seed", POW_FAILURES + UNION_PICK_FAILURES + (12,))
 def test_verify_reads_the_pumped_verdict(seed):
-    ext = m.extend_certificate(m.certify_witness(*wide_instance(seed)), 1)
-    p = ext.pumped
-    five = all(r.ok for r in (p.weak_report, p.segment_report,
-                              p.upward_report, p.imitation_report,
-                              p.transfer_report))
-    assert p.ok == five == (seed == 12)
-    rep = m.verify_certificate(json.loads(ext.dumps()))
-    assert rep.ok == five, str(rep)
-    if not five:
-        assert [(i.check, i.detail) for i in rep.failures()] == [
-            ("pumped extension holds", "upward, imitation")]
+    # verify's verdict on a pumped certificate is the prover's five
+    # reports: a clean pump passes, and one that a faulty pump issues
+    # fails the pumped verdict alone, naming the failing reports.
+    cert = m.certify_witness(*wide_instance(seed))
+    for pump in (contextlib.nullcontext, union_pick_allowed):
+        with pump():
+            ext = m.extend_certificate(cert, 1)
+        p = ext.pumped
+        five = all(r.ok for r in (p.weak_report, p.segment_report,
+                                  p.upward_report, p.imitation_report,
+                                  p.transfer_report))
+        assert p.ok == five == (pump is contextlib.nullcontext
+                                or seed not in UNION_PICK_FAILURES)
+        rep = m.verify_certificate(json.loads(ext.dumps()))
+        assert rep.ok == five, str(rep)
+        if not five:
+            assert [(i.check, i.detail) for i in rep.failures()] == [
+                ("pumped extension holds", "weakImitation, upward")]
 
 
 def test_cycle_validate_stops_at_a_shape_mismatch(ex1):
@@ -446,26 +467,42 @@ def test_cycle_validate_stops_at_a_shape_mismatch(ex1):
 PREMISE_TARGETS = "premise: final stages have the same targets"
 
 
+def _assembly_moved_in(cert, p):
+    """The pumped extension recomputed on its process with the last stage
+    given, at place 0, the union of the final blocks: an assembly of the
+    node of all places, which makes place 0 a target of that node if it
+    was none."""
+    cand = p.process
+    last = cand.final_blocks()
+    union = m.make_set(cand.final_universe)
+    forged = FormativeProcess(
+        stages=cand.stages[:-1] + ((last[0] | {union},) + last[1:],),
+        trace=cand.trace, weak=True)
+    return _pumped_extension(cert, p.rounds, forged, p.overlay, p.witness,
+                             p.warmups, p.round_boundaries,
+                             m.DEFAULT_LIMITS)
+
+
 def test_targets_premise_is_imitation_item_1():
     # The premise reads imitation item (1); the reference is the comparison
     # it replaces, the board's targets against those of the board the
-    # candidate's final blocks induce.  Both values occur.
-    seen = set()
+    # candidate's final blocks induce.  Every pump keeps the targets, so
+    # the false value comes from a forged candidate.
+    seen = []
     instances = [wide_instance(seed) for seed in CERTIFIED_WIDE]
     for formula, assignment in instances + witness_family():
         cert = m.certify_witness(formula, assignment)
         board = m.canonical_board(formula, cert.assignment)[2]
         for rounds in range(4):
-            try:
-                p = m.extend_certificate(cert, rounds).pumped
-            except m.MlsspfError:
-                continue
-            induced = m.induced_board(m.Partition(p.process.final_blocks()))
-            want = dict(board.targets) == dict(induced.targets)
-            assert [i.ok for i in p.upward_report.items
-                    if i.check == PREMISE_TARGETS] == [want]
-            seen.add(want)
-    assert seen == {True, False}
+            p = m.extend_certificate(cert, rounds).pumped
+            for q in (p, _assembly_moved_in(cert, p)):
+                induced = m.induced_board(
+                    m.Partition(q.process.final_blocks()))
+                want = dict(board.targets) == dict(induced.targets)
+                assert [i.ok for i in q.upward_report.items
+                        if i.check == PREMISE_TARGETS] == [want]
+                seen.append((q is p, want))
+    assert set(seen) == {(True, True), (False, False)}
 
 
 @pytest.mark.parametrize("field,value", [("i0", 999), ("q0", 99)])
@@ -548,18 +585,14 @@ def test_witness_family_all_certifiable():
         assert cert.event_report.ok, formula.render()
 
 
-@pytest.mark.xfail(strict=True, raises=CardinalityDeficit,
-                   reason="known soundness gap: decide certifies these "
-                          "witnesses, but their events cannot be pumped")
 @pytest.mark.parametrize("text", ["!Finite(x) & x in w",
                                   "!y <= w & !Finite(w)"])
 def test_decided_certificate_pumps_one_round(text):
     r = m.decide(m.parse(text), m.SearchBudget(max_rank=3, max_universe=3))
     assert r.verdict == m.SAT_WITNESSED
     ext = m.extend_certificate(r.certificate, 1)
-    assert ext.pumped.weak_report.ok
-    assert ext.pumped.transfer_report.ok
-    assert ext.pumped.upward_report.ok
+    assert ext.pumped.ok
+    assert m.verify_certificate(json.loads(ext.dumps())).ok
 
 
 def _certify_oracle(formula, assignment, limits=m.DEFAULT_LIMITS):

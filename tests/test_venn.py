@@ -73,12 +73,19 @@ def test_color_board_finite_rule(ex1):
 
 
 def test_color_board_pow_rule_downward_closure():
+    # The pow-nodes of u = Pow(w) are the nodes under the region of the
+    # argument w: an assembly of their blocks is a subset of w, so u must
+    # hold it.  The region of u plays no part.
     f = m.parse("u = Pow(w)")
     core = m.induced_board(m.Partition([[A], [B]]))
-    im = m.ImMap({"u": [0, 1], "w": []})
-    board = m.color_board(core, f, im)
-    assert board.pow_nodes == frozenset(
-        [frozenset(), frozenset([0]), frozenset([1]), frozenset([0, 1])])
+    for u in ([], [0], [0, 1]):
+        im = m.ImMap({"u": u, "w": [0, 1]})
+        board = m.color_board(core, f, im)
+        assert board.pow_nodes == frozenset(
+            [frozenset(), frozenset([0]), frozenset([1]), frozenset([0, 1])])
+    im = m.ImMap({"u": [0, 1], "w": [1]})
+    assert m.color_board(core, f, im).pow_nodes == frozenset(
+        [frozenset(), frozenset([1])])
 
 
 def test_transitivize_examples():

@@ -18,20 +18,14 @@ from hypothesis import strategies as st
 import mlsspf as m
 from mlsspf import hf
 
-from conftest import chain, wide_instance, witness_family
+from conftest import (chain, union_pick_allowed, wide_instance,
+                      witness_family, x_in_w)
 from make_golden import WIDE_SEEDS
 
 GOLDEN = Path(__file__).parent / "golden"
 CERTIFIED_WIDE = [e["seed"] for e in json.loads(
     (GOLDEN / "certified_wide.json").read_text())["entries"]
     if ":" not in e["outcome"]]
-
-
-def _pumped(cert, rounds):
-    try:
-        return m.extend_certificate(cert, rounds)
-    except m.MlsspfError:
-        return None
 
 
 @functools.cache
@@ -47,15 +41,12 @@ def _family_certificates():
 
 @functools.cache
 def _wide_certificates():
-    """The certified `wide_instance` seeds unpumped, and pumped one round
-    where the pump does not raise, as (certificate, JSON text)."""
+    """The certified `wide_instance` seeds unpumped and pumped one round,
+    as (certificate, JSON text)."""
     out = []
     for seed in CERTIFIED_WIDE:
         cert = m.certify_witness(*wide_instance(seed))
-        out.append(cert)
-        ext = _pumped(cert, 1)
-        if ext is not None:
-            out.append(ext)
+        out += [cert, m.extend_certificate(cert, 1)]
     return [(cert, cert.dumps()) for cert in out]
 
 
@@ -73,43 +64,40 @@ def _decided_certificates():
     return [(cert, cert.dumps()) for cert in out]
 
 
-# The item a pumped process that does not validate fails, as some that
-# the pump issues on wide boards do, besides the pumped verdict.  Their
-# overlays validate: the overlay items read the split, and the typing of
-# its deltas is the process's own.
-INVALID_PUMP = [("pumped process validates as a weak process", "")]
+@functools.cache
+def _faulty_certificates():
+    """`x_in_w` and `wide_instance(33)` pumped one round by the pump that
+    may place the restoring step's node union as surplus
+    (`union_pick_allowed`), as (certificate, JSON text)."""
+    with union_pick_allowed():
+        out = [m.extend_certificate(m.certify_witness(*instance), 1)
+               for instance in (x_in_w(), wide_instance(33))]
+    return [(cert, cert.dumps()) for cert in out]
 
 
 @pytest.mark.parametrize("certificates", [
-    _family_certificates, _wide_certificates, _decided_certificates],
-    ids=["family", "wide", "decided"])
+    _family_certificates, _wide_certificates, _decided_certificates,
+    _faulty_certificates], ids=["family", "wide", "decided", "faulty"])
 def test_verdict_is_the_provers_verdict(certificates):
     # The checker passes a certificate the prover issued exactly when the
     # prover's pumped verdict holds, and otherwise fails the pumped
-    # verdict's item with the same detail, and the validation items only
-    # where the pumped process does not validate.
+    # verdict's item alone, with the same detail.  Every issued certificate
+    # pumps; those of a faulty pump do not.
     failed = []
     for cert, text in certificates():
         want = []
-        if cert.pumped is not None:
-            if not cert.pumped.ok:
-                want = [("pumped extension holds",
-                         ", ".join(cert.pumped.failing()))]
-            if not m.validate_process(cert.pumped.process).ok:
-                want = INVALID_PUMP + want
+        if cert.pumped is not None and not cert.pumped.ok:
+            want = [("pumped extension holds",
+                     ", ".join(cert.pumped.failing()))]
         got = [(i.check, i.detail)
                for i in m.verify_certificate(json.loads(text)).failures()]
         assert got == want, cert.formula.render()
         failed.append(tuple(want))
     if certificates is _wide_certificates:
-        # 64 certificates, 54 of which pump: 25 cleanly, 12 failing the
-        # upward and imitation reports, 13 with a pumped process that does
-        # not validate and 4 failing other reports.
-        assert len(failed) == 64 + 54
-        assert failed.count(()) == 64 + 25
-        assert failed.count((("pumped extension holds",
-                              "upward, imitation"),)) == 12
-        assert sum(1 for f in failed if f[:1] == tuple(INVALID_PUMP)) == 13
+        # 65 certified seeds, each pumped one round.
+        assert len(failed) == 65 + 65
+    if certificates is _faulty_certificates:
+        assert all(failed)
     else:
         assert not any(failed)
 
@@ -259,14 +247,12 @@ def test_verify_fails_a_tampered_certificate_without_the_prover(data):
 @functools.cache
 def _golden_certificates():
     """The certificates of the four golden files: the witness family pumped
-    1-3 rounds, the pumped wide seeds that pump, the certified wide seeds
-    and the decide corpus's SatWitnessed certificates."""
+    1-3 rounds, the pumped wide seeds, the certified wide seeds and the
+    decide corpus's SatWitnessed certificates."""
     out = [m.extend_certificate(m.certify_witness(formula, assignment), k)
            for formula, assignment in witness_family() for k in (1, 2, 3)]
-    for seed in WIDE_SEEDS:
-        ext = _pumped(m.certify_witness(*wide_instance(seed)), 1)
-        if ext is not None:
-            out.append(ext)
+    out += [m.extend_certificate(m.certify_witness(*wide_instance(seed)), 1)
+            for seed in WIDE_SEEDS]
     out += [m.certify_witness(*wide_instance(seed)) for seed in CERTIFIED_WIDE]
     out += [cert for cert, _ in _decided_certificates()[::2]]
     return out
@@ -284,10 +270,9 @@ def test_extending_a_loaded_certificate_extends_the_original():
     for cert in _golden_certificates():
         base = m.WitnessCertificate.from_json(json.loads(cert.dumps()))
         for rounds in (1, 2):
-            want, got = _pumped(cert, rounds), _pumped(base, rounds)
-            assert (got is None) == (want is None)
-            if want is not None:
-                assert got.dumps() == want.dumps()
+            want = m.extend_certificate(cert, rounds)
+            got = m.extend_certificate(base, rounds)
+            assert got.dumps() == want.dumps()
 
 
 # --- claims whose recomputation the checker refuses ------------------------
@@ -367,11 +352,18 @@ def _closed_set_grown(data):
     data["pumped"]["witness"]["closedSet"].append(1)
 
 
+def _infinite_x():
+    """`!Finite(x)` and its witness x = {{0}, {{0}}, {{{0}}}} (0 meaning
+    {}), whose event starts at stage 4 at place 1, which holds x."""
+    return witness_family()[6]
+
+
 def _used_seed(data):
-    # At the start stage 2 of `w in x & !Finite(x)`, place 0 holds {} and
-    # the seed {{}}; {} is a member of {{}}, so it is no unused seed.  The
+    # At the start stage of `_infinite_x`, the event's place holds the seed
+    # {{{0}}} and {0}, which is a member of {{0}}, so no unused seed.  The
     # two trade sides in every stage of the overlay.
-    q0, seed, used = data["event"]["q0"], [[]], []
+    assert (data["event"]["i0"], data["event"]["q0"]) == (4, 1)
+    q0, seed, used = 1, [[[[]]]], [[]]
     for part, old, new in (("minus", used, seed), ("surplus", seed, used)):
         for stage in data["pumped"]["overlay"][part]:
             if old in stage[q0] and new not in stage[q0]:
@@ -524,10 +516,16 @@ def _final_binding_changed(data):
     data["pumped"]["finalAssignment"]["w"] = [FRESH]
 
 
-def _as_issued(data):
-    # wide_instance(11) pumps one round but fails the upward and imitation
-    # reports: the certificate as the prover issues it.
-    pass
+def _union_picked_as_surplus(data):
+    # The certificate pumped again, by the pump that may place the
+    # restoring step's node union as surplus (`union_pick_allowed`): on
+    # `x_in_w` at one round it fails weak item (b), and so the upward
+    # report, and nothing else.
+    base = m.WitnessCertificate.from_json(
+        {key: value for key, value in data.items() if key != "pumped"})
+    with union_pick_allowed():
+        forged = m.extend_certificate(base, data["pumped"]["rounds"])
+    data.update(json.loads(forged.dumps()))
 
 
 # id, instance, rounds (None: unpumped), forgery, the one item it fails.
@@ -572,7 +570,7 @@ FORGERIES = [
      "pumped overlay validates from the event's stage"),
     ("surplus record grown", _w_in_x, 1, _surplus_record_grown,
      "pumped overlay records its surplus parts"),
-    ("used seed", _w_in_x, 1, _used_seed,
+    ("used seed", _infinite_x, 1, _used_seed,
      "pumped overlay starts from an unused seed of the event's place"),
     *[(f"closed set {rounds}", _w_in_x, rounds, _closed_set_grown,
        "pumped stage map copies the process from the last round")
@@ -586,7 +584,7 @@ FORGERIES = [
      "pumped reports are recomputed"),
     ("final binding changed", _w_in_x, 1, _final_binding_changed,
      "pumped final assignment is the transferred assignment"),
-    ("as issued", functools.partial(wide_instance, 11), 1, _as_issued,
+    ("union picked as surplus", x_in_w, 1, _union_picked_as_surplus,
      "pumped extension holds"),
 ]
 
@@ -820,14 +818,15 @@ def test_verify_enters_no_prover_step():
     # Stronger than switching the prover's public functions off: no frame
     # of any function of `pumping`, nested ones included, nor of a prover
     # step elsewhere, is entered while verifying the witness family
-    # unpumped and pumped 1-3 rounds and ten pumped wide seeds, which hold
-    # the pumped goldens.  A definition the checker shares with the prover
-    # must not pull a step of the prover in.
+    # unpumped and pumped 1-3 rounds and the wide seeds of the pumped
+    # goldens pumped one round, which hold the pumped goldens.  A
+    # definition the checker shares with the prover must not pull a step
+    # of the prover in.
     texts = [text for cert, text in _family_certificates()
              if cert.pumped is None or cert.pumped.rounds != 0]
-    texts += [text for cert, text in _wide_certificates()
-              if cert.pumped is not None][:10]
-    assert len(texts) == 62
+    texts += [m.extend_certificate(m.certify_witness(*wide_instance(seed)),
+                                   1).dumps() for seed in WIDE_SEEDS]
+    assert len(texts) == 52 + 8
     assert {cert.dumps() for cert in _golden_certificates()
             if cert.pumped is not None} <= set(texts)
     prover_file, steps = _prover_steps()

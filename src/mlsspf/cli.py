@@ -123,6 +123,10 @@ def cmd_board(args):
 
 
 def cmd_process(args):
+    flag, path = (("-m", args.model) if args.action == "synth"
+                  else ("-p", args.process))
+    if path is None:
+        raise ValueError(f"process {args.action} needs {flag}")
     if args.action == "synth":
         model = _read_transitive_model(args.model)
         partition, _ = venn_partition(model)

@@ -172,8 +172,7 @@ class FormativeProcess:
                 for stage in self.stages
             ],
             "trace": [sorted(a) for a in self.trace],
-            "historyTargets": [sorted(t, key=_scalar_key)
-                               for t in self.history_targets],
+            "historyTargets": [sorted(t) for t in self.history_targets],
             "weak": self.weak,
         }
 
@@ -181,41 +180,29 @@ class FormativeProcess:
     def from_json(data, decode=None) -> "FormativeProcess":
         """The process of `to_json`'s form; `decode` is the `hf.Decoder` of
         the document it is part of, else a fresh one."""
-        # History targets are only compared and looked up, so their entries
-        # are read as given; only a list or object, which no set can hold,
-        # is refused.
         expect, decode = hf.expect_json, decode or hf.Decoder()
         stages = []
         for stage in expect(expect(data, dict, "a process")["stages"], list,
                             "stages"):
             stages.append(tuple(
                 decode.block(b) for b in expect(stage, list, "a stage")))
-        trace = expect(data["trace"], list, "a trace")
-        targets = [expect(t, list, "a step's history targets") for t in expect(
-            data.get("historyTargets", []), list, "history targets")]
-        if any(isinstance(q, (list, dict)) for t in targets for q in t):
-            raise ValueError("a history target must be a JSON scalar")
         return FormativeProcess(
             stages=tuple(stages),
-            trace=tuple(frozenset(expect(q, int, "a trace place")
-                                  for q in expect(a, list, "a trace node"))
-                        for a in trace),
-            history_targets=tuple(frozenset(t) for t in targets),
+            trace=_json_nodes(data["trace"], "trace"),
+            history_targets=_json_nodes(data.get("historyTargets", []),
+                                        "history targets"),
             weak=expect(data.get("weak", False), bool, "weak"),
         )
 
 
-def _scalar_key(v):
-    """Sorts the JSON scalars `from_json` accepts as history targets: null,
-    booleans, numbers (NaN last), then strings, each group by value, so
-    all-int targets sort as ints."""
-    if v is None:
-        return (0,)
-    if isinstance(v, bool):
-        return (1, v)
-    if isinstance(v, (int, float)):
-        return (2, v != v, v if v == v else 0)
-    return (3, v)
+def _json_nodes(data, what) -> tuple:
+    """A JSON list of lists of place integers, such as a process's trace
+    or its history targets, as a tuple of frozensets."""
+    expect = hf.expect_json
+    return tuple(
+        frozenset(expect(q, int, f"a place of the {what}")
+                  for q in expect(node, list, f"a node of the {what}"))
+        for node in expect(data, list, f"the {what}"))
 
 
 def validate_process(proc: FormativeProcess) -> Report:

@@ -83,12 +83,12 @@ def test_process_synth_validate_round_trip(files, capsys):
 
 
 @pytest.mark.parametrize("targets,code", [
-    (None, 1), ([], 1), (5, 3), ([5], 3), ([[[1]]], 3)],
-    ids=["absent", "empty", "int", "int list", "nested"])
+    (None, 1), ([], 1), (5, 3), ([5], 3), ([[[1]]], 3), ([["a"]], 3)],
+    ids=["absent", "empty", "int", "int list", "nested", "string"])
 def test_validate_ragged_or_malformed_process(files, capsys, targets, code):
     # ex1's process with its last stage cut to one block: without history
     # targets it fails the shape item (1) instead of raising IndexError,
-    # and targets that are no list of lists of scalars are bad input (3).
+    # and targets that are no list of lists of places are bad input (3).
     out = files / "proc.json"
     assert run_cli(["process", "synth", "-m", str(files / "model.json"),
                     "--json", str(out)]) == 0
@@ -217,15 +217,34 @@ def test_pump_negative_rounds_is_input_error(files, monkeypatch):
     assert not out.exists()
 
 
-def test_pump_internal_failure_exit_code(tmp_path, capsys):
-    # decide's certificate for this formula loads and checks, but
-    # cannot be pumped yet (a known soundness gap): that is not bad input.
+def test_pump_internal_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # decide's certificate for this formula loads and checks; a pump that
+    # fails on it (forged here: every issued certificate pumps) is the
+    # library's failure, not bad input.
     r = m.decide(m.parse("!Finite(x) & x in w"),
                  m.SearchBudget(max_rank=3, max_universe=3))
     cert = tmp_path / "cert.json"
     cert.write_text(r.certificate.dumps())
+    assert run_cli(["pump", "-c", str(cert), "--rounds", "1"]) == 0
+
+    def pump_fails(*args):
+        raise m.CardinalityDeficit("forged: no fresh element to restore")
+
+    monkeypatch.setattr("mlsspf.cli.extend_certificate", pump_fails)
+    capsys.readouterr()
     assert run_cli(["pump", "-c", str(cert), "--rounds", "1"]) == 4
-    assert "already placed" in capsys.readouterr().err
+    assert "forged: no fresh element" in capsys.readouterr().err
+
+
+def test_process_without_its_input_is_bad_input(capsys):
+    # `process synth` reads a model (-m) and `process validate` a process
+    # (-p); either one missing is bad input (exit 3), not a traceback.
+    for argv, flag in ((["process", "synth"], "-m"),
+                       (["process", "validate"], "-p")):
+        assert run_cli(argv) == 3
+        err = capsys.readouterr().err
+        assert f"needs {flag}" in err
+        assert "Traceback" not in err
 
 
 def test_decide_exit_codes(files, tmp_path):

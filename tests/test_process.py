@@ -288,8 +288,7 @@ def test_landing_reads_history_targets_only():
     data = json.loads(m.certify_witness(formula, assignment).dumps())
     full = FormativeProcess.from_json(data["process"])
     second = full.delta(1, 0)
-    for targets, placed in (([[7], [0]], second), ([["a"], [0]], second),
-                            ([[], []], frozenset())):
+    for targets, placed in (([[7], [0]], second), ([[], []], frozenset())):
         data["process"]["historyTargets"] = targets
         proc = FormativeProcess.from_json(data["process"])
         assert set(proc.landing) == placed
@@ -308,20 +307,21 @@ def test_process_json_round_trip(ex1):
     assert back.to_json() == data
 
 
-def test_process_json_round_trip_with_scalar_history_targets(ex1):
-    # from_json reads history targets as given, so to_json sorts any JSON
-    # scalars among them; all-int targets sort as ints, as before.
+def test_process_json_reads_history_targets_as_places(ex1):
+    # History targets are place integers, as trace nodes are: any other
+    # JSON value is refused (ValueError, bad input), and integers sort as
+    # integers.
     data = ex1.process.to_json()
-    for targets, written in (
-            ([["a", 0, None, True, 2.5], [1, "b", "a"], []],
-             [[None, True, 0, 2.5, "a"], [1, "a", "b"], []]),
-            ([[10, 2, 0], [1], [1]], [[0, 2, 10], [1], [1]])):
-        data["historyTargets"] = targets
-        proc = FormativeProcess.from_json(data)
-        assert proc.to_json()["historyTargets"] == written
-        back = FormativeProcess.from_json(proc.to_json())
-        assert back.history_targets == proc.history_targets
-        assert back.to_json() == proc.to_json()
+    for bad in ("a", None, True, 2.5, [0], {}):
+        data["historyTargets"] = [[bad], [1], [1]]
+        with pytest.raises(ValueError, match="history targets"):
+            FormativeProcess.from_json(data)
+    data["historyTargets"] = [[10, 2, 0], [1], [1]]
+    proc = FormativeProcess.from_json(data)
+    assert proc.to_json()["historyTargets"] == [[0, 2, 10], [1], [1]]
+    back = FormativeProcess.from_json(proc.to_json())
+    assert back.history_targets == proc.history_targets
+    assert back.to_json() == proc.to_json()
 
 
 # Oracles: grand events from building each node's union and looking it up,

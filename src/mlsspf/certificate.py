@@ -24,7 +24,8 @@ from .limits import DEFAULT_LIMITS, Limits
 from .msrefine import (ImitationWitness, MsOverlay, _surplus_sinks,
                        check_segment_imitation, check_upward_premises,
                        check_weak_imitation, validate_overlay)
-from .process import FormativeProcess, is_closed, validate_process
+from .process import (FormativeProcess, _json_nodes, _json_places, is_closed,
+                      validate_process)
 from .relations import (BlockBijection, imitates, literal_transfer_report,
                         transfer_assignment)
 from .report import Report, ReportBuilder
@@ -78,15 +79,8 @@ class PumpingCycle:
     @staticmethod
     def from_json(data) -> "PumpingCycle":
         data = hf.expect_json(data, dict, "a cycle")
-        nodes = hf.expect_json(data["nodes"], list, "cycle nodes")
-        return PumpingCycle(
-            nodes=tuple(frozenset(_json_places(c, "a node")) for c in nodes),
-            places=_json_places(data["places"], "cycle places"))
-
-
-def _json_places(data, what) -> tuple:
-    return tuple(hf.expect_json(q, int, f"a place of {what}")
-                 for q in hf.expect_json(data, list, what))
+        return PumpingCycle(nodes=_json_nodes(data["nodes"], "cycle nodes"),
+                            places=_json_places(data["places"], "cycle places"))
 
 
 @dataclass(frozen=True)

@@ -188,21 +188,24 @@ class FormativeProcess:
                 decode.block(b) for b in expect(stage, list, "a stage")))
         return FormativeProcess(
             stages=tuple(stages),
-            trace=_json_nodes(data["trace"], "trace"),
+            trace=_json_nodes(data["trace"], "the trace"),
             history_targets=_json_nodes(data.get("historyTargets", []),
-                                        "history targets"),
+                                        "the history targets"),
             weak=expect(data.get("weak", False), bool, "weak"),
         )
+
+
+def _json_places(data, what) -> tuple:
+    """A JSON list of place integers, as a tuple."""
+    return tuple(hf.expect_json(q, int, f"a place of {what}")
+                 for q in hf.expect_json(data, list, what))
 
 
 def _json_nodes(data, what) -> tuple:
     """A JSON list of lists of place integers, such as a process's trace
     or its history targets, as a tuple of frozensets."""
-    expect = hf.expect_json
-    return tuple(
-        frozenset(expect(q, int, f"a place of the {what}")
-                  for q in expect(node, list, f"a node of the {what}"))
-        for node in expect(data, list, f"the {what}"))
+    return tuple(frozenset(_json_places(node, f"a node of {what}"))
+                 for node in hf.expect_json(data, list, what))
 
 
 def validate_process(proc: FormativeProcess) -> Report:

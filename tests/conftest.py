@@ -214,21 +214,14 @@ def witness_family():
     return [(m.parse(text), m.Assignment(binding)) for text, binding in out]
 
 
-def x_in_w():
-    """`!Finite(x) & x in w` and the model `decide` finds for it at rank 3
-    and universe 3: w = {0, {{0}}}, x = {{0}} (0 meaning {})."""
-    e = chain(2)
-    return (m.parse("!Finite(x) & x in w"),
-            m.Assignment({"w": m.make_set([e[0], e[2]]), "x": e[2]}))
-
-
 @contextlib.contextmanager
 def union_pick_allowed():
     """The pump with no node union to keep off its restoring step's picks,
     so that it may place the step node's union as surplus, which weak item
     (b) requires to stay undistributed: a faulty prover, whose certificates
     hold every claim but the pumped verdict on some instances, such as
-    `x_in_w` and `wide_instance(33)` at one round."""
+    `!Finite(x) & x in w` on w = {0, {{0}}}, x = {{0}} (0 meaning {}) and
+    `wide_instance(33)` at one round."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("mlsspf.pumping.node_union", lambda blocks, node: None)
         yield

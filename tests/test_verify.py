@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 import mlsspf as m
 from mlsspf import hf
 
-from conftest import (chain, union_pick_allowed, wide_instance,
-                      witness_family, x_in_w)
+from conftest import (Ex1, chain, union_pick_allowed, wide_instance,
+                      witness_family)
 from make_golden import WIDE_SEEDS
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -64,14 +64,22 @@ def _decided_certificates():
     return [(cert, cert.dumps()) for cert in out]
 
 
+def _x_in_w():
+    """`!Finite(x) & x in w` and the model `decide` finds for it at rank 3
+    and universe 3: w = {0, {{0}}}, x = {{0}} (0 meaning {})."""
+    e = chain(2)
+    return (m.parse("!Finite(x) & x in w"),
+            m.Assignment({"w": m.make_set([e[0], e[2]]), "x": e[2]}))
+
+
 @functools.cache
 def _faulty_certificates():
-    """`x_in_w` and `wide_instance(33)` pumped one round by the pump that
+    """`_x_in_w` and `wide_instance(33)` pumped one round by the pump that
     may place the restoring step's node union as surplus
     (`union_pick_allowed`), as (certificate, JSON text)."""
     with union_pick_allowed():
         out = [m.extend_certificate(m.certify_witness(*instance), 1)
-               for instance in (x_in_w(), wide_instance(33))]
+               for instance in (_x_in_w(), wide_instance(33))]
     return [(cert, cert.dumps()) for cert in out]
 
 
@@ -519,7 +527,7 @@ def _final_binding_changed(data):
 def _union_picked_as_surplus(data):
     # The certificate pumped again, by the pump that may place the
     # restoring step's node union as surplus (`union_pick_allowed`): on
-    # `x_in_w` at one round it fails weak item (b), and so the upward
+    # `_x_in_w` at one round it fails weak item (b), and so the upward
     # report, and nothing else.
     base = m.WitnessCertificate.from_json(
         {key: value for key, value in data.items() if key != "pumped"})
@@ -584,7 +592,7 @@ FORGERIES = [
      "pumped reports are recomputed"),
     ("final binding changed", _w_in_x, 1, _final_binding_changed,
      "pumped final assignment is the transferred assignment"),
-    ("union picked as surplus", x_in_w, 1, _union_picked_as_surplus,
+    ("union picked as surplus", _x_in_w, 1, _union_picked_as_surplus,
      "pumped extension holds"),
 ]
 
@@ -618,11 +626,7 @@ def _forged_process(proc, **fields):
 # `ex1` fixture synthesizes it: stages (), ({A}), ({A}, {B}),
 # ({A}, {B, C}) over places 0 and 1 from the trace (), (0), (1).
 A, B, C = chain(2)
-EX1_STAGES = ((frozenset(), frozenset()), (frozenset([A]), frozenset()),
-              (frozenset([A]), frozenset([B])),
-              (frozenset([A]), frozenset([B, C])))
-EX1 = m.FormativeProcess(stages=EX1_STAGES,
-                         trace=(frozenset(), frozenset([0]), frozenset([1])))
+EX1 = Ex1().process
 
 
 def _coherence_broken():
@@ -644,27 +648,27 @@ PROCESS_FORGERIES = [
      lambda: _forged_process(EX1, history_targets=EX1.history_targets[:2]),
      "shape: history targets: one per step"),
     ("last stage cut",
-     lambda: _forged_process(EX1, stages=EX1_STAGES[:-1]
+     lambda: _forged_process(EX1, stages=EX1.stages[:-1]
                              + ((frozenset([A]),),)),
      "shape: every stage has a block per place"),
     ("trace off the places",
      lambda: _forged_process(EX1, trace=EX1.trace[:-1] + (frozenset([5]),)),
      "shape: trace nodes name places of the process"),
     ("element in two blocks",
-     lambda: _forged_process(EX1, stages=EX1_STAGES[:-1]
+     lambda: _forged_process(EX1, stages=EX1.stages[:-1]
                              + ((frozenset([A]), frozenset([A, B, C])),)),
      "stage {mu}: blocks pairwise disjoint"),
     ("first step dropped",
-     lambda: _forged_process(EX1, stages=EX1_STAGES[1:], trace=EX1.trace[1:],
+     lambda: _forged_process(EX1, stages=EX1.stages[1:], trace=EX1.trace[1:],
                              history_targets=EX1.history_targets[1:]),
      "stage 0: all blocks empty"),
     ("empty place added",
      lambda: _forged_process(EX1, stages=tuple(
-         stage + (frozenset(),) for stage in EX1_STAGES)),
+         stage + (frozenset(),) for stage in EX1.stages)),
      "final stage: all blocks nonempty"),
     ("element moved",
      lambda: _forged_process(
-         EX1, stages=EX1_STAGES[:-1] + ((frozenset([A, B]), frozenset([C])),),
+         EX1, stages=EX1.stages[:-1] + ((frozenset([A, B]), frozenset([C])),),
          history_targets=EX1.history_targets[:-1] + (frozenset([0, 1]),)),
      "step {nu}: blocks grow monotonically"),
     ("wrong trace node",
@@ -672,7 +676,7 @@ PROCESS_FORGERIES = [
      "step {nu}: new elements assemble from the trace node"),
     ("stalled step",
      lambda: _forged_process(
-         EX1, stages=EX1_STAGES[:2] + EX1_STAGES[1:],
+         EX1, stages=EX1.stages[:2] + EX1.stages[1:],
          trace=(frozenset(),) + EX1.trace,
          history_targets=EX1.history_targets[:1] + (frozenset(),)
          + EX1.history_targets[1:]),

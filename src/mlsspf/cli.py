@@ -21,7 +21,7 @@ import traceback
 
 from . import hf, lang
 from .certificate import check_certificate, verify_certificate
-from .errors import MlsspfError
+from .errors import LimitExceeded, MlsspfError
 from .limits import DEFAULT_LIMITS, Limits
 from .process import FormativeProcess, synthesize_process, validate_process
 from .pumping import certify_witness, extend_certificate
@@ -157,6 +157,9 @@ def cmd_pump(args):
         raise MlsspfError(f"certificate does not check:\n{report}")
     try:
         extended = extend_certificate(cert, args.rounds, limits)
+    except LimitExceeded:
+        # The user's own bound: bad input, as for every command.
+        raise
     except MlsspfError as exc:
         # Every claim of the certificate checked, so the input is good and
         # the failure is the library's.

@@ -7,23 +7,28 @@ walks the set's tree.  Elements are kept deduplicated in a fixed canonical
 order (rank, then size, then lexicographic on the ordered elements), which
 makes serialization deterministic.
 
-A set's JSON form is a nested tuple of its members' forms, built on first
-use and cached on the set, so the interned members a value shares with
-others share their JSON forms too.  `dumps` writes the same text as
+A set's JSON form is a nested tuple of its members' forms, built with the
+set and kept on it, so the interned members a value shares with others
+share their JSON forms too.  `dumps` writes the same text as
 `json.dumps(value, sort_keys=True, indent=2)`, but renders every tuple once
 per indent depth and reuses that text wherever the tuple recurs: the stages
 of a certificate repeat the forms of the sets they share.  `Decoder` is the
-reading half: it parses each distinct JSON text once.
+reading half: it parses each distinct JSON text once, and refuses a set of
+rank above `MAX_RANK`.  Neither half recurses, so what they read and write
+does not depend on the caller's stack or the recursion limit.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import sys
 
 from .errors import LimitExceeded
 from .limits import DEFAULT_LIMITS
+
+# The greatest rank of a set a `Decoder` reads: a deeper one is bad input.
+MAX_RANK = 333
+_TOO_DEEP = f"a set nests too deep to decode (rank above {MAX_RANK})"
 
 
 class HfSet:
@@ -48,7 +53,7 @@ class HfSet:
         key = (rank, len(elements), tuple(e._key for e in elements))
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
-        object.__setattr__(self, "_json", None)
+        object.__setattr__(self, "_json", tuple(e._json for e in elements))
         return self
 
     def __setattr__(self, name, value):
@@ -81,16 +86,11 @@ class HfSet:
     def to_json(self):
         """Nested-tuple form, elements in canonical order: {} -> ().
 
-        Built on the first call and cached: every call returns the same
-        immutable tuple, whose members are the members' cached forms.  It
-        sorts, compares and serializes as the nested lists would.  Building
-        it costs two frames of the recursion limit a level, against the
-        decoder's three, so it is built for every rank a `Decoder` reads
-        (at most a third of the limit), and `dumps` writes it at any depth.
+        Built with the set from its members' forms: every call returns the
+        same immutable tuple, whose members are the members' forms.  It
+        sorts, compares and serializes as the nested lists would, and
+        `dumps` writes it at any depth.
         """
-        if self._json is None:
-            object.__setattr__(
-                self, "_json", tuple(e.to_json() for e in self.elements))
         return self._json
 
 
@@ -147,34 +147,49 @@ class Decoder:
     new one looks up each of its members.  Equal forms give equal results,
     duplicate flag included; only decoded forms are kept.
 
-    A form nested too deep to read is bad input: ValueError, not
-    RecursionError.  A level costs CPython 3.11 about three frames of the
-    recursion limit, so a rank above a third of it is refused everywhere.
+    A set of rank above `MAX_RANK` is bad input: ValueError.  Each set is
+    checked when it is built, before the memo keeps it, so memo hits are in
+    bound too; and the decoder keeps its own stack, so the bound is the
+    same from any caller under any recursion limit.
     """
 
     def __init__(self):
         self._memo = {}
-        self._max_rank = sys.getrecursionlimit() // 3
 
     def __call__(self, data):
-        try:
-            key = repr(data)
-            got = self._memo.get(key)
-            if got is None:
-                if not isinstance(data, (list, tuple)):
-                    raise ValueError(
-                        f"expected a nested list, got {type(data).__name__}")
-                kids = [self(k) for k in data]
+        memo = self._memo
+        # The lists being decoded, outermost first, each as its memo key,
+        # an iterator over the rest of its members and the (set, flag)
+        # pairs of its members so far.  The bottom entry holds `data`.
+        stack = [(None, iter((data,)), [])]
+        while True:
+            key, forms, kids = stack[-1]
+            for form in forms:
+                try:
+                    sub = repr(form)
+                except RecursionError:
+                    # CPython's `repr` recurses, so it gives out on a list
+                    # nested far beyond MAX_RANK.
+                    raise ValueError(_TOO_DEEP) from None
+                got = memo.get(sub)
+                if got is None:
+                    if not isinstance(form, (list, tuple)):
+                        raise ValueError(
+                            f"expected a nested list, got {type(form).__name__}")
+                    stack.append((sub, iter(form), []))
+                    break
+                kids.append(got)
+            else:
+                stack.pop()
+                if not stack:
+                    return kids[0]
                 members = [s for s, _ in kids]
-                dup = (len(set(members)) != len(members)
+                got = (make_set(members), len(set(members)) != len(members)
                        or any(d for _, d in kids))
-                got = (make_set(members), dup)
-                if got[0].rank > self._max_rank:
-                    raise RecursionError
-                self._memo[key] = got
-        except RecursionError:
-            raise ValueError("a set nests too deep to decode") from None
-        return got
+                if got[0].rank > MAX_RANK:
+                    raise ValueError(_TOO_DEEP)
+                memo[key] = got
+                stack[-1][2].append(got)
 
     def block(self, data, what="a block") -> frozenset:
         return frozenset([self(e)[0] for e in expect_json(data, list, what)])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import mlsspf as m
 from mlsspf.cli import run_cli
+from mlsspf.hf import MAX_RANK
 
 from conftest import nested, wide_instance
 
@@ -334,6 +335,24 @@ def test_pump_recertifies_under_limit_pow(tmp_path):
     assert not out.exists()
 
 
+def test_pump_past_limit_pow_is_input_error(tmp_path, capsys):
+    # The certificate checks under pow_limit 2, but its second round draws
+    # from an assembly family of three sets: the user's bound, so bad input
+    # (exit 3) as for every command, not a failure of the library (exit 4).
+    formula, model = tmp_path / "f.mlsspf", tmp_path / "model.json"
+    formula.write_text("w in x & !Finite(x)\n")
+    model.write_text(json.dumps({"w": [], "x": [[], [[]]]}))
+    cert = tmp_path / "cert.json"
+    assert run_cli(["witness", "-f", str(formula), "-m", str(model),
+                    "--json", str(cert)]) == 0
+    assert run_cli(["verify", str(cert), "--limit-pow", "2"]) == 0
+    capsys.readouterr()
+    assert run_cli(["pump", "-c", str(cert), "--rounds", "2",
+                    "--limit-pow", "2"]) == 3
+    assert ("assembly family would produce 3 sets, limit is 2"
+            in capsys.readouterr().err)
+
+
 def _cut_nodes(d):
     d["event"]["cycle"]["nodes"] = d["event"]["cycle"]["nodes"][:1]
 
@@ -449,30 +468,27 @@ def _cli(*argv):
 
 
 def test_venn_writes_the_deepest_model_the_decoder_reads(tmp_path):
-    # From the decoder's bound (a third of the recursion limit) down, a
-    # model the decoder refuses is bad input (exit 3); the deepest one it
-    # reads, within a few levels of the bound, is written (exit 0).
+    # A model of rank MAX_RANK is written (exit 0); one rank more is bad
+    # input (exit 3).
     path = tmp_path / "deep.json"
-    for depth in range(sys.getrecursionlimit() // 3, 0, -1):
+    for depth, want in ((MAX_RANK, 0), (MAX_RANK + 1, 3)):
         path.write_text(json.dumps({"x": nested(depth)}))
         code, err = _cli("venn", "-m", str(path))
+        assert code == want, err
         assert "Traceback" not in err
-        if code != 3:
-            break
-    assert code == 0
-    assert depth >= sys.getrecursionlimit() // 3 - 8
 
 
 @pytest.fixture(scope="module")
 def deep_certificates(tmp_path_factory):
-    """The certificate of w in x & !Finite(x) with its base `w` nested 300
-    and 400 deep, and with `w` nested 5,000 deep in the JSON text."""
+    """The certificate of w in x & !Finite(x) with its base `w` nested
+    MAX_RANK, MAX_RANK + 1 and 400 deep, and with `w` nested 5,000 deep in
+    the JSON text."""
     formula = m.parse("w in x & !Finite(x)")
     assignment, _ = m.Assignment.from_json({"w": [], "x": [[], [[]]]})
     data = json.loads(m.certify_witness(formula, assignment).dumps())
     tmp = tmp_path_factory.mktemp("deep")
     out = {}
-    for depth in (300, 400):
+    for depth in (MAX_RANK, MAX_RANK + 1, 400):
         data["baseAssignment"]["w"] = nested(depth)
         out[depth] = tmp / f"depth{depth}.json"
         out[depth].write_text(json.dumps(data))
@@ -483,10 +499,10 @@ def deep_certificates(tmp_path_factory):
     return out
 
 
-@pytest.mark.parametrize("which", [400, "text"])
+@pytest.mark.parametrize("which", [MAX_RANK + 1, 400, "text"])
 def test_deep_certificate_is_input_error(deep_certificates, which):
-    # A set nested deeper than the decoder's recursion, or JSON text deeper
-    # than `json`'s, is bad input: exit 3, not a RecursionError traceback.
+    # A set of rank above MAX_RANK, or JSON text deeper than `json` reads,
+    # is bad input: exit 3, not a RecursionError traceback.
     path = str(deep_certificates[which])
     for argv in (["verify", path], ["pump", "-c", path]):
         code, err = _cli(*argv)
@@ -496,10 +512,10 @@ def test_deep_certificate_is_input_error(deep_certificates, which):
 
 
 def test_decodable_deep_certificate_fails_its_claim(deep_certificates):
-    # 300 deep still decodes: the base assignment is no longer the
+    # MAX_RANK deep still decodes: the base assignment is no longer the
     # certificate's assignment, which `verify` fails (exit 1) and `pump`
     # refuses as bad input (exit 3).
-    path = str(deep_certificates[300])
+    path = str(deep_certificates[MAX_RANK])
     code, err = _cli("verify", path)
     assert code == 1
     assert [line for line in err.splitlines() if "FAIL" in line] == [

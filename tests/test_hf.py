@@ -151,21 +151,33 @@ def test_decoder_memoizes_by_text_with_the_duplicate_flag():
     assert decode(B.to_json()) == (B, False)
 
 
+def _called_from(frames, f):
+    """f() from a caller `frames` frames deeper than this one."""
+    return f() if frames == 0 else _called_from(frames - 1, f)
+
+
 def test_decoder_refuses_a_set_too_deep_on_every_interpreter():
-    # The recursion gives out before rank limit // 3 under CPython 3.11
-    # (ValueError, not RecursionError), and a decoder refuses that rank
-    # where its recursion would still go on: here a raised limit.
-    with pytest.raises(ValueError, match="nests too deep"):
-        hf.Decoder()(nested(sys.getrecursionlimit()))
-    decode, limit = hf.Decoder(), sys.getrecursionlimit()
-    bound = limit // 3
-    sys.setrecursionlimit(4 * limit)
+    # Rank MAX_RANK decodes and MAX_RANK + 1 is bad input (ValueError, not
+    # RecursionError), whatever the recursion limit and the caller's depth;
+    # so is a list nested deeper than `repr` reaches.
+    def decode(depth):
+        return _called_from(frames, lambda: hf.Decoder()(nested(depth)))
+
+    limit = sys.getrecursionlimit()
     try:
-        assert decode(nested(bound))[0].rank == bound
-        with pytest.raises(ValueError, match="nests too deep"):
-            decode(nested(bound + 1))
+        for limit_now, frames in ((limit, 0), (4 * limit, 0), (limit, 300)):
+            sys.setrecursionlimit(limit_now)
+            assert decode(hf.MAX_RANK)[0].rank == hf.MAX_RANK
+            for depth in (hf.MAX_RANK + 1, 1000, 100_000):
+                with pytest.raises(ValueError, match="nests too deep"):
+                    decode(depth)
     finally:
         sys.setrecursionlimit(limit)
+    # A memoized set of rank MAX_RANK does not lift the bound one up.
+    decode = hf.Decoder()
+    decode(nested(hf.MAX_RANK))
+    with pytest.raises(ValueError, match="nests too deep"):
+        decode([nested(hf.MAX_RANK)])
 
 
 # Strings with quotes, escapes, control and non-ASCII characters.
@@ -215,9 +227,9 @@ def test_dumps_keys_and_errors_as_json_dumps():
 
 def test_dumps_writes_every_rank_the_decoder_reads():
     # A set of the decoder's bound rank (built without the decoder), in a
-    # document shaped as `venn` writes one, under the interpreter's own
-    # recursion limit; and lists nested deeper than that limit.
-    top = chain(sys.getrecursionlimit() // 3)[-1]
+    # document shaped as `venn` writes one; and lists nested deeper than
+    # the recursion limit.
+    top = chain(hf.MAX_RANK)[-1]
     doc = {"blocks": [[top.to_json()]], "im": {}, "transitive": True}
     assert hf.dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
     depth = sys.getrecursionlimit() + 100

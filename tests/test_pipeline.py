@@ -1,7 +1,11 @@
 """Properties of the whole pipeline: every certificate that `decide` or
 `certify_witness` issues pumps cleanly for any number of rounds, and
-`verify` passes it; and the identity extension (zero rounds) passes all
-five pumped reports on every certified instance."""
+`verify` passes it; the identity extension (zero rounds) passes all five
+pumped reports on every certified instance; and two oracles that share no
+definition with the prover hold on every certified instance pumped one to
+three rounds: the pumped assignment satisfies the formula, `!Finite`
+variables growing with each round, and wherever the pumped partition
+imitates the source, it simulates it upwards."""
 
 import functools
 import json
@@ -86,3 +90,41 @@ def test_identity_extension_passes_every_report():
     # 65, 28 and 13 wide instances with 1, 2 and 3 !Finite literals, and
     # the 13 of the family.
     assert len(certs) == 119
+
+
+@functools.cache
+def _pumped_instances():
+    """Each certified instance with the pumped extensions of its
+    certificate at one, two and three rounds."""
+    return [(cert, [m.extend_certificate(cert, k).pumped for k in (1, 2, 3)])
+            for cert in _certified_instances()]
+
+
+def test_pumped_assignments_satisfy_the_formula():
+    # Judged by `lang.eval_literal` alone: every literal but Finite and
+    # !Finite holds on the pumped assignment, each !Finite variable grows
+    # with every round, and each Finite variable keeps its size.
+    for cert, pumped in _pumped_instances():
+        values = [cert.assignment] + [p.final_assignment for p in pumped]
+        for lit in cert.formula.literals:
+            if lit.kind in (lang.FINITE, lang.NOT_FINITE):
+                sizes = [len(a.bindings[lit.operands[0]]) for a in values]
+                grows = lit.kind == lang.NOT_FINITE
+                assert sizes == (sorted(set(sizes)) if grows
+                                 else sizes[:1] * 4), (lit, sizes)
+            else:
+                for k, a in enumerate(values[1:], 1):
+                    assert lang.eval_literal(lit, a), (
+                        cert.formula.render(), lit, k)
+
+
+def test_imitation_implies_upward_simulation():
+    # The lemma of the `relations` module, on the final partitions of the
+    # certificate's process and of its pump by one round.
+    for cert, pumped in _pumped_instances():
+        board = cert.canonical_board()[2]
+        bijection = m.BlockBijection(cert.process.final_blocks(),
+                                     pumped[0].process.final_blocks())
+        if m.imitates(board, bijection).ok:
+            assert m.simulates_upwards(board, bijection).ok, (
+                cert.formula.render())

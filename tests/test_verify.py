@@ -163,22 +163,26 @@ def _trace_node(data, draw):
 
 
 def _event_field(data, draw):
+    # A place other than the one given, which on a one-place board is the
+    # place just outside the board.
     event = data["event"]
     width = len(data["process"]["stages"][0])
+
+    def other_place(q):
+        return draw(st.sampled_from([p for p in range(width + 1) if p != q]))
+
     field = draw(st.sampled_from(["q0", "i0", "places", "nodes"]))
     if field == "q0":
-        event["q0"] = draw(st.sampled_from(
-            [q for q in range(width) if q != event["q0"]]))
+        event["q0"] = other_place(event["q0"])
     elif field == "i0":
         event["i0"] += draw(st.sampled_from([-1, 1]))
     else:
         cycle = event["cycle"][field]
         j = draw(st.integers(0, len(cycle) - 1))
-        place = draw(st.integers(0, width - 1))
         if field == "places":
-            cycle[j] = place if place != cycle[j] else (place + 1) % width
+            cycle[j] = other_place(cycle[j])
         else:
-            cycle[j] = sorted(set(cycle[j]) ^ {place})
+            cycle[j] = sorted(set(cycle[j]) ^ {draw(st.integers(0, width - 1))})
 
 
 def _overlay_split(data, draw):
@@ -227,8 +231,10 @@ TAMPERS = (_element, _stage_block, _trace_node, _event_field, _overlay_split,
 
 @functools.cache
 def _tamper_targets():
-    """The witness family pumped one and two rounds."""
+    """The witness family pumped one to three rounds, and the decide
+    corpus's certificates pumped one round, some of which have one place."""
     return [text for cert, text in _family_certificates()
+            + _decided_certificates()
             if cert.pumped is not None and cert.pumped.rounds >= 1]
 
 
@@ -239,6 +245,7 @@ def test_verify_fails_a_tampered_certificate_without_the_prover(data):
     cert = json.loads(text)
     tamper = data.draw(st.sampled_from(TAMPERS))
     tamper(cert, data.draw)
+    assert cert != json.loads(text), tamper.__name__
 
     def prover(*args, **kwargs):
         raise AssertionError("verify ran the prover")

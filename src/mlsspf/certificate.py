@@ -389,7 +389,7 @@ def _recorded_limits(data, limits: Limits) -> Limits:
 
 
 def _pumped_extension(cert, rounds, cand, overlay, witness, warmups,
-                      boundaries, limits) -> PumpedExtension:
+                      boundaries) -> PumpedExtension:
     """The pumped extension of a certificate to the candidate process,
     overlay and stage map of a pump and paste, with its five reports and
     its transferred assignment: what `extend_certificate` attaches and
@@ -408,8 +408,7 @@ def _pumped_extension(cert, rounds, cand, overlay, witness, warmups,
     upward = check_upward_premises(proc, board, cand, overlay, witness,
                                    weak, segment, imit)
     final = transfer_assignment(cert.assignment, im, bijection)
-    transfer = literal_transfer_report(cert.formula, cert.assignment, final,
-                                       limits)
+    transfer = literal_transfer_report(cert.formula, cert.assignment, final)
     return PumpedExtension(
         rounds=rounds, process=cand, overlay=overlay, witness=witness,
         final_assignment=final, weak_report=weak,
@@ -473,7 +472,7 @@ def check_certificate(data, limits: Limits = DEFAULT_LIMITS):
                                       else transitivize(base))):
         return rb.build(), cert
     try:
-        results = tuple(lang.eval_literal(lit, base, limits)
+        results = tuple(lang.eval_literal(lit, base)
                         for lit in formula.literals)
     except MlsspfError as exc:
         rb.add("literal results are the base assignment's", False, str(exc))
@@ -525,7 +524,7 @@ def check_certificate(data, limits: Limits = DEFAULT_LIMITS):
     rb.add("embedded cover holds the segment's trash seeds",
            seeds is not None and seeds <= cert.cover)
     if cert.pumped is not None:
-        _check_pumped(rb, cert, data["pumped"], decode, limits)
+        _check_pumped(rb, cert, data["pumped"], decode)
     return rb.build(), cert
 
 
@@ -536,8 +535,7 @@ def _shaped(report: Report) -> bool:
                if item.check.startswith("shape:"))
 
 
-def _check_pumped(rb: ReportBuilder, cert: WitnessCertificate, data, decode,
-                  limits: Limits):
+def _check_pumped(rb: ReportBuilder, cert: WitnessCertificate, data, decode):
     """Add the items of a pumped extension whose base certificate checked.
 
     The pumped process starts with the process through the event's stage
@@ -623,7 +621,7 @@ def _check_pumped(rb: ReportBuilder, cert: WitnessCertificate, data, decode,
                    for t in range(m - i0)))
     try:
         fresh = _pumped_extension(cert, p.rounds, cand, overlay, witness,
-                                  p.warmups, p.round_boundaries, limits)
+                                  p.warmups, p.round_boundaries)
     except (MlsspfError, ValueError) as exc:
         # ValueError: final blocks that are no partition, in a process
         # that does not validate.

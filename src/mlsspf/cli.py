@@ -9,7 +9,9 @@ certificate the same way, each claim on its own and without re-running the
 prover (`certificate.check_certificate`), and read the same pumped verdict
 (`PumpedExtension.ok`); `pump` refuses, as bad input (3), a certificate that
 `verify` fails.  A malformed certificate, such as a field of the wrong JSON
-type, is bad input (3) for both.
+type, is bad input (3) for both.  Only `pump` builds assembly families, so
+only `pump` takes `--limit-pow`; every other command rejects the flag as
+bad input (3).
 """
 
 from __future__ import annotations
@@ -79,7 +81,8 @@ def _read_json(path):
 
 
 def _limits(args) -> Limits:
-    return Limits(pow_limit=args.limit_pow,
+    return Limits(pow_limit=getattr(args, "limit_pow",
+                                    DEFAULT_LIMITS.pow_limit),
                   max_cycle_len=getattr(args, "max_cycle_len",
                                         DEFAULT_LIMITS.max_cycle_len))
 
@@ -99,7 +102,7 @@ def cmd_parse(args):
 def cmd_check_model(args):
     formula = _read_formula(args.formula)
     model = _read_model(args.model)
-    report = lang.evaluate(formula, model, _limits(args))
+    report = lang.evaluate(formula, model)
     for lit, ok in zip(formula.literals, report.results):
         print(f"{'ok  ' if ok else 'FAIL'}  {lit.render()}", file=sys.stderr)
     _emit(report.to_json(), args)
@@ -184,7 +187,7 @@ def cmd_decide(args):
 
 
 def cmd_verify(args):
-    report = verify_certificate(_read_json(args.certificate), _limits(args))
+    report = verify_certificate(_read_json(args.certificate))
     print(report, file=sys.stderr)
     _emit(report.to_json(), args)
     return EXIT_OK if report.ok else EXIT_FAIL
@@ -197,18 +200,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "conjunctions with powerset and finiteness constraints.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, limit_pow=True):
+    def common(p):
         p.add_argument("--json", metavar="PATH",
                        help="write the JSON result to PATH instead of stdout")
-        if limit_pow:
-            p.add_argument(
-                "--limit-pow", type=int, default=DEFAULT_LIMITS.pow_limit,
-                help="cap on a materialized powerset or assembly family, "
-                     "and on the assemblies a lazy pick examines")
 
     p = sub.add_parser("parse", help="parse a formula file")
     p.add_argument("file")
-    common(p, limit_pow=False)
+    common(p)
     p.set_defaults(func=cmd_parse)
 
     p = sub.add_parser("check-model", help="evaluate a formula under a model")
@@ -219,20 +217,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("venn", help="Venn partition of a model")
     p.add_argument("-m", "--model", required=True)
-    common(p, limit_pow=False)
+    common(p)
     p.set_defaults(func=cmd_venn)
 
     p = sub.add_parser("board", help="colored board of a model for a formula")
     p.add_argument("-f", "--formula", required=True)
     p.add_argument("-m", "--model", required=True)
-    common(p, limit_pow=False)
+    common(p)
     p.set_defaults(func=cmd_board)
 
     p = sub.add_parser("process", help="synthesize or validate a process")
     p.add_argument("action", choices=["synth", "validate"])
     p.add_argument("-m", "--model", help="model file (synth)")
     p.add_argument("-p", "--process", help="process dump (validate)")
-    common(p, limit_pow=False)
+    common(p)
     p.set_defaults(func=cmd_process)
 
     p = sub.add_parser("witness", help="certify a witnessing assignment")
@@ -246,6 +244,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pump", help="pump a certificate's event")
     p.add_argument("-c", "--certificate", required=True)
     p.add_argument("--rounds", type=int, default=1)
+    p.add_argument(
+        "--limit-pow", type=int, default=DEFAULT_LIMITS.pow_limit,
+        help="cap on the assembly family of the pow-node dump, and on the "
+             "assemblies a lazy pick examines")
     common(p)
     p.set_defaults(func=cmd_pump)
 

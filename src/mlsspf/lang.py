@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 from . import hf
 from .errors import ArityError, FormulaSyntaxError, UnboundVariable
-from .limits import DEFAULT_LIMITS, Limits
 
 EQ = "Eq"
 NEQ = "Neq"
@@ -224,22 +223,26 @@ def _lookup(assignment, var):
         raise UnboundVariable(f"variable {var!r} is not bound") from None
 
 
-# Truth of each kind that negates no other on its operands' values.
+# Truth of each kind that negates no other on its operands' values.  p =
+# Pow(z) holds when p has 2^|z| members, each a subset of z: a set's members
+# are distinct, so they are then all the subsets of z, and Pow(z) is never
+# built.
 _HOLDS = {
-    EQ: lambda vals, limits: vals[0] is vals[1],
-    EQ_EMPTY: lambda vals, limits: vals[0] is hf.EMPTY,
-    UNION: lambda vals, limits: vals[0] is hf.bool_op(vals[1], vals[2], "U"),
-    INTER: lambda vals, limits: vals[0] is hf.bool_op(vals[1], vals[2], "I"),
-    DIFF: lambda vals, limits: vals[0] is hf.bool_op(vals[1], vals[2], "\\"),
-    SUBSETEQ: lambda vals, limits: hf.subset(vals[0], vals[1]),
-    IN: lambda vals, limits: vals[0] in vals[1],
-    POW: lambda vals, limits: vals[0] is hf.powerset(vals[1], limits.pow_limit),
-    ENUM: lambda vals, limits: vals[0] is hf.make_set(vals[1:]),
-    FINITE: lambda vals, limits: True,
+    EQ: lambda vals: vals[0] is vals[1],
+    EQ_EMPTY: lambda vals: vals[0] is hf.EMPTY,
+    UNION: lambda vals: vals[0] is hf.bool_op(vals[1], vals[2], "U"),
+    INTER: lambda vals: vals[0] is hf.bool_op(vals[1], vals[2], "I"),
+    DIFF: lambda vals: vals[0] is hf.bool_op(vals[1], vals[2], "\\"),
+    SUBSETEQ: lambda vals: hf.subset(vals[0], vals[1]),
+    IN: lambda vals: vals[0] in vals[1],
+    POW: lambda vals: (len(vals[0]) == 1 << len(vals[1]) and all(
+        hf.subset(x, vals[1]) for x in vals[0].elements)),
+    ENUM: lambda vals: vals[0] is hf.make_set(vals[1:]),
+    FINITE: lambda vals: True,
 }
 
 
-def eval_literal(lit: Literal, assignment, limits: Limits = DEFAULT_LIMITS) -> bool:
+def eval_literal(lit: Literal, assignment) -> bool:
     """Truth of one literal under a finite assignment; a negated kind is
     the complement of the kind it negates.
 
@@ -250,13 +253,13 @@ def eval_literal(lit: Literal, assignment, limits: Limits = DEFAULT_LIMITS) -> b
     vals = [_lookup(assignment, v) for v in lit.operands]
     base = NEGATES.get(lit.kind)
     if base is None:
-        return _HOLDS[lit.kind](vals, limits)
-    return not _HOLDS[base](vals, limits)
+        return _HOLDS[lit.kind](vals)
+    return not _HOLDS[base](vals)
 
 
-def evaluate(formula: Formula, assignment, limits: Limits = DEFAULT_LIMITS) -> SatisfactionReport:
+def evaluate(formula: Formula, assignment) -> SatisfactionReport:
     """Evaluate every literal; satisfied means the assignment is a model."""
-    results = tuple(eval_literal(lit, assignment, limits) for lit in formula.literals)
+    results = tuple(eval_literal(lit, assignment) for lit in formula.literals)
     return SatisfactionReport(results, all(results))
 
 

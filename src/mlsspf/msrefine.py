@@ -217,7 +217,7 @@ def check_weak_imitation(proc: FormativeProcess, board: ColoredBoard,
 
     rb.add("(c) pre-start memberships and pow-node coverage transfer",
            all(ora.union_home(node) == hat.union_home(node)
-               and not (node in board.pow_nodes and hat.unplaced(node))
+               and not (board.is_pow_node(node) and hat.unplaced(node))
                for node in early))
     return rb.build()
 
@@ -377,9 +377,12 @@ def check_segment_imitation(proc: FormativeProcess, board: ColoredBoard,
         rb.add(f"(v) step {beta}: minus-union placements transfer", ok_v)
         rb.add(f"(vi) step {beta}: grand-event union placements transfer", ok_vi)
 
+    # A pow-node whose grand event precedes xi has its union placed, so it
+    # is a key of the process's grand events.
     by_ge = {}
-    for node in board.pow_nodes:
-        by_ge.setdefault(grand_event(proc, node), []).append(node)
+    for node, ge in proc.grand_events.items():
+        if board.is_pow_node(node):
+            by_ge.setdefault(ge, []).append(node)
     rb.add("(iv) pow-node assemblies are absorbed right after their grand event",
            not any(any(map(SignatureTable(cand.stages[g[ge + 1]],
                                           cand.stages[g[ge]]).unplaced, nodes))
@@ -511,7 +514,7 @@ def paste_segment(proc: FormativeProcess, board: ColoredBoard,
             delta_minus_by_place[q] = set(designated[q]) | set(chunk)
 
         delta_surplus_by_place = {q: set(surplus_designated[q]) for q in places}
-        if (node in board.pow_nodes and k == grand_event(proc, node)
+        if (board.is_pow_node(node) and k == grand_event(proc, node)
                 and any(stages[cur][q] - cur_minus[q] for q in node)):
             trash = sorted(sinks)
             if not trash:

@@ -358,12 +358,16 @@ def local_trashes(proc: FormativeProcess, board: ColoredBoard, node) -> frozense
 
 def is_closed(proc: FormativeProcess, board: ColoredBoard, places_set) -> bool:
     """All members green, and every pow-node meeting the set has a local
-    trash inside it."""
+    trash inside it.  A local trash is a target, so all 2^|R| - 2^|R - w|
+    nodes of a pow region R that meet the set w must be realized."""
     w = frozenset(places_set)
     if any(q in board.red for q in w):
         return False
-    for b in board.pow_nodes:
-        if b & w and not (local_trashes(proc, board, b) & w):
+    for region in board.pow_regions:
+        meeting = [b for b in board.targets if b & w and b <= region]
+        if len(meeting) != 2 ** len(region) - 2 ** len(region - w):
+            return False
+        if not all(local_trashes(proc, board, b) & w for b in meeting):
             return False
     return True
 

@@ -160,15 +160,17 @@ def closed_cover(proc: FormativeProcess, board: ColoredBoard,
 
     Every pow-node meeting the set must own a local trash inside it; when
     one is missing, the canonically least green local trash is added and the
-    sweep restarts.  Raises NoClosedCover when a pow-node has none.
+    sweep restarts.  Raises NoClosedCover when a pow-node meeting the set
+    has none, which every unrealized one lacks.
     """
     w = set(cycle.place_set()) | set(extra_seeds)
     if any(q in board.red for q in w):
         raise NoClosedCover("cover seeds include a red place")
+    pow_nodes = sorted(filter(board.is_pow_node, board.targets), key=sorted)
     changed = True
     while changed:
         changed = False
-        for b in sorted(board.pow_nodes, key=sorted):
+        for b in pow_nodes:
             if not (b & w):
                 continue
             trashes = local_trashes(proc, board, b)
@@ -179,7 +181,8 @@ def closed_cover(proc: FormativeProcess, board: ColoredBoard,
                     f"pow-node {sorted(b)} meets the cover but has no local trash")
             w.add(min(trashes))
             changed = True
-    assert is_closed(proc, board, w)
+    if not is_closed(proc, board, w):
+        raise NoClosedCover("an unrealized pow-node meets the cover")
     return frozenset(w)
 
 
@@ -306,7 +309,7 @@ def certify_witness(formula: lang.Formula, assignment: Assignment,
     base = assignment
     results = []
     for lit in formula.literals:
-        val = lang.eval_literal(lit, assignment, limits)
+        val = lang.eval_literal(lit, assignment)
         results.append(val)
         if lit.kind != lang.NOT_FINITE and not val:
             raise NotAWitness(f"literal '{lit.render()}' is false under the assignment")
@@ -400,4 +403,4 @@ def extend_certificate(cert: WitnessCertificate, rounds: int,
                                k_prime=cert.event.i0, closed_set=cert.cover)
     cand, overlay, witness = paste_segment(proc, board, start, proc.xi, limits)
     return replace(cert, pumped=_pumped_extension(
-        cert, rounds, cand, overlay, witness, warmups, boundaries, limits))
+        cert, rounds, cand, overlay, witness, warmups, boundaries))

@@ -7,9 +7,9 @@ local, assembly-level version that implies it; checking imitation is what
 the process machinery actually produces.  Both compare per-side tables read
 off the blocks in one pass (`venn.SignatureTable`) instead of sweeping
 all 2^places nodes: assembly contact is equality of the contact pairs,
-node-union membership is equality of the node -> union home tables, and a
-pow-node's assemblies are all placed when the table leaves none of them
-unplaced (`SignatureTable.unplaced`).
+node-union membership is equality of the node -> union home tables, and the
+assemblies of the pow-nodes inside a region are all placed when the table
+leaves none of them unplaced (`SignatureTable.unplaced_under`).
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import hf, lang
-from .limits import DEFAULT_LIMITS, Limits
 from .report import Report, ReportBuilder
-from .venn import Assignment, ColoredBoard, ImMap, SignatureTable, node_union
+from .venn import (Assignment, ColoredBoard, ImMap, SignatureTable,
+                   node_union, subsets)
 
 
 @dataclass(frozen=True)
@@ -48,13 +48,13 @@ class BlockBijection:
         return range(len(self.source))
 
 
-def simulates_upwards(board: ColoredBoard, bijection: BlockBijection,
-                      limits: Limits = DEFAULT_LIMITS) -> Report:
+def simulates_upwards(board: ColoredBoard, bijection: BlockBijection) -> Report:
     """Does the image partition simulate the original upwards?
 
     Membership of one node union in another reduces to the home block of
     the union, so membership simulation over every node is equality of the
-    two sides' node -> union home tables.
+    two sides' node -> union home tables.  No checker runs this oracle of
+    `imitates`, so it lists the nodes under each pow region.
     """
     rb = ReportBuilder()
     places = bijection.places
@@ -63,14 +63,15 @@ def simulates_upwards(board: ColoredBoard, bijection: BlockBijection,
            == SignatureTable(bijection.target).union_homes(places))
 
     ok_pow = True
-    for y in sorted(board.pow_nodes, key=sorted):
-        p = hf.powerset(node_union(bijection.source, y), limits.pow_limit)
+    pow_nodes = {y for region in board.pow_regions for y in subsets(region)}
+    for y in sorted(pow_nodes, key=sorted):
+        p = hf.powerset(node_union(bijection.source, y))
         members = set(p.elements)
         x = frozenset(q for q in places if bijection.source[q] & members)
         if node_union(bijection.source, x) is not p:
             continue
         if node_union(bijection.target, x) is not hf.powerset(
-                node_union(bijection.target, y), limits.pow_limit):
+                node_union(bijection.target, y)):
             ok_pow = False
     rb.add("powerset simulation on pow-nodes", ok_pow)
 
@@ -97,7 +98,7 @@ def imitates(board: ColoredBoard, bijection: BlockBijection) -> Report:
     rb.add("(2) node-union membership transfers",
            src.union_homes(places) == tgt.union_homes(places))
     rb.add("(3) pow-node assemblies are absorbed",
-           not any(map(tgt.unplaced, board.pow_nodes)))
+           not any(map(tgt.unplaced_under, board.pow_regions)))
 
     rb.add("(4) red images are finite", True)
     rb.add("(4') red images keep their cardinality",
@@ -115,8 +116,7 @@ def transfer_assignment(assignment: Assignment, im: ImMap,
 
 
 def literal_transfer_report(formula: lang.Formula, assignment: Assignment,
-                            transferred: Assignment,
-                            limits: Limits = DEFAULT_LIMITS) -> Report:
+                            transferred: Assignment) -> Report:
     """Which literal values carry over from an assignment to its transfer.
 
     Non-finiteness literals must transfer forward; those not involving the
@@ -132,8 +132,8 @@ def literal_transfer_report(formula: lang.Formula, assignment: Assignment,
             rb.add(f"literal {i} '{lit.render()}': cardinality preserved",
                    len(assignment.bindings[v]) == len(transferred.bindings[v]))
             continue
-        before = lang.eval_literal(lit, assignment, limits)
-        after = lang.eval_literal(lit, transferred, limits)
+        before = lang.eval_literal(lit, assignment)
+        after = lang.eval_literal(lit, transferred)
         rb.add(f"literal {i} '{lit.render()}': forward preservation",
                (not before) or after,
                f"before={before} after={after}")

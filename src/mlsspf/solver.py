@@ -18,7 +18,7 @@ from typing import Optional
 
 from . import hf, lang
 from .certificate import WitnessCertificate
-from .errors import CoverMissesVariable, LimitExceeded, NoEvent, NotAWitness
+from .errors import CoverMissesVariable, NoEvent, NotAWitness
 from .limits import DEFAULT_LIMITS, Limits
 from .pumping import certify_witness
 from .venn import Assignment
@@ -349,12 +349,6 @@ class _Walk:
     leaf are skipped, so the leaves and their order are those that
     checking every literal at every node would keep.  The schedule depends
     on `names` and `checks` only, so `decide` builds it once per call.
-
-    A mask covers values whose subtree an earlier literal already skipped.
-    lang.eval_literal raises on a Pow literal once 2^|w| > pow_limit, and
-    every value is a subset of the universe, so that can happen only when
-    2^|universe| > pow_limit; `decide` passes empty checks for such a
-    universe, which gives full domains, and tests its leaves one by one.
     """
 
     def __init__(self, names, checks):
@@ -478,9 +472,7 @@ def decide(formula: lang.Formula, budget: SearchBudget) -> DecideResult:
     so the first hit, and with it every verdict, is the one the full
     product finds.
     """
-    limits = budget.limits
     has_neg = any(lit.kind == lang.NOT_FINITE for lit in formula.literals)
-    has_pow = any(lit.kind == lang.POW for lit in formula.literals)
     names = list(formula.vars)
     if not names:
         return DecideResult(UNKNOWN)
@@ -491,30 +483,19 @@ def decide(formula: lang.Formula, budget: SearchBudget) -> DecideResult:
             checks[max(depth[v] for v in lit.operands)].append(lit)
     search = _Walk(names, checks)
     parts = [_Walk(part, here) for part, here in _components(names, checks)]
-    unpruned = _Walk(names, [()] * len(names)) if has_pow else None
     for universe in enumerate_universes(budget.max_rank, budget.max_universe):
         table = _universe_table(universe)
-        # A Pow literal raises LimitExceeded once 2^|w| > pow_limit, and
-        # lang.evaluate lets that escape at the first such leaf.  Pruning
-        # could skip that leaf, so a universe big enough for it is searched
-        # leaf by leaf.  In a smaller universe no literal can raise, so a
-        # truth mask may cover values the walk then skips.
-        if has_pow and 2 ** len(universe) > limits.pow_limit:
-            leaves = unpruned.leaves(table)
-        elif any(next(part.leaves(table, cover=False), None) is None
-                 for part in parts):
+        if any(next(part.leaves(table, cover=False), None) is None
+               for part in parts):
             continue
-        else:
-            leaves = search.leaves(table)
-        for assignment in leaves:
+        for assignment in search.leaves(table):
             if has_neg:
                 try:
-                    cert = certify_witness(formula, assignment, limits)
-                except (NotAWitness, NoEvent, CoverMissesVariable,
-                        LimitExceeded):
+                    cert = certify_witness(formula, assignment, budget.limits)
+                except (NotAWitness, NoEvent, CoverMissesVariable):
                     continue
                 return DecideResult(SAT_WITNESSED, certificate=cert)
-            report = lang.evaluate(formula, assignment, limits)
+            report = lang.evaluate(formula, assignment)
             if report.satisfied:
                 return DecideResult(SAT_MODEL, assignment=assignment)
     # The empty universe is always enumerated and always has a candidate

@@ -178,6 +178,13 @@ class SignatureTable:
         return (math.prod(2 ** self._sizes[q] - 1 for q in node)
                 - self.count(node))
 
+    def unplaced_under(self, region) -> int:
+        """`unplaced` summed over the nodes inside the region: the parts are
+        disjoint, so those nodes have 2^(the region's part sizes) assemblies
+        in all, less the counts of the signatures inside the region."""
+        return (2 ** sum(self._sizes[q] for q in region)
+                - sum(c for sig, c in self._counts.items() if sig <= region))
+
     def union(self, node):
         """The element of the blocks that is the union of the node's parts,
         or None."""
@@ -254,27 +261,25 @@ def finer_than(fine, coarse) -> bool:
 
 @dataclass(frozen=True)
 class ColoredBoard:
-    """Places with their blocks, the target function, red places, pow-nodes.
+    """Places with their blocks, the target function, red places, pow regions.
 
     `targets` holds only the realized nodes (those with a nonempty target
     set); `target()` returns the empty set for every other node.  Red places
-    are cardinality-frozen; pow_nodes is closed downward under inclusion.
+    are cardinality-frozen.  The pow-nodes are the nodes inside some region
+    of `pow_regions` (`is_pow_node`), so they are closed downward.
     """
 
     blocks: tuple
     targets: dict
     red: frozenset = EMPTY_NODE
-    pow_nodes: frozenset = frozenset()
+    pow_regions: frozenset = frozenset()
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(frozenset(b) for b in self.blocks))
         object.__setattr__(self, "targets", MappingProxyType(dict(self.targets)))
         object.__setattr__(self, "red", frozenset(self.red))
-        object.__setattr__(self, "pow_nodes",
-                           frozenset(frozenset(n) for n in self.pow_nodes))
-        for node in self.pow_nodes:
-            if not all(sub in self.pow_nodes for sub in subsets(node)):
-                raise ValueError("pow-nodes must be downward closed")
+        object.__setattr__(self, "pow_regions",
+                           frozenset(frozenset(r) for r in self.pow_regions))
 
     @property
     def places(self):
@@ -285,6 +290,10 @@ class ColoredBoard:
 
     def is_green_node(self, node) -> bool:
         return any(q not in self.red for q in node)
+
+    def is_pow_node(self, node) -> bool:
+        """Whether the node lies inside some pow region."""
+        return any(region.issuperset(node) for region in self.pow_regions)
 
     def realized_nodes(self):
         return sorted(self.targets, key=sorted)
@@ -300,7 +309,7 @@ class ColoredBoard:
                 for n in self.realized_nodes()
             ],
             "red": sorted(self.red),
-            "powNodes": sorted((sorted(n) for n in self.pow_nodes)),
+            "powRegions": sorted(sorted(r) for r in self.pow_regions),
         }
 
 
@@ -327,29 +336,26 @@ def induced_board(partition: Partition) -> ColoredBoard:
 
 
 def color_board(core: ColoredBoard, formula: lang.Formula, im: ImMap) -> ColoredBoard:
-    """Attach the red places and pow-nodes a formula dictates.
+    """Attach the red places and pow regions a formula dictates.
 
     Red places come from the regions of enumeration targets and positively
     Finite variables (both literal kinds contribute, read as one union).
-    Pow-nodes are the downward closure of the regions of powerset
-    arguments: for p = Pow(z), an assembly of a node under the region of z
-    is a subset of z, so p must hold it.
+    The pow regions are the regions of powerset arguments: for p = Pow(z),
+    an assembly of a node under the region of z is a subset of z, so p must
+    hold it.
     """
     red = set()
-    pow_seeds = []
+    pow_regions = set()
     for lit in formula.literals:
         if lit.kind in (lang.ENUM, lang.FINITE):
             red |= im[lit.operands[0]]
         elif lit.kind == lang.POW:
-            pow_seeds.append(im[lit.operands[1]])
-    pow_nodes = set()
-    for seed in pow_seeds:
-        pow_nodes.update(subsets(seed))
+            pow_regions.add(im[lit.operands[1]])
     return ColoredBoard(
         blocks=core.blocks,
         targets=dict(core.targets),
         red=frozenset(red),
-        pow_nodes=frozenset(pow_nodes),
+        pow_regions=frozenset(pow_regions),
     )
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import json
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from mlsspf import hf
 from mlsspf.certificate import PumpingCycle
 from mlsspf.msrefine import MsOverlay, StartConfiguration
 from mlsspf.pumping import _CycleIndex
+from mlsspf.venn import subsets
 
 
 def chain(n):
@@ -60,6 +62,32 @@ def ex1():
     return Ex1()
 
 
+def pow_region_forgery(k):
+    """The JSON form of ex1's certificate grafted onto the formula
+    p = Pow(z) & w in x & !Finite(x) & a0 <= z & ...: z has k >= 2 distinct
+    members, which the ceil(log2 k) subset variables a_i split into k
+    places (a_i holds the members whose index has bit i set), so the
+    region of the powerset's argument spans k places; p = {} is no
+    powerset of z.  The recorded literal results are the assignment's, so
+    the certificate fails "every literal but !Finite holds"."""
+    ex = Ex1()
+    data = json.loads(m.certify_witness(ex.formula, ex.assignment).dumps())
+    members = chain(k - 1)
+    bits = (k - 1).bit_length()
+    binding = dict(ex.assignment.bindings, p=hf.EMPTY, z=m.make_set(members))
+    for i in range(bits):
+        binding[f"a{i}"] = m.make_set(
+            e for j, e in enumerate(members) if j >> i & 1)
+    formula = m.parse(" & ".join(
+        ["p = Pow(z)", "w in x", "!Finite(x)"]
+        + [f"a{i} <= z" for i in range(bits)]))
+    assignment = m.Assignment(binding)
+    data["formula"] = formula.render()
+    data["baseAssignment"] = data["assignment"] = assignment.to_json()
+    data["report"]["literals"] = list(m.evaluate(formula, assignment).results)
+    return json.loads(hf.dumps(data))
+
+
 def rand_transitive_universe(rng: random.Random, size: int):
     """A transitive set of `size` HfSets, grown by adjoining subsets."""
     universe = []
@@ -100,9 +128,10 @@ def set_partitions(items):
         yield [[first]] + sub
 
 
-def absorbing_pow_nodes(proc, rng: random.Random, max_seeds=2):
-    """A random downward-closed family of nodes whose assemblies the process
-    absorbs both right after their grand event and at the final stage."""
+def absorbing_pow_regions(proc, rng: random.Random, max_seeds=2):
+    """Up to `max_seeds` random pow regions, each a node under which every
+    node has its assemblies absorbed by the process both right after its
+    grand event and at the final stage."""
     places = proc.places
     final = proc.final_universe
 
@@ -122,17 +151,19 @@ def absorbing_pow_nodes(proc, rng: random.Random, max_seeds=2):
                 return False
         return True
 
-    from mlsspf.venn import subsets
     ok = {node for node in subsets(places) if absorbs(node)}
     candidates = sorted((node for node in ok
                          if all(sub in ok for sub in subsets(sorted(node)))),
                         key=sorted)
     rng.shuffle(candidates)
-    pow_nodes = set()
-    for seed in candidates[:max_seeds]:
-        for sub in subsets(sorted(seed)):
-            pow_nodes.add(sub)
-    return frozenset(pow_nodes)
+    return frozenset(candidates[:max_seeds])
+
+
+def pow_nodes(board):
+    """Every pow-node of the board, the nodes under its pow regions, listed
+    for the sweep oracles."""
+    return frozenset(node for region in board.pow_regions
+                     for node in subsets(region))
 
 
 def degenerate(proc, k_prime, closed_set=frozenset()):
@@ -155,9 +186,9 @@ def rand_colored_board(proc, partition, rng: random.Random,
                        red_prob=0.3, with_pow=True):
     core = m.induced_board(partition)
     red = frozenset(q for q in proc.places if rng.random() < red_prob)
-    pow_nodes = absorbing_pow_nodes(proc, rng) if with_pow else frozenset()
+    regions = absorbing_pow_regions(proc, rng) if with_pow else frozenset()
     return m.ColoredBoard(blocks=core.blocks, targets=dict(core.targets),
-                          red=red, pow_nodes=pow_nodes)
+                          red=red, pow_regions=regions)
 
 
 def wide_instance(seed, infinite=1):

@@ -9,9 +9,12 @@ from mlsspf import hf
 from mlsspf.errors import CardinalityDeficit, NoLocalTrash
 from mlsspf.limits import DEFAULT_LIMITS, Limits
 from mlsspf.msrefine import ImitationWitness, MsOverlay
-from mlsspf.process import FormativeProcess, grand_event, is_closed, local_trashes
+from mlsspf.process import FormativeProcess, grand_event, local_trashes
 from mlsspf.report import ReportBuilder
 from mlsspf.venn import node_union, subsets
+
+from conftest import pow_nodes
+from pumping_sweeps import is_closed_sweep
 
 
 def _live_nodes(proc, stage_idx):
@@ -51,7 +54,7 @@ def weak_imitation_sweep(proc: FormativeProcess, board,
     rb.add("(viii) surplus places lie in the closed set",
            all(q in closed_set for q in places if hat_blocks[q] - hat_minus[q]))
     rb.add("closed set is closed",
-           is_closed(proc, board, closed_set))
+           is_closed_sweep(proc, board, closed_set))
 
     ok_x = True
     for node in _live_nodes(proc, k_prime):
@@ -89,6 +92,7 @@ def weak_imitation_sweep(proc: FormativeProcess, board,
     rb.add("(b) surplus-bearing node unions stay undistributed", ok_b)
 
     ok_c = True
+    pows = pow_nodes(board)
     for node in _live_nodes(proc, k_prime):
         if grand_event(proc, node) >= k_prime:
             continue
@@ -97,7 +101,7 @@ def weak_imitation_sweep(proc: FormativeProcess, board,
         for q in places:
             if (u_ora in proc.stages[k_prime][q]) != (u_hat in hat_blocks[q]):
                 ok_c = False
-        if node in board.pow_nodes:
+        if node in pows:
             fam = [hat_blocks[q] for q in sorted(node)]
             total = hf.pow_star_size(fam)
             if _count_in_pow_star(fam, placed_hat) != total:
@@ -185,7 +189,7 @@ def segment_imitation_sweep(proc: FormativeProcess, board,
         rb.add(f"(vi) step {beta}: grand-event union placements transfer", ok_vi)
 
     ok_iv = True
-    for node in sorted(board.pow_nodes, key=sorted):
+    for node in sorted(pow_nodes(board), key=sorted):
         ge = grand_event(proc, node)
         if ge not in g or (ge + 1) not in g:
             continue
@@ -229,6 +233,7 @@ def paste_segment_sweep(proc: FormativeProcess, board,
     trace = list(start.cand.trace)
     minus = list(start.overlay.minus)
     gamma = {k_prime: start.cand.xi}
+    pows = pow_nodes(board)
 
     for k in range(k_prime, k_second):
         cur = len(stages) - 1
@@ -310,7 +315,7 @@ def paste_segment_sweep(proc: FormativeProcess, board,
             delta_minus_by_place[q] = set(designated[q]) | set(chunk)
 
         delta_surplus_by_place = {q: set(surplus_designated[q]) for q in places}
-        if (node in board.pow_nodes and k == grand_event(proc, node)
+        if (node in pows and k == grand_event(proc, node)
                 and any(stages[cur][q] - cur_minus[q] for q in node)):
             trash = sorted(local_trashes(proc, board, node) & C)
             if not trash:

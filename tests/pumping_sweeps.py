@@ -2,14 +2,18 @@
 the cycle walk testing every green node at every depth-first step,
 condition (ii) of `is_pumping_event` sweeping every node that meets the
 cycle (or only the realized ones: the board's targets and the trace's
-nodes, enough on a process with no empty final block), and condition (iii)
-testing every node block at the start stage.  The indexed versions must
-return the same cycles in the same order, the same minima and the same
-verdicts."""
+nodes, enough on a process with no empty final block), condition (iii)
+testing every node block at the start stage, and the closedness of a set
+of places read off every node under the pow regions.  The indexed versions
+must return the same cycles in the same order, the same minima, the same
+verdicts and the same covers."""
 
 from mlsspf.certificate import PumpingCycle
-from mlsspf.process import grand_event
+from mlsspf.errors import NoClosedCover
+from mlsspf.process import grand_event, local_trashes
 from mlsspf.venn import subsets
+
+from conftest import pow_nodes
 
 
 def find_pumping_cycles_scan(board, max_len):
@@ -60,3 +64,38 @@ def cycle_blocks_filled_sweep(proc, i0, cycle):
     """Condition (iii): every block of a place in a cycle node is nonempty
     at stage i0."""
     return all(proc.stages[i0][q] for c in cycle.nodes for q in c)
+
+
+def is_closed_sweep(proc, board, places_set):
+    """All members green, and every node under a pow region that meets the
+    set has a local trash inside it."""
+    w = frozenset(places_set)
+    if any(q in board.red for q in w):
+        return False
+    return all(local_trashes(proc, board, b) & w
+               for b in pow_nodes(board) if b & w)
+
+
+def closed_cover_sweep(proc, board, cycle, extra_seeds=()):
+    """The least-fixed-point cover, sweeping every node under the pow
+    regions in sorted order and adding the least local trash of each that
+    meets the set without one inside it; NoClosedCover when one has none."""
+    w = set(cycle.place_set()) | set(extra_seeds)
+    if any(q in board.red for q in w):
+        raise NoClosedCover("cover seeds include a red place")
+    nodes = sorted(pow_nodes(board), key=sorted)
+    changed = True
+    while changed:
+        changed = False
+        for b in nodes:
+            if not (b & w):
+                continue
+            trashes = local_trashes(proc, board, b)
+            if trashes & w:
+                continue
+            if not trashes:
+                raise NoClosedCover(
+                    f"pow-node {sorted(b)} meets the cover but has no local trash")
+            w.add(min(trashes))
+            changed = True
+    return frozenset(w)

@@ -41,14 +41,21 @@ def test_parse_syntax_error_is_input_error(files):
 
 
 def test_limit_pow_only_where_read(files):
-    # parse, venn, board and process build no powerset or assembly family,
-    # so they do not take --limit-pow: argparse rejects it (exit 3).
-    model = str(files / "model.json")
-    for argv in (["parse", str(files / "ex1.mlsspf")], ["venn", "-m", model],
-                 ["board", "-f", str(files / "ex1.mlsspf"), "-m", model],
-                 ["process", "synth", "-m", model]):
+    # Only pump builds an assembly family, for its picks and its pow-node
+    # dump; no other command takes --limit-pow: argparse rejects it (exit 3).
+    model, ex1 = str(files / "model.json"), str(files / "ex1.mlsspf")
+    cert = str(files / "cert.json")
+    assert run_cli(["witness", "-f", ex1, "-m", model, "--json", cert]) == 0
+    for argv in (["parse", ex1], ["venn", "-m", model],
+                 ["board", "-f", ex1, "-m", model],
+                 ["process", "synth", "-m", model],
+                 ["check-model", "-f", str(files / "plain.mlsspf"),
+                  "-m", str(files / "plain_model.json")],
+                 ["witness", "-f", ex1, "-m", model], ["decide", ex1],
+                 ["verify", cert]):
         assert run_cli([*argv, "--limit-pow", "5"]) == 3
         assert run_cli(argv) == 0
+    assert run_cli(["pump", "-c", cert, "--limit-pow", "5"]) == 0
 
 
 def test_missing_file_is_input_error(files):
@@ -60,6 +67,14 @@ def test_check_model_exit_codes(files):
                     "-m", str(files / "plain_model.json")]) == 0
     assert run_cli(["check-model", "-f", str(files / "ex1.mlsspf"),
                     "-m", str(files / "model.json")]) == 1
+    # p = Pow(z) is decided without building Pow(z): with 21 members in z
+    # and p = {} it is false (exit 1), past any pow limit.
+    formula, model = files / "pow.mlsspf", files / "pow.json"
+    formula.write_text("p = Pow(z)")
+    model.write_text(json.dumps({"p": [],
+                                 "z": [nested(j) for j in range(21)]}))
+    assert run_cli(["check-model", "-f", str(formula),
+                    "-m", str(model)]) == 1
 
 
 def test_venn_and_board(files, capsys):
@@ -69,7 +84,7 @@ def test_venn_and_board(files, capsys):
     assert run_cli(["board", "-f", str(files / "ex1.mlsspf"),
                     "-m", str(files / "model.json")]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert data["red"] == [] and data["powNodes"] == []
+    assert data["red"] == [] and data["powRegions"] == []
 
 
 def test_process_synth_validate_round_trip(files, capsys):
@@ -294,13 +309,13 @@ def test_verify_fails_a_process_missing_board_places(tmp_path, capsys):
 
 def test_bad_bounds_are_input_errors(files):
     formula = ["-f", str(files / "ex1.mlsspf"), "-m", str(files / "model.json")]
-    for limit in ("0", "-5"):
-        assert run_cli(["check-model", *formula, "--limit-pow", limit]) == 3
     assert run_cli(["witness", *formula, "--max-cycle-len", "0"]) == 3
     assert run_cli(["decide", str(files / "ex1.mlsspf"),
                     "--max-cycle-len", "0"]) == 3
     cert = files / "cert.json"
     assert run_cli(["witness", *formula, "--json", str(cert)]) == 0
+    for limit in ("0", "-5"):
+        assert run_cli(["pump", "-c", str(cert), "--limit-pow", limit]) == 3
     data = json.loads(cert.read_text())
     data["params"]["maxCycleLen"] = 0
     cert.write_text(json.dumps(data))
@@ -323,21 +338,9 @@ def test_max_cycle_len_round_trip(tmp_path):
     assert run_cli(["verify", str(pumped)]) == 0
 
 
-def test_pump_recertifies_under_limit_pow(tmp_path):
-    # A Pow literal with four members checks only when pow_limit >= 4.
-    cert = tmp_path / "cert.json"
-    assert run_cli(["witness", *_write_instance(tmp_path, 27),
-                    "--json", str(cert)]) == 0
-    assert run_cli(["verify", str(cert), "--limit-pow", "2"]) == 1
-    out = tmp_path / "pumped.json"
-    assert run_cli(["pump", "-c", str(cert), "--limit-pow", "2",
-                    "--json", str(out)]) == 3
-    assert not out.exists()
-
-
 def test_pump_past_limit_pow_is_input_error(tmp_path, capsys):
-    # The certificate checks under pow_limit 2, but its second round draws
-    # from an assembly family of three sets: the user's bound, so bad input
+    # The certificate checks, but its second round draws from an assembly
+    # family of three sets, past pow_limit 2: the user's bound, so bad input
     # (exit 3) as for every command, not a failure of the library (exit 4).
     formula, model = tmp_path / "f.mlsspf", tmp_path / "model.json"
     formula.write_text("w in x & !Finite(x)\n")
@@ -345,7 +348,6 @@ def test_pump_past_limit_pow_is_input_error(tmp_path, capsys):
     cert = tmp_path / "cert.json"
     assert run_cli(["witness", "-f", str(formula), "-m", str(model),
                     "--json", str(cert)]) == 0
-    assert run_cli(["verify", str(cert), "--limit-pow", "2"]) == 0
     capsys.readouterr()
     assert run_cli(["pump", "-c", str(cert), "--rounds", "2",
                     "--limit-pow", "2"]) == 3

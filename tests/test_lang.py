@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mlsspf as m
-from mlsspf import lang
+from mlsspf import hf, lang
 from mlsspf.errors import ArityError, FormulaSyntaxError, UnboundVariable
 
 from conftest import chain
@@ -147,6 +147,42 @@ def test_parse_reads_spelled_literals(spelled, data):
 def test_duplicate_literals_flagged():
     f = m.parse("x = y & x = y")
     assert f.has_duplicates and len(f.literals) == 2
+
+
+# V_4: the sixteen sets of rank below 4, a transitive pool.
+_POOL = m.powerset(m.powerset(m.powerset(m.powerset(hf.EMPTY)))).elements
+
+
+@st.composite
+def _pow_pairs(draw):
+    """(p, z, kind): z has at most six members of the pool, and p is Pow(z),
+    Pow(z) less one member, Pow(z) plus one set that is no subset of z, or
+    2^|z| sets that are not all subsets of z."""
+    z = m.make_set(draw(st.sets(st.sampled_from(_POOL), max_size=6)))
+    subs = list(hf.powerset(z).elements)
+    outside = draw(st.sampled_from([y for y in _POOL if y not in z] + [z]))
+    kind = draw(st.sampled_from(["pow", "less", "plus", "swapped"]))
+    if kind == "less":
+        subs.pop(draw(st.integers(0, len(subs) - 1)))
+    elif kind == "plus":
+        base = draw(st.sampled_from(subs))
+        subs.append(m.make_set(base.elements + (outside,)))
+    elif kind == "swapped":
+        # The members that get `outside` added become no subsets of z, and
+        # stay distinct, so p keeps 2^|z| members.
+        picks = draw(st.sets(st.integers(0, len(subs) - 1), min_size=1))
+        subs = [m.make_set(s.elements + (outside,)) if i in picks else s
+                for i, s in enumerate(subs)]
+    return m.make_set(subs), z, kind
+
+
+@given(_pow_pairs())
+@settings(max_examples=300, deadline=None)
+def test_pow_literal_agrees_with_the_built_powerset(pair):
+    p, z, kind = pair
+    holds = lang.eval_literal(lang.Literal(lang.POW, ("p", "z")),
+                              m.Assignment({"p": p, "z": z}))
+    assert holds == (p is hf.powerset(z)) == (kind == "pow")
 
 
 def test_eval_literal_examples():

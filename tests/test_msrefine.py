@@ -299,7 +299,7 @@ def test_paste_pow_node_without_trash_raises():
     core = m.induced_board(partition)
     board = m.ColoredBoard(blocks=core.blocks, targets=dict(core.targets),
                            red=frozenset([2]),
-                           pow_nodes=frozenset([frozenset(), frozenset([0])]))
+                           pow_regions=[frozenset([0])])
     ge = m.grand_event(proc, frozenset([0]))
     assert ge < proc.xi
     start = degenerate(proc, ge)

@@ -1,6 +1,9 @@
 import contextlib
 import json
 import os
+import random
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,12 +20,13 @@ from mlsspf.errors import (CoverMissesVariable, NoClosedCover, NoEvent,
 from mlsspf.process import FormativeProcess
 from mlsspf.pumping import _CycleIndex, pump_rounds
 
-from conftest import (chain, last_stage_weak, rand_colored_board,
+from conftest import (chain, last_stage_weak, pow_nodes, rand_colored_board,
                       rand_partition, rand_transitive_universe,
                       union_pick_allowed, walk_cycles, wide_instance,
                       witness_family)
-from pumping_sweeps import (cycle_blocks_filled_sweep, cycle_ge_all_nodes,
-                            cycle_ge_sweep, find_pumping_cycles_scan)
+from pumping_sweeps import (closed_cover_sweep, cycle_blocks_filled_sweep,
+                            cycle_ge_all_nodes, cycle_ge_sweep,
+                            find_pumping_cycles_scan, is_closed_sweep)
 
 CERTIFIED_WIDE = [e["seed"] for e in json.loads(
     (Path(__file__).parent / "golden" / "certified_wide.json").read_text())[
@@ -137,7 +141,7 @@ def test_cycle_grand_event_table_reads_trace_nodes_off_the_board():
     board = m.canonical_board(formula, cert.assignment)[2]
     early = {n for n in proc.trace if m.grand_event(proc, n) < proc.xi}
     bare = m.ColoredBoard(
-        blocks=board.blocks, red=board.red, pow_nodes=board.pow_nodes,
+        blocks=board.blocks, red=board.red, pow_regions=board.pow_regions,
         targets={n: t for n, t in board.targets.items() if n not in early})
     assert early and not early & set(bare.targets)
     cycles = walk_cycles(board)
@@ -182,7 +186,7 @@ def _four_block_board():
     core = m.induced_board(partition)
     board = m.ColoredBoard(
         blocks=core.blocks, targets=dict(core.targets),
-        pow_nodes=frozenset([frozenset(), frozenset([1])]))
+        pow_regions=[frozenset([1])])
     return proc, board
 
 
@@ -196,10 +200,52 @@ def test_closed_cover_adds_a_trash():
 def test_closed_cover_fails_without_trash(ex1):
     board = m.ColoredBoard(blocks=ex1.board.blocks,
                            targets=dict(ex1.board.targets),
-                           pow_nodes=frozenset([frozenset(), frozenset([ex1.q])]))
+                           pow_regions=[frozenset([ex1.q])])
     cyc = walk_cycles(board)[0]
     with pytest.raises(NoClosedCover):
         m.closed_cover(ex1.process, board, cyc)
+
+
+def _cover_or_none(cover, *args):
+    try:
+        return cover(*args)
+    except NoClosedCover:
+        return None
+
+
+def test_closedness_matches_the_node_sweep():
+    # is_closed and closed_cover read the realized pow-nodes only; the
+    # sweep over every node under the regions must give the same verdicts
+    # and covers, and refuse the same covers.  Half the boards take random
+    # regions, whose unrealized nodes have no local trash.
+    seen = Counter()
+    for seed in range(300):
+        rng = random.Random(seed)
+        universe = rand_transitive_universe(rng, rng.randint(1, 9))
+        partition = rand_partition(rng, universe, max_blocks=5)
+        proc = m.synthesize_process(partition)
+        board = rand_colored_board(proc, partition, rng)
+        places = list(proc.places)
+        if rng.random() < 0.5:
+            board = replace(board, pow_regions=[
+                frozenset(rng.sample(places, rng.randint(1, len(places))))
+                for _ in range(rng.randint(1, 2))])
+        unrealized = {n for n in pow_nodes(board) if n not in board.targets}
+        for _ in range(4):
+            w = frozenset(rng.sample(places, rng.randint(0, len(places))))
+            closed = m.is_closed(proc, board, w)
+            assert closed == is_closed_sweep(proc, board, w)
+            seen["closed" if closed else "open"] += 1
+            seen["unrealized met"] += any(n & w for n in unrealized)
+            cycle = PumpingCycle(nodes=(frozenset(),),
+                                 places=(rng.choice(places),))
+            seeds = rng.sample(places, rng.randint(0, min(2, len(places))))
+            cover = _cover_or_none(m.closed_cover, proc, board, cycle, seeds)
+            assert cover == _cover_or_none(closed_cover_sweep, proc, board,
+                                           cycle, seeds)
+            seen["covered" if cover is not None else "refused"] += 1
+            seen["grown"] += cover not in (None, {*seeds, *cycle.places})
+    assert min(seen.values()) >= 20, seen
 
 
 def test_certify_witness_ex1(ex1):
@@ -479,8 +525,7 @@ def _assembly_moved_in(cert, p):
         stages=cand.stages[:-1] + ((last[0] | {union},) + last[1:],),
         trace=cand.trace, weak=True)
     return _pumped_extension(cert, p.rounds, forged, p.overlay, p.witness,
-                             p.warmups, p.round_boundaries,
-                             m.DEFAULT_LIMITS)
+                             p.warmups, p.round_boundaries)
 
 
 def test_targets_premise_is_imitation_item_1():
@@ -599,7 +644,7 @@ def _certify_oracle(formula, assignment, limits=m.DEFAULT_LIMITS):
     """certify_witness's search calling is_pumping_event on every
     (i0, cycle, q0) of the plain cycle walk, latest start stage first."""
     from mlsspf.certificate import _segment_trash_seeds
-    results = [lang.eval_literal(lit, assignment, limits)
+    results = [lang.eval_literal(lit, assignment)
                for lit in formula.literals]
     for lit, val in zip(formula.literals, results):
         if lit.kind != lang.NOT_FINITE and not val:

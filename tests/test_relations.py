@@ -9,7 +9,7 @@ from mlsspf import hf
 from mlsspf.relations import BlockBijection
 from mlsspf.venn import _sorted_blocks, home_index, node_union, subsets
 
-from conftest import (chain, degenerate, rand_colored_board,
+from conftest import (chain, degenerate, pow_nodes, rand_colored_board,
                       rand_partition, rand_transitive_universe,
                       witness_family)
 
@@ -164,6 +164,7 @@ def _conclusions_oracle(proc, board, cand):
     xi, xi2 = proc.xi, cand.xi
     places = proc.places
     ok0 = ok1 = ok2 = ok3 = True
+    pows = pow_nodes(board)
     for node in subsets(places):
         ora_fam = proc.node_snapshot(node, xi)
         hat_fam = cand.node_snapshot(node, xi2)
@@ -177,7 +178,7 @@ def _conclusions_oracle(proc, board, cand):
         for q in places:
             if (u_hat in cand.stages[xi2][q]) != (u_ora in proc.stages[xi][q]):
                 ok1 = False
-        if node in board.pow_nodes:
+        if node in pows:
             total = hf.pow_star_size(hat_fam)
             if sum(1 for e in cand.final_universe
                    if hf.in_pow_star(e, hat_fam)) != total:
@@ -223,7 +224,7 @@ def _random_bijection(rng, min_places, max_places):
 
 def _absorption_oracle(board, bij):
     placed = frozenset().union(*bij.target)
-    for node in board.pow_nodes:
+    for node in pow_nodes(board):
         fam = [bij.target[q] for q in sorted(node)]
         if (sum(1 for e in placed if hf.in_pow_star(e, fam))
                 != hf.pow_star_size(fam)):
@@ -231,19 +232,17 @@ def _absorption_oracle(board, bij):
     return True
 
 
-def _random_pow_nodes(rng, places):
-    """The downward closure of up to two random seeds of at most five
-    places; a place whose target block is empty may be among them."""
-    nodes = set()
-    for _ in range(rng.randint(0, 2)):
-        nodes.update(subsets(
-            rng.sample(list(places), rng.randint(0, min(5, len(places))))))
-    return nodes
+def _random_pow_regions(rng, places):
+    """Up to two random regions of at most five places; a place whose
+    target block is empty may be among them."""
+    return [frozenset(rng.sample(list(places),
+                                 rng.randint(0, min(5, len(places)))))
+            for _ in range(rng.randint(0, 2))]
 
 
 def _assert_tables_match_sweeps(bij, rng):
     board = m.ColoredBoard(blocks=bij.source, targets={},
-                           pow_nodes=_random_pow_nodes(rng, bij.places))
+                           pow_regions=_random_pow_regions(rng, bij.places))
     imit = m.imitates(board, bij)
     assert imit.items[0].ok == _contact_oracle(bij)
     assert imit.items[1].ok == _union_membership_oracle(bij)

@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 import mlsspf as m
 from mlsspf import hf, lang, solver
 from mlsspf.errors import (CannotWarmUp, CardinalityDeficit,
-                           CoverMissesVariable, LimitExceeded, NoClosedCover,
-                           NoEvent, NoLocalTrash, NotAWitness)
-from mlsspf.limits import DEFAULT_LIMITS, Limits
+                           CoverMissesVariable, NoClosedCover, NoEvent,
+                           NoLocalTrash, NotAWitness)
 from mlsspf.solver import _universe_table, _Walk, enumerate_universes
 
 from conftest import chain
@@ -147,10 +146,10 @@ def _decide_unpruned(formula, budget):
                     cert = m.certify_witness(formula, assignment, limits)
                 except (NotAWitness, NoEvent, CoverMissesVariable,
                         NoClosedCover, CannotWarmUp, NoLocalTrash,
-                        CardinalityDeficit, LimitExceeded):
+                        CardinalityDeficit):
                     continue
                 return m.DecideResult(m.SAT_WITNESSED, certificate=cert)
-            report = lang.evaluate(formula, assignment, limits)
+            report = lang.evaluate(formula, assignment)
             if report.satisfied:
                 return m.DecideResult(m.SAT_MODEL, assignment=assignment)
     if budget.trivial or not searched:
@@ -173,24 +172,18 @@ def small_formulas(draw):
 
 
 def _outcome(search, formula, budget):
-    try:
-        return json.dumps(search(formula, budget).to_json(), sort_keys=True)
-    except LimitExceeded as exc:
-        return repr(exc)
+    return json.dumps(search(formula, budget).to_json(), sort_keys=True)
 
 
-@given(small_formulas(), st.sampled_from([1, 4, DEFAULT_LIMITS.pow_limit]))
+@given(small_formulas())
 @settings(max_examples=200, deadline=None)
-def test_decide_matches_unpruned_search(formula, pow_limit):
-    # Small pow limits make Pow literals raise LimitExceeded, which a plain
-    # formula's search must let escape at the same leaf as the full product.
-    budget = m.SearchBudget(max_rank=3, max_universe=3,
-                            limits=Limits(pow_limit=pow_limit))
+def test_decide_matches_unpruned_search(formula):
+    budget = m.SearchBudget(max_rank=3, max_universe=3)
     assert (_outcome(m.decide, formula, budget)
             == _outcome(_decide_unpruned, formula, budget))
 
 
-def _leaves_per_node(names, choices, closures, universe, checks, limits):
+def _leaves_per_node(names, choices, closures, universe, checks):
     """Reference walk: every literal of checks[d] evaluated at every node."""
     bindings = {}
     prefix = SimpleNamespace(bindings=bindings)
@@ -200,7 +193,7 @@ def _leaves_per_node(names, choices, closures, universe, checks, limits):
         name, here = names[depth], checks[depth]
         for value, closure in zip(choices, closures):
             bindings[name] = value
-            if not all(lang.eval_literal(lit, prefix, limits) for lit in here):
+            if not all(lang.eval_literal(lit, prefix) for lit in here):
                 continue
             union = covered | closure
             if depth < last:
@@ -219,14 +212,11 @@ _REPEATED = [lang.Literal(lang.UNION, ("x", "x", "y")),
 
 
 @given(small_formulas(), st.lists(st.sampled_from(_REPEATED), max_size=2),
-       st.sampled_from(_UNIVERSES), st.booleans())
+       st.sampled_from(_UNIVERSES))
 @settings(max_examples=150, deadline=None)
-def test_leaves_match_per_node_walk(formula, repeated, universe, tight):
-    # With pow_limit exactly 2^|U| no Pow literal raises on this universe,
-    # so decide searches it pruned; both walks must keep the same leaves in
-    # the same order.
+def test_leaves_match_per_node_walk(formula, repeated, universe):
+    # Both walks must keep the same leaves in the same order.
     formula = lang.Formula(formula.literals + tuple(repeated))
-    limits = Limits(pow_limit=2 ** len(universe)) if tight else DEFAULT_LIMITS
     names = list(formula.vars)
     depth = {v: i for i, v in enumerate(names)}
     checks = [[] for _ in names]
@@ -238,7 +228,7 @@ def test_leaves_match_per_node_walk(formula, repeated, universe, tight):
     assert ([dict(a.bindings)
              for a in _Walk(names, checks).leaves(_universe_table(universe))]
             == [dict(a.bindings) for a in _leaves_per_node(
-                names, choices, closures, universe, checks, limits)])
+                names, choices, closures, universe, checks)])
 
 
 def test_hard_search_evaluates_few_literals(monkeypatch):
@@ -294,16 +284,13 @@ def masked_literals(draw):
 
 
 @given(masked_literals(), st.fixed_dictionaries(
-    {v: st.integers(0, 15) for v in "xyz"}), st.booleans())
+    {v: st.integers(0, 15) for v in "xyz"}))
 @settings(max_examples=300, deadline=None)
-def test_truth_mask_matches_eval_literal(literal, picks, tight):
+def test_truth_mask_matches_eval_literal(literal, picks):
     # On every universe the compiled mask is the one built value by value
-    # with eval_literal, also at pow_limit = 2^|U|, the tightest limit
-    # decide prunes under.
+    # with eval_literal.
     lit, free = literal
     for universe in _UNIVERSES:
-        limits = (Limits(pow_limit=2 ** len(universe)) if tight
-                  else DEFAULT_LIMITS)
         table = _universe_table(universe)
         fixed = {v: picks[v] % len(table.choices)
                  for v in lit.operands if v != free}
@@ -311,8 +298,7 @@ def test_truth_mask_matches_eval_literal(literal, picks, tight):
         expected = 0
         for j, value in enumerate(table.choices):
             bindings[free] = value
-            if lang.eval_literal(lit, SimpleNamespace(bindings=bindings),
-                                 limits):
+            if lang.eval_literal(lit, SimpleNamespace(bindings=bindings)):
                 expected |= 1 << j
         vals = [None if v == free else fixed[v] for v in lit.operands]
         assert solver._truth_mask(table, lit.kind, vals) == expected
@@ -416,7 +402,7 @@ def test_leaves_match_per_node_walk_on_components(formula, at, universe):
     choices = table.choices
     closures = [frozenset(hf.transitive_closure(c).elements) for c in choices]
     expected = [dict(a.bindings) for a in _leaves_per_node(
-        names, choices, closures, universe, checks, DEFAULT_LIMITS)]
+        names, choices, closures, universe, checks)]
     assert [dict(a.bindings)
             for a in _Walk(names, checks).leaves(table)] == expected
     parts = solver._components(names, checks)

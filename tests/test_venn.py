@@ -5,6 +5,7 @@ import pytest
 import mlsspf as m
 from mlsspf import hf
 from mlsspf.errors import NotTransitive
+from mlsspf.venn import subsets
 
 from conftest import chain, rand_partition, rand_transitive_universe, set_partitions
 
@@ -63,13 +64,17 @@ def test_induced_board_requires_transitivity():
 
 def test_color_board_ex1(ex1):
     assert ex1.board.red == frozenset()
-    assert ex1.board.pow_nodes == frozenset()
+    assert ex1.board.pow_regions == frozenset()
 
 
 def test_color_board_finite_rule(ex1):
     f = m.parse("w in x & Finite(w)")
     board = m.color_board(ex1.board, f, ex1.im)
     assert board.red == frozenset([ex1.p])
+
+
+def _pow_nodes(board):
+    return {node for node in subsets(board.places) if board.is_pow_node(node)}
 
 
 def test_color_board_pow_rule_downward_closure():
@@ -81,11 +86,13 @@ def test_color_board_pow_rule_downward_closure():
     for u in ([], [0], [0, 1]):
         im = m.ImMap({"u": u, "w": [0, 1]})
         board = m.color_board(core, f, im)
-        assert board.pow_nodes == frozenset(
-            [frozenset(), frozenset([0]), frozenset([1]), frozenset([0, 1])])
+        assert board.pow_regions == frozenset([frozenset([0, 1])])
+        assert _pow_nodes(board) == {
+            frozenset(), frozenset([0]), frozenset([1]), frozenset([0, 1])}
     im = m.ImMap({"u": [0, 1], "w": [1]})
-    assert m.color_board(core, f, im).pow_nodes == frozenset(
-        [frozenset(), frozenset([1])])
+    assert _pow_nodes(m.color_board(core, f, im)) == {
+        frozenset(), frozenset([1])}
+    assert not _pow_nodes(m.color_board(core, m.parse("u = w"), im))
 
 
 def test_transitivize_examples():
@@ -230,9 +237,3 @@ def test_board_json_deterministic(ex1):
     b = json.dumps(board.to_json(), sort_keys=True)
     assert a == b
 
-
-def test_colored_board_enforces_downward_closed_pow_nodes():
-    core = m.induced_board(m.Partition([[A], [B]]))
-    with pytest.raises(ValueError):
-        m.ColoredBoard(blocks=core.blocks, targets=dict(core.targets),
-                       pow_nodes=frozenset([frozenset([0, 1])]))

@@ -9,6 +9,7 @@ import functools
 import json
 import re
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -18,8 +19,8 @@ from hypothesis import strategies as st
 import mlsspf as m
 from mlsspf import hf
 
-from conftest import (Ex1, chain, union_pick_allowed, wide_instance,
-                      witness_family)
+from conftest import (Ex1, chain, pow_region_forgery, union_pick_allowed,
+                      wide_instance, witness_family)
 from make_golden import WIDE_SEEDS
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -338,6 +339,18 @@ def _finite_literal_appended(data):
     # variable's region.
     data["formula"] += " & !Finite(w)"
     data["report"]["literals"].append(False)
+
+
+@pytest.mark.parametrize("k", [12, 24, 48])
+def test_verify_refuses_a_forged_pow_region_in_linear_time(k):
+    # The checker neither builds Pow(z) nor lists the 2^k pow-nodes of a
+    # region of k places: each place more cost about 3x at k = 10-14 when
+    # it did.
+    data = pow_region_forgery(k)
+    start = time.process_time()
+    failed, _ = _failed_checks(data)
+    assert time.process_time() - start < 1
+    assert "every literal but !Finite holds" in failed
 
 
 def test_verify_fails_a_cycle_that_misses_a_finite_region():

@@ -21,7 +21,7 @@ from .certificate import WitnessCertificate
 from .errors import CoverMissesVariable, NoEvent, NotAWitness
 from .limits import DEFAULT_LIMITS, Limits
 from .pumping import certify_witness
-from .venn import Assignment
+from .venn import RED_KINDS, Assignment
 
 SAT_WITNESSED = "SatWitnessed"
 SAT_MODEL = "SatModel"
@@ -117,14 +117,16 @@ class UniverseTable:
     `elems` (`elem_index[j]`, -1 when it is not a member of the universe)
     and the bitmask of its transitive closure (`cmask[j]`); `choice_of`
     maps a bitmask back to its choice, and `elem_choice[i]` is the choice
-    equal to elems[i].  The pruning reads only these bits, so a choice's
-    HfSet is built when a leaf first reads it (see `_Choices`), and the
-    index of Pow(choices[j]) is found on first use.  Get a table with
+    equal to elems[i].  `nonempty` has the bit of each nonempty element,
+    and `held` the bit of each element that is a member of an element.
+    The pruning reads only these bits, so a choice's HfSet is built when a
+    leaf first reads it (see `_Choices`), and the index of
+    Pow(choices[j]) is found on first use.  Get a table with
     `_universe_table`.
     """
 
     __slots__ = ("choices", "emask", "choice_of", "elem_index", "elem_choice",
-                 "cmask", "full", "everything", "_pow")
+                 "cmask", "full", "everything", "nonempty", "held", "_pow")
 
     def __init__(self, universe):
         elems = sorted(universe, key=lambda e: e._key)
@@ -159,6 +161,8 @@ class UniverseTable:
         self.cmask = [closures[m] for m in masks]
         self.full = (1 << n) - 1
         self.everything = (1 << len(masks)) - 1
+        self.nonempty = sum(1 << i for i, bits in enumerate(direct) if bits)
+        self.held = functools.reduce(operator.or_, direct, 0)
         self._pow = {}
 
     def members_of(self, j) -> int:
@@ -324,6 +328,47 @@ def _truth_mask(table: UniverseTable, kind: str, vals) -> int:
     return table.everything ^ bits if base is not kind else bits
 
 
+def _may_pump(table, picked, red, infinite) -> bool:
+    """Whether a leaf passes a necessary condition for `certify_witness` to
+    find a pumping event on it.
+
+    `picked` gives the leaf's choice per depth; `infinite` holds the depths
+    of the !Finite variables and `red` those of the variables whose
+    regions `venn.color_board` colours red (the first operands of the
+    `RED_KINDS` literals).  Let F be the union of the red values.  The
+    condition is that for every !Finite variable v the set v \\ F holds
+    (a) a nonempty element and (b) an element that is a member of an
+    element of the universe.
+
+    Why it is necessary: a certificate's cycle meets the region of every
+    !Finite variable v, else `certify_witness` raises NoEvent or
+    CoverMissesVariable.  Its places are green, so it meets v's region at
+    a green place p.  Every block lies entirely inside or entirely outside
+    each variable's value, so block p is a subset of v \\ F.
+    (a) p is a target of the node before it on the cycle.  That node holds
+        a green place, so it is not empty, and some element of block p has
+        it as its signature: that element has a member.
+    (b) p lies in the node after it on the cycle.  A realized node is the
+        signature of an element of the board's universe, so that element
+        has a member in block p.
+    At a leaf of `decide` the values generate the table's universe (the
+    cover test), and that closure is the board's universe, since
+    `certify_witness` transitivizes the assignment to it.  So `nonempty`
+    and `held` are read off the right universe, and a leaf failing the
+    test is one that `certify_witness` rejects with NoEvent or
+    CoverMissesVariable.
+    """
+    emask = table.emask
+    forced = 0
+    for d in red:
+        forced |= emask[picked[d]]
+    for d in infinite:
+        green = emask[picked[d]] & ~forced
+        if not (green & table.nonempty and green & table.held):
+            return False
+    return True
+
+
 class _Walk:
     """The forward-checking walk over one variable order and its literals.
 
@@ -333,7 +378,10 @@ class _Walk:
     candidates of that product that satisfy every literal of `checks` and,
     when `cover` is set, whose values generate the universe: the union of
     their closures is all of it.  With `cover` unset every candidate that
-    satisfies the literals is a leaf.
+    satisfies the literals is a leaf.  With the variables `infinite` of
+    !Finite literals and `red` of `RED_KINDS` literals given, a leaf must
+    also pass `_may_pump`, which is sound only together with the cover
+    test.
 
     A literal in checks[d] has its last-bound variable at depth d, its
     free variable.  Its truth depends only on the `choices` indices of its
@@ -351,9 +399,11 @@ class _Walk:
     on `names` and `checks` only, so `decide` builds it once per call.
     """
 
-    def __init__(self, names, checks):
+    def __init__(self, names, checks, red=(), infinite=()):
         self.names = names
         depth_of = {name: d for d, name in enumerate(names)}
+        self.red = sorted({depth_of[v] for v in red})
+        self.infinite = sorted({depth_of[v] for v in infinite})
         # roots: (d, kind, operands) of the literals on one variable;
         # ahead[e]: per depth d > e, (kind, operands, key, memo index) of
         # the literals of checks[d] whose other operands are bound by e, e
@@ -378,6 +428,7 @@ class _Walk:
     def leaves(self, table, cover=True):
         """The surviving candidate assignments under one universe."""
         names, ahead = self.names, self.ahead
+        red, infinite = self.red, self.infinite
         choices, cmask = table.choices, table.cmask
         full = table.full if cover else None
         last = len(names) - 1
@@ -423,6 +474,9 @@ class _Walk:
                 if depth < last:
                     yield from walk(depth + 1, union, inner)
                 elif full is None or union == full:
+                    if infinite and not _may_pump(table, picked, red,
+                                                  infinite):
+                        continue
                     yield Assignment({name: choices[picked[d]]
                                       for d, name in enumerate(names)})
 
@@ -468,11 +522,16 @@ def decide(formula: lang.Formula, budget: SearchBudget) -> DecideResult:
     last-bound variable as soon as its other operands are bound, and a
     universe is skipped when the literals of one connected component of
     the variables have no solution in it, found by the same walk over that
-    component alone.  Only candidates that would be rejected are dropped,
-    so the first hit, and with it every verdict, is the one the full
-    product finds.
+    component alone.  A candidate of a formula with a !Finite literal must
+    also pass `_may_pump`, a bit test that fails only on candidates that
+    `certify_witness` rejects.  Only candidates that would be rejected are
+    dropped, so the guarantee holds with the leaf test: the first hit, and
+    with it every verdict, is the one the full product finds.
     """
-    has_neg = any(lit.kind == lang.NOT_FINITE for lit in formula.literals)
+    red = [lit.operands[0] for lit in formula.literals
+           if lit.kind in RED_KINDS]
+    infinite = [lit.operands[0] for lit in formula.literals
+                if lit.kind == lang.NOT_FINITE]
     names = list(formula.vars)
     if not names:
         return DecideResult(UNKNOWN)
@@ -481,7 +540,7 @@ def decide(formula: lang.Formula, budget: SearchBudget) -> DecideResult:
     for lit in formula.literals:
         if lit.kind not in (lang.FINITE, lang.NOT_FINITE):
             checks[max(depth[v] for v in lit.operands)].append(lit)
-    search = _Walk(names, checks)
+    search = _Walk(names, checks, red, infinite)
     parts = [_Walk(part, here) for part, here in _components(names, checks)]
     for universe in enumerate_universes(budget.max_rank, budget.max_universe):
         table = _universe_table(universe)
@@ -489,7 +548,7 @@ def decide(formula: lang.Formula, budget: SearchBudget) -> DecideResult:
                for part in parts):
             continue
         for assignment in search.leaves(table):
-            if has_neg:
+            if infinite:
                 try:
                     cert = certify_witness(formula, assignment, budget.limits)
                 except (NotAWitness, NoEvent, CoverMissesVariable):

@@ -19,6 +19,10 @@ from .errors import NotTransitive
 
 EMPTY_NODE = frozenset()
 
+# The literal kinds whose first operand's region `color_board` colours red:
+# a pumping cycle may not grow those values.
+RED_KINDS = (lang.ENUM, lang.FINITE)
+
 
 @dataclass(frozen=True)
 class Assignment:
@@ -347,7 +351,7 @@ def color_board(core: ColoredBoard, formula: lang.Formula, im: ImMap) -> Colored
     red = set()
     pow_regions = set()
     for lit in formula.literals:
-        if lit.kind in (lang.ENUM, lang.FINITE):
+        if lit.kind in RED_KINDS:
             red |= im[lit.operands[0]]
         elif lit.kind == lang.POW:
             pow_regions.add(im[lit.operands[1]])

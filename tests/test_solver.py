@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mlsspf as m
-from mlsspf import hf, lang, solver
+from mlsspf import hf, lang, solver, venn
 from mlsspf.errors import (CannotWarmUp, CardinalityDeficit,
                            CoverMissesVariable, NoClosedCover, NoEvent,
                            NoLocalTrash, NotAWitness)
@@ -183,6 +183,53 @@ def test_decide_matches_unpruned_search(formula):
             == _outcome(_decide_unpruned, formula, budget))
 
 
+@st.composite
+def pumping_formulas(draw, red_kinds):
+    """A small formula with a !Finite literal added, and a Finite or an
+    enumeration literal as `red_kinds` draws one (None: neither)."""
+    extra = [lang.Literal(lang.NOT_FINITE, (draw(_VARS),))]
+    kind = draw(red_kinds)
+    if kind == lang.FINITE:
+        extra.append(lang.Literal(kind, (draw(_VARS),)))
+    elif kind == lang.ENUM:
+        extra.append(lang.Literal(kind, tuple(
+            draw(_VARS) for _ in range(draw(st.integers(2, 3))))))
+    lits = draw(small_formulas()).literals + tuple(extra)
+    return lang.Formula(tuple(draw(st.permutations(lits))))
+
+
+_RED_KINDS = st.sampled_from([lang.FINITE, lang.ENUM])
+
+
+@given(pumping_formulas(_RED_KINDS))
+@settings(max_examples=100, deadline=None)
+def test_decide_matches_unpruned_search_with_pump_test(formula):
+    # The formula always has a !Finite literal and a red one, so the leaf
+    # test drops most leaves; the unpruned search certifies every leaf.
+    budget = m.SearchBudget(max_rank=3, max_universe=3)
+    assert (_outcome(m.decide, formula, budget)
+            == _outcome(_decide_unpruned, formula, budget))
+
+
+def test_decide_certifies_no_leaf_without_a_green_element(monkeypatch):
+    # A count guard: every leaf here has v \ F empty for the !Finite
+    # variable.  Without the leaf test decide made 3,321 and 1,328
+    # certify_witness calls, each of them rejected.
+    calls = []
+    certify = solver.certify_witness
+
+    def counting(*args):
+        calls.append(None)
+        return certify(*args)
+
+    monkeypatch.setattr(solver, "certify_witness", counting)
+    for text, rank, size in (("!Finite(x) & Finite(y) & x <= y", 4, 5),
+                             ("!Finite(x) & Finite(x)", 5, 5)):
+        r = m.decide(m.parse(text), m.SearchBudget(rank, size))
+        assert r.verdict == m.UNSAT_WITHIN_BUDGET
+    assert calls == []
+
+
 def _leaves_per_node(names, choices, closures, universe, checks):
     """Reference walk: every literal of checks[d] evaluated at every node."""
     bindings = {}
@@ -265,6 +312,11 @@ def test_universe_table_matches_set_operations():
                 1 << k for k, d in enumerate(table.choices) if d in c)
             assert table.holders_of(j) == sum(
                 1 << k for k, d in enumerate(table.choices) if c in d)
+        assert table.nonempty == sum(
+            1 << i for i, e in enumerate(elems) if e.elements)
+        assert table.held == sum(
+            1 << i for i, e in enumerate(elems)
+            if any(e in d for d in elems))
 
 
 _MASKED = sorted(set(lang._ARITY) - {lang.FINITE, lang.NOT_FINITE}) + [lang.ENUM]
@@ -490,3 +542,34 @@ def test_hard_search_walks_few_nodes():
         sys.setprofile(None)
     assert r.verdict == m.UNSAT_WITHIN_BUDGET
     assert 0 < len(calls) < 5_000
+
+
+_LARGEST = [u for u in _UNIVERSES if len(u) == 4]
+
+
+@given(pumping_formulas(st.sampled_from([None, lang.FINITE, lang.ENUM])),
+       st.sampled_from(_LARGEST))
+@settings(max_examples=60, deadline=None)
+def test_pump_test_drops_only_leaves_certify_witness_rejects(formula,
+                                                             sampled):
+    # Every (3, 3) universe and one of (4, 4): the walk with the leaf test
+    # keeps the leaves of the walk without it, in order, less some that
+    # certify_witness rejects with NoEvent or CoverMissesVariable.
+    names = list(formula.vars)
+    checks = _checks(names, formula)
+    red = [lit.operands[0] for lit in formula.literals
+           if lit.kind in venn.RED_KINDS]
+    infinite = [lit.operands[0] for lit in formula.literals
+                if lit.kind == lang.NOT_FINITE]
+    plain, tested = _Walk(names, checks), _Walk(names, checks, red, infinite)
+    for universe in enumerate_universes(3, 3) + (sampled,):
+        table = _universe_table(universe)
+        kept = [tuple(a.bindings.values()) for a in tested.leaves(table)]
+        leaves = [tuple(a.bindings.values()) for a in plain.leaves(table)]
+        survivors = set(kept)
+        assert kept == [leaf for leaf in leaves if leaf in survivors]
+        for leaf in leaves:
+            if leaf not in survivors:
+                with pytest.raises((NoEvent, CoverMissesVariable)):
+                    m.certify_witness(formula,
+                                      m.Assignment(dict(zip(names, leaf))))

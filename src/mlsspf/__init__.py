@@ -10,9 +10,8 @@ from .errors import (ArityError, CannotWarmUp, CardinalityDeficit,
                      NotAWitness, NotTransitive, UnboundVariable)
 from .hf import (EMPTY, HfSet, bool_op, from_json, in_pow_star, make_set,
                  pow_star, pow_star_size, powerset, transitive_closure)
-from .lang import (Formula, Literal, SatisfactionReport,
-                   drop_finite_literals, eval_literal, evaluate, parse)
-from .limits import DEFAULT_LIMITS, Limits
+from .lang import (Formula, Literal, SatisfactionReport, eval_literal,
+                   evaluate, parse)
 from .msrefine import (ImitationWitness, MsOverlay, StartConfiguration,
                        check_segment_imitation, check_upward_premises,
                        check_weak_imitation, paste_segment, validate_overlay)
@@ -21,12 +20,12 @@ from .process import (FormativeProcess, grand_event, is_closed, local_trashes,
 from .pumping import (certify_witness, closed_cover, extend_certificate,
                       pump_rounds)
 from .relations import (BlockBijection, imitates, literal_transfer_report,
-                        simulates_upwards, transfer_assignment)
+                        transfer_assignment)
 from .solver import (SAT_MODEL, SAT_WITNESSED, UNKNOWN, UNSAT_WITHIN_BUDGET,
                      DecideResult, SearchBudget, decide)
 from .venn import (Assignment, ColoredBoard, ImMap, Partition,
-                   canonical_board, color_board, finer_than, induced_board,
-                   transitivize, venn_partition)
+                   canonical_board, color_board, induced_board, transitivize,
+                   venn_partition)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -15,12 +15,11 @@ the other modules are the code a verdict of `verify` rests on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from . import hf, lang
 from .errors import MlsspfError
-from .limits import DEFAULT_LIMITS, Limits
 from .msrefine import (ImitationWitness, MsOverlay, _surplus_sinks,
                        check_segment_imitation, check_upward_premises,
                        check_weak_imitation, validate_overlay)
@@ -33,6 +32,10 @@ from .venn import Assignment, ColoredBoard, canonical_board, transitivize
 
 # The surplus-only rounds a pump may run before it must restore.
 MAX_WARMUP_ROUNDS = 8
+
+# The places of a pumping cycle, when neither the caller of
+# `certify_witness` nor a certificate's `params.maxCycleLen` says otherwise.
+MAX_CYCLE_LEN = 4
 
 
 @dataclass(frozen=True)
@@ -348,15 +351,21 @@ class WitnessCertificate:
         """`to_json`'s form read back, every set of it through one
         `hf.Decoder` (`decode`, else a fresh one); the pumped overlay's
         surplus parts are not read.  Only JSON types are checked, not a
-        single claim: that is `check_certificate`'s work.  An unparsable
-        formula raises its MlsspfError, a malformed process
+        single claim: that is `check_certificate`'s work, except that a
+        recorded `params.maxCycleLen` below 1 raises ValueError.  An
+        unparsable formula raises its MlsspfError, a malformed process
         MalformedProcess, and any other malformed field ValueError or
         KeyError.
         """
         expect, decode = hf.expect_json, decode or hf.Decoder()
         data = expect(data, dict, "a certificate")
+        params = expect(data.get("params", {}), dict, "params")
+        max_cycle_len = expect(params.get("maxCycleLen", MAX_CYCLE_LEN), int,
+                               "maxCycleLen")
+        if max_cycle_len < 1:
+            raise ValueError(
+                f"maxCycleLen must be at least 1, not {max_cycle_len}")
         formula = lang.parse(expect(data["formula"], str, "formula"))
-        params = _recorded_limits(data, DEFAULT_LIMITS)
         base, _ = Assignment.from_json(data["baseAssignment"], decode)
         assignment, _ = Assignment.from_json(data["assignment"], decode)
         try:
@@ -375,17 +384,9 @@ class WitnessCertificate:
                 expect(v, bool, "a literal result") for v in expect(
                     report["literals"], list, "literal results")),
             event_report=Report.from_json(report["event"]),
-            max_cycle_len=params.max_cycle_len,
+            max_cycle_len=max_cycle_len,
             pumped=(PumpedExtension.from_json(data["pumped"], decode)
                     if "pumped" in data else None))
-
-
-def _recorded_limits(data, limits: Limits) -> Limits:
-    """`limits` with the certificate's recorded `params.maxCycleLen`, when
-    it has one; a bound below 1 raises ValueError."""
-    params = hf.expect_json(data.get("params", {}), dict, "params")
-    return replace(limits, max_cycle_len=hf.expect_json(
-        params.get("maxCycleLen", limits.max_cycle_len), int, "maxCycleLen"))
 
 
 def _pumped_extension(cert, rounds, cand, overlay, witness, warmups,
@@ -417,24 +418,24 @@ def _pumped_extension(cert, rounds, cand, overlay, witness, warmups,
         round_boundaries=tuple(boundaries))
 
 
-def verify_certificate(data, limits: Limits = DEFAULT_LIMITS) -> Report:
+def verify_certificate(data) -> Report:
     """`check_certificate`'s report: every claim of the certificate checked
     on its own, without re-running the prover."""
-    return check_certificate(data, limits)[0]
+    return check_certificate(data)[0]
 
 
-def check_certificate(data, limits: Limits = DEFAULT_LIMITS):
+def check_certificate(data):
     """Check every claim of a certificate's JSON form on its own, and return
     (report, the decoded certificate, or None when it does not decode).
 
     No step of the prover runs (`certify_witness`, `synthesize_process`,
     the pump or the paste): the certificate is decoded with
-    `WitnessCertificate.from_json` under the recorded `params.maxCycleLen`
-    (else `limits`'), and what it says is recomputed from what it holds.
-    The base certificate: the cycle is within the bound; the assignment is
-    the base assignment, closed by `transitivize` when that is not
-    transitive; the literal results are the base assignment's and every
-    literal but !Finite holds; the process validates as a strong process
+    `WitnessCertificate.from_json`, and what it says is recomputed from what
+    it holds.  The base certificate: the cycle is within the recorded
+    `params.maxCycleLen` (else `MAX_CYCLE_LEN`); the assignment is the base
+    assignment, closed by `transitivize` when that is not transitive; the
+    literal results are the base assignment's and every literal but
+    !Finite holds; the process validates as a strong process
     and ends in the assignment's Venn partition; the event names places
     and a stage of it, holds, and has the recorded report; the cover is
     closed, holds the cycle and the trash seeds the segment replay needs;
@@ -445,12 +446,10 @@ def check_certificate(data, limits: Limits = DEFAULT_LIMITS):
     failing ones).
 
     Wrong JSON types raise ValueError or KeyError, except in the base
-    process, which fails "embedded process parses"; a bound below 1 raises
-    ValueError.  An MlsspfError of a recomputation is a failed item, and
+    process, which fails "embedded process parses"; a recorded
+    `params.maxCycleLen` below 1 raises ValueError.  An MlsspfError of a recomputation is a failed item, and
     any other exception a fault of the library.
     """
-    data = hf.expect_json(data, dict, "a certificate")
-    limits = _recorded_limits(data, limits)
     rb = ReportBuilder()
     decode = hf.Decoder()
     try:
@@ -466,7 +465,7 @@ def check_certificate(data, limits: Limits = DEFAULT_LIMITS):
     formula, base, proc = cert.formula, cert.base_assignment, cert.process
     event, cycle = cert.event, cert.event.cycle
     rb.add("event cycle has at most params.maxCycleLen places",
-           len(cycle) <= limits.max_cycle_len)
+           len(cycle) <= cert.max_cycle_len)
     if not rb.add("assignment is the base assignment, made transitive",
                   cert.assignment == (base if base.is_transitive()
                                       else transitivize(base))):

@@ -22,9 +22,8 @@ import sys
 import traceback
 
 from . import hf, lang
-from .certificate import check_certificate, verify_certificate
+from .certificate import MAX_CYCLE_LEN, check_certificate, verify_certificate
 from .errors import LimitExceeded, MlsspfError
-from .limits import DEFAULT_LIMITS, Limits
 from .process import FormativeProcess, synthesize_process, validate_process
 from .pumping import certify_witness, extend_certificate
 from .solver import SAT_MODEL, SAT_WITNESSED, UNKNOWN, SearchBudget, decide
@@ -78,13 +77,6 @@ def _read_json(path):
             return json.load(fh)
         except RecursionError:
             raise ValueError(f"{path}: JSON nests too deep to read") from None
-
-
-def _limits(args) -> Limits:
-    return Limits(pow_limit=getattr(args, "limit_pow",
-                                    DEFAULT_LIMITS.pow_limit),
-                  max_cycle_len=getattr(args, "max_cycle_len",
-                                        DEFAULT_LIMITS.max_cycle_len))
 
 
 def cmd_parse(args):
@@ -146,7 +138,7 @@ def cmd_process(args):
 def cmd_witness(args):
     formula = _read_formula(args.formula)
     model = _read_model(args.model)
-    cert = certify_witness(formula, model, _limits(args))
+    cert = certify_witness(formula, model, args.max_cycle_len)
     _emit(cert.to_json(), args)
     return EXIT_OK
 
@@ -154,12 +146,11 @@ def cmd_witness(args):
 def cmd_pump(args):
     if args.rounds < 0:
         raise ValueError(f"rounds must be nonnegative, not {args.rounds}")
-    limits = _limits(args)
-    report, cert = check_certificate(_read_json(args.certificate), limits)
+    report, cert = check_certificate(_read_json(args.certificate))
     if not report.ok:
         raise MlsspfError(f"certificate does not check:\n{report}")
     try:
-        extended = extend_certificate(cert, args.rounds, limits)
+        extended = extend_certificate(cert, args.rounds, args.limit_pow)
     except LimitExceeded:
         # The user's own bound: bad input, as for every command.
         raise
@@ -176,7 +167,7 @@ def cmd_decide(args):
     formula = _read_formula(args.file)
     budget = SearchBudget(
         max_rank=args.max_rank, max_universe=args.max_universe,
-        limits=_limits(args))
+        max_cycle_len=args.max_cycle_len)
     result = decide(formula, budget)
     _emit(result.to_json(), args)
     if result.verdict in (SAT_MODEL, SAT_WITNESSED):
@@ -236,8 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("witness", help="certify a witnessing assignment")
     p.add_argument("-f", "--formula", required=True)
     p.add_argument("-m", "--model", required=True)
-    p.add_argument("--max-cycle-len", type=int,
-                   default=DEFAULT_LIMITS.max_cycle_len)
+    p.add_argument("--max-cycle-len", type=int, default=MAX_CYCLE_LEN)
     common(p)
     p.set_defaults(func=cmd_witness)
 
@@ -245,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-c", "--certificate", required=True)
     p.add_argument("--rounds", type=int, default=1)
     p.add_argument(
-        "--limit-pow", type=int, default=DEFAULT_LIMITS.pow_limit,
+        "--limit-pow", type=int, default=hf.POW_LIMIT,
         help="cap on the assembly family of the pow-node dump, and on the "
              "assemblies a lazy pick examines")
     common(p)
@@ -255,8 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--max-rank", type=int, default=4)
     p.add_argument("--max-universe", type=int, default=4)
-    p.add_argument("--max-cycle-len", type=int,
-                   default=DEFAULT_LIMITS.max_cycle_len)
+    p.add_argument("--max-cycle-len", type=int, default=MAX_CYCLE_LEN)
     common(p)
     p.set_defaults(func=cmd_decide)
 

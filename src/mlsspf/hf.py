@@ -24,7 +24,10 @@ import json
 import math
 
 from .errors import LimitExceeded
-from .limits import DEFAULT_LIMITS
+
+# The default bound of `powerset`, `assemblies` and `pow_star`: past it they
+# raise LimitExceeded.
+POW_LIMIT = 2 ** 20
 
 # The greatest rank of a set a `Decoder` reads: a deeper one is bad input.
 MAX_RANK = 333
@@ -311,8 +314,12 @@ def bool_op(a: HfSet, b: HfSet, op: str) -> HfSet:
     raise ValueError(f"unknown operator {op!r}")
 
 
-def powerset(s: HfSet, limit: int = DEFAULT_LIMITS.pow_limit) -> HfSet:
-    """The set of all subsets of s.  Fails loudly when 2^|s| exceeds limit."""
+def powerset(s: HfSet, limit: int = POW_LIMIT) -> HfSet:
+    """The set of all subsets of s.  Fails loudly when 2^|s| exceeds limit.
+
+    No package code calls it: `lang` decides p = Pow(z) without building
+    Pow(z).  It stays as the public constructor of a powerset value.
+    """
     n = len(s)
     if n >= limit.bit_length() and 2 ** n > limit:
         raise LimitExceeded("powerset", 2 ** n, limit)
@@ -332,7 +339,7 @@ def pow_star_size(blocks) -> int:
     return math.prod(2 ** len(tuple(z)) - 1 for z in blocks)
 
 
-def assemblies(blocks, limit: int = DEFAULT_LIMITS.pow_limit):
+def assemblies(blocks, limit: int = POW_LIMIT):
     """Yield the assembly family of `blocks` lazily, in canonical order.
 
     The family is every subset of the union of the blocks that meets each
@@ -399,7 +406,7 @@ def assemblies(blocks, limit: int = DEFAULT_LIMITS.pow_limit):
         picks = None
 
 
-def pow_star(blocks, limit: int = DEFAULT_LIMITS.pow_limit):
+def pow_star(blocks, limit: int = POW_LIMIT):
     """All sets assembled by taking a nonempty part from each block.
 
     The canonically sorted tuple of `assemblies(blocks)`.

@@ -262,8 +262,3 @@ def evaluate(formula: Formula, assignment) -> SatisfactionReport:
     results = tuple(eval_literal(lit, assignment) for lit in formula.literals)
     return SatisfactionReport(results, all(results))
 
-
-def drop_finite_literals(formula: Formula) -> Formula:
-    """The formula with every Finite/NotFinite literal removed, order kept."""
-    return Formula(tuple(
-        lit for lit in formula.literals if lit.kind not in (FINITE, NOT_FINITE)))

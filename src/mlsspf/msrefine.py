@@ -15,7 +15,6 @@ from types import MappingProxyType
 
 from . import hf
 from .errors import CardinalityDeficit, NoLocalTrash
-from .limits import DEFAULT_LIMITS, Limits
 from .process import FormativeProcess, grand_event, is_closed, local_trashes
 from .report import Report, ReportBuilder
 from .venn import ColoredBoard, SignatureTable, node_union, subsets
@@ -410,7 +409,7 @@ class StartConfiguration:
 
 def paste_segment(proc: FormativeProcess, board: ColoredBoard,
                   start: StartConfiguration, k_second: int,
-                  limits: Limits = DEFAULT_LIMITS):
+                  pow_limit: int = hf.POW_LIMIT):
     """Extend the candidate so it copies the segment [k_prime, k_second].
 
     Follows the inductive construction: each oracle step is replayed with
@@ -419,8 +418,14 @@ def paste_segment(proc: FormativeProcess, board: ColoredBoard,
     Minus unions elsewhere), and when a pow-node with surplus hits its grand
     event the whole remaining pool is dumped into a local trash's surplus.
 
+    A Minus pool draws at most `pow_limit` assemblies, and the family a
+    pow-node dump builds whole holds at most `pow_limit` (else
+    LimitExceeded); a `pow_limit` below 1 raises ValueError.
+
     Returns (extended process, extended overlay, witness).
     """
+    if pow_limit < 1:
+        raise ValueError(f"pow_limit must be at least 1, not {pow_limit}")
     places = proc.places
     k_prime = start.k_prime
     C = start.closed_set
@@ -486,7 +491,7 @@ def paste_segment(proc: FormativeProcess, board: ColoredBoard,
 
         # The fresh Minus pool, drawn lazily: every element an earlier place
         # drew from it is in `used` by the time a later place draws.
-        pool = (e for e in hf.assemblies(minus_fam, limits.pow_limit)
+        pool = (e for e in hf.assemblies(minus_fam, pow_limit)
                 if e not in placed_hat and e not in forbidden)
         used = {e for q in places
                 for e in designated[q] + surplus_designated[q]}
@@ -521,7 +526,7 @@ def paste_segment(proc: FormativeProcess, board: ColoredBoard,
                 raise NoLocalTrash(
                     f"step {k}: pow-node {sorted(node)} with surplus has no "
                     f"local trash in the closed set")
-            full_pool = [e for e in hf.pow_star(full_fam, limits.pow_limit)
+            full_pool = [e for e in hf.pow_star(full_fam, pow_limit)
                          if e not in placed_hat]
             used = set().union(*delta_minus_by_place.values(),
                                *delta_surplus_by_place.values())

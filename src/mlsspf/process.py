@@ -57,13 +57,6 @@ class FormativeProcess:
     def final_blocks(self):
         return self.stages[self.xi]
 
-    def universe(self, mu) -> frozenset:
-        return frozenset().union(*self.stages[mu])
-
-    @cached_property
-    def final_universe(self) -> frozenset:
-        return self.universe(self.xi)
-
     def _shared_places(self, nu) -> range:
         """The places that both stage nu and stage nu + 1 have a block for:
         all of them in a valid process."""
@@ -244,8 +237,7 @@ def validate_process(proc: FormativeProcess) -> Report:
     for mu, stage in enumerate(proc.stages):
         rb.add(f"stage {mu}: blocks pairwise disjoint",
                len(universes[mu]) == sum(map(len, stage)))
-    rb.add("stage 0: all blocks empty",
-           all(not b for b in proc.stages[0]) if proc.stages else True)
+    rb.add("stage 0: all blocks empty", all(not b for b in proc.stages[0]))
     rb.add("final stage: all blocks nonempty", all(proc.stages[xi]))
     for nu in range(xi):
         ok = all(proc.stages[nu][q] <= proc.stages[nu + 1][q] for q in places)

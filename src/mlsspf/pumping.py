@@ -23,15 +23,14 @@ from itertools import groupby, islice
 from operator import itemgetter
 
 from . import hf, lang
-from .certificate import (MAX_WARMUP_ROUNDS, PumpingCycle, PumpingEvent,
-                          WitnessCertificate, _fill_stages, _finite_regions,
-                          _latest_starts, _missed_variable,
+from .certificate import (MAX_CYCLE_LEN, MAX_WARMUP_ROUNDS, PumpingCycle,
+                          PumpingEvent, WitnessCertificate, _fill_stages,
+                          _finite_regions, _latest_starts, _missed_variable,
                           _potential_infinite, _pumped_extension,
                           _round_schedule, _segment_trash_seeds,
                           _unused_seeds, is_pumping_event)
 from .errors import (CannotWarmUp, CoverMissesVariable, NoClosedCover,
                      NoEvent, NotAWitness)
-from .limits import DEFAULT_LIMITS, Limits
 from .msrefine import MsOverlay, StartConfiguration, paste_segment
 from .process import (FormativeProcess, is_closed, local_trashes,
                       synthesize_process)
@@ -186,7 +185,7 @@ def closed_cover(proc: FormativeProcess, board: ColoredBoard,
     return frozenset(w)
 
 
-def _run_round(stages, minus, trace, schedule, seed, restore, limits):
+def _run_round(stages, minus, trace, schedule, seed, restore, pow_limit):
     """Execute one cycle traversal, whose last step restores the Minus
     cardinality when `restore` is set; returns the new seed or None when the
     round's thresholds cannot be met (state is then left untouched)."""
@@ -198,7 +197,7 @@ def _run_round(stages, minus, trace, schedule, seed, restore, limits):
         placed = frozenset().union(*cur_stages)
         fam = [frozenset(seed)] + [cur_stages[q] for q in sorted(node)]
         # The least three fresh assemblies are all a round reads.
-        pool = list(islice((e for e in hf.assemblies(fam, limits.pow_limit)
+        pool = list(islice((e for e in hf.assemblies(fam, pow_limit)
                             if e not in placed), 3))
         last = j == len(schedule) - 1
         if restore and last:
@@ -233,7 +232,7 @@ def _run_round(stages, minus, trace, schedule, seed, restore, limits):
 
 
 def pump_rounds(proc: FormativeProcess, event: PumpingEvent, rounds: int,
-                limits: Limits = DEFAULT_LIMITS) -> tuple:
+                pow_limit: int = hf.POW_LIMIT) -> tuple:
     """Run `rounds` cycle traversals from the event's start stage, and
     return (the weak process, its overlay from the start stage, the number
     of warm-up rounds, the last stage of every round).
@@ -244,11 +243,14 @@ def pump_rounds(proc: FormativeProcess, event: PumpingEvent, rounds: int,
     element, and later rounds grow surplus only.  Every traversal adds at
     least one element to every place on the cycle, and all new deltas are
     surplus except the single restoring element.  Zero rounds leave the
-    prefix at the start stage as it is.  Raises ValueError for negative
-    `rounds`.
+    prefix at the start stage as it is.  A pick draws at most `pow_limit`
+    assemblies (else LimitExceeded).  Raises ValueError for negative
+    `rounds` and for a `pow_limit` below 1.
     """
     if rounds < 0:
         raise ValueError(f"rounds must be nonnegative, not {rounds}")
+    if pow_limit < 1:
+        raise ValueError(f"pow_limit must be at least 1, not {pow_limit}")
     i0 = event.i0
     prefix = proc.prefix(i0)
     if rounds == 0:
@@ -272,7 +274,7 @@ def pump_rounds(proc: FormativeProcess, event: PumpingEvent, rounds: int,
     restored = False
     while done < rounds:
         new_seed = _run_round(stages, minus, trace, schedule, seed,
-                              not restored, limits)
+                              not restored, pow_limit)
         if new_seed is None:
             if warmups >= MAX_WARMUP_ROUNDS:
                 raise CannotWarmUp(
@@ -280,7 +282,7 @@ def pump_rounds(proc: FormativeProcess, event: PumpingEvent, rounds: int,
             # Once restored, the warm-up round is the one that just failed.
             if not restored:
                 new_seed = _run_round(stages, minus, trace, schedule, seed,
-                                      False, limits)
+                                      False, pow_limit)
             if new_seed is None:
                 raise CannotWarmUp("cycle cannot distribute fresh elements")
             warmups += 1
@@ -295,17 +297,21 @@ def pump_rounds(proc: FormativeProcess, event: PumpingEvent, rounds: int,
 
 
 def certify_witness(formula: lang.Formula, assignment: Assignment,
-                    limits: Limits = DEFAULT_LIMITS) -> WitnessCertificate:
+                    max_cycle_len: int = MAX_CYCLE_LEN) -> WitnessCertificate:
     """Certify that a finite assignment witnesses satisfiability.
 
     The assignment must satisfy every literal except the negated finiteness
     ones; the search then looks (latest start stage first, shorter cycles
-    first) for a pumping event on a cycle of at most `limits.max_cycle_len`
+    first) for a pumping event on a cycle of at most `max_cycle_len`
     places whose closed cover exists, whose cycle meets the region of every
     variable that must become infinite, and whose replayed segment can
     absorb grand events of pumped nodes.  The cycles of a length are listed
-    only when the search gets to them.
+    only when the search gets to them.  A `max_cycle_len` below 1 raises
+    ValueError.
     """
+    if max_cycle_len < 1:
+        raise ValueError(
+            f"max_cycle_len must be at least 1, not {max_cycle_len}")
     base = assignment
     results = []
     for lit in formula.literals:
@@ -320,7 +326,7 @@ def certify_witness(formula: lang.Formula, assignment: Assignment,
     # Whether the board has a cycle at all needs no process: most boards
     # `decide` tries have none, so the existence walk runs first, and the
     # windowed walk reuses its index.
-    index = _CycleIndex(board, limits.max_cycle_len)
+    index = _CycleIndex(board, max_cycle_len)
     if next(index.walk(), None) is None:
         raise NoEvent("the board has no green pumping cycle")
     proc = synthesize_process(partition)
@@ -383,7 +389,7 @@ def certify_witness(formula: lang.Formula, assignment: Assignment,
                 potential_infinite=_potential_infinite(formula, im, path),
                 literal_results=tuple(results),
                 event_report=is_pumping_event(proc, board, q0, i0, cycle),
-                max_cycle_len=limits.max_cycle_len,
+                max_cycle_len=max_cycle_len,
                 canonical=(partition, im, board))
     if missed is not None:
         raise CoverMissesVariable(missed)
@@ -391,16 +397,22 @@ def certify_witness(formula: lang.Formula, assignment: Assignment,
 
 
 def extend_certificate(cert: WitnessCertificate, rounds: int,
-                       limits: Limits = DEFAULT_LIMITS) -> WitnessCertificate:
+                       pow_limit: int = hf.POW_LIMIT) -> WitnessCertificate:
     """Pump the certificate's event, replay the remaining segment, and
-    attach the transferred assignment with all its checks.  Raises
-    ValueError for negative `rounds`."""
+    attach the transferred assignment with all its checks.
+
+    `pow_limit` bounds the assemblies of `pump_rounds` and `paste_segment`.
+    A lazy pick counts only the assemblies it takes, so the pump runs to
+    round counts (24 and more on `w in x & !Finite(x)`) whose families
+    exceed the default bound.  Raises ValueError for negative `rounds` and
+    for a `pow_limit` below 1, before anything is drawn."""
     _, _, board = cert.canonical_board()
     proc = cert.process
     pumped, overlay, warmups, boundaries = pump_rounds(proc, cert.event,
-                                                       rounds, limits)
+                                                       rounds, pow_limit)
     start = StartConfiguration(cand=pumped, overlay=overlay,
                                k_prime=cert.event.i0, closed_set=cert.cover)
-    cand, overlay, witness = paste_segment(proc, board, start, proc.xi, limits)
+    cand, overlay, witness = paste_segment(proc, board, start, proc.xi,
+                                           pow_limit)
     return replace(cert, pumped=_pumped_extension(
         cert, rounds, cand, overlay, witness, warmups, boundaries))

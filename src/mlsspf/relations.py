@@ -1,11 +1,11 @@
 """Block-bijection relations between partitions over one board, and the
 assignment transfer they license.
 
-Upward simulation preserves membership between node unions, powerset
-equations on pow-nodes, and red block cardinalities.  Imitation is the
-local, assembly-level version that implies it; checking imitation is what
-the process machinery actually produces.  Both compare per-side tables read
-off the blocks in one pass (`venn.SignatureTable`) instead of sweeping
+Imitation is the local, assembly-level relation that implies upward
+simulation (membership between node unions, powerset equations on
+pow-nodes and red block cardinalities all preserved); checking imitation is
+what the process machinery actually produces.  It compares per-side tables
+read off the blocks in one pass (`venn.SignatureTable`) instead of sweeping
 all 2^places nodes: assembly contact is equality of the contact pairs,
 node-union membership is equality of the node -> union home tables, and the
 assemblies of the pow-nodes inside a region are all placed when the table
@@ -16,10 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import hf, lang
+from . import lang
 from .report import Report, ReportBuilder
-from .venn import (Assignment, ColoredBoard, ImMap, SignatureTable,
-                   node_union, subsets)
+from .venn import Assignment, ColoredBoard, ImMap, SignatureTable, node_union
 
 
 @dataclass(frozen=True)
@@ -46,39 +45,6 @@ class BlockBijection:
     @property
     def places(self):
         return range(len(self.source))
-
-
-def simulates_upwards(board: ColoredBoard, bijection: BlockBijection) -> Report:
-    """Does the image partition simulate the original upwards?
-
-    Membership of one node union in another reduces to the home block of
-    the union, so membership simulation over every node is equality of the
-    two sides' node -> union home tables.  No checker runs this oracle of
-    `imitates`, so it lists the nodes under each pow region.
-    """
-    rb = ReportBuilder()
-    places = bijection.places
-    rb.add("membership simulation",
-           SignatureTable(bijection.source).union_homes(places)
-           == SignatureTable(bijection.target).union_homes(places))
-
-    ok_pow = True
-    pow_nodes = {y for region in board.pow_regions for y in subsets(region)}
-    for y in sorted(pow_nodes, key=sorted):
-        p = hf.powerset(node_union(bijection.source, y))
-        members = set(p.elements)
-        x = frozenset(q for q in places if bijection.source[q] & members)
-        if node_union(bijection.source, x) is not p:
-            continue
-        if node_union(bijection.target, x) is not hf.powerset(
-                node_union(bijection.target, y)):
-            ok_pow = False
-    rb.add("powerset simulation on pow-nodes", ok_pow)
-
-    rb.add("red cardinality simulation",
-           all(len(bijection.target[q]) == len(bijection.source[q])
-               for q in board.red))
-    return rb.build()
 
 
 def imitates(board: ColoredBoard, bijection: BlockBijection) -> Report:

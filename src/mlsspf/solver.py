@@ -13,13 +13,12 @@ from __future__ import annotations
 import functools
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import hf, lang
-from .certificate import WitnessCertificate
+from .certificate import MAX_CYCLE_LEN, WitnessCertificate
 from .errors import CoverMissesVariable, NoEvent, NotAWitness
-from .limits import DEFAULT_LIMITS, Limits
 from .pumping import certify_witness
 from .venn import RED_KINDS, Assignment
 
@@ -31,23 +30,27 @@ UNKNOWN = "Unknown"
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Bounds of the universe enumeration: element rank and universe size.
+    """Bounds of the universe enumeration (element rank and universe
+    size), and the cycle bound `max_cycle_len` that `decide` passes to
+    `certify_witness`.
 
-    A zero bound is the trivial budget.  `decide` still searches the empty
-    universe under it, so it can return a model there (every variable {});
-    only the UnsatWithinBudget verdict becomes Unknown.  A negative bound
-    raises ValueError.
+    A zero rank or universe bound is the trivial budget.  `decide` still
+    searches the empty universe under it, so it can return a model there
+    (every variable {}); only the UnsatWithinBudget verdict becomes Unknown.
+    A negative rank or universe bound, or a cycle bound below 1, raises
+    ValueError.
     """
 
     max_rank: int = 4
     max_universe: int = 4
-    limits: Limits = field(default_factory=lambda: DEFAULT_LIMITS)
+    max_cycle_len: int = MAX_CYCLE_LEN
 
     def __post_init__(self):
-        for name in ("max_rank", "max_universe"):
-            if getattr(self, name) < 0:
-                raise ValueError(
-                    f"{name} must be at least 0, not {getattr(self, name)}")
+        for name, least in (("max_rank", 0), ("max_universe", 0),
+                            ("max_cycle_len", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, "
+                                 f"not {getattr(self, name)}")
 
     @property
     def trivial(self) -> bool:
@@ -550,7 +553,8 @@ def decide(formula: lang.Formula, budget: SearchBudget) -> DecideResult:
         for assignment in search.leaves(table):
             if infinite:
                 try:
-                    cert = certify_witness(formula, assignment, budget.limits)
+                    cert = certify_witness(formula, assignment,
+                                           budget.max_cycle_len)
                 except (NotAWitness, NoEvent, CoverMissesVariable):
                     continue
                 return DecideResult(SAT_WITNESSED, certificate=cert)

@@ -249,20 +249,6 @@ def venn_partition(assignment: Assignment):
     return partition, ImMap(im)
 
 
-def finer_than(fine, coarse) -> bool:
-    """True iff every member of `coarse` is a union of members of `fine`."""
-    fine = [frozenset(b) for b in (fine.blocks if isinstance(fine, Partition) else fine)]
-    coarse = [frozenset(b) for b in (coarse.blocks if isinstance(coarse, Partition) else coarse)]
-    for a in coarse:
-        covered = set()
-        for b in fine:
-            if b <= a:
-                covered |= b
-        if covered != a:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class ColoredBoard:
     """Places with their blocks, the target function, red places, pow regions.

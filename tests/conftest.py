@@ -10,10 +10,12 @@ import pytest
 
 import mlsspf as m
 from mlsspf import hf
-from mlsspf.certificate import PumpingCycle
+from mlsspf.certificate import MAX_CYCLE_LEN, PumpingCycle
 from mlsspf.msrefine import MsOverlay, StartConfiguration
 from mlsspf.pumping import _CycleIndex
 from mlsspf.venn import subsets
+
+from oracles import final_universe, stage_universe
 
 
 def chain(n):
@@ -32,7 +34,7 @@ def nested(depth):
     return value
 
 
-def walk_cycles(board, max_len=m.DEFAULT_LIMITS.max_cycle_len):
+def walk_cycles(board, max_len=MAX_CYCLE_LEN):
     """The board's simple green cycles of at most max_len places, as
     PumpingCycles in the order of `_CycleIndex`'s sorted walk: by length,
     then places, then nodes.  The walk already gives them by length;
@@ -133,7 +135,7 @@ def absorbing_pow_regions(proc, rng: random.Random, max_seeds=2):
     node has its assemblies absorbed by the process both right after its
     grand event and at the final stage."""
     places = proc.places
-    final = proc.final_universe
+    final = final_universe(proc)
 
     def absorbs(node):
         fam = proc.node_snapshot(node, proc.xi)
@@ -145,7 +147,7 @@ def absorbing_pow_regions(proc, rng: random.Random, max_seeds=2):
         ge = m.grand_event(proc, node)
         if ge < proc.xi:
             fam_ge = proc.node_snapshot(node, ge)
-            nxt = proc.universe(ge + 1)
+            nxt = stage_universe(proc, ge + 1)
             if sum(1 for e in nxt if hf.in_pow_star(e, fam_ge)) != \
                     hf.pow_star_size(fam_ge):
                 return False

@@ -7,13 +7,13 @@ raise the same exception with the same message."""
 
 from mlsspf import hf
 from mlsspf.errors import CardinalityDeficit, NoLocalTrash
-from mlsspf.limits import DEFAULT_LIMITS, Limits
 from mlsspf.msrefine import ImitationWitness, MsOverlay
 from mlsspf.process import FormativeProcess, grand_event, local_trashes
 from mlsspf.report import ReportBuilder
 from mlsspf.venn import node_union, subsets
 
 from conftest import pow_nodes
+from oracles import stage_universe
 from pumping_sweeps import is_closed_sweep
 
 
@@ -45,7 +45,7 @@ def weak_imitation_sweep(proc: FormativeProcess, board,
     placed_hat = set()
     for b in hat_blocks:
         placed_hat |= b
-    placed_ora = proc.universe(k_prime)
+    placed_ora = stage_universe(proc, k_prime)
 
     rb.add("(i) minus cardinalities match the stage blocks",
            all(len(proc.stages[k_prime][q]) == len(hat_minus[q]) for q in places))
@@ -127,7 +127,7 @@ def segment_imitation_sweep(proc: FormativeProcess, board,
     C = witness.closed_set
 
     def cand_placed(stage_idx):
-        return cand.universe(stage_idx)
+        return stage_universe(cand, stage_idx)
 
     for beta in range(lo, hi + 1):
         a = g[beta]
@@ -140,7 +140,7 @@ def segment_imitation_sweep(proc: FormativeProcess, board,
                overlay.surplus_places(cand, a) <= C)
         ok_ix = True
         placed_hat = cand_placed(a)
-        placed_ora = proc.universe(beta)
+        placed_ora = stage_universe(proc, beta)
         for node in _live_nodes(proc, beta):
             minus_fam = overlay.minus_family(node, a)
             ora_fam = proc.node_snapshot(node, beta)
@@ -215,7 +215,7 @@ def segment_imitation_sweep(proc: FormativeProcess, board,
 
 def paste_segment_sweep(proc: FormativeProcess, board,
                   start, k_second: int,
-                  limits: Limits = DEFAULT_LIMITS):
+                  pow_limit: int = hf.POW_LIMIT):
     """Extend the candidate so it copies the segment [k_prime, k_second].
 
     Follows the inductive construction: each oracle step is replayed with
@@ -285,7 +285,7 @@ def paste_segment_sweep(proc: FormativeProcess, board,
 
         # The fresh Minus pool, drawn lazily: every element an earlier place
         # drew from it is in `used` by the time a later place draws.
-        pool = (e for e in hf.assemblies(minus_fam, limits.pow_limit)
+        pool = (e for e in hf.assemblies(minus_fam, pow_limit)
                 if e not in placed_hat and e not in forbidden)
         used = set()
         for q in places:
@@ -322,7 +322,7 @@ def paste_segment_sweep(proc: FormativeProcess, board,
                 raise NoLocalTrash(
                     f"step {k}: pow-node {sorted(node)} with surplus has no "
                     f"local trash in the closed set")
-            full_pool = [e for e in hf.pow_star(full_fam, limits.pow_limit)
+            full_pool = [e for e in hf.pow_star(full_fam, pow_limit)
                          if e not in placed_hat]
             used = set()
             for q in places:

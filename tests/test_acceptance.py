@@ -17,6 +17,7 @@ from conftest import (degenerate, last_stage_weak, rand_colored_board,
                       set_partitions, witness_family)
 from make_golden import (CERTIFIED_WIDE_SEEDS, WIDE_SEEDS, certified_outcome,
                          pumped_digest, wide_outcome)
+from oracles import drop_finite_literals, finer_than, simulates_upwards
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "decide_corpus.json"
 PUMPED_GOLDEN = (pathlib.Path(__file__).parent / "golden"
@@ -88,7 +89,7 @@ def test_criterion_2_venn_coarseness():
             for candidate in set_partitions(universe):
                 if all(not (set(b) & val) or set(b) <= val
                        for b in candidate for val in values):
-                    assert m.finer_than(candidate, partition)
+                    assert finer_than(candidate, partition)
 
 
 def test_criterion_3_process_synthesis():
@@ -138,7 +139,7 @@ def test_criterion_4_imitation_implies_simulation():
         for board, bijection in _imitation_instances():
             imit = m.imitates(board, bijection)
             assert imit.ok, str(imit)
-            sim = m.simulates_upwards(board, bijection)
+            sim = simulates_upwards(board, bijection)
             assert sim.ok, str(sim)
             count += 1
         assert count >= 200, count
@@ -158,7 +159,7 @@ def test_criterion_5_pumping_end_to_end():
             assert pumped.upward_report.ok
             assert pumped.imitation_report.ok
             assert pumped.transfer_report.ok, formula.render()
-            base = m.drop_finite_literals(formula)
+            base = drop_finite_literals(formula)
             before = m.evaluate(base, cert.assignment).results
             after = m.evaluate(base, pumped.final_assignment).results
             assert before == after

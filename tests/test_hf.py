@@ -71,14 +71,6 @@ def test_powerset_limit():
     assert len(m.powerset(s, limit=32)) == 32
 
 
-@pytest.mark.parametrize("bad", [{"pow_limit": 0}, {"pow_limit": -5},
-                                 {"max_cycle_len": 0}])
-def test_limits_reject_bad_bounds(bad):
-    with pytest.raises(ValueError):
-        m.Limits(**bad)
-    m.Limits(pow_limit=1, max_cycle_len=1)
-
-
 def test_pow_star_examples():
     assert m.pow_star([]) == (hf.EMPTY,)
     assert m.pow_star([[A]]) == (B,)

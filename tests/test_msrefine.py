@@ -18,6 +18,7 @@ from conftest import (chain, degenerate, last_stage_weak, rand_colored_board,
                       wide_instance, witness_family)
 from msrefine_sweeps import (paste_segment_sweep, segment_imitation_sweep,
                              weak_imitation_sweep)
+from oracles import final_universe
 
 A, B, C = chain(2)
 
@@ -233,8 +234,8 @@ def test_upward_premises_reject_minus_delta_off_map(ex1, pumped_ex1):
     q = ex1.q
     block = cand.stages[-1][q]
     # The least {q}-assembly not yet placed.
-    extra = next(e for e in hf.assemblies([block])
-                 if e not in cand.final_universe)
+    placed = final_universe(cand)
+    extra = next(e for e in hf.assemblies([block]) if e not in placed)
     stages = cand.stages + (tuple(
         b | {extra} if i == q else b for i, b in enumerate(cand.stages[-1])),)
     trace = cand.trace + (frozenset([q]),)

@@ -13,6 +13,7 @@ from mlsspf.venn import node_union
 
 from conftest import (chain, rand_partition, rand_transitive_universe,
                       wide_instance)
+from oracles import final_universe, stage_universe
 from process_sweeps import synthesize_process_scan
 
 A, B, C = chain(2)
@@ -166,11 +167,12 @@ def test_ge_trichotomy_on_synthesized():
             ge = m.grand_event(proc, node)
             u = node_union(proc.stages[proc.xi], node)
             for nu in range(proc.xi):
-                placed = u in proc.universe(nu)
+                placed = u in stage_universe(proc, nu)
                 assert (nu <= ge) == (not placed)
                 assert (nu > ge) == placed
                 if nu == ge:
-                    assert u in proc.universe(nu + 1) - proc.universe(nu) \
+                    assert u in (stage_universe(proc, nu + 1)
+                                 - stage_universe(proc, nu)) \
                         or ge == proc.xi
 
 
@@ -180,6 +182,7 @@ def test_node_stabilizes_at_grand_event():
     for _ in range(15):
         universe = rand_transitive_universe(rng, rng.randint(1, 8))
         proc = m.synthesize_process(rand_partition(rng, universe, max_blocks=4))
+        final = final_universe(proc)
         for node in subsets(proc.places):
             ge = m.grand_event(proc, node)
             if ge < proc.xi:
@@ -189,7 +192,7 @@ def test_node_stabilizes_at_grand_event():
                 for nu in range(proc.xi):
                     if proc.stages[nu + 1][q] > proc.stages[nu][q]:
                         assert ge > nu or ge == proc.xi and \
-                            node_union(proc.stages[proc.xi], node) not in proc.final_universe
+                            node_union(proc.stages[proc.xi], node) not in final
 
 
 def test_unused_assemblies_stay_unused():
@@ -198,7 +201,7 @@ def test_unused_assemblies_stay_unused():
         universe = rand_transitive_universe(rng, rng.randint(2, 8))
         proc = m.synthesize_process(rand_partition(rng, universe, max_blocks=3))
         for mu in range(proc.xi + 1):
-            unused = [e for e in proc.final_universe
+            unused = [e for e in final_universe(proc)
                       if e not in proc.used_elements(mu)]
             if not unused:
                 continue
@@ -209,7 +212,7 @@ def test_unused_assemblies_stay_unused():
                     continue
                 for y in m.pow_star(fam):
                     assert y not in proc.used_elements(mu) \
-                        and y not in proc.universe(mu)
+                        and y not in stage_universe(proc, mu)
 
 
 def test_synthesize_then_validate_random():

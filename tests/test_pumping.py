@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 import mlsspf as m
 from mlsspf import hf, lang
-from mlsspf.certificate import (PumpingCycle, PumpingEvent, _fill_stages,
-                                _latest_starts, _pumped_extension,
-                                _start_window)
+from mlsspf.certificate import (MAX_CYCLE_LEN, PumpingCycle, PumpingEvent,
+                                _fill_stages, _latest_starts,
+                                _pumped_extension, _start_window)
 from mlsspf.errors import (CoverMissesVariable, NoClosedCover, NoEvent,
                            NotAWitness)
 from mlsspf.process import FormativeProcess
@@ -24,6 +24,7 @@ from conftest import (chain, last_stage_weak, pow_nodes, rand_colored_board,
                       rand_partition, rand_transitive_universe,
                       union_pick_allowed, walk_cycles, wide_instance,
                       witness_family)
+from oracles import final_universe
 from pumping_sweeps import (closed_cover_sweep, cycle_blocks_filled_sweep,
                             cycle_ge_all_nodes, cycle_ge_sweep,
                             find_pumping_cycles_scan, is_closed_sweep)
@@ -520,7 +521,7 @@ def _assembly_moved_in(cert, p):
     was none."""
     cand = p.process
     last = cand.final_blocks()
-    union = m.make_set(cand.final_universe)
+    union = m.make_set(final_universe(cand))
     forged = FormativeProcess(
         stages=cand.stages[:-1] + ((last[0] | {union},) + last[1:],),
         trace=cand.trace, weak=True)
@@ -597,13 +598,13 @@ def _empty_member_certificate():
 def test_pump_many_rounds_within_default_limits():
     # Round k draws from an assembly family of about 2^(k+1) sets; the pump
     # takes its least fresh members without building it, so k = 24 stays
-    # within DEFAULT_LIMITS.pow_limit = 2^20.
+    # within the default pow_limit, hf.POW_LIMIT = 2^20.
     ext = m.extend_certificate(_empty_member_certificate(), 24)
     p = ext.pumped
     for report in (p.weak_report, p.segment_report, p.upward_report,
                    p.imitation_report, p.transfer_report):
         assert report.ok, str(report)
-    rep = m.verify_certificate(json.loads(ext.dumps()), m.DEFAULT_LIMITS)
+    rep = m.verify_certificate(json.loads(ext.dumps()))
     assert rep.ok, str(rep)
 
 
@@ -640,7 +641,7 @@ def test_decided_certificate_pumps_one_round(text):
     assert m.verify_certificate(json.loads(ext.dumps())).ok
 
 
-def _certify_oracle(formula, assignment, limits=m.DEFAULT_LIMITS):
+def _certify_oracle(formula, assignment, max_cycle_len=MAX_CYCLE_LEN):
     """certify_witness's search calling is_pumping_event on every
     (i0, cycle, q0) of the plain cycle walk, latest start stage first."""
     from mlsspf.certificate import _segment_trash_seeds
@@ -657,7 +658,7 @@ def _certify_oracle(formula, assignment, limits=m.DEFAULT_LIMITS):
         assignment = m.transitivize(assignment)
     partition, im, board = m.canonical_board(formula, assignment)
     proc = m.synthesize_process(partition)
-    cycles = walk_cycles(board, limits.max_cycle_len)
+    cycles = walk_cycles(board, max_cycle_len)
     # The cycle search itself no longer re-validates what it builds.
     assert all(cycle.validate(board).ok for cycle in cycles)
     if not cycles:
@@ -689,15 +690,16 @@ def _certify_oracle(formula, assignment, limits=m.DEFAULT_LIMITS):
                     event=m.PumpingEvent(q0=q0, i0=i0, cycle=cycle),
                     cover=cover, potential_infinite=tuple(pot),
                     literal_results=tuple(results), event_report=ev_report,
-                    max_cycle_len=limits.max_cycle_len)
+                    max_cycle_len=max_cycle_len)
     if missed_var is not None:
         raise CoverMissesVariable(missed_var)
     raise NoEvent("no pumping event passes all three conditions")
 
 
-def _certify_outcome(certify, formula, assignment, limits=m.DEFAULT_LIMITS):
+def _certify_outcome(certify, formula, assignment,
+                     max_cycle_len=MAX_CYCLE_LEN):
     try:
-        return certify(formula, assignment, limits).dumps()
+        return certify(formula, assignment, max_cycle_len).dumps()
     except m.MlsspfError as exc:
         return f"{type(exc).__name__}: {exc}"
 
@@ -711,14 +713,14 @@ def test_certify_search_matches_exhaustive_event_loop(seed):
 
 
 @pytest.mark.parametrize("max_len, seeds", [
-    (m.DEFAULT_LIMITS.max_cycle_len, 200), (1, 20), (2, 20), (6, 20)])
+    (MAX_CYCLE_LEN, 200), (1, 20), (2, 20), (6, 20)])
 def test_certify_search_matches_exhaustive_event_loop_on_seeds(max_len, seeds):
-    limits = m.Limits(max_cycle_len=max_len)
     for seed in range(seeds):
         formula, assignment = wide_instance(seed)
-        assert (_certify_outcome(m.certify_witness, formula, assignment, limits)
+        assert (_certify_outcome(m.certify_witness, formula, assignment,
+                                 max_len)
                 == _certify_outcome(_certify_oracle, formula, assignment,
-                                    limits)), seed
+                                    max_len)), seed
 
 
 def test_certify_names_the_missed_variable_as_the_oracle():
@@ -804,8 +806,7 @@ def test_certify_draws_only_the_lengths_it_reaches(monkeypatch, seed, drawn,
             yield cycle
 
     monkeypatch.setattr(_CycleIndex, "walk", counting)
-    limits = m.Limits(max_cycle_len=6)
-    cert = m.certify_witness(*wide_instance(seed), limits)
+    cert = m.certify_witness(*wide_instance(seed), max_cycle_len=6)
     assert (len(lengths), max(lengths)) == (drawn, longest)
     assert (cert.event.i0 == cert.process.xi) == (drawn < cycles)
     index = _CycleIndex(cert.canonical_board()[2], 6)
@@ -865,13 +866,40 @@ def test_certify_builds_a_cycle_only_for_the_event(monkeypatch):
     assert built == []
 
 
-def test_certify_reads_max_cycle_len_from_limits():
+def test_certify_reads_its_max_cycle_len():
     formula, assignment = wide_instance(0)
     assert len(m.certify_witness(formula, assignment).event.cycle) == 2
-    cert = m.certify_witness(formula, assignment, m.Limits(max_cycle_len=1))
+    cert = m.certify_witness(formula, assignment, max_cycle_len=1)
     assert len(cert.event.cycle) == 1
     assert cert.to_json()["params"] == {"maxCycleLen": 1}
     assert m.verify_certificate(json.loads(cert.dumps())).ok
+
+
+def _recorded_cycle_len_zero(cert):
+    data = json.loads(cert.dumps())
+    data["params"]["maxCycleLen"] = 0
+    return m.check_certificate(data)
+
+
+@pytest.mark.parametrize("call", [
+    lambda cert: m.SearchBudget(max_cycle_len=0),
+    lambda cert: m.certify_witness(cert.formula, cert.base_assignment,
+                                   max_cycle_len=0),
+    lambda cert: m.extend_certificate(cert, 1, pow_limit=0),
+    lambda cert: m.extend_certificate(cert, 1, pow_limit=-5),
+    _recorded_cycle_len_zero,
+], ids=["SearchBudget", "certify_witness", "extend_certificate-0",
+        "extend_certificate-neg", "check_certificate"])
+def test_bounds_rejected_where_read(monkeypatch, call):
+    # Each bound is checked by the function that reads it, before the pump
+    # draws a single assembly.
+    cert = _empty_member_certificate()
+    draws = []
+    for name in ("assemblies", "pow_star"):
+        monkeypatch.setattr(hf, name, lambda *a, name=name: draws.append(name))
+    with pytest.raises(ValueError):
+        call(cert)
+    assert draws == []
 
 
 def test_certify_builds_one_event_report(monkeypatch):

@@ -12,6 +12,7 @@ from mlsspf.venn import _sorted_blocks, home_index, node_union, subsets
 from conftest import (chain, degenerate, pow_nodes, rand_colored_board,
                       rand_partition, rand_transitive_universe,
                       witness_family)
+from oracles import final_universe, simulates_upwards
 
 A, B, C = chain(2)
 
@@ -36,13 +37,13 @@ def test_bijection_must_pair_partitions():
 
 def test_simulates_identity(ex1):
     bij = BlockBijection(ex1.partition.blocks, ex1.partition.blocks)
-    rep = m.simulates_upwards(ex1.board, bij)
+    rep = simulates_upwards(ex1.board, bij)
     assert rep.ok
 
 
 def test_simulates_pumped(ex1, pumped):
     ext, bij = pumped
-    rep = m.simulates_upwards(ex1.board, bij)
+    rep = simulates_upwards(ex1.board, bij)
     assert rep.ok, str(rep)
 
 
@@ -53,7 +54,7 @@ def test_simulates_detects_membership_collapse():
     board = m.induced_board(src)
     tgt = m.Partition([[A], [m.make_set([B])]])
     bij = BlockBijection(src.blocks, tgt.blocks)
-    rep = m.simulates_upwards(board, bij)
+    rep = simulates_upwards(board, bij)
     assert not rep.ok
     assert not rep.items[0].ok
 
@@ -180,7 +181,7 @@ def _conclusions_oracle(proc, board, cand):
                 ok1 = False
         if node in pows:
             total = hf.pow_star_size(hat_fam)
-            if sum(1 for e in cand.final_universe
+            if sum(1 for e in final_universe(cand)
                    if hf.in_pow_star(e, hat_fam)) != total:
                 ok2 = False
     for q in board.red:
@@ -247,7 +248,7 @@ def _assert_tables_match_sweeps(bij, rng):
     assert imit.items[0].ok == _contact_oracle(bij)
     assert imit.items[1].ok == _union_membership_oracle(bij)
     assert imit.items[2].ok == _absorption_oracle(board, bij)
-    sim = m.simulates_upwards(board, bij)
+    sim = simulates_upwards(board, bij)
     assert sim.items[0].ok == _membership_simulation_oracle(bij)
 
 

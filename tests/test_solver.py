@@ -123,7 +123,6 @@ def _subsets_in_order(elems):
 
 def _decide_unpruned(formula, budget):
     """Reference search: every leaf of the product, literals checked there."""
-    limits = budget.limits
     has_neg = any(lit.kind == lang.NOT_FINITE for lit in formula.literals)
     names = list(formula.vars)
     if not names:
@@ -143,7 +142,8 @@ def _decide_unpruned(formula, budget):
             assignment = m.Assignment(dict(zip(names, combo)))
             if has_neg:
                 try:
-                    cert = m.certify_witness(formula, assignment, limits)
+                    cert = m.certify_witness(formula, assignment,
+                                             budget.max_cycle_len)
                 except (NotAWitness, NoEvent, CoverMissesVariable,
                         NoClosedCover, CannotWarmUp, NoLocalTrash,
                         CardinalityDeficit):

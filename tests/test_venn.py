@@ -8,6 +8,7 @@ from mlsspf.errors import NotTransitive
 from mlsspf.venn import subsets
 
 from conftest import chain, rand_partition, rand_transitive_universe, set_partitions
+from oracles import finer_than
 
 A, B, C = chain(2)
 
@@ -32,10 +33,10 @@ def test_venn_partition_two_signatures():
 
 
 def test_finer_than_examples():
-    assert m.finer_than([[B], [C]], [[B, C]])
+    assert finer_than([[B], [C]], [[B, C]])
     p = [[A], [B, C]]
-    assert m.finer_than(p, p)
-    assert not m.finer_than([[B]], [[C]])
+    assert finer_than(p, p)
+    assert not finer_than([[B]], [[C]])
 
 
 def test_induced_board_ex1(ex1):
@@ -165,7 +166,7 @@ def test_venn_coarseness_small_oracle():
         for candidate in set_partitions(universe):
             if all(not (set(b) & val) or set(b) <= val
                    for b in candidate for val in values):
-                assert m.finer_than(candidate, partition)
+                assert finer_than(candidate, partition)
 
 
 def test_reconstruction_property():

@@ -22,6 +22,7 @@ from mlsspf import hf
 from conftest import (Ex1, chain, pow_region_forgery, union_pick_allowed,
                       wide_instance, witness_family)
 from make_golden import WIDE_SEEDS
+from oracles import final_universe
 
 GOLDEN = Path(__file__).parent / "golden"
 CERTIFIED_WIDE = [e["seed"] for e in json.loads(
@@ -519,9 +520,10 @@ def _minus_where_the_copy_is_empty(data):
     cand, overlay = cert.pumped.process, cert.pumped.overlay
     q, a = 7, cert.pumped.witness.gamma[9]
     assert not proc.stages[9][q]
+    placed = final_universe(cand)
     e = next(x for x in hf.assemblies(cand.node_snapshot(cand.trace[a - 1],
                                                         a - 1))
-             if x not in cand.final_universe)
+             if x not in placed)
     for mu in range(a, cand.xi + 1):
         pumped["process"]["stages"][mu][q] = hf.block_json(
             cand.stages[mu][q] | {e})

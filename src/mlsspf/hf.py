@@ -2,10 +2,11 @@
 
 Every set is interned: building the same extensional set twice yields the
 same object, so equality is identity and a hash lookup is O(1) (the hash is
-cached).  Building a new set still hashes its whole nested `_key`, which
-walks the set's tree.  Elements are kept deduplicated in a fixed canonical
-order (rank, then size, then lexicographic on the ordered elements), which
-makes serialization deterministic.
+cached).  A new set's hash is that of the tuple of its members, which reads
+each member's cached hash, so building a set costs time in its members, not
+in its tree (hash-consing).  Elements are kept deduplicated in a fixed
+canonical order (rank, then size, then lexicographic on the ordered
+elements), which makes serialization deterministic.
 
 A set's JSON form is a nested tuple of its members' forms, built with the
 set and kept on it, so the interned members a value shares with others
@@ -55,7 +56,8 @@ class HfSet:
         object.__setattr__(self, "rank", rank)
         key = (rank, len(elements), tuple(e._key for e in elements))
         object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
+        # The intern table's key: its hash reads the members' cached ones.
+        object.__setattr__(self, "_hash", hash(elements))
         object.__setattr__(self, "_json", tuple(e._json for e in elements))
         return self
 
@@ -70,9 +72,6 @@ class HfSet:
 
     def __lt__(self, other):
         return self._key < other._key
-
-    def __le__(self, other):
-        return self._key <= other._key
 
     def __len__(self):
         return len(self.elements)

@@ -98,7 +98,8 @@ class FormativeProcess:
     def final_table(self) -> SignatureTable:
         """The signature table of the final blocks (pairwise disjoint in a
         valid process), off which grand unions are read without building
-        any union."""
+        any union.  A process whose final blocks are a partition's reads the
+        partition's `table` (`synthesize_process`, `check_certificate`)."""
         return SignatureTable(self.final_blocks())
 
     @cached_property
@@ -282,9 +283,8 @@ def synthesize_process(partition: Partition) -> FormativeProcess:
     """
     if not partition.is_transitive():
         raise NotTransitive("cannot synthesize a process for a non-transitive partition")
-    blocks = partition.blocks
-    home = partition.home
-    signature = partition.signatures
+    table = partition.table
+    home, signature = table.home, table.signature
     waiting = {}
     containers = {}
     for e in home:
@@ -302,7 +302,7 @@ def synthesize_process(partition: Partition) -> FormativeProcess:
     for e, n in waiting.items():
         if not n:
             ready(e)
-    stage = [frozenset() for _ in blocks]
+    stage = [frozenset() for _ in partition.blocks]
     stages = [tuple(stage)]
     trace = []
     targets = []
@@ -326,8 +326,11 @@ def synthesize_process(partition: Partition) -> FormativeProcess:
                 waiting[c] -= 1
                 if not waiting[c]:
                     ready(c)
-    return FormativeProcess(stages=tuple(stages), trace=tuple(trace),
+    proc = FormativeProcess(stages=tuple(stages), trace=tuple(trace),
                             history_targets=tuple(targets), weak=False)
+    # The final blocks are the partition's, so their table is its table.
+    object.__setattr__(proc, "final_table", table)
+    return proc
 
 
 def grand_event(proc: FormativeProcess, node) -> int:

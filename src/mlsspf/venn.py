@@ -80,23 +80,14 @@ class Partition:
             tuple(frozenset(b) for b in self.blocks))
 
     @cached_property
-    def home(self) -> dict:
-        """Element -> the index of the block holding it (its home place)."""
-        return home_index(self.blocks)
-
-    @cached_property
-    def signatures(self):
-        """Element -> the home places of its members, in one pass over the
-        elements; None when a member lies in no block, that is, when the
-        unionset is not transitive."""
-        home = self.home
-        try:
-            return {e: frozenset([home[m] for m in e.elements]) for e in home}
-        except KeyError:
-            return None
+    def table(self) -> "SignatureTable":
+        """The signature table of the blocks: the one pass over the elements
+        that the board, the synthesized process and its checker read."""
+        return SignatureTable(self.blocks)
 
     def is_transitive(self) -> bool:
-        return self.signatures is not None
+        """Whether every element's members all lie in blocks."""
+        return len(self.table.signature) == len(self.table.home)
 
     def to_json(self):
         return [hf.block_json(b) for b in self.blocks]
@@ -148,14 +139,17 @@ class SignatureTable:
     other parts.  A node's parts have prod(2^|part| - 1) assemblies in all,
     and `unplaced` is how many of them the blocks do not hold: a pow-node's
     assemblies are all placed exactly when it is 0.
+
+    `home` maps each element to its block's index (its home place), and
+    `signature` each element whose members all lie in parts to sig(e).
     """
 
     def __init__(self, blocks, parts=None):
-        home = home_index(blocks)
+        self.home = home = home_index(blocks)
         part_home = home if parts is None else home_index(parts)
         parts = blocks if parts is None else parts
         self.live = frozenset(q for q, p in enumerate(parts) if p)
-        self._home = home
+        self.signature = {}
         self._contacts = Counter()
         self._counts = Counter()
         self._unions = {}
@@ -166,6 +160,7 @@ class SignatureTable:
             except KeyError:
                 # A member in no part: e assembles no node's parts.
                 continue
+            self.signature[e] = sig
             self._contacts[(sig, h)] += 1
             self._counts[sig] += 1
             if len(e) == sum([sizes[q] for q in sig]):
@@ -198,7 +193,7 @@ class SignatureTable:
         """The place whose block holds the union of the node's parts, or
         None."""
         u = self.union(node)
-        return None if u is None else self._home[u]
+        return None if u is None else self.home[u]
 
     def contacts(self, within) -> dict:
         """(node, place) -> how many assemblies of the node's parts the
@@ -211,7 +206,7 @@ class SignatureTable:
         union is in some block."""
         within = frozenset(within)
         extras = list(subsets(within - self.live))
-        return {node | extra: self._home[u]
+        return {node | extra: self.home[u]
                 for node, u in self._unions.items() if node <= within
                 for extra in extras}
 
@@ -308,17 +303,15 @@ def induced_board(partition: Partition) -> ColoredBoard:
 
     Every element e of the union is, by transitivity, a subset of it, so it
     determines the unique node whose assembly family contains it: the set of
-    places whose blocks e meets.  Targets are read off those signatures, the
-    partition's `signatures`, instead of materializing the exponential
-    assembly families.
+    places whose blocks e meets.  Targets are read off the contact pairs
+    (node, place) of the partition's `table` instead of materializing the
+    exponential assembly families.
     """
     if not partition.is_transitive():
         raise NotTransitive("the partition's unionset is not transitive")
-    signature = partition.signatures
     targets = {}
-    for i, b in enumerate(partition.blocks):
-        for e in b:
-            targets.setdefault(signature[e], set()).add(i)
+    for node, q in partition.table.contacts(range(len(partition.blocks))):
+        targets.setdefault(node, set()).add(q)
     return ColoredBoard(
         blocks=partition.blocks,
         targets={n: frozenset(ts) for n, ts in targets.items()},

@@ -1,6 +1,7 @@
 import gc
 import json
 import sys
+import time
 from itertools import islice
 
 import pytest
@@ -242,6 +243,20 @@ def test_canonical_order_is_total_and_consistent(s):
     elems = list(s.elements)
     assert elems == sorted(elems, key=lambda e: e._key)
     assert len(set(elems)) == len(elems)
+
+
+def test_building_ordinals_costs_time_in_members_not_in_the_tree():
+    # The von Neumann ordinal n is the set of the smaller ordinals, and its
+    # tree has 2^n leaves: a hash that walked the tree doubled in cost with
+    # each n.  The bound is checked after each ordinal, so a regression
+    # fails fast instead of hanging.
+    start = time.process_time()
+    ordinals = []
+    for n in range(201):
+        ordinals.append(m.make_set(ordinals))
+        assert time.process_time() - start < 2, f"ordinal {n}"
+    assert ordinals[-1].rank == 200 and len(ordinals[-1]) == 200
+    assert m.make_set(ordinals[:-1]) is ordinals[-1]
 
 
 def brute_pow_star(blocks):

@@ -12,7 +12,7 @@ from mlsspf.process import FormativeProcess
 from mlsspf.venn import node_union
 
 from conftest import (chain, rand_partition, rand_transitive_universe,
-                      wide_instance)
+                      wide_instance, witness_family)
 from oracles import final_universe, stage_universe
 from process_sweeps import synthesize_process_scan
 
@@ -111,6 +111,22 @@ def test_synthesize_two_element_block():
 def test_synthesize_requires_transitive():
     with pytest.raises(NotTransitive):
         m.synthesize_process(m.Partition([[C]]))
+
+
+def test_synthesized_process_keeps_the_partitions_table():
+    # The synthesized process's final table is its partition's; a copy read
+    # back from JSON builds its own, and both give the same grand events.
+    instances = witness_family() + [wide_instance(seed) for seed in range(12)]
+    for _, assignment in instances:
+        if not assignment.is_transitive():
+            assignment = m.transitivize(assignment)
+        partition, _ = m.venn_partition(assignment)
+        proc = m.synthesize_process(partition)
+        assert proc.final_table is partition.table
+        copy = FormativeProcess.from_json(proc.to_json())
+        assert copy.final_table is not partition.table
+        assert proc.grand_events == copy.grand_events
+        assert proc.least_grand_events == copy.least_grand_events
 
 
 def test_grand_event_examples(ex1):

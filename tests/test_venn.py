@@ -124,6 +124,23 @@ def test_assignment_transitivity_matches_its_partition():
                 == m.venn_partition(assignment)[0].is_transitive())
 
 
+def test_induced_board_targets_are_read_off_the_contact_pairs():
+    # The oracle is the per-element loop: each element of block i sends its
+    # signature, the home places of its members, to target i.
+    rng = random.Random(12)
+    for _ in range(80):
+        universe = rand_transitive_universe(rng, rng.randint(0, 12))
+        partition = rand_partition(rng, universe)
+        home = {e: i for i, b in enumerate(partition.blocks) for e in b}
+        targets = {}
+        for i, b in enumerate(partition.blocks):
+            for e in b:
+                sig = frozenset(home[x] for x in e.elements)
+                targets.setdefault(sig, set()).add(i)
+        assert dict(m.induced_board(partition).targets) == {
+            node: frozenset(ts) for node, ts in targets.items()}
+
+
 def test_transitivize_preserves_literal_values(ex1):
     M2 = m.transitivize(ex1.assignment)
     assert m.evaluate(ex1.formula, M2).results == \

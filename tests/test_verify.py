@@ -635,6 +635,24 @@ def test_verify_fails_only_the_forged_item(instance, rounds, forge, item):
     assert failed == [item]
 
 
+def test_checker_hands_the_partitions_table_to_a_process_ending_in_it():
+    # A process whose final blocks are the Venn partition's reads the
+    # partition's table.  With places 0 and 2 swapped, it ends elsewhere and
+    # builds its own table, and only the partition item fails.
+    data = json.loads(m.certify_witness(*wide_instance(0)).dumps())
+    report, cert = m.check_certificate(data)
+    assert report.ok
+    assert cert.process.final_table is cert.canonical_board()[0].table
+    _places_swapped(data)
+    swapped_report, swapped = m.check_certificate(data)
+    assert swapped.process.final_table is not swapped.canonical_board()[0].table
+    item = "embedded process ends in the assignment's Venn partition"
+    assert [(i.check, i.ok or i.check == item, i.detail)
+            for i in swapped_report.items] == \
+        [(i.check, i.ok, i.detail) for i in report.items]
+    assert [i.check for i in swapped_report.failures()] == [item]
+
+
 # --- every item of a validator can fail alone --------------------------------
 
 def _forged_process(proc, **fields):

@@ -486,10 +486,8 @@ def check_certificate(data):
     rb.add("embedded process parses", True)
     valid = rb.add("embedded process validates",
                    not proc.weak and validate_process(proc).ok)
-    if rb.add("embedded process ends in the assignment's Venn partition",
-              proc.stages and proc.final_blocks() == partition.blocks):
-        # Equal final blocks: the partition's table is the process's.
-        object.__setattr__(proc, "final_table", partition.table)
+    rb.add("embedded process ends in the assignment's Venn partition",
+           proc.stages and proc.final_blocks() == partition.blocks)
     # The event and cover checks index the process's blocks by the board's
     # places and the event's stage, so they run only where those exist.  A
     # stage short of a place fails the item above when it is the last one,

@@ -17,7 +17,7 @@ from . import hf
 from .errors import CardinalityDeficit, NoLocalTrash
 from .process import FormativeProcess, grand_event, is_closed, local_trashes
 from .report import Report, ReportBuilder
-from .venn import ColoredBoard, SignatureTable, node_union, subsets
+from .venn import ColoredBoard, SignatureTable, node_union, signature_table, subsets
 
 
 @dataclass(frozen=True)
@@ -169,8 +169,8 @@ def check_weak_imitation(proc: FormativeProcess, board: ColoredBoard,
     """
     rb = ReportBuilder()
     places = proc.places
-    hat_blocks = [frozenset(b) for b in hat_blocks]
-    hat_minus = [frozenset(m) for m in hat_minus]
+    hat_blocks = tuple(frozenset(b) for b in hat_blocks)
+    hat_minus = tuple(frozenset(m) for m in hat_minus)
     closed_set = frozenset(closed_set)
 
     rb.add("(i) minus cardinalities match the stage blocks",
@@ -184,9 +184,9 @@ def check_weak_imitation(proc: FormativeProcess, board: ColoredBoard,
 
     # Nodes range over the stage's live places: the nodes of the stage
     # partition.
-    ora = SignatureTable(proc.stages[k_prime])
-    minus = SignatureTable(hat_blocks, hat_minus)
-    hat = SignatureTable(hat_blocks)
+    ora = signature_table(proc.stages[k_prime])
+    minus = signature_table(hat_blocks, hat_minus)
+    hat = signature_table(hat_blocks)
     live = ora.live
 
     rb.add("(x) assembly/block intersection cardinalities match",
@@ -255,9 +255,12 @@ class ImitationWitness:
         if len(segment) != 2:
             raise ValueError("a segment must have two stages")
         lo, hi = (expect(k, int, "a segment stage") for k in segment)
+        gamma = expect(data["gamma"], dict, "a stage map")
+        if any(str(int(k)) != k for k in gamma):
+            raise ValueError("a stage map key must be a stage in canonical form")
         return ImitationWitness(
             gamma={int(k): expect(v, int, "a stage map value")
-                   for k, v in expect(data["gamma"], dict, "a stage map").items()},
+                   for k, v in gamma.items()},
             closed_set=frozenset(
                 expect(q, int, "a closed-set place")
                 for q in expect(data["closedSet"], list, "a closed set")),
@@ -277,8 +280,8 @@ def _pools_match(stage, hat_stage, hat_minus) -> bool:
     either side, some node without one has unequal pools, and otherwise
     sweeping the nodes costs no more than building the tables.
     """
-    ora = SignatureTable(stage)
-    hat = SignatureTable(hat_stage, hat_minus)
+    ora = signature_table(stage)
+    hat = signature_table(hat_stage, hat_minus)
     live = ora.live
     placed = ({n for n, _ in ora.contacts(live)}
               | {n for n, _ in hat.contacts(live)})
@@ -298,16 +301,17 @@ def _placements_transfer(proc, cand, overlay, beta, a):
     lands on either side are checked.
     """
     places = proc.places
-    ora = SignatureTable([proc.delta(beta, q) for q in places],
-                         proc.stages[beta])
+    ora = signature_table(tuple(proc.delta(beta, q) for q in places),
+                          proc.stages[beta])
     live = ora.live
     landed = ora.union_homes(live)
     sides = [
-        SignatureTable([overlay.delta_minus(a, q)
-                        | overlay.delta_surplus(cand, a, q) for q in places],
-                       overlay.minus[a - overlay.start]).union_homes(live),
-        SignatureTable([cand.delta(a, q) for q in places],
-                       cand.stages[a]).union_homes(live),
+        signature_table(tuple(overlay.delta_minus(a, q)
+                              | overlay.delta_surplus(cand, a, q)
+                              for q in places),
+                        overlay.minus[a - overlay.start]).union_homes(live),
+        signature_table(tuple(cand.delta(a, q) for q in places),
+                        cand.stages[a]).union_homes(live),
     ]
     ok = [True, True]
     for node in landed.keys() | sides[0].keys() | sides[1].keys():
@@ -383,15 +387,15 @@ def check_segment_imitation(proc: FormativeProcess, board: ColoredBoard,
         if board.is_pow_node(node):
             by_ge.setdefault(ge, []).append(node)
     rb.add("(iv) pow-node assemblies are absorbed right after their grand event",
-           not any(any(map(SignatureTable(cand.stages[g[ge + 1]],
-                                          cand.stages[g[ge]]).unplaced, nodes))
+           not any(any(map(signature_table(cand.stages[g[ge + 1]],
+                                           cand.stages[g[ge]]).unplaced, nodes))
                    for ge, nodes in by_ge.items() if ge in g and ge + 1 in g))
 
     rb.add("(x) previous-stage assembly/block intersections match",
            all(_contacts_match(
-               SignatureTable(cand.stages[g[k]],
-                              overlay.minus[g[k - 1] - overlay.start]),
-               SignatureTable(proc.stages[k], proc.stages[k - 1]))
+               signature_table(cand.stages[g[k]],
+                               overlay.minus[g[k - 1] - overlay.start]),
+               signature_table(proc.stages[k], proc.stages[k - 1]))
                for k in range(lo + 1, hi + 1)))
     return rb.build()
 
@@ -449,8 +453,8 @@ def paste_segment(proc: FormativeProcess, board: ColoredBoard,
         # at it, the full union (which lands in surplus when the node carries
         # surplus material: the grand-event interchange).  Nodes range over
         # the stage's live places, in `subsets` order.
-        step = SignatureTable([proc.delta(k, q) for q in places],
-                              proc.stages[k])
+        step = signature_table(tuple(proc.delta(k, q) for q in places),
+                               proc.stages[k])
         landed = step.union_homes(step.live)
 
         def v_hat_of(gnode):
@@ -464,7 +468,7 @@ def paste_segment(proc: FormativeProcess, board: ColoredBoard,
         own = node_union(cur_minus, node)
         forbidden = {own} & {
             v_hat_of(gnode) for gnode in
-            SignatureTable([{own}], cur_minus).union_homes(step.live)
+            signature_table((frozenset([own]),), cur_minus).union_homes(step.live)
             if gnode not in landed}
         rank = {q: 1 << i for i, q in enumerate(sorted(step.live))}
         designated = {q: [] for q in places}

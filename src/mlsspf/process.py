@@ -16,7 +16,7 @@ from functools import cached_property
 from . import hf
 from .errors import NotTransitive
 from .report import Report, ReportBuilder
-from .venn import ColoredBoard, Partition, SignatureTable
+from .venn import ColoredBoard, Partition, SignatureTable, signature_table
 
 
 @dataclass(frozen=True)
@@ -97,10 +97,8 @@ class FormativeProcess:
     @cached_property
     def final_table(self) -> SignatureTable:
         """The signature table of the final blocks (pairwise disjoint in a
-        valid process), off which grand unions are read without building
-        any union.  A process whose final blocks are a partition's reads the
-        partition's `table` (`synthesize_process`, `check_certificate`)."""
-        return SignatureTable(self.final_blocks())
+        valid process): the `table` of a partition with those blocks."""
+        return signature_table(self.final_blocks())
 
     @cached_property
     def grand_events(self) -> dict:
@@ -283,8 +281,7 @@ def synthesize_process(partition: Partition) -> FormativeProcess:
     """
     if not partition.is_transitive():
         raise NotTransitive("cannot synthesize a process for a non-transitive partition")
-    table = partition.table
-    home, signature = table.home, table.signature
+    home, signature = partition.table.home, partition.table.signature
     waiting = {}
     containers = {}
     for e in home:
@@ -326,11 +323,8 @@ def synthesize_process(partition: Partition) -> FormativeProcess:
                 waiting[c] -= 1
                 if not waiting[c]:
                     ready(c)
-    proc = FormativeProcess(stages=tuple(stages), trace=tuple(trace),
+    return FormativeProcess(stages=tuple(stages), trace=tuple(trace),
                             history_targets=tuple(targets), weak=False)
-    # The final blocks are the partition's, so their table is its table.
-    object.__setattr__(proc, "final_table", table)
-    return proc
 
 
 def grand_event(proc: FormativeProcess, node) -> int:

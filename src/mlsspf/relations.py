@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from . import lang
 from .report import Report, ReportBuilder
-from .venn import Assignment, ColoredBoard, ImMap, SignatureTable, node_union
+from .venn import Assignment, ColoredBoard, ImMap, node_union, signature_table
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,8 @@ def imitates(board: ColoredBoard, bijection: BlockBijection) -> Report:
     """
     rb = ReportBuilder()
     places = bijection.places
-    src = SignatureTable(bijection.source)
-    tgt = SignatureTable(bijection.target)
+    src = signature_table(bijection.source)
+    tgt = signature_table(bijection.target)
     rb.add("(1) assembly contact transfers",
            src.contacts(places).keys() == tgt.contacts(places).keys())
     rb.add("(2) node-union membership transfers",

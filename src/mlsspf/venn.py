@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 from . import hf, lang
@@ -81,9 +81,8 @@ class Partition:
 
     @cached_property
     def table(self) -> "SignatureTable":
-        """The signature table of the blocks: the one pass over the elements
-        that the board, the synthesized process and its checker read."""
-        return SignatureTable(self.blocks)
+        """The blocks' `signature_table`, shared by processes ending in them."""
+        return signature_table(self.blocks)
 
     def is_transitive(self) -> bool:
         """Whether every element's members all lie in blocks."""
@@ -209,6 +208,11 @@ class SignatureTable:
         return {node | extra: self.home[u]
                 for node, u in self._unions.items() if node <= within
                 for extra in extras}
+
+
+# Build tables here: a table is a pure function of its blocks and parts (tuples
+# of frozensets), and no caller writes to one, so equal inputs may share it.
+signature_table = lru_cache(maxsize=64)(SignatureTable)
 
 
 def node_union(blocks, node) -> hf.HfSet:

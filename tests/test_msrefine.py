@@ -90,24 +90,17 @@ def test_weak_imitation_ex1_pumped(ex1, pumped_ex1):
         assert any(n.startswith(tag) for n in names)
 
 
-def test_weak_imitation_builds_each_table_once(ex1, pumped_ex1, monkeypatch):
+def test_weak_imitation_builds_each_table_once(ex1, pumped_ex1):
     # The stage, the candidate's Minus parts and the candidate's blocks:
     # three distinct inputs, three tables.
-    from mlsspf import msrefine
-    built = []
-
-    class Counting(msrefine.SignatureTable):
-        def __init__(self, *args):
-            built.append(args)
-            super().__init__(*args)
-
-    monkeypatch.setattr(msrefine, "SignatureTable", Counting)
+    from mlsspf.venn import signature_table
     pumped, overlay, cover = pumped_ex1
     proc, last = ex1.process, pumped.xi
+    signature_table.cache_clear()
     rep = m.check_weak_imitation(
         proc, ex1.board, 3, pumped.stages[last],
         [overlay.minus_at(last, q) for q in proc.places], cover)
-    assert rep.ok and len(built) == 3
+    assert rep.ok and signature_table.cache_info().misses == 3
 
 
 def test_weak_imitation_cardinality_failure(ex1):

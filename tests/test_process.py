@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mlsspf as m
-from mlsspf import hf
+from mlsspf import hf, venn
 from mlsspf.errors import NotTransitive
 from mlsspf.process import FormativeProcess
 from mlsspf.venn import node_union
@@ -115,7 +115,8 @@ def test_synthesize_requires_transitive():
 
 def test_synthesized_process_keeps_the_partitions_table():
     # The synthesized process's final table is its partition's; a copy read
-    # back from JSON builds its own, and both give the same grand events.
+    # back from JSON after the memo of tables is emptied builds its own, and
+    # both give the same grand events.
     instances = witness_family() + [wide_instance(seed) for seed in range(12)]
     for _, assignment in instances:
         if not assignment.is_transitive():
@@ -124,6 +125,7 @@ def test_synthesized_process_keeps_the_partitions_table():
         proc = m.synthesize_process(partition)
         assert proc.final_table is partition.table
         copy = FormativeProcess.from_json(proc.to_json())
+        venn.signature_table.cache_clear()
         assert copy.final_table is not partition.table
         assert proc.grand_events == copy.grand_events
         assert proc.least_grand_events == copy.least_grand_events

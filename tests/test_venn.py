@@ -1,4 +1,6 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
@@ -255,3 +257,14 @@ def test_board_json_deterministic(ex1):
     b = json.dumps(board.to_json(), sort_keys=True)
     assert a == b
 
+
+def test_only_the_memo_builds_signature_tables():
+    # Every table comes from `venn.signature_table`, so callers with equal
+    # blocks and parts share one: no module calls the class itself.
+    calls = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(m.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and "SignatureTable" in (getattr(node.func, "id", None),
+                                      getattr(node.func, "attr", None))]
+    assert calls == []

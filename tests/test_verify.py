@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mlsspf as m
-from mlsspf import hf
+from mlsspf import hf, venn
+from mlsspf.cli import run_cli
 
 from conftest import (Ex1, chain, pow_region_forgery, union_pick_allowed,
                       wide_instance, witness_family)
@@ -651,6 +652,62 @@ def test_checker_hands_the_partitions_table_to_a_process_ending_in_it():
             for i in swapped_report.items] == \
         [(i.check, i.ok, i.detail) for i in report.items]
     assert [i.check for i in swapped_report.failures()] == [item]
+
+
+def test_prover_and_checker_build_each_table_once(monkeypatch):
+    # Equal blocks and parts give one table, whoever asks: extending
+    # `wide_instance(12)` by 2 rounds builds 11 tables (16 when each caller
+    # built its own), and verifying the result from an empty memo 11 (15).
+    built = []
+    init = venn.SignatureTable.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    venn.signature_table.cache_clear()
+    cert = m.certify_witness(*wide_instance(12))
+    monkeypatch.setattr(venn.SignatureTable, "__init__", counting)
+    data = json.loads(m.extend_certificate(cert, 2).dumps())
+    assert len(built) <= 11
+    built.clear()
+    venn.signature_table.cache_clear()
+    assert m.verify_certificate(data).ok
+    assert len(built) <= 11
+
+
+def test_checker_reading_the_provers_tables_gives_the_cold_report():
+    # Right after `extend_certificate`, `verify_certificate` reads tables
+    # the prover left in `venn.signature_table`'s memo; from an empty memo
+    # it builds its own.  The reports are the same.
+    cases = [(m.certify_witness(formula, assignment), rounds)
+             for formula, assignment in witness_family()
+             for rounds in range(4)]
+    cases += [(m.certify_witness(*wide_instance(seed)), 1)
+              for seed in CERTIFIED_WIDE if seed < 12]
+    for cert, rounds in cases:
+        data = json.loads(m.extend_certificate(cert, rounds).dumps())
+        warm = m.verify_certificate(data).to_json()
+        venn.signature_table.cache_clear()
+        assert m.verify_certificate(data).to_json() == warm
+
+
+@pytest.mark.parametrize("gamma", [{" +014 ": 16}, {"014": 115, "14": 16}],
+                         ids=["padded", "two spellings"])
+def test_stage_map_keys_must_be_canonical(tmp_path, gamma):
+    # A stage map key names its stage only as `str` writes it: " +014 "
+    # would read as stage 14, and "014" beside "14" would collapse into one
+    # stage, the last key winning.  Either is bad input (exit 3).
+    cert = m.extend_certificate(m.certify_witness(*wide_instance(0)), 1)
+    data = json.loads(cert.dumps())
+    assert data["pumped"]["witness"]["gamma"] == {"14": 16}
+    data["pumped"]["witness"]["gamma"] = gamma
+    with pytest.raises(ValueError, match="canonical"):
+        m.verify_certificate(data)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(data))
+    assert run_cli(["verify", str(path)]) == 3
+    assert run_cli(["pump", "-c", str(path), "--rounds", "1"]) == 3
 
 
 # --- every item of a validator can fail alone --------------------------------

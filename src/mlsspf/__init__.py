@@ -23,9 +23,8 @@ from .relations import (BlockBijection, imitates, literal_transfer_report,
                         transfer_assignment)
 from .solver import (SAT_MODEL, SAT_WITNESSED, UNKNOWN, UNSAT_WITHIN_BUDGET,
                      DecideResult, SearchBudget, decide)
-from .venn import (Assignment, ColoredBoard, ImMap, Partition,
-                   canonical_board, color_board, induced_board, transitivize,
-                   venn_partition)
+from .venn import (Assignment, ColoredBoard, canonical_board, color_board,
+                   induced_board, transitivize, venn_partition)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -152,8 +152,7 @@ def _missed_variable(regions, places):
 
 def _potential_infinite(formula: lang.Formula, im, places) -> tuple:
     """`potentialInfinite`: the variables whose regions meet the places."""
-    return tuple(v for v in formula.vars
-                 if v in im.places and not im[v].isdisjoint(places))
+    return tuple(v for v in formula.vars if not im[v].isdisjoint(places))
 
 
 def is_pumping_event(proc: FormativeProcess, board: ColoredBoard,
@@ -297,10 +296,12 @@ class MalformedProcess(ValueError):
 class WitnessCertificate:
     """Everything needed to re-check a satisfiability witness untrusted.
 
-    `canonical` is (partition, im, board) of `canonical_board` for the
-    formula and the assignment: `certify_witness` stores the one it built,
-    and the `canonical_board` method builds it once for a certificate read
-    from JSON.  It is not compared, shown or written.
+    `canonical` is (blocks, im, board) of `canonical_board` for the
+    formula and the assignment: the Venn blocks as a tuple of frozensets,
+    the read-only region map and the colored board.  `certify_witness`
+    stores the one it built, and the `canonical_board` method builds it
+    once for a certificate read from JSON.  It is not compared, shown or
+    written.
     """
 
     formula: lang.Formula
@@ -360,11 +361,8 @@ class WitnessCertificate:
         expect, decode = hf.expect_json, decode or hf.Decoder()
         data = expect(data, dict, "a certificate")
         params = expect(data.get("params", {}), dict, "params")
-        max_cycle_len = expect(params.get("maxCycleLen", MAX_CYCLE_LEN), int,
-                               "maxCycleLen")
-        if max_cycle_len < 1:
-            raise ValueError(
-                f"maxCycleLen must be at least 1, not {max_cycle_len}")
+        max_cycle_len = hf.expect_at_least(
+            params.get("maxCycleLen", MAX_CYCLE_LEN), 1, "maxCycleLen")
         formula = lang.parse(expect(data["formula"], str, "formula"))
         base, _ = Assignment.from_json(data["baseAssignment"], decode)
         assignment, _ = Assignment.from_json(data["assignment"], decode)
@@ -482,12 +480,12 @@ def check_certificate(data):
            all(val for lit, val in zip(formula.literals, results)
                if lit.kind != lang.NOT_FINITE))
 
-    partition, im, board = cert.canonical_board()
+    blocks, im, board = cert.canonical_board()
     rb.add("embedded process parses", True)
     valid = rb.add("embedded process validates",
                    not proc.weak and validate_process(proc).ok)
     rb.add("embedded process ends in the assignment's Venn partition",
-           proc.stages and proc.final_blocks() == partition.blocks)
+           proc.stages and proc.final_blocks() == blocks)
     # The event and cover checks index the process's blocks by the board's
     # places and the event's stage, so they run only where those exist.  A
     # stage short of a place fails the item above when it is the last one,

@@ -27,7 +27,8 @@ from .errors import LimitExceeded, MlsspfError
 from .process import FormativeProcess, synthesize_process, validate_process
 from .pumping import certify_witness, extend_certificate
 from .solver import SAT_MODEL, SAT_WITNESSED, UNKNOWN, SearchBudget, decide
-from .venn import Assignment, canonical_board, transitivize, venn_partition
+from .venn import (Assignment, canonical_board, is_transitive, transitivize,
+                   venn_partition)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -103,9 +104,10 @@ def cmd_check_model(args):
 
 def cmd_venn(args):
     model = _read_model(args.model)
-    partition, im = venn_partition(model)
-    _emit({"blocks": partition.to_json(), "im": im.to_json(),
-           "transitive": partition.is_transitive()}, args)
+    blocks, im = venn_partition(model)
+    _emit({"blocks": [hf.block_json(b) for b in blocks],
+           "im": {v: sorted(ps) for v, ps in sorted(im.items())},
+           "transitive": is_transitive(blocks)}, args)
     return EXIT_OK
 
 
@@ -124,8 +126,8 @@ def cmd_process(args):
         raise ValueError(f"process {args.action} needs {flag}")
     if args.action == "synth":
         model = _read_transitive_model(args.model)
-        partition, _ = venn_partition(model)
-        proc = synthesize_process(partition)
+        blocks, _ = venn_partition(model)
+        proc = synthesize_process(blocks)
         _emit(proc.to_json(), args)
         return EXIT_OK
     proc = FormativeProcess.from_json(_read_json(args.process))
@@ -144,8 +146,6 @@ def cmd_witness(args):
 
 
 def cmd_pump(args):
-    if args.rounds < 0:
-        raise ValueError(f"rounds must be nonnegative, not {args.rounds}")
     report, cert = check_certificate(_read_json(args.certificate))
     if not report.ok:
         raise MlsspfError(f"certificate does not check:\n{report}")

@@ -136,6 +136,15 @@ def expect_json(value, kind, what):
     return value
 
 
+def expect_at_least(value, least, name):
+    """`value` if it is an int (no boolean passes) of at least `least`,
+    else ValueError: a bound such as 4.0 or True is bad input where it is
+    read, not a value to record in a certificate."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise ValueError(f"{name} must be at least {least}, not {value!r}")
+    return value
+
+
 class Decoder:
     """`from_json` for decoding the many sets of one document, such as the
     stages of a process or every set of a certificate: one instance per

@@ -15,7 +15,8 @@ from types import MappingProxyType
 
 from . import hf
 from .errors import CardinalityDeficit, NoLocalTrash
-from .process import FormativeProcess, grand_event, is_closed, local_trashes
+from .process import (FormativeProcess, _json_places, grand_event, is_closed,
+                      local_trashes)
 from .report import Report, ReportBuilder
 from .venn import ColoredBoard, SignatureTable, node_union, signature_table, subsets
 
@@ -261,9 +262,7 @@ class ImitationWitness:
         return ImitationWitness(
             gamma={int(k): expect(v, int, "a stage map value")
                    for k, v in gamma.items()},
-            closed_set=frozenset(
-                expect(q, int, "a closed-set place")
-                for q in expect(data["closedSet"], list, "a closed set")),
+            closed_set=frozenset(_json_places(data["closedSet"], "closedSet")),
             lo=lo, hi=hi,
         )
 
@@ -424,12 +423,12 @@ def paste_segment(proc: FormativeProcess, board: ColoredBoard,
 
     A Minus pool draws at most `pow_limit` assemblies, and the family a
     pow-node dump builds whole holds at most `pow_limit` (else
-    LimitExceeded); a `pow_limit` below 1 raises ValueError.
+    LimitExceeded); a `pow_limit` that is no int of at least 1 raises
+    ValueError.
 
     Returns (extended process, extended overlay, witness).
     """
-    if pow_limit < 1:
-        raise ValueError(f"pow_limit must be at least 1, not {pow_limit}")
+    hf.expect_at_least(pow_limit, 1, "pow_limit")
     places = proc.places
     k_prime = start.k_prime
     C = start.closed_set

@@ -16,7 +16,7 @@ from functools import cached_property
 from . import hf
 from .errors import NotTransitive
 from .report import Report, ReportBuilder
-from .venn import ColoredBoard, Partition, SignatureTable, signature_table
+from .venn import ColoredBoard, SignatureTable, is_transitive, signature_table
 
 
 @dataclass(frozen=True)
@@ -96,8 +96,8 @@ class FormativeProcess:
 
     @cached_property
     def final_table(self) -> SignatureTable:
-        """The signature table of the final blocks (pairwise disjoint in a
-        valid process): the `table` of a partition with those blocks."""
+        """`signature_table` of the final blocks (pairwise disjoint in a
+        valid process): the memoized table their board and synthesis read."""
         return signature_table(self.final_blocks())
 
     @cached_property
@@ -261,8 +261,9 @@ def validate_process(proc: FormativeProcess) -> Report:
     return rb.build()
 
 
-def synthesize_process(partition: Partition) -> FormativeProcess:
-    """A strong formative process whose final stage is the given partition.
+def synthesize_process(blocks) -> FormativeProcess:
+    """A strong formative process whose final stage is the given partition,
+    a tuple of blocks (frozensets).
 
     Greedy by canonical element order: each step picks the least unplaced
     element whose members are all placed, and distributes in one batch every
@@ -279,9 +280,10 @@ def synthesize_process(partition: Partition) -> FormativeProcess:
     Elements made ready by a step join the next groups, as a rescan after
     the step would find them.
     """
-    if not partition.is_transitive():
+    if not is_transitive(blocks):
         raise NotTransitive("cannot synthesize a process for a non-transitive partition")
-    home, signature = partition.table.home, partition.table.signature
+    table = signature_table(blocks)
+    home, signature = table.home, table.signature
     waiting = {}
     containers = {}
     for e in home:
@@ -299,7 +301,7 @@ def synthesize_process(partition: Partition) -> FormativeProcess:
     for e, n in waiting.items():
         if not n:
             ready(e)
-    stage = [frozenset() for _ in partition.blocks]
+    stage = [frozenset() for _ in blocks]
     stages = [tuple(stage)]
     trace = []
     targets = []

@@ -244,13 +244,11 @@ def pump_rounds(proc: FormativeProcess, event: PumpingEvent, rounds: int,
     least one element to every place on the cycle, and all new deltas are
     surplus except the single restoring element.  Zero rounds leave the
     prefix at the start stage as it is.  A pick draws at most `pow_limit`
-    assemblies (else LimitExceeded).  Raises ValueError for negative
-    `rounds` and for a `pow_limit` below 1.
+    assemblies (else LimitExceeded).  Raises ValueError unless `rounds`
+    is an int of at least 0 and `pow_limit` one of at least 1.
     """
-    if rounds < 0:
-        raise ValueError(f"rounds must be nonnegative, not {rounds}")
-    if pow_limit < 1:
-        raise ValueError(f"pow_limit must be at least 1, not {pow_limit}")
+    hf.expect_at_least(rounds, 0, "rounds")
+    hf.expect_at_least(pow_limit, 1, "pow_limit")
     i0 = event.i0
     prefix = proc.prefix(i0)
     if rounds == 0:
@@ -306,12 +304,10 @@ def certify_witness(formula: lang.Formula, assignment: Assignment,
     places whose closed cover exists, whose cycle meets the region of every
     variable that must become infinite, and whose replayed segment can
     absorb grand events of pumped nodes.  The cycles of a length are listed
-    only when the search gets to them.  A `max_cycle_len` below 1 raises
-    ValueError.
+    only when the search gets to them.  A `max_cycle_len` that is no int
+    of at least 1 (a bool or a float included) raises ValueError.
     """
-    if max_cycle_len < 1:
-        raise ValueError(
-            f"max_cycle_len must be at least 1, not {max_cycle_len}")
+    hf.expect_at_least(max_cycle_len, 1, "max_cycle_len")
     base = assignment
     results = []
     for lit in formula.literals:
@@ -322,14 +318,14 @@ def certify_witness(formula: lang.Formula, assignment: Assignment,
 
     if not assignment.is_transitive():
         assignment = transitivize(assignment)
-    partition, im, board = canonical_board(formula, assignment)
+    blocks, im, board = canonical_board(formula, assignment)
     # Whether the board has a cycle at all needs no process: most boards
     # `decide` tries have none, so the existence walk runs first, and the
     # windowed walk reuses its index.
     index = _CycleIndex(board, max_cycle_len)
     if next(index.walk(), None) is None:
         raise NoEvent("the board has no green pumping cycle")
-    proc = synthesize_process(partition)
+    proc = synthesize_process(blocks)
 
     # The walk's cycles stay index tuples, each with its window of (ii) and
     # (iii) and the variable whose region it misses, if any; the walk
@@ -390,7 +386,7 @@ def certify_witness(formula: lang.Formula, assignment: Assignment,
                 literal_results=tuple(results),
                 event_report=is_pumping_event(proc, board, q0, i0, cycle),
                 max_cycle_len=max_cycle_len,
-                canonical=(partition, im, board))
+                canonical=(blocks, im, board))
     if missed is not None:
         raise CoverMissesVariable(missed)
     raise NoEvent("no pumping event passes all three conditions")
@@ -404,8 +400,9 @@ def extend_certificate(cert: WitnessCertificate, rounds: int,
     `pow_limit` bounds the assemblies of `pump_rounds` and `paste_segment`.
     A lazy pick counts only the assemblies it takes, so the pump runs to
     round counts (24 and more on `w in x & !Finite(x)`) whose families
-    exceed the default bound.  Raises ValueError for negative `rounds` and
-    for a `pow_limit` below 1, before anything is drawn."""
+    exceed the default bound.  Raises ValueError unless `rounds` is an int
+    of at least 0 and `pow_limit` one of at least 1, before anything is
+    drawn."""
     _, _, board = cert.canonical_board()
     proc = cert.process
     pumped, overlay, warmups, boundaries = pump_rounds(proc, cert.event,

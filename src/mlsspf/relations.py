@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from . import lang
 from .report import Report, ReportBuilder
-from .venn import Assignment, ColoredBoard, ImMap, node_union, signature_table
+from .venn import Assignment, ColoredBoard, node_union, signature_table
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ def imitates(board: ColoredBoard, bijection: BlockBijection) -> Report:
     return rb.build()
 
 
-def transfer_assignment(assignment: Assignment, im: ImMap,
+def transfer_assignment(assignment: Assignment, im,
                         bijection: BlockBijection) -> Assignment:
     """Re-read every variable of the assignment off the image blocks of its
     places."""

@@ -37,8 +37,8 @@ class SearchBudget:
     A zero rank or universe bound is the trivial budget.  `decide` still
     searches the empty universe under it, so it can return a model there
     (every variable {}); only the UnsatWithinBudget verdict becomes Unknown.
-    A negative rank or universe bound, or a cycle bound below 1, raises
-    ValueError.
+    A bound that is no int (a bool or a float), a negative rank or universe
+    bound, or a cycle bound below 1 raises ValueError.
     """
 
     max_rank: int = 4
@@ -48,9 +48,7 @@ class SearchBudget:
     def __post_init__(self):
         for name, least in (("max_rank", 0), ("max_universe", 0),
                             ("max_cycle_len", 1)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be at least {least}, "
-                                 f"not {getattr(self, name)}")
+            hf.expect_at_least(getattr(self, name), least, name)
 
     @property
     def trivial(self) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from types import MappingProxyType
 
 from . import hf, lang
@@ -64,34 +64,6 @@ class Assignment:
         return Assignment(out), warnings
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Pairwise disjoint nonempty blocks, canonically ordered.
-
-    The block order (by each block's least element) is what gives places
-    their stable integer identities downstream.
-    """
-
-    blocks: tuple
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "blocks",
-            tuple(frozenset(b) for b in self.blocks))
-
-    @cached_property
-    def table(self) -> "SignatureTable":
-        """The blocks' `signature_table`, shared by processes ending in them."""
-        return signature_table(self.blocks)
-
-    def is_transitive(self) -> bool:
-        """Whether every element's members all lie in blocks."""
-        return len(self.table.signature) == len(self.table.home)
-
-    def to_json(self):
-        return [hf.block_json(b) for b in self.blocks]
-
-
 def _is_transitive(universe) -> bool:
     """Whether every member of an element of the set `universe` is in it."""
     return all(universe.issuperset(e.elements) for e in universe)
@@ -100,23 +72,6 @@ def _is_transitive(universe) -> bool:
 def _sorted_blocks(blocks):
     return tuple(sorted((frozenset(b) for b in blocks),
                         key=lambda b: min(b, key=lambda e: e._key)._key))
-
-
-@dataclass(frozen=True)
-class ImMap:
-    """Variable -> set of places whose blocks assemble the variable's value."""
-
-    places: dict
-
-    def __post_init__(self):
-        object.__setattr__(self, "places", MappingProxyType(
-            {v: frozenset(ps) for v, ps in self.places.items()}))
-
-    def __getitem__(self, var):
-        return self.places[var]
-
-    def to_json(self):
-        return {v: sorted(ps) for v, ps in sorted(self.places.items())}
 
 
 def home_index(blocks) -> dict:
@@ -232,7 +187,11 @@ def venn_partition(assignment: Assignment):
     """Coarsest partition whose blocks respect every variable's value.
 
     Elements of the ground universe are grouped by their membership
-    signature across variables; returns (Partition, ImMap).
+    signature across variables.  Returns (blocks, im): the blocks as a
+    tuple of frozensets ordered by their least elements, which gives places
+    their stable integer identities downstream, and the region map, a
+    read-only mapping from each variable to the frozenset of the places
+    whose blocks assemble its value.
     """
     universe = assignment.value_union()
     value_sets = {v: set(val.elements) for v, val in assignment.bindings.items()}
@@ -241,11 +200,16 @@ def venn_partition(assignment: Assignment):
         sig = frozenset(v for v, members in value_sets.items() if e in members)
         groups.setdefault(sig, set()).add(e)
     blocks = _sorted_blocks(groups.values())
-    partition = Partition(blocks)
-    im = {}
-    for v, members in value_sets.items():
-        im[v] = frozenset(i for i, b in enumerate(blocks) if b <= members)
-    return partition, ImMap(im)
+    im = {v: frozenset(i for i, b in enumerate(blocks) if b <= members)
+          for v, members in value_sets.items()}
+    return blocks, MappingProxyType(im)
+
+
+def is_transitive(blocks) -> bool:
+    """Whether every member of an element of the blocks lies in a block:
+    whether every element has a signature in the blocks' table."""
+    table = signature_table(blocks)
+    return len(table.signature) == len(table.home)
 
 
 @dataclass(frozen=True)
@@ -302,27 +266,28 @@ class ColoredBoard:
         }
 
 
-def induced_board(partition: Partition) -> ColoredBoard:
-    """Board core (places and targets) of a transitive partition.
+def induced_board(blocks) -> ColoredBoard:
+    """Board core (places and targets) of a transitive partition, given as
+    its tuple of blocks (frozensets).
 
     Every element e of the union is, by transitivity, a subset of it, so it
     determines the unique node whose assembly family contains it: the set of
     places whose blocks e meets.  Targets are read off the contact pairs
-    (node, place) of the partition's `table` instead of materializing the
-    exponential assembly families.
+    (node, place) of the blocks' `signature_table` instead of materializing
+    the exponential assembly families.
     """
-    if not partition.is_transitive():
+    if not is_transitive(blocks):
         raise NotTransitive("the partition's unionset is not transitive")
     targets = {}
-    for node, q in partition.table.contacts(range(len(partition.blocks))):
+    for node, q in signature_table(blocks).contacts(range(len(blocks))):
         targets.setdefault(node, set()).add(q)
     return ColoredBoard(
-        blocks=partition.blocks,
+        blocks=blocks,
         targets={n: frozenset(ts) for n, ts in targets.items()},
     )
 
 
-def color_board(core: ColoredBoard, formula: lang.Formula, im: ImMap) -> ColoredBoard:
+def color_board(core: ColoredBoard, formula: lang.Formula, im) -> ColoredBoard:
     """Attach the red places and pow regions a formula dictates.
 
     Red places come from the regions of enumeration targets and positively
@@ -347,10 +312,10 @@ def color_board(core: ColoredBoard, formula: lang.Formula, im: ImMap) -> Colored
 
 
 def canonical_board(formula: lang.Formula, assignment: Assignment):
-    """(partition, im, colored board) of an assignment for a formula."""
-    partition, im = venn_partition(assignment)
-    core = induced_board(partition)
-    return partition, im, color_board(core, formula, im)
+    """(blocks, im, colored board) of an assignment for a formula."""
+    blocks, im = venn_partition(assignment)
+    core = induced_board(blocks)
+    return blocks, im, color_board(core, formula, im)
 
 
 def transitivize(assignment: Assignment) -> Assignment:

@@ -13,7 +13,7 @@ from mlsspf import hf
 from mlsspf.certificate import MAX_CYCLE_LEN, PumpingCycle
 from mlsspf.msrefine import MsOverlay, StartConfiguration
 from mlsspf.pumping import _CycleIndex
-from mlsspf.venn import subsets
+from mlsspf.venn import _sorted_blocks, subsets
 
 from oracles import final_universe, stage_universe
 
@@ -53,9 +53,9 @@ class Ex1:
         self.formula = m.parse("w in x & !Finite(x)")
         self.assignment = m.Assignment({"w": self.b,
                                         "x": m.make_set([self.b, self.c])})
-        self.partition, self.im, self.board = m.canonical_board(
+        self.blocks, self.im, self.board = m.canonical_board(
             self.formula, self.assignment)
-        self.process = m.synthesize_process(self.partition)
+        self.process = m.synthesize_process(self.blocks)
         self.p, self.q = 0, 1
 
 
@@ -102,10 +102,16 @@ def rand_transitive_universe(rng: random.Random, size: int):
     return universe
 
 
+def block_tuple(blocks):
+    """The blocks as the tuple of frozensets that stands for a partition."""
+    return tuple(frozenset(b) for b in blocks)
+
+
 def rand_partition(rng: random.Random, universe, max_blocks=6):
-    """A random partition of the universe into at most max_blocks blocks."""
+    """The blocks of a random partition of the universe into at most
+    max_blocks blocks, in canonical order."""
     if not universe:
-        return m.Partition(())
+        return ()
     k = rng.randint(1, min(max_blocks, len(universe)))
     items = list(universe)
     rng.shuffle(items)
@@ -113,8 +119,7 @@ def rand_partition(rng: random.Random, universe, max_blocks=6):
     for i, e in enumerate(items):
         blocks[i % k].append(e)
     rng.shuffle(blocks)
-    from mlsspf.venn import _sorted_blocks
-    return m.Partition(_sorted_blocks(blocks))
+    return _sorted_blocks(blocks)
 
 
 def set_partitions(items):

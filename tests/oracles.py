@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from mlsspf import hf, lang
 from mlsspf.report import ReportBuilder
-from mlsspf.venn import Partition, SignatureTable, node_union, subsets
+from mlsspf.venn import SignatureTable, node_union, subsets
 
 
 def simulates_upwards(board, bijection):
@@ -50,9 +50,8 @@ def simulates_upwards(board, bijection):
 
 def finer_than(fine, coarse) -> bool:
     """True iff every member of `coarse` is a union of members of `fine`."""
-    fine = [frozenset(b) for b in (fine.blocks if isinstance(fine, Partition) else fine)]
-    coarse = [frozenset(b) for b in (coarse.blocks if isinstance(coarse, Partition) else coarse)]
-    for a in coarse:
+    fine = [frozenset(b) for b in fine]
+    for a in map(frozenset, coarse):
         covered = set()
         for b in fine:
             if b <= a:

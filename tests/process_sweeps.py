@@ -7,10 +7,9 @@ from mlsspf.process import FormativeProcess
 from mlsspf.venn import home_index
 
 
-def synthesize_process_scan(partition):
+def synthesize_process_scan(blocks):
     """`synthesize_process` by a ready-scan per step; its history targets
     are derived from the stages."""
-    blocks = partition.blocks
     places = range(len(blocks))
     home = home_index(blocks)
     signature = {

@@ -103,7 +103,7 @@ def test_criterion_3_process_synthesis():
             report = m.validate_process(proc)
             assert report.ok, str(report)
             assert not proc.weak
-            assert set(proc.final_blocks()) == set(partition.blocks)
+            assert set(proc.final_blocks()) == set(partition)
 
 
 def _imitation_instances():
@@ -113,7 +113,7 @@ def _imitation_instances():
         partition = rand_partition(rng, universe, max_blocks=4)
         proc = m.synthesize_process(partition)
         board = rand_colored_board(proc, partition, rng)
-        yield board, BlockBijection(partition.blocks, partition.blocks)
+        yield board, BlockBijection(partition, partition)
     for _ in range(30):
         universe = rand_transitive_universe(rng, rng.randint(1, 8))
         partition = rand_partition(rng, universe, max_blocks=4)
@@ -122,13 +122,13 @@ def _imitation_instances():
         k_prime = rng.randint(0, proc.xi)
         start = degenerate(proc, k_prime)
         cand, overlay, witness = m.paste_segment(proc, board, start, proc.xi)
-        yield board, BlockBijection(partition.blocks, cand.final_blocks())
+        yield board, BlockBijection(partition, cand.final_blocks())
     for formula, assignment in witness_family():
         for rounds in (1, 2, 3):
             cert = m.certify_witness(formula, assignment)
             ext = m.extend_certificate(cert, rounds)
             partition, _, board = m.canonical_board(formula, cert.assignment)
-            yield board, BlockBijection(partition.blocks,
+            yield board, BlockBijection(partition,
                                         ext.pumped.process.final_blocks())
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mlsspf as m
+from mlsspf import hf
 from mlsspf.cli import run_cli
 from mlsspf.hf import MAX_RANK
 
@@ -79,8 +80,16 @@ def test_check_model_exit_codes(files):
 
 def test_venn_and_board(files, capsys):
     assert run_cli(["venn", "-m", str(files / "model.json")]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert len(data["blocks"]) == 2
+    assert capsys.readouterr().out == hf.dumps({
+        "blocks": [[[]], [[[]], [[[]]]]], "im": {"w": [0], "x": [1]},
+        "transitive": True}) + "\n"
+    # {} is a member of x's element {{}}, but no value holds it.
+    model = files / "nontransitive.json"
+    model.write_text(json.dumps({"x": [[[]]], "y": [[[]], [[[]]]]}))
+    assert run_cli(["venn", "-m", str(model)]) == 0
+    assert capsys.readouterr().out == hf.dumps({
+        "blocks": [[[[]]], [[[[]]]]], "im": {"x": [0], "y": [0, 1]},
+        "transitive": False}) + "\n"
     assert run_cli(["board", "-f", str(files / "ex1.mlsspf"),
                     "-m", str(files / "model.json")]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -224,7 +233,7 @@ def test_pump_negative_rounds_is_input_error(files, monkeypatch):
                     "-m", str(files / "model.json"), "--json", str(cert)]) == 0
 
     def no_recertify(*args):
-        pytest.fail("rounds must be checked before the certificate is loaded")
+        pytest.fail("pump must not re-certify its input")
 
     monkeypatch.setattr("mlsspf.pumping.certify_witness", no_recertify)
     out = files / "pumped.json"

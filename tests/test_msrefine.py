@@ -13,9 +13,10 @@ from mlsspf.venn import subsets
 from mlsspf.pumping import pump_rounds
 from mlsspf.relations import BlockBijection
 
-from conftest import (chain, degenerate, last_stage_weak, rand_colored_board,
-                      rand_partition, rand_transitive_universe, walk_cycles,
-                      wide_instance, witness_family)
+from conftest import (block_tuple, chain, degenerate, last_stage_weak,
+                      rand_colored_board, rand_partition,
+                      rand_transitive_universe, walk_cycles, wide_instance,
+                      witness_family)
 from msrefine_sweeps import (paste_segment_sweep, segment_imitation_sweep,
                              weak_imitation_sweep)
 from oracles import final_universe
@@ -288,7 +289,7 @@ def test_paste_pow_node_without_trash_raises():
     e = chain(3)
     blocks = [frozenset([e[1], e[2]]), frozenset([e[0]]),
               frozenset([m.make_set([e[1], e[2]])])]
-    partition = m.Partition(blocks)
+    partition = block_tuple(blocks)
     proc = m.synthesize_process(partition)
     core = m.induced_board(partition)
     board = m.ColoredBoard(blocks=core.blocks, targets=dict(core.targets),
@@ -459,8 +460,8 @@ def test_msrefine_tables_match_sweeps_on_degenerate_starts(seed):
 def test_pools_match_with_unequal_part_sizes():
     # Item (ix) with a Minus part larger than its stage block: the pools
     # match once the copy has placed the extra assemblies, here {{0}}.
-    proc = m.synthesize_process(m.Partition([[A]]))
-    board = m.induced_board(m.Partition(proc.final_blocks()))
+    proc = m.synthesize_process(block_tuple([[A]]))
+    board = m.induced_board(proc.final_blocks())
     witness = ImitationWitness(gamma={1: 1}, closed_set=frozenset([0]),
                                lo=1, hi=1)
     overlay = MsOverlay(1, ((frozenset([A, B]),),))
@@ -481,8 +482,8 @@ def test_weak_imitation_item_c_on_emptied_early_node():
     # also lies in place 0, so the memberships transfer.
     D = m.make_set([A, B])
     E = m.make_set([A, B, C, D])
-    proc = m.synthesize_process(m.Partition([[A, C], [B], [D], [E]]))
-    board = m.induced_board(m.Partition(proc.final_blocks()))
+    proc = m.synthesize_process(block_tuple([[A, C], [B], [D], [E]]))
+    board = m.induced_board(proc.final_blocks())
     assert m.grand_event(proc, frozenset([1])) == 2
     hat = list(proc.stages[3])
     hat[1] = frozenset()

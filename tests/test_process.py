@@ -11,8 +11,8 @@ from mlsspf.errors import NotTransitive
 from mlsspf.process import FormativeProcess
 from mlsspf.venn import node_union
 
-from conftest import (chain, rand_partition, rand_transitive_universe,
-                      wide_instance, witness_family)
+from conftest import (block_tuple, chain, rand_partition,
+                      rand_transitive_universe, wide_instance, witness_family)
 from oracles import final_universe, stage_universe
 from process_sweeps import synthesize_process_scan
 
@@ -97,7 +97,7 @@ def test_synthesize_ex1(ex1):
 
 
 def test_synthesize_singleton():
-    proc = m.synthesize_process(m.Partition([[A]]))
+    proc = m.synthesize_process(block_tuple([[A]]))
     assert proc.xi == 1 and proc.trace == (E,)
 
 
@@ -110,7 +110,7 @@ def test_synthesize_two_element_block():
 
 def test_synthesize_requires_transitive():
     with pytest.raises(NotTransitive):
-        m.synthesize_process(m.Partition([[C]]))
+        m.synthesize_process(block_tuple([[C]]))
 
 
 def test_synthesized_process_keeps_the_partitions_table():
@@ -122,11 +122,12 @@ def test_synthesized_process_keeps_the_partitions_table():
         if not assignment.is_transitive():
             assignment = m.transitivize(assignment)
         partition, _ = m.venn_partition(assignment)
+        table = venn.signature_table(partition)
         proc = m.synthesize_process(partition)
-        assert proc.final_table is partition.table
+        assert proc.final_table is table
         copy = FormativeProcess.from_json(proc.to_json())
         venn.signature_table.cache_clear()
-        assert copy.final_table is not partition.table
+        assert copy.final_table is not table
         assert proc.grand_events == copy.grand_events
         assert proc.least_grand_events == copy.least_grand_events
 
@@ -240,7 +241,7 @@ def test_synthesize_then_validate_random():
         partition = rand_partition(rng, universe)
         proc = m.synthesize_process(partition)
         assert m.validate_process(proc).ok
-        assert set(proc.final_blocks()) == set(partition.blocks)
+        assert set(proc.final_blocks()) == set(partition)
 
 
 def _assert_synthesis_matches_scan(partition):

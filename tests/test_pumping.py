@@ -19,9 +19,11 @@ from mlsspf.errors import (CoverMissesVariable, NoClosedCover, NoEvent,
                            NotAWitness)
 from mlsspf.process import FormativeProcess
 from mlsspf.pumping import _CycleIndex, pump_rounds
+from mlsspf.venn import is_transitive
 
-from conftest import (chain, last_stage_weak, pow_nodes, rand_colored_board,
-                      rand_partition, rand_transitive_universe,
+from conftest import (block_tuple, chain, last_stage_weak, pow_nodes,
+                      rand_colored_board, rand_partition,
+                      rand_transitive_universe,
                       union_pick_allowed, walk_cycles, wide_instance,
                       witness_family)
 from oracles import final_universe
@@ -54,7 +56,7 @@ def test_find_cycles_all_red(ex1):
 def test_find_cycles_two_place_ladder():
     # a={}, b={a}, c={b}, d={c}; blocks {a,c} and {b,d} give a 2-cycle.
     a, b, c, d = chain(3)
-    partition = m.Partition([[a, c], [b, d]])
+    partition = block_tuple([[a, c], [b, d]])
     board = m.induced_board(partition)
     assert board.target(frozenset([0])) == frozenset([1])
     assert board.target(frozenset([1])) == frozenset([0])
@@ -68,7 +70,7 @@ def test_find_cycles_two_place_ladder():
 def _wide_board(seed):
     """The colored board certify_witness builds for wide_instance(seed)."""
     formula, assignment = wide_instance(seed)
-    if not m.venn_partition(assignment)[0].is_transitive():
+    if not is_transitive(m.venn_partition(assignment)[0]):
         assignment = m.transitivize(assignment)
     return m.canonical_board(formula, assignment)[2]
 
@@ -182,7 +184,7 @@ def _four_block_board():
     # p={a}, q={b,c}, r={d} with d={b,c}: the pow-node {q} has trash r.
     a, b, c = chain(2)
     d = m.make_set([b, c])
-    partition = m.Partition([[a], [b, c], [d]])
+    partition = block_tuple([[a], [b, c], [d]])
     proc = m.synthesize_process(partition)
     core = m.induced_board(partition)
     board = m.ColoredBoard(
@@ -366,7 +368,7 @@ def test_pump_warms_up_before_it_can_restore():
     # the seed {0} and the block {0, {0}} only {{0}} and the union: too few
     # for a restoring round that keeps both picks off the union, so two
     # surplus-only warm-up rounds run first.
-    partition = m.Partition([[A, B]])
+    partition = block_tuple([[A, B]])
     proc = m.synthesize_process(partition)
     board = m.induced_board(partition)
     cycle = walk_cycles(board)[0]
@@ -542,8 +544,7 @@ def test_targets_premise_is_imitation_item_1():
         for rounds in range(4):
             p = m.extend_certificate(cert, rounds).pumped
             for q in (p, _assembly_moved_in(cert, p)):
-                induced = m.induced_board(
-                    m.Partition(q.process.final_blocks()))
+                induced = m.induced_board(q.process.final_blocks())
                 want = dict(board.targets) == dict(induced.targets)
                 assert [i.ok for i in q.upward_report.items
                         if i.check == PREMISE_TARGETS] == [want]
@@ -654,7 +655,7 @@ def _certify_oracle(formula, assignment, max_cycle_len=MAX_CYCLE_LEN):
     neg_vars = [lit.operands[0] for lit in formula.literals
                 if lit.kind == lang.NOT_FINITE]
     base = assignment
-    if not m.venn_partition(assignment)[0].is_transitive():
+    if not is_transitive(m.venn_partition(assignment)[0]):
         assignment = m.transitivize(assignment)
     partition, im, board = m.canonical_board(formula, assignment)
     proc = m.synthesize_process(partition)
@@ -682,8 +683,7 @@ def _certify_oracle(formula, assignment, max_cycle_len=MAX_CYCLE_LEN):
                     cover = m.closed_cover(proc, board, cycle, extra_seeds=seeds)
                 except NoClosedCover:
                     continue
-                pot = [v for v in formula.vars
-                       if v in im.places and im[v] & cycle.place_set()]
+                pot = [v for v in formula.vars if im[v] & cycle.place_set()]
                 return m.WitnessCertificate(
                     formula=formula, base_assignment=base,
                     assignment=assignment, process=proc,
@@ -888,11 +888,21 @@ def _recorded_cycle_len_zero(cert):
     lambda cert: m.extend_certificate(cert, 1, pow_limit=0),
     lambda cert: m.extend_certificate(cert, 1, pow_limit=-5),
     _recorded_cycle_len_zero,
+    lambda cert: m.SearchBudget(max_cycle_len=True),
+    lambda cert: m.certify_witness(cert.formula, cert.base_assignment,
+                                   max_cycle_len=True),
+    lambda cert: m.certify_witness(cert.formula, cert.base_assignment,
+                                   max_cycle_len=4.0),
+    lambda cert: m.extend_certificate(cert, True),
+    lambda cert: m.extend_certificate(cert, 2.0),
 ], ids=["SearchBudget", "certify_witness", "extend_certificate-0",
-        "extend_certificate-neg", "check_certificate"])
+        "extend_certificate-neg", "check_certificate", "SearchBudget-bool",
+        "certify_witness-bool", "certify_witness-float",
+        "extend_certificate-rounds-bool", "extend_certificate-rounds-float"])
 def test_bounds_rejected_where_read(monkeypatch, call):
     # Each bound is checked by the function that reads it, before the pump
-    # draws a single assembly.
+    # draws a single assembly.  A bound is an int: a bool or a float would
+    # be recorded in the certificate, which `verify` then refuses.
     cert = _empty_member_certificate()
     draws = []
     for name in ("assemblies", "pow_star"):

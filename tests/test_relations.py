@@ -9,9 +9,9 @@ from mlsspf import hf
 from mlsspf.relations import BlockBijection
 from mlsspf.venn import _sorted_blocks, home_index, node_union, subsets
 
-from conftest import (chain, degenerate, pow_nodes, rand_colored_board,
-                      rand_partition, rand_transitive_universe,
-                      witness_family)
+from conftest import (block_tuple, chain, degenerate, pow_nodes,
+                      rand_colored_board, rand_partition,
+                      rand_transitive_universe, witness_family)
 from oracles import final_universe, simulates_upwards
 
 A, B, C = chain(2)
@@ -36,7 +36,7 @@ def test_bijection_must_pair_partitions():
 
 
 def test_simulates_identity(ex1):
-    bij = BlockBijection(ex1.partition.blocks, ex1.partition.blocks)
+    bij = BlockBijection(ex1.blocks, ex1.blocks)
     rep = simulates_upwards(ex1.board, bij)
     assert rep.ok
 
@@ -50,17 +50,17 @@ def test_simulates_pumped(ex1, pumped):
 def test_simulates_detects_membership_collapse():
     # b = {a} sits in the second block; replacing it by {{a}} breaks the
     # membership pattern of the first block's union.
-    src = m.Partition([[A], [B]])
+    src = block_tuple([[A], [B]])
     board = m.induced_board(src)
-    tgt = m.Partition([[A], [m.make_set([B])]])
-    bij = BlockBijection(src.blocks, tgt.blocks)
+    tgt = block_tuple([[A], [m.make_set([B])]])
+    bij = BlockBijection(src, tgt)
     rep = simulates_upwards(board, bij)
     assert not rep.ok
     assert not rep.items[0].ok
 
 
 def test_imitates_identity(ex1):
-    bij = BlockBijection(ex1.partition.blocks, ex1.partition.blocks)
+    bij = BlockBijection(ex1.blocks, ex1.blocks)
     rep = m.imitates(ex1.board, bij)
     assert rep.ok
     assert [i.check for i in rep.items][-1].startswith("(4')")
@@ -73,10 +73,10 @@ def test_imitates_pumped_upwards(ex1, pumped):
 
 
 def test_imitates_detects_missing_assembly():
-    src = m.Partition([[A, B]])          # {a} is an assembly inside the block
+    src = block_tuple([[A, B]])          # {a} is an assembly inside the block
     board = m.induced_board(src)
-    tgt = m.Partition([[A, m.make_set([B])]])  # {{a}}'s member b is missing
-    bij = BlockBijection(src.blocks, tgt.blocks)
+    tgt = block_tuple([[A, m.make_set([B])]])  # {{a}}'s member b is missing
+    bij = BlockBijection(src, tgt)
     rep = m.imitates(board, bij)
     assert not rep.ok
     assert not rep.items[0].ok
@@ -84,7 +84,7 @@ def test_imitates_detects_missing_assembly():
 
 def test_transfer_assignment_examples(ex1, pumped):
     ext, bij = pumped
-    ident = BlockBijection(ex1.partition.blocks, ex1.partition.blocks)
+    ident = BlockBijection(ex1.blocks, ex1.blocks)
     back = m.transfer_assignment(ex1.assignment, ex1.im, ident)
     assert back.bindings == dict(ex1.assignment.bindings)
 
@@ -94,7 +94,7 @@ def test_transfer_assignment_examples(ex1, pumped):
     assert set(ex1.assignment.bindings["x"].elements) <= \
         set(moved.bindings["x"].elements)
 
-    im = m.ImMap({"v": []})
+    im = {"v": frozenset()}
     empty = m.transfer_assignment(
         m.Assignment({"v": B}), im, ident)
     assert empty.bindings["v"] is m.make_set([])
@@ -276,10 +276,9 @@ def test_upward_conclusions_match_sweep_oracle(rng):
         start = degenerate(proc, rng.randint(0, proc.xi))
         cand = m.paste_segment(proc, board, start, proc.xi)[0]
     else:
-        k = len(partition.blocks)
+        k = len(partition)
         other = rand_transitive_universe(rng, rng.randint(k, 9))
-        cand = m.synthesize_process(
-            m.Partition(_sorted_blocks(_split(rng, other, k))))
+        cand = m.synthesize_process(_sorted_blocks(_split(rng, other, k)))
     imit = m.imitates(
         board, BlockBijection(proc.final_blocks(), cand.final_blocks()))
     by_tag = {i.check.split(" ")[0]: i.ok for i in imit.items}

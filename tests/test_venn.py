@@ -7,30 +7,33 @@ import pytest
 import mlsspf as m
 from mlsspf import hf
 from mlsspf.errors import NotTransitive
-from mlsspf.venn import subsets
+from mlsspf.venn import is_transitive, subsets
 
-from conftest import chain, rand_partition, rand_transitive_universe, set_partitions
+from conftest import (block_tuple, chain, rand_partition,
+                      rand_transitive_universe, set_partitions)
 from oracles import finer_than
 
 A, B, C = chain(2)
 
 
 def test_venn_partition_ex1(ex1):
-    assert ex1.partition.blocks == (frozenset([A]), frozenset([B, C]))
+    assert ex1.blocks == (frozenset([A]), frozenset([B, C]))
     assert ex1.im["x"] == frozenset([ex1.q])
     assert ex1.im["w"] == frozenset([ex1.p])
+    with pytest.raises(TypeError):
+        ex1.im["w"] = frozenset()
 
 
 def test_venn_partition_empty_value():
     partition, im = m.venn_partition(m.Assignment({"x": hf.EMPTY}))
-    assert partition.blocks == ()
+    assert partition == ()
     assert im["x"] == frozenset()
 
 
 def test_venn_partition_two_signatures():
     M = m.Assignment({"x": m.make_set([A, B]), "y": m.make_set([B])})
     partition, im = m.venn_partition(M)
-    assert partition.blocks == (frozenset([A]), frozenset([B]))
+    assert partition == (frozenset([A]), frozenset([B]))
     assert im["x"] == frozenset([0, 1]) and im["y"] == frozenset([1])
 
 
@@ -50,19 +53,19 @@ def test_induced_board_ex1(ex1):
 
 
 def test_induced_board_singleton():
-    board = m.induced_board(m.Partition([[A]]))
+    board = m.induced_board(block_tuple([[A]]))
     assert board.target(frozenset()) == frozenset([0])
     assert board.target(frozenset([0])) == frozenset()
 
 
 def test_induced_board_empty_partition():
-    board = m.induced_board(m.Partition(()))
+    board = m.induced_board(())
     assert not board.targets
 
 
 def test_induced_board_requires_transitivity():
     with pytest.raises(NotTransitive):
-        m.induced_board(m.Partition([[C]]))
+        m.induced_board(block_tuple([[C]]))
 
 
 def test_color_board_ex1(ex1):
@@ -85,14 +88,14 @@ def test_color_board_pow_rule_downward_closure():
     # argument w: an assembly of their blocks is a subset of w, so u must
     # hold it.  The region of u plays no part.
     f = m.parse("u = Pow(w)")
-    core = m.induced_board(m.Partition([[A], [B]]))
+    core = m.induced_board(block_tuple([[A], [B]]))
     for u in ([], [0], [0, 1]):
-        im = m.ImMap({"u": u, "w": [0, 1]})
+        im = {"u": frozenset(u), "w": frozenset([0, 1])}
         board = m.color_board(core, f, im)
         assert board.pow_regions == frozenset([frozenset([0, 1])])
         assert _pow_nodes(board) == {
             frozenset(), frozenset([0]), frozenset([1]), frozenset([0, 1])}
-    im = m.ImMap({"u": [0, 1], "w": [1]})
+    im = {"u": frozenset([0, 1]), "w": frozenset([1])}
     assert _pow_nodes(m.color_board(core, f, im)) == {
         frozenset(), frozenset([1])}
     assert not _pow_nodes(m.color_board(core, m.parse("u = w"), im))
@@ -103,13 +106,13 @@ def test_transitivize_examples():
     M2 = m.transitivize(M)
     assert M2.bindings["_univ"] is m.make_set([A, B])
     partition, _ = m.venn_partition(M2)
-    assert partition.is_transitive()
+    assert is_transitive(partition)
 
     M = m.Assignment({"x": m.make_set([A, B])})
     M2 = m.transitivize(M)
     assert M2.bindings["_univ"] is m.make_set([A, B])
     partition, _ = m.venn_partition(M2)
-    assert partition.is_transitive()
+    assert is_transitive(partition)
 
     M2 = m.transitivize(m.Assignment({}))
     assert M2.bindings["_univ"] is hf.EMPTY
@@ -123,7 +126,7 @@ def test_assignment_transitivity_matches_its_partition():
                   for _ in range(rng.randint(1, 3))]
         assignment = m.Assignment({f"v{i}": v for i, v in enumerate(values)})
         assert (assignment.is_transitive()
-                == m.venn_partition(assignment)[0].is_transitive())
+                == is_transitive(m.venn_partition(assignment)[0]))
 
 
 def test_induced_board_targets_are_read_off_the_contact_pairs():
@@ -133,9 +136,9 @@ def test_induced_board_targets_are_read_off_the_contact_pairs():
     for _ in range(80):
         universe = rand_transitive_universe(rng, rng.randint(0, 12))
         partition = rand_partition(rng, universe)
-        home = {e: i for i, b in enumerate(partition.blocks) for e in b}
+        home = {e: i for i, b in enumerate(partition) for e in b}
         targets = {}
-        for i, b in enumerate(partition.blocks):
+        for i, b in enumerate(partition):
             for e in b:
                 sig = frozenset(home[x] for x in e.elements)
                 targets.setdefault(sig, set()).add(i)
@@ -168,10 +171,10 @@ def test_signature_correspondence_oracle():
         sig = {e: frozenset(v for v, val in M.bindings.items()
                             if e in set(val.elements))
                for e in universe}
-        for block in partition.blocks:
+        for block in partition:
             sigs = {sig[e] for e in block}
             assert len(sigs) == 1
-        assert len({frozenset(b) for b in partition.blocks}) == \
+        assert len({frozenset(b) for b in partition}) == \
             len({s for s in sig.values()})
 
 
@@ -196,7 +199,7 @@ def test_reconstruction_property():
         for v, val in M.bindings.items():
             members = set()
             for q in im[v]:
-                members |= partition.blocks[q]
+                members |= partition[q]
             assert m.make_set(members) is val
 
 
@@ -207,12 +210,12 @@ def test_target_soundness_against_assembly_enumeration():
         partition = rand_partition(rng, universe, max_blocks=4)
         board = m.induced_board(partition)
         from mlsspf.venn import subsets
-        for node in subsets(range(len(partition.blocks))):
-            fam = [partition.blocks[q] for q in sorted(node)]
+        for node in subsets(range(len(partition))):
+            fam = [partition[q] for q in sorted(node)]
             if sum(len(b) for b in fam) > 10:
                 continue
             assemblies = m.pow_star(fam)
-            for q, block in enumerate(partition.blocks):
+            for q, block in enumerate(partition):
                 assert (q in board.target(node)) == bool(set(assemblies) & block)
 
 
@@ -223,7 +226,7 @@ def test_signature_table_answers_every_node():
     rng = random.Random(5)
     for _ in range(60):
         universe = rand_transitive_universe(rng, rng.randint(1, 8))
-        blocks = rand_partition(rng, universe, max_blocks=4).blocks
+        blocks = rand_partition(rng, universe, max_blocks=4)
         parts = [frozenset(e for e in b if rng.random() < 0.6) for b in blocks]
         table = SignatureTable(blocks, parts)
         home = home_index(blocks)

@@ -643,10 +643,12 @@ def test_checker_hands_the_partitions_table_to_a_process_ending_in_it():
     data = json.loads(m.certify_witness(*wide_instance(0)).dumps())
     report, cert = m.check_certificate(data)
     assert report.ok
-    assert cert.process.final_table is cert.canonical_board()[0].table
+    assert cert.process.final_table is venn.signature_table(
+        cert.canonical_board()[0])
     _places_swapped(data)
     swapped_report, swapped = m.check_certificate(data)
-    assert swapped.process.final_table is not swapped.canonical_board()[0].table
+    assert swapped.process.final_table is not venn.signature_table(
+        swapped.canonical_board()[0])
     item = "embedded process ends in the assignment's Venn partition"
     assert [(i.check, i.ok or i.check == item, i.detail)
             for i in swapped_report.items] == \

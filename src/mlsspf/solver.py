@@ -107,6 +107,46 @@ def _grow_universes(max_rank, max_universe):
     return out
 
 
+class _SizeTable:
+    """What a `UniverseTable` reads that depends only on the universe's
+    size n; `_size_table`, its memo, builds it once per size, when `decide`
+    first meets a universe of that size.
+
+    `masks` are the subsets of n positions in choice order, by size and
+    then by mask, and `choice_of[m]` is the choice of mask m.  The rest are
+    sets of choices as bits: `holding[i]` the choices whose mask has bit i,
+    and `sub[m]` and `sup[m]` the choices inside mask m and those
+    containing it.
+    """
+
+    __slots__ = ("masks", "choice_of", "holding", "sub", "sup")
+
+    def __init__(self, n):
+        full = (1 << n) - 1
+        masks = sorted(range(1 << n), key=lambda m: (m.bit_count(), m))
+        self.masks = masks
+        self.choice_of = [0] * (1 << n)
+        for j, m in enumerate(masks):
+            self.choice_of[m] = j
+        holding = [sum(1 << j for j, m in enumerate(masks) if m >> i & 1)
+                   for i in range(n)]
+        everything = (1 << len(masks)) - 1
+        # A superset of m holds every bit of m, and a subset none outside
+        # it: add one bit at a time, the lowest of m, or the lowest outside.
+        sup = [everything] * (1 << n)
+        sub = [everything] * (1 << n)
+        for m in range(1, 1 << n):
+            low = m & -m
+            sup[m] = sup[m ^ low] & holding[low.bit_length() - 1]
+        for m in range(full - 1, -1, -1):
+            low = ~m & (m + 1)
+            sub[m] = sub[m | low] & ~holding[low.bit_length() - 1]
+        self.holding, self.sub, self.sup = holding, sub, sup
+
+
+_size_table = functools.cache(_SizeTable)
+
+
 class UniverseTable:
     """The values a variable takes under one transitive universe, as bits.
 
@@ -116,23 +156,26 @@ class UniverseTable:
     which `decide` binds a variable; a value is named by its index there.
     Per choice j the table holds its bitmask `emask[j]`, its position in
     `elems` (`elem_index[j]`, -1 when it is not a member of the universe)
-    and the bitmask of its transitive closure (`cmask[j]`); `choice_of`
-    maps a bitmask back to its choice, and `elem_choice[i]` is the choice
-    equal to elems[i].  `nonempty` has the bit of each nonempty element,
-    and `held` the bit of each element that is a member of an element.
-    The pruning reads only these bits, so a choice's HfSet is built when a
-    leaf first reads it (see `_Choices`), and the index of
-    Pow(choices[j]) is found on first use.  Get a table with
-    `_universe_table`.
+    and the bitmask of its transitive closure (`cmask[j]`); `elem_choice[i]`
+    is the choice equal to elems[i].  `nonempty` has the bit of each
+    nonempty element, and `held` the bit of each element that is a member
+    of an element.  The choice order, `choice_of` (bitmask to choice), and
+    the choice sets `holding`, `sub` and `sup` depend only on the size of
+    the universe, so tables of one size share them (`_SizeTable`).  The
+    pruning reads only these bits, so a choice's HfSet is built when a
+    leaf first reads it (see `_Choices`), and the index of Pow(choices[j])
+    is found on first use.  Get a table with `_universe_table`.
     """
 
     __slots__ = ("choices", "emask", "choice_of", "elem_index", "elem_choice",
-                 "cmask", "full", "everything", "nonempty", "held", "_pow")
+                 "cmask", "full", "everything", "nonempty", "held",
+                 "holding", "sub", "sup", "_pow")
 
     def __init__(self, universe):
         elems = sorted(universe, key=lambda e: e._key)
         n = len(elems)
-        masks = sorted(range(1 << n), key=lambda m: (m.bit_count(), m))
+        size = _size_table(n)
+        masks = size.masks
         position = {e: i for i, e in enumerate(elems)}
         # Per element, its members and the closure of its members as
         # bitmasks.  Members have a lower rank, so they come first in
@@ -154,7 +197,8 @@ class UniverseTable:
                            | down[low.bit_length() - 1])
         self.choices = _Choices(elems, masks)
         self.emask = masks
-        self.choice_of = {m: j for j, m in enumerate(masks)}
+        self.choice_of = size.choice_of
+        self.holding, self.sub, self.sup = size.holding, size.sub, size.sup
         self.elem_choice = [self.choice_of[bits] for bits in direct]
         self.elem_index = [-1] * len(masks)
         for i, j in enumerate(self.elem_choice):
@@ -177,13 +221,7 @@ class UniverseTable:
     def holders_of(self, j) -> int:
         """Bit k is set when choices[j] is a member of choices[k]."""
         i = self.elem_index[j]
-        if i < 0:
-            return 0
-        bits = 0
-        for k, m in enumerate(self.emask):
-            if m >> i & 1:
-                bits |= 1 << k
-        return bits
+        return self.holding[i] if i >= 0 else 0
 
     def set_of(self, members) -> int:
         """The choice whose members are choices[j] for j in `members`, or
@@ -198,25 +236,20 @@ class UniverseTable:
 
     def subsets_of(self, j) -> int:
         """Bit k is set when choices[k] is a subset of choices[j]."""
-        bits = 0
-        for sub in _submasks(self.emask[j]):
-            bits |= 1 << self.choice_of[sub]
-        return bits
+        return self.sub[self.emask[j]]
 
     def supersets_of(self, j) -> int:
         """Bit k is set when choices[j] is a subset of choices[k]."""
-        part, bits = self.emask[j], 0
-        for rest in _submasks(self.full ^ part):
-            bits |= 1 << self.choice_of[part | rest]
-        return bits
+        return self.sup[self.emask[j]]
 
     def pow_index(self, j) -> int:
         """The choice equal to Pow(choices[j]), or -1 when that powerset is
         not a subset of the universe."""
         got = self._pow.get(j)
         if got is None:
+            subsets = self.subsets_of(j)
             got = self._pow[j] = self.set_of(
-                [self.choice_of[sub] for sub in _submasks(self.emask[j])])
+                k for k in range(len(self.emask)) if subsets >> k & 1)
         return got
 
 
@@ -243,16 +276,6 @@ class _Choices(Sequence):
         return got
 
 
-def _submasks(whole):
-    """Every bitmask m with m & ~whole == 0, from whole down to 0."""
-    sub = whole
-    while True:
-        yield sub
-        if not sub:
-            return
-        sub = (sub - 1) & whole
-
-
 @functools.lru_cache(maxsize=128)
 def _universe_table(universe) -> UniverseTable:
     """The `UniverseTable` of a transitive universe (a frozenset of HfSets).
@@ -265,36 +288,98 @@ def _universe_table(universe) -> UniverseTable:
     return UniverseTable(universe)
 
 
-# A functional literal v = f(u, ...) holds when v is the choice that f gives
-# on the other operands (-1: none, f's value is not a subset of the
-# universe); a relational one is a test of its operands.  Negations are
-# their positive kind's mask complemented.
-_VALUE = {
-    lang.EQ: lambda t, a: a[0],
-    lang.EQ_EMPTY: lambda t, a: 0,
-    lang.UNION: lambda t, a: t.choice_of[t.emask[a[0]] | t.emask[a[1]]],
-    lang.INTER: lambda t, a: t.choice_of[t.emask[a[0]] & t.emask[a[1]]],
-    lang.DIFF: lambda t, a: t.choice_of[t.emask[a[0]] & ~t.emask[a[1]]],
-    lang.POW: lambda t, a: t.pow_index(a[0]),
-    lang.ENUM: lambda t, a: t.set_of(a),
-}
-_TEST = {
-    lang.SUBSETEQ: lambda t, a: t.emask[a[0]] & ~t.emask[a[1]] == 0,
-    lang.IN: lambda t, a: t.members_of(a[1]) >> a[0] & 1 == 1,
-}
-# a R b with one operand free: the mask over a given b, and over b given a.
-_PAIR_MASKS = {
-    lang.IN: (UniverseTable.members_of, UniverseTable.holders_of),
-    lang.SUBSETEQ: (UniverseTable.subsets_of, UniverseTable.supersets_of),
-}
+def _interval(relation):
+    """The mask of a literal that holds when `relation` of its operands'
+    bitmasks has every bit of the universe set, as `=`, `<=`, `U`, `I` and
+    `\\` do, element by element.
+
+    At each element the free variable's bit is 0 or 1 in all its places
+    at once, so its values form an interval of subsets [lo, hi]: lo holds
+    the elements where only bit 1 satisfies the relation, and hi those
+    where bit 1 does.  No value holds when neither bit does at some
+    element.  Set-interval propagation rests on the same fact (Gervet,
+    "Interval propagation to reason about sets", Constraints 1(3), 1997).
+    """
+
+    def mask(table, vals):
+        full, emask = table.full, table.emask
+        clear, filled = [], []
+        for v in vals:
+            if v is None:
+                clear.append(0)
+                filled.append(full)
+            else:
+                clear.append(emask[v])
+                filled.append(emask[v])
+        ok0 = relation(*clear) & full
+        ok1 = relation(*filled) & full
+        if ok0 | ok1 != full:
+            return 0
+        return table.sub[ok1] & table.sup[full ^ ok0]
+
+    return mask
 
 
-def _holds(table, kind, args) -> bool:
-    """Truth of a positive literal kind on choice indices, one per operand."""
-    value = _VALUE.get(kind)
-    if value is None:
-        return _TEST[kind](table, args)
-    return args[0] == value(table, args[1:])
+def _in_mask(table, vals):
+    a, b = vals
+    if a is not None:
+        return table.holders_of(a)
+    # x in x: no set is a member of itself (foundation).
+    return 0 if b is None else table.members_of(b)
+
+
+def _pow_mask(table, vals):
+    p, q = vals
+    if p is None:
+        # x = Pow(x) would put x in x.
+        j = -1 if q is None else table.pow_index(q)
+    else:
+        # Pow(q) = p forces q to be the union of p's members.
+        union, m = 0, table.emask[p]
+        for i, k in enumerate(table.elem_choice):
+            if m >> i & 1:
+                union |= table.emask[k]
+        j = table.choice_of[union]
+        if table.pow_index(j) != p:
+            j = -1
+    return 1 << j if j >= 0 else 0
+
+
+def _enum_mask(table, vals):
+    a, members = vals[0], vals[1:]
+    if a is None:
+        # x = {.., x, ..} would put x in x.
+        j = -1 if None in members else table.set_of(members)
+        return 1 << j if j >= 0 else 0
+    whole = rest = table.emask[a]
+    for j in members:
+        if j is not None:
+            i = table.elem_index[j]
+            if i < 0 or not whole >> i & 1:
+                return 0
+            rest &= ~(1 << i)
+    if not rest:
+        # The bound members are all of a: the free one is any member of a.
+        return table.members_of(a)
+    if rest & (rest - 1):
+        # Two members of a are left, and one variable cannot be both.
+        return 0
+    return 1 << table.elem_choice[rest.bit_length() - 1]
+
+
+# The mask of each kind that negates no other; a negation's is its
+# positive kind's mask complemented.
+_MASKS = {
+    lang.EQ: _interval(lambda a, b: ~(a ^ b)),
+    lang.EQ_EMPTY: _interval(operator.invert),
+    lang.UNION: _interval(lambda a, b, c: ~(a ^ (b | c))),
+    lang.INTER: _interval(lambda a, b, c: ~(a ^ (b & c))),
+    lang.DIFF: _interval(lambda a, b, c: ~(a ^ (b & ~c))),
+    lang.SUBSETEQ: _interval(lambda a, b: ~a | b),
+    lang.IN: _in_mask,
+    lang.POW: _pow_mask,
+    lang.ENUM: _enum_mask,
+}
 
 
 def _truth_mask(table: UniverseTable, kind: str, vals) -> int:
@@ -302,30 +387,18 @@ def _truth_mask(table: UniverseTable, kind: str, vals) -> int:
     choices[j] and every other operand to its choice in `vals`.
 
     `vals` gives one choice index per operand, None where the operand is
-    the free variable, which may occur more than once.  When the free
-    variable occurs once, most masks are bit operations: a functional
-    literal with the free variable first, or `=` with it second, is the
-    single bit of the value it requires; `in` is `members_of` or
-    `holders_of`, and `<=` is `subsets_of` or `supersets_of`.  Any other
-    mask tests the choices one by one.  Finite literals have no mask:
-    `decide` never prunes on them.
+    the free variable, which may occur more than once.  Every mask is a
+    few table lookups and bit operations, for every kind and every set of
+    free places: `=`, `<=`, `U`, `I` and `\\` hold on an interval of subsets
+    (`_interval`), `in` is the members or the holders of the other operand,
+    and `Pow` and `{..}` allow at most one value, but for `a = {.., x, ..}`
+    whose bound members are all of a, where x may be any member of a.  A
+    free variable that `in`, `Pow` or `{..}` would put inside itself holds
+    nowhere (foundation).  Finite literals have no mask: `decide` never
+    prunes on them.
     """
     base = lang.NEGATES.get(kind, kind)
-    rest = vals[1:]
-    if base in _VALUE and vals[0] is None and None not in rest:
-        j = _VALUE[base](table, rest)
-        bits = 1 << j if j >= 0 else 0
-    elif base == lang.EQ and vals[1] is None and vals[0] is not None:
-        bits = 1 << vals[0]
-    elif base in _PAIR_MASKS and vals.count(None) == 1:
-        a, b = vals
-        of_b, of_a = _PAIR_MASKS[base]
-        bits = of_b(table, b) if a is None else of_a(table, a)
-    else:
-        bits = 0
-        for j in range(len(table.emask)):
-            if _holds(table, base, [j if v is None else v for v in vals]):
-                bits |= 1 << j
+    bits = _MASKS[base](table, vals)
     return table.everything ^ bits if base is not kind else bits
 
 

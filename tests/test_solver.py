@@ -294,8 +294,13 @@ def test_hard_search_evaluates_few_literals(monkeypatch):
     assert len(calls) < 20_000
 
 
+# The (5, 5) universes that hold five elements: 88 of its 102.
+_FIVES = [u for u in enumerate_universes(max_rank=5, max_universe=5)
+          if len(u) == 5]
+
+
 def test_universe_table_matches_set_operations():
-    for universe in _UNIVERSES:
+    for universe in _UNIVERSES + tuple(_FIVES):
         table = _universe_table(universe)
         elems = tuple(sorted(universe, key=lambda e: e._key))
         assert list(table.choices) == _subsets_in_order(elems)
@@ -312,11 +317,40 @@ def test_universe_table_matches_set_operations():
                 1 << k for k, d in enumerate(table.choices) if d in c)
             assert table.holders_of(j) == sum(
                 1 << k for k, d in enumerate(table.choices) if c in d)
+            assert table.subsets_of(j) == sum(
+                1 << k for k, d in enumerate(table.choices)
+                if hf.subset(d, c))
+            assert table.supersets_of(j) == sum(
+                1 << k for k, d in enumerate(table.choices)
+                if hf.subset(c, d))
         assert table.nonempty == sum(
             1 << i for i, e in enumerate(elems) if e.elements)
         assert table.held == sum(
             1 << i for i, e in enumerate(elems)
             if any(e in d for d in elems))
+
+
+def test_tables_of_five_elements_intern_no_set(monkeypatch):
+    # A count guard: a table reads its universe's members and the tables
+    # of its size, and builds no HfSet.  The tables of one size are built
+    # once, for sizes 0 to 5.
+    universes = enumerate_universes(5, 5)
+    calls = []
+    make_set = hf.make_set
+
+    def counting(*args):
+        calls.append(None)
+        return make_set(*args)
+
+    monkeypatch.setattr(hf, "make_set", counting)
+    _universe_table.cache_clear()
+    solver._size_table.cache_clear()
+    for universe in universes:
+        _universe_table(universe)
+    assert len(universes) == 102
+    assert _universe_table.cache_info().misses == 102
+    assert calls == []
+    assert solver._size_table.cache_info().misses == 6
 
 
 _MASKED = sorted(set(lang._ARITY) - {lang.FINITE, lang.NOT_FINITE}) + [lang.ENUM]
@@ -490,35 +524,82 @@ def test_decide_matches_unpruned_search_on_components(formula, extra, kind):
             == _outcome(_decide_unpruned, formula, budget))
 
 
-@st.composite
-def masks_to_build(draw):
-    """A masked kind, its operands as choice indices, and a nonempty set of
-    operand positions that hold the free variable."""
-    kind = draw(st.sampled_from(_MASKED))
-    arity = (draw(st.integers(2, 4)) if kind == lang.ENUM
-             else lang._ARITY[kind])
-    free = draw(st.sets(st.integers(0, arity - 1), min_size=1))
-    picks = draw(st.lists(st.integers(0, 15), min_size=arity, max_size=arity))
-    return kind, free, picks
+# Each masked kind with each of its arities: enumerations of two to four
+# operands.
+_MASKED_ARITIES = [(kind, arity) for kind in _MASKED
+                   for arity in ((2, 3, 4) if kind == lang.ENUM
+                                 else (lang._ARITY[kind],))]
+_OPERANDS = ("a", "b", "c", "d")
 
 
-@given(masks_to_build())
-@settings(max_examples=300, deadline=None)
-def test_truth_mask_matches_holds_loop(drawn):
-    # Every kernel of _truth_mask against testing the choices one by one,
-    # for every position of the free variable, repeated ones too.
-    kind, free, picks = drawn
-    base = lang.NEGATES.get(kind, kind)
+def _free_sets(arity):
+    """Every nonempty set of operand positions, as sorted tuples."""
+    return [tuple(i for i in range(arity) if picked >> i & 1)
+            for picked in range(1, 1 << arity)]
+
+
+def _evaluated_mask(table, kind, vals):
+    """Bit j is set when eval_literal holds on the HfSets of the choices,
+    choices[j] at the positions where `vals` is None."""
+    lit = lang.Literal(kind, _OPERANDS[:len(vals)])
+    bindings = {v: table.choices[j] for v, j in zip(lit.operands, vals)
+                if j is not None}
+    assignment = SimpleNamespace(bindings=bindings)
+    bits = 0
+    for j, value in enumerate(table.choices):
+        bindings.update((v, value) for v, k in zip(lit.operands, vals)
+                        if k is None)
+        if lang.eval_literal(lit, assignment):
+            bits |= 1 << j
+    return bits
+
+
+def test_truth_mask_matches_eval_literal_on_every_free_set():
+    # Every masked kind, arity and nonempty set of free positions, with
+    # every choice at the other positions, on every (4, 4) universe.  The
+    # oracle evaluates the literal on HfSets once per tuple of choices and
+    # reads each mask off those truths.
     for universe in _UNIVERSES:
         table = _universe_table(universe)
-        vals = [None if i in free else p % len(table.choices)
-                for i, p in enumerate(picks)]
-        bits = sum(1 << j for j in range(len(table.choices))
-                   if solver._holds(table, base,
-                                    [j if v is None else v for v in vals]))
-        if base is not kind:
-            bits ^= table.everything
-        assert solver._truth_mask(table, kind, vals) == bits
+        n = len(table.choices)
+        for kind, arity in _MASKED_ARITIES:
+            lit = lang.Literal(kind, _OPERANDS[:arity])
+            truths = [lang.eval_literal(lit, SimpleNamespace(
+                bindings=dict(zip(lit.operands, combo))))
+                for combo in product(table.choices, repeat=arity)]
+            weight = [n ** (arity - 1 - i) for i in range(arity)]
+            for free in _free_sets(arity):
+                step = sum(weight[i] for i in free)
+                bound = [i for i in range(arity) if i not in free]
+                for picks in product(range(n), repeat=len(bound)):
+                    vals = [None] * arity
+                    for i, j in zip(bound, picks):
+                        vals[i] = j
+                    base = sum(weight[i] * j for i, j in zip(bound, picks))
+                    expected = sum(1 << j for j in range(n)
+                                   if truths[base + j * step])
+                    assert solver._truth_mask(table, kind, vals) == expected
+
+
+@st.composite
+def masks_on_five_elements(draw):
+    """A five-element universe of (5, 5), a masked kind, a nonempty set of
+    free positions, and a choice of the table's 32 at each other one."""
+    universe = draw(st.sampled_from(_FIVES))
+    kind, arity = draw(st.sampled_from(_MASKED_ARITIES))
+    free = draw(st.sampled_from(_free_sets(arity)))
+    vals = [None if i in free else draw(st.integers(0, 31))
+            for i in range(arity)]
+    return universe, kind, vals
+
+
+@given(masks_on_five_elements())
+@settings(max_examples=300, deadline=None)
+def test_truth_mask_matches_eval_literal_on_five_elements(drawn):
+    universe, kind, vals = drawn
+    table = _universe_table(universe)
+    assert (solver._truth_mask(table, kind, vals)
+            == _evaluated_mask(table, kind, vals))
 
 
 def test_hard_search_walks_few_nodes():

@@ -9,7 +9,8 @@ from .errors import (ArityError, CannotWarmUp, CardinalityDeficit,
                      MlsspfError, NoClosedCover, NoEvent, NoLocalTrash,
                      NotAWitness, NotTransitive, UnboundVariable)
 from .hf import (EMPTY, HfSet, bool_op, from_json, in_pow_star, make_set,
-                 pow_star, pow_star_size, powerset, transitive_closure)
+                 order_key, pow_star, pow_star_size, powerset,
+                 transitive_closure)
 from .lang import (Formula, Literal, SatisfactionReport, eval_literal,
                    evaluate, parse)
 from .msrefine import (ImitationWitness, MsOverlay, StartConfiguration,

@@ -1,12 +1,20 @@
 """Canonical hereditarily finite sets and the primitive set operators.
 
 Every set is interned: building the same extensional set twice yields the
-same object, so equality is identity and a hash lookup is O(1) (the hash is
-cached).  A new set's hash is that of the tuple of its members, which reads
-each member's cached hash, so building a set costs time in its members, not
-in its tree (hash-consing).  Elements are kept deduplicated in a fixed
-canonical order (rank, then size, then lexicographic on the ordered
-elements), which makes serialization deterministic.
+same object, so equality is identity (hash-consing).  A set therefore hashes
+and compares by identity, as a plain object does: equal sets are one object,
+so the identity hash is an extensional one.  The intern table is keyed by
+the tuple of a set's members, whose hash reads their identities, so
+building a set costs time in its members, not in its tree.  Elements are
+kept deduplicated in a fixed canonical order (rank, then size, then
+lexicographic on the ordered elements), which makes serialization
+deterministic.  Sets have no `<`: sort them, or take their `min` or heap
+order, with the key `order_key`.
+
+An identity hash differs from one process to the next, so the iteration
+order of a Python set or dict of sets does too.  No output may read that
+order: whatever is written, compared or chosen goes through `order_key` or
+through an order of its own, such as place indices.
 
 A set's JSON form is a nested tuple of its members' forms, built with the
 set and kept on it, so the interned members a value shares with others
@@ -23,6 +31,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 
 from .errors import LimitExceeded
 
@@ -41,9 +50,13 @@ class HfSet:
     Do not call the constructor directly; use make_set (or from_json), which
     canonicalizes and interns.  `elements` is the canonically ordered tuple of
     member sets, `rank` the von Neumann rank, len() the number of members.
+
+    Equality, hash and membership are those of a plain object, by
+    identity, and run in C: interning makes identity extensional.  Sets
+    define no order; `order_key` gives the canonical one.
     """
 
-    __slots__ = ("elements", "rank", "_key", "_hash", "_json")
+    __slots__ = ("elements", "rank", "_key", "_json")
 
     _intern: dict = {}
 
@@ -56,22 +69,14 @@ class HfSet:
         object.__setattr__(self, "rank", rank)
         key = (rank, len(elements), tuple(e._key for e in elements))
         object.__setattr__(self, "_key", key)
-        # The intern table's key: its hash reads the members' cached ones.
-        object.__setattr__(self, "_hash", hash(elements))
         object.__setattr__(self, "_json", tuple(e._json for e in elements))
         return self
 
     def __setattr__(self, name, value):
         raise AttributeError("HfSet values are immutable")
 
-    def __hash__(self):
-        return self._hash
-
     # Interning guarantees extensional equality coincides with identity, so
-    # the default identity __eq__ is the extensional one.
-
-    def __lt__(self, other):
-        return self._key < other._key
+    # the default identity __eq__ and __hash__ are the extensional ones.
 
     def __len__(self):
         return len(self.elements)
@@ -80,7 +85,7 @@ class HfSet:
         return iter(self.elements)
 
     def __contains__(self, other):
-        return any(e is other for e in self.elements)
+        return other in self.elements
 
     def __repr__(self):
         return "{" + ",".join(repr(e) for e in self.elements) + "}"
@@ -98,6 +103,9 @@ class HfSet:
 
 _INTERN_TOKEN = object()
 
+# The canonical order of sets, as a sort key: (rank, size, member keys).
+order_key = operator.attrgetter("_key")
+
 
 def make_set(elems) -> HfSet:
     """Build the canonical HfSet with exactly the given (HfSet) elements.
@@ -105,7 +113,7 @@ def make_set(elems) -> HfSet:
     Duplicates collapse; the result is interned, so extensionally equal
     inputs return the identical object.
     """
-    uniq = sorted(set(elems), key=lambda e: e._key)
+    uniq = sorted(set(elems), key=order_key)
     key = tuple(uniq)
     cached = HfSet._intern.get(key)
     if cached is None:
@@ -365,7 +373,7 @@ def assemblies(blocks, limit: int = POW_LIMIT):
     blocks = [frozenset(z) for z in blocks]
     if any(not z for z in blocks):
         return
-    union = sorted(set().union(*blocks), key=lambda e: e._key)
+    union = sorted(set().union(*blocks), key=order_key)
     masks = [sum(1 << b for b, z in enumerate(blocks) if e in z) for e in union]
     full = (1 << len(blocks)) - 1
     widest = max((m.bit_count() for m in masks), default=1)

@@ -508,7 +508,7 @@ def paste_segment(proc: FormativeProcess, board: ColoredBoard,
             if need < 0:
                 raise CardinalityDeficit(
                     f"step {k}: more designated unions than delta slots at place {q}")
-            chunk = [e for e in sorted(proc.delta(k, q), key=lambda e: e._key)
+            chunk = [e for e in sorted(proc.delta(k, q), key=hf.order_key)
                      if hf.in_pow_star(e, minus_fam) and e not in placed_hat
                      and e not in forbidden and e not in used][:need]
             while len(chunk) < need:

@@ -295,7 +295,8 @@ def synthesize_process(blocks) -> FormativeProcess:
     placed = set()
 
     def ready(e):
-        heapq.heappush(heap, e)
+        # Distinct sets have distinct keys, so no two sets are compared.
+        heapq.heappush(heap, (e._key, e))
         groups.setdefault(signature[e], []).append(e)
 
     for e, n in waiting.items():
@@ -306,7 +307,7 @@ def synthesize_process(blocks) -> FormativeProcess:
     trace = []
     targets = []
     while heap:
-        pick = heapq.heappop(heap)
+        _, pick = heapq.heappop(heap)
         if pick in placed:
             continue
         node = signature[pick]

@@ -253,10 +253,9 @@ def pump_rounds(proc: FormativeProcess, event: PumpingEvent, rounds: int,
     prefix = proc.prefix(i0)
     if rounds == 0:
         return prefix, MsOverlay.all_minus(prefix, start=i0), 0, ()
-    unused = sorted(_unused_seeds(proc, i0, event.q0))
-    if not unused:
+    t0 = min(_unused_seeds(proc, i0, event.q0), key=hf.order_key, default=None)
+    if t0 is None:
         raise CannotWarmUp("no unused seed element at the start stage")
-    t0 = unused[0]
 
     stages = list(prefix.stages)
     trace = list(prefix.trace)

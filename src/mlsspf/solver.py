@@ -88,7 +88,7 @@ def _grow_universes(max_rank, max_universe):
     for _ in range(max_universe):
         nxt = []
         for u in levels[-1]:
-            elems = sorted(u, key=lambda e: e._key)
+            elems = sorted(u, key=hf.order_key)
             n = len(elems)
             for mask in range(2 ** n):
                 e = hf.make_set(elems[i] for i in range(n) if mask >> i & 1)
@@ -103,7 +103,7 @@ def _grow_universes(max_rank, max_universe):
         levels.append(nxt)
     out = []
     for level in levels:
-        out.extend(sorted(level, key=lambda u: hf.make_set(u)._key))
+        out.extend(sorted(level, key=lambda u: hf.order_key(hf.make_set(u))))
     return out
 
 
@@ -172,7 +172,7 @@ class UniverseTable:
                  "holding", "sub", "sup", "_pow")
 
     def __init__(self, universe):
-        elems = sorted(universe, key=lambda e: e._key)
+        elems = sorted(universe, key=hf.order_key)
         n = len(elems)
         size = _size_table(n)
         masks = size.masks
@@ -237,10 +237,6 @@ class UniverseTable:
     def subsets_of(self, j) -> int:
         """Bit k is set when choices[k] is a subset of choices[j]."""
         return self.sub[self.emask[j]]
-
-    def supersets_of(self, j) -> int:
-        """Bit k is set when choices[j] is a subset of choices[k]."""
-        return self.sup[self.emask[j]]
 
     def pow_index(self, j) -> int:
         """The choice equal to Pow(choices[j]), or -1 when that powerset is

@@ -71,7 +71,7 @@ def _is_transitive(universe) -> bool:
 
 def _sorted_blocks(blocks):
     return tuple(sorted((frozenset(b) for b in blocks),
-                        key=lambda b: min(b, key=lambda e: e._key)._key))
+                        key=lambda b: min(map(hf.order_key, b))))
 
 
 def home_index(blocks) -> dict:

@@ -3,6 +3,7 @@ kept as an oracle: every step rescans the unplaced elements for the ready
 ones.  The counted schedule must give the same stages, trace and history
 targets."""
 
+from mlsspf import hf
 from mlsspf.process import FormativeProcess
 from mlsspf.venn import home_index
 
@@ -22,7 +23,7 @@ def synthesize_process_scan(blocks):
     current = [set() for _ in places]
     while unplaced:
         ready = [e for e in unplaced if set(e.elements) <= placed]
-        pick = min(ready, key=lambda e: e._key)
+        pick = min(ready, key=hf.order_key)
         node = signature[pick]
         batch = [e for e in ready if signature[e] == node]
         for e in batch:

@@ -7,6 +7,7 @@ import random
 import time
 
 import mlsspf as m
+from mlsspf import hf
 from mlsspf.certificate import PumpingEvent
 from mlsspf.msrefine import StartConfiguration
 from mlsspf.pumping import pump_rounds
@@ -63,7 +64,7 @@ def test_criterion_1_assembly_oracle_equivalence():
             blocks = [z for z in blocks if z]
             got = m.pow_star(blocks)
             assert len(got) == m.pow_star_size(blocks)
-            elems = sorted({e for z in blocks for e in z}, key=lambda e: e._key)
+            elems = sorted({e for z in blocks for e in z}, key=hf.order_key)
             expected = set()
             for mask in range(2 ** len(elems)):
                 pick = [elems[i] for i in range(len(elems)) if mask >> i & 1]
@@ -84,7 +85,7 @@ def test_criterion_2_venn_coarseness():
             }
             M = m.Assignment(bindings)
             partition, _ = m.venn_partition(M)
-            universe = sorted(M.value_union(), key=lambda e: e._key)
+            universe = sorted(M.value_union(), key=hf.order_key)
             values = [set(v.elements) for v in M.bindings.values()]
             for candidate in set_partitions(universe):
                 if all(not (set(b) & val) or set(b) <= val

@@ -241,7 +241,7 @@ def test_equality_is_extensional(x, y):
 @settings(max_examples=100)
 def test_canonical_order_is_total_and_consistent(s):
     elems = list(s.elements)
-    assert elems == sorted(elems, key=lambda e: e._key)
+    assert elems == sorted(elems, key=hf.order_key)
     assert len(set(elems)) == len(elems)
 
 
@@ -261,14 +261,14 @@ def test_building_ordinals_costs_time_in_members_not_in_the_tree():
 
 def brute_pow_star(blocks):
     """Oracle: filter all subsets of the union for the meet condition."""
-    union = sorted({e for z in blocks for e in z}, key=lambda e: e._key)
+    union = sorted({e for z in blocks for e in z}, key=hf.order_key)
     out = []
     for mask in range(2 ** len(union)):
         pick = [union[i] for i in range(len(union)) if mask >> i & 1]
         picked = set(pick)
         if all(picked & set(z) for z in blocks):
             out.append(m.make_set(pick))
-    return tuple(sorted(set(out), key=lambda e: e._key))
+    return tuple(sorted(set(out), key=hf.order_key))
 
 
 @given(st.data())

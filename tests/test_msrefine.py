@@ -63,7 +63,7 @@ def test_overlay_detects_untracked_move(ex1, pumped_ex1):
     tampered = list(list(stage) for stage in overlay.minus)
     last = list(tampered[-1])
     q = ex1.q
-    elem = sorted(last[q], key=lambda e: e._key)[0]
+    elem = sorted(last[q], key=hf.order_key)[0]
     last[q] = last[q] - {elem}
     tampered[-1] = tuple(last)
     bad = MsOverlay(overlay.start, tuple(tuple(s) for s in tampered))
@@ -201,7 +201,7 @@ def test_upward_premises_reject_surplus_relabeled_as_minus(ex1, pumped_ex1):
     for q in proc.places:
         ds = overlay.delta_surplus(proc, mu, q)
         if ds:
-            moved = (q, sorted(ds, key=lambda e: e._key)[0])
+            moved = (q, sorted(ds, key=hf.order_key)[0])
     q, elem = moved
     tampered = [list(stage) for stage in overlay.minus]
     for idx in range(mu + 1 - overlay.start, len(tampered)):
@@ -300,7 +300,7 @@ def test_paste_pow_node_without_trash_raises():
     start = degenerate(proc, ge)
     # Give block 0 a surplus element so the pow-node branch triggers.
     minus = [list(stage) for stage in start.overlay.minus]
-    seed = sorted(proc.stages[ge][0], key=lambda e: e._key)[-1]
+    seed = sorted(proc.stages[ge][0], key=hf.order_key)[-1]
     for idx in range(len(minus)):
         minus[idx][0] = minus[idx][0] - {seed}
     bad_overlay = MsOverlay(ge, tuple(tuple(s) for s in minus))
@@ -368,7 +368,7 @@ def _perturb(blocks, minus, rng):
         if not live:
             break
         q = rng.choice(live)
-        e = rng.choice(sorted(blocks[q], key=lambda x: x._key))
+        e = rng.choice(sorted(blocks[q], key=hf.order_key))
         kind = rng.choice(["move", "empty", "empty", "drop"])
         if kind == "move":
             minus[q] = minus[q] ^ {e}

@@ -5,16 +5,22 @@ pumped reports on every certified instance; and two oracles that share no
 definition with the prover hold on every certified instance pumped one to
 three rounds: the pumped assignment satisfies the formula, `!Finite`
 variables growing with each round, and wherever the pumped partition
-imitates the source, it simulates it upwards."""
+imitates the source, it simulates it upwards.  Sets hash by identity, so
+what a run writes must not depend on where its sets lie in memory: three
+interpreters with different heap layouts write the same outputs."""
 
 import functools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mlsspf as m
-from mlsspf import lang
+from mlsspf import hf, lang
 
 from conftest import wide_instance, witness_family
 from oracles import simulates_upwards
@@ -129,3 +135,63 @@ def test_imitation_implies_upward_simulation():
         if m.imitates(board, bijection).ok:
             assert simulates_upwards(board, bijection).ok, (
                 cert.formula.render())
+
+
+# Allocates argv[1] objects and interns 300 unrelated sets in an order drawn
+# from that number, then prints one digest over certificates, pumped
+# certificates, verify reports and decide results.
+_DIGEST_SCRIPT = """
+import hashlib, json, random, sys
+padding = int(sys.argv[1])
+pad = [object() for _ in range(padding)]
+import mlsspf as m
+rng = random.Random(padding)
+pool = [m.EMPTY]
+for _ in range(300):
+    pool.append(m.make_set(rng.sample(pool, min(len(pool), rng.randint(0, 4)))))
+from conftest import wide_instance, witness_family
+digest = hashlib.sha256()
+def add(text):
+    digest.update(text.encode() + b"\\0")
+for seed in range(6):
+    try:
+        add(m.certify_witness(*wide_instance(seed)).dumps())
+    except m.MlsspfError as exc:
+        add(f"{type(exc).__name__}: {exc}")
+for formula, assignment in witness_family():
+    text = m.extend_certificate(m.certify_witness(formula, assignment), 3).dumps()
+    add(text)
+    add(str(m.verify_certificate(json.loads(text))))
+with open(sys.argv[2]) as f:
+    corpus = json.load(f)
+for entry in corpus["entries"]:
+    budget = m.SearchBudget(max_rank=entry["budget"]["maxRank"],
+                            max_universe=entry["budget"]["maxUniverse"])
+    result = m.decide(m.parse(entry["formula"]), budget)
+    add(json.dumps(result.to_json(), sort_keys=True))
+print(digest.hexdigest())
+"""
+
+
+def test_outputs_do_not_depend_on_set_hashes():
+    # Interning makes equality identity, so HfSet keeps object's hash and
+    # equality, which run in C, and defines no order of its own.
+    assert hf.HfSet.__hash__ is object.__hash__
+    assert hf.HfSet.__eq__ is object.__eq__
+    assert "__lt__" not in vars(hf.HfSet)
+    assert "_hash" not in hf.HfSet.__slots__
+    # Identity hashes, and with them the iteration order of sets and dicts
+    # of sets, differ between interpreters that allocate differently.
+    tests = Path(__file__).resolve().parent
+    src = Path(m.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), str(tests), os.environ.get("PYTHONPATH", "")]))
+    corpus = tests / "golden" / "decide_corpus.json"
+    digests = set()
+    for padding in (0, 10_007, 300_000):
+        run = subprocess.run(
+            [sys.executable, "-c", _DIGEST_SCRIPT, str(padding), str(corpus)],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert run.returncode == 0, run.stderr
+        digests.add(run.stdout)
+    assert len(digests) == 1, digests

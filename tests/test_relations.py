@@ -209,7 +209,7 @@ def _random_bijection(rng, min_places, max_places):
     kind = rng.choice(["copy", "move", "empty", "other"])
     if kind == "move" and k > 1:
         i, j = rng.sample(range(k), 2)
-        e = rng.choice(sorted(target[i], key=lambda x: x._key))
+        e = rng.choice(sorted(target[i], key=hf.order_key))
         target[i] = target[i] - {e}
         target[j] = target[j] | {e}
     elif kind == "empty":

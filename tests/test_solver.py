@@ -129,7 +129,7 @@ def _decide_unpruned(formula, budget):
         return m.DecideResult(m.UNKNOWN)
     searched = False
     for universe in enumerate_universes(budget.max_rank, budget.max_universe):
-        elems = tuple(sorted(universe, key=lambda e: e._key))
+        elems = tuple(sorted(universe, key=hf.order_key))
         choices = _subsets_in_order(elems)
         target = hf.make_set(universe)
         for combo in product(choices, repeat=len(names)):
@@ -270,7 +270,7 @@ def test_leaves_match_per_node_walk(formula, repeated, universe):
     for lit in formula.literals:
         if lit.kind not in (lang.FINITE, lang.NOT_FINITE):
             checks[max(depth[v] for v in lit.operands)].append(lit)
-    choices = _subsets_in_order(tuple(sorted(universe, key=lambda e: e._key)))
+    choices = _subsets_in_order(tuple(sorted(universe, key=hf.order_key)))
     closures = [frozenset(hf.transitive_closure(c).elements) for c in choices]
     assert ([dict(a.bindings)
              for a in _Walk(names, checks).leaves(_universe_table(universe))]
@@ -302,7 +302,7 @@ _FIVES = [u for u in enumerate_universes(max_rank=5, max_universe=5)
 def test_universe_table_matches_set_operations():
     for universe in _UNIVERSES + tuple(_FIVES):
         table = _universe_table(universe)
-        elems = tuple(sorted(universe, key=lambda e: e._key))
+        elems = tuple(sorted(universe, key=hf.order_key))
         assert list(table.choices) == _subsets_in_order(elems)
         for j, c in enumerate(table.choices):
             assert [elems[i] for i in range(len(elems))
@@ -320,7 +320,7 @@ def test_universe_table_matches_set_operations():
             assert table.subsets_of(j) == sum(
                 1 << k for k, d in enumerate(table.choices)
                 if hf.subset(d, c))
-            assert table.supersets_of(j) == sum(
+            assert table.sup[table.emask[j]] == sum(
                 1 << k for k, d in enumerate(table.choices)
                 if hf.subset(c, d))
         assert table.nonempty == sum(
@@ -354,40 +354,6 @@ def test_tables_of_five_elements_intern_no_set(monkeypatch):
 
 
 _MASKED = sorted(set(lang._ARITY) - {lang.FINITE, lang.NOT_FINITE}) + [lang.ENUM]
-
-
-@st.composite
-def masked_literals(draw):
-    """A literal over x, y, z and its free variable, or one that names its
-    free variable x twice."""
-    kind = draw(st.sampled_from(_MASKED + ["repeated"]))
-    if kind == "repeated":
-        return draw(st.sampled_from(_REPEATED)), "x"
-    arity = (draw(st.integers(2, 3)) if kind == lang.ENUM
-             else lang._ARITY[kind])
-    operands = tuple(draw(st.sampled_from("xyz")) for _ in range(arity))
-    return lang.Literal(kind, operands), draw(st.sampled_from(operands))
-
-
-@given(masked_literals(), st.fixed_dictionaries(
-    {v: st.integers(0, 15) for v in "xyz"}))
-@settings(max_examples=300, deadline=None)
-def test_truth_mask_matches_eval_literal(literal, picks):
-    # On every universe the compiled mask is the one built value by value
-    # with eval_literal.
-    lit, free = literal
-    for universe in _UNIVERSES:
-        table = _universe_table(universe)
-        fixed = {v: picks[v] % len(table.choices)
-                 for v in lit.operands if v != free}
-        bindings = {v: table.choices[j] for v, j in fixed.items()}
-        expected = 0
-        for j, value in enumerate(table.choices):
-            bindings[free] = value
-            if lang.eval_literal(lit, SimpleNamespace(bindings=bindings)):
-                expected |= 1 << j
-        vals = [None if v == free else fixed[v] for v in lit.operands]
-        assert solver._truth_mask(table, lit.kind, vals) == expected
 
 
 def test_hard_search_reuses_its_tables(monkeypatch):

@@ -183,7 +183,7 @@ def test_venn_coarseness_small_oracle():
     for _ in range(25):
         M = _random_assignment(rng, rng.randint(1, 3), rng.randint(0, 5))
         partition, _ = m.venn_partition(M)
-        universe = sorted(M.value_union(), key=lambda e: e._key)
+        universe = sorted(M.value_union(), key=hf.order_key)
         values = [set(v.elements) for v in M.bindings.values()]
         for candidate in set_partitions(universe):
             if all(not (set(b) & val) or set(b) <= val

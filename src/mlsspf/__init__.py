@@ -8,9 +8,8 @@ from .errors import (ArityError, CannotWarmUp, CardinalityDeficit,
                      CoverMissesVariable, FormulaSyntaxError, LimitExceeded,
                      MlsspfError, NoClosedCover, NoEvent, NoLocalTrash,
                      NotAWitness, NotTransitive, UnboundVariable)
-from .hf import (EMPTY, HfSet, bool_op, from_json, in_pow_star, make_set,
-                 order_key, pow_star, pow_star_size, powerset,
-                 transitive_closure)
+from .hf import (EMPTY, HfSet, bool_op, in_pow_star, make_set, order_key,
+                 pow_star, pow_star_size, powerset, transitive_closure)
 from .lang import (Formula, Literal, SatisfactionReport, eval_literal,
                    evaluate, parse)
 from .msrefine import (ImitationWitness, MsOverlay, StartConfiguration,

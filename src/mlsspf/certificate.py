@@ -28,7 +28,8 @@ from .process import (FormativeProcess, _json_nodes, _json_places, is_closed,
 from .relations import (BlockBijection, imitates, literal_transfer_report,
                         transfer_assignment)
 from .report import Report, ReportBuilder
-from .venn import Assignment, ColoredBoard, canonical_board, transitivize
+from .venn import (Assignment, ColoredBoard, canonical_board, is_transitive,
+                   transitivize)
 
 # The surplus-only rounds a pump may run before it must restore.
 MAX_WARMUP_ROUNDS = 8
@@ -110,7 +111,7 @@ class PumpingEvent:
 def _unused_seeds(proc: FormativeProcess, i0: int, q0: int) -> frozenset:
     """Condition (i) asks for one of these: the elements of q0's block at
     stage i0 that no element placed by then has as a member."""
-    return proc.stages[i0][q0] - proc.used_elements(i0)
+    return proc.stages[i0][q0] - proc.used_by_stage[i0]
 
 
 def _latest_starts(proc: FormativeProcess) -> tuple:
@@ -464,9 +465,9 @@ def check_certificate(data):
     event, cycle = cert.event, cert.event.cycle
     rb.add("event cycle has at most params.maxCycleLen places",
            len(cycle) <= cert.max_cycle_len)
+    made = base if is_transitive(base.value_union()) else transitivize(base)
     if not rb.add("assignment is the base assignment, made transitive",
-                  cert.assignment == (base if base.is_transitive()
-                                      else transitivize(base))):
+                  cert.assignment == made):
         return rb.build(), cert
     try:
         results = tuple(lang.eval_literal(lit, base)

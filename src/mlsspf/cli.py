@@ -63,7 +63,7 @@ def _read_transitive_model(path) -> Assignment:
     """The model, extended with a closure variable (and a note on stderr)
     when it is not transitive."""
     model = _read_model(path)
-    if not model.is_transitive():
+    if not is_transitive(model.value_union()):
         model = transitivize(model)
         print("note: assignment extended with a closure variable",
               file=sys.stderr)
@@ -107,7 +107,7 @@ def cmd_venn(args):
     blocks, im = venn_partition(model)
     _emit({"blocks": [hf.block_json(b) for b in blocks],
            "im": {v: sorted(ps) for v, ps in sorted(im.items())},
-           "transitive": is_transitive(blocks)}, args)
+           "transitive": is_transitive(frozenset().union(*blocks))}, args)
     return EXIT_OK
 
 

@@ -47,7 +47,7 @@ _TOO_DEEP = f"a set nests too deep to decode (rank above {MAX_RANK})"
 class HfSet:
     """An immutable hereditarily finite set.
 
-    Do not call the constructor directly; use make_set (or from_json), which
+    Do not call the constructor directly; use make_set (or a Decoder), which
     canonicalizes and interns.  `elements` is the canonically ordered tuple of
     member sets, `rank` the von Neumann rank, len() the number of members.
 
@@ -125,16 +125,6 @@ def make_set(elems) -> HfSet:
 EMPTY = make_set(())
 
 
-def from_json(data):
-    """Parse nested lists (or tuples, as `HfSet.to_json` gives) back into an
-    HfSet.
-
-    Re-canonicalizes; returns (set, had_duplicates) where the flag warns that
-    the input listed extensionally equal members more than once.
-    """
-    return Decoder()(data)
-
-
 def expect_json(value, kind, what):
     """`value` if it is a JSON `kind` (no boolean passes for an `int`), else
     ValueError: malformed input is bad input, not a fault of the library."""
@@ -154,17 +144,20 @@ def expect_at_least(value, least, name):
 
 
 class Decoder:
-    """`from_json` for decoding the many sets of one document, such as the
-    stages of a process or every set of a certificate: one instance per
-    document.
+    """The reader of sets' JSON forms: nested lists, or tuples as
+    `HfSet.to_json` gives.  One instance decodes the many sets of one
+    document, such as the stages of a process or every set of a
+    certificate.
 
-    Called on a set's JSON form it returns `from_json`'s (set, flag), and
-    `block` decodes a list of such forms to a frozenset of their sets,
-    collapsing duplicates as `frozenset` does.  Sets are memoized by their
-    form's `repr`, which for nested lists is their JSON text and costs no
-    encoder call, at every level: a set seen before is one lookup, and a
-    new one looks up each of its members.  Equal forms give equal results,
-    duplicate flag included; only decoded forms are kept.
+    Called on a set's JSON form it returns (set, had_duplicates): the set,
+    re-canonicalized, and a flag warning that the input listed
+    extensionally equal members more than once.  `block` decodes a list of
+    such forms to a frozenset of their sets, collapsing duplicates as
+    `frozenset` does.  Sets are memoized by their form's `repr`, which for
+    nested lists is their JSON text and costs no encoder call, at every
+    level: a set seen before is one lookup, and a new one looks up each of
+    its members.  Equal forms give equal results, duplicate flag included;
+    only decoded forms are kept.
 
     A set of rank above `MAX_RANK` is bad input: ValueError.  Each set is
     checked when it is built, before the memo keeps it, so memo hits are in

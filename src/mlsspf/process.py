@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Optional
 
 from . import hf
 from .errors import NotTransitive
@@ -26,18 +27,20 @@ class FormativeProcess:
     stages[mu] is a tuple indexed by place of frozensets of HfSet;
     trace[nu] is the node (set of places) whose stage-nu snapshot fed step nu;
     history_targets[nu] is the set of places that actually received elements.
+    Targets are derived from the stages only when none are given: given
+    ones, even an empty tuple, are kept for `validate_process` to check.
     """
 
     stages: tuple
     trace: tuple
-    history_targets: tuple = ()
+    history_targets: Optional[tuple] = None
     weak: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "stages", tuple(
             tuple(frozenset(b) for b in stage) for stage in self.stages))
         object.__setattr__(self, "trace", tuple(frozenset(a) for a in self.trace))
-        if not self.history_targets:
+        if self.history_targets is None:
             derived = tuple(
                 frozenset(q for q in self._shared_places(nu) if self.delta(nu, q))
                 for nu in range(self.xi))
@@ -134,7 +137,7 @@ class FormativeProcess:
             for q in self.places)
 
     @cached_property
-    def _used_by_stage(self) -> tuple:
+    def used_by_stage(self) -> tuple:
         """Stage -> members of the elements placed by then.  Blocks grow
         monotonically, so each step adds the members of its fresh elements."""
         used = {m for b in self.stages[0] for z in b for m in z.elements}
@@ -144,10 +147,6 @@ class FormativeProcess:
                 used.update(z.elements)
             out.append(frozenset(used))
         return tuple(out)
-
-    def used_elements(self, mu) -> frozenset:
-        """Elements that are members of some element placed by stage mu."""
-        return self._used_by_stage[mu]
 
     def prefix(self, mu) -> "FormativeProcess":
         """The process truncated at stage mu (trace cut accordingly)."""
@@ -280,7 +279,7 @@ def synthesize_process(blocks) -> FormativeProcess:
     Elements made ready by a step join the next groups, as a rescan after
     the step would find them.
     """
-    if not is_transitive(blocks):
+    if not is_transitive(frozenset().union(*blocks)):
         raise NotTransitive("cannot synthesize a process for a non-transitive partition")
     table = signature_table(blocks)
     home, signature = table.home, table.signature

@@ -34,8 +34,8 @@ from .errors import (CannotWarmUp, CoverMissesVariable, NoClosedCover,
 from .msrefine import MsOverlay, StartConfiguration, paste_segment
 from .process import (FormativeProcess, is_closed, local_trashes,
                       synthesize_process)
-from .venn import (Assignment, ColoredBoard, canonical_board, node_union,
-                   transitivize)
+from .venn import (Assignment, ColoredBoard, canonical_board, is_transitive,
+                   node_union, transitivize)
 
 
 class _CycleIndex:
@@ -315,12 +315,14 @@ def certify_witness(formula: lang.Formula, assignment: Assignment,
         if lit.kind != lang.NOT_FINITE and not val:
             raise NotAWitness(f"literal '{lit.render()}' is false under the assignment")
 
-    if not assignment.is_transitive():
+    if not is_transitive(assignment.value_union()):
         assignment = transitivize(assignment)
     blocks, im, board = canonical_board(formula, assignment)
-    # Whether the board has a cycle at all needs no process: most boards
-    # `decide` tries have none, so the existence walk runs first, and the
-    # windowed walk reuses its index.
+    # Whether the board has a cycle at all needs no process, so the
+    # existence walk runs before synthesis, and a board without one raises
+    # the no-cycle NoEvent that `tests/golden/certified_wide.json` and CI
+    # pin.  The windowed walk below prunes on start-stage windows, which
+    # need the process, and reuses this walk's index.
     index = _CycleIndex(board, max_cycle_len)
     if next(index.walk(), None) is None:
         raise NoEvent("the board has no green pumping cycle")

@@ -79,10 +79,6 @@ def enumerate_universes(max_rank: int, max_universe: int):
     which reaches every transitive set exactly once after deduplication.
     The tuple is kept for the last 8 bounds asked for in the process.
     """
-    return tuple(_grow_universes(max_rank, max_universe))
-
-
-def _grow_universes(max_rank, max_universe):
     seen = {frozenset()}
     levels = [[frozenset()]]
     for _ in range(max_universe):
@@ -104,7 +100,7 @@ def _grow_universes(max_rank, max_universe):
     out = []
     for level in levels:
         out.extend(sorted(level, key=lambda u: hf.order_key(hf.make_set(u))))
-    return out
+    return tuple(out)
 
 
 class _SizeTable:
@@ -272,16 +268,11 @@ class _Choices(Sequence):
         return got
 
 
-@functools.lru_cache(maxsize=128)
-def _universe_table(universe) -> UniverseTable:
-    """The `UniverseTable` of a transitive universe (a frozenset of HfSets).
-
-    Tables are kept for the 128 universes used last in the process, which
-    covers every universe of a budget up to rank 5 and universe size 5
-    (102 of them), so repeated `decide` calls under such a budget build no
-    table after the first.
-    """
-    return UniverseTable(universe)
+# The `UniverseTable` of a transitive universe (a frozenset of HfSets).  Tables
+# are kept for the 128 universes used last in the process, which covers every
+# universe of a budget up to rank 5 and universe size 5 (102 of them), so
+# repeated `decide` calls under such a budget build no table after the first.
+_universe_table = functools.lru_cache(maxsize=128)(UniverseTable)
 
 
 def _interval(relation):

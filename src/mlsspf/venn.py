@@ -40,11 +40,6 @@ class Assignment:
         """All elements of all bound values (the ground universe)."""
         return set().union(*(v.elements for v in self.bindings.values()))
 
-    def is_transitive(self) -> bool:
-        """Whether the ground universe is transitive, as the unionset of
-        its Venn partition then is, without building that partition."""
-        return _is_transitive(self.value_union())
-
     def to_json(self):
         return {v: self.bindings[v].to_json() for v in self.vars()}
 
@@ -62,11 +57,6 @@ class Assignment:
                 warnings.append(var)
             out[var] = val
         return Assignment(out), warnings
-
-
-def _is_transitive(universe) -> bool:
-    """Whether every member of an element of the set `universe` is in it."""
-    return all(universe.issuperset(e.elements) for e in universe)
 
 
 def _sorted_blocks(blocks):
@@ -205,11 +195,9 @@ def venn_partition(assignment: Assignment):
     return blocks, MappingProxyType(im)
 
 
-def is_transitive(blocks) -> bool:
-    """Whether every member of an element of the blocks lies in a block:
-    whether every element has a signature in the blocks' table."""
-    table = signature_table(blocks)
-    return len(table.signature) == len(table.home)
+def is_transitive(universe) -> bool:
+    """Whether every member of each element of the set `universe` is in it."""
+    return all(universe.issuperset(e.elements) for e in universe)
 
 
 @dataclass(frozen=True)
@@ -276,7 +264,7 @@ def induced_board(blocks) -> ColoredBoard:
     (node, place) of the blocks' `signature_table` instead of materializing
     the exponential assembly families.
     """
-    if not is_transitive(blocks):
+    if not is_transitive(frozenset().union(*blocks)):
         raise NotTransitive("the partition's unionset is not transitive")
     targets = {}
     for node, q in signature_table(blocks).contacts(range(len(blocks))):

@@ -112,8 +112,9 @@ def test_process_synth_validate_round_trip(files, capsys):
     ids=["absent", "empty", "int", "int list", "nested", "string"])
 def test_validate_ragged_or_malformed_process(files, capsys, targets, code):
     # ex1's process with its last stage cut to one block: without history
-    # targets it fails the shape item (1) instead of raising IndexError,
-    # and targets that are no list of lists of places are bad input (3).
+    # targets it fails the shape items (1) instead of raising IndexError,
+    # since absent targets are read as none, not derived from the stages;
+    # targets that are no list of lists of places are bad input (3).
     out = files / "proc.json"
     assert run_cli(["process", "synth", "-m", str(files / "model.json"),
                     "--json", str(out)]) == 0
@@ -128,6 +129,7 @@ def test_validate_ragged_or_malformed_process(files, capsys, targets, code):
     err = capsys.readouterr().err
     if code == 1:
         assert [line for line in err.splitlines() if "FAIL" in line] == [
+            "[FAIL] shape: history targets: one per step",
             "[FAIL] shape: every stage has a block per place"]
 
 

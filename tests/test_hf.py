@@ -92,9 +92,9 @@ def test_transitive_closure_examples():
 
 def test_json_round_trip_and_duplicate_flag():
     s = m.make_set([A, m.make_set([A, B])])
-    back, dup = m.from_json(s.to_json())
+    back, dup = hf.Decoder()(s.to_json())
     assert back is s and not dup
-    _, dup = m.from_json([[], []])
+    _, dup = hf.Decoder()([[], []])
     assert dup
 
 
@@ -105,8 +105,8 @@ def test_to_json_is_one_cached_tuple_that_round_trips(s):
     assert s.to_json() is form
     assert isinstance(form, tuple)
     assert all(f is e.to_json() for f, e in zip(form, s.elements))
-    assert m.from_json(form) == (s, False)
-    assert m.from_json(json.loads(json.dumps(form))) == (s, False)
+    assert hf.Decoder()(form) == (s, False)
+    assert hf.Decoder()(json.loads(json.dumps(form))) == (s, False)
 
 
 def test_decoding_and_pumping_leave_no_recursive_closure_behind():
@@ -123,7 +123,7 @@ def test_decoding_and_pumping_leave_no_recursive_closure_behind():
     try:
         ext = m.extend_certificate(cert, 3)
         m.WitnessCertificate.from_json(json.loads(ext.dumps()))
-        m.from_json(ext.pumped.final_assignment.to_json()["x"])
+        hf.Decoder()(ext.pumped.final_assignment.to_json()["x"])
         gc.collect()
         left = [f.__qualname__ for f in gc.garbage
                 if type(f).__name__ == "function"

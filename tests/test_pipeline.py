@@ -20,9 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mlsspf as m
-from mlsspf import hf, lang
+from mlsspf import hf, lang, pumping
+from mlsspf.certificate import _unused_seeds
 
-from conftest import wide_instance, witness_family
+from conftest import chain, wide_instance, witness_family
 from oracles import simulates_upwards
 
 _VARS = st.sampled_from(["w", "x", "y", "z"])
@@ -195,3 +196,43 @@ def test_outputs_do_not_depend_on_set_hashes():
         assert run.returncode == 0, run.stderr
         digests.add(run.stdout)
     assert len(digests) == 1, digests
+
+
+def _iterating(reverse):
+    """A frozenset subclass whose sets iterate in canonical order, or in
+    descending canonical order when `reverse`."""
+
+    class Ordered(frozenset):
+        def __iter__(self):
+            return iter(sorted(frozenset.__iter__(self), key=hf.order_key,
+                               reverse=reverse))
+
+    return Ordered
+
+
+def test_pump_picks_do_not_read_set_order(monkeypatch):
+    # The pump's seed is picked from `_unused_seeds` and the paste's minus
+    # chunk from a step's delta: with both sets iterating in canonical
+    # order, and then in descending canonical order, every pumped
+    # certificate is the same.  A pick that reads iteration order gets
+    # different sets in the two runs, whatever the order of the unpatched
+    # run.  The event's place never has two unused seeds over the witness
+    # family, so `!Finite(x)` on x = {0, 1, 2, {0, 1}} (von Neumann
+    # numerals) is added: it has two.
+    e0, e1, e2 = chain(2)
+    spread = (m.parse("!Finite(x)"),
+              m.Assignment({"x": m.make_set([e0, e1, e2, m.make_set([e0, e1])])}))
+    certs = [m.certify_witness(*instance)
+             for instance in witness_family() + [spread]]
+    event = certs[-1].event
+    assert len(_unused_seeds(certs[-1].process, event.i0, event.q0)) == 2
+    want = [m.extend_certificate(cert, 2).dumps() for cert in certs]
+    unused_seeds, delta = pumping._unused_seeds, m.FormativeProcess.delta
+    for reverse in (False, True):
+        ordered = _iterating(reverse)
+        monkeypatch.setattr(pumping, "_unused_seeds",
+                            lambda *args: ordered(unused_seeds(*args)))
+        monkeypatch.setattr(m.FormativeProcess, "delta",
+                            lambda *args: ordered(delta(*args)))
+        assert [m.extend_certificate(cert, 2).dumps()
+                for cert in certs] == want, reverse

@@ -119,7 +119,7 @@ def test_synthesized_process_keeps_the_partitions_table():
     # both give the same grand events.
     instances = witness_family() + [wide_instance(seed) for seed in range(12)]
     for _, assignment in instances:
-        if not assignment.is_transitive():
+        if not venn.is_transitive(assignment.value_union()):
             assignment = m.transitivize(assignment)
         partition, _ = m.venn_partition(assignment)
         table = venn.signature_table(partition)
@@ -141,10 +141,10 @@ def test_grand_event_examples(ex1):
 
 def test_used_elements_examples(ex1):
     proc = ex1.process
-    assert C not in proc.used_elements(3)
-    assert A not in proc.used_elements(1)
-    assert A in proc.used_elements(2)
-    assert C in proc.delta(2, ex1.q) and C not in proc.used_elements(2)
+    assert C not in proc.used_by_stage[3]
+    assert A not in proc.used_by_stage[1]
+    assert A in proc.used_by_stage[2]
+    assert C in proc.delta(2, ex1.q) and C not in proc.used_by_stage[2]
 
 
 def test_new_implies_unused():
@@ -155,7 +155,7 @@ def test_new_implies_unused():
         for mu in range(proc.xi):
             for q in proc.places:
                 for e in proc.delta(mu, q):
-                    assert e not in proc.used_elements(mu)
+                    assert e not in proc.used_by_stage[mu]
 
 
 def test_local_trashes_examples(ex1):
@@ -221,7 +221,7 @@ def test_unused_assemblies_stay_unused():
         proc = m.synthesize_process(rand_partition(rng, universe, max_blocks=3))
         for mu in range(proc.xi + 1):
             unused = [e for e in final_universe(proc)
-                      if e not in proc.used_elements(mu)]
+                      if e not in proc.used_by_stage[mu]]
             if not unused:
                 continue
             b = m.make_set(unused[: rng.randint(1, len(unused))])
@@ -230,7 +230,7 @@ def test_unused_assemblies_stay_unused():
                 if hf.pow_star_size(fam) > 64:
                     continue
                 for y in m.pow_star(fam):
-                    assert y not in proc.used_elements(mu) \
+                    assert y not in proc.used_by_stage[mu] \
                         and y not in stage_universe(proc, mu)
 
 
@@ -263,7 +263,7 @@ def test_synthesis_matches_ready_scan_on_random_partitions(rng):
 def test_synthesis_matches_ready_scan_on_wide_partitions():
     for seed in range(200):
         _, assignment = wide_instance(seed)
-        if not assignment.is_transitive():
+        if not venn.is_transitive(assignment.value_union()):
             assignment = m.transitivize(assignment)
         _assert_synthesis_matches_scan(m.venn_partition(assignment)[0])
 
@@ -314,7 +314,7 @@ def test_landing_reads_history_targets_only():
         data["process"]["historyTargets"] = targets
         proc = FormativeProcess.from_json(data["process"])
         assert set(proc.landing) == placed
-        assert proc.used_elements(2) == frozenset(
+        assert proc.used_by_stage[2] == frozenset(
             m for e in placed for m in e.elements)
         assert "step 0: history targets match nonempty deltas" in [
             i.check for i in m.validate_process(proc).failures()]
@@ -393,5 +393,5 @@ def test_grand_event_tables_match_union_oracle(rng):
                         == _local_trashes_oracle(proc, board, node))
             assert proc.grand_events == early
             for nu in range(proc.xi + 1):
-                assert proc.used_elements(nu) == frozenset(
+                assert proc.used_by_stage[nu] == frozenset(
                     e for b in proc.stages[nu] for z in b for e in z.elements)

@@ -70,7 +70,7 @@ def test_find_cycles_two_place_ladder():
 def _wide_board(seed):
     """The colored board certify_witness builds for wide_instance(seed)."""
     formula, assignment = wide_instance(seed)
-    if not is_transitive(m.venn_partition(assignment)[0]):
+    if not is_transitive(assignment.value_union()):
         assignment = m.transitivize(assignment)
     return m.canonical_board(formula, assignment)[2]
 
@@ -344,7 +344,7 @@ def test_pumped_elements_are_new_at_creation(ex1):
     for nu in range(cert.event.i0, pumped.xi):
         for q in pumped.places:
             for e in pumped.delta(nu, q):
-                assert e not in pumped.used_elements(nu)
+                assert e not in pumped.used_by_stage[nu]
 
 
 def test_pump_surplus_node_unions_stay_undistributed(ex1):
@@ -464,9 +464,8 @@ def test_verify_reports_a_process_without_the_board_places():
 
 
 def test_verify_reports_a_ragged_process_without_history_targets(ex1):
-    # With no history targets the process derives them over the places
-    # both stages of a step have, so a stage short of a block parses and
-    # fails validation.
+    # A process with empty history targets and a stage short of a block
+    # parses and fails validation.
     data = json.loads(m.certify_witness(ex1.formula, ex1.assignment).dumps())
     del data["process"]["stages"][-1][1:]
     data["process"]["historyTargets"] = []
@@ -655,7 +654,7 @@ def _certify_oracle(formula, assignment, max_cycle_len=MAX_CYCLE_LEN):
     neg_vars = [lit.operands[0] for lit in formula.literals
                 if lit.kind == lang.NOT_FINITE]
     base = assignment
-    if not is_transitive(m.venn_partition(assignment)[0]):
+    if not is_transitive(assignment.value_union()):
         assignment = m.transitivize(assignment)
     partition, im, board = m.canonical_board(formula, assignment)
     proc = m.synthesize_process(partition)
@@ -750,7 +749,7 @@ def test_windowed_walk_gives_the_cycles_with_a_start_window(max_len):
     # plain walk whose _start_window is nonempty, with those windows.
     for seed in range(200):
         formula, assignment = wide_instance(seed)
-        if not assignment.is_transitive():
+        if not is_transitive(assignment.value_union()):
             assignment = m.transitivize(assignment)
         partition, _, board = m.canonical_board(formula, assignment)
         proc = m.synthesize_process(partition)
@@ -774,7 +773,7 @@ def test_walk_gives_cycles_shortest_first(max_len, seed):
     # The stage loop draws one length at a time, so it must not see a
     # shorter cycle after a longer one, with or without windows.
     formula, assignment = wide_instance(seed)
-    if not assignment.is_transitive():
+    if not is_transitive(assignment.value_union()):
         assignment = m.transitivize(assignment)
     partition, _, board = m.canonical_board(formula, assignment)
     proc = m.synthesize_process(partition)

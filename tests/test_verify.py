@@ -636,6 +636,26 @@ def test_verify_fails_only_the_forged_item(instance, rounds, forge, item):
     assert failed == [item]
 
 
+@pytest.mark.parametrize("empty", [False, True], ids=["deleted", "emptied"])
+@pytest.mark.parametrize("path, item", [
+    (("process",), "embedded process validates"),
+    (("pumped", "process"), "pumped process validates as a weak process")],
+    ids=["base", "pumped"])
+def test_verify_fails_a_process_without_history_targets(path, item, empty):
+    # The checker reads a process's history targets as the certificate
+    # gives them: a process whose targets are deleted or emptied fails
+    # validation instead of being checked against targets derived from
+    # its own stages.
+    cert = m.extend_certificate(m.certify_witness(*witness_family()[0]), 2)
+    data = json.loads(cert.dumps())
+    proc = functools.reduce(dict.__getitem__, path, data)
+    del proc["historyTargets"]
+    if empty:
+        proc["historyTargets"] = []
+    failed, _ = _failed_checks(data)
+    assert failed == [item]
+
+
 def test_checker_hands_the_partitions_table_to_a_process_ending_in_it():
     # A process whose final blocks are the Venn partition's reads the
     # partition's table.  With places 0 and 2 swapped, it ends elsewhere and

@@ -60,6 +60,8 @@ _ARITY = {
 }
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_NAME_START = frozenset(
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 KEYWORDS = frozenset(
     word for template, _ in _SYNTAX.values() for word in _NAME_RE.findall(template))
@@ -112,43 +114,43 @@ class Formula:
         return " & ".join(lit.render() for lit in self.literals)
 
 
-_TOKEN_RE = re.compile(_NAME_RE.pattern + r"|<=|[=!{},()\\&\n]|[^\sA-Za-z_]")
+# A word is a name, '<=', a newline or one other character that is no
+# space; the spaces before it, newlines aside, are skipped.  A stray
+# character is one that no word of the syntax holds: no space, letter,
+# digit, '_' or operator.  Digits and letters outside A-Z and a-z are
+# words of their own, which no literal reads.
+_WORD_RE = re.compile(r"[^\S\n]*(" + _NAME_RE.pattern + r"|<=|\n|\S)")
+_STRAY_RE = re.compile(r"[^\s\w={}!,()\\&<]")
 
 
 def _tokenize(text):
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            tokens.append(("\n", line, col))
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        m = _TOKEN_RE.match(text, i)
-        if not m:
-            raise FormulaSyntaxError(f"unexpected character {ch!r}", line, col)
-        tok = m.group()
-        if len(tok) == 1 and not (tok.isalnum() or tok in "_={}!,()\\&<"):
-            raise FormulaSyntaxError(f"unexpected character {tok!r}", line, col)
-        tokens.append((tok, line, col))
-        col += len(tok)
-        i = m.end()
-    return tokens
+    """The words of `text`, in order; raises FormulaSyntaxError at its
+    first stray character."""
+    stray = _STRAY_RE.search(text)
+    if stray:
+        raise _error(text, stray.start(),
+                     f"unexpected character {stray.group()!r}")
+    return _WORD_RE.findall(text)
 
 
-def _shape(tokens):
-    """The tokens' words with each operand, a name that is no keyword, read
-    as the placeholder None; and the operands in order."""
+def _spans(text):
+    """Where each word of `text` starts and ends."""
+    return [m.span(1) for m in _WORD_RE.finditer(text)]
+
+
+def _error(text, at, message):
+    """The FormulaSyntaxError at text[at], its line and column from 1."""
+    return FormulaSyntaxError(message, text.count("\n", 0, at) + 1,
+                              at - text.rfind("\n", 0, at))
+
+
+def _shape(words):
+    """The words with each operand, a name that is no keyword, read as the
+    placeholder None; and the operands in order.  A word is a name when
+    its first character can start one."""
     shape, operands = [], []
-    for word, _, _ in tokens:
-        if word not in KEYWORDS and _NAME_RE.match(word):
+    for word in words:
+        if word[0] in _NAME_START and word not in KEYWORDS:
             shape.append(None)
             operands.append(word)
         else:
@@ -166,40 +168,41 @@ def _template_shape(kind, arity):
 _SHAPES = {_template_shape(kind, arity): kind for kind, arity in _ARITY.items()}
 
 
-def _literal(tokens, text) -> Literal:
-    """The literal whose template has the shape of `tokens`, which are all
-    on one line of `text`; an enumeration of any length has its own."""
-    shape, operands = _shape(tokens)
+def _literal(words, start, stop, text) -> Literal:
+    """The literal whose template has the shape of words[start:stop] of
+    `text`, which lie on one line; an enumeration of any length has its
+    own."""
+    shape, operands = _shape(words[start:stop])
     kind = _SHAPES.get(shape)
     if (kind is None and len(operands) >= 2
             and shape == _template_shape(ENUM, len(operands))):
         kind = ENUM
     if kind is None:
-        _, line, col = tokens[0]
-        last, _, last_col = tokens[-1]
-        source = text.split("\n")[line - 1][col - 1:last_col - 1 + len(last)]
-        raise FormulaSyntaxError(f"not a literal: {source!r}", line, col)
+        spans = _spans(text)
+        first, end = spans[start][0], spans[stop - 1][1]
+        raise _error(text, first, f"not a literal: {text[first:end]!r}")
     return Literal(kind, operands)
 
 
 def parse(text: str) -> Formula:
     """Parse the concrete syntax into a Formula; raises FormulaSyntaxError.
 
-    The tokens are split into literals on runs of '&' and newlines.  The
+    The words are split into literals on runs of '&' and newlines.  The
     formula may open with newlines, not with '&', and may end with any run
     of separators.
     """
-    literals, run = [], []
-    for token in _tokenize(text):
-        if token[0] not in ("&", "\n"):
-            run.append(token)
-        elif run:
-            literals.append(_literal(run, text))
-            run = []
-        elif token[0] == "&" and not literals:
-            raise FormulaSyntaxError("expected a literal before '&'", *token[1:])
-    if run:
-        literals.append(_literal(run, text))
+    words = _tokenize(text)
+    literals, start = [], 0
+    for k, word in enumerate(words):
+        if word == "&" or word == "\n":
+            if start < k:
+                literals.append(_literal(words, start, k, text))
+            elif word == "&" and not literals:
+                raise _error(text, _spans(text)[k][0],
+                             "expected a literal before '&'")
+            start = k + 1
+    if start < len(words):
+        literals.append(_literal(words, start, len(words), text))
     if not literals:
         raise FormulaSyntaxError("empty formula", 1, 1)
     return Formula(tuple(literals))

@@ -160,12 +160,13 @@ class UniverseTable:
     the universe, so tables of one size share them (`_SizeTable`).  The
     pruning reads only these bits, so a choice's HfSet is built when a
     leaf first reads it (see `_Choices`), and the index of Pow(choices[j])
-    is found on first use.  Get a table with `_universe_table`.
+    and the mask of a literal on one variable are found on first use.  Get
+    a table with `_universe_table`.
     """
 
     __slots__ = ("choices", "emask", "choice_of", "elem_index", "elem_choice",
                  "cmask", "full", "everything", "nonempty", "held",
-                 "holding", "sub", "sup", "_pow")
+                 "holding", "sub", "sup", "_pow", "_roots")
 
     def __init__(self, universe):
         elems = sorted(universe, key=hf.order_key)
@@ -205,6 +206,7 @@ class UniverseTable:
         self.nonempty = sum(1 << i for i, bits in enumerate(direct) if bits)
         self.held = functools.reduce(operator.or_, direct, 0)
         self._pow = {}
+        self._roots = {}
 
     def members_of(self, j) -> int:
         """Bit k is set when choices[k] is a member of choices[j]."""
@@ -242,6 +244,15 @@ class UniverseTable:
             subsets = self.subsets_of(j)
             got = self._pow[j] = self.set_of(
                 k for k in range(len(self.emask)) if subsets >> k & 1)
+        return got
+
+    def root_mask(self, kind, arity) -> int:
+        """The `_truth_mask` of a literal of `kind` whose `arity` operands
+        are all one variable."""
+        key = (kind, arity)
+        got = self._roots.get(key)
+        if got is None:
+            got = self._roots[key] = _truth_mask(self, kind, [None] * arity)
         return got
 
 
@@ -450,14 +461,15 @@ class _Walk:
     bound, at depth e < d, its `_truth_mask` over the free variable's
     values is ANDed into the domain of depth d.  The mask is built once per
     index tuple of the other operands and universe.  A literal with no
-    other operand narrows the root domain of depth d once per universe.
-    The walk at depth d visits the set bits of its domain in ascending j,
-    which is `choices` order; a domain that becomes empty cuts the prefix,
-    since no extension of it satisfies that literal, and an empty root
-    domain leaves the universe without leaves.  Only subtrees without a
-    leaf are skipped, so the leaves and their order are those that
-    checking every literal at every node would keep.  The schedule depends
-    on `names` and `checks` only, so `decide` builds it once per call.
+    other operand narrows the root domain of depth d (`root_domains`) by a
+    mask that the table keeps (`UniverseTable.root_mask`).  The walk at
+    depth d visits the set bits of its domain in ascending j, which is
+    `choices` order; a domain that becomes empty cuts the prefix, since no
+    extension of it satisfies that literal, and an empty root domain
+    leaves the universe without leaves.  Only subtrees without a leaf are
+    skipped, so the leaves and their order are those that checking every
+    literal at every node would keep.  The schedule depends on `names` and
+    `checks` only, so `decide` builds it once per call.
     """
 
     def __init__(self, names, checks, red=(), infinite=()):
@@ -465,7 +477,7 @@ class _Walk:
         depth_of = {name: d for d, name in enumerate(names)}
         self.red = sorted({depth_of[v] for v in red})
         self.infinite = sorted({depth_of[v] for v in infinite})
-        # roots: (d, kind, operands) of the literals on one variable;
+        # roots: (d, kind, arity) of the literals on one variable;
         # ahead[e]: per depth d > e, (kind, operands, key, memo index) of
         # the literals of checks[d] whose other operands are bound by e, e
         # the last of them.  An operand is its depth, None for d.
@@ -478,13 +490,24 @@ class _Walk:
                         for v in lit.operands]
                 earlier = sorted({e for e in vals if e is not None})
                 if not earlier:
-                    self.roots.append((d, lit.kind, vals))
+                    self.roots.append((d, lit.kind, len(vals)))
                     continue
                 ahead[earlier[-1]].setdefault(d, []).append(
                     (lit.kind, vals, operator.itemgetter(*earlier),
                      self.masked))
                 self.masked += 1
         self.ahead = [list(targets.items()) for targets in ahead]
+
+    def root_domains(self, table):
+        """The root domain of each depth under one universe: the choices
+        that the literals on that variable alone allow, read off the
+        table's root masks; None when one of them is empty."""
+        root = [table.everything] * len(self.names)
+        for d, kind, arity in self.roots:
+            root[d] &= table.root_mask(kind, arity)
+            if not root[d]:
+                return None
+        return root
 
     def leaves(self, table, cover=True):
         """The surviving candidate assignments under one universe."""
@@ -494,10 +517,8 @@ class _Walk:
         full = table.full if cover else None
         last = len(names) - 1
         picked = [0] * len(names)
-        root = [table.everything] * len(names)
-        for d, kind, vals in self.roots:
-            root[d] &= _truth_mask(table, kind, vals)
-        if not all(root):
+        root = self.root_domains(table)
+        if root is None:
             return iter(())
         memos = [{} for _ in range(self.masked)]
 
@@ -580,10 +601,14 @@ def decide(formula: lang.Formula, budget: SearchBudget) -> DecideResult:
     transitive universe its values generate, and the first that is a model
     (or that `certify_witness` accepts) is the answer.  Literals other than
     Finite/!Finite prune: `_Walk` applies each one to the domain of its
-    last-bound variable as soon as its other operands are bound, and a
-    universe is skipped when the literals of one connected component of
-    the variables have no solution in it, found by the same walk over that
-    component alone.  A candidate of a formula with a !Finite literal must
+    last-bound variable as soon as its other operands are bound.  Each
+    universe is tested three times, the cheapest first: it is skipped when
+    a literal on one variable empties that variable's root domain, read off
+    the masks its table keeps (node consistency: Mackworth, "Consistency
+    in networks of relations", AI 8(1), 1977); then when the literals of
+    one connected component of the variables have no solution in it, found
+    by the same walk over that component alone; and only then is it
+    walked.  A candidate of a formula with a !Finite literal must
     also pass `_may_pump`, a bit test that fails only on candidates that
     `certify_witness` rejects.  Only candidates that would be rejected are
     dropped, so the guarantee holds with the leaf test: the first hit, and
@@ -605,8 +630,9 @@ def decide(formula: lang.Formula, budget: SearchBudget) -> DecideResult:
     parts = [_Walk(part, here) for part, here in _components(names, checks)]
     for universe in enumerate_universes(budget.max_rank, budget.max_universe):
         table = _universe_table(universe)
-        if any(next(part.leaves(table, cover=False), None) is None
-               for part in parts):
+        if search.root_domains(table) is None or any(
+                next(part.leaves(table, cover=False), None) is None
+                for part in parts):
             continue
         for assignment in search.leaves(table):
             if infinite:

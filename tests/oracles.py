@@ -6,11 +6,18 @@ imitation that `relations.imitates` checks implies.  `finer_than`,
 `drop_finite_literals`, `stage_universe` and `final_universe` are the plain
 definitions the tests read partitions, formulas and processes by.  They
 still import package helpers (`node_union`, `SignatureTable`, `subsets`).
+`parse_by_character` is the reference parser: it reads the text one
+character at a time and tracks the line and column of every token, which
+`lang.parse` works out only for an error.
 """
 
 from __future__ import annotations
 
+import functools
+import re
+
 from mlsspf import hf, lang
+from mlsspf.errors import FormulaSyntaxError
 from mlsspf.report import ReportBuilder
 from mlsspf.venn import SignatureTable, node_union, subsets
 
@@ -76,3 +83,90 @@ def stage_universe(proc, mu) -> frozenset:
 def final_universe(proc) -> frozenset:
     """The elements a process has placed by its last stage."""
     return stage_universe(proc, proc.xi)
+
+
+_TOKEN_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_TOKEN_RE = re.compile(
+    _TOKEN_NAME_RE.pattern + r"|<=|[=!{},()\\&\n]|[^\sA-Za-z_]")
+
+
+def tokenize_by_character(text):
+    """The tokens of `text` as (word, line, column), read one character at
+    a time; raises FormulaSyntaxError at the first stray character."""
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            tokens.append(("\n", line, col))
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            i += 1
+            col += 1
+            continue
+        m = _TOKEN_RE.match(text, i)
+        if not m:
+            raise FormulaSyntaxError(f"unexpected character {ch!r}", line, col)
+        tok = m.group()
+        if len(tok) == 1 and not (tok.isalnum() or tok in "_={}!,()\\&<"):
+            raise FormulaSyntaxError(f"unexpected character {tok!r}", line, col)
+        tokens.append((tok, line, col))
+        col += len(tok)
+        i = m.end()
+    return tokens
+
+
+def _shape(tokens):
+    shape, operands = [], []
+    for word, _, _ in tokens:
+        if word not in lang.KEYWORDS and _TOKEN_NAME_RE.fullmatch(word):
+            shape.append(None)
+            operands.append(word)
+        else:
+            shape.append(word)
+    return tuple(shape), operands
+
+
+@functools.cache
+def _template_shape(kind, arity):
+    text = lang.Literal(kind, ("v",) * arity).render()
+    return _shape(tokenize_by_character(text))[0]
+
+
+def _literal(tokens, text):
+    shape, operands = _shape(tokens)
+    kinds = [kind for kind, arity in lang._ARITY.items()
+             if shape == _template_shape(kind, arity)]
+    if (not kinds and len(operands) >= 2
+            and shape == _template_shape(lang.ENUM, len(operands))):
+        kinds = [lang.ENUM]
+    if not kinds:
+        _, line, col = tokens[0]
+        last, _, last_col = tokens[-1]
+        source = text.split("\n")[line - 1][col - 1:last_col - 1 + len(last)]
+        raise FormulaSyntaxError(f"not a literal: {source!r}", line, col)
+    return lang.Literal(kinds[0], operands)
+
+
+def parse_by_character(text):
+    """`lang.parse` on the tokens of `tokenize_by_character`: the same
+    Formula, or the same error at the same line and column."""
+    literals, run = [], []
+    for token in tokenize_by_character(text):
+        if token[0] not in ("&", "\n"):
+            run.append(token)
+        elif run:
+            literals.append(_literal(run, text))
+            run = []
+        elif token[0] == "&" and not literals:
+            raise FormulaSyntaxError("expected a literal before '&'",
+                                     *token[1:])
+    if run:
+        literals.append(_literal(run, text))
+    if not literals:
+        raise FormulaSyntaxError("empty formula", 1, 1)
+    return lang.Formula(tuple(literals))

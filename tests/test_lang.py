@@ -7,7 +7,7 @@ from mlsspf import hf, lang
 from mlsspf.errors import ArityError, FormulaSyntaxError, UnboundVariable
 
 from conftest import chain
-from oracles import drop_finite_literals
+from oracles import drop_finite_literals, parse_by_character
 
 A, B, C = chain(2)
 
@@ -116,7 +116,7 @@ def spelled_literals(draw):
              else lang._ARITY[kind])
     lit = lang.Literal(kind, tuple(draw(_FREE_NAMES) for _ in range(arity)))
     text = ""
-    for tok, _, _ in lang._tokenize(lit.render()):
+    for tok in lang._tokenize(lit.render()):
         gap = draw(st.sampled_from(["", " ", "  ", "\t"]))
         if text and (text[-1].isalnum() or text[-1] == "_") and (
                 tok[0].isalnum() or tok[0] == "_"):
@@ -143,6 +143,42 @@ def test_parse_reads_spelled_literals(spelled, data):
         text += spelling
     text += "".join(data.draw(st.one_of(st.just([]), _SEPARATOR)))
     assert m.parse(text).literals == tuple(lit for lit, _ in spelled)
+
+
+_WHOLE = ["x = y", "!y <= x", "x = {y, z}", "Finite(x)", "x = Pow(y)"]
+_SPACES = [" ", "  ", "\t", "\n", "\r"]
+_STRAYS = ["1", "<", "@", "?", "\u00e9", "\u00a0"]
+
+# Formula texts: pieces of names, keywords, operators, spaces, line breaks
+# and characters that no literal reads or that are no word at all; or
+# whole literals, each followed by a separator, a space or a stray
+# character.
+_TEXTS = st.one_of(
+    st.lists(st.sampled_from(
+        ["x", "y", "v_1", "inx"] + sorted(lang.KEYWORDS)
+        + ["=", "!", "{", "}", ",", "(", ")", "\\", "&", "<="]
+        + _WHOLE + _SPACES + _STRAYS), max_size=14).map("".join),
+    st.lists(st.tuples(st.sampled_from(_WHOLE), st.sampled_from(
+        [" & ", "\n", "&\t", "\r\n&", " \u00a0", "@"])), max_size=5).map(
+            lambda pairs: "".join(lit + gap for lit, gap in pairs)))
+
+
+@given(_TEXTS)
+@settings(max_examples=500)
+def test_parse_matches_the_character_loop(text):
+    # The one-regex tokenizer and the reference loop, one character at a
+    # time, read the same formula or raise the same error at the same line
+    # and column.
+    try:
+        expected = parse_by_character(text)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as got:
+            m.parse(text)
+        assert type(got.value) is type(exc)
+        assert str(got.value) == str(exc)
+        assert (got.value.line, got.value.column) == (exc.line, exc.column)
+    else:
+        assert m.parse(text) == expected
 
 
 def test_duplicate_literals_flagged():

@@ -403,6 +403,24 @@ def test_hard_search_builds_no_choice(monkeypatch):
     assert reads == []
 
 
+@pytest.mark.parametrize("text", ["!x = x & y in z", "x in x & y = z"])
+def test_empty_root_domain_skips_the_universe_unwalked(text, monkeypatch):
+    # A count guard: the literal on x alone holds nowhere, so decide skips
+    # every universe on its root domains, before any component walk or the
+    # search opens.  Testing them inside the walks took 27 and 28 calls.
+    calls = []
+    leaves = _Walk.leaves
+
+    def counting(walk, *args, **kwargs):
+        calls.append(None)
+        return leaves(walk, *args, **kwargs)
+
+    monkeypatch.setattr(_Walk, "leaves", counting)
+    budget = m.SearchBudget(max_rank=4, max_universe=4)
+    assert m.decide(m.parse(text), budget).verdict == m.UNSAT_WITHIN_BUDGET
+    assert calls == []
+
+
 _PAIRS = (("w", "x"), ("y", "z"))
 
 
